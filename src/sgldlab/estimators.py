@@ -17,7 +17,13 @@ import numpy as np
 
 from .constants import sg_variance_bound
 from .losses import LossModel
-from .sgld import SGLDConfig, _fy_subset_rows, _run_chains_lockstep, dataset_fingerprint
+from .sgld import (
+    SGLDConfig,
+    _block_len,
+    _fy_subset_rows,
+    _run_chains_lockstep,
+    dataset_fingerprint,
+)
 
 __all__ = [
     "EstimateWithError",
@@ -115,7 +121,8 @@ def empirical_gen_gap(
         chain_seqs.append(chain_seq)
         pool_seqs.append(pool_seq)
 
-    traces = _run_chains_lockstep(config, model, np.stack(datasets), chain_seqs, ids)
+    traces = _run_chains_lockstep(config, model, np.stack(datasets), chain_seqs, ids,
+                                  series=False)
 
     n_pool = TEST_POOL_FACTOR * config.n
     gaps = np.empty(n_trials)
@@ -163,18 +170,24 @@ def grad_variance_trace(
         rng_seed = cfg.seed
     rng = np.random.default_rng(np.random.SeedSequence([rng_seed, 0xE57]))
 
+    # blocks of stored states; drawing a block's offsets in one call gives
+    # the same stream as one (n_resamples, k) draw per state
     out = []
     high = cfg.n - np.arange(cfg.k)
-    for row in range(trace.states.shape[0]):
-        w = trace.states[row]
-        gfull = model.grad_minibatch(w[None], dataset[None])[0]
-        offs = rng.integers(0, high, size=(n_resamples, cfg.k))
+    # per state: an (n_resamples, n) Fisher-Yates scratch, and the
+    # (n_resamples, k, z) minibatches next to the (n, z) full batch
+    words = max(n_resamples * cfg.n, (n_resamples * cfg.k + cfg.n) * dataset.shape[1])
+    block = _block_len(words)
+    for r0 in range(0, trace.states.shape[0], block):
+        W = trace.states[r0:r0 + block]
+        b = W.shape[0]
+        gfull = model.grad_minibatch(W, np.broadcast_to(dataset, (b, *dataset.shape)))
+        offs = rng.integers(0, high, size=(b * n_resamples, cfg.k))
         idx = _fy_subset_rows(offs, cfg.n)
-        G = model.grad_minibatch(
-            np.broadcast_to(w, (n_resamples, cfg.d)), dataset[idx]
-        )
-        sq = np.einsum("ij,ij->i", G - gfull, G - gfull)
-        out.append(_estimate(sq, "grad_variance"))
+        G = model.grad_minibatch(np.repeat(W, n_resamples, axis=0), dataset[idx])
+        dev = G - np.repeat(gfull, n_resamples, axis=0)
+        sq = np.einsum("ij,ij->i", dev, dev).reshape(b, n_resamples)
+        out.extend(_estimate(row, "grad_variance") for row in sq)
     return out
 
 
@@ -211,18 +224,23 @@ def grad_stability_trace(
         chain_seqs.append(chain_seq)
         ids.append(dataset_fingerprint(S))
 
-    traces = _run_chains_lockstep(config, model, np.stack(datasets), chain_seqs, ids)
     DS = np.stack(datasets)
     DS_alt = np.stack(datasets_alt)
+    traces = _run_chains_lockstep(config, model, DS, chain_seqs, ids, series=False)
 
+    # blocks of stored steps, each evaluated for every pair in one call;
+    # row r * n_pairs + p of a block is pair p at the block's r-th step
     n_steps = traces[0].stored_steps.shape[0]
+    block = _block_len(DS[0].size * n_pairs)  # per step: (n_pairs, n, z) tiled data
     out = []
-    for row in range(n_steps):
-        W = np.stack([tr.states[row] for tr in traces])  # (pairs, d)
-        g_s = model.grad_minibatch(W, DS)
-        g_alt = model.grad_minibatch(W, DS_alt)
-        sq = np.einsum("ij,ij->i", g_s - g_alt, g_s - g_alt)
-        out.append(_estimate(sq, "grad_stability"))
+    for r0 in range(0, n_steps, block):
+        W = np.stack([tr.states[r0:r0 + block] for tr in traces], axis=1)
+        b = W.shape[0]
+        W = W.reshape(b * n_pairs, config.d)
+        g_s = model.grad_minibatch(W, np.tile(DS, (b, 1, 1)))
+        g_alt = model.grad_minibatch(W, np.tile(DS_alt, (b, 1, 1)))
+        sq = np.einsum("ij,ij->i", g_s - g_alt, g_s - g_alt).reshape(b, n_pairs)
+        out.extend(_estimate(row, "grad_stability") for row in sq)
     return out
 
 

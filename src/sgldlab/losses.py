@@ -283,7 +283,13 @@ class LogisticRidgeLoss(LossModel):
         z = np.asarray(z, dtype=float)
         x, y = z[:-1], z[-1]
         margin = y * float(w @ x)
-        sig = 1.0 / (1.0 + math.exp(margin)) if margin > -700 else 1.0
+        if margin > -700:
+            try:
+                sig = 1.0 / (1.0 + math.exp(margin))
+            except OverflowError:  # margin above ~709.78: 1 + exp(-margin) rounds to 1
+                sig = math.exp(-margin)
+        else:
+            sig = 1.0
         return -y * sig * x + self.lam * w
 
     def eval_many(self, W, Z):
@@ -376,13 +382,15 @@ class NonconvexRidgeLoss(LossModel):
 
 
 def _expit(t: np.ndarray) -> np.ndarray:
-    """Numerically safe logistic sigmoid."""
-    out = np.empty_like(t, dtype=float)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    e = np.exp(t[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    """Numerically safe logistic sigmoid.
+
+    1 / (1 + exp(-t)) for t >= 0 and exp(t) / (1 + exp(t)) for t < 0, so
+    exp never overflows. Both branches share e = exp(-|t|), which is
+    exactly exp(-t) or exp(t) on its own side, so they are evaluated on
+    the whole array and np.where picks one per entry.
+    """
+    e = np.exp(-np.abs(t))
+    return np.where(t >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def make_quadratic(R: float, data_radius: float, d: int) -> QuadraticLoss:

@@ -17,6 +17,10 @@ chain); minibatch indices use a partial Fisher-Yates shuffle, which is
 exactly uniform over size-k subsets, and consume k integer draws per step
 (none when k = n). Draws are made in blocks of `STEP_CHUNK` steps; the
 block structure is fixed, so identical seeds give bit-identical traces.
+The Fisher-Yates swaps are then applied to blocks of (chain, step) rows of
+a drawn chunk at once, sized by `BLOCK_WORDS`; each row is still shuffled
+from its own offsets alone, so the swap blocking never moves a draw or an
+index and the layout above does not depend on it.
 
 Ensembles spawn one child sequence per dataset; each dataset child spawns
 one sequence for sampling the dataset itself plus one per chain. Chains
@@ -52,6 +56,8 @@ __all__ = [
 
 STEP_CHUNK = 512          # steps per pre-drawn RNG block
 STATE_STORE_CAP = 10_000  # full state storage up to this many steps
+BLOCK_WORDS = 2**18       # 8-byte words in the largest array of one block;
+                          # twice this raised peak RSS and saved no time
 
 
 @dataclass(frozen=True)
@@ -276,16 +282,25 @@ def sgld_step(
 # ------------------------------------------------------------------- engine
 
 
+def _block_len(words_per_unit: int) -> int:
+    """Units (steps, states) per block so one block's largest array holds
+    at most `BLOCK_WORDS` words; a (rows, n) Fisher-Yates scratch costs
+    rows * n. At least one unit, which is what an unblocked loop costs.
+    """
+    return max(1, BLOCK_WORDS // words_per_unit)
+
+
 def _fy_subset_rows(offsets: np.ndarray, n: int) -> np.ndarray:
     """Apply partial Fisher-Yates swaps rowwise; offsets is (c, k)."""
     c, k = offsets.shape
     base = np.broadcast_to(np.arange(n), (c, n)).copy()
-    rows = np.arange(c)
+    flat = base.reshape(-1)
+    targets = offsets + np.arange(k) + n * np.arange(c)[:, None]  # flat positions
     for j in range(k):
-        target = j + offsets[:, j]
-        tmp = base[rows, j].copy()
-        base[rows, j] = base[rows, target]
-        base[rows, target] = tmp
+        target = targets[:, j]
+        tmp = base[:, j].copy()
+        base[:, j] = flat[target]
+        flat[target] = tmp
     return base[:, :k]
 
 
@@ -295,12 +310,22 @@ def _run_chains_lockstep(
     datasets: np.ndarray,
     chain_seqs: list[np.random.SeedSequence],
     dataset_ids: list[str],
+    series: bool = True,
 ) -> list[ChainTrace]:
     """Advance several chains together, vectorized across chains.
 
     `datasets` is (c, n, z_dim), row i being chain i's dataset (a broadcast
     view when chains share one). Per-chain RNG draws are issued chain by
     chain, so each chain's stream is independent of how chains are grouped.
+    Minibatch indices are built for a block of steps of the current chunk
+    at a time, as the step loop reaches them; `_block_len` sizes the block
+    from its (c * steps, n) Fisher-Yates scratch.
+
+    `series=False` skips the per-step full-batch gradient for callers that
+    read only the states: `grad_var_sample`, `grad_fullbatch_norm` and
+    `grad_minibatch_norm` are then read-only all-NaN views, and no memory
+    is allocated for them. `states`, `stored_steps` and `w_norm_sq` are
+    filled either way.
     """
     c = len(chain_seqs)
     T, d, n, k = config.T, config.d, config.n, config.k
@@ -325,9 +350,10 @@ def _run_chains_lockstep(
 
     states = np.empty((c, len(stored_steps), d))
     w_norm_sq = np.empty((c, T + 1))
-    grad_var = np.empty((c, T))
-    grad_full_norm = np.empty((c, T))
-    grad_mini_norm = np.empty((c, T))
+    if series:
+        grad_var, grad_full_norm, grad_mini_norm = np.empty((3, c, T))
+    else:  # read-only NaN views that take no memory
+        grad_var, grad_full_norm, grad_mini_norm = np.broadcast_to(np.nan, (3, c, T))
 
     w_norm_sq[:, 0] = np.einsum("ij,ij->i", W, W)
     if 0 in store_pos:
@@ -335,26 +361,33 @@ def _run_chains_lockstep(
     noise_count = 0
 
     high = (n - np.arange(k)).astype(np.int64)
+    block = _block_len(c * n)  # steps per Fisher-Yates block
     for start in range(0, T, STEP_CHUNK):
         cl = min(STEP_CHUNK, T - start)
         if k < n:
-            offs = np.stack([r.integers(0, high, size=(cl, k)) for r in rng_batch])
+            offs = np.empty((c, cl, k), dtype=np.int64)
+            for i, r in enumerate(rng_batch):
+                offs[i] = r.integers(0, high, size=(cl, k))
         xis = np.stack([r.standard_normal((cl, d)) for r in rng_noise])
         noise_count += cl * d
 
         for s in range(cl):
             t = start + s
             if k < n:
-                idx = _fy_subset_rows(offs[:, s], n)
-                Zb = np.take_along_axis(datasets, idx[:, :, None], axis=1)
+                if s % block == 0:
+                    b = min(block, cl - s)
+                    idx = _fy_subset_rows(offs[:, s:s + b].reshape(c * b, k), n)
+                    idx = idx.reshape(c, b, k)
+                Zb = np.take_along_axis(datasets, idx[:, s % block, :, None], axis=1)
             else:
                 Zb = datasets
             G = model.grad_minibatch(W, Zb)
-            Gfull = G if k == n else model.grad_minibatch(W, datasets)
-            diff = G - Gfull
-            grad_var[:, t] = np.einsum("ij,ij->i", diff, diff)
-            grad_full_norm[:, t] = np.sqrt(np.einsum("ij,ij->i", Gfull, Gfull))
-            grad_mini_norm[:, t] = np.sqrt(np.einsum("ij,ij->i", G, G))
+            if series:
+                Gfull = G if k == n else model.grad_minibatch(W, datasets)
+                diff = G - Gfull
+                grad_var[:, t] = np.einsum("ij,ij->i", diff, diff)
+                grad_full_norm[:, t] = np.sqrt(np.einsum("ij,ij->i", Gfull, Gfull))
+                grad_mini_norm[:, t] = np.sqrt(np.einsum("ij,ij->i", G, G))
 
             W = W - eta * G + noise_scale * xis[:, s]
             w_norm_sq[:, t + 1] = np.einsum("ij,ij->i", W, W)

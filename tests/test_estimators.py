@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+import sgldlab.estimators as estimators
+import sgldlab.sgld as sgld
 from sgldlab.constants import moment_bound_C0, sg_variance_bound, subexp_params
 from sgldlab.estimators import (
     EstimateWithError,
@@ -16,7 +18,7 @@ from sgldlab.estimators import (
     variance_trace_within_bound,
     write_estimates_csv,
 )
-from sgldlab.losses import LossConstants, LossModel, make_quadratic
+from sgldlab.losses import LossConstants, LossModel, make_logistic_ridge, make_quadratic
 from sgldlab.sgld import SGLDConfig, run_chain, run_ensemble
 
 
@@ -214,6 +216,131 @@ def test_grad_stability_scales_like_one_over_n():
     est_large = grad_stability_trace(model, None, large, n_pairs=200)[-1]
     ratio = est_small.mean / est_large.mean
     assert 2.8 < ratio < 5.2
+
+
+# ------------------------------------------- blocked traces vs per-row loop
+
+
+def _mean_and_stderr(rows):
+    rows = [np.asarray(r, dtype=float) for r in rows]
+    return (np.array([r.mean() for r in rows]),
+            np.array([r.std(ddof=1) / math.sqrt(r.size) for r in rows]))
+
+
+def _variance_per_row(model, dataset, trace, n_resamples, rng_seed):
+    # one offset draw, Fisher-Yates shuffle and kernel call per stored state
+    cfg = trace.config
+    rng = np.random.default_rng(np.random.SeedSequence([rng_seed, 0xE57]))
+    high = cfg.n - np.arange(cfg.k)
+    rows = []
+    for w in trace.states:
+        gfull = model.grad_minibatch(w[None], dataset[None])[0]
+        offs = rng.integers(0, high, size=(n_resamples, cfg.k))
+        idx = np.empty((n_resamples, cfg.k), dtype=int)
+        for r in range(n_resamples):
+            perm = np.arange(cfg.n)
+            for j in range(cfg.k):
+                tgt = j + offs[r, j]
+                perm[j], perm[tgt] = perm[tgt], perm[j]
+            idx[r] = perm[:cfg.k]
+        G = model.grad_minibatch(np.broadcast_to(w, (n_resamples, cfg.d)), dataset[idx])
+        rows.append(np.einsum("ij,ij->i", G - gfull, G - gfull))
+    return _mean_and_stderr(rows)
+
+
+def _stability_per_row(model, config, n_pairs, control_identical):
+    # the pair datasets and chains of the documented layout, then one pair
+    # of full-batch kernel calls per stored step
+    DS, DS_alt, seqs = [], [], []
+    for seq in np.random.SeedSequence(config.seed).spawn(n_pairs):
+        s_seq, s_alt_seq, chain_seq = seq.spawn(3)
+        S = model.sample_data(np.random.default_rng(s_seq), config.n)
+        DS.append(S)
+        DS_alt.append(S if control_identical
+                      else model.sample_data(np.random.default_rng(s_alt_seq), config.n))
+        seqs.append(chain_seq)
+    DS, DS_alt = np.stack(DS), np.stack(DS_alt)
+    traces = sgld._run_chains_lockstep(config, model, DS, seqs, ["id"] * n_pairs)
+    rows = []
+    for row in range(traces[0].states.shape[0]):
+        W = np.stack([tr.states[row] for tr in traces])
+        diff = model.grad_minibatch(W, DS) - model.grad_minibatch(W, DS_alt)
+        rows.append(np.einsum("ij,ij->i", diff, diff))
+    return _mean_and_stderr(rows)
+
+
+def _fields(ests):
+    return np.array([e.mean for e in ests]), np.array([e.stderr for e in ests])
+
+
+GRAD_MODELS = [make_quadratic(R=1.0, data_radius=1.0, d=2),
+               make_logistic_ridge(1.0, 1.0, 3)]
+
+
+@pytest.mark.parametrize("model", GRAD_MODELS, ids=["quadratic", "logistic"])
+@pytest.mark.parametrize("strided", [False, True])
+def test_grad_variance_blocks_equal_per_row_loop(monkeypatch, model, strided):
+    if strided:
+        # stride 5 over T = 47: 11 stored states in blocks of 4, 4 and 3
+        monkeypatch.setattr(sgld, "STATE_STORE_CAP", 10)
+        monkeypatch.setattr(sgld, "BLOCK_WORDS", 4 * 20 * 30)  # (20 resamples, n = 30)
+    cfg = quad_cfg(k=5, n=30, T=47, d=model.d, seed=21)
+    ds = model.sample_data(np.random.default_rng(6), cfg.n)
+    trace = run_chain(cfg, model, ds)
+    ests = grad_variance_trace(model, ds, trace, n_resamples=20, rng_seed=4)
+    assert len(ests) == trace.states.shape[0] == (11 if strided else 48)
+    want_mean, want_se = _variance_per_row(model, ds, trace, 20, rng_seed=4)
+    got_mean, got_se = _fields(ests)
+    assert np.array_equal(got_mean, want_mean)
+    assert np.array_equal(got_se, want_se)
+
+
+@pytest.mark.parametrize("model", GRAD_MODELS, ids=["quadratic", "logistic"])
+@pytest.mark.parametrize("strided", [False, True])
+@pytest.mark.parametrize("control_identical", [False, True])
+def test_grad_stability_blocks_equal_per_row_loop(monkeypatch, model, strided,
+                                                  control_identical):
+    cfg = quad_cfg(k=5, n=30, T=47, d=model.d, seed=22)
+    if strided:
+        # stride 5 over T = 47: 11 stored steps in blocks of 4, 4 and 3 of
+        # 6 pairs of (n = 30, z) datasets each
+        z = model.sample_data(np.random.default_rng(0), 1).shape[1]
+        monkeypatch.setattr(sgld, "STATE_STORE_CAP", 10)
+        monkeypatch.setattr(sgld, "BLOCK_WORDS", 4 * 6 * 30 * z)
+    ests = grad_stability_trace(model, None, cfg, n_pairs=6,
+                                control_identical=control_identical)
+    assert len(ests) == (11 if strided else 48)
+    want_mean, want_se = _stability_per_row(model, cfg, 6, control_identical)
+    got_mean, got_se = _fields(ests)
+    assert np.array_equal(got_mean, want_mean)
+    assert np.array_equal(got_se, want_se)
+    if control_identical:
+        assert np.all(got_mean == 0.0) and np.all(got_se == 0.0)
+
+
+def test_gradient_trace_blocks_bound_fisher_yates_scratch(monkeypatch):
+    # k = 1 with a large n: each Fisher-Yates call's (rows, n) scratch fits
+    # BLOCK_WORDS, or covers one unit (one state's resamples, one step of
+    # every chain), which is what an unblocked loop allocates
+    fy = sgld._fy_subset_rows
+    calls = []
+
+    def recorder(offsets, n):
+        calls.append(offsets.shape[0] * n)
+        return fy(offsets, n)
+
+    monkeypatch.setattr(sgld, "_fy_subset_rows", recorder)
+    monkeypatch.setattr(estimators, "_fy_subset_rows", recorder)
+    model = make_quadratic(R=1.0, data_radius=1.0, d=2)
+    cfg = quad_cfg(k=1, n=4000, T=6)
+    assert 300 * cfg.n > sgld.BLOCK_WORDS
+
+    traces = run_ensemble(cfg, model, n_chains=50, n_datasets=1)
+    assert calls and max(calls) <= sgld.BLOCK_WORDS
+    calls.clear()
+    ds = model.sample_data(np.random.default_rng(3), cfg.n)
+    grad_variance_trace(model, ds, traces[0], n_resamples=300, rng_seed=1)
+    assert calls == [300 * cfg.n] * 7
 
 
 # -------------------------------------------------------------- p-th moments

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from sgldlab.losses import (
     CERT_TOL,
     LossConstants,
+    _expit,
     certify,
     make_logistic_ridge,
     make_nonconvex_ridge,
@@ -96,6 +97,54 @@ def test_logistic_gradient_matches_finite_differences():
         assert np.linalg.norm(fd - g) < 1e-5 * max(np.linalg.norm(g), 1e-6), (
             f"finite differences disagree at sample {i}"
         )
+
+
+def test_logistic_scalar_grad_survives_huge_margins():
+    # exp(margin) overflows past margin ~709; the scalar path must still
+    # agree with the vectorized one there
+    model = make_logistic_ridge(1.0, 1.0, 1)
+    for margin in (-800.0, -720.0, 705.0, 720.0, 800.0):
+        w = np.array([margin])
+        z = np.array([1.0, 1.0])
+        np.testing.assert_allclose(model.grad(w, z), model.grad_many(w, z)[0],
+                                   rtol=1e-15)
+    # below the overflow the old expression is kept, bit for bit; w[1] = 0
+    # leaves grad[1] = -sigmoid(-margin) unmasked by the ridge term, and at
+    # 706.2294853020038 exp(-margin) differs from it in the last bit
+    model = make_logistic_ridge(1.0, 1.0, 2)
+    z = np.array([1.0, 1.0, 1.0])
+    for margin in (-650.0, 0.5, 706.2294853020038, 709.5, 709.78):
+        w = np.array([margin, 0.0])
+        old = -1.0 * (1.0 / (1.0 + math.exp(margin))) * z[:-1] + 1.0 * w
+        assert np.array_equal(model.grad(w, z).view(np.uint64), old.view(np.uint64))
+
+
+def test_certify_small_lambda_logistic_returns_a_report():
+    # the certify cube reaches margins far past 709 when lambda is small
+    report = certify(make_logistic_ridge(0.01, 1.0, 10), n_samples=2000)
+    assert len(report.checks) == 6
+
+
+def test_expit_bitwise_equals_two_branch_form():
+    def two_branch(t):
+        out = np.empty_like(t, dtype=float)
+        pos = t >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
+        e = np.exp(t[~pos])
+        out[~pos] = e / (1.0 + e)
+        return out
+
+    edges = np.array([0.0, -0.0, 700.0, -700.0, 800.0, -800.0, np.inf, -np.inf])
+    rng = np.random.default_rng(17)
+    cases = [edges.reshape(-1, 1, 1)[i] for i in range(edges.size)]
+    for shape in [(32, 200), (300, 20), (1, 1)]:
+        t = rng.standard_normal(shape) * 40.0
+        flat = t.reshape(-1)
+        at = rng.choice(flat.size, size=min(flat.size, edges.size), replace=False)
+        flat[at] = edges[: at.size]
+        cases.append(t)
+    for t in cases:
+        assert np.array_equal(_expit(t).view(np.uint64), two_branch(t).view(np.uint64))
 
 
 def test_logistic_invalid_lambda():

@@ -217,31 +217,81 @@ def test_run_chain_noise_accounting():
     assert tr.noise_variates == 777 * 2
 
 
-def test_run_chain_matches_documented_stream_layout():
-    # reconstruct a short chain by hand from the documented substream
-    # spawn order (init, batch, noise) and block structure
-    model = quad_model()
-    cfg = quad_config(T=37, k=10)
-    ds = model.sample_data(np.random.default_rng(8), 100)
-    tr = run_chain(cfg, model, ds)
+def _chain_by_hand(cfg, model, ds, seq):
+    """All states of one chain, rebuilt from the documented stream layout.
 
-    init_s, batch_s, noise_s = np.random.SeedSequence(cfg.seed).spawn(3)
+    Substreams spawn in the order (init, batch, noise); offsets and noise
+    are drawn per STEP_CHUNK steps; each step's minibatch comes from k
+    partial Fisher-Yates swaps of 0..n-1 by that step's own offsets.
+    """
+    init_s, batch_s, noise_s = seq.spawn(3)
     rng_i = np.random.default_rng(init_s)
     rng_b = np.random.default_rng(batch_s)
     rng_n = np.random.default_rng(noise_s)
     w = math.sqrt(cfg.s_sq) * rng_i.standard_normal(cfg.d)
     high = cfg.n - np.arange(cfg.k)
-    offs = rng_b.integers(0, high, size=(cfg.T, cfg.k))  # one block (T < chunk)
-    xis = rng_n.standard_normal((cfg.T, cfg.d))
     scale = math.sqrt(2 * cfg.eta / cfg.beta)
-    for t in range(cfg.T):
-        idx = np.arange(cfg.n)
-        for j in range(cfg.k):
-            tgt = j + offs[t, j]
-            idx[j], idx[tgt] = idx[tgt], idx[j]
-        g = model.grad_minibatch(w[None], ds[idx[: cfg.k]][None])[0]
-        w = w - cfg.eta * g + scale * xis[t]
-    np.testing.assert_array_equal(w, tr.final_state)
+    states = [w]
+    for start in range(0, cfg.T, sgld.STEP_CHUNK):
+        cl = min(sgld.STEP_CHUNK, cfg.T - start)
+        offs = rng_b.integers(0, high, size=(cl, cfg.k))
+        xis = rng_n.standard_normal((cl, cfg.d))
+        for s in range(cl):
+            idx = np.arange(cfg.n)
+            for j in range(cfg.k):
+                tgt = j + offs[s, j]
+                idx[j], idx[tgt] = idx[tgt], idx[j]
+            g = model.grad_minibatch(w[None], ds[idx[: cfg.k]][None])[0]
+            w = w - cfg.eta * g + scale * xis[s]
+            states.append(w)
+    return np.stack(states)
+
+
+def test_run_chain_matches_documented_stream_layout():
+    # one RNG chunk, then several chunks with k < n
+    model = quad_model()
+    ds = model.sample_data(np.random.default_rng(8), 100)
+    for T in (37, 2 * sgld.STEP_CHUNK + 37):
+        cfg = quad_config(T=T, k=10)
+        tr = run_chain(cfg, model, ds)
+        want = _chain_by_hand(cfg, model, ds, np.random.SeedSequence(cfg.seed))
+        assert np.array_equal(tr.states, want)
+
+
+@pytest.mark.parametrize("block_steps", [None, 341, 2])
+def test_ensemble_matches_documented_stream_layout(monkeypatch, block_steps):
+    # three chains over independent datasets: by default a Fisher-Yates
+    # block spans a whole chunk; 341 steps do not divide a 512-step chunk,
+    # and 2 steps leave a 1-step block to end the 37-step chunk
+    model = quad_model()
+    cfg = quad_config(T=2 * sgld.STEP_CHUNK + 37, k=10)
+    if block_steps is not None:
+        words_per_step = 3 * cfg.n
+        monkeypatch.setattr(sgld, "BLOCK_WORDS", (block_steps + 1) * words_per_step - 1)
+        assert sgld._block_len(words_per_step) == block_steps
+    traces = run_ensemble(cfg, model, n_chains=1, n_datasets=3)
+    for tr, ds_seq in zip(traces, np.random.SeedSequence(cfg.seed).spawn(3)):
+        sampler_seq, chain_seq = ds_seq.spawn(2)
+        ds = model.sample_data(np.random.default_rng(sampler_seq), cfg.n)
+        assert np.array_equal(tr.states, _chain_by_hand(cfg, model, ds, chain_seq))
+
+
+def test_lockstep_without_series_keeps_states():
+    model = quad_model()
+    cfg = quad_config(T=90, k=10)
+    ds = model.sample_data(np.random.default_rng(4), cfg.n)
+    def run(series):
+        seqs = np.random.SeedSequence(cfg.seed).spawn(2)  # spawning is stateful
+        return sgld._run_chains_lockstep(cfg, model, np.stack([ds, ds[::-1]]),
+                                         seqs, ["a", "b"], series=series)
+
+    full, bare = run(True), run(False)
+    for a, b in zip(full, bare):
+        assert np.array_equal(a.states, b.states)
+        assert np.array_equal(a.w_norm_sq, b.w_norm_sq)
+        assert np.all(np.isnan(b.grad_var_sample))
+        assert np.all(np.isnan(b.grad_fullbatch_norm))
+        assert np.all(np.isnan(b.grad_minibatch_norm))
 
 
 def test_run_chain_full_batch_variance_sample_is_zero():
