@@ -15,6 +15,7 @@ conversion wherever the underlying quantity is an information measure.
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import json
 import math
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constants import DerivedConstants
+from .constants import DerivedConstants, admissibility_failures, kl_recursion_constants
 from .losses import LossConstants
 from .sgld import SGLDConfig
 
@@ -30,6 +31,7 @@ __all__ = [
     "BoundEntry",
     "BoundReport",
     "BOUND_NAMES",
+    "BOUNDS_CSV_COLUMNS",
     "bound_xu_raginsky",
     "bound_pensia",
     "bound_time_independent",
@@ -48,6 +50,8 @@ BOUND_NAMES = (
     "subexp_gen",
     "excess_risk",
 )
+
+BOUNDS_CSV_COLUMNS = ("name", "value", "T", "n", "eta", "beta", "flags")
 
 
 @dataclass(frozen=True)
@@ -79,30 +83,21 @@ class BoundReport:
 
     entries: tuple
 
-    def __post_init__(self) -> None:
-        for e in self.entries:
-            if e.preconditions_ok and e.value is not None:
-                if not (e.value >= 0 and math.isfinite(e.value)):
-                    raise ValueError(f"entry {e.name!r} violates the value invariant")
-
     def __getitem__(self, name: str) -> BoundEntry:
         for e in self.entries:
             if e.name == name:
                 return e
         raise KeyError(name)
 
-    def names(self) -> tuple:
-        return tuple(e.name for e in self.entries)
-
     def to_json(self) -> str:
-        return json.dumps([e.to_dict() for e in self.entries], indent=2)
+        return json.dumps([e.to_dict() for e in self.entries], indent=2,
+                          sort_keys=True) + "\n"
 
     def to_csv(self, path) -> None:
-        import csv
-
+        """One row per entry; (T, n, eta, beta) cells are empty when absent."""
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["name", "value", "T", "n", "eta", "beta", "flags"])
+            writer.writerow(BOUNDS_CSV_COLUMNS)
             for e in self.entries:
                 writer.writerow(
                     [
@@ -177,16 +172,13 @@ def bound_time_independent(
 
     KL_T <= 4 beta c_LS * min(1, eta T / (4 beta c_LS)) * (V + c3) /
     (1 - eta/(4 beta c_LS)) with V = beta D1 / 2 and c3 = D2/(4 beta c_LS)
-    + D3/(2 beta); the value is sqrt(2 sigma_g_sq KL_T / n). Outside the
-    admissible (beta, eta) ranges no value is produced.
+    + D3/(2 beta) from `kl_recursion_constants`; the value is
+    sqrt(2 sigma_g_sq KL_T / n). Outside the admissible (beta, eta) ranges
+    (`admissibility_failures`) no value is produced and the failed checks
+    are the notes.
     """
     eta, beta, T = config.eta, config.beta, config.T
-    failures = []
-    if beta < 2.0 / lc.m:
-        failures.append(f"beta={beta} < 2/m={2.0 / lc.m}")
-    eta_cap = min(1.0, lc.m / (5.0 * lc.M**2), 4.0 * beta * dc.c_LS)
-    if not 0 < eta < eta_cap:
-        failures.append(f"eta={eta} outside (0, {eta_cap})")
+    failures = admissibility_failures(lc, eta, beta, dc.c_LS)
     inputs = {"n": n, "eta": eta, "beta": beta, "T": T, "sigma_g_sq": sigma_g_sq}
     if failures:
         return BoundEntry(
@@ -196,9 +188,9 @@ def bound_time_independent(
             preconditions_ok=False,
             notes=tuple(failures),
         )
-    horizon = 4.0 * beta * dc.c_LS
-    stability = beta * dc.D1 / 2.0
-    const = dc.D2 / horizon + dc.D3 / (2.0 * beta)
+    rec = kl_recursion_constants(dc, eta, beta)
+    horizon = rec["horizon"]
+    stability, const = rec["stability_coeff"], rec["const_coeff"]
     saturation = min(1.0, eta * T / horizon)
     kl = horizon * saturation * (stability + const) / (1.0 - eta / horizon)
     notes = list(dc.notes)

@@ -28,7 +28,9 @@ import numpy as np
 from . import __version__
 from .bounds import (
     BOUND_NAMES,
+    BOUNDS_CSV_COLUMNS,
     BoundEntry,
+    BoundReport,
     bound_farghly_shape,
     bound_pensia,
     bound_strongly_convex,
@@ -39,6 +41,7 @@ from .bounds import (
 )
 from .constants import derive_constants, ParametrixOverrides, subexp_params
 from .estimators import (
+    ESTIMATES_CSV_COLUMNS,
     empirical_gen_gap,
     grad_stability_trace,
     grad_variance_trace,
@@ -56,8 +59,6 @@ from .fokker_planck import (
 from .losses import certify, make_logistic_ridge, make_nonconvex_ridge, make_quadratic
 from .oracle import oracle_mi_upper, oracle_trace, verify_kl_recursion
 from .sgld import SGLDConfig, run_ensemble, strict_mode_failures
-
-THREADS_ENV = "SGLDLAB_THREADS"
 
 
 class ConfigError(Exception):
@@ -87,12 +88,9 @@ _SCHEMAS = {
         "T": (_REQ, int),
         "s_sq": (1.0, float),
         "seed": (0, int),
-        "strict_mode": (False, bool),
     },
     "data": {
         "n": (_REQ, int),
-        "test_pool_factor": (10, int),
-        "radius": (None, float),
     },
     "bounds": {
         "which": (list(BOUND_NAMES), list),
@@ -127,12 +125,15 @@ _SCHEMAS = {
         "falsify": (False, bool),
         "oracle_T": (2000, int),
     },
-    "output": {
-        "directory": (None, str),
-        "formats": (["csv", "json"], list),
-    },
 }
 _REQUIRED_BLOCKS = ("loss", "sgld", "data")
+
+# loss family -> (constructor, the loss keys it requires)
+_FAMILIES = {
+    "quadratic": (make_quadratic, ("R",)),
+    "logistic_ridge": (make_logistic_ridge, ("lam",)),
+    "nonconvex_ridge": (make_nonconvex_ridge, ("lam", "a")),
+}
 
 
 def _coerce(block: str, key: str, value, expected):
@@ -169,26 +170,14 @@ class ExperimentConfig:
     def model(self):
         loss = self.blocks["loss"]
         family = loss["family"]
-        if family == "quadratic":
-            if loss["R"] is None:
-                raise ConfigError("loss.R is required for the quadratic family")
-            model = make_quadratic(R=loss["R"], data_radius=loss["data_radius"],
-                                   d=loss["d"])
-        elif family == "logistic_ridge":
-            if loss["lam"] is None:
-                raise ConfigError("loss.lam is required for logistic_ridge")
-            model = make_logistic_ridge(lam=loss["lam"],
-                                        data_radius=loss["data_radius"],
-                                        d=loss["d"])
-        elif family == "nonconvex_ridge":
-            if loss["lam"] is None or loss["a"] is None:
-                raise ConfigError("loss.lam and loss.a are required for "
-                                  "nonconvex_ridge")
-            model = make_nonconvex_ridge(lam=loss["lam"], a=loss["a"],
-                                         data_radius=loss["data_radius"],
-                                         d=loss["d"])
-        else:
+        if family not in _FAMILIES:
             raise ConfigError(f"unknown loss family {family!r}")
+        make, keys = _FAMILIES[family]
+        if any(loss[key] is None for key in keys):
+            raise ConfigError(f"the {family} family requires "
+                              + " and ".join(f"loss.{key}" for key in keys))
+        model = make(**{key: loss[key] for key in keys},
+                     data_radius=loss["data_radius"], d=loss["d"])
         if loss["claimed"] is not None:
             # deliberately wrong claims, for exercising the certifier
             try:
@@ -204,7 +193,7 @@ class ExperimentConfig:
                 eta=s["eta"], beta=s["beta"], k=s["k"],
                 n=self.blocks["data"]["n"], T=s["T"],
                 d=self.blocks["loss"]["d"], s_sq=s["s_sq"],
-                seed=s["seed"] if seed is None else seed, strict_mode=False,
+                seed=s["seed"] if seed is None else seed,
             )
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"sgld: {exc}") from exc
@@ -267,11 +256,9 @@ def load_config(path) -> ExperimentConfig:
             else:
                 out[key] = default
         blocks[block] = out
-    radius = blocks["data"]["radius"]
-    if radius is not None and radius != blocks["loss"]["data_radius"]:
-        raise ConfigError(
-            "data.radius conflicts with loss.data_radius; set only one"
-        )
+    for name in blocks["bounds"]["which"]:
+        if name not in BOUND_NAMES:
+            raise ConfigError(f"bounds.which: unknown bound name {name!r}")
     cfg = ExperimentConfig(blocks=blocks)
     cfg.model()  # family-specific parameter validation
     return cfg
@@ -281,11 +268,16 @@ def load_config(path) -> ExperimentConfig:
 
 
 class _OutputDir:
-    """Locked output directory that tracks the files written into it."""
+    """Locked output directory that tracks the files written into it.
+
+    Its manifest.json is written when the work starts and again when it
+    completes, then listing the files; it does not list itself.
+    """
 
     def __init__(self, path):
         self.path = path
         self.lock_path = os.path.join(path, ".lock")
+        self.manifest_path = os.path.join(path, "manifest.json")
         self.files = []
 
     def __enter__(self):
@@ -314,53 +306,31 @@ class _OutputDir:
         return full
 
     def write_json(self, name: str, payload) -> None:
-        with open(self.file(name), "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(self.file(name), payload)
+
+    def start_manifest(self, **fields) -> None:
+        self.t0 = time.monotonic()
+        self.manifest = {"status": "running", **fields, "files": [],
+                         "wall_clock_seconds": None}
+        _write_json(self.manifest_path, self.manifest)
+
+    def finish_manifest(self) -> None:
+        self.manifest["status"] = "complete"
+        self.manifest["files"] = sorted(self.files)
+        self.manifest["wall_clock_seconds"] = round(time.monotonic() - self.t0, 3)
+        _write_json(self.manifest_path, self.manifest)
 
 
-def _manifest_start(out: _OutputDir, cfg: ExperimentConfig, seed: int,
-                    preconditions) -> dict:
-    manifest = {
-        "status": "running",
-        "config": cfg.blocks,
-        "config_hash": cfg.config_hash(),
-        "seed": seed,
-        "artifact_version": __version__,
-        "preconditions": preconditions,
-        "files": [],
-        "wall_clock_seconds": None,
-    }
-    with open(os.path.join(out.path, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return manifest
-
-
-def _manifest_finish(out: _OutputDir, manifest: dict, t0: float) -> None:
-    manifest["status"] = "complete"
-    manifest["files"] = sorted(out.files)
-    manifest["wall_clock_seconds"] = round(time.monotonic() - t0, 3)
-    with open(os.path.join(out.path, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+def _write_json(path, payload) -> None:
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def resolve_threads(flag_value: int | None) -> int:
-    """--threads when given, else the environment default, else 1."""
-    if flag_value is not None:
-        value = flag_value
-    else:
-        raw = os.environ.get(THREADS_ENV)
-        if raw is None:
-            return 1
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ConfigError(f"{THREADS_ENV}={raw!r} is not an integer")
-    if value < 1:
-        raise ConfigError(f"thread count must be >= 1, got {value}")
-    return value
+def _start_config_manifest(out: _OutputDir, cfg: ExperimentConfig, seed: int,
+                           preconditions) -> None:
+    out.start_manifest(config=cfg.blocks, config_hash=cfg.config_hash(), seed=seed,
+                       artifact_version=__version__, preconditions=preconditions)
 
 
 def _seed_of(args, cfg: ExperimentConfig) -> int:
@@ -377,11 +347,9 @@ def cmd_certify(args) -> int:
     report = certify(model, n_samples=cfg["loss"]["certify_samples"],
                      rng_seed=seed)
     with _OutputDir(args.out) as out:
-        t0 = time.monotonic()
-        manifest = _manifest_start(out, cfg, seed, {"threads":
-                                                    resolve_threads(args.threads)})
+        _start_config_manifest(out, cfg, seed, {})
         out.write_json("certify_report.json", json.loads(report.to_json()))
-        _manifest_finish(out, manifest, t0)
+        out.finish_manifest()
     for check in report.checks:
         state = "ok" if check.n_violations == 0 else "VIOLATED"
         print(f"certify {check.inequality_name}: {state} "
@@ -403,7 +371,6 @@ def cmd_run(args) -> int:
     preconditions = {
         "certified": quick.passed,
         "strict_mode_failures": strict_fails,
-        "threads": resolve_threads(args.threads),
     }
     if not quick.passed and not args.allow_unsafe:
         print("run refused: loss certification failed (use --allow-unsafe to "
@@ -417,8 +384,7 @@ def cmd_run(args) -> int:
         return 2
 
     with _OutputDir(args.out) as out:
-        t0 = time.monotonic()
-        manifest = _manifest_start(out, cfg, seed, preconditions)
+        _start_config_manifest(out, cfg, seed, preconditions)
 
         root = np.random.SeedSequence([seed, 0xDA7A])
         dataset = np.asarray(
@@ -488,13 +454,13 @@ def cmd_run(args) -> int:
                 "skipped": f"needs at least {need} chains for "
                            f"p up to {max(est['p_list'])}, have {len(traces)}"
             })
-        _manifest_finish(out, manifest, t0)
+        out.finish_manifest()
     print(f"run complete: {len(out.files)} files in {args.out}")
     return 0
 
 
-def _load_estimates_csv(path):
-    rows = []
+def _read_csv(path, columns) -> list:
+    """Data rows of a CSV artifact whose header must be `columns`."""
     try:
         fh = open(path, newline="")
     except OSError as exc:
@@ -502,18 +468,86 @@ def _load_estimates_csv(path):
     with fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header != ["estimator", "t_or_lambda", "mean", "stderr", "n"]:
+        if header != list(columns):
             raise ConfigError(f"{path}: unexpected columns {header}")
-        for cells in reader:
-            rows.append((cells[0], float(cells[1]), float(cells[2]),
-                         float(cells[3]), int(cells[4])))
-    return rows
+        return list(reader)
 
 
-def _unavailable(name: str, reason: str, T, n, eta, beta) -> BoundEntry:
-    return BoundEntry(name=name, value=None,
-                      inputs={"T": T, "n": n, "eta": eta, "beta": beta},
-                      preconditions_ok=False, notes=(reason,))
+def _load_estimates_csv(path):
+    return [(cells[0], float(cells[1]), float(cells[2]), float(cells[3]),
+             int(cells[4])) for cells in _read_csv(path, ESTIMATES_CSV_COLUMNS)]
+
+
+@dataclass(frozen=True)
+class _GridPoint:
+    """One (T, n) point of the bound grid, with one evaluator per bound name.
+
+    Each evaluator returns its entry, or the reason it is unavailable. They
+    call the bound functions through this module's globals, so wrappers set
+    on this module after import see every call.
+    """
+
+    model: object
+    lc: object
+    dc: object
+    b: dict                  # the config's bounds block
+    mi_pairs: int
+    cfg: SGLDConfig          # the run's config at horizon T
+    n: int
+    kl_chain: BoundEntry     # time_independent; its kl_bound is free of sigma_g_sq
+    variance: np.ndarray     # per-update conditional variances, length T
+    strided: bool            # variance repeats stored values over skipped steps
+    stability: np.ndarray    # (eta t, value) rows of the stability trace, t <= T
+
+    def xu_raginsky(self):
+        if self.lc.R is None or self.cfg.k != self.cfg.n:
+            return "exact-mi-needs-full-batch-quadratic"
+        mi = oracle_mi_upper(self.model.sample_data,
+                             dataclasses.replace(self.cfg, k=self.n, n=self.n),
+                             R=self.lc.R, n_dataset_pairs=self.mi_pairs)
+        return bound_xu_raginsky(self.b["sigma_g_sq"], self.n, mi.mean)
+
+    def pensia(self):
+        entry = bound_pensia(self.variance, eta=self.cfg.eta, beta=self.cfg.beta,
+                             d=self.cfg.d, n=self.n, sigma_g_sq=self.b["sigma_g_sq"])
+        if self.strided:
+            entry = dataclasses.replace(
+                entry, notes=entry.notes + ("variance-trace-strided",))
+        return entry
+
+    def time_independent(self):
+        return self.kl_chain
+
+    def strongly_convex(self):
+        if self.lc.R is None:
+            return "needs-R"
+        return bound_strongly_convex(self.stability, R=self.lc.R, beta=self.cfg.beta,
+                                     n=self.n, sigma_g_sq=self.b["sigma_g_sq"],
+                                     T=self.cfg.eta * self.cfg.T)
+
+    def farghly_shape(self):
+        if self.cfg.k >= self.cfg.n:
+            return "needs-subsampling"
+        return bound_farghly_shape(self.b["farghly_C1"], self.b["farghly_C2"],
+                                   eta=self.cfg.eta, T=self.cfg.T, n=self.n,
+                                   k=self.cfg.k, m=self.lc.m)
+
+    def subexp_gen(self):
+        if not self.kl_chain.preconditions_ok:
+            return "kl-chain-unavailable"
+        y = self.kl_chain.constants_used["kl_bound"] / self.n
+        sub = bound_subexp_gen(y, self.dc.sigma_e_sq, self.dc.nu)
+        return dataclasses.replace(sub, notes=sub.notes + tuple(self.dc.notes))
+
+    def excess_risk(self):
+        gen = self.subexp_gen()
+        if isinstance(gen, str):
+            return gen
+        return excess_risk_bound(self.lc, self.dc, self.cfg, self.n, gen.value)
+
+
+_EVALUATORS = {name: getattr(_GridPoint, name) for name in BOUND_NAMES}
+_NEEDS_SIGMA_G = ("xu_raginsky", "pensia", "time_independent", "strongly_convex")
 
 
 def cmd_bounds(args) -> int:
@@ -526,7 +560,6 @@ def cmd_bounds(args) -> int:
     sgld_cfg = cfg.sgld_config(seed=seed)
     b = cfg["bounds"]
     dc = cfg.derived()
-    sigma_g_sq = b["sigma_g_sq"]
 
     var_rows = _load_estimates_csv(os.path.join(args.traces, "variance.csv"))
     stab_rows = _load_estimates_csv(os.path.join(args.traces, "stability.csv"))
@@ -541,123 +574,55 @@ def cmd_bounds(args) -> int:
         T_grid = sorted({0, last // 4, last // 2, last})
     n_grid = b["n_grid"] or [cfg["data"]["n"]]
 
-    def variance_prefix(T):
-        # piecewise-constant extension of the stored trace to per-update values
-        full = np.repeat(
-            var_vals, np.diff(np.append(var_steps, var_steps[-1] + 1))
-        )
-        return full[:T]
+    # piecewise-constant extension of the stored trace to per-update values;
+    # the updates after a stored step in `skips` repeat its value
+    variance = np.repeat(var_vals, np.diff(np.append(var_steps, var_steps[-1] + 1)))
+    skips = var_steps[:-1][np.diff(var_steps) > 1]
+    sigma_g_sq = b["sigma_g_sq"]
 
     entries = []
     eta, beta = sgld_cfg.eta, sgld_cfg.beta
-
-    def add(entry: BoundEntry, T: int, n: int) -> None:
-        # uniform (T, n, eta, beta) keys so every CSV row is addressable
-        stamped = {**entry.inputs, "T": T, "n": n, "eta": eta, "beta": beta}
-        entries.append(dataclasses.replace(entry, inputs=stamped))
-
     for T in T_grid:
         if T not in var_steps:
             raise ConfigError(f"bounds.T_grid entry {T} is not a recorded step")
+        T_cfg = dataclasses.replace(sgld_cfg, T=T)
+        keep = stab_steps <= T
+        stability = np.column_stack([eta * stab_steps[keep], stab_vals[keep]])
         for n in n_grid:
             n = int(n)
+            # kl_bound does not depend on sigma_g_sq, so this one evaluation
+            # also serves subexp_gen and excess_risk
+            kl_chain = bound_time_independent(
+                lc, dc, T_cfg, n, 1.0 if sigma_g_sq is None else sigma_g_sq)
+            point = _GridPoint(
+                model=model, lc=lc, dc=dc, b=b,
+                mi_pairs=cfg["estimators"]["mi_pairs"], cfg=T_cfg, n=n,
+                kl_chain=kl_chain, variance=variance[:T],
+                strided=bool(np.any(skips < T)), stability=stability,
+            )
             for name in b["which"]:
-                if name in ("xu_raginsky", "pensia", "time_independent",
-                            "strongly_convex") and sigma_g_sq is None:
-                    entries.append(_unavailable(name, "sigma_g_sq-unavailable",
-                                                T, n, eta, beta))
-                    continue
-                if name == "xu_raginsky":
-                    if lc.R is None or sgld_cfg.k != sgld_cfg.n:
-                        entries.append(_unavailable(
-                            name, "exact-mi-needs-full-batch-quadratic",
-                            T, n, eta, beta))
-                        continue
-                    mi_cfg = SGLDConfig(eta=eta, beta=beta, k=n, n=n, T=T,
-                                        d=sgld_cfg.d, s_sq=sgld_cfg.s_sq,
-                                        seed=seed)
-                    mi = oracle_mi_upper(model.sample_data, mi_cfg, R=lc.R,
-                                         n_dataset_pairs=cfg["estimators"]["mi_pairs"])
-                    add(bound_xu_raginsky(sigma_g_sq, n, mi.mean), T, n)
-                elif name == "pensia":
-                    add(bound_pensia(variance_prefix(T), eta=eta, beta=beta,
-                                     d=sgld_cfg.d, n=n, sigma_g_sq=sigma_g_sq),
-                        T, n)
-                elif name == "time_independent":
-                    ti_cfg = SGLDConfig(eta=eta, beta=beta, k=sgld_cfg.k,
-                                        n=sgld_cfg.n, T=T, d=sgld_cfg.d,
-                                        s_sq=sgld_cfg.s_sq, seed=seed)
-                    add(bound_time_independent(lc, dc, ti_cfg, n, sigma_g_sq),
-                        T, n)
-                elif name == "strongly_convex":
-                    if lc.R is None:
-                        entries.append(_unavailable(name, "needs-R", T, n,
-                                                    eta, beta))
-                        continue
-                    keep = stab_steps <= T
-                    trace = np.column_stack([eta * stab_steps[keep],
-                                             stab_vals[keep]])
-                    add(bound_strongly_convex(trace, R=lc.R, beta=beta, n=n,
-                                              sigma_g_sq=sigma_g_sq, T=eta * T),
-                        T, n)
-                elif name == "farghly_shape":
-                    if sgld_cfg.k >= sgld_cfg.n:
-                        entries.append(_unavailable(name, "needs-subsampling",
-                                                    T, n, eta, beta))
-                        continue
-                    add(bound_farghly_shape(b["farghly_C1"], b["farghly_C2"],
-                                            eta=eta, T=T, n=n, k=sgld_cfg.k,
-                                            m=lc.m), T, n)
-                elif name == "subexp_gen":
-                    ti_cfg = SGLDConfig(eta=eta, beta=beta, k=sgld_cfg.k,
-                                        n=sgld_cfg.n, T=T, d=sgld_cfg.d,
-                                        s_sq=sgld_cfg.s_sq, seed=seed)
-                    ti = bound_time_independent(lc, dc, ti_cfg, n, 1.0)
-                    if not ti.preconditions_ok:
-                        entries.append(_unavailable(name,
-                                                    "kl-chain-unavailable",
-                                                    T, n, eta, beta))
-                        continue
-                    y = ti.constants_used["kl_bound"] / n
-                    sub = bound_subexp_gen(y, dc.sigma_e_sq, dc.nu)
-                    add(dataclasses.replace(sub, notes=sub.notes
-                                            + tuple(dc.notes)), T, n)
-                elif name == "excess_risk":
-                    ti_cfg = SGLDConfig(eta=eta, beta=beta, k=sgld_cfg.k,
-                                        n=sgld_cfg.n, T=T, d=sgld_cfg.d,
-                                        s_sq=sgld_cfg.s_sq, seed=seed)
-                    ti = bound_time_independent(lc, dc, ti_cfg, n, 1.0)
-                    if not ti.preconditions_ok:
-                        entries.append(_unavailable(name,
-                                                    "kl-chain-unavailable",
-                                                    T, n, eta, beta))
-                        continue
-                    y = ti.constants_used["kl_bound"] / n
-                    gen = bound_subexp_gen(y, dc.sigma_e_sq, dc.nu).value
-                    add(excess_risk_bound(lc, dc, ti_cfg, n, gen), T, n)
+                if name in _NEEDS_SIGMA_G and sigma_g_sq is None:
+                    entry = "sigma_g_sq-unavailable"
                 else:
-                    raise ConfigError(f"unknown bound name {name!r}")
+                    entry = _EVALUATORS[name](point)
+                if isinstance(entry, str):
+                    entry = BoundEntry(name=name, value=None,
+                                       preconditions_ok=False, notes=(entry,))
+                # uniform (T, n, eta, beta) keys so every CSV row is addressable
+                stamped = {**entry.inputs, "T": T, "n": n, "eta": eta, "beta": beta}
+                entries.append(dataclasses.replace(entry, inputs=stamped))
+    report = BoundReport(entries=tuple(entries))
 
     with _OutputDir(args.out) as out:
-        t0 = time.monotonic()
-        manifest = _manifest_start(out, cfg, seed, {"traces": args.traces})
-        with open(out.file("bounds.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["name", "value", "T", "n", "eta", "beta", "flags"])
-            for e in entries:
-                writer.writerow([
-                    e.name,
-                    "" if e.value is None else repr(float(e.value)),
-                    e.inputs.get("T", ""), e.inputs.get("n", ""),
-                    e.inputs.get("eta", ""), e.inputs.get("beta", ""),
-                    "|".join(e.notes),
-                ])
-        out.write_json("bounds.json", [e.to_dict() for e in entries])
+        _start_config_manifest(out, cfg, seed, {"traces": args.traces})
+        report.to_csv(out.file("bounds.csv"))
+        with open(out.file("bounds.json"), "w") as fh:
+            fh.write(report.to_json())
         gap_src = os.path.join(args.traces, "gap.csv")
         if os.path.exists(gap_src):
             # carried along so a report directory is self-contained for compare
             shutil.copyfile(gap_src, out.file("gap.csv"))
-        _manifest_finish(out, manifest, t0)
+        out.finish_manifest()
     print(f"bounds: {len(entries)} entries over T={T_grid} n={n_grid}")
     return 0
 
@@ -672,15 +637,12 @@ def cmd_verify(args) -> int:
     sections = {}
 
     with _OutputDir(args.out) as out:
-        t0 = time.monotonic()
-        manifest = _manifest_start(out, cfg, seed, {"falsify": falsify})
+        _start_config_manifest(out, cfg, seed, {"falsify": falsify})
 
         if lc.R is not None:
             sgld_cfg = cfg.sgld_config(seed=seed)
-            o_cfg = SGLDConfig(eta=sgld_cfg.eta, beta=sgld_cfg.beta,
-                               k=sgld_cfg.n, n=sgld_cfg.n,
-                               T=cfg["verify"]["oracle_T"], d=sgld_cfg.d,
-                               s_sq=sgld_cfg.s_sq, seed=seed)
+            o_cfg = dataclasses.replace(sgld_cfg, k=sgld_cfg.n,
+                                        T=cfg["verify"]["oracle_T"])
             pair_rng = np.random.SeedSequence([seed, 0x09AC])
             s_seq, alt_seq = pair_rng.spawn(2)
             S = model.sample_data(np.random.default_rng(s_seq), o_cfg.n)
@@ -747,7 +709,7 @@ def cmd_verify(args) -> int:
 
         sections["hard_failures"] = hard_failures
         out.write_json("verify_report.json", sections)
-        _manifest_finish(out, manifest, t0)
+        out.finish_manifest()
 
     for name, body in sections.items():
         if name != "hard_failures":
@@ -761,19 +723,9 @@ def cmd_verify(args) -> int:
 
 
 def _read_bounds_csv(path):
-    rows = {}
-    try:
-        fh = open(path, newline="")
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["name", "value", "T", "n", "eta", "beta", "flags"]:
-            raise ConfigError(f"{path}: unexpected columns {header}")
-        for cells in reader:
-            rows[(cells[0], cells[2], cells[3])] = cells[1]
-    return rows
+    # (name, T, n) -> value cell
+    return {(cells[0], cells[2], cells[3]): cells[1]
+            for cells in _read_csv(path, BOUNDS_CSV_COLUMNS)}
 
 
 def cmd_compare(args) -> int:
@@ -791,10 +743,7 @@ def cmd_compare(args) -> int:
     keys = sorted({k for _, table in tables for k in table},
                   key=lambda k: (k[0], float(k[1] or -1), k[2]))
     with _OutputDir(args.out) as out:
-        t0 = time.monotonic()
-        manifest = {"status": "running", "inputs": args.reports, "files": []}
-        with open(os.path.join(out.path, "manifest.json"), "w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
+        out.start_manifest(inputs=args.reports)
         labels = [label for label, _ in tables]
         with open(out.file("compare.csv"), "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -815,11 +764,7 @@ def cmd_compare(args) -> int:
                         cell = f"{float(cell):.6g}"
                     row += f"{cell:>{w}s}"
                 fh.write(row + "\n")
-        manifest["status"] = "complete"
-        manifest["files"] = sorted(out.files)
-        manifest["wall_clock_seconds"] = round(time.monotonic() - t0, 3)
-        with open(os.path.join(out.path, "manifest.json"), "w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
+        out.finish_manifest()
     print(f"compare: {len(keys)} rows over {len(tables)} reports")
     return 0
 
@@ -844,10 +789,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seed (u64)")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--allow-unsafe", action="store_true",
-                       help="run despite certification or range failures")
-        p.add_argument("--threads", type=int, default=None,
-                       help=f"worker threads (default ${THREADS_ENV} or 1)")
 
     p = sub.add_parser("certify", help="check the claimed loss constants")
     common(p)
@@ -855,6 +796,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="run chains and estimators")
     common(p)
+    p.add_argument("--allow-unsafe", action="store_true",
+                   help="run despite certification or range failures")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("bounds", help="evaluate bound formulas over traces")
@@ -870,8 +813,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="merge bound reports into one table")
     p.add_argument("reports", nargs="+", help="bound report directories")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threads", type=int, default=None)
     p.set_defaults(func=cmd_compare)
 
     return parser

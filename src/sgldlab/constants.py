@@ -56,6 +56,7 @@ __all__ = [
     "moment_bound_C0",
     "lsi_constant",
     "kl_recursion_constants",
+    "admissibility_failures",
     "subexp_params",
     "derive_constants",
 ]
@@ -173,22 +174,20 @@ def moment_bound_C0(lc: LossConstants, eta: float, beta: float, d: int, s_sq: fl
     _check_positive(beta=beta, s_sq=s_sq)
     if d < 1:
         raise ValueError(f"d must be positive, got {d}")
-    eta_cap = min(1.0, lc.m / (5.0 * lc.M**2))
-    if not 0.0 < eta < eta_cap:
+    failures = _eta_failures(lc, eta)
+    if not eta > 0 or failures:
         raise ValueError(
-            f"eta={eta} outside the validity range (0, {eta_cap}) "
-            f"= (0, min(1, m/(5 M^2)))"
+            f"eta={eta} outside the validity range (0, min(1, m/(5 M^2)))"
+            + "".join(f"; {f}" for f in failures)
         )
-    return s_sq + 2.0 * max(1.0, 1.0 / lc.m) * (
+    return s_sq + _moment_core(lc, eta, beta, d)
+
+
+def _moment_core(lc: LossConstants, eta: float, beta: float, d: int) -> float:
+    # C0 - s^2; at eta = 1 its worst case over the step sizes in (0, 1],
+    # which the step-size free recursion constants use
+    return 2.0 * max(1.0, 1.0 / lc.m) * (
         lc.b + 10.0 * eta * lc.M**2 * lc.b / lc.m + d / beta
-    )
-
-
-def _eta_free_moment_core(lc: LossConstants, beta: float, d: int, s_sq: float) -> float:
-    # worst case of the C0 formula over eta in (0, 1]; used by the
-    # recursion constants, which must not depend on the step size
-    return s_sq + 2.0 * max(1.0, 1.0 / lc.m) * (
-        lc.b + 10.0 * lc.M**2 * lc.b / lc.m + d / beta
     )
 
 
@@ -229,9 +228,9 @@ def lsi_constant(
         return 1.0 / (2.0 * beta * lc.R)
     if mode != "general_dissipative":
         raise ValueError(f"unknown mode {mode!r}")
-    if beta < 2.0 / lc.m:
-        raise ValueError(f"general_dissipative mode requires beta >= 2/m = {2.0 / lc.m}, "
-                         f"got beta={beta}")
+    failures = _beta_failures(lc, beta)
+    if failures:
+        raise ValueError(f"general_dissipative mode requires {failures[0]}")
     if universal_C <= 0:
         raise ValueError(f"universal_C must be positive, got {universal_C}")
     M, m, b, A = lc.M, lc.m, lc.b, lc.A
@@ -265,7 +264,7 @@ def _kl_recursion_D(
     S = s^2 + 2 max(1, 1/m)(b + 10 M^2 b/m + d/beta).
     """
     M, m, b, A = lc.M, lc.m, lc.b, lc.A
-    S = _eta_free_moment_core(lc, beta, d, s_sq)
+    S = s_sq + _moment_core(lc, 1.0, beta, d)
 
     D2 = (
         beta**2 * M**2 * (S + b / m)
@@ -273,7 +272,7 @@ def _kl_recursion_D(
         + d * overrides.C2_prime
     )
     B1 = (d / 2.0) * math.log(2.0 * math.pi * s_sq) + (1.0 / (2.0 * s_sq)) * (
-        s_sq + 4.0 * max(1.0, 1.0 / m) * (b + 10.0 * M**2 * b / m + d / beta)
+        s_sq + 2.0 * _moment_core(lc, 1.0, beta, d)
     )
     B2 = beta * M * S + beta * b / (2.0 * m) + A
     D3 = B1 + B2
@@ -283,25 +282,18 @@ def _kl_recursion_D(
     return D1, D2, D3, D4, D5
 
 
-def kl_recursion_constants(
-    lc: LossConstants,
-    dc: DerivedConstants,
-    eta: float,
-    beta: float,
-    d: int,
-    s_sq: float,
-) -> dict:
+def kl_recursion_constants(dc: DerivedConstants, eta: float, beta: float) -> dict:
     """Per-step contraction and additive drift of the KL recursion.
 
     One discrete update satisfies
         KL_t <= contraction * KL_{t-1} + per_step_add
-    with contraction = exp(-eta/(4 beta c_LS)) and
+    with contraction = exp(-eta/horizon), horizon = 4 beta c_LS, and
     per_step_add = eta (D2/(4 beta c_LS) + D3/(2 beta) + beta D1/2).
     The additive part splits into a gradient-stability piece
     stability_coeff = beta D1 / 2 and a constant piece
     const_coeff = D2/(4 beta c_LS) + D3/(2 beta), both per unit step.
     """
-    _check_positive(eta=eta, beta=beta, s_sq=s_sq)
+    _check_positive(eta=eta, beta=beta)
     tau = 4.0 * beta * dc.c_LS
     if eta >= tau:
         raise ValueError(
@@ -310,11 +302,49 @@ def kl_recursion_constants(
     stability_coeff = beta * dc.D1 / 2.0
     const_coeff = dc.D2 / tau + dc.D3 / (2.0 * beta)
     return {
+        "horizon": tau,
         "contraction": math.exp(-eta / tau),
         "per_step_add": eta * (stability_coeff + const_coeff),
         "stability_coeff": stability_coeff,
         "const_coeff": const_coeff,
     }
+
+
+def admissibility_failures(
+    lc: LossConstants, eta: float, beta: float, c_LS: float | None
+) -> list[str]:
+    """Which validated (beta, eta) ranges of the KL chain a configuration leaves.
+
+    Checks, in order: beta >= 2/m, eta < m/(5 M^2), eta < 1, and
+    eta < 4 beta c_LS; c_LS is None when the log-Sobolev constant is
+    undefined, and the last check is then reported as unavailable.
+    """
+    failures = _beta_failures(lc, beta) + _eta_failures(lc, eta)
+    if c_LS is None:
+        failures.append("eta < 4 beta c_LS unavailable: c_LS undefined "
+                        "(general dissipative route requires beta >= 2/m)")
+    else:
+        cap_ls = 4.0 * beta * c_LS
+        if eta >= cap_ls:
+            failures.append(f"eta < 4 beta c_LS violated: eta={eta} >= {cap_ls}")
+    return failures
+
+
+def _beta_failures(lc: LossConstants, beta: float) -> list[str]:
+    if beta < 2.0 / lc.m:
+        return [f"beta >= 2/m violated: beta={beta} < {2.0 / lc.m}"]
+    return []
+
+
+def _eta_failures(lc: LossConstants, eta: float) -> list[str]:
+    # the moment lemma's step-size range (0, min(1, m/(5 M^2)))
+    failures = []
+    cap_m = lc.m / (5.0 * lc.M**2)
+    if eta >= cap_m:
+        failures.append(f"eta < m/(5 M^2) violated: eta={eta} >= {cap_m}")
+    if eta >= 1.0:
+        failures.append(f"eta < 1 violated: eta={eta}")
+    return failures
 
 
 # ------------------------------------------------------------ sub-exponential

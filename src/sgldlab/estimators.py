@@ -410,6 +410,9 @@ def logmgf_check(
 # ------------------------------------------------------------------------ CSV
 
 
+ESTIMATES_CSV_COLUMNS = ("estimator", "t_or_lambda", "mean", "stderr", "n")
+
+
 def write_estimates_csv(path, rows) -> None:
     """Emit estimate rows as CSV {estimator, t_or_lambda, mean, stderr, n}.
 
@@ -420,7 +423,7 @@ def write_estimates_csv(path, rows) -> None:
 
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["estimator", "t_or_lambda", "mean", "stderr", "n"])
+        writer.writerow(ESTIMATES_CSV_COLUMNS)
         for row in rows:
             if len(row) == 3 and isinstance(row[2], EstimateWithError):
                 est = row[2]

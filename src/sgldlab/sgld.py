@@ -31,14 +31,13 @@ path, so serial and ensemble runs agree bitwise.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import lsi_constant
+from .constants import admissibility_failures, lsi_constant
 from .losses import LossModel
 
 __all__ = [
@@ -105,9 +104,6 @@ class SGLDConfig:
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
 
 class StrictModeError(ValueError):
     """Raised when a strict-mode run is outside the validated ranges."""
@@ -123,31 +119,18 @@ class StrictModeError(ValueError):
 def strict_mode_failures(config: SGLDConfig, model: LossModel) -> list[str]:
     """Which validated-range checks the configuration violates.
 
-    Checks: beta >= 2/m, eta < m/(5 M^2), eta < 4 beta c_LS, eta < 1.
-    The log-Sobolev constant uses the strongly-convex route when the model
-    has one, otherwise the general dissipative route (which itself needs
+    The checks are those of `constants.admissibility_failures`. The
+    log-Sobolev constant uses the strongly-convex route when the model has
+    one, otherwise the general dissipative route (which itself needs
     beta >= 2/m; if that fails the c_LS check is reported as unavailable).
     """
     lc = model.constants()
-    failures = []
-    if config.beta < 2.0 / lc.m:
-        failures.append(f"beta >= 2/m violated: beta={config.beta} < {2.0 / lc.m}")
-    cap_m = lc.m / (5.0 * lc.M**2)
-    if config.eta >= cap_m:
-        failures.append(f"eta < m/(5 M^2) violated: eta={config.eta} >= {cap_m}")
-    if config.eta >= 1.0:
-        failures.append(f"eta < 1 violated: eta={config.eta}")
     mode = "strongly_convex" if lc.R is not None else "general_dissipative"
     try:
         c_ls = lsi_constant(lc, config.beta, config.d, mode=mode)
     except ValueError:
-        failures.append("eta < 4 beta c_LS unavailable: c_LS undefined "
-                        "(general dissipative route requires beta >= 2/m)")
-    else:
-        cap_ls = 4.0 * config.beta * c_ls
-        if config.eta >= cap_ls:
-            failures.append(f"eta < 4 beta c_LS violated: eta={config.eta} >= {cap_ls}")
-    return failures
+        c_ls = None
+    return admissibility_failures(lc, config.eta, config.beta, c_ls)
 
 
 @dataclass

@@ -136,6 +136,8 @@ def test_time_independent_precondition_failures():
     assert not entry.preconditions_ok
     assert entry.value is None
     assert any("beta" in note for note in entry.notes)
+    # the same checks, in the same words, as the sampler's strict mode
+    assert entry.notes == ("beta >= 2/m violated: beta=1.0 < 2.0",)
     hot = unit_cfg(T=50, eta=0.5)  # eta above m/(5 M^2) = 0.2
     entry = bound_time_independent(UNIT_LC, dc, hot, n=100, sigma_g_sq=0.25)
     assert not entry.preconditions_ok and entry.value is None

@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from sgldlab.cli import ConfigError, load_config, main, resolve_threads
+from sgldlab.cli import ConfigError, load_config, main
 
 BASE = {
     "loss": {"family": "quadratic", "R": 1.0, "d": 2},
@@ -73,18 +73,22 @@ def test_certify_malformed_config_exits_one(tmp_path, capsys):
 
 def test_unknown_key_rejected(tmp_path):
     path = tmp_path / "c.json"
-    with open(path, "w") as fh:
-        json.dump({**BASE, "loss": {**BASE["loss"], "oops": 1}}, fh)
-    with pytest.raises(ConfigError, match="oops"):
-        load_config(path)
+    # oops was never a key; the others were accepted and never read
+    for block, key in (("loss", "oops"), ("sgld", "strict_mode"),
+                       ("data", "radius"), ("data", "test_pool_factor")):
+        with open(path, "w") as fh:
+            json.dump({**BASE, block: {**BASE[block], key: 1}}, fh)
+        with pytest.raises(ConfigError, match=key):
+            load_config(path)
 
 
 def test_unknown_block_rejected(tmp_path):
     path = tmp_path / "c.json"
-    with open(path, "w") as fh:
-        json.dump({**BASE, "mystery": {}}, fh)
-    with pytest.raises(ConfigError, match="mystery"):
-        load_config(path)
+    for block in ("mystery", "output"):
+        with open(path, "w") as fh:
+            json.dump({**BASE, block: {}}, fh)
+        with pytest.raises(ConfigError, match=block):
+            load_config(path)
 
 
 def test_missing_required_key_rejected(tmp_path):
@@ -99,16 +103,21 @@ def test_missing_required_key_rejected(tmp_path):
 
 def test_defaults_echoed(tmp_path):
     cfg = load_config(write_config(tmp_path / "c.json"))
-    assert cfg["data"]["test_pool_factor"] == 10
     assert cfg["estimators"]["p_list"] == [2, 4]
     assert cfg["fp"]["n_cells"] == 256
-    assert cfg["output"]["formats"] == ["csv", "json"]
 
 
-def test_usage_errors_exit_one(tmp_path):
+def test_usage_errors_exit_one(tmp_path, capsys):
     assert main(["frobnicate"]) == 1
     assert main(["run"]) == 1  # --config and --out are required
     assert main([]) == 1
+    # flags that were accepted and never read
+    for argv in (["certify", "--allow-unsafe"], ["bounds", "--allow-unsafe"],
+                 ["verify", "--allow-unsafe"], ["run", "--threads", "2"],
+                 ["compare", "r", "--seed", "1"]):
+        capsys.readouterr()
+        assert main(argv + ["--config", "c.json", "--out", str(tmp_path)]) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_bad_seed_rejected_cleanly(tmp_path, capsys):
@@ -117,20 +126,6 @@ def test_bad_seed_rejected_cleanly(tmp_path, capsys):
                "--out", str(tmp_path / "out")])
     assert rc == 1
     assert "config error" in capsys.readouterr().err
-
-
-def test_threads_resolution(monkeypatch):
-    monkeypatch.delenv("SGLDLAB_THREADS", raising=False)
-    assert resolve_threads(None) == 1
-    assert resolve_threads(4) == 4
-    monkeypatch.setenv("SGLDLAB_THREADS", "3")
-    assert resolve_threads(None) == 3
-    assert resolve_threads(4) == 4  # flag beats environment
-    monkeypatch.setenv("SGLDLAB_THREADS", "zebra")
-    with pytest.raises(ConfigError):
-        resolve_threads(None)
-    with pytest.raises(ConfigError):
-        resolve_threads(0)
 
 
 # ----------------------------------------------------------------------- run
@@ -215,7 +210,6 @@ def test_run_manifest_lists_every_output_file(tmp_path):
     on_disk = set(os.listdir(tmp_path / "out")) - {"manifest.json"}
     assert set(manifest["files"]) == on_disk
     # the full defaulted config is echoed back
-    assert manifest["config"]["data"]["test_pool_factor"] == 10
     assert manifest["config"]["sgld"]["eta"] == 0.05
 
 
@@ -276,6 +270,8 @@ def test_bounds_pensia_strictly_increasing(run_and_bounds):
     vals = {r[2]: float(r[1]) for r in bounds_rows(run_and_bounds)
             if r[0] == "pensia"}
     assert 0.0 == vals["0"] < vals["10"] < vals["40"] < vals["60"]
+    # every update's variance is stored at T = 60, so nothing is extended
+    assert not any("strided" in r[6] for r in bounds_rows(run_and_bounds))
 
 
 def test_bounds_xu_unavailable_without_full_batch(run_and_bounds):
@@ -314,6 +310,81 @@ def test_bounds_json_mirror_and_gap_copy(run_and_bounds):
     assert all(set(e) >= {"name", "value", "inputs", "notes"} for e in mirror)
     assert ((base / "bounds" / "gap.csv").read_bytes()
             == (base / "run" / "gap.csv").read_bytes())
+
+
+def run_then_bounds(tmp_path, cfg, allow_unsafe=False):
+    run = ["run", "--config", cfg, "--out", str(tmp_path / "run")]
+    assert main(run + ["--allow-unsafe"] * allow_unsafe) == 0
+    assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "b"),
+                 "--traces", str(tmp_path / "run")]) == 0
+    _, rows = read_csv_rows(tmp_path / "b" / "bounds.csv")
+    return rows
+
+
+def test_bounds_strongly_convex_needs_R(tmp_path):
+    # logistic ridge with its strong-convexity claim withdrawn
+    cfg = write_config(tmp_path / "c.json",
+                       loss={"family": "logistic_ridge", "lam": 1.0,
+                             "claimed": {"R": None}},
+                       sgld={"T": 20},
+                       bounds={"which": ["strongly_convex", "pensia"],
+                               "lsi_mode": "general_dissipative"})
+    rows = run_then_bounds(tmp_path, cfg)
+    sc = [r for r in rows if r[0] == "strongly_convex"]
+    assert sc and all(r[1] == "" and r[6] == "needs-R" for r in sc)
+    assert all(r[1] != "" for r in rows if r[0] == "pensia")
+
+
+def test_bounds_farghly_needs_subsampling(tmp_path):
+    cfg = write_config(tmp_path / "c.json", sgld={"k": 20, "T": 20},
+                       bounds={"which": ["farghly_shape"]})
+    rows = run_then_bounds(tmp_path, cfg)
+    assert rows and all(r[0] == "farghly_shape" and r[1] == ""
+                        and r[6] == "needs-subsampling" for r in rows)
+
+
+def test_bounds_kl_chain_unavailable_below_two_over_m(tmp_path):
+    # quadratic m = R/2 = 0.5, so beta = 2 < 2/m = 4 leaves the KL chain
+    cfg = write_config(tmp_path / "c.json", sgld={"beta": 2.0, "T": 20},
+                       bounds={"which": ["time_independent", "subexp_gen",
+                                         "excess_risk", "farghly_shape"]})
+    rows = run_then_bounds(tmp_path, cfg, allow_unsafe=True)
+    chain = [r for r in rows if r[0] in ("subexp_gen", "excess_risk")]
+    assert len(chain) == 2 * 4  # default T grid {0, 5, 10, 20}
+    assert all(r[1] == "" and r[6] == "kl-chain-unavailable" for r in chain)
+    ti = [r for r in rows if r[0] == "time_independent"]
+    assert ti and all(r[1] == "" and "beta" in r[6] for r in ti)
+    assert all(r[1] != "" for r in rows if r[0] == "farghly_shape")
+
+
+def test_bounds_unknown_name_exits_one(run_and_bounds, tmp_path, capsys):
+    cfg = write_config(tmp_path / "c.json",
+                       bounds={"T_grid": [0, 10, 40, 60],
+                               "which": ["pensia", "nope"]})
+    assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "b"),
+                 "--traces", str(run_and_bounds / "run")]) == 1
+    assert "'nope'" in capsys.readouterr().err
+
+
+def test_unknown_bound_name_rejected_by_every_subcommand(tmp_path, capsys):
+    cfg = write_config(tmp_path / "c.json", bounds={"which": ["nope"]})
+    for sub in ("certify", "run", "verify"):
+        assert main([sub, "--config", cfg, "--out", str(tmp_path / sub)]) == 1
+        assert "'nope'" in capsys.readouterr().err
+        assert not (tmp_path / sub / "manifest.json").exists()
+
+
+def test_bounds_flags_pensia_on_strided_variance_trace(tmp_path, monkeypatch):
+    # store every 6th state of T = 60, as T > STATE_STORE_CAP would
+    monkeypatch.setattr("sgldlab.sgld.STATE_STORE_CAP", 10)
+    cfg = write_config(tmp_path / "c.json", sgld={"T": 60},
+                       bounds={"T_grid": [0, 30, 60],
+                               "which": ["pensia", "time_independent"]})
+    rows = run_then_bounds(tmp_path, cfg)
+    flagged = {r[2]: "variance-trace-strided" in r[6].split("|")
+               for r in rows if r[0] == "pensia"}
+    assert flagged == {"0": False, "30": True, "60": True}
+    assert not any("strided" in r[6] for r in rows if r[0] != "pensia")
 
 
 # -------------------------------------------------------------------- verify

@@ -172,7 +172,7 @@ def test_kl_recursion_D_constants_frozen():
 
 def test_kl_recursion_limits():
     dc = _unit_dc()
-    out = kl_recursion_constants(UNIT_LC, dc, eta=1e-12, beta=2.0, d=2, s_sq=1.0)
+    out = kl_recursion_constants(dc, eta=1e-12, beta=2.0)
     assert 0 < 1.0 - out["contraction"] < 1e-9
     assert 0 < out["per_step_add"] < 1e-6
 
@@ -180,17 +180,17 @@ def test_kl_recursion_limits():
 def test_kl_recursion_monotone_in_D():
     dc = _unit_dc()
     import dataclasses
-    base = kl_recursion_constants(UNIT_LC, dc, 0.01, 2.0, 2, 1.0)["per_step_add"]
+    base = kl_recursion_constants(dc, 0.01, 2.0)["per_step_add"]
     for bump in ({"D2": dc.D2 * 2},
                  {"D3": dc.D3 * 2},
                  {"D1": dc.D1 * 2, "D4": dc.D4 * 2, "D5": dc.D5 * 2}):
         dc2 = dataclasses.replace(dc, **bump)
-        assert kl_recursion_constants(UNIT_LC, dc2, 0.01, 2.0, 2, 1.0)["per_step_add"] > base
+        assert kl_recursion_constants(dc2, 0.01, 2.0)["per_step_add"] > base
 
 
 def test_kl_recursion_unrolling_matches_geometric_series():
     dc = _unit_dc()
-    out = kl_recursion_constants(UNIT_LC, dc, 0.01, 2.0, 2, 1.0)
+    out = kl_recursion_constants(dc, 0.01, 2.0)
     c, a = out["contraction"], out["per_step_add"]
     for T in (1, 7, 1000):
         brute = sum(a * c**t for t in range(T))
@@ -201,7 +201,7 @@ def test_kl_recursion_unrolling_matches_geometric_series():
 def test_kl_recursion_step_size_guard():
     dc = _unit_dc()  # c_LS = 0.25, so 4 beta c_LS = 2
     with pytest.raises(ValueError):
-        kl_recursion_constants(UNIT_LC, dc, eta=2.0, beta=2.0, d=2, s_sq=1.0)
+        kl_recursion_constants(dc, eta=2.0, beta=2.0)
 
 
 # ------------------------------------------------------------ sub-exponential
