@@ -39,7 +39,12 @@ from .bounds import (
     bound_xu_raginsky,
     excess_risk_bound,
 )
-from .constants import derive_constants, ParametrixOverrides, subexp_params
+from .constants import (
+    LSI_MODES,
+    derive_constants,
+    ParametrixOverrides,
+    subexp_params,
+)
 from .estimators import (
     ESTIMATES_CSV_COLUMNS,
     empirical_gen_gap,
@@ -199,6 +204,12 @@ class ExperimentConfig:
             raise ConfigError(f"sgld: {exc}") from exc
 
     def derived(self):
+        """The derived constants, or why they are undefined for this config.
+
+        A malformed bounds.parametrix is a ConfigError; a configuration
+        outside a derivation's range (say, eta >= m/(5 M^2) in a run made
+        with --allow-unsafe) yields the reason, for the bounds to carry.
+        """
         b = self.blocks["bounds"]
         s = self.blocks["sgld"]
         over = None
@@ -216,8 +227,8 @@ class ExperimentConfig:
                 universal_C_lsi=b["universal_C_lsi"],
                 universal_C_moment=b["universal_C_moment"],
             )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bounds: {exc}") from exc
+        except ValueError as exc:
+            return f"derived-constants-unavailable: {exc}"
 
 
 def load_config(path) -> ExperimentConfig:
@@ -259,6 +270,9 @@ def load_config(path) -> ExperimentConfig:
     for name in blocks["bounds"]["which"]:
         if name not in BOUND_NAMES:
             raise ConfigError(f"bounds.which: unknown bound name {name!r}")
+    if blocks["bounds"]["lsi_mode"] not in LSI_MODES:
+        raise ConfigError(f"bounds.lsi_mode: unknown mode "
+                          f"{blocks['bounds']['lsi_mode']!r}")
     cfg = ExperimentConfig(blocks=blocks)
     cfg.model()  # family-specific parameter validation
     return cfg
@@ -360,6 +374,10 @@ def cmd_certify(args) -> int:
 
 
 def cmd_run(args) -> int:
+    # imported here, not at module top, to keep them off every start-up
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+
     cfg = load_config(args.config)
     model = cfg.model()
     seed = _seed_of(args, cfg)
@@ -383,7 +401,11 @@ def cmd_run(args) -> int:
             print(f"  - {failure}", file=sys.stderr)
         return 2
 
-    with _OutputDir(args.out) as out:
+    # fork, not spawn, so the worker needs no re-import; the pool forks it
+    # at submit, before starting threads of its own. Leaving the with
+    # statement waits for the worker before the lock goes.
+    with _OutputDir(args.out) as out, ProcessPoolExecutor(
+            max_workers=1, mp_context=get_context("fork")) as pool:
         _start_config_manifest(out, cfg, seed, preconditions)
 
         root = np.random.SeedSequence([seed, 0xDA7A])
@@ -392,6 +414,10 @@ def cmd_run(args) -> int:
             dtype=float,
         )
         np.save(out.file("dataset.npy"), dataset)
+        # the stability trace needs nothing from the stages below, so the
+        # worker computes it while this process runs them; it writes no
+        # file and ends in os._exit, so `out.__exit__` never runs in it
+        stability = pool.submit(_stability_trace, model, sgld_cfg, est["n_pairs"])
 
         traces = run_ensemble(sgld_cfg, model,
                               dataset_sampler=lambda rng, m: dataset,
@@ -414,16 +440,15 @@ def cmd_run(args) -> int:
             [("grad_variance", int(step), e)
              for step, e in zip(traces[0].stored_steps, variance)],
         )
-        stability = grad_stability_trace(model, None, sgld_cfg,
-                                         n_pairs=est["n_pairs"])
-        write_estimates_csv(
-            out.file("stability.csv"),
-            [("grad_stability", int(step), e)
-             for step, e in zip(traces[0].stored_steps, stability)],
-        )
+        # computed before the wait for the worker, written after it
         gap = empirical_gen_gap(model, None, sgld_cfg,
                                 n_trials=est["n_trials"],
                                 eval_loss=est["eval_loss"])
+        write_estimates_csv(
+            out.file("stability.csv"),
+            [("grad_stability", int(step), e)
+             for step, e in zip(traces[0].stored_steps, stability.result())],
+        )
         write_estimates_csv(out.file("gap.csv"),
                             [(gap.estimator_name, sgld_cfg.T, gap)])
 
@@ -459,6 +484,12 @@ def cmd_run(args) -> int:
     return 0
 
 
+def _stability_trace(model, sgld_cfg: SGLDConfig, n_pairs: int):
+    # what `run`'s worker runs; grad_stability_trace is looked up in this
+    # module's globals at call time, so wrappers set there are the ones run
+    return grad_stability_trace(model, None, sgld_cfg, n_pairs=n_pairs)
+
+
 def _read_csv(path, columns) -> list:
     """Data rows of a CSV artifact whose header must be `columns`."""
     try:
@@ -489,12 +520,12 @@ class _GridPoint:
 
     model: object
     lc: object
-    dc: object
+    dc: object               # DerivedConstants, or why they are undefined
     b: dict                  # the config's bounds block
     mi_pairs: int
     cfg: SGLDConfig          # the run's config at horizon T
     n: int
-    kl_chain: BoundEntry     # time_independent; its kl_bound is free of sigma_g_sq
+    kl_chain: BoundEntry | str  # time_independent; its kl_bound is free of sigma_g_sq
     variance: np.ndarray     # per-update conditional variances, length T
     strided: bool            # variance repeats stored values over skipped steps
     stability: np.ndarray    # (eta t, value) rows of the stability trace, t <= T
@@ -533,6 +564,8 @@ class _GridPoint:
                                    k=self.cfg.k, m=self.lc.m)
 
     def subexp_gen(self):
+        if isinstance(self.kl_chain, str):
+            return self.kl_chain
         if not self.kl_chain.preconditions_ok:
             return "kl-chain-unavailable"
         y = self.kl_chain.constants_used["kl_bound"] / self.n
@@ -570,8 +603,11 @@ def cmd_bounds(args) -> int:
 
     T_grid = b["T_grid"]
     if T_grid is None:
+        # {0, T/4, T/2, T}, each at the last stored step not after it, since
+        # a strided run stores every stride-th step and T itself
         last = int(var_steps[-1])
-        T_grid = sorted({0, last // 4, last // 2, last})
+        at = np.searchsorted(var_steps, [0, last // 4, last // 2, last], side="right")
+        T_grid = sorted({int(step) for step in var_steps[at - 1]})
     n_grid = b["n_grid"] or [cfg["data"]["n"]]
 
     # piecewise-constant extension of the stored trace to per-update values;
@@ -592,7 +628,7 @@ def cmd_bounds(args) -> int:
             n = int(n)
             # kl_bound does not depend on sigma_g_sq, so this one evaluation
             # also serves subexp_gen and excess_risk
-            kl_chain = bound_time_independent(
+            kl_chain = dc if isinstance(dc, str) else bound_time_independent(
                 lc, dc, T_cfg, n, 1.0 if sigma_g_sq is None else sigma_g_sq)
             point = _GridPoint(
                 model=model, lc=lc, dc=dc, b=b,

@@ -48,7 +48,10 @@ from dataclasses import dataclass, field
 
 from .losses import LossConstants
 
+LSI_MODES = ("strongly_convex", "general_dissipative")  # `lsi_constant` modes
+
 __all__ = [
+    "LSI_MODES",
     "ParametrixOverrides",
     "DerivedConstants",
     "minibatch_delta",

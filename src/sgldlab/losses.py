@@ -148,13 +148,6 @@ class LossModel:
         flatZ = Zb.reshape(c * k, -1)
         return self.grad_many(flatW, flatZ).reshape(c, k, -1).mean(axis=1)
 
-    def eval_mean(self, w: np.ndarray, Z: np.ndarray) -> float:
-        """Mean loss of a single parameter vector over a set of data points."""
-        w = np.asarray(w, dtype=float)
-        Z = np.atleast_2d(np.asarray(Z, dtype=float))
-        W = np.broadcast_to(w, (Z.shape[0], w.shape[0]))
-        return float(self.eval_many(W, Z).mean())
-
     # -- data sampling ------------------------------------------------------
 
     def sample_data(self, rng: np.random.Generator, n_points: int) -> np.ndarray:

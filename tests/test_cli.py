@@ -6,7 +6,9 @@ import os
 
 import pytest
 
+from sgldlab import cli
 from sgldlab.cli import ConfigError, load_config, main
+from sgldlab.estimators import grad_stability_trace, write_estimates_csv
 
 BASE = {
     "loss": {"family": "quadratic", "R": 1.0, "d": 2},
@@ -80,6 +82,12 @@ def test_unknown_key_rejected(tmp_path):
             json.dump({**BASE, block: {**BASE[block], key: 1}}, fh)
         with pytest.raises(ConfigError, match=key):
             load_config(path)
+
+
+def test_unknown_lsi_mode_rejected(tmp_path):
+    path = write_config(tmp_path / "c.json", bounds={"lsi_mode": "strongly-convex"})
+    with pytest.raises(ConfigError, match="bounds.lsi_mode"):
+        load_config(path)
 
 
 def test_unknown_block_rejected(tmp_path):
@@ -211,6 +219,49 @@ def test_run_manifest_lists_every_output_file(tmp_path):
     assert set(manifest["files"]) == on_disk
     # the full defaulted config is echoed back
     assert manifest["config"]["sgld"]["eta"] == 0.05
+
+
+def test_run_stability_csv_equals_in_process_trace(tmp_path):
+    path = write_config(tmp_path / "c.json")
+    assert main(["run", "--config", path, "--out", str(tmp_path / "run")]) == 0
+    cfg = load_config(path)
+    stability = grad_stability_trace(cfg.model(), None, cfg.sgld_config(),
+                                     n_pairs=cfg["estimators"]["n_pairs"])
+    # T = 60 is below the storage cap, so step t is row t
+    write_estimates_csv(tmp_path / "expected.csv",
+                        [("grad_stability", step, e)
+                         for step, e in enumerate(stability)])
+    assert ((tmp_path / "run" / "stability.csv").read_bytes()
+            == (tmp_path / "expected.csv").read_bytes())
+
+
+def test_run_computes_stability_in_a_worker_process(tmp_path, monkeypatch):
+    # a local closure, as perfbench/probe.py sets, which pickle cannot send
+    real, pid_file = cli.grad_stability_trace, tmp_path / "pid"
+
+    def recording(*args, **kwargs):
+        pid_file.write_text(str(os.getpid()))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "grad_stability_trace", recording)
+    cfg = write_config(tmp_path / "c.json")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+    assert int(pid_file.read_text()) != os.getpid()
+
+
+def test_run_worker_failure_reaches_the_caller(tmp_path, monkeypatch):
+    def failing(*args, **kwargs):
+        raise RuntimeError(f"stability failed in pid {os.getpid()}")
+
+    monkeypatch.setattr(cli, "grad_stability_trace", failing)
+    cfg = write_config(tmp_path / "c.json")
+    out = tmp_path / "run"
+    with pytest.raises(RuntimeError, match="stability failed") as info:
+        main(["run", "--config", cfg, "--out", str(out)])
+    assert int(str(info.value).split()[-1]) != os.getpid()
+    assert not (out / ".lock").exists()
+    assert not (out / "stability.csv").exists()
+    assert json.loads((out / "manifest.json").read_text())["status"] == "running"
 
 
 def test_lock_file_refusal(tmp_path, capsys):
@@ -385,6 +436,38 @@ def test_bounds_flags_pensia_on_strided_variance_trace(tmp_path, monkeypatch):
                for r in rows if r[0] == "pensia"}
     assert flagged == {"0": False, "30": True, "60": True}
     assert not any("strided" in r[6] for r in rows if r[0] != "pensia")
+
+
+def test_bounds_default_T_grid_snaps_to_stored_steps(tmp_path, monkeypatch):
+    # T = 29 with at most 10 stored steps: stride 3 stores 0, 3, ..., 27, 29,
+    # so T/4 = 7 and T/2 = 14 fall back to the stored steps 6 and 12
+    monkeypatch.setattr("sgldlab.sgld.STATE_STORE_CAP", 10)
+    cfg = write_config(tmp_path / "c.json", sgld={"T": 29},
+                       bounds={"which": ["pensia"]})
+    rows = run_then_bounds(tmp_path, cfg)
+    assert [r[2] for r in rows] == ["0", "6", "12", "29"]
+
+
+def test_bounds_without_derived_constants_flags_the_chain(tmp_path):
+    # eta = 0.15 >= m/(5 M^2) = 0.1: no moment bound, so no derived constants
+    cfg = write_config(tmp_path / "c.json", sgld={"eta": 0.15, "T": 20})
+    rows = run_then_bounds(tmp_path, cfg, allow_unsafe=True)
+    chain = [r for r in rows
+             if r[0] in ("time_independent", "subexp_gen", "excess_risk")]
+    assert len(chain) == 3 * 4
+    assert all(r[1] == "" and r[6].startswith("derived-constants-unavailable")
+               and "eta=0.15" in r[6] for r in chain)
+    for name in ("pensia", "farghly_shape", "strongly_convex"):
+        assert all(r[1] != "" for r in rows if r[0] == name), name
+
+
+def test_bounds_malformed_parametrix_exits_one(run_and_bounds, tmp_path, capsys):
+    cfg = write_config(tmp_path / "c.json",
+                       bounds={"T_grid": [0, 10, 40, 60],
+                               "parametrix": {"C1_prime": -1.0}})
+    assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "b"),
+                 "--traces", str(run_and_bounds / "run")]) == 1
+    assert "bounds.parametrix" in capsys.readouterr().err
 
 
 # -------------------------------------------------------------------- verify
