@@ -62,7 +62,13 @@ from .fokker_planck import (
     verify_inequality_12,
 )
 from .losses import certify, make_logistic_ridge, make_nonconvex_ridge, make_quadratic
-from .oracle import oracle_mi_upper, oracle_trace, verify_kl_recursion
+from .oracle import (
+    oracle_mi_from_gaps,
+    oracle_mi_upper,
+    oracle_pair_gaps,
+    oracle_trace,
+    verify_kl_recursion,
+)
 from .sgld import SGLDConfig, run_ensemble, strict_mode_failures
 
 
@@ -509,6 +515,16 @@ def _load_estimates_csv(path):
              int(cells[4])) for cells in _read_csv(path, ESTIMATES_CSV_COLUMNS)]
 
 
+def _load_trace(traces_dir, name):
+    """(steps, means floored at 0) of one of a run's per-step estimate CSVs."""
+    path = os.path.join(traces_dir, name)
+    rows = _load_estimates_csv(path)
+    if not rows:
+        raise ConfigError(f"{path} has no data rows")
+    return (np.array([int(r[1]) for r in rows]),
+            np.array([max(r[2], 0.0) for r in rows]))
+
+
 @dataclass(frozen=True)
 class _GridPoint:
     """One (T, n) point of the bound grid, with one evaluator per bound name.
@@ -518,11 +534,10 @@ class _GridPoint:
     on this module after import see every call.
     """
 
-    model: object
     lc: object
     dc: object               # DerivedConstants, or why they are undefined
     b: dict                  # the config's bounds block
-    mi_pairs: int
+    pair_gaps: np.ndarray | None  # xu_raginsky's oracle pairs at n, when it runs
     cfg: SGLDConfig          # the run's config at horizon T
     n: int
     kl_chain: BoundEntry | str  # time_independent; its kl_bound is free of sigma_g_sq
@@ -531,11 +546,11 @@ class _GridPoint:
     stability: np.ndarray    # (eta t, value) rows of the stability trace, t <= T
 
     def xu_raginsky(self):
-        if self.lc.R is None or self.cfg.k != self.cfg.n:
+        if self.pair_gaps is None:
             return "exact-mi-needs-full-batch-quadratic"
-        mi = oracle_mi_upper(self.model.sample_data,
-                             dataclasses.replace(self.cfg, k=self.n, n=self.n),
-                             R=self.lc.R, n_dataset_pairs=self.mi_pairs)
+        mi = oracle_mi_from_gaps(self.pair_gaps,
+                                 dataclasses.replace(self.cfg, k=self.n, n=self.n),
+                                 R=self.lc.R)
         return bound_xu_raginsky(self.b["sigma_g_sq"], self.n, mi.mean)
 
     def pensia(self):
@@ -594,12 +609,8 @@ def cmd_bounds(args) -> int:
     b = cfg["bounds"]
     dc = cfg.derived()
 
-    var_rows = _load_estimates_csv(os.path.join(args.traces, "variance.csv"))
-    stab_rows = _load_estimates_csv(os.path.join(args.traces, "stability.csv"))
-    var_steps = np.array([int(r[1]) for r in var_rows])
-    var_vals = np.array([max(r[2], 0.0) for r in var_rows])
-    stab_steps = np.array([int(r[1]) for r in stab_rows])
-    stab_vals = np.array([max(r[2], 0.0) for r in stab_rows])
+    var_steps, var_vals = _load_trace(args.traces, "variance.csv")
+    stab_steps, stab_vals = _load_trace(args.traces, "stability.csv")
 
     T_grid = b["T_grid"]
     if T_grid is None:
@@ -615,6 +626,13 @@ def cmd_bounds(args) -> int:
     variance = np.repeat(var_vals, np.diff(np.append(var_steps, var_steps[-1] + 1)))
     skips = var_steps[:-1][np.diff(var_steps) > 1]
     sigma_g_sq = b["sigma_g_sq"]
+    # xu_raginsky's dataset pairs depend on n alone, not on T: drawn once per n
+    pair_gaps = {}
+    if ("xu_raginsky" in b["which"] and sigma_g_sq is not None
+            and lc.R is not None and sgld_cfg.k == sgld_cfg.n):
+        pair_gaps = {int(n): oracle_pair_gaps(model.sample_data, seed, int(n),
+                                              cfg["estimators"]["mi_pairs"])
+                     for n in n_grid}
 
     entries = []
     eta, beta = sgld_cfg.eta, sgld_cfg.beta
@@ -631,8 +649,7 @@ def cmd_bounds(args) -> int:
             kl_chain = dc if isinstance(dc, str) else bound_time_independent(
                 lc, dc, T_cfg, n, 1.0 if sigma_g_sq is None else sigma_g_sq)
             point = _GridPoint(
-                model=model, lc=lc, dc=dc, b=b,
-                mi_pairs=cfg["estimators"]["mi_pairs"], cfg=T_cfg, n=n,
+                lc=lc, dc=dc, b=b, pair_gaps=pair_gaps.get(n), cfg=T_cfg, n=n,
                 kl_chain=kl_chain, variance=variance[:T],
                 strided=bool(np.any(skips < T)), stability=stability,
             )

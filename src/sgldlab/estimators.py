@@ -227,19 +227,20 @@ def grad_stability_trace(
     DS = np.stack(datasets)
     DS_alt = np.stack(datasets_alt)
     traces = _run_chains_lockstep(config, model, DS, chain_seqs, ids, series=False)
+    full_s = model.full_batch_grad(DS)
+    full_alt = model.full_batch_grad(DS_alt)
 
     # blocks of stored steps, each evaluated for every pair in one call;
-    # row r * n_pairs + p of a block is pair p at the block's r-th step
+    # W[r, p] is pair p at the block's r-th step
     n_steps = traces[0].stored_steps.shape[0]
-    block = _block_len(DS[0].size * n_pairs)  # per step: (n_pairs, n, z) tiled data
+    # per step: the (n_pairs, n, z) datasets, tiled by the default full_batch_grad
+    block = _block_len(DS[0].size * n_pairs)
     out = []
     for r0 in range(0, n_steps, block):
         W = np.stack([tr.states[r0:r0 + block] for tr in traces], axis=1)
         b = W.shape[0]
-        W = W.reshape(b * n_pairs, config.d)
-        g_s = model.grad_minibatch(W, np.tile(DS, (b, 1, 1)))
-        g_alt = model.grad_minibatch(W, np.tile(DS_alt, (b, 1, 1)))
-        sq = np.einsum("ij,ij->i", g_s - g_alt, g_s - g_alt).reshape(b, n_pairs)
+        diff = (full_s(W) - full_alt(W)).reshape(b * n_pairs, config.d)
+        sq = np.einsum("ij,ij->i", diff, diff).reshape(b, n_pairs)
         out.extend(_estimate(row, "grad_stability") for row in sq)
     return out
 

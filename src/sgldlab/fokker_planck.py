@@ -141,7 +141,12 @@ def fp_step(
     of the adjacent cells. The stability limit is h^2 / (2/beta +
     h max|grad|); a dt above it raises with a suggested replacement.
     """
-    grid = rho.grid
+    return _advance(rho, _face_terms(rho.grid, grad, beta, dt), beta, dt)
+
+
+def _face_terms(grid: Grid1D, grad: np.ndarray, beta: float, dt: float):
+    """The part of `fp_step` fixed by (grid, grad, beta, dt): checks dt, and
+    returns the face gradients and both Chang-Cooper weights."""
     h = grid.h
     g = np.asarray(grad, dtype=float)
     if g.shape != (grid.n_cells,):
@@ -155,10 +160,18 @@ def fp_step(
             f"dt={dt} exceeds the stability limit {dt_max}; "
             f"suggested dt = {0.9 * dt_max}"
         )
-
     v_face = 0.5 * (g[:-1] + g[1:])
     delta = _cc_weight(beta * v_face * h)
-    rho_face = delta * rho.values[:-1] + (1.0 - delta) * rho.values[1:]
+    return v_face, delta, 1.0 - delta
+
+
+def _advance(rho: DensityField, faces, beta: float, dt: float) -> DensityField:
+    """One `fp_step` from the `_face_terms` of its grad."""
+    v_face, delta, delta_right = faces
+    grid = rho.grid
+    h = grid.h
+    D = 1.0 / beta
+    rho_face = delta * rho.values[:-1] + delta_right * rho.values[1:]
     flux = -(D / h) * (rho.values[1:] - rho.values[:-1]) - v_face * rho_face
     # zero-flux boundaries: mass moves only through interior faces
     div = (np.concatenate([flux, [0.0]]) - np.concatenate([[0.0], flux])) / h
@@ -173,7 +186,9 @@ def fp_step(
     )
 
 
-def _support_band(rho: DensityField, gamma: DensityField) -> np.ndarray:
+def _support_band(rho: DensityField, gamma: DensityField) -> slice:
+    """The longest run of cells where both densities clear the floors
+    (the first such run on ties)."""
     r, q = rho.values, gamma.values
     mask = (
         (r > SUPPORT_FLOOR)
@@ -184,19 +199,36 @@ def _support_band(rho: DensityField, gamma: DensityField) -> np.ndarray:
     if not mask.any():
         raise ValueError("densities share no support above the floors")
     idx = np.nonzero(mask)[0]
-    gaps = np.nonzero(np.diff(idx) > 1)[0]
-    runs = np.split(idx, gaps + 1)
-    return max(runs, key=len)
+    breaks = np.nonzero(np.diff(idx) > 1)[0] + 1
+    starts = np.concatenate([[0], breaks])
+    ends = np.concatenate([breaks, [idx.shape[0]]])
+    i = int(np.argmax(ends - starts))
+    return slice(int(idx[starts[i]]), int(idx[ends[i] - 1]) + 1)
 
 
-def kl_on_grid(rho: DensityField, gamma: DensityField) -> float:
-    """Quadrature KL(rho | gamma) over the shared support band."""
+def _band_log_ratio(rho: DensityField, gamma: DensityField):
+    """rho and log(rho/gamma) on the shared support band."""
     if rho.grid != gamma.grid:
         raise ValueError("densities live on different grids")
     band = _support_band(rho, gamma)
     r = rho.values[band]
-    q = gamma.values[band]
-    return float(rho.grid.h * np.sum(r * np.log(r / q)))
+    return r, np.log(r / gamma.values[band])
+
+
+def _kl(h: float, r: np.ndarray, log_ratio: np.ndarray) -> float:
+    return float(h * np.sum(r * log_ratio))
+
+
+def _fisher(h: float, r: np.ndarray, log_ratio: np.ndarray) -> float:
+    if r.shape[0] < 2:
+        raise ValueError("support band too narrow for differences")
+    score = np.gradient(log_ratio, h)
+    return float(h * np.sum(r * score**2))
+
+
+def kl_on_grid(rho: DensityField, gamma: DensityField) -> float:
+    """Quadrature KL(rho | gamma) over the shared support band."""
+    return _kl(rho.grid.h, *_band_log_ratio(rho, gamma))
 
 
 def fisher_on_grid(rho: DensityField, gamma: DensityField) -> float:
@@ -205,15 +237,7 @@ def fisher_on_grid(rho: DensityField, gamma: DensityField) -> float:
     Sum of h * rho * (d/dw log(rho/gamma))^2 with central differences on
     the band interior and one-sided differences at its edges.
     """
-    if rho.grid != gamma.grid:
-        raise ValueError("densities live on different grids")
-    band = _support_band(rho, gamma)
-    if band.shape[0] < 2:
-        raise ValueError("support band too narrow for differences")
-    r = rho.values[band]
-    q = gamma.values[band]
-    score = np.gradient(np.log(r / q), rho.grid.h)
-    return float(rho.grid.h * np.sum(r * score**2))
+    return _fisher(rho.grid.h, *_band_log_ratio(rho, gamma))
 
 
 # ---------------------------------------------------------------- paired runs
@@ -279,26 +303,33 @@ def evolve_pair(
     potential_id: str = "",
     dataset_id: str = "",
 ) -> FPPairRun:
-    """Run rho under grad_s and gamma under grad_alt, recording the traces."""
+    """Run rho under grad_s and gamma under grad_alt, recording the traces.
+
+    Each step is `fp_step`'s; the face terms, fixed by the gradient, are
+    computed once per density.
+    """
     if n_steps < 1:
         raise ValueError(f"need at least 1 step, got {n_steps}")
     grad_s = np.asarray(grad_s, dtype=float)
     grad_alt = np.asarray(grad_alt, dtype=float)
     gap_sq = (grad_s - grad_alt) ** 2
+    faces_s = _face_terms(rho0.grid, grad_s, beta, dt)
+    faces_alt = _face_terms(gamma0.grid, grad_alt, beta, dt)
 
     kl = np.empty(n_steps + 1)
     fisher = np.empty(n_steps + 1)
     stability = np.empty(n_steps + 1)
     rho, gamma = rho0, gamma0
     for step in range(n_steps + 1):
-        kl[step] = kl_on_grid(rho, gamma)
-        fisher[step] = fisher_on_grid(rho, gamma)
+        r, log_ratio = _band_log_ratio(rho, gamma)
+        kl[step] = _kl(rho.grid.h, r, log_ratio)
+        fisher[step] = _fisher(rho.grid.h, r, log_ratio)
         stability[step] = (beta / 2.0) * float(
             grid.h * np.sum(rho.values * gap_sq)
         )
         if step < n_steps:
-            rho = fp_step(rho, grad_s, beta, dt)
-            gamma = fp_step(gamma, grad_alt, beta, dt)
+            rho = _advance(rho, faces_s, beta, dt)
+            gamma = _advance(gamma, faces_alt, beta, dt)
     return FPPairRun(
         grid=grid,
         beta=beta,

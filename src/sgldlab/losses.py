@@ -148,6 +148,27 @@ class LossModel:
         flatZ = Zb.reshape(c * k, -1)
         return self.grad_many(flatW, flatZ).reshape(c, k, -1).mean(axis=1)
 
+    def full_batch_grad(self, datasets: np.ndarray):
+        """Full-batch gradients over fixed per-chain datasets.
+
+        Args:
+            datasets: (c, n, z_dim), row i being chain i's whole dataset.
+
+        Returns:
+            A function of W, (c, d) or a block (b, c, d) of such states,
+            giving `grad_minibatch` over each chain's whole dataset in W's
+            shape. This default tiles the datasets b times for a block;
+            families whose full-batch gradient has a cheaper form override it.
+        """
+        def full(W):
+            if W.ndim == 2:
+                return self.grad_minibatch(W, datasets)
+            b, c = W.shape[:2]
+            flat = self.grad_minibatch(W.reshape(b * c, -1), np.tile(datasets, (b, 1, 1)))
+            return flat.reshape(W.shape)
+
+        return full
+
     # -- data sampling ------------------------------------------------------
 
     def sample_data(self, rng: np.random.Generator, n_points: int) -> np.ndarray:
@@ -226,6 +247,12 @@ class QuadraticLoss(LossModel):
     def grad_minibatch(self, W, Zb):
         # gradient is linear in z, so the minibatch mean collapses to z-bar
         return self.R * (np.asarray(W, dtype=float) - np.asarray(Zb, dtype=float).mean(axis=1))
+
+    def full_batch_grad(self, datasets):
+        # the datasets are fixed, so each z-bar is taken once; it broadcasts
+        # over a block axis of W
+        zbar = np.asarray(datasets, dtype=float).mean(axis=1)
+        return lambda W: self.R * (np.asarray(W, dtype=float) - zbar)
 
 
 class LogisticRidgeLoss(LossModel):

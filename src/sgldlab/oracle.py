@@ -30,6 +30,8 @@ __all__ = [
     "gaussian_kl",
     "OracleTrace",
     "oracle_trace",
+    "oracle_pair_gaps",
+    "oracle_mi_from_gaps",
     "oracle_mi_upper",
     "KLRecursionReport",
     "verify_kl_recursion",
@@ -181,6 +183,54 @@ def oracle_trace(
     )
 
 
+def oracle_pair_gaps(
+    mu_sampler,
+    seed: int,
+    n: int,
+    n_dataset_pairs: int,
+    control_identical: bool = False,
+) -> np.ndarray:
+    """Per-pair ||zbar_S - zbar_S'||^2 over the dataset pairs of `oracle_mi_upper`.
+
+    The data-only part of the bound: it depends on (seed, n, pairs,
+    control), not on the step size, temperature or horizon, so a grid of
+    horizons can draw its pairs once and pass them to `oracle_mi_from_gaps`.
+    """
+    if n_dataset_pairs < 1:
+        raise ValueError(f"need at least 1 dataset pair, got {n_dataset_pairs}")
+    gaps = np.empty(n_dataset_pairs)
+    for i, seq in enumerate(np.random.SeedSequence(seed).spawn(n_dataset_pairs)):
+        s_seq, s_alt_seq = seq.spawn(2)
+        S = np.asarray(mu_sampler(np.random.default_rng(s_seq), n), dtype=float)
+        if control_identical:
+            S_alt = S
+        else:
+            S_alt = np.asarray(mu_sampler(np.random.default_rng(s_alt_seq), n), dtype=float)
+        diff = S.mean(axis=0) - S_alt.mean(axis=0)
+        gaps[i] = float(diff @ diff)
+    return gaps
+
+
+def oracle_mi_from_gaps(gaps: np.ndarray, config: SGLDConfig, R: float) -> EstimateWithError:
+    """`oracle_mi_upper` at `config`'s horizon from the pairs' squared mean gaps.
+
+    Each pair's KL at T is a_T^2 ||zbar_S - zbar_S'||^2 / (2 v_T).
+    """
+    if config.k != config.n:
+        raise ValueError("the exact law covers full-batch chains only (k = n)")
+    a, v = _response_and_var(config.eta, config.beta, R, config.s_sq, config.T)
+    aT, vT = float(a[-1]), float(v[-1])
+    kls = aT**2 * gaps / (2.0 * vT)
+    n = kls.shape[0]
+    sd = float(kls.std(ddof=1)) if n > 1 else 0.0
+    return EstimateWithError(
+        mean=float(kls.mean()),
+        stderr=sd / math.sqrt(n),
+        n_samples=n,
+        estimator_name="oracle_mi_upper",
+    )
+
+
 def oracle_mi_upper(
     mu_sampler,
     config: SGLDConfig,
@@ -194,34 +244,9 @@ def oracle_mi_upper(
     dataset pairs; each pair's KL is exact, so the only error is the pair
     Monte Carlo. `control_identical` replaces S' by S, which must give 0.
     """
-    if n_dataset_pairs < 1:
-        raise ValueError(f"need at least 1 dataset pair, got {n_dataset_pairs}")
-    if config.k != config.n:
-        raise ValueError("the exact law covers full-batch chains only (k = n)")
-    a, v = _response_and_var(config.eta, config.beta, R, config.s_sq, config.T)
-    aT, vT = float(a[-1]), float(v[-1])
-
-    root = np.random.SeedSequence(config.seed)
-    kls = np.empty(n_dataset_pairs)
-    for i, seq in enumerate(root.spawn(n_dataset_pairs)):
-        s_seq, s_alt_seq = seq.spawn(2)
-        S = np.asarray(mu_sampler(np.random.default_rng(s_seq), config.n), dtype=float)
-        if control_identical:
-            S_alt = S
-        else:
-            S_alt = np.asarray(
-                mu_sampler(np.random.default_rng(s_alt_seq), config.n), dtype=float
-            )
-        diff = S.mean(axis=0) - S_alt.mean(axis=0)
-        kls[i] = aT**2 * float(diff @ diff) / (2.0 * vT)
-    n = n_dataset_pairs
-    sd = float(kls.std(ddof=1)) if n > 1 else 0.0
-    return EstimateWithError(
-        mean=float(kls.mean()),
-        stderr=sd / math.sqrt(n),
-        n_samples=n,
-        estimator_name="oracle_mi_upper",
-    )
+    gaps = oracle_pair_gaps(mu_sampler, config.seed, config.n, n_dataset_pairs,
+                            control_identical)
+    return oracle_mi_from_gaps(gaps, config, R)
 
 
 @dataclass(frozen=True)

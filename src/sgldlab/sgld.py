@@ -343,6 +343,7 @@ def _run_chains_lockstep(
         states[:, store_pos[0]] = W
     noise_count = 0
 
+    full = model.full_batch_grad(datasets)
     high = (n - np.arange(k)).astype(np.int64)
     block = _block_len(c * n)  # steps per Fisher-Yates block
     for start in range(0, T, STEP_CHUNK):
@@ -362,11 +363,11 @@ def _run_chains_lockstep(
                     idx = _fy_subset_rows(offs[:, s:s + b].reshape(c * b, k), n)
                     idx = idx.reshape(c, b, k)
                 Zb = np.take_along_axis(datasets, idx[:, s % block, :, None], axis=1)
+                G = model.grad_minibatch(W, Zb)
             else:
-                Zb = datasets
-            G = model.grad_minibatch(W, Zb)
+                G = full(W)
             if series:
-                Gfull = G if k == n else model.grad_minibatch(W, datasets)
+                Gfull = G if k == n else full(W)
                 diff = G - Gfull
                 grad_var[:, t] = np.einsum("ij,ij->i", diff, diff)
                 grad_full_norm[:, t] = np.sqrt(np.einsum("ij,ij->i", Gfull, Gfull))

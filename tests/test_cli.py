@@ -1,14 +1,18 @@
 """End-to-end exercises of the command-line entry point."""
 
 import csv
+import dataclasses
 import json
 import os
+import shutil
 
 import pytest
 
 from sgldlab import cli
+from sgldlab.bounds import bound_xu_raginsky
 from sgldlab.cli import ConfigError, load_config, main
 from sgldlab.estimators import grad_stability_trace, write_estimates_csv
+from sgldlab.oracle import oracle_mi_upper
 
 BASE = {
     "loss": {"family": "quadratic", "R": 1.0, "d": 2},
@@ -459,6 +463,38 @@ def test_bounds_without_derived_constants_flags_the_chain(tmp_path):
                and "eta=0.15" in r[6] for r in chain)
     for name in ("pensia", "farghly_shape", "strongly_convex"):
         assert all(r[1] != "" for r in rows if r[0] == name), name
+
+
+@pytest.mark.parametrize("name", ["variance.csv", "stability.csv"])
+def test_bounds_empty_trace_csv_exits_one(run_and_bounds, tmp_path, capsys, name):
+    traces = tmp_path / "run"
+    shutil.copytree(run_and_bounds / "run", traces)
+    header = (traces / name).read_text().splitlines()[0]
+    (traces / name).write_text(header + "\n")
+    cfg = write_config(tmp_path / "c.json")  # default T grid and every bound
+    assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "b"),
+                 "--traces", str(traces)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and name in err
+
+
+def test_bounds_xu_raginsky_equals_oracle_per_grid_point(tmp_path):
+    # full-batch quadratic: the pairs are drawn once per n and reused for
+    # every T; each value is what a per-point oracle_mi_upper call gives
+    cfg = write_config(tmp_path / "c.json", sgld={"k": 20},
+                       bounds={"T_grid": [0, 10, 40, 60], "n_grid": [10, 20, 35],
+                               "which": ["xu_raginsky"]})
+    rows = run_then_bounds(tmp_path, cfg)
+    assert len(rows) == 4 * 3
+    sgld_cfg = load_config(cfg).sgld_config()
+    model = load_config(cfg).model()
+    for name, value, T, n, *_ in rows:
+        T, n = int(T), int(n)
+        point = dataclasses.replace(sgld_cfg, T=T, k=n, n=n)
+        mi = oracle_mi_upper(model.sample_data, point, R=1.0,
+                             n_dataset_pairs=BASE["estimators"]["mi_pairs"])
+        assert float(value) == bound_xu_raginsky(0.25, n, mi.mean).value
+    assert {float(r[1]) for r in rows if r[2] != "0"} != {0.0}
 
 
 def test_bounds_malformed_parametrix_exits_one(run_and_bounds, tmp_path, capsys):

@@ -297,6 +297,72 @@ def test_evolve_pair_validation():
     pi = gibbs_density(g, 0.5 * g.centers**2, BETA)
     with pytest.raises(ValueError):
         evolve_pair(g, np.zeros(128), np.zeros(128), BETA, 1e-5, 0, pi, pi)
+    grad = R * g.centers
+    too_big = 1.01 * stable_dt(g, grad, BETA, safety=1.0)
+    for ga in (grad, np.zeros(128)):  # either density's step can be unstable
+        with pytest.raises(ValueError, match="stability limit"):
+            evolve_pair(g, grad, ga, BETA, too_big, 3, pi, pi)
+        with pytest.raises(ValueError, match="stability limit"):
+            evolve_pair(g, ga, grad, BETA, too_big, 3, pi, pi)
+
+
+def reference_evolve_pair(grid, grad_s, grad_alt, beta, dt, n_steps, rho, gamma):
+    # the pair loop written with the public one-step and quadrature functions
+    kl, fisher, stability = [], [], []
+    for step in range(n_steps + 1):
+        kl.append(kl_on_grid(rho, gamma))
+        fisher.append(fisher_on_grid(rho, gamma))
+        stability.append((beta / 2.0) * float(
+            grid.h * np.sum(rho.values * (grad_s - grad_alt) ** 2)))
+        if step < n_steps:
+            rho = fp_step(rho, grad_s, beta, dt)
+            gamma = fp_step(gamma, grad_alt, beta, dt)
+    return (np.array(kl), np.array(fisher), np.array(stability),
+            rho.clamped_mass + gamma.clamped_mass)
+
+
+@pytest.mark.parametrize("case", ["shifted", "contraction", "steep"])
+def test_evolve_pair_bitwise_equals_the_fp_step_loop(case):
+    g = quad_grid(128)
+    w = g.centers
+    if case == "shifted":
+        gs, ga = R * (w - 0.2), R * (w + 0.2)
+        rho = gamma = gaussian_on(g, 1.0, 0.3)
+    elif case == "contraction":
+        gs = ga = R * w
+        rho = gaussian_on(g, 1.5, 0.3)
+        gamma = gibbs_density(g, 0.5 * R * w**2, BETA)
+    else:  # steep potentials and a narrow start: the shared band moves
+        gs, ga = 40.0 * (w - 1.0), 40.0 * (w + 1.0)
+        rho = gamma = gaussian_on(g, 0.0, 0.01)
+    dt = stable_dt(g, gs, BETA, safety=0.9)
+    run = evolve_pair(g, gs, ga, BETA, dt, 120, rho, gamma)
+    kl, fisher, stability, clamped = reference_evolve_pair(
+        g, gs, ga, BETA, dt, 120, rho, gamma)
+    assert np.array_equal(run.kl, kl)
+    assert np.array_equal(run.fisher, fisher)
+    assert np.array_equal(run.stability, stability)
+    assert run.clamped_mass == clamped
+
+
+def test_kl_and_fisher_use_the_longest_shared_support_run():
+    # supports split into runs of 5, 40, 40 and 20 cells: the first of the
+    # two longest is the band, as the split-and-max form picked it
+    g = quad_grid(128)
+    values = np.zeros(128)
+    for lo, hi in ((2, 7), (10, 50), (60, 100), (105, 125)):
+        values[lo:hi] = 1.0 + 0.01 * np.arange(hi - lo)
+    rho = DensityField(g, values / (values.sum() * g.h))
+    q = values * (1.0 + 0.05 * np.sin(np.arange(128)))
+    gamma = DensityField(g, q / (q.sum() * g.h))
+    idx = np.nonzero((rho.values > 0) & (gamma.values > 0))[0]
+    runs = np.split(idx, np.nonzero(np.diff(idx) > 1)[0] + 1)
+    band = max(runs, key=len)
+    assert band[0] == 10 and band.shape[0] == 40
+    r, q = rho.values[band], gamma.values[band]
+    assert kl_on_grid(rho, gamma) == float(g.h * np.sum(r * np.log(r / q)))
+    score = np.gradient(np.log(r / q), g.h)
+    assert fisher_on_grid(rho, gamma) == float(g.h * np.sum(r * score**2))
 
 
 def test_short_run_has_no_checkable_steps():

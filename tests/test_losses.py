@@ -222,6 +222,38 @@ def test_vectorized_paths_match_scalar(factory):
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
 
 
+@pytest.mark.parametrize("d", [1, 4])
+@pytest.mark.parametrize(
+    "factory",
+    [make_quadratic, make_logistic_ridge,
+     lambda R, r, d: make_nonconvex_ridge(R, 0.4, r, d)],
+    ids=["quadratic", "logistic", "nonconvex"],
+)
+def test_full_batch_grad_bitwise_equals_grad_minibatch(factory, d):
+    # on the inputs the chain engine and the stability trace build
+    model = factory(1.3, 1.2, d)
+    rng = np.random.default_rng(5)
+    c, n, b = 6, 300, 5
+    W = rng.uniform(-2, 2, size=(c, d))
+
+    shared = np.broadcast_to(model.sample_data(rng, n), (c, n, model.z_dim))
+    assert np.array_equal(model.full_batch_grad(shared)(W),
+                          model.grad_minibatch(W, shared))
+
+    stacked = np.stack([model.sample_data(rng, n) for _ in range(c)])
+    full = model.full_batch_grad(stacked)
+    for _ in range(2):  # the function is reused step after step
+        W = rng.uniform(-2, 2, size=(c, d))
+        assert np.array_equal(full(W), model.grad_minibatch(W, stacked))
+
+    block = rng.uniform(-2, 2, size=(b, c, d))
+    want = model.grad_minibatch(block.reshape(b * c, d),
+                                np.tile(stacked, (b, 1, 1))).reshape(b, c, d)
+    got = full(block)
+    assert got.shape == (b, c, d)
+    assert np.array_equal(got, want)
+
+
 # ------------------------------------------------------------- certification
 
 

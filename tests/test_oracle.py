@@ -13,7 +13,9 @@ from sgldlab.oracle import (
     OracleTrace,
     _response_and_var,
     gaussian_kl,
+    oracle_mi_from_gaps,
     oracle_mi_upper,
+    oracle_pair_gaps,
     oracle_trace,
     ou_step,
     verify_kl_recursion,
@@ -181,6 +183,48 @@ def test_mi_identical_control_is_exact_zero():
                           control_identical=True)
     assert est.mean == 0.0
     assert est.stderr == 0.0
+
+
+def per_pair_mi_loop(mu_sampler, config, R, n_pairs, control_identical=False):
+    # the bound as one loop over pairs, each pair's KL at T in one expression
+    a, v = _response_and_var(config.eta, config.beta, R, config.s_sq, config.T)
+    aT, vT = float(a[-1]), float(v[-1])
+    kls = np.empty(n_pairs)
+    for i, seq in enumerate(np.random.SeedSequence(config.seed).spawn(n_pairs)):
+        s_seq, s_alt_seq = seq.spawn(2)
+        S = np.asarray(mu_sampler(np.random.default_rng(s_seq), config.n), dtype=float)
+        S_alt = S if control_identical else np.asarray(
+            mu_sampler(np.random.default_rng(s_alt_seq), config.n), dtype=float)
+        diff = S.mean(axis=0) - S_alt.mean(axis=0)
+        kls[i] = aT**2 * float(diff @ diff) / (2.0 * vT)
+    sd = float(kls.std(ddof=1)) if n_pairs > 1 else 0.0
+    return float(kls.mean()), sd / math.sqrt(n_pairs)
+
+
+@pytest.mark.parametrize("n_pairs", [1, 2, 37])
+@pytest.mark.parametrize("control", [False, True])
+def test_mi_bitwise_equals_the_per_pair_loop(n_pairs, control):
+    model = make_quadratic(R=1.3, data_radius=1.0, d=3)
+    for cfg in (full_batch_cfg(), full_batch_cfg(n=7, k=7, T=33, eta=0.2, seed=3)):
+        est = oracle_mi_upper(model.sample_data, cfg, R=1.3, n_dataset_pairs=n_pairs,
+                              control_identical=control)
+        assert (est.mean, est.stderr) == per_pair_mi_loop(
+            model.sample_data, cfg, 1.3, n_pairs, control)
+        assert est.n_samples == n_pairs
+
+
+def test_mi_from_gaps_reuses_one_draw_across_horizons():
+    model = make_quadratic(R=1.0, data_radius=1.0, d=2)
+    gaps = oracle_pair_gaps(model.sample_data, 808, 20, 50)
+    assert gaps.shape == (50,) and np.all(gaps > 0)
+    for T in (0, 1, 400, 5000):
+        cfg = full_batch_cfg(T=T)
+        want = oracle_mi_upper(model.sample_data, cfg, R=1.0, n_dataset_pairs=50)
+        assert oracle_mi_from_gaps(gaps, cfg, R=1.0) == want
+    with pytest.raises(ValueError):
+        oracle_pair_gaps(model.sample_data, 808, 20, 0)
+    with pytest.raises(ValueError):
+        oracle_mi_from_gaps(gaps, full_batch_cfg(k=5), R=1.0)
 
 
 def test_mi_requires_full_batch():
