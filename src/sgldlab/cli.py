@@ -6,7 +6,8 @@ defaults echoed back), every invocation writes a manifest with the config
 hash, seed, precondition results and the produced files, and an output
 directory is protected by a lock file against concurrent runs.
 
-Exit codes: 0 success, 1 usage or config error, 2 assertion or violation.
+Exit codes: 0 success, 1 usage or config error or a failed run, 2 assertion
+or violation.
 """
 
 from __future__ import annotations
@@ -47,11 +48,14 @@ from .constants import (
 )
 from .estimators import (
     ESTIMATES_CSV_COLUMNS,
+    EVAL_LOSSES,
+    admitted_lambdas,
     empirical_gen_gap,
     grad_stability_trace,
     grad_variance_trace,
     logmgf_check,
     pth_moment_check,
+    pth_moment_min_chains,
     write_estimates_csv,
 )
 from .fokker_planck import (
@@ -63,13 +67,14 @@ from .fokker_planck import (
 )
 from .losses import certify, make_logistic_ridge, make_nonconvex_ridge, make_quadratic
 from .oracle import (
+    _response_and_var,
     oracle_mi_from_gaps,
     oracle_mi_upper,
     oracle_pair_gaps,
     oracle_trace,
     verify_kl_recursion,
 )
-from .sgld import SGLDConfig, run_ensemble, strict_mode_failures
+from .sgld import SGLDConfig, check_count, run_ensemble, strict_mode_failures
 
 
 class ConfigError(Exception):
@@ -281,7 +286,43 @@ def load_config(path) -> ExperimentConfig:
                           f"{blocks['bounds']['lsi_mode']!r}")
     cfg = ExperimentConfig(blocks=blocks)
     cfg.model()  # family-specific parameter validation
+    _check_values(cfg)
     return cfg
+
+
+def _check(key: str, rule, *args, **kwargs):
+    """`rule(*args, **kwargs)`, its ValueError reported against config key `key`."""
+    try:
+        return rule(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
+
+
+def _check_values(cfg: ExperimentConfig) -> None:
+    """Refuse, before any subcommand opens its output directory, each value
+    that the code using it would refuse later; each refusal is that code's."""
+    sgld_cfg = cfg.sgld_config()
+    lc = cfg.model().constants()
+    est, fp = cfg["estimators"], cfg["fp"]
+    if est["eval_loss"] not in EVAL_LOSSES:
+        raise ConfigError(f"estimators.eval_loss: unknown loss {est['eval_loss']!r}")
+    for key, param in (("n_trials", "n_trials"), ("n_chains", "n_chains"),
+                       ("n_resamples", "n_resamples"), ("n_pairs", "n_pairs"),
+                       ("mi_pairs", "n_dataset_pairs")):
+        _check(f"estimators.{key}", check_count, param, est[key])
+    _check("estimators.p_list", pth_moment_min_chains, est["p_list"])
+    nu = subexp_params(lc, beta=sgld_cfg.beta, d=sgld_cfg.d, s_sq=sgld_cfg.s_sq)["nu"]
+    _check("estimators.lambda_grid", admitted_lambdas, est["lambda_grid"], nu)
+    hw = fp["halfwidth"] or suggested_halfwidth(sgld_cfg.beta, lc.m)
+    _check("fp", Grid1D, -hw, hw, fp["n_cells"])
+    _check("verify.oracle_T", dataclasses.replace, sgld_cfg, k=sgld_cfg.n,
+           T=cfg["verify"]["oracle_T"])
+    for T in cfg["bounds"]["T_grid"] or ():
+        _coerce("bounds", "T_grid", T, int)
+    for n in cfg["bounds"]["n_grid"] or ():
+        # SGLDConfig states the dataset-size rule; k = 1 fits every size
+        _check("bounds.n_grid", dataclasses.replace, sgld_cfg,
+               n=_coerce("bounds", "n_grid", n, int), k=1)
 
 
 # ---------------------------------------------------------------- run support
@@ -382,6 +423,7 @@ def cmd_certify(args) -> int:
 def cmd_run(args) -> int:
     # imported here, not at module top, to keep them off every start-up
     from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
     from multiprocessing import get_context
 
     cfg = load_config(args.config)
@@ -423,7 +465,7 @@ def cmd_run(args) -> int:
         # the stability trace needs nothing from the stages below, so the
         # worker computes it while this process runs them; it writes no
         # file and ends in os._exit, so `out.__exit__` never runs in it
-        stability = pool.submit(_stability_trace, model, sgld_cfg, est["n_pairs"])
+        worker = pool.submit(_stability_trace, model, sgld_cfg, est["n_pairs"])
 
         traces = run_ensemble(sgld_cfg, model,
                               dataset_sampler=lambda rng, m: dataset,
@@ -450,10 +492,16 @@ def cmd_run(args) -> int:
         gap = empirical_gen_gap(model, None, sgld_cfg,
                                 n_trials=est["n_trials"],
                                 eval_loss=est["eval_loss"])
+        try:
+            stability = worker.result()
+        except BrokenProcessPool as exc:
+            # killed, say out of memory: the lock goes, the manifest stays running
+            print(f"run failed: the stability worker died: {exc}", file=sys.stderr)
+            return 1
         write_estimates_csv(
             out.file("stability.csv"),
             [("grad_stability", int(step), e)
-             for step, e in zip(traces[0].stored_steps, stability.result())],
+             for step, e in zip(traces[0].stored_steps, stability)],
         )
         write_estimates_csv(out.file("gap.csv"),
                             [(gap.estimator_name, sgld_cfg.T, gap)])
@@ -474,7 +522,7 @@ def cmd_run(args) -> int:
                  for lam, val, lo, hi in zip(mgf.lambdas, mgf.logmgf,
                                              mgf.band_lo, mgf.band_hi)],
             )
-        need = max(30, 5 * max(int(p) for p in est["p_list"]))
+        need = pth_moment_min_chains(est["p_list"])
         if len(traces) >= need:
             moments = pth_moment_check(traces, est["p_list"],
                                        model.constants(), beta=sgld_cfg.beta,
@@ -537,7 +585,7 @@ class _GridPoint:
     lc: object
     dc: object               # DerivedConstants, or why they are undefined
     b: dict                  # the config's bounds block
-    pair_gaps: np.ndarray | None  # xu_raginsky's oracle pairs at n, when it runs
+    oracle: tuple | None     # xu_raginsky's (pair gaps at n, a_T, v_T), when it runs
     cfg: SGLDConfig          # the run's config at horizon T
     n: int
     kl_chain: BoundEntry | str  # time_independent; its kl_bound is free of sigma_g_sq
@@ -546,11 +594,9 @@ class _GridPoint:
     stability: np.ndarray    # (eta t, value) rows of the stability trace, t <= T
 
     def xu_raginsky(self):
-        if self.pair_gaps is None:
+        if self.oracle is None:
             return "exact-mi-needs-full-batch-quadratic"
-        mi = oracle_mi_from_gaps(self.pair_gaps,
-                                 dataclasses.replace(self.cfg, k=self.n, n=self.n),
-                                 R=self.lc.R)
+        mi = oracle_mi_from_gaps(*self.oracle)
         return bound_xu_raginsky(self.b["sigma_g_sq"], self.n, mi.mean)
 
     def pensia(self):
@@ -572,7 +618,7 @@ class _GridPoint:
                                      T=self.cfg.eta * self.cfg.T)
 
     def farghly_shape(self):
-        if self.cfg.k >= self.cfg.n:
+        if self.cfg.k >= min(self.cfg.n, self.n):
             return "needs-subsampling"
         return bound_farghly_shape(self.b["farghly_C1"], self.b["farghly_C2"],
                                    eta=self.cfg.eta, T=self.cfg.T, n=self.n,
@@ -625,31 +671,34 @@ def cmd_bounds(args) -> int:
     # the updates after a stored step in `skips` repeat its value
     variance = np.repeat(var_vals, np.diff(np.append(var_steps, var_steps[-1] + 1)))
     skips = var_steps[:-1][np.diff(var_steps) > 1]
-    sigma_g_sq = b["sigma_g_sq"]
-    # xu_raginsky's dataset pairs depend on n alone, not on T: drawn once per n
-    pair_gaps = {}
-    if ("xu_raginsky" in b["which"] and sigma_g_sq is not None
-            and lc.R is not None and sgld_cfg.k == sgld_cfg.n):
-        pair_gaps = {int(n): oracle_pair_gaps(model.sample_data, seed, int(n),
-                                              cfg["estimators"]["mi_pairs"])
-                     for n in n_grid}
-
-    entries = []
-    eta, beta = sgld_cfg.eta, sgld_cfg.beta
     for T in T_grid:
         if T not in var_steps:
             raise ConfigError(f"bounds.T_grid entry {T} is not a recorded step")
+    sigma_g_sq = b["sigma_g_sq"]
+    eta, beta = sgld_cfg.eta, sgld_cfg.beta
+    # xu_raginsky's dataset pairs depend on n alone and the law's response
+    # on T alone: the pairs are drawn once per n, the response run once
+    pair_gaps = {}
+    if ("xu_raginsky" in b["which"] and sigma_g_sq is not None
+            and lc.R is not None and sgld_cfg.k == sgld_cfg.n and T_grid):
+        pair_gaps = {n: oracle_pair_gaps(model.sample_data, seed, n,
+                                         cfg["estimators"]["mi_pairs"])
+                     for n in n_grid}
+        a, v = _response_and_var(eta, beta, lc.R, sgld_cfg.s_sq, max(T_grid))
+
+    entries = []
+    for T in T_grid:
         T_cfg = dataclasses.replace(sgld_cfg, T=T)
         keep = stab_steps <= T
         stability = np.column_stack([eta * stab_steps[keep], stab_vals[keep]])
         for n in n_grid:
-            n = int(n)
             # kl_bound does not depend on sigma_g_sq, so this one evaluation
             # also serves subexp_gen and excess_risk
             kl_chain = dc if isinstance(dc, str) else bound_time_independent(
                 lc, dc, T_cfg, n, 1.0 if sigma_g_sq is None else sigma_g_sq)
             point = _GridPoint(
-                lc=lc, dc=dc, b=b, pair_gaps=pair_gaps.get(n), cfg=T_cfg, n=n,
+                lc=lc, dc=dc, b=b, cfg=T_cfg, n=n,
+                oracle=(pair_gaps[n], a[T], v[T]) if pair_gaps else None,
                 kl_chain=kl_chain, variance=variance[:T],
                 strided=bool(np.any(skips < T)), stability=stability,
             )

@@ -15,30 +15,34 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import sg_variance_bound
 from .losses import LossModel
 from .sgld import (
     SGLDConfig,
     _block_len,
     _fy_subset_rows,
     _run_chains_lockstep,
+    check_count,
     dataset_fingerprint,
 )
 
 __all__ = [
     "EstimateWithError",
+    "EVAL_LOSSES",
     "empirical_gen_gap",
     "grad_variance_trace",
     "grad_stability_trace",
     "PthMomentReport",
+    "pth_moment_min_chains",
     "pth_moment_check",
     "LogMgfReport",
+    "admitted_lambdas",
     "logmgf_check",
     "write_estimates_csv",
 ]
 
 TEST_POOL_FACTOR = 10    # test pool size = factor * n per trial
 BOOTSTRAP_RESAMPLES = 200
+EVAL_LOSSES = ("same_as_f", "surrogate")  # raw loss, bounded surrogate f/(1+f)
 
 
 @dataclass(frozen=True)
@@ -59,9 +63,6 @@ class EstimateWithError:
             raise ValueError(f"estimate must be finite, got {self.mean}")
         if not (self.stderr >= 0 and math.isfinite(self.stderr)):
             raise ValueError(f"stderr must be nonnegative and finite, got {self.stderr}")
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 def _estimate(samples: np.ndarray, name: str) -> EstimateWithError:
@@ -103,9 +104,8 @@ def empirical_gen_gap(
     mean loss on S. `eval_loss` selects the raw training loss
     ("same_as_f") or the bounded surrogate f/(1+f) ("surrogate").
     """
-    if n_trials < 2:
-        raise ValueError(f"need at least 2 trials for a standard error, got {n_trials}")
-    if eval_loss not in ("same_as_f", "surrogate"):
+    check_count("n_trials", n_trials)
+    if eval_loss not in EVAL_LOSSES:
         raise ValueError(f"unknown eval_loss {eval_loss!r}")
     if mu_sampler is None:
         mu_sampler = model.sample_data
@@ -157,8 +157,7 @@ def grad_variance_trace(
     of freshly resampled minibatch gradients around it. Full batch (k = n)
     has no sampling noise and returns exact zeros without resampling.
     """
-    if n_resamples < 2:
-        raise ValueError(f"need at least 2 resamples, got {n_resamples}")
+    check_count("n_resamples", n_resamples)
     cfg = trace.config
     dataset = np.asarray(dataset, dtype=float)
     if cfg.k == cfg.n:
@@ -206,8 +205,7 @@ def grad_stability_trace(
     respect. `control_identical` replaces S' by S (the statistic is then
     exactly zero; falsification control).
     """
-    if n_pairs < 1:
-        raise ValueError(f"need at least 1 pair, got {n_pairs}")
+    check_count("n_pairs", n_pairs)
     if mu_sampler is None:
         mu_sampler = model.sample_data
 
@@ -276,6 +274,18 @@ def _gaussian_norm_moment(d: int, s_sq: float, p: int) -> float:
     return math.sqrt(s_sq) * math.exp(logm / p)
 
 
+def pth_moment_min_chains(p_list) -> int:
+    """Fewest final states `pth_moment_check` accepts for `p_list`, a
+    nonempty list of even integers in [2, 12] (else ValueError)."""
+    p_list = [int(p) for p in p_list]
+    if not p_list:
+        raise ValueError("p_list is empty")
+    for p in p_list:
+        if p % 2 != 0 or p < 2 or p > 12:
+            raise ValueError(f"p must be an even integer in [2, 12], got {p}")
+    return max(30, 5 * max(p_list))
+
+
 def pth_moment_check(
     traces,
     p_list,
@@ -285,16 +295,13 @@ def pth_moment_check(
     s_sq: float,
 ) -> PthMomentReport:
     """Fit the universal constant of the p-th moment bound per p."""
+    need = pth_moment_min_chains(p_list)
     p_list = [int(p) for p in p_list]
-    for p in p_list:
-        if p % 2 != 0 or p < 2 or p > 12:
-            raise ValueError(f"p must be an even integer in [2, 12], got {p}")
     finals = np.stack([tr.final_state for tr in traces])
     n = finals.shape[0]
-    if n < max(30, 5 * max(p_list)):
+    if n < need:
         raise ValueError(
-            f"{n} samples is too few for p up to {max(p_list)}; "
-            f"need at least {max(30, 5 * max(p_list))}"
+            f"{n} samples is too few for p up to {max(p_list)}; need at least {need}"
         )
     norms = np.linalg.norm(finals, axis=1)
 
@@ -338,13 +345,21 @@ class LogMgfReport:
     n_samples: int
     n_bootstrap: int
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
 
 def _log_mean_exp(x: np.ndarray) -> float:
     m = float(np.max(x))
     return m + math.log(float(np.mean(np.exp(x - m))))
+
+
+def admitted_lambdas(lambda_grid, nu: float) -> list[float]:
+    """The grid as floats if inside |lambda| < 1/(2 nu), else ValueError: half
+    the admissible region, where the empirical MGF is still estimable."""
+    cap = 1.0 / (2.0 * nu)
+    lambdas = [float(lam) for lam in lambda_grid]
+    for lam in lambdas:
+        if not abs(lam) < cap:
+            raise ValueError(f"lambda={lam} outside the admitted grid |lambda| < {cap}")
+    return lambdas
 
 
 def logmgf_check(
@@ -357,20 +372,14 @@ def logmgf_check(
 ) -> LogMgfReport:
     """Empirical log-MGF of centered loss samples on a lambda grid.
 
-    The grid must stay inside the open interval |lambda| < 1/(2 nu), half
-    the admissible region, where the empirical MGF is still estimable;
-    anything outside is rejected. lambda = 0 returns exactly 0.
+    The grid must pass `admitted_lambdas`. lambda = 0 returns exactly 0.
     """
     samples = np.asarray(loss_samples, dtype=float)
     if samples.ndim != 1 or samples.size < 2:
         raise ValueError("need a flat sample of at least 2 loss values")
     if not (sigma_e_sq > 0 and nu > 0):
         raise ValueError("sigma_e_sq and nu must be positive")
-    lambdas = [float(lam) for lam in lambda_grid]
-    cap = 1.0 / (2.0 * nu)
-    for lam in lambdas:
-        if not abs(lam) < cap:
-            raise ValueError(f"lambda={lam} outside the admitted grid |lambda| < {cap}")
+    lambdas = admitted_lambdas(lambda_grid, nu)
 
     centered = samples - samples.mean()
     rng = np.random.default_rng(np.random.SeedSequence([rng_seed, 0x176F]))
@@ -433,27 +442,3 @@ def write_estimates_csv(path, rows) -> None:
             else:
                 name, tl, mean, stderr, n = row
                 writer.writerow([name, tl, repr(float(mean)), repr(float(stderr)), n])
-
-
-# ------------------------------------------------------------------ validity
-
-
-def variance_trace_within_bound(
-    estimates: list[EstimateWithError],
-    trace,
-    lc,
-    slack_stderr: float = 3.0,
-) -> int:
-    """Count stored steps where the variance estimate exceeds its bound.
-
-    The bound is the minibatch variance bound evaluated at each stored
-    state's ||W_t||^2, with `slack_stderr` standard errors of slack.
-    """
-    cfg = trace.config
-    violations = 0
-    for est, step in zip(estimates, trace.stored_steps):
-        w_sq = float(trace.w_norm_sq[step])
-        bound = sg_variance_bound(lc, cfg.n, cfg.k, w_sq)
-        if est.mean > bound + slack_stderr * est.stderr:
-            violations += 1
-    return violations

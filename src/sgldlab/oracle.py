@@ -16,18 +16,14 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .estimators import EstimateWithError
-from .sgld import SGLDConfig
+from .sgld import SGLDConfig, check_count
 
 __all__ = [
-    "GaussianState",
-    "ou_step",
-    "gaussian_kl",
     "OracleTrace",
     "oracle_trace",
     "oracle_pair_gaps",
@@ -36,78 +32,6 @@ __all__ = [
     "KLRecursionReport",
     "verify_kl_recursion",
 ]
-
-
-@dataclass(frozen=True)
-class GaussianState:
-    """Isotropic Gaussian law N(mean, var * I) at step t."""
-
-    mean: np.ndarray
-    var: float
-    t: int
-
-    def __post_init__(self) -> None:
-        mean = np.asarray(self.mean, dtype=float)
-        if mean.ndim != 1:
-            raise ValueError(f"mean must be a vector, got shape {mean.shape}")
-        object.__setattr__(self, "mean", mean)
-        if self.t < 0:
-            raise ValueError(f"step index must be nonnegative, got {self.t}")
-        # var = 0 is admitted only as a degenerate start; every step injects noise
-        if self.t == 0:
-            if self.var < 0:
-                raise ValueError(f"var must be nonnegative at t=0, got {self.var}")
-        elif not self.var > 0:
-            raise ValueError(f"var must be positive for t >= 1, got {self.var}")
-
-    @property
-    def d(self) -> int:
-        return self.mean.shape[0]
-
-
-def ou_step(
-    state: GaussianState, eta: float, beta: float, R: float, zbar: np.ndarray
-) -> GaussianState:
-    """One exact step of the full-batch chain law on the quadratic loss.
-
-    mean' = (1 - eta R) mean + eta R zbar; var' = (1 - eta R)^2 var +
-    2 eta / beta. Requires eta R < 2 for the affine map to be a
-    contraction; beyond that the recursion diverges and a warning is
-    issued, but the step is still computed.
-    """
-    if not (eta > 0 and beta > 0 and R > 0):
-        raise ValueError("eta, beta, R must be positive")
-    zbar = np.asarray(zbar, dtype=float)
-    if zbar.shape != state.mean.shape:
-        raise ValueError(f"zbar shape {zbar.shape} != mean shape {state.mean.shape}")
-    if eta * R >= 2:
-        warnings.warn(
-            f"eta*R = {eta * R} >= 2: the mean recursion diverges", RuntimeWarning
-        )
-    decay = 1.0 - eta * R
-    return GaussianState(
-        mean=decay * state.mean + eta * R * zbar,
-        var=decay**2 * state.var + 2.0 * eta / beta,
-        t=state.t + 1,
-    )
-
-
-def gaussian_kl(p: GaussianState, q: GaussianState) -> float:
-    """KL divergence between two isotropic d-dimensional Gaussians.
-
-    (d/2)(var_p/var_q - 1 + log(var_q/var_p)) + ||mean_p - mean_q||^2 /
-    (2 var_q). Equal variances collapse to the squared mean gap over twice
-    the variance.
-    """
-    if p.d != q.d:
-        raise ValueError(f"dimension mismatch: {p.d} vs {q.d}")
-    if not (p.var > 0 and q.var > 0):
-        raise ValueError("KL needs strictly positive variances")
-    ratio = p.var / q.var
-    diff = p.mean - q.mean
-    return 0.5 * p.d * (ratio - 1.0 - math.log(ratio)) + float(diff @ diff) / (
-        2.0 * q.var
-    )
 
 
 def _response_and_var(eta: float, beta: float, R: float, s_sq: float, T: int):
@@ -196,8 +120,7 @@ def oracle_pair_gaps(
     control), not on the step size, temperature or horizon, so a grid of
     horizons can draw its pairs once and pass them to `oracle_mi_from_gaps`.
     """
-    if n_dataset_pairs < 1:
-        raise ValueError(f"need at least 1 dataset pair, got {n_dataset_pairs}")
+    check_count("n_dataset_pairs", n_dataset_pairs)
     gaps = np.empty(n_dataset_pairs)
     for i, seq in enumerate(np.random.SeedSequence(seed).spawn(n_dataset_pairs)):
         s_seq, s_alt_seq = seq.spawn(2)
@@ -211,16 +134,13 @@ def oracle_pair_gaps(
     return gaps
 
 
-def oracle_mi_from_gaps(gaps: np.ndarray, config: SGLDConfig, R: float) -> EstimateWithError:
-    """`oracle_mi_upper` at `config`'s horizon from the pairs' squared mean gaps.
+def oracle_mi_from_gaps(gaps: np.ndarray, a_T: float, v_T: float) -> EstimateWithError:
+    """`oracle_mi_upper` from the pairs' squared mean gaps and the law at T.
 
-    Each pair's KL at T is a_T^2 ||zbar_S - zbar_S'||^2 / (2 v_T).
+    a_T and v_T are `_response_and_var`'s entries at the horizon T; each
+    pair's KL at T is a_T^2 ||zbar_S - zbar_S'||^2 / (2 v_T).
     """
-    if config.k != config.n:
-        raise ValueError("the exact law covers full-batch chains only (k = n)")
-    a, v = _response_and_var(config.eta, config.beta, R, config.s_sq, config.T)
-    aT, vT = float(a[-1]), float(v[-1])
-    kls = aT**2 * gaps / (2.0 * vT)
+    kls = float(a_T)**2 * gaps / (2.0 * float(v_T))
     n = kls.shape[0]
     sd = float(kls.std(ddof=1)) if n > 1 else 0.0
     return EstimateWithError(
@@ -244,9 +164,12 @@ def oracle_mi_upper(
     dataset pairs; each pair's KL is exact, so the only error is the pair
     Monte Carlo. `control_identical` replaces S' by S, which must give 0.
     """
+    if config.k != config.n:
+        raise ValueError("the exact law covers full-batch chains only (k = n)")
     gaps = oracle_pair_gaps(mu_sampler, config.seed, config.n, n_dataset_pairs,
                             control_identical)
-    return oracle_mi_from_gaps(gaps, config, R)
+    a, v = _response_and_var(config.eta, config.beta, R, config.s_sq, config.T)
+    return oracle_mi_from_gaps(gaps, a[-1], v[-1])
 
 
 @dataclass(frozen=True)

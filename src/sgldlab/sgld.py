@@ -43,10 +43,8 @@ from .losses import LossModel
 __all__ = [
     "SGLDConfig",
     "ChainTrace",
-    "StrictModeError",
+    "check_count",
     "sample_initial",
-    "sample_minibatch",
-    "sgld_step",
     "run_chain",
     "run_ensemble",
     "strict_mode_failures",
@@ -72,8 +70,6 @@ class SGLDConfig:
         d: parameter dimension.
         s_sq: variance of the Gaussian initial state, > 0.
         seed: 64-bit root seed.
-        strict_mode: refuse to run outside the validated step-size and
-            temperature ranges (see `strict_mode_failures`).
     """
 
     eta: float
@@ -84,7 +80,6 @@ class SGLDConfig:
     d: int
     s_sq: float
     seed: int
-    strict_mode: bool = False
 
     def __post_init__(self) -> None:
         if not (self.eta > 0 and math.isfinite(self.eta)):
@@ -105,15 +100,16 @@ class SGLDConfig:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
 
 
-class StrictModeError(ValueError):
-    """Raised when a strict-mode run is outside the validated ranges."""
+# least value of each sample-count parameter of the engine and its
+# estimators; a standard error needs two samples
+_LEAST_COUNT = {"n_chains": 1, "n_datasets": 1, "n_pairs": 1,
+                "n_dataset_pairs": 1, "n_trials": 2, "n_resamples": 2}
 
-    def __init__(self, failures: list[str]):
-        self.failures = list(failures)
-        super().__init__(
-            "strict mode refused the configuration; failed checks: "
-            + "; ".join(failures)
-        )
+
+def check_count(name: str, value: int) -> None:
+    """Raise ValueError if the count parameter `name` is below its least value."""
+    if value < _LEAST_COUNT[name]:
+        raise ValueError(f"{name} must be at least {_LEAST_COUNT[name]}, got {value}")
 
 
 def strict_mode_failures(config: SGLDConfig, model: LossModel) -> list[str]:
@@ -190,9 +186,6 @@ class ChainTrace:
                 else:
                     writer.writerow([t, repr(float(self.w_norm_sq[t])), "", "", ""])
 
-    def save_final_state(self, path) -> None:
-        np.save(path, self.final_state)
-
 
 def dataset_fingerprint(dataset: np.ndarray) -> str:
     """Stable short identifier of a dataset's exact contents."""
@@ -213,53 +206,6 @@ def sample_initial(d: int, s_sq: float, rng: np.random.Generator) -> np.ndarray:
     if d < 1:
         raise ValueError(f"d must be positive, got {d}")
     return math.sqrt(s_sq) * rng.standard_normal(d)
-
-
-def sample_minibatch(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniformly random size-k index subset via partial Fisher-Yates.
-
-    Consumes k integer draws (one vectorized call); none when k = n, where
-    the full index set is the only subset.
-    """
-    if not 1 <= k <= n:
-        raise ValueError(f"k must satisfy 1 <= k <= n, got k={k}, n={n}")
-    if k == n:
-        return np.arange(n)
-    offsets = rng.integers(0, n - np.arange(k))
-    idx = np.arange(n)
-    for j in range(k):
-        target = j + offsets[j]
-        idx[j], idx[target] = idx[target], idx[j]
-    return idx[:k]
-
-
-def sgld_step(
-    w: np.ndarray,
-    model: LossModel,
-    dataset: np.ndarray,
-    batch: np.ndarray,
-    eta: float,
-    beta: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """One SGLD update; always consumes exactly d Gaussian variates.
-
-    eta = 0 is allowed and returns w unchanged (drift and noise scale both
-    vanish), still consuming the noise draw so stream positions match.
-    """
-    w = np.asarray(w, dtype=float)
-    if eta < 0:
-        raise ValueError(f"eta must be nonnegative, got {eta}")
-    if not beta > 0:
-        raise ValueError(f"beta must be positive, got {beta}")
-    batch = np.asarray(batch)
-    if batch.size == 0:
-        raise ValueError("batch must be nonempty")
-    if w.shape != (model.d,):
-        raise ValueError(f"parameter dimension mismatch: {w.shape} vs ({model.d},)")
-    g = model.grad_minibatch(w[None], dataset[batch][None])[0]
-    xi = rng.standard_normal(w.shape[0])
-    return w - eta * g + math.sqrt(2.0 * eta / beta) * xi
 
 
 # ------------------------------------------------------------------- engine
@@ -412,10 +358,6 @@ def run_chain(
         raise ValueError(f"dataset must be (n, {model.z_dim}), got {dataset.shape}")
     if config.d != model.d:
         raise ValueError(f"config.d = {config.d} but model.d = {model.d}")
-    if config.strict_mode:
-        failures = strict_mode_failures(config, model)
-        if failures:
-            raise StrictModeError(failures)
     if seed_seq is None:
         seed_seq = np.random.SeedSequence(config.seed)
     trace = _run_chains_lockstep(
@@ -444,14 +386,10 @@ def run_ensemble(
         dataset_sampler: callable (rng, n) -> (n, z_dim) array; defaults to
             the model's data distribution.
     """
-    if n_chains < 1 or n_datasets < 1:
-        raise ValueError("n_chains and n_datasets must be positive")
+    check_count("n_chains", n_chains)
+    check_count("n_datasets", n_datasets)
     if dataset_sampler is None:
         dataset_sampler = model.sample_data
-    if config.strict_mode:
-        failures = strict_mode_failures(config, model)
-        if failures:
-            raise StrictModeError(failures)
 
     root = np.random.SeedSequence(config.seed)
     chain_seqs: list[np.random.SeedSequence] = []

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import os
 import shutil
+import signal
 
 import pytest
 
@@ -140,6 +141,33 @@ def test_bad_seed_rejected_cleanly(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sub, block, key, value", [
+    ("bounds", "bounds", "n_grid", [20, 0]),
+    ("bounds", "bounds", "n_grid", ["x"]),
+    ("bounds", "bounds", "T_grid", [0, 10.0]),
+    ("run", "estimators", "p_list", [2, 3]),
+    ("run", "estimators", "eval_loss", "nope"),
+    ("run", "estimators", "lambda_grid", [-0.5, 100.0]),
+    ("run", "estimators", "n_chains", 0),
+    ("run", "estimators", "n_pairs", 0),
+    ("run", "estimators", "n_trials", 1),
+    ("run", "estimators", "n_resamples", 1),
+    ("bounds", "estimators", "mi_pairs", 0),
+    ("verify", "fp", "n_cells", 10),
+    ("verify", "verify", "oracle_T", -1),
+])
+def test_bad_value_exits_one_before_any_output(run_and_bounds, tmp_path, capsys,
+                                               sub, block, key, value):
+    cfg = write_config(tmp_path / "c.json", sgld={"k": 20}, **{block: {key: value}})
+    out = tmp_path / "out"
+    argv = [sub, "--config", cfg, "--out", str(out)]
+    if sub == "bounds":
+        argv += ["--traces", str(run_and_bounds / "run")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"config error: {block}")
+    assert not out.exists()
+
+
 # ----------------------------------------------------------------------- run
 
 RUN_CSVS = ("chain_000.csv", "moments.csv", "variance.csv", "stability.csv",
@@ -268,6 +296,25 @@ def test_run_worker_failure_reaches_the_caller(tmp_path, monkeypatch):
     assert json.loads((out / "manifest.json").read_text())["status"] == "running"
 
 
+def test_run_worker_death_exits_one(tmp_path, monkeypatch, capsys):
+    parent = os.getpid()
+
+    def killed(*args, **kwargs):
+        if os.getpid() != parent:  # the worker only, never this process
+            os.kill(os.getpid(), signal.SIGKILL)
+        raise AssertionError("the stability trace ran in the parent")
+
+    monkeypatch.setattr(cli, "grad_stability_trace", killed)
+    cfg = write_config(tmp_path / "c.json")
+    out = tmp_path / "run"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("run failed: ")
+    assert not (out / ".lock").exists()
+    assert not (out / "stability.csv").exists()
+    assert json.loads((out / "manifest.json").read_text())["status"] == "running"
+
+
 def test_lock_file_refusal(tmp_path, capsys):
     cfg = write_config(tmp_path / "c.json", loss={"certify_samples": 500})
     locked = tmp_path / "out"
@@ -374,6 +421,20 @@ def run_then_bounds(tmp_path, cfg, allow_unsafe=False):
                  "--traces", str(tmp_path / "run")]) == 0
     _, rows = read_csv_rows(tmp_path / "b" / "bounds.csv")
     return rows
+
+
+def test_bounds_farghly_needs_subsampling_at_grid_sizes_up_to_k(run_and_bounds,
+                                                               tmp_path):
+    # the run has k = 5; at n <= k a chain takes the full batch every step
+    cfg = write_config(tmp_path / "c.json",
+                       bounds={"T_grid": [0, 60], "n_grid": [3, 5, 20],
+                               "which": ["farghly_shape"]})
+    assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "b"),
+                 "--traces", str(run_and_bounds / "run")]) == 0
+    _, rows = read_csv_rows(tmp_path / "b" / "bounds.csv")
+    flags = {(r[2], r[3]): r[6] for r in rows}
+    assert flags[("60", "3")] == flags[("60", "5")] == "needs-subsampling"
+    assert "needs-subsampling" not in flags[("60", "20")]
 
 
 def test_bounds_strongly_convex_needs_R(tmp_path):

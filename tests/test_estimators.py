@@ -15,11 +15,10 @@ from sgldlab.estimators import (
     grad_variance_trace,
     logmgf_check,
     pth_moment_check,
-    variance_trace_within_bound,
     write_estimates_csv,
 )
 from sgldlab.losses import LossConstants, LossModel, make_logistic_ridge, make_quadratic
-from sgldlab.sgld import SGLDConfig, run_chain, run_ensemble
+from sgldlab.sgld import SGLDConfig, run_chain, run_ensemble, strict_mode_failures
 
 
 class ConstantLoss(LossModel):
@@ -155,7 +154,6 @@ def test_grad_variance_within_lemma_bound():
     trace = run_chain(cfg, model, ds)
     ests = grad_variance_trace(model, ds, trace, n_resamples=2000)
     lc = model.constants()
-    assert variance_trace_within_bound(ests, trace, lc) == 0
     for est, step in zip(ests, trace.stored_steps):
         bound = sg_variance_bound(lc, cfg.n, cfg.k, float(trace.w_norm_sq[step]))
         assert est.mean <= bound
@@ -348,7 +346,8 @@ def test_gradient_trace_blocks_bound_fisher_yates_scratch(monkeypatch):
 
 def test_pth_moment_p2_below_moment_bound():
     model = make_quadratic(R=1.0, data_radius=1.0, d=2)
-    cfg = quad_cfg(k=10, n=100, T=300, seed=21, strict_mode=True)
+    cfg = quad_cfg(k=10, n=100, T=300, seed=21)
+    assert strict_mode_failures(cfg, model) == []
     traces = run_ensemble(cfg, model, n_chains=400)
     lc = model.constants()
     report = pth_moment_check(traces, [2], lc, beta=cfg.beta, d=cfg.d, s_sq=cfg.s_sq)

@@ -8,16 +8,13 @@ import pytest
 from sgldlab.estimators import empirical_gen_gap
 from sgldlab.losses import make_quadratic
 from sgldlab.oracle import (
-    GaussianState,
     KLRecursionReport,
     OracleTrace,
     _response_and_var,
-    gaussian_kl,
     oracle_mi_from_gaps,
     oracle_mi_upper,
     oracle_pair_gaps,
     oracle_trace,
-    ou_step,
     verify_kl_recursion,
 )
 from sgldlab.sgld import SGLDConfig, run_ensemble
@@ -29,34 +26,18 @@ def full_batch_cfg(**kw):
     return SGLDConfig(**base)
 
 
-# ------------------------------------------------------------- GaussianState
-
-
-def test_state_validation():
-    GaussianState(mean=np.zeros(2), var=0.0, t=0)  # degenerate start allowed
-    with pytest.raises(ValueError):
-        GaussianState(mean=np.zeros(2), var=0.0, t=1)
-    with pytest.raises(ValueError):
-        GaussianState(mean=np.zeros((2, 2)), var=1.0, t=0)
-    with pytest.raises(ValueError):
-        GaussianState(mean=np.zeros(2), var=1.0, t=-1)
-
-
-# ------------------------------------------------------------------- ou_step
+# ------------------------------------------------------- one step of the law
 
 
 def test_ou_step_fixed_point_mean():
-    zbar = np.array([0.3, -0.7])
-    state = GaussianState(mean=zbar.copy(), var=1.0, t=0)
-    out = ou_step(state, eta=0.05, beta=4.0, R=1.0, zbar=zbar)
-    np.testing.assert_allclose(out.mean, zbar, rtol=0, atol=0)
-    assert out.t == 1
+    # the mean a_t zbar nears its fixed point zbar as 1 - a_t = (1 - eta R)^t
+    a, _ = _response_and_var(eta=0.05, beta=4.0, R=1.0, s_sq=1.0, T=200)
+    np.testing.assert_allclose(1.0 - a, 0.95 ** np.arange(201), rtol=0, atol=1e-14)
 
 
 def test_ou_step_noise_floor_from_zero_var():
-    state = GaussianState(mean=np.zeros(2), var=0.0, t=0)
-    out = ou_step(state, eta=0.05, beta=4.0, R=1.0, zbar=np.zeros(2))
-    assert out.var == 2.0 * 0.05 / 4.0
+    _, v = _response_and_var(eta=0.05, beta=4.0, R=1.0, s_sq=0.0, T=1)
+    assert v[1] == 2.0 * 0.05 / 4.0
 
 
 def test_ou_step_stationary_variance_algebra():
@@ -64,59 +45,27 @@ def test_ou_step_stationary_variance_algebra():
     v_geo = (2.0 * eta / beta) / (1.0 - (1.0 - eta * R) ** 2)
     v_closed = 1.0 / (beta * R * (1.0 - eta * R / 2.0))
     assert v_geo == pytest.approx(v_closed, rel=1e-14)
-    state = GaussianState(mean=np.zeros(1), var=v_geo, t=3)
-    out = ou_step(state, eta, beta, R, np.zeros(1))
-    assert out.var == pytest.approx(v_geo, rel=1e-14)
+    _, v = _response_and_var(eta, beta, R, s_sq=v_geo, T=3)
+    np.testing.assert_allclose(v, v_geo, rtol=1e-14)
     # small-step limit recovers the equilibrium variance 1/(beta R)
     assert 1.0 / (beta * R * (1.0 - 1e-9 * R / 2.0)) == pytest.approx(
         1.0 / (beta * R), rel=1e-8
     )
 
 
-def test_ou_step_divergence_warns_but_computes():
-    state = GaussianState(mean=np.ones(1), var=1.0, t=0)
-    with pytest.warns(RuntimeWarning):
-        out = ou_step(state, eta=2.5, beta=4.0, R=1.0, zbar=np.zeros(1))
-    assert out.mean[0] == (1.0 - 2.5) * 1.0
-
-
-def test_ou_step_shape_and_parameter_errors():
-    state = GaussianState(mean=np.zeros(2), var=1.0, t=0)
-    with pytest.raises(ValueError):
-        ou_step(state, eta=0.05, beta=4.0, R=1.0, zbar=np.zeros(3))
-    with pytest.raises(ValueError):
-        ou_step(state, eta=-0.05, beta=4.0, R=1.0, zbar=np.zeros(2))
-
-
-# --------------------------------------------------------------- gaussian_kl
-
-
 def test_kl_identical_states_zero():
-    p = GaussianState(mean=np.array([0.2, 0.4]), var=0.7, t=2)
-    assert gaussian_kl(p, p) == 0.0
+    model = make_quadratic(R=1.0, data_radius=1.0, d=2)
+    S = model.sample_data(np.random.default_rng(2), 20)
+    assert np.all(oracle_trace(S, S, full_batch_cfg(), R=1.0).kl == 0.0)
 
 
 def test_kl_frozen_unit_mean_shift():
-    p = GaussianState(mean=np.array([0.0]), var=1.0, t=1)
-    q = GaussianState(mean=np.array([1.0]), var=1.0, t=1)
-    assert gaussian_kl(p, q) == pytest.approx(0.5, rel=1e-14)
-
-
-def test_kl_frozen_variance_mismatch():
-    p = GaussianState(mean=np.array([0.0]), var=1.0, t=1)
-    q = GaussianState(mean=np.array([0.0]), var=2.0, t=1)
-    expect = (math.log(2.0) - 0.5) / 2.0
-    assert gaussian_kl(p, q) == pytest.approx(expect, rel=1e-14)
-
-
-def test_kl_errors():
-    p = GaussianState(mean=np.zeros(1), var=1.0, t=1)
-    q2 = GaussianState(mean=np.zeros(2), var=1.0, t=1)
-    with pytest.raises(ValueError):
-        gaussian_kl(p, q2)
-    degenerate = GaussianState(mean=np.zeros(1), var=0.0, t=0)
-    with pytest.raises(ValueError):
-        gaussian_kl(p, degenerate)
+    # one step from N(0, 1/2) with eta R = 1/2 and 2 eta / beta = 1/8 leaves
+    # means 0 and 1/2 at variance 1/4: a one-sd shift, KL 1/2
+    cfg = full_batch_cfg(eta=0.5, beta=8.0, n=4, k=4, T=1, d=1, s_sq=0.5)
+    tr = oracle_trace(np.zeros((4, 1)), np.ones((4, 1)), cfg, R=1.0)
+    assert tr.var[1] == 0.25
+    assert tr.kl[1] == pytest.approx(0.5, rel=1e-14)
 
 
 # -------------------------------------------------------------- oracle trace
@@ -128,6 +77,31 @@ def test_oracle_trace_requires_full_batch():
     cfg = full_batch_cfg(k=10)
     with pytest.raises(ValueError):
         oracle_trace(ds, ds, cfg, R=1.0)
+
+
+def test_oracle_trace_equals_the_per_step_gaussian_recursion():
+    # each law N(m_t, v_t I) stepped one update at a time, m' = (1 - eta R) m
+    # + eta R zbar and v' = (1 - eta R)^2 v + 2 eta / beta, with the KL of
+    # two isotropic Gaussians in full; both start from N(0, s^2 I)
+    R, d = 1.3, 3
+    model = make_quadratic(R=R, data_radius=1.0, d=d)
+    rng = np.random.default_rng(5)
+    S, S_alt = model.sample_data(rng, 20), model.sample_data(rng, 20)
+    cfg = full_batch_cfg(d=d, T=300, s_sq=0.7)
+    tr = oracle_trace(S, S_alt, cfg, R=R)
+    np.testing.assert_array_equal(tr.steps, np.arange(cfg.T + 1))
+    decay = 1.0 - cfg.eta * R
+    m, m_alt, v = np.zeros(d), np.zeros(d), cfg.s_sq
+    for t in range(cfg.T + 1):
+        kl = 0.5 * d * (v / v - 1.0 - math.log(v / v)) + float(
+            (m - m_alt) @ (m - m_alt)) / (2.0 * v)
+        assert tr.var[t] == v
+        assert tr.mean_norm[t] == pytest.approx(np.linalg.norm(m), rel=1e-12, abs=0)
+        assert tr.kl[t] == pytest.approx(kl, rel=1e-12, abs=0)
+        m = decay * m + cfg.eta * R * S.mean(axis=0)
+        m_alt = decay * m_alt + cfg.eta * R * S_alt.mean(axis=0)
+        v = decay**2 * v + 2.0 * cfg.eta / cfg.beta
+    assert tr.kl[-1] > 0.0
 
 
 def test_oracle_trace_kl_plateau_matches_stationary_formula():
@@ -217,14 +191,14 @@ def test_mi_from_gaps_reuses_one_draw_across_horizons():
     model = make_quadratic(R=1.0, data_radius=1.0, d=2)
     gaps = oracle_pair_gaps(model.sample_data, 808, 20, 50)
     assert gaps.shape == (50,) and np.all(gaps > 0)
+    # one response run to the longest horizon serves every shorter one
+    a, v = _response_and_var(0.05, 4.0, 1.0, 1.0, 5000)
     for T in (0, 1, 400, 5000):
         cfg = full_batch_cfg(T=T)
         want = oracle_mi_upper(model.sample_data, cfg, R=1.0, n_dataset_pairs=50)
-        assert oracle_mi_from_gaps(gaps, cfg, R=1.0) == want
+        assert oracle_mi_from_gaps(gaps, a[T], v[T]) == want
     with pytest.raises(ValueError):
         oracle_pair_gaps(model.sample_data, 808, 20, 0)
-    with pytest.raises(ValueError):
-        oracle_mi_from_gaps(gaps, full_batch_cfg(k=5), R=1.0)
 
 
 def test_mi_requires_full_batch():

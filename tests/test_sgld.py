@@ -1,24 +1,24 @@
 """SGLD engine: primitives, determinism, ensembles, accounting."""
 
 import csv
+import importlib
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 
+import sgldlab
 import sgldlab.sgld as sgld
 from sgldlab.constants import moment_bound_C0
 from sgldlab.losses import make_quadratic
 from sgldlab.sgld import (
     ChainTrace,
     SGLDConfig,
-    StrictModeError,
     dataset_fingerprint,
     run_chain,
     run_ensemble,
     sample_initial,
-    sample_minibatch,
-    sgld_step,
     strict_mode_failures,
 )
 
@@ -31,13 +31,6 @@ def quad_config(**kw):
     base = dict(eta=0.05, beta=4.0, k=10, n=100, T=200, d=2, s_sq=1.0, seed=123)
     base.update(kw)
     return SGLDConfig(**base)
-
-
-class _ZeroNoise:
-    """Stand-in generator whose Gaussian draws are all zero."""
-
-    def standard_normal(self, size):
-        return np.zeros(size)
 
 
 # ---------------------------------------------------------------- primitives
@@ -64,80 +57,69 @@ def test_sample_initial_moments():
 
 
 def test_sample_minibatch_full_batch_is_identity_without_draws():
-    rng_a = np.random.default_rng(5)
-    rng_b = np.random.default_rng(5)
-    idx = sample_minibatch(7, 7, rng_a)
-    np.testing.assert_array_equal(idx, np.arange(7))
-    # no randomness consumed: both generators still aligned
-    assert rng_a.integers(0, 1000) == rng_b.integers(0, 1000)
+    # k = n: every step uses the whole dataset and nothing is drawn from the
+    # batch stream, so the chain is the full-batch recursion on the noise stream
+    model = quad_model()
+    cfg = quad_config(k=100, T=40)
+    ds = model.sample_data(np.random.default_rng(6), cfg.n)
+    tr = run_chain(cfg, model, ds)
+    init_s, _, noise_s = np.random.SeedSequence(cfg.seed).spawn(3)
+    w = sample_initial(cfg.d, cfg.s_sq, np.random.default_rng(init_s))
+    xis = np.random.default_rng(noise_s).standard_normal((cfg.T, cfg.d))
+    full = model.full_batch_grad(ds[None])
+    for t in range(cfg.T):
+        w = w - cfg.eta * full(w[None])[0] + math.sqrt(2 * cfg.eta / cfg.beta) * xis[t]
+        assert np.array_equal(tr.states[t + 1], w)
+
+
+def fy_subsets(n, k, rows, seed):
+    # offsets drawn as the engine draws them: position j from 0..n-1-j
+    offsets = np.random.default_rng(seed).integers(0, n - np.arange(k), size=(rows, k))
+    return sgld._fy_subset_rows(offsets, n)
 
 
 def test_sample_minibatch_distinct_members():
-    rng = np.random.default_rng(2)
-    for _ in range(200):
-        idx = sample_minibatch(10, 4, rng)
-        assert len(set(idx.tolist())) == 4
-        assert np.all((0 <= idx) & (idx < 10))
+    idx = fy_subsets(10, 4, 200, seed=2)
+    assert idx.shape == (200, 4)
+    assert all(len(set(row)) == 4 for row in idx.tolist())
+    assert np.all((0 <= idx) & (idx < 10))
 
 
 def test_sample_minibatch_uniform_frequencies():
-    # n=3, k=1: chi-square over 30000 draws, 99% critical value df=2 is 9.21
-    rng = np.random.default_rng(3)
-    counts = np.zeros(3)
-    draws = 30_000
-    for _ in range(draws):
-        counts[sample_minibatch(3, 1, rng)[0]] += 1
-    expected = draws / 3.0
+    # n=4, k=2: chi-square over the 12 ordered pairs in 30000 draws; the
+    # 99% critical value at 11 degrees of freedom is 24.72
+    idx = fy_subsets(4, 2, 30_000, seed=3)
+    counts = np.bincount(idx[:, 0] * 4 + idx[:, 1], minlength=16)
+    counts = np.delete(counts, [0, 5, 10, 15])  # no pair repeats a member
+    expected = idx.shape[0] / 12.0
     chi2 = float(np.sum((counts - expected) ** 2 / expected))
-    assert chi2 < 9.21, f"chi-square {chi2} outside the 99% band"
+    assert chi2 < 24.72, f"chi-square {chi2} outside the 99% band"
 
 
-def test_sample_minibatch_errors():
-    rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
-        sample_minibatch(3, 4, rng)
-    with pytest.raises(ValueError):
-        sample_minibatch(3, 0, rng)
-
-
-def test_sgld_step_zero_eta_is_identity():
+def test_sgld_step_pure_noise_when_gradient_vanishes(monkeypatch):
+    # with a zero gradient each engine step adds sqrt(2 eta / beta) xi_t only
     model = quad_model()
-    ds = model.sample_data(np.random.default_rng(0), 5)
-    w = np.array([0.3, -0.7])
-    out = sgld_step(w, model, ds, np.arange(5), eta=0.0, beta=2.0,
-                    rng=np.random.default_rng(1))
-    np.testing.assert_array_equal(out, w)
-
-
-def test_sgld_step_pure_noise_when_gradient_vanishes():
-    model = quad_model()
-    ds = np.zeros((4, 2))
-    w = np.zeros(2)
-    out = sgld_step(w, model, ds, np.arange(4), eta=0.1, beta=2.0,
-                    rng=np.random.default_rng(9))
-    xi = np.random.default_rng(9).standard_normal(2)
-    np.testing.assert_allclose(out, math.sqrt(2 * 0.1 / 2.0) * xi, rtol=1e-15)
+    monkeypatch.setattr(model, "grad_minibatch", lambda W, Z: np.zeros_like(W))
+    cfg = quad_config(T=30)
+    tr = run_chain(cfg, model, model.sample_data(np.random.default_rng(0), cfg.n))
+    _, _, noise_s = np.random.SeedSequence(cfg.seed).spawn(3)
+    xis = np.random.default_rng(noise_s).standard_normal((cfg.T, cfg.d))
+    w = tr.states[0]
+    for t in range(cfg.T):
+        w = w + math.sqrt(2 * cfg.eta / cfg.beta) * xis[t]
+        assert np.array_equal(tr.states[t + 1], w)
 
 
 def test_sgld_step_drift_recursion_with_noise_suppressed():
+    # beta = 1e300 scales the noise to about 1e-151, below the rounding of
+    # the states, so each full-batch step is the drift (1 - eta R) w + eta R zbar
     model = quad_model()
-    rng = np.random.default_rng(4)
-    ds = model.sample_data(rng, 6)
-    w = np.array([1.0, -2.0])
-    out = sgld_step(w, model, ds, np.arange(6), eta=0.1, beta=2.0, rng=_ZeroNoise())
-    want = (1 - 0.1) * w + 0.1 * ds.mean(axis=0)
-    np.testing.assert_allclose(out, want, rtol=1e-14)
-
-
-def test_sgld_step_dimension_mismatch():
-    model = quad_model()
-    ds = model.sample_data(np.random.default_rng(0), 5)
-    with pytest.raises(ValueError):
-        sgld_step(np.zeros(3), model, ds, np.arange(5), 0.1, 2.0,
-                  np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        sgld_step(np.zeros(2), model, ds, np.array([], dtype=int), 0.1, 2.0,
-                  np.random.default_rng(0))
+    cfg = quad_config(k=100, T=5, eta=0.1, beta=1e300)
+    ds = model.sample_data(np.random.default_rng(4), cfg.n)
+    tr = run_chain(cfg, model, ds)
+    for t in range(cfg.T):
+        want = (1 - cfg.eta) * tr.states[t] + cfg.eta * ds.mean(axis=0)
+        np.testing.assert_allclose(tr.states[t + 1], want, rtol=1e-14, atol=1e-15)
 
 
 # -------------------------------------------------------------------- config
@@ -161,22 +143,16 @@ def test_config_validation():
 
 
 def test_strict_mode_refusal_lists_failures():
+    # `run` refuses, and prints, exactly these failures
     model = quad_model()  # M=1, m=0.5: eta cap m/(5 M^2) = 0.1, 2/m = 4
-    cfg = quad_config(eta=0.5, beta=1.0, strict_mode=True)
-    ds = model.sample_data(np.random.default_rng(0), 100)
-    with pytest.raises(StrictModeError) as exc:
-        run_chain(cfg, model, ds)
-    msg = str(exc.value)
-    assert "beta >= 2/m" in msg
-    assert "eta < m/(5 M^2)" in msg
+    failures = strict_mode_failures(quad_config(eta=0.5, beta=1.0), model)
+    assert any("beta >= 2/m" in f for f in failures)
+    assert any("eta < m/(5 M^2)" in f for f in failures)
 
 
 def test_strict_mode_accepts_valid_config():
     model = quad_model()
-    cfg = quad_config(eta=0.05, beta=4.0, T=10, strict_mode=True)
-    ds = model.sample_data(np.random.default_rng(0), 100)
-    assert strict_mode_failures(cfg, model) == []
-    run_chain(cfg, model, ds)
+    assert strict_mode_failures(quad_config(eta=0.05, beta=4.0, T=10), model) == []
 
 
 def test_strict_mode_eta_one_cap():
@@ -384,7 +360,8 @@ def test_ensemble_rejects_bad_counts():
 
 def test_ensemble_second_moment_within_C0():
     model = quad_model()
-    cfg = quad_config(eta=0.05, beta=4.0, k=10, T=300, s_sq=1.0, strict_mode=True)
+    cfg = quad_config(eta=0.05, beta=4.0, k=10, T=300, s_sq=1.0)
+    assert strict_mode_failures(cfg, model) == []
     traces = run_ensemble(cfg, model, n_chains=1000, n_datasets=1)
     c0 = moment_bound_C0(model.constants(), cfg.eta, cfg.beta, cfg.d, cfg.s_sq)
     norms = np.stack([tr.w_norm_sq for tr in traces])  # (1000, T+1)
@@ -414,15 +391,6 @@ def test_trace_csv_round_trip(tmp_path):
     assert float(rows[5][2]) == tr.grad_var_sample[4]
 
 
-def test_trace_final_state_save(tmp_path):
-    model = quad_model()
-    ds = model.sample_data(np.random.default_rng(0), 100)
-    tr = run_chain(quad_config(T=5), model, ds)
-    path = tmp_path / "final.npy"
-    tr.save_final_state(path)
-    np.testing.assert_array_equal(np.load(path), tr.final_state)
-
-
 def test_dataset_fingerprint_sensitivity():
     ds = np.zeros((3, 2))
     a = dataset_fingerprint(ds)
@@ -446,3 +414,21 @@ def test_trace_validate_catches_bad_shapes():
     )
     with pytest.raises(ValueError):
         bad.validate()
+
+
+# ------------------------------------------------------------ package surface
+
+
+def test_every_module_export_resolves():
+    modules = [info.name for info in pkgutil.iter_modules(sgldlab.__path__)]
+    assert "sgld" in modules and "oracle" in modules
+    for name in modules:
+        module = importlib.import_module(f"sgldlab.{name}")
+        exported = getattr(module, "__all__", None)
+        if exported is None:
+            continue
+        missing = [attr for attr in exported if not hasattr(module, attr)]
+        assert not missing, f"sgldlab.{name}.__all__ names missing {missing}"
+        namespace = {}
+        exec(f"from sgldlab.{name} import *", namespace)
+        assert set(exported) <= set(namespace)
