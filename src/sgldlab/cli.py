@@ -60,6 +60,7 @@ from .estimators import (
 )
 from .fokker_planck import (
     Grid1D,
+    check_dt,
     evolve_pair,
     gibbs_density,
     suggested_halfwidth,
@@ -315,6 +316,9 @@ def _check_values(cfg: ExperimentConfig) -> None:
     _check("estimators.lambda_grid", admitted_lambdas, est["lambda_grid"], nu)
     hw = fp["halfwidth"] or suggested_halfwidth(sgld_cfg.beta, lc.m)
     _check("fp", Grid1D, -hw, hw, fp["n_cells"])
+    for _, grid, gs, ga, dt in _verify_fp_runs(cfg, lc):
+        for grad in (gs, ga):
+            _check("fp.dt_safety", check_dt, grid, grad, sgld_cfg.beta, dt)
     _check("verify.oracle_T", dataclasses.replace, sgld_cfg, k=sgld_cfg.n,
            T=cfg["verify"]["oracle_T"])
     for T in cfg["bounds"]["T_grid"] or ():
@@ -325,6 +329,26 @@ def _check_values(cfg: ExperimentConfig) -> None:
                n=_coerce("bounds", "n_grid", n, int), k=1)
 
 
+def _verify_fp_runs(cfg: ExperimentConfig, lc):
+    """(label, grid, grad_s, grad_alt, dt) of each of `verify`'s Fokker-Planck
+    runs: two shifted quadratics on the coarse grid and on twice its cells,
+    with dt the `fp.dt_safety` share of the stability limit at grad_s."""
+    fp = cfg["fp"]
+    beta = cfg["sgld"]["beta"]
+    R_fp = lc.R if lc.R is not None else lc.m
+    hw = fp["halfwidth"] or suggested_halfwidth(beta, lc.m)
+    runs = []
+    for label, n_cells in (("coarse", fp["n_cells"]), ("fine", 2 * fp["n_cells"])):
+        grid = Grid1D(-hw, hw, n_cells)
+        w = grid.centers
+        cs, ca = fp["center_gap"] / 2.0, -fp["center_gap"] / 2.0
+        gs, ga = R_fp * (w - cs), R_fp * (w - ca)
+        dt = fp["dt_safety"] * grid.h**2 / (
+            2.0 / beta + grid.h * float(np.abs(gs).max()))
+        runs.append((label, grid, gs, ga, dt))
+    return runs
+
+
 # ---------------------------------------------------------------- run support
 
 
@@ -332,7 +356,9 @@ class _OutputDir:
     """Locked output directory that tracks the files written into it.
 
     Its manifest.json is written when the work starts and again when it
-    completes, then listing the files; it does not list itself.
+    completes, then listing the files; it does not list itself. `.lock`
+    holds the owning process id, so a lock left by a process that is gone
+    is reported as stale.
     """
 
     def __init__(self, path):
@@ -346,11 +372,18 @@ class _OutputDir:
         try:
             fd = os.open(self.lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
         except FileExistsError:
+            pid = _lock_owner(self.lock_path)
+            if pid is not None and not _pid_alive(pid):
+                raise ConfigError(
+                    f"output directory {self.path} has a stale lock: its owner, "
+                    f"pid {pid}, is not running (remove {self.lock_path})"
+                )
             raise ConfigError(
                 f"output directory {self.path} is locked by another invocation "
                 f"(remove {self.lock_path} if that run is dead)"
             )
-        os.close(fd)
+        with os.fdopen(fd, "w") as fh:
+            fh.write(f"{os.getpid()}\n")
         return self
 
     def __exit__(self, *exc):
@@ -380,6 +413,26 @@ class _OutputDir:
         self.manifest["files"] = sorted(self.files)
         self.manifest["wall_clock_seconds"] = round(time.monotonic() - self.t0, 3)
         _write_json(self.manifest_path, self.manifest)
+
+
+def _lock_owner(lock_path) -> int | None:
+    """The pid a `.lock` names; None if it names none (say, still empty)."""
+    try:
+        with open(lock_path) as fh:
+            pid = int(fh.read())
+    except (OSError, ValueError):
+        return None
+    return pid if pid > 0 else None
+
+
+def _pid_alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)  # signal 0: existence check, nothing is sent
+    except (ProcessLookupError, OverflowError):  # gone, or no pid at all
+        return False
+    except PermissionError:  # alive, owned by another user
+        return True
+    return True
 
 
 def _write_json(path, payload) -> None:
@@ -469,7 +522,7 @@ def cmd_run(args) -> int:
 
         traces = run_ensemble(sgld_cfg, model,
                               dataset_sampler=lambda rng, m: dataset,
-                              n_chains=est["n_chains"])
+                              n_chains=est["n_chains"], series=1)
         traces[0].to_csv(out.file("chain_000.csv"))
         np.save(out.file("final_states.npy"),
                 np.stack([tr.final_state for tr in traces]))
@@ -778,18 +831,9 @@ def cmd_verify(args) -> int:
 
         fp = cfg["fp"]
         beta = cfg["sgld"]["beta"]
-        R_fp = lc.R if lc.R is not None else lc.m
-        hw = fp["halfwidth"] or suggested_halfwidth(beta, lc.m)
         rates = {}
-        for label, n_cells in (("coarse", fp["n_cells"]),
-                               ("fine", 2 * fp["n_cells"])):
-            grid = Grid1D(-hw, hw, n_cells)
-            w = grid.centers
-            cs, ca = fp["center_gap"] / 2.0, -fp["center_gap"] / 2.0
-            gs, ga = R_fp * (w - cs), R_fp * (w - ca)
-            dt = fp["dt_safety"] * grid.h**2 / (
-                2.0 / beta + grid.h * float(np.abs(gs).max()))
-            start = gibbs_density(grid, (w - 1.0) ** 2, 1.0)
+        for label, grid, gs, ga, dt in _verify_fp_runs(cfg, lc):
+            start = gibbs_density(grid, (grid.centers - 1.0) ** 2, 1.0)
             run = evolve_pair(grid, gs, ga, beta, dt,
                               max(2, int(fp["T_end"] / dt)), start, start,
                               potential_id="shifted-quadratics",
@@ -798,7 +842,7 @@ def cmd_verify(args) -> int:
             rep = verify_inequality_12(run, beta)
             rates[label] = rep.violation_rate
             sections[f"fp_{label}"] = {
-                "n_cells": n_cells,
+                "n_cells": grid.n_cells,
                 "violation_rate": rep.violation_rate,
                 "n_checked": rep.n_checked,
                 "clamped_mass": run.clamped_mass,

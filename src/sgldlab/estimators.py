@@ -77,6 +77,17 @@ def _estimate(samples: np.ndarray, name: str) -> EstimateWithError:
     )
 
 
+def _estimates(rows: np.ndarray, name: str) -> list[EstimateWithError]:
+    """`_estimate` of each row of a (b, m) block, in one pass over the block."""
+    m = rows.shape[1]
+    means = rows.mean(axis=1)
+    sds = rows.std(axis=1, ddof=1) if m > 1 else np.zeros(rows.shape[0])
+    root_m = math.sqrt(m)
+    return [EstimateWithError(mean=float(mu), stderr=float(sd) / root_m,
+                              n_samples=m, estimator_name=name)
+            for mu, sd in zip(means, sds)]
+
+
 def _surrogate(values: np.ndarray) -> np.ndarray:
     # bounded evaluation loss g = f / (1 + f), mapping [0, inf) into [0, 1)
     return values / (1.0 + values)
@@ -122,7 +133,7 @@ def empirical_gen_gap(
         pool_seqs.append(pool_seq)
 
     traces = _run_chains_lockstep(config, model, np.stack(datasets), chain_seqs, ids,
-                                  series=False)
+                                  series=0)
 
     n_pool = TEST_POOL_FACTOR * config.n
     gaps = np.empty(n_trials)
@@ -183,10 +194,10 @@ def grad_variance_trace(
         gfull = model.grad_minibatch(W, np.broadcast_to(dataset, (b, *dataset.shape)))
         offs = rng.integers(0, high, size=(b * n_resamples, cfg.k))
         idx = _fy_subset_rows(offs, cfg.n)
-        G = model.grad_minibatch(np.repeat(W, n_resamples, axis=0), dataset[idx])
+        G = model.grad_resampled(W, dataset, idx)
         dev = G - np.repeat(gfull, n_resamples, axis=0)
         sq = np.einsum("ij,ij->i", dev, dev).reshape(b, n_resamples)
-        out.extend(_estimate(row, "grad_variance") for row in sq)
+        out.extend(_estimates(sq, "grad_variance"))
     return out
 
 
@@ -224,7 +235,7 @@ def grad_stability_trace(
 
     DS = np.stack(datasets)
     DS_alt = np.stack(datasets_alt)
-    traces = _run_chains_lockstep(config, model, DS, chain_seqs, ids, series=False)
+    traces = _run_chains_lockstep(config, model, DS, chain_seqs, ids, series=0)
     full_s = model.full_batch_grad(DS)
     full_alt = model.full_batch_grad(DS_alt)
 
@@ -239,7 +250,7 @@ def grad_stability_trace(
         b = W.shape[0]
         diff = (full_s(W) - full_alt(W)).reshape(b * n_pairs, config.d)
         sq = np.einsum("ij,ij->i", diff, diff).reshape(b, n_pairs)
-        out.extend(_estimate(row, "grad_stability") for row in sq)
+        out.extend(_estimates(sq, "grad_stability"))
     return out
 
 

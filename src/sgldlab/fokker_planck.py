@@ -34,6 +34,7 @@ __all__ = [
     "Inequality12Report",
     "verify_inequality_12",
     "suggested_halfwidth",
+    "check_dt",
 ]
 
 MASS_TOL = 1e-8
@@ -144,6 +145,21 @@ def fp_step(
     return _advance(rho, _face_terms(rho.grid, grad, beta, dt), beta, dt)
 
 
+def check_dt(grid: Grid1D, grad: np.ndarray, beta: float, dt: float) -> None:
+    """Raise ValueError unless beta, dt > 0 and dt is within `fp_step`'s
+    stability limit for `grad` on `grid`."""
+    if not (beta > 0 and dt > 0):
+        raise ValueError("beta and dt must be positive")
+    h = grid.h
+    D = 1.0 / beta
+    dt_max = h * h / (2.0 * D + h * float(np.abs(grad).max()))
+    if dt > dt_max:
+        raise ValueError(
+            f"dt={dt} exceeds the stability limit {dt_max}; "
+            f"suggested dt = {0.9 * dt_max}"
+        )
+
+
 def _face_terms(grid: Grid1D, grad: np.ndarray, beta: float, dt: float):
     """The part of `fp_step` fixed by (grid, grad, beta, dt): checks dt, and
     returns the face gradients and both Chang-Cooper weights."""
@@ -151,15 +167,7 @@ def _face_terms(grid: Grid1D, grad: np.ndarray, beta: float, dt: float):
     g = np.asarray(grad, dtype=float)
     if g.shape != (grid.n_cells,):
         raise ValueError(f"grad shape {g.shape} != ({grid.n_cells},)")
-    if not (beta > 0 and dt > 0):
-        raise ValueError("beta and dt must be positive")
-    D = 1.0 / beta
-    dt_max = h * h / (2.0 * D + h * float(np.abs(g).max()))
-    if dt > dt_max:
-        raise ValueError(
-            f"dt={dt} exceeds the stability limit {dt_max}; "
-            f"suggested dt = {0.9 * dt_max}"
-        )
+    check_dt(grid, g, beta, dt)
     v_face = 0.5 * (g[:-1] + g[1:])
     delta = _cc_weight(beta * v_face * h)
     return v_face, delta, 1.0 - delta

@@ -169,6 +169,24 @@ class LossModel:
 
         return full
 
+    def grad_resampled(self, W: np.ndarray, dataset: np.ndarray,
+                       idx: np.ndarray) -> np.ndarray:
+        """Minibatch gradients at b states over R index rows each.
+
+        Args:
+            W: (b, d) parameter states.
+            dataset: (n, z_dim) data points.
+            idx: (b * R, k) minibatch indices into `dataset`, state-major:
+                rows i*R to i*R + R - 1 are W[i]'s.
+
+        Returns:
+            (b * R, d); row i*R + r is `grad_minibatch` of W[i] over the
+            points `idx[i*R + r]`. Families that can share work across one
+            state's R minibatches override this with the same bits.
+        """
+        R = idx.shape[0] // W.shape[0]
+        return self.grad_minibatch(np.repeat(W, R, axis=0), dataset[idx])
+
     # -- data sampling ------------------------------------------------------
 
     def sample_data(self, rng: np.random.Generator, n_points: int) -> np.ndarray:
@@ -335,6 +353,38 @@ class LogisticRidgeLoss(LossModel):
         sig = _expit(-margins)
         return -np.einsum("ck,ckd->cd", Y * sig, X) / Zb.shape[1] + self.lam * W
 
+    def full_batch_grad(self, datasets):
+        # grad_minibatch's expressions over each chain's whole dataset; a
+        # block of states goes one (c, d) slice at a time instead of against
+        # tiled datasets (a broadcast block axis in einsum ran slower too)
+        datasets = np.asarray(datasets, dtype=float)
+        X, Y = datasets[:, :, :-1], datasets[:, :, -1]
+        n = datasets.shape[1]
+
+        def full(W):
+            if W.ndim == 3:
+                return np.stack([full(w) for w in W])
+            margins = Y * np.einsum("cd,cnd->cn", W, X)
+            sig = _expit(-margins)
+            return -np.einsum("cn,cnd->cd", Y * sig, X) / n + self.lam * W
+
+        return full
+
+    def grad_resampled(self, W, dataset, idx):
+        # each point's factor y sigma(-margin) is taken once per state over
+        # all n points, then gathered for the R minibatches of that state
+        W = np.asarray(W, dtype=float)
+        dataset = np.asarray(dataset, dtype=float)
+        b, n = W.shape[0], dataset.shape[0]
+        R, k = idx.shape[0] // b, idx.shape[1]
+        Y = dataset[:, -1]
+        margins = Y * np.einsum("bd,nd->bn", W, dataset[:, :-1])
+        factor = (Y * _expit(-margins)).reshape(-1)
+        rows = np.repeat(n * np.arange(b), R)[:, None]
+        Zb = dataset[idx]
+        return (-np.einsum("ck,ckd->cd", factor[idx + rows], Zb[:, :, :-1]) / k
+                + self.lam * np.repeat(W, R, axis=0))
+
     def sample_data(self, rng, n_points):
         x = _uniform_ball(rng, n_points, self.d, self._constants.data_radius)
         y = rng.integers(0, 2, size=(n_points, 1)) * 2.0 - 1.0
@@ -406,11 +456,16 @@ def _expit(t: np.ndarray) -> np.ndarray:
 
     1 / (1 + exp(-t)) for t >= 0 and exp(t) / (1 + exp(t)) for t < 0, so
     exp never overflows. Both branches share e = exp(-|t|), which is
-    exactly exp(-t) or exp(t) on its own side, so they are evaluated on
-    the whole array and np.where picks one per entry.
+    exactly exp(-t) or exp(t) on its own side, and the denominator 1 + e,
+    so np.where picks the numerator per entry and one division remains.
     """
-    e = np.exp(-np.abs(t))
-    return np.where(t >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    e = np.abs(t)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    num = np.where(t >= 0, 1.0, e)
+    e += 1.0
+    num /= e
+    return num
 
 
 def make_quadratic(R: float, data_radius: float, d: int) -> QuadraticLoss:

@@ -139,7 +139,8 @@ class ChainTrace:
     `w_norm_sq` has T+1 entries (one per state); the gradient series have
     one entry per update, `grad_var_sample[t]` being the squared deviation
     ||grad_batch(W_t) - grad_full(W_t)||^2 of the minibatch gradient
-    actually used at step t.
+    actually used at step t. A trace run without gradient series (the
+    `series` count of `run_ensemble`) holds all-NaN gradient series.
     """
 
     config: SGLDConfig
@@ -220,9 +221,14 @@ def _block_len(words_per_unit: int) -> int:
 
 
 def _fy_subset_rows(offsets: np.ndarray, n: int) -> np.ndarray:
-    """Apply partial Fisher-Yates swaps rowwise; offsets is (c, k)."""
+    """Apply partial Fisher-Yates swaps rowwise; offsets is (c, k).
+
+    The scratch holds int32 indices when they fit (n <= 2**31), which
+    halves the memory each swap moves; the indices are the same either way.
+    """
     c, k = offsets.shape
-    base = np.broadcast_to(np.arange(n), (c, n)).copy()
+    dtype = np.int32 if n <= 2**31 else np.int64
+    base = np.broadcast_to(np.arange(n, dtype=dtype), (c, n)).copy()
     flat = base.reshape(-1)
     targets = offsets + np.arange(k) + n * np.arange(c)[:, None]  # flat positions
     for j in range(k):
@@ -239,7 +245,7 @@ def _run_chains_lockstep(
     datasets: np.ndarray,
     chain_seqs: list[np.random.SeedSequence],
     dataset_ids: list[str],
-    series: bool = True,
+    series: int | None = None,
 ) -> list[ChainTrace]:
     """Advance several chains together, vectorized across chains.
 
@@ -250,13 +256,17 @@ def _run_chains_lockstep(
     at a time, as the step loop reaches them; `_block_len` sizes the block
     from its (c * steps, n) Fisher-Yates scratch.
 
-    `series=False` skips the per-step full-batch gradient for callers that
-    read only the states: `grad_var_sample`, `grad_fullbatch_norm` and
-    `grad_minibatch_norm` are then read-only all-NaN views, and no memory
-    is allocated for them. `states`, `stored_steps` and `w_norm_sq` are
-    filled either way.
+    `series` is the number of leading chains that get the per-step gradient
+    series (`grad_var_sample`, `grad_fullbatch_norm`, `grad_minibatch_norm`),
+    all of them when None. Only those rows pay for a full-batch gradient
+    per step when k < n; the other chains' series are read-only all-NaN
+    views that take no memory, and 0 suits callers that read only the
+    states. A chain's series do not depend on how many rows get them.
+    `states`, `stored_steps` and `w_norm_sq` are filled for every chain.
     """
     c = len(chain_seqs)
+    if series is None:
+        series = c
     T, d, n, k = config.T, config.d, config.n, config.k
     eta, beta = config.eta, config.beta
     noise_scale = math.sqrt(2.0 * eta / beta)
@@ -279,10 +289,8 @@ def _run_chains_lockstep(
 
     states = np.empty((c, len(stored_steps), d))
     w_norm_sq = np.empty((c, T + 1))
-    if series:
-        grad_var, grad_full_norm, grad_mini_norm = np.empty((3, c, T))
-    else:  # read-only NaN views that take no memory
-        grad_var, grad_full_norm, grad_mini_norm = np.broadcast_to(np.nan, (3, c, T))
+    grad_var, grad_full_norm, grad_mini_norm = np.empty((3, series, T))
+    no_series = np.broadcast_to(np.nan, (T,))  # read-only, takes no memory
 
     w_norm_sq[:, 0] = np.einsum("ij,ij->i", W, W)
     if 0 in store_pos:
@@ -290,7 +298,9 @@ def _run_chains_lockstep(
     noise_count = 0
 
     full = model.full_batch_grad(datasets)
+    full_series = full if series == c else model.full_batch_grad(datasets[:series])
     high = (n - np.arange(k)).astype(np.int64)
+    rows = np.arange(c)[:, None]  # chain i gathers from datasets[i]
     block = _block_len(c * n)  # steps per Fisher-Yates block
     for start in range(0, T, STEP_CHUNK):
         cl = min(STEP_CHUNK, T - start)
@@ -308,16 +318,17 @@ def _run_chains_lockstep(
                     b = min(block, cl - s)
                     idx = _fy_subset_rows(offs[:, s:s + b].reshape(c * b, k), n)
                     idx = idx.reshape(c, b, k)
-                Zb = np.take_along_axis(datasets, idx[:, s % block, :, None], axis=1)
+                Zb = datasets[rows, idx[:, s % block]]
                 G = model.grad_minibatch(W, Zb)
             else:
                 G = full(W)
             if series:
-                Gfull = G if k == n else full(W)
-                diff = G - Gfull
+                Gs = G[:series]
+                Gfull = Gs if k == n else full_series(W[:series])
+                diff = Gs - Gfull
                 grad_var[:, t] = np.einsum("ij,ij->i", diff, diff)
                 grad_full_norm[:, t] = np.sqrt(np.einsum("ij,ij->i", Gfull, Gfull))
-                grad_mini_norm[:, t] = np.sqrt(np.einsum("ij,ij->i", G, G))
+                grad_mini_norm[:, t] = np.sqrt(np.einsum("ij,ij->i", Gs, Gs))
 
             W = W - eta * G + noise_scale * xis[:, s]
             w_norm_sq[:, t + 1] = np.einsum("ij,ij->i", W, W)
@@ -331,9 +342,9 @@ def _run_chains_lockstep(
             states=states[i],
             stored_steps=stored_steps.copy(),
             w_norm_sq=w_norm_sq[i],
-            grad_var_sample=grad_var[i],
-            grad_fullbatch_norm=grad_full_norm[i],
-            grad_minibatch_norm=grad_mini_norm[i],
+            grad_var_sample=grad_var[i] if i < series else no_series,
+            grad_fullbatch_norm=grad_full_norm[i] if i < series else no_series,
+            grad_minibatch_norm=grad_mini_norm[i] if i < series else no_series,
             noise_variates=noise_count,
         )
         for i in range(c)
@@ -373,6 +384,7 @@ def run_ensemble(
     dataset_sampler=None,
     n_chains: int = 1,
     n_datasets: int = 1,
+    series: int | None = None,
 ) -> list[ChainTrace]:
     """Independent chains over freshly sampled datasets.
 
@@ -385,6 +397,9 @@ def run_ensemble(
     Args:
         dataset_sampler: callable (rng, n) -> (n, z_dim) array; defaults to
             the model's data distribution.
+        series: how many leading traces carry the per-step gradient series,
+            all when None; the rest hold all-NaN series (see
+            `_run_chains_lockstep`). States are the same either way.
     """
     check_count("n_chains", n_chains)
     check_count("n_datasets", n_datasets)
@@ -413,7 +428,8 @@ def run_ensemble(
                                    (n_chains, config.n, model.z_dim))
     else:
         datasets = np.repeat(np.stack(per_dataset), n_chains, axis=0)
-    traces = _run_chains_lockstep(config, model, datasets, chain_seqs, dataset_ids)
+    traces = _run_chains_lockstep(config, model, datasets, chain_seqs, dataset_ids,
+                                  series=series)
     for tr in traces:
         tr.validate()
     return traces

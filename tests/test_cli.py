@@ -6,6 +6,8 @@ import json
 import os
 import shutil
 import signal
+import subprocess
+import sys
 
 import pytest
 
@@ -155,6 +157,8 @@ def test_bad_seed_rejected_cleanly(tmp_path, capsys):
     ("bounds", "estimators", "mi_pairs", 0),
     ("verify", "fp", "n_cells", 10),
     ("verify", "verify", "oracle_T", -1),
+    ("verify", "fp", "dt_safety", -1.0),
+    ("verify", "fp", "dt_safety", 5.0),
 ])
 def test_bad_value_exits_one_before_any_output(run_and_bounds, tmp_path, capsys,
                                                sub, block, key, value):
@@ -326,6 +330,39 @@ def test_lock_file_refusal(tmp_path, capsys):
     (locked / ".lock").unlink()
     assert main(["certify", "--config", cfg, "--out", str(locked)]) == 0
     assert not (locked / ".lock").exists()
+
+
+def test_lock_names_its_owner_and_a_dead_owner_reads_stale(tmp_path, capsys,
+                                                          monkeypatch):
+    cfg = write_config(tmp_path / "c.json", loss={"certify_samples": 500})
+    out = tmp_path / "out"
+    seen = []
+    write_json = cli._OutputDir.write_json
+
+    def write_json_reading_lock(self, name, payload):
+        seen.append((out / ".lock").read_text())
+        write_json(self, name, payload)
+
+    monkeypatch.setattr(cli._OutputDir, "write_json", write_json_reading_lock)
+    assert main(["certify", "--config", cfg, "--out", str(out)]) == 0
+    assert seen == [f"{os.getpid()}\n"]
+    assert not (out / ".lock").exists()
+
+    # a pid that has exited: the lock is reported as stale
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait()
+    (out / ".lock").write_text(f"{child.pid}\n")
+    capsys.readouterr()
+    assert main(["certify", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "stale lock" in err and f"pid {child.pid}" in err
+
+    # a live owner, or a lock naming no pid, reads as locked
+    for text in (f"{os.getpid()}\n", "not a pid", "0"):
+        (out / ".lock").write_text(text)
+        assert main(["certify", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "locked by another invocation" in err and "stale" not in err
 
 
 # -------------------------------------------------------------------- bounds

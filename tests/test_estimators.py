@@ -341,6 +341,79 @@ def test_gradient_trace_blocks_bound_fisher_yates_scratch(monkeypatch):
     assert calls == [300 * cfg.n] * 7
 
 
+# ------------------------------------------- family overrides vs generic paths
+
+
+def _generic(model, *methods):
+    """The model with `methods` replaced by the LossModel defaults."""
+    for name in methods:
+        setattr(model, name, getattr(LossModel, name).__get__(model))
+    return model
+
+
+@pytest.mark.parametrize("d", [1, 5])
+def test_logistic_grad_resampled_equals_generic(d):
+    model = make_logistic_ridge(1.0, 1.5, d)
+    rng = np.random.default_rng(d)
+    n, k, b, reps = 40, 7, 3, 11
+    ds = model.sample_data(rng, n)
+    W = rng.uniform(-3, 3, size=(b, d))
+    idx = sgld._fy_subset_rows(rng.integers(0, n - np.arange(k), size=(b * reps, k)), n)
+    got = model.grad_resampled(W, ds, idx)
+    want = LossModel.grad_resampled(model, W, ds, idx)
+    assert got.shape == (b * reps, d)
+    assert np.array_equal(got, want)
+    # row i*R + r is state i's minibatch r
+    assert np.array_equal(got[reps + 2], model.grad_minibatch(W[1:2], ds[idx[reps + 2]][None])[0])
+
+
+@pytest.mark.parametrize("d", [1, 5])
+@pytest.mark.parametrize("blocks", ["strided", "one-unit"])
+def test_grad_variance_trace_hook_equals_generic(monkeypatch, d, blocks):
+    if blocks == "strided":
+        monkeypatch.setattr(sgld, "STATE_STORE_CAP", 10)  # stride 5 over T = 47
+    else:
+        monkeypatch.setattr(sgld, "BLOCK_WORDS", 1)  # one state per block
+    cfg = quad_cfg(k=6, n=30, T=47, d=d, seed=31)
+    model = make_logistic_ridge(1.0, 1.2, d)
+    ds = model.sample_data(np.random.default_rng(7), cfg.n)
+    trace = run_chain(cfg, model, ds)
+    got = grad_variance_trace(model, ds, trace, n_resamples=9, rng_seed=2)
+    want = grad_variance_trace(_generic(make_logistic_ridge(1.0, 1.2, d), "grad_resampled"),
+                               ds, trace, n_resamples=9, rng_seed=2)
+    assert len(got) == trace.states.shape[0] == (11 if blocks == "strided" else 48)
+    assert np.array_equal(_fields(got), _fields(want))
+    assert np.array_equal(_fields(got), _variance_per_row(model, ds, trace, 9, rng_seed=2))
+
+
+@pytest.mark.parametrize("d", [1, 5])
+@pytest.mark.parametrize("blocks", ["strided", "one-unit"])
+def test_grad_stability_trace_full_batch_override_equals_generic(monkeypatch, d, blocks):
+    if blocks == "strided":
+        monkeypatch.setattr(sgld, "STATE_STORE_CAP", 10)
+    else:
+        monkeypatch.setattr(sgld, "BLOCK_WORDS", 1)  # one step per block
+    cfg = quad_cfg(k=6, n=30, T=47, d=d, seed=32)
+    model = make_logistic_ridge(1.0, 1.2, d)
+    got = grad_stability_trace(model, None, cfg, n_pairs=5)
+    want = grad_stability_trace(_generic(make_logistic_ridge(1.0, 1.2, d), "full_batch_grad"),
+                                None, cfg, n_pairs=5)
+    assert len(got) == (11 if blocks == "strided" else 48)
+    assert np.array_equal(_fields(got), _fields(want))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 7, 300, 1001])
+def test_block_estimates_equal_per_row_estimate(m):
+    rng = np.random.default_rng(m)
+    rows = rng.exponential(size=(6, m)) * 10.0 ** rng.integers(-8, 8, size=(6, 1))
+    rows[1] = 0.0  # what control_identical gives
+    rows[2] = rows[2, 0]
+    got = estimators._estimates(rows, "x")
+    want = [estimators._estimate(row, "x") for row in rows]
+    assert got == want
+    assert got[1].mean == 0.0 and got[1].stderr == 0.0
+
+
 # -------------------------------------------------------------- p-th moments
 
 

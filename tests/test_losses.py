@@ -10,12 +10,14 @@ from hypothesis import strategies as st
 from sgldlab.losses import (
     CERT_TOL,
     LossConstants,
+    LossModel,
     _expit,
     certify,
     make_logistic_ridge,
     make_nonconvex_ridge,
     make_quadratic,
 )
+from sgldlab.sgld import _fy_subset_rows
 
 
 # ---------------------------------------------------------------- quadratic
@@ -375,3 +377,65 @@ def test_constants_validation():
         LossConstants(M=1.0, m=0.5, b=0.5, A=0.5, data_radius=1.0, R=2.0)
     with pytest.raises(ValueError):
         LossConstants(M=1.0, m=0.5, b=-0.1, A=0.5, data_radius=1.0)
+
+
+# ----------------------------------------- gradient paths at extreme inputs
+
+FAMILY_FACTORIES = {
+    "quadratic": lambda p, d: make_quadratic(p, 1.5, d),
+    "logistic": lambda p, d: make_logistic_ridge(p, 1.5, d),
+    "nonconvex": lambda p, d: make_nonconvex_ridge(p, 0.5, 1.5, d),
+}
+
+
+@given(
+    family=st.sampled_from(sorted(FAMILY_FACTORIES)),
+    param=st.sampled_from([0.01, 1.0, 5.0]),
+    d=st.integers(1, 6),
+    margin=st.sampled_from([None, 709.78, -709.78, 709.79, -709.79, 800.0, -800.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_gradient_paths_agree_and_stay_finite(family, param, d, margin, seed):
+    # the scalar, row-wise, minibatch, full-batch and resampled paths of one
+    # family at states from the certify cube, and for logistic at states whose
+    # margin y <w, x> with one data point is the given extreme
+    model = FAMILY_FACTORIES[family](param, d)
+    lc = model.constants()
+    half_width = 10.0 * max(1.0, math.sqrt(lc.b / lc.m))  # certify's cube
+    rng = np.random.default_rng(seed)
+    c, n, k, b, reps = 3, 8, 3, 2, 4
+    datasets = np.stack([model.sample_data(rng, n) for _ in range(c)])
+    W = rng.uniform(-half_width, half_width, size=(c, d))
+    if margin is not None and family == "logistic":
+        for i in range(c):
+            x, y = datasets[i, i, :-1], datasets[i, i, -1]
+            if x @ x > 0:
+                W[i] = margin * y * x / (x @ x)
+
+    # scalar against row-wise, and the minibatch mean against both
+    flatW = np.repeat(W, n, axis=0)
+    flatZ = datasets.reshape(c * n, -1)
+    rows = model.grad_many(flatW, flatZ)
+    scalar = np.stack([model.grad(w, z) for w, z in zip(flatW, flatZ)])
+    atol = 1e-12 * (1.0 + np.abs(W).max())
+    np.testing.assert_allclose(rows, scalar, rtol=1e-9, atol=atol)
+    mini = model.grad_minibatch(W, datasets)
+    np.testing.assert_allclose(mini, rows.reshape(c, n, d).mean(axis=1), rtol=1e-9,
+                               atol=atol)
+
+    # full batch, on (c, d) states and on a (b, c, d) block, bit for bit
+    full = model.full_batch_grad(datasets)
+    assert np.array_equal(full(W), mini)
+    block = np.stack([W, W[::-1]])
+    want = model.grad_minibatch(block.reshape(b * c, d), np.tile(datasets, (b, 1, 1)))
+    assert np.array_equal(full(block), want.reshape(b, c, d))
+
+    # the variance hook over reps index rows per state, bit for bit
+    offsets = rng.integers(0, n - np.arange(k), size=(c * reps, k))
+    idx = _fy_subset_rows(offsets, n)
+    hook = model.grad_resampled(W, datasets[0], idx)
+    assert np.array_equal(hook, LossModel.grad_resampled(model, W, datasets[0], idx))
+
+    for arr in (rows, scalar, mini, full(block), hook):
+        assert np.all(np.isfinite(arr))

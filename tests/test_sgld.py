@@ -11,7 +11,7 @@ import pytest
 import sgldlab
 import sgldlab.sgld as sgld
 from sgldlab.constants import moment_bound_C0
-from sgldlab.losses import make_quadratic
+from sgldlab.losses import make_logistic_ridge, make_nonconvex_ridge, make_quadratic
 from sgldlab.sgld import (
     ChainTrace,
     SGLDConfig,
@@ -21,6 +21,9 @@ from sgldlab.sgld import (
     sample_initial,
     strict_mode_failures,
 )
+
+
+SERIES = ("grad_var_sample", "grad_fullbatch_norm", "grad_minibatch_norm")
 
 
 def quad_model(d=2):
@@ -83,6 +86,23 @@ def test_sample_minibatch_distinct_members():
     assert idx.shape == (200, 4)
     assert all(len(set(row)) == 4 for row in idx.tolist())
     assert np.all((0 <= idx) & (idx < 10))
+
+
+@pytest.mark.parametrize("n, k", [(1, 1), (10, 4), (200, 20), (3000, 1), (50, 50)])
+def test_fisher_yates_int32_scratch_equals_int64_loop(n, k):
+    # the engine's swaps on an int32 scratch against a plain int64 loop
+    rng = np.random.default_rng(n + k)
+    offsets = rng.integers(0, n - np.arange(k), size=(30, k))
+    want = np.empty((30, k), dtype=np.int64)
+    for r in range(30):
+        perm = np.arange(n, dtype=np.int64)
+        for j in range(k):
+            t = j + offsets[r, j]
+            perm[j], perm[t] = perm[t], perm[j]
+        want[r] = perm[:k]
+    got = sgld._fy_subset_rows(offsets, n)
+    assert got.dtype == np.int32
+    assert np.array_equal(got, want)
 
 
 def test_sample_minibatch_uniform_frequencies():
@@ -261,13 +281,41 @@ def test_lockstep_without_series_keeps_states():
         return sgld._run_chains_lockstep(cfg, model, np.stack([ds, ds[::-1]]),
                                          seqs, ["a", "b"], series=series)
 
-    full, bare = run(True), run(False)
-    for a, b in zip(full, bare):
-        assert np.array_equal(a.states, b.states)
-        assert np.array_equal(a.w_norm_sq, b.w_norm_sq)
-        assert np.all(np.isnan(b.grad_var_sample))
-        assert np.all(np.isnan(b.grad_fullbatch_norm))
-        assert np.all(np.isnan(b.grad_minibatch_norm))
+    full = run(None)
+    for series in (0, 1):
+        for i, (a, b) in enumerate(zip(full, run(series))):
+            assert np.array_equal(a.states, b.states)
+            assert np.array_equal(a.w_norm_sq, b.w_norm_sq)
+            for name in SERIES:
+                got = getattr(b, name)
+                if i < series:
+                    assert np.array_equal(got, getattr(a, name))
+                else:
+                    assert np.all(np.isnan(got)) and not got.flags.writeable
+
+
+@pytest.mark.parametrize("k", [7, 40])
+@pytest.mark.parametrize("n_datasets", [1, 3])
+@pytest.mark.parametrize(
+    "model",
+    [make_quadratic(1.0, 1.0, 3), make_logistic_ridge(1.0, 1.0, 3),
+     make_nonconvex_ridge(1.0, 0.5, 1.0, 3)],
+    ids=["quadratic", "logistic", "nonconvex"],
+)
+def test_ensemble_series_count_row_zero_equals_full_series(model, n_datasets, k):
+    # the series of the leading rows do not depend on how many rows get them
+    cfg = quad_config(T=60, k=k, n=40, d=3)
+    full = run_ensemble(cfg, model, n_chains=4, n_datasets=n_datasets)
+    for series in (0, 1, 2):
+        part = run_ensemble(cfg, model, n_chains=4, n_datasets=n_datasets,
+                            series=series)
+        assert len(part) == len(full) == 4 * n_datasets
+        for i, (a, b) in enumerate(zip(full, part)):
+            assert np.array_equal(a.states, b.states)
+            assert np.array_equal(a.w_norm_sq, b.w_norm_sq)
+            for name in SERIES:
+                want = getattr(a, name) if i < series else np.full(cfg.T, np.nan)
+                assert np.array_equal(getattr(b, name), want, equal_nan=True)
 
 
 def test_run_chain_full_batch_variance_sample_is_zero():
