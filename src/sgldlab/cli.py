@@ -327,6 +327,12 @@ def _check_values(cfg: ExperimentConfig) -> None:
         # SGLDConfig states the dataset-size rule; k = 1 fits every size
         _check("bounds.n_grid", dataclasses.replace, sgld_cfg,
                n=_coerce("bounds", "n_grid", n, int), k=1)
+    # bounds.csv has one row per (name, T, n), the key `compare` reads it by
+    for key in ("which", "T_grid", "n_grid"):
+        entries = cfg["bounds"][key] or ()
+        repeated = sorted({e for e in entries if entries.count(e) > 1})
+        if repeated:
+            raise ConfigError(f"bounds.{key}: repeated entries {repeated}")
 
 
 def _verify_fp_runs(cfg: ExperimentConfig, lc):
@@ -448,7 +454,12 @@ def _start_config_manifest(out: _OutputDir, cfg: ExperimentConfig, seed: int,
 
 
 def _seed_of(args, cfg: ExperimentConfig) -> int:
-    return args.seed if args.seed is not None else cfg["sgld"]["seed"]
+    """The run's seed, `--seed` over the config's, refused by `SGLDConfig`'s
+    rule before any subcommand opens its output directory."""
+    if args.seed is None:
+        return cfg["sgld"]["seed"]
+    _check("--seed", dataclasses.replace, cfg.sgld_config(), seed=args.seed)
+    return args.seed
 
 
 # ---------------------------------------------------------------- subcommands
@@ -542,7 +553,7 @@ def cmd_run(args) -> int:
              for step, e in zip(traces[0].stored_steps, variance)],
         )
         # computed before the wait for the worker, written after it
-        gap = empirical_gen_gap(model, None, sgld_cfg,
+        gap = empirical_gen_gap(model, sgld_cfg,
                                 n_trials=est["n_trials"],
                                 eval_loss=est["eval_loss"])
         try:
@@ -594,7 +605,7 @@ def cmd_run(args) -> int:
 def _stability_trace(model, sgld_cfg: SGLDConfig, n_pairs: int):
     # what `run`'s worker runs; grad_stability_trace is looked up in this
     # module's globals at call time, so wrappers set there are the ones run
-    return grad_stability_trace(model, None, sgld_cfg, n_pairs=n_pairs)
+    return grad_stability_trace(model, sgld_cfg, n_pairs=n_pairs)
 
 
 def _read_csv(path, columns) -> list:
@@ -835,9 +846,7 @@ def cmd_verify(args) -> int:
         for label, grid, gs, ga, dt in _verify_fp_runs(cfg, lc):
             start = gibbs_density(grid, (grid.centers - 1.0) ** 2, 1.0)
             run = evolve_pair(grid, gs, ga, beta, dt,
-                              max(2, int(fp["T_end"] / dt)), start, start,
-                              potential_id="shifted-quadratics",
-                              dataset_id=f"verify-{label}")
+                              max(2, int(fp["T_end"] / dt)), start, start)
             run.to_csv(out.file(f"fp_{label}.csv"))
             rep = verify_inequality_12(run, beta)
             rates[label] = rep.violation_rate

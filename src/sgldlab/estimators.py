@@ -22,7 +22,6 @@ from .sgld import (
     _fy_subset_rows,
     _run_chains_lockstep,
     check_count,
-    dataset_fingerprint,
 )
 
 __all__ = [
@@ -103,44 +102,37 @@ def _eval_losses(model: LossModel, w: np.ndarray, Z: np.ndarray) -> np.ndarray:
 
 def empirical_gen_gap(
     model: LossModel,
-    mu_sampler,
     config: SGLDConfig,
     n_trials: int,
     eval_loss: str = "same_as_f",
 ) -> EstimateWithError:
     """Mean train-test gap of the final iterate over independent trials.
 
-    Each trial draws a fresh dataset S, runs one chain on it, and compares
-    the mean loss of W_T on a fresh test pool of 10 n points against the
-    mean loss on S. `eval_loss` selects the raw training loss
+    Each trial draws a fresh dataset S from the model's data distribution,
+    runs one chain on it, and compares the mean loss of W_T on a fresh test
+    pool of 10 n points against the mean loss on S. `eval_loss` selects the raw training loss
     ("same_as_f") or the bounded surrogate f/(1+f) ("surrogate").
     """
     check_count("n_trials", n_trials)
     if eval_loss not in EVAL_LOSSES:
         raise ValueError(f"unknown eval_loss {eval_loss!r}")
-    if mu_sampler is None:
-        mu_sampler = model.sample_data
 
     root = np.random.SeedSequence(config.seed)
     trial_seqs = root.spawn(n_trials)
-    datasets, chain_seqs, ids, pool_seqs = [], [], [], []
+    datasets, chain_seqs, pool_seqs = [], [], []
     for seq in trial_seqs:
         ds_seq, chain_seq, pool_seq = seq.spawn(3)
-        ds = np.asarray(mu_sampler(np.random.default_rng(ds_seq), config.n), dtype=float)
-        datasets.append(ds)
-        ids.append(dataset_fingerprint(ds))
+        datasets.append(model.sample_data(np.random.default_rng(ds_seq), config.n))
         chain_seqs.append(chain_seq)
         pool_seqs.append(pool_seq)
 
-    traces = _run_chains_lockstep(config, model, np.stack(datasets), chain_seqs, ids,
+    traces = _run_chains_lockstep(config, model, np.stack(datasets), chain_seqs,
                                   series=0)
 
     n_pool = TEST_POOL_FACTOR * config.n
     gaps = np.empty(n_trials)
     for i, tr in enumerate(traces):
-        pool = np.asarray(
-            mu_sampler(np.random.default_rng(pool_seqs[i]), n_pool), dtype=float
-        )
+        pool = model.sample_data(np.random.default_rng(pool_seqs[i]), n_pool)
         w = tr.final_state
         test_vals = _eval_losses(model, w, pool)
         train_vals = _eval_losses(model, w, datasets[i])
@@ -203,52 +195,46 @@ def grad_variance_trace(
 
 def grad_stability_trace(
     model: LossModel,
-    mu_sampler,
     config: SGLDConfig,
     n_pairs: int,
     control_identical: bool = False,
 ) -> list[EstimateWithError]:
     """E ||grad_F(W_t, S) - grad_F(W_t, S')||^2 over dataset pairs.
 
-    Per pair, S and S' are drawn independently, one chain runs on S, and
-    both full-batch gradients are evaluated at its stored states. The
+    Per pair, S and S' are drawn independently from the model's data
+    distribution, one chain runs on S, and both full-batch gradients are
+    evaluated at its stored states, one stored step at a time. The
     chain's law is driven by S only; the statistic is asymmetric in that
     respect. `control_identical` replaces S' by S (the statistic is then
     exactly zero; falsification control).
     """
     check_count("n_pairs", n_pairs)
-    if mu_sampler is None:
-        mu_sampler = model.sample_data
 
     root = np.random.SeedSequence(config.seed)
-    datasets, datasets_alt, chain_seqs, ids = [], [], [], []
+    datasets, datasets_alt, chain_seqs = [], [], []
     for seq in root.spawn(n_pairs):
         s_seq, s_alt_seq, chain_seq = seq.spawn(3)
-        S = np.asarray(mu_sampler(np.random.default_rng(s_seq), config.n), dtype=float)
-        S_alt = S if control_identical else np.asarray(
-            mu_sampler(np.random.default_rng(s_alt_seq), config.n), dtype=float
-        )
+        S = model.sample_data(np.random.default_rng(s_seq), config.n)
         datasets.append(S)
-        datasets_alt.append(S_alt)
+        datasets_alt.append(
+            S if control_identical
+            else model.sample_data(np.random.default_rng(s_alt_seq), config.n))
         chain_seqs.append(chain_seq)
-        ids.append(dataset_fingerprint(S))
 
     DS = np.stack(datasets)
-    DS_alt = np.stack(datasets_alt)
-    traces = _run_chains_lockstep(config, model, DS, chain_seqs, ids, series=0)
+    traces = _run_chains_lockstep(config, model, DS, chain_seqs, series=0)
     full_s = model.full_batch_grad(DS)
-    full_alt = model.full_batch_grad(DS_alt)
+    full_alt = model.full_batch_grad(np.stack(datasets_alt))
 
-    # blocks of stored steps, each evaluated for every pair in one call;
+    # blocks of stored steps, sized by the stacked (b, n_pairs, d) states;
     # W[r, p] is pair p at the block's r-th step
     n_steps = traces[0].stored_steps.shape[0]
-    # per step: the (n_pairs, n, z) datasets, tiled by the default full_batch_grad
-    block = _block_len(DS[0].size * n_pairs)
+    block = _block_len(n_pairs * config.d)
     out = []
     for r0 in range(0, n_steps, block):
         W = np.stack([tr.states[r0:r0 + block] for tr in traces], axis=1)
         b = W.shape[0]
-        diff = (full_s(W) - full_alt(W)).reshape(b * n_pairs, config.d)
+        diff = np.stack([full_s(w) - full_alt(w) for w in W]).reshape(b * n_pairs, -1)
         sq = np.einsum("ij,ij->i", diff, diff).reshape(b, n_pairs)
         out.extend(_estimates(sq, "grad_stability"))
     return out

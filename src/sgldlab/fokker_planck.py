@@ -18,7 +18,7 @@ face gradients averaged from the adjacent cells).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -266,7 +266,6 @@ class FPPairRun:
     fisher: np.ndarray
     stability: np.ndarray
     clamped_mass: float
-    config: dict = field(default_factory=dict)
 
     @property
     def n_steps(self) -> int:
@@ -308,8 +307,6 @@ def evolve_pair(
     n_steps: int,
     rho0: DensityField,
     gamma0: DensityField,
-    potential_id: str = "",
-    dataset_id: str = "",
 ) -> FPPairRun:
     """Run rho under grad_s and gamma under grad_alt, recording the traces.
 
@@ -346,16 +343,6 @@ def evolve_pair(
         fisher=fisher,
         stability=stability,
         clamped_mass=rho.clamped_mass + gamma.clamped_mass,
-        config={
-            "w_min": grid.w_min,
-            "w_max": grid.w_max,
-            "n_cells": grid.n_cells,
-            "dt": dt,
-            "T_end": n_steps * dt,
-            "beta": beta,
-            "potential_id": potential_id,
-            "dataset_id": dataset_id,
-        },
     )
 
 

@@ -92,9 +92,12 @@ class LossConstants:
 class LossModel:
     """Contract shared by all loss families.
 
-    Subclasses implement `eval`, `grad` and their vectorized variants, and
-    must populate `self.d` (parameter dimension), `self.z_dim` (data point
-    width) and `self._constants` in their constructor.
+    Families implement `eval`, `grad`, `eval_many`, `grad_many` and
+    `grad_minibatch`, and populate `self.d` (parameter dimension),
+    `self.z_dim` (data point width) and `self._constants` in their
+    constructor. `full_batch_grad` (on (c, d) states) and `grad_resampled`
+    are optional overrides; their defaults call `grad_minibatch`, and an
+    override must return the same bits.
     """
 
     d: int
@@ -155,19 +158,9 @@ class LossModel:
             datasets: (c, n, z_dim), row i being chain i's whole dataset.
 
         Returns:
-            A function of W, (c, d) or a block (b, c, d) of such states,
-            giving `grad_minibatch` over each chain's whole dataset in W's
-            shape. This default tiles the datasets b times for a block;
-            families whose full-batch gradient has a cheaper form override it.
+            A function of (c, d) states W giving `grad_minibatch(W, datasets)`.
         """
-        def full(W):
-            if W.ndim == 2:
-                return self.grad_minibatch(W, datasets)
-            b, c = W.shape[:2]
-            flat = self.grad_minibatch(W.reshape(b * c, -1), np.tile(datasets, (b, 1, 1)))
-            return flat.reshape(W.shape)
-
-        return full
+        return lambda W: self.grad_minibatch(W, datasets)
 
     def grad_resampled(self, W: np.ndarray, dataset: np.ndarray,
                        idx: np.ndarray) -> np.ndarray:
@@ -267,8 +260,7 @@ class QuadraticLoss(LossModel):
         return self.R * (np.asarray(W, dtype=float) - np.asarray(Zb, dtype=float).mean(axis=1))
 
     def full_batch_grad(self, datasets):
-        # the datasets are fixed, so each z-bar is taken once; it broadcasts
-        # over a block axis of W
+        # the datasets are fixed, so each z-bar is taken once
         zbar = np.asarray(datasets, dtype=float).mean(axis=1)
         return lambda W: self.R * (np.asarray(W, dtype=float) - zbar)
 
@@ -352,23 +344,6 @@ class LogisticRidgeLoss(LossModel):
         margins = Y * np.einsum("cd,ckd->ck", W, X)
         sig = _expit(-margins)
         return -np.einsum("ck,ckd->cd", Y * sig, X) / Zb.shape[1] + self.lam * W
-
-    def full_batch_grad(self, datasets):
-        # grad_minibatch's expressions over each chain's whole dataset; a
-        # block of states goes one (c, d) slice at a time instead of against
-        # tiled datasets (a broadcast block axis in einsum ran slower too)
-        datasets = np.asarray(datasets, dtype=float)
-        X, Y = datasets[:, :, :-1], datasets[:, :, -1]
-        n = datasets.shape[1]
-
-        def full(W):
-            if W.ndim == 3:
-                return np.stack([full(w) for w in W])
-            margins = Y * np.einsum("cd,cnd->cn", W, X)
-            sig = _expit(-margins)
-            return -np.einsum("cn,cnd->cd", Y * sig, X) / n + self.lam * W
-
-        return full
 
     def grad_resampled(self, W, dataset, idx):
         # each point's factor y sigma(-margin) is taken once per state over

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import EstimateWithError
+from .estimators import EstimateWithError, _estimate
 from .sgld import SGLDConfig, check_count
 
 __all__ = [
@@ -108,7 +108,7 @@ def oracle_trace(
 
 
 def oracle_pair_gaps(
-    mu_sampler,
+    sample_data,
     seed: int,
     n: int,
     n_dataset_pairs: int,
@@ -124,11 +124,11 @@ def oracle_pair_gaps(
     gaps = np.empty(n_dataset_pairs)
     for i, seq in enumerate(np.random.SeedSequence(seed).spawn(n_dataset_pairs)):
         s_seq, s_alt_seq = seq.spawn(2)
-        S = np.asarray(mu_sampler(np.random.default_rng(s_seq), n), dtype=float)
+        S = np.asarray(sample_data(np.random.default_rng(s_seq), n), dtype=float)
         if control_identical:
             S_alt = S
         else:
-            S_alt = np.asarray(mu_sampler(np.random.default_rng(s_alt_seq), n), dtype=float)
+            S_alt = np.asarray(sample_data(np.random.default_rng(s_alt_seq), n), dtype=float)
         diff = S.mean(axis=0) - S_alt.mean(axis=0)
         gaps[i] = float(diff @ diff)
     return gaps
@@ -140,19 +140,11 @@ def oracle_mi_from_gaps(gaps: np.ndarray, a_T: float, v_T: float) -> EstimateWit
     a_T and v_T are `_response_and_var`'s entries at the horizon T; each
     pair's KL at T is a_T^2 ||zbar_S - zbar_S'||^2 / (2 v_T).
     """
-    kls = float(a_T)**2 * gaps / (2.0 * float(v_T))
-    n = kls.shape[0]
-    sd = float(kls.std(ddof=1)) if n > 1 else 0.0
-    return EstimateWithError(
-        mean=float(kls.mean()),
-        stderr=sd / math.sqrt(n),
-        n_samples=n,
-        estimator_name="oracle_mi_upper",
-    )
+    return _estimate(float(a_T)**2 * gaps / (2.0 * float(v_T)), "oracle_mi_upper")
 
 
 def oracle_mi_upper(
-    mu_sampler,
+    sample_data,
     config: SGLDConfig,
     R: float,
     n_dataset_pairs: int,
@@ -166,7 +158,7 @@ def oracle_mi_upper(
     """
     if config.k != config.n:
         raise ValueError("the exact law covers full-batch chains only (k = n)")
-    gaps = oracle_pair_gaps(mu_sampler, config.seed, config.n, n_dataset_pairs,
+    gaps = oracle_pair_gaps(sample_data, config.seed, config.n, n_dataset_pairs,
                             control_identical)
     a, v = _response_and_var(config.eta, config.beta, R, config.s_sq, config.T)
     return oracle_mi_from_gaps(gaps, a[-1], v[-1])

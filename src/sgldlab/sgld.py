@@ -31,7 +31,6 @@ path, so serial and ensemble runs agree bitwise.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 
@@ -48,7 +47,6 @@ __all__ = [
     "run_chain",
     "run_ensemble",
     "strict_mode_failures",
-    "dataset_fingerprint",
 ]
 
 STEP_CHUNK = 512          # steps per pre-drawn RNG block
@@ -144,7 +142,6 @@ class ChainTrace:
     """
 
     config: SGLDConfig
-    dataset_id: str
     states: np.ndarray
     stored_steps: np.ndarray
     w_norm_sq: np.ndarray
@@ -186,15 +183,6 @@ class ChainTrace:
                                      repr(float(self.grad_minibatch_norm[t]))])
                 else:
                     writer.writerow([t, repr(float(self.w_norm_sq[t])), "", "", ""])
-
-
-def dataset_fingerprint(dataset: np.ndarray) -> str:
-    """Stable short identifier of a dataset's exact contents."""
-    dataset = np.ascontiguousarray(dataset, dtype=float)
-    h = hashlib.sha256()
-    h.update(str(dataset.shape).encode())
-    h.update(dataset.tobytes())
-    return h.hexdigest()[:16]
 
 
 # ------------------------------------------------------------ primitive ops
@@ -244,7 +232,6 @@ def _run_chains_lockstep(
     model: LossModel,
     datasets: np.ndarray,
     chain_seqs: list[np.random.SeedSequence],
-    dataset_ids: list[str],
     series: int | None = None,
 ) -> list[ChainTrace]:
     """Advance several chains together, vectorized across chains.
@@ -338,7 +325,6 @@ def _run_chains_lockstep(
     return [
         ChainTrace(
             config=config,
-            dataset_id=dataset_ids[i],
             states=states[i],
             stored_steps=stored_steps.copy(),
             w_norm_sq=w_norm_sq[i],
@@ -371,9 +357,7 @@ def run_chain(
         raise ValueError(f"config.d = {config.d} but model.d = {model.d}")
     if seed_seq is None:
         seed_seq = np.random.SeedSequence(config.seed)
-    trace = _run_chains_lockstep(
-        config, model, dataset[None], [seed_seq], [dataset_fingerprint(dataset)]
-    )[0]
+    trace = _run_chains_lockstep(config, model, dataset[None], [seed_seq])[0]
     trace.validate()
     return trace
 
@@ -408,7 +392,6 @@ def run_ensemble(
 
     root = np.random.SeedSequence(config.seed)
     chain_seqs: list[np.random.SeedSequence] = []
-    dataset_ids: list[str] = []
     per_dataset: list[np.ndarray] = []
     for ds_seq in root.spawn(n_datasets):
         children = ds_seq.spawn(1 + n_chains)
@@ -419,17 +402,14 @@ def run_ensemble(
             raise ValueError(f"dataset sampler returned shape {dataset.shape}, "
                              f"expected ({config.n}, {model.z_dim})")
         per_dataset.append(dataset)
-        fp = dataset_fingerprint(dataset)
         chain_seqs.extend(children[1:])
-        dataset_ids.extend([fp] * n_chains)
 
     if n_datasets == 1:
         datasets = np.broadcast_to(per_dataset[0],
                                    (n_chains, config.n, model.z_dim))
     else:
         datasets = np.repeat(np.stack(per_dataset), n_chains, axis=0)
-    traces = _run_chains_lockstep(config, model, datasets, chain_seqs, dataset_ids,
-                                  series=series)
+    traces = _run_chains_lockstep(config, model, datasets, chain_seqs, series=series)
     for tr in traces:
         tr.validate()
     return traces

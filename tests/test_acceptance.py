@@ -171,14 +171,14 @@ def test_criterion_06_validity():
     cfg = CRIT6_CFG
     sigma_g_sq = 0.25  # surrogate f/(1+f) has range [0, 1]
 
-    gap = empirical_gen_gap(model, None, cfg, n_trials=200,
+    gap = empirical_gen_gap(model, cfg, n_trials=200,
                             eval_loss="surrogate")
     dc = derive_constants(lc, eta=cfg.eta, beta=cfg.beta, k=cfg.k, n=cfg.n,
                           d=cfg.d, s_sq=cfg.s_sq, lsi_mode="strongly_convex")
     chain = bound_time_independent(lc, dc, cfg, cfg.n, sigma_g_sq)
     assert chain.preconditions_ok
 
-    stab = grad_stability_trace(model, None, cfg, n_pairs=100)
+    stab = grad_stability_trace(model, cfg, n_pairs=100)
     steps = np.arange(cfg.T + 1)
     trace = np.column_stack([cfg.eta * steps,
                              [max(e.mean, 0.0) for e in stab]])
@@ -220,7 +220,7 @@ def test_criterion_07_inverse_sqrt_n_scaling():
     for n in n_grid:
         cfg = SGLDConfig(eta=0.01, beta=100.0, k=n, n=n, T=500, d=5, s_sq=1.0,
                          seed=31415)
-        est = empirical_gen_gap(model, None, cfg, n_trials=200,
+        est = empirical_gen_gap(model, cfg, n_trials=200,
                                 eval_loss="same_as_f")
         means.append(est.mean)
     assert all(means[i] > means[i + 1] for i in range(len(means) - 1)), means

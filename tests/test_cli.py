@@ -135,12 +135,22 @@ def test_usage_errors_exit_one(tmp_path, capsys):
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
-def test_bad_seed_rejected_cleanly(tmp_path, capsys):
-    cfg = write_config(tmp_path / "c.json")
-    rc = main(["run", "--config", str(cfg), "--seed", "-3",
-               "--out", str(tmp_path / "out")])
-    assert rc == 1
-    assert "config error" in capsys.readouterr().err
+def test_bad_seed_rejected_cleanly(run_and_bounds, tmp_path, capsys):
+    # SGLDConfig's 64-bit rule, before any output directory opens; verify
+    # also refuses it on a family whose verify builds no SGLDConfig
+    quad = write_config(tmp_path / "quad.json")
+    nonconvex = write_config(tmp_path / "nonconvex.json", loss={
+        "family": "nonconvex_ridge", "lam": 1.0, "a": 0.5, "d": 2})
+    cases = [(sub, quad) for sub in ("certify", "run", "bounds", "verify")]
+    for sub, cfg in cases + [("verify", nonconvex)]:
+        for seed in (-3, 2**64):
+            out = tmp_path / f"{sub}-{seed}"
+            argv = [sub, "--config", cfg, "--seed", str(seed), "--out", str(out)]
+            if sub == "bounds":
+                argv += ["--traces", str(run_and_bounds / "run")]
+            assert main(argv) == 1, (sub, cfg, seed)
+            assert capsys.readouterr().err.startswith("config error: --seed: ")
+            assert not out.exists()
 
 
 @pytest.mark.parametrize("sub, block, key, value", [
@@ -159,6 +169,9 @@ def test_bad_seed_rejected_cleanly(tmp_path, capsys):
     ("verify", "verify", "oracle_T", -1),
     ("verify", "fp", "dt_safety", -1.0),
     ("verify", "fp", "dt_safety", 5.0),
+    ("bounds", "bounds", "T_grid", [60, 60, 0]),
+    ("bounds", "bounds", "n_grid", [20, 10, 20]),
+    ("bounds", "bounds", "which", ["pensia", "time_independent", "pensia"]),
 ])
 def test_bad_value_exits_one_before_any_output(run_and_bounds, tmp_path, capsys,
                                                sub, block, key, value):
@@ -261,7 +274,7 @@ def test_run_stability_csv_equals_in_process_trace(tmp_path):
     path = write_config(tmp_path / "c.json")
     assert main(["run", "--config", path, "--out", str(tmp_path / "run")]) == 0
     cfg = load_config(path)
-    stability = grad_stability_trace(cfg.model(), None, cfg.sgld_config(),
+    stability = grad_stability_trace(cfg.model(), cfg.sgld_config(),
                                      n_pairs=cfg["estimators"]["n_pairs"])
     # T = 60 is below the storage cap, so step t is row t
     write_estimates_csv(tmp_path / "expected.csv",
@@ -676,3 +689,28 @@ def test_compare_schema_mismatch_exits_one(run_and_bounds, tmp_path, capsys):
     rc = main(["compare", str(broken), "--out", str(tmp_path / "cmp")])
     assert rc == 1
     assert "unexpected columns" in capsys.readouterr().err
+
+
+# ----------------------------------------------------------- benchmark probe
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+@pytest.mark.parametrize("sub, span", [("run", "sgld.run_ensemble"),
+                                       ("verify", "fokker_planck.evolve_pair")])
+def test_benchmark_probe_traces_the_cli(tmp_path, sub, span):
+    # perfbench/probe.py wraps the library functions the CLI calls by name;
+    # a renamed or reshaped entry point breaks `perfbench/run.py --trace 1`
+    cfg = write_config(tmp_path / "c.json", fp={"n_cells": 64, "T_end": 0.1})
+    spans_out = tmp_path / "spans.json"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(REPO, "src") + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    proc = subprocess.run(
+        [sys.executable, os.path.join(REPO, "perfbench", "probe.py"), "trace",
+         str(spans_out), "0", "--", sub, "--config", cfg,
+         "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    names = {name for name, *_ in json.load(open(spans_out))["spans"]}
+    assert span in names

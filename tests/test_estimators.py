@@ -17,7 +17,13 @@ from sgldlab.estimators import (
     pth_moment_check,
     write_estimates_csv,
 )
-from sgldlab.losses import LossConstants, LossModel, make_logistic_ridge, make_quadratic
+from sgldlab.losses import (
+    LossConstants,
+    LossModel,
+    make_logistic_ridge,
+    make_nonconvex_ridge,
+    make_quadratic,
+)
 from sgldlab.sgld import SGLDConfig, run_chain, run_ensemble, strict_mode_failures
 
 
@@ -65,7 +71,7 @@ def test_estimate_fields_validated():
 def test_gen_gap_constant_loss_is_zero():
     model = ConstantLoss(d=2)
     cfg = quad_cfg(n=20, k=20, T=50, d=2)
-    est = empirical_gen_gap(model, None, cfg, n_trials=5)
+    est = empirical_gen_gap(model, cfg, n_trials=5)
     assert abs(est.mean) <= est.stderr + 1e-14
     assert est.n_samples == 5
 
@@ -73,20 +79,20 @@ def test_gen_gap_constant_loss_is_zero():
 def test_gen_gap_requires_two_trials():
     model = make_quadratic(R=1.0, data_radius=1.0, d=2)
     with pytest.raises(ValueError):
-        empirical_gen_gap(model, None, quad_cfg(), n_trials=1)
+        empirical_gen_gap(model, quad_cfg(), n_trials=1)
 
 
 def test_gen_gap_rejects_unknown_eval_loss():
     model = make_quadratic(R=1.0, data_radius=1.0, d=2)
     with pytest.raises(ValueError):
-        empirical_gen_gap(model, None, quad_cfg(), n_trials=2, eval_loss="raw")
+        empirical_gen_gap(model, quad_cfg(), n_trials=2, eval_loss="raw")
 
 
 def test_gen_gap_reproducible_by_seed():
     model = make_quadratic(R=1.0, data_radius=1.0, d=2)
     cfg = quad_cfg(n=30, k=30, T=40)
-    a = empirical_gen_gap(model, None, cfg, n_trials=4)
-    b = empirical_gen_gap(model, None, cfg, n_trials=4)
+    a = empirical_gen_gap(model, cfg, n_trials=4)
+    b = empirical_gen_gap(model, cfg, n_trials=4)
     assert a == b
 
 
@@ -97,16 +103,16 @@ def test_gen_gap_shrinks_with_n():
     model = make_quadratic(R=1.0, data_radius=1.0, d=5)
     small = quad_cfg(n=50, k=50, T=150, d=5, beta=1000.0, seed=91)
     large = quad_cfg(n=400, k=400, T=150, d=5, beta=1000.0, seed=91)
-    gap_small = empirical_gen_gap(model, None, small, n_trials=30)
-    gap_large = empirical_gen_gap(model, None, large, n_trials=30)
+    gap_small = empirical_gen_gap(model, small, n_trials=30)
+    gap_large = empirical_gen_gap(model, large, n_trials=30)
     assert gap_large.mean < gap_small.mean
 
 
 def test_gen_gap_surrogate_bounded_and_distinct():
     model = make_quadratic(R=1.0, data_radius=1.0, d=2)
     cfg = quad_cfg(n=30, k=30, T=40)
-    raw = empirical_gen_gap(model, None, cfg, n_trials=6, eval_loss="same_as_f")
-    sur = empirical_gen_gap(model, None, cfg, n_trials=6, eval_loss="surrogate")
+    raw = empirical_gen_gap(model, cfg, n_trials=6, eval_loss="same_as_f")
+    sur = empirical_gen_gap(model, cfg, n_trials=6, eval_loss="surrogate")
     assert abs(sur.mean) <= 1.0
     assert sur.mean != raw.mean
     assert sur.estimator_name == "gen_gap[surrogate]"
@@ -177,7 +183,7 @@ def test_grad_variance_reproducible():
 def test_grad_stability_identical_datasets_zero():
     model = make_quadratic(R=1.0, data_radius=1.0, d=2)
     cfg = quad_cfg(n=20, k=20, T=5)
-    ests = grad_stability_trace(model, None, cfg, n_pairs=8, control_identical=True)
+    ests = grad_stability_trace(model, cfg, n_pairs=8, control_identical=True)
     assert len(ests) == 6
     assert all(e.mean == 0.0 and e.stderr == 0.0 for e in ests)
 
@@ -189,7 +195,7 @@ def test_grad_stability_quadratic_matches_closed_form():
     model = make_quadratic(R=R, data_radius=1.0, d=2)
     cfg = quad_cfg(n=25, k=25, T=3, seed=314)
     n_pairs = 40
-    ests = grad_stability_trace(model, None, cfg, n_pairs=n_pairs)
+    ests = grad_stability_trace(model, cfg, n_pairs=n_pairs)
 
     closed = np.empty(n_pairs)
     root = np.random.SeedSequence(cfg.seed)
@@ -210,8 +216,8 @@ def test_grad_stability_scales_like_one_over_n():
     model = make_quadratic(R=1.0, data_radius=1.0, d=2)
     small = quad_cfg(n=25, k=25, T=2, seed=5)
     large = quad_cfg(n=100, k=100, T=2, seed=5)
-    est_small = grad_stability_trace(model, None, small, n_pairs=200)[-1]
-    est_large = grad_stability_trace(model, None, large, n_pairs=200)[-1]
+    est_small = grad_stability_trace(model, small, n_pairs=200)[-1]
+    est_large = grad_stability_trace(model, large, n_pairs=200)[-1]
     ratio = est_small.mean / est_large.mean
     assert 2.8 < ratio < 5.2
 
@@ -258,7 +264,7 @@ def _stability_per_row(model, config, n_pairs, control_identical):
                       else model.sample_data(np.random.default_rng(s_alt_seq), config.n))
         seqs.append(chain_seq)
     DS, DS_alt = np.stack(DS), np.stack(DS_alt)
-    traces = sgld._run_chains_lockstep(config, model, DS, seqs, ["id"] * n_pairs)
+    traces = sgld._run_chains_lockstep(config, model, DS, seqs)
     rows = []
     for row in range(traces[0].states.shape[0]):
         W = np.stack([tr.states[row] for tr in traces])
@@ -293,7 +299,8 @@ def test_grad_variance_blocks_equal_per_row_loop(monkeypatch, model, strided):
     assert np.array_equal(got_se, want_se)
 
 
-@pytest.mark.parametrize("model", GRAD_MODELS, ids=["quadratic", "logistic"])
+@pytest.mark.parametrize("model", [*GRAD_MODELS, make_nonconvex_ridge(1.0, 0.5, 1.0, 3)],
+                         ids=["quadratic", "logistic", "nonconvex"])
 @pytest.mark.parametrize("strided", [False, True])
 @pytest.mark.parametrize("control_identical", [False, True])
 def test_grad_stability_blocks_equal_per_row_loop(monkeypatch, model, strided,
@@ -301,11 +308,10 @@ def test_grad_stability_blocks_equal_per_row_loop(monkeypatch, model, strided,
     cfg = quad_cfg(k=5, n=30, T=47, d=model.d, seed=22)
     if strided:
         # stride 5 over T = 47: 11 stored steps in blocks of 4, 4 and 3 of
-        # 6 pairs of (n = 30, z) datasets each
-        z = model.sample_data(np.random.default_rng(0), 1).shape[1]
+        # the (6 pairs, d) states each
         monkeypatch.setattr(sgld, "STATE_STORE_CAP", 10)
-        monkeypatch.setattr(sgld, "BLOCK_WORDS", 4 * 6 * 30 * z)
-    ests = grad_stability_trace(model, None, cfg, n_pairs=6,
+        monkeypatch.setattr(sgld, "BLOCK_WORDS", 4 * 6 * model.d)
+    ests = grad_stability_trace(model, cfg, n_pairs=6,
                                 control_identical=control_identical)
     assert len(ests) == (11 if strided else 48)
     want_mean, want_se = _stability_per_row(model, cfg, 6, control_identical)
@@ -384,22 +390,6 @@ def test_grad_variance_trace_hook_equals_generic(monkeypatch, d, blocks):
     assert len(got) == trace.states.shape[0] == (11 if blocks == "strided" else 48)
     assert np.array_equal(_fields(got), _fields(want))
     assert np.array_equal(_fields(got), _variance_per_row(model, ds, trace, 9, rng_seed=2))
-
-
-@pytest.mark.parametrize("d", [1, 5])
-@pytest.mark.parametrize("blocks", ["strided", "one-unit"])
-def test_grad_stability_trace_full_batch_override_equals_generic(monkeypatch, d, blocks):
-    if blocks == "strided":
-        monkeypatch.setattr(sgld, "STATE_STORE_CAP", 10)
-    else:
-        monkeypatch.setattr(sgld, "BLOCK_WORDS", 1)  # one step per block
-    cfg = quad_cfg(k=6, n=30, T=47, d=d, seed=32)
-    model = make_logistic_ridge(1.0, 1.2, d)
-    got = grad_stability_trace(model, None, cfg, n_pairs=5)
-    want = grad_stability_trace(_generic(make_logistic_ridge(1.0, 1.2, d), "full_batch_grad"),
-                                None, cfg, n_pairs=5)
-    assert len(got) == (11 if blocks == "strided" else 48)
-    assert np.array_equal(_fields(got), _fields(want))
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 7, 300, 1001])

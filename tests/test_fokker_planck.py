@@ -231,8 +231,7 @@ def run_shifted_pair(n_cells, T_end=0.4):
     gs, ga = R * (w - cs), R * (w - ca)
     dt = stable_dt(g, gs, BETA)
     start = gaussian_on(g, 1.0, 0.3)
-    run = evolve_pair(g, gs, ga, BETA, dt, int(T_end / dt), start, start,
-                      potential_id="shifted-quadratics", dataset_id="probe")
+    run = evolve_pair(g, gs, ga, BETA, dt, int(T_end / dt), start, start)
     return run, verify_inequality_12(run, BETA)
 
 
@@ -387,5 +386,3 @@ def test_run_csv_roundtrip(tmp_path):
     mid = lines[2].split(",")
     assert float(mid[1]) == pytest.approx(run.kl[1], rel=0)
     assert float(mid[4]) == pytest.approx(rep.dkl_dt[1], rel=0)
-    assert run.config["n_cells"] == 256
-    assert run.config["potential_id"] == "shifted-quadratics"

@@ -235,7 +235,7 @@ def test_full_batch_grad_bitwise_equals_grad_minibatch(factory, d):
     # on the inputs the chain engine and the stability trace build
     model = factory(1.3, 1.2, d)
     rng = np.random.default_rng(5)
-    c, n, b = 6, 300, 5
+    c, n = 6, 300
     W = rng.uniform(-2, 2, size=(c, d))
 
     shared = np.broadcast_to(model.sample_data(rng, n), (c, n, model.z_dim))
@@ -247,13 +247,6 @@ def test_full_batch_grad_bitwise_equals_grad_minibatch(factory, d):
     for _ in range(2):  # the function is reused step after step
         W = rng.uniform(-2, 2, size=(c, d))
         assert np.array_equal(full(W), model.grad_minibatch(W, stacked))
-
-    block = rng.uniform(-2, 2, size=(b, c, d))
-    want = model.grad_minibatch(block.reshape(b * c, d),
-                                np.tile(stacked, (b, 1, 1))).reshape(b, c, d)
-    got = full(block)
-    assert got.shape == (b, c, d)
-    assert np.array_equal(got, want)
 
 
 # ------------------------------------------------------------- certification
@@ -404,7 +397,7 @@ def test_gradient_paths_agree_and_stay_finite(family, param, d, margin, seed):
     lc = model.constants()
     half_width = 10.0 * max(1.0, math.sqrt(lc.b / lc.m))  # certify's cube
     rng = np.random.default_rng(seed)
-    c, n, k, b, reps = 3, 8, 3, 2, 4
+    c, n, k, reps = 3, 8, 3, 4
     datasets = np.stack([model.sample_data(rng, n) for _ in range(c)])
     W = rng.uniform(-half_width, half_width, size=(c, d))
     if margin is not None and family == "logistic":
@@ -424,12 +417,9 @@ def test_gradient_paths_agree_and_stay_finite(family, param, d, margin, seed):
     np.testing.assert_allclose(mini, rows.reshape(c, n, d).mean(axis=1), rtol=1e-9,
                                atol=atol)
 
-    # full batch, on (c, d) states and on a (b, c, d) block, bit for bit
+    # full batch, bit for bit
     full = model.full_batch_grad(datasets)
     assert np.array_equal(full(W), mini)
-    block = np.stack([W, W[::-1]])
-    want = model.grad_minibatch(block.reshape(b * c, d), np.tile(datasets, (b, 1, 1)))
-    assert np.array_equal(full(block), want.reshape(b, c, d))
 
     # the variance hook over reps index rows per state, bit for bit
     offsets = rng.integers(0, n - np.arange(k), size=(c * reps, k))
@@ -437,5 +427,5 @@ def test_gradient_paths_agree_and_stay_finite(family, param, d, margin, seed):
     hook = model.grad_resampled(W, datasets[0], idx)
     assert np.array_equal(hook, LossModel.grad_resampled(model, W, datasets[0], idx))
 
-    for arr in (rows, scalar, mini, full(block), hook):
+    for arr in (rows, scalar, mini, hook):
         assert np.all(np.isfinite(arr))

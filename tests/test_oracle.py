@@ -235,7 +235,7 @@ def test_gen_gap_within_mi_bound_chain():
     model = make_quadratic(R=1.0, data_radius=1.0, d=2)
     cfg = full_batch_cfg(n=25, k=25, T=400, seed=99)
     mi = oracle_mi_upper(model.sample_data, cfg, R=1.0, n_dataset_pairs=400)
-    gap = empirical_gen_gap(model, None, cfg, n_trials=30, eval_loss="surrogate")
+    gap = empirical_gen_gap(model, cfg, n_trials=30, eval_loss="surrogate")
     bound = math.sqrt(2.0 * 0.25 * mi.mean / cfg.n)
     bound_se = bound * mi.stderr / (2.0 * mi.mean)
     assert gap.mean <= bound + 3.0 * math.hypot(gap.stderr, bound_se)

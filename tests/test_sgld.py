@@ -15,7 +15,6 @@ from sgldlab.losses import make_logistic_ridge, make_nonconvex_ridge, make_quadr
 from sgldlab.sgld import (
     ChainTrace,
     SGLDConfig,
-    dataset_fingerprint,
     run_chain,
     run_ensemble,
     sample_initial,
@@ -256,20 +255,26 @@ def test_run_chain_matches_documented_stream_layout():
 
 @pytest.mark.parametrize("block_steps", [None, 341, 2])
 def test_ensemble_matches_documented_stream_layout(monkeypatch, block_steps):
-    # three chains over independent datasets: by default a Fisher-Yates
-    # block spans a whole chunk; 341 steps do not divide a 512-step chunk,
-    # and 2 steps leave a 1-step block to end the 37-step chunk
+    # one and three chains on each of three independent datasets, grouped
+    # dataset-major: by default a Fisher-Yates block spans a whole chunk;
+    # 341 steps do not divide a 512-step chunk, and 2 steps leave a 1-step
+    # block to end the 37-step chunk
     model = quad_model()
     cfg = quad_config(T=2 * sgld.STEP_CHUNK + 37, k=10)
-    if block_steps is not None:
-        words_per_step = 3 * cfg.n
-        monkeypatch.setattr(sgld, "BLOCK_WORDS", (block_steps + 1) * words_per_step - 1)
-        assert sgld._block_len(words_per_step) == block_steps
-    traces = run_ensemble(cfg, model, n_chains=1, n_datasets=3)
-    for tr, ds_seq in zip(traces, np.random.SeedSequence(cfg.seed).spawn(3)):
-        sampler_seq, chain_seq = ds_seq.spawn(2)
-        ds = model.sample_data(np.random.default_rng(sampler_seq), cfg.n)
-        assert np.array_equal(tr.states, _chain_by_hand(cfg, model, ds, chain_seq))
+    for n_chains in (1, 3):
+        if block_steps is not None:
+            words_per_step = 3 * n_chains * cfg.n
+            monkeypatch.setattr(sgld, "BLOCK_WORDS",
+                                (block_steps + 1) * words_per_step - 1)
+            assert sgld._block_len(words_per_step) == block_steps
+        traces = run_ensemble(cfg, model, n_chains=n_chains, n_datasets=3)
+        assert len(traces) == 3 * n_chains
+        for i, ds_seq in enumerate(np.random.SeedSequence(cfg.seed).spawn(3)):
+            sampler_seq, *chain_seqs = ds_seq.spawn(1 + n_chains)
+            ds = model.sample_data(np.random.default_rng(sampler_seq), cfg.n)
+            for j, chain_seq in enumerate(chain_seqs):
+                want = _chain_by_hand(cfg, model, ds, chain_seq)
+                assert np.array_equal(traces[i * n_chains + j].states, want)
 
 
 def test_lockstep_without_series_keeps_states():
@@ -279,7 +284,7 @@ def test_lockstep_without_series_keeps_states():
     def run(series):
         seqs = np.random.SeedSequence(cfg.seed).spawn(2)  # spawning is stateful
         return sgld._run_chains_lockstep(cfg, model, np.stack([ds, ds[::-1]]),
-                                         seqs, ["a", "b"], series=series)
+                                         seqs, series=series)
 
     full = run(None)
     for series in (0, 1):
@@ -381,17 +386,6 @@ def test_ensemble_single_equals_run_chain():
     tr_s = run_chain(cfg, model, ds, seed_seq=chain_seq)
     assert np.array_equal(tr_e.states, tr_s.states)
     assert np.array_equal(tr_e.grad_var_sample, tr_s.grad_var_sample)
-    assert tr_e.dataset_id == tr_s.dataset_id
-
-
-def test_ensemble_counts_and_grouping():
-    model = quad_model()
-    cfg = quad_config(T=5)
-    traces = run_ensemble(cfg, model, n_chains=3, n_datasets=2)
-    assert len(traces) == 6
-    ids = [tr.dataset_id for tr in traces]
-    assert len(set(ids[:3])) == 1 and len(set(ids[3:])) == 1
-    assert ids[0] != ids[3]
 
 
 def test_ensemble_chains_differ_within_dataset():
@@ -439,21 +433,12 @@ def test_trace_csv_round_trip(tmp_path):
     assert float(rows[5][2]) == tr.grad_var_sample[4]
 
 
-def test_dataset_fingerprint_sensitivity():
-    ds = np.zeros((3, 2))
-    a = dataset_fingerprint(ds)
-    ds2 = ds.copy()
-    ds2[0, 0] = 1e-12
-    assert a != dataset_fingerprint(ds2)
-    assert a == dataset_fingerprint(np.zeros((3, 2)))
-
-
 def test_trace_validate_catches_bad_shapes():
     model = quad_model()
     ds = model.sample_data(np.random.default_rng(0), 100)
     tr = run_chain(quad_config(T=5), model, ds)
     bad = ChainTrace(
-        config=tr.config, dataset_id=tr.dataset_id, states=tr.states,
+        config=tr.config, states=tr.states,
         stored_steps=tr.stored_steps, w_norm_sq=tr.w_norm_sq[:-1],
         grad_var_sample=tr.grad_var_sample,
         grad_fullbatch_norm=tr.grad_fullbatch_norm,
