@@ -327,9 +327,14 @@ def _check_values(cfg: ExperimentConfig) -> None:
         # SGLDConfig states the dataset-size rule; k = 1 fits every size
         _check("bounds.n_grid", dataclasses.replace, sgld_cfg,
                n=_coerce("bounds", "n_grid", n, int), k=1)
-    # bounds.csv has one row per (name, T, n), the key `compare` reads it by
+    # bounds.csv has one row per (name, T, n), the key `compare` reads it by;
+    # an empty list would give no rows (null selects a grid's default)
     for key in ("which", "T_grid", "n_grid"):
-        entries = cfg["bounds"][key] or ()
+        entries = cfg["bounds"][key]
+        if entries is None:
+            continue
+        if not entries:
+            raise ConfigError(f"bounds.{key}: empty list")
         repeated = sorted({e for e in entries if entries.count(e) > 1})
         if repeated:
             raise ConfigError(f"bounds.{key}: repeated entries {repeated}")
@@ -362,7 +367,8 @@ class _OutputDir:
     """Locked output directory that tracks the files written into it.
 
     Its manifest.json is written when the work starts and again when it
-    completes, then listing the files; it does not list itself. `.lock`
+    completes, then listing the files; it does not list itself. Each write
+    replaces the whole file by a rename. `.lock`
     holds the owning process id, so a lock left by a process that is gone
     is reported as stale.
     """
@@ -442,9 +448,21 @@ def _pid_alive(pid: int) -> bool:
 
 
 def _write_json(path, payload) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    # a temp file in the same directory, then os.replace: a dump that fails
+    # part way leaves the previous file whole, and no temp file behind
+    head, name = os.path.split(path)
+    tmp = os.path.join(head, f".{name}.tmp")
+    try:
+        with open(tmp, "w") as fh:
+            json.dump(payload, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except FileNotFoundError:
+            pass
+        raise
 
 
 def _start_config_manifest(out: _OutputDir, cfg: ExperimentConfig, seed: int,
@@ -526,10 +544,12 @@ def cmd_run(args) -> int:
             dtype=float,
         )
         np.save(out.file("dataset.npy"), dataset)
-        # the stability trace needs nothing from the stages below, so the
-        # worker computes it while this process runs them; it writes no
-        # file and ends in os._exit, so `out.__exit__` never runs in it
-        worker = pool.submit(_stability_trace, model, sgld_cfg, est["n_pairs"])
+        # the stability trace and the gap read nothing the stages below
+        # compute, so the worker runs them while this process runs the
+        # rest; it writes no file and ends in os._exit, so `out.__exit__`
+        # never runs in it
+        worker = pool.submit(_worker_stages, model, sgld_cfg, est["n_pairs"],
+                             est["n_trials"], est["eval_loss"])
 
         traces = run_ensemble(sgld_cfg, model,
                               dataset_sampler=lambda rng, m: dataset,
@@ -552,15 +572,12 @@ def cmd_run(args) -> int:
             [("grad_variance", int(step), e)
              for step, e in zip(traces[0].stored_steps, variance)],
         )
-        # computed before the wait for the worker, written after it
-        gap = empirical_gen_gap(model, sgld_cfg,
-                                n_trials=est["n_trials"],
-                                eval_loss=est["eval_loss"])
         try:
-            stability = worker.result()
+            stability, gap = worker.result()
         except BrokenProcessPool as exc:
             # killed, say out of memory: the lock goes, the manifest stays running
-            print(f"run failed: the stability worker died: {exc}", file=sys.stderr)
+            print(f"run failed: the stability and gap worker died: {exc}",
+                  file=sys.stderr)
             return 1
         write_estimates_csv(
             out.file("stability.csv"),
@@ -602,10 +619,14 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _stability_trace(model, sgld_cfg: SGLDConfig, n_pairs: int):
-    # what `run`'s worker runs; grad_stability_trace is looked up in this
+def _worker_stages(model, sgld_cfg: SGLDConfig, n_pairs: int, n_trials: int,
+                   eval_loss: str):
+    # what `run`'s worker runs; the estimators are looked up in this
     # module's globals at call time, so wrappers set there are the ones run
-    return grad_stability_trace(model, sgld_cfg, n_pairs=n_pairs)
+    stability = grad_stability_trace(model, sgld_cfg, n_pairs=n_pairs)
+    gap = empirical_gen_gap(model, sgld_cfg, n_trials=n_trials,
+                            eval_loss=eval_loss)
+    return stability, gap
 
 
 def _read_csv(path, columns) -> list:

@@ -341,9 +341,8 @@ class LogisticRidgeLoss(LossModel):
         W = np.asarray(W, dtype=float)
         Zb = np.asarray(Zb, dtype=float)
         X, Y = Zb[:, :, :-1], Zb[:, :, -1]
-        margins = Y * np.einsum("cd,ckd->ck", W, X)
-        sig = _expit(-margins)
-        return -np.einsum("ck,ckd->cd", Y * sig, X) / Zb.shape[1] + self.lam * W
+        factor = _weights(np.einsum("cd,ckd->ck", W, X), Y)
+        return -_back_contract(factor, X) / Zb.shape[1] + self.lam * W
 
     def grad_resampled(self, W, dataset, idx):
         # each point's factor y sigma(-margin) is taken once per state over
@@ -352,12 +351,11 @@ class LogisticRidgeLoss(LossModel):
         dataset = np.asarray(dataset, dtype=float)
         b, n = W.shape[0], dataset.shape[0]
         R, k = idx.shape[0] // b, idx.shape[1]
-        Y = dataset[:, -1]
-        margins = Y * np.einsum("bd,nd->bn", W, dataset[:, :-1])
-        factor = (Y * _expit(-margins)).reshape(-1)
+        factor = _weights(np.einsum("bd,nd->bn", W, dataset[:, :-1]),
+                          dataset[:, -1]).reshape(-1)
         rows = np.repeat(n * np.arange(b), R)[:, None]
         Zb = dataset[idx]
-        return (-np.einsum("ck,ckd->cd", factor[idx + rows], Zb[:, :, :-1]) / k
+        return (-_back_contract(factor[idx + rows], Zb[:, :, :-1]) / k
                 + self.lam * np.repeat(W, R, axis=0))
 
     def sample_data(self, rng, n_points):
@@ -426,21 +424,38 @@ class NonconvexRidgeLoss(LossModel):
         return self.lam * W - self.a * np.einsum("ck,ckd->cd", np.sin(dots), Zb) / Zb.shape[1]
 
 
-def _expit(t: np.ndarray) -> np.ndarray:
-    """Numerically safe logistic sigmoid.
+def _expit(t: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Logistic sigmoid 1 / (1 + exp(-t)) as 0.5 * (1 + tanh(t / 2)).
 
-    1 / (1 + exp(-t)) for t >= 0 and exp(t) / (1 + exp(t)) for t < 0, so
-    exp never overflows. Both branches share e = exp(-|t|), which is
-    exactly exp(-t) or exp(t) on its own side, and the denominator 1 + e,
-    so np.where picks the numerator per entry and one division remains.
+    tanh saturates instead of overflowing, so every t is safe: +-0 gives
+    exactly 1/2, and |t| >= 40 (+-inf included) exactly 1 or 0. The result
+    is within one machine epsilon of the sigmoid in absolute error only:
+    1 + tanh cancels for t << 0, where the relative error grows (up to
+    about 1e-3 for t in [-31, -29]). `out` may be `t`.
     """
-    e = np.abs(t)
-    np.negative(e, out=e)
-    np.exp(e, out=e)
-    num = np.where(t >= 0, 1.0, e)
-    e += 1.0
-    num /= e
-    return num
+    out = np.multiply(t, 0.5, out=out)
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= 0.5
+    return out
+
+
+def _weights(dots: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """y sigma(-y <w, x>) from the inner products <w, x>, in place in `dots`:
+    the one buffer carries the margin, the sigmoid and the weight."""
+    dots *= Y
+    np.negative(dots, out=dots)
+    _expit(dots, out=dots)
+    dots *= Y
+    return dots
+
+
+def _back_contract(factor: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """sum_k factor[c, k] X[c, k, :] as one batched (1, k) @ (k, d) product
+    per row c. Each row is its own BLAS call of the same shape, so a row's
+    bits do not depend on the other rows of the call (unlike a BLAS margin,
+    whose output rows take different kernel paths by position)."""
+    return np.matmul(factor[:, None, :], X)[:, 0]
 
 
 def make_quadratic(R: float, data_radius: float, d: int) -> QuadraticLoss:

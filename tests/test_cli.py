@@ -17,6 +17,8 @@ from sgldlab.cli import ConfigError, load_config, main
 from sgldlab.estimators import grad_stability_trace, write_estimates_csv
 from sgldlab.oracle import oracle_mi_upper
 
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
 BASE = {
     "loss": {"family": "quadratic", "R": 1.0, "d": 2},
     "sgld": {"eta": 0.05, "beta": 4.0, "k": 5, "T": 60, "s_sq": 1.0, "seed": 77},
@@ -172,6 +174,9 @@ def test_bad_seed_rejected_cleanly(run_and_bounds, tmp_path, capsys):
     ("bounds", "bounds", "T_grid", [60, 60, 0]),
     ("bounds", "bounds", "n_grid", [20, 10, 20]),
     ("bounds", "bounds", "which", ["pensia", "time_independent", "pensia"]),
+    ("bounds", "bounds", "T_grid", []),
+    ("bounds", "bounds", "n_grid", []),
+    ("bounds", "bounds", "which", []),
 ])
 def test_bad_value_exits_one_before_any_output(run_and_bounds, tmp_path, capsys,
                                                sub, block, key, value):
@@ -313,6 +318,66 @@ def test_run_worker_failure_reaches_the_caller(tmp_path, monkeypatch):
     assert json.loads((out / "manifest.json").read_text())["status"] == "running"
 
 
+def test_run_computes_the_gap_in_the_worker_process(tmp_path, monkeypatch):
+    real, pid_file = cli.empirical_gen_gap, tmp_path / "pid"
+
+    def recording(*args, **kwargs):
+        pid_file.write_text(str(os.getpid()))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "empirical_gen_gap", recording)
+    cfg = write_config(tmp_path / "c.json")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+    assert int(pid_file.read_text()) != os.getpid()
+    assert (tmp_path / "run" / "gap.csv").exists()
+
+
+def test_run_gap_failure_reaches_the_caller(tmp_path, monkeypatch):
+    def failing(*args, **kwargs):
+        raise RuntimeError(f"gap failed in pid {os.getpid()}")
+
+    monkeypatch.setattr(cli, "empirical_gen_gap", failing)
+    cfg = write_config(tmp_path / "c.json")
+    out = tmp_path / "run"
+    with pytest.raises(RuntimeError, match="gap failed") as info:
+        main(["run", "--config", cfg, "--out", str(out)])
+    assert int(str(info.value).split()[-1]) != os.getpid()
+    assert not (out / ".lock").exists()
+    assert not (out / "gap.csv").exists() and not (out / "stability.csv").exists()
+    assert json.loads((out / "manifest.json").read_text())["status"] == "running"
+
+
+def test_run_logistic_artifacts_independent_of_blas_threads(tmp_path):
+    # the logistic kernel's back-contraction is a BLAS call on the run path
+    cfg = write_config(tmp_path / "c.json",
+                       loss={"family": "logistic_ridge", "lam": 1.0, "d": 5,
+                             "R": None},
+                       sgld={"eta": 0.02, "k": 20, "T": 80},
+                       data={"n": 2500},
+                       estimators={"n_pairs": 4, "n_trials": 2, "n_chains": 4,
+                                   "n_resamples": 20})
+    outs = []
+    for threads in ("1", None):
+        env = dict(os.environ)
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        env["PYTHONPATH"] = os.path.join(REPO, "src") + (
+            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+        out = tmp_path / f"threads-{threads}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "sgldlab.cli", "run", "--config", cfg,
+             "--out", str(out)], env=env, capture_output=True, text=True,
+            timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(out)
+    names = sorted(set(os.listdir(outs[0])) - {"manifest.json"})
+    assert names == sorted(set(os.listdir(outs[1])) - {"manifest.json"})
+    assert "stability.csv" in names and "variance.csv" in names
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
 def test_run_worker_death_exits_one(tmp_path, monkeypatch, capsys):
     parent = os.getpid()
 
@@ -376,6 +441,18 @@ def test_lock_names_its_owner_and_a_dead_owner_reads_stale(tmp_path, capsys,
         assert main(["certify", "--config", cfg, "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert "locked by another invocation" in err and "stale" not in err
+
+
+def test_failed_manifest_dump_leaves_the_previous_manifest(tmp_path):
+    with cli._OutputDir(str(tmp_path / "out")) as out:
+        out.start_manifest(seed=3)
+        before = (tmp_path / "out" / "manifest.json").read_bytes()
+        out.manifest["unserializable"] = object()
+        with pytest.raises(TypeError):
+            out.finish_manifest()
+    assert (tmp_path / "out" / "manifest.json").read_bytes() == before
+    assert json.loads(before)["status"] == "running"
+    assert sorted(os.listdir(tmp_path / "out")) == ["manifest.json"]
 
 
 # -------------------------------------------------------------------- bounds
@@ -692,8 +769,6 @@ def test_compare_schema_mismatch_exits_one(run_and_bounds, tmp_path, capsys):
 
 
 # ----------------------------------------------------------- benchmark probe
-
-REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 @pytest.mark.parametrize("sub, span", [("run", "sgld.run_ensemble"),
