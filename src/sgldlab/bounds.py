@@ -3,8 +3,8 @@
 Each bound evaluator is a pure function returning a BoundEntry: the value,
 the inputs it saw, the constants it consumed, whether its preconditions
 held, and short flag notes ("heuristic-constant", "comparison-only",
-"order-level", ...). Entries aggregate into a BoundReport that serializes
-to JSON and to a flat CSV.
+"order-level", ...). Entries aggregate into a BoundReport that writes a flat
+CSV; its JSON form is the list of the entries' dicts.
 
 Conventions shared by every evaluator: sigma_g_sq is the sub-Gaussian
 variance proxy of the evaluation loss (1/4 for losses clipped to [0, 1]),
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -32,6 +31,8 @@ __all__ = [
     "BoundReport",
     "BOUND_NAMES",
     "BOUNDS_CSV_COLUMNS",
+    "KLChain",
+    "kl_chain",
     "bound_xu_raginsky",
     "bound_pensia",
     "bound_time_independent",
@@ -88,10 +89,6 @@ class BoundReport:
             if e.name == name:
                 return e
         raise KeyError(name)
-
-    def to_json(self) -> str:
-        return json.dumps([e.to_dict() for e in self.entries], indent=2,
-                          sort_keys=True) + "\n"
 
     def to_csv(self, path) -> None:
         """One row per entry; (T, n, eta, beta) cells are empty when absent."""
@@ -161,33 +158,33 @@ def bound_pensia(
 # ------------------------------------------------------ time-independent chain
 
 
-def bound_time_independent(
-    lc: LossConstants,
-    dc: DerivedConstants,
-    config: SGLDConfig,
-    n: int,
-    sigma_g_sq: float,
-) -> BoundEntry:
-    """Horizon-saturating gap bound from the per-step KL recursion.
+@dataclass(frozen=True)
+class KLChain:
+    """The KL bound of the per-step recursion at one horizon, or why it is void.
+
+    It depends on neither n nor sigma_g_sq, so one evaluation per horizon
+    serves `bound_time_independent`, `bound_subexp_gen` and the excess risk.
+    """
+
+    config: SGLDConfig
+    kl: float | None          # None outside the admissible (beta, eta) ranges
+    constants_used: dict = field(default_factory=dict)
+    notes: tuple = ()         # the failed checks when kl is None
+
+
+def kl_chain(lc: LossConstants, dc: DerivedConstants, config: SGLDConfig) -> KLChain:
+    """Horizon-saturating KL bound of the per-step KL recursion.
 
     KL_T <= 4 beta c_LS * min(1, eta T / (4 beta c_LS)) * (V + c3) /
     (1 - eta/(4 beta c_LS)) with V = beta D1 / 2 and c3 = D2/(4 beta c_LS)
-    + D3/(2 beta) from `kl_recursion_constants`; the value is
-    sqrt(2 sigma_g_sq KL_T / n). Outside the admissible (beta, eta) ranges
-    (`admissibility_failures`) no value is produced and the failed checks
-    are the notes.
+    + D3/(2 beta) from `kl_recursion_constants`. Outside the admissible
+    (beta, eta) ranges (`admissibility_failures`) there is no bound and the
+    failed checks are the notes.
     """
     eta, beta, T = config.eta, config.beta, config.T
     failures = admissibility_failures(lc, eta, beta, dc.c_LS)
-    inputs = {"n": n, "eta": eta, "beta": beta, "T": T, "sigma_g_sq": sigma_g_sq}
     if failures:
-        return BoundEntry(
-            name="time_independent",
-            value=None,
-            inputs=inputs,
-            preconditions_ok=False,
-            notes=tuple(failures),
-        )
+        return KLChain(config=config, kl=None, notes=tuple(failures))
     rec = kl_recursion_constants(dc, eta, beta)
     horizon = rec["horizon"]
     stability, const = rec["stability_coeff"], rec["const_coeff"]
@@ -196,10 +193,9 @@ def bound_time_independent(
     notes = list(dc.notes)
     if saturation == 1.0:
         notes.append("min-saturated")
-    return BoundEntry(
-        name="time_independent",
-        value=_gen_from_info(sigma_g_sq, n, kl),
-        inputs=inputs,
+    return KLChain(
+        config=config,
+        kl=kl,
         constants_used={
             "c_LS": dc.c_LS,
             "D1": dc.D1,
@@ -210,6 +206,24 @@ def bound_time_independent(
             "const_coeff": const,
         },
         notes=tuple(notes),
+    )
+
+
+def bound_time_independent(chain: KLChain, n: int, sigma_g_sq: float) -> BoundEntry:
+    """Time-independent gap bound sqrt(2 sigma_g_sq KL_T / n) from `kl_chain`.
+
+    Without a KL bound no value is produced and the chain's failed checks
+    are the notes.
+    """
+    cfg = chain.config
+    return BoundEntry(
+        name="time_independent",
+        value=None if chain.kl is None else _gen_from_info(sigma_g_sq, n, chain.kl),
+        inputs={"n": n, "eta": cfg.eta, "beta": cfg.beta, "T": cfg.T,
+                "sigma_g_sq": sigma_g_sq},
+        constants_used=chain.constants_used,
+        preconditions_ok=chain.kl is not None,
+        notes=chain.notes,
     )
 
 

@@ -39,11 +39,15 @@ from .bounds import (
     bound_time_independent,
     bound_xu_raginsky,
     excess_risk_bound,
+    kl_chain,
 )
 from .constants import (
     LSI_MODES,
-    derive_constants,
     ParametrixOverrides,
+    admissibility_failures,
+    derive_constants,
+    lsi_constant,
+    lsi_route,
     subexp_params,
 )
 from .estimators import (
@@ -75,7 +79,7 @@ from .oracle import (
     oracle_trace,
     verify_kl_recursion,
 )
-from .sgld import SGLDConfig, check_count, run_ensemble, strict_mode_failures
+from .sgld import SGLDConfig, check_count, run_ensemble
 
 
 class ConfigError(Exception):
@@ -114,7 +118,7 @@ _SCHEMAS = {
         "sigma_g_sq": (None, float),
         "farghly_C1": (1.0, float),
         "farghly_C2": (1.0, float),
-        "lsi_mode": ("strongly_convex", str),
+        "lsi_mode": (None, str),  # null: `lsi_route` of the model, set at load
         "universal_C_lsi": (1.0, float),
         "universal_C_moment": (1.0, float),
         "T_grid": (None, list),
@@ -145,12 +149,13 @@ _SCHEMAS = {
 }
 _REQUIRED_BLOCKS = ("loss", "sgld", "data")
 
-# loss family -> (constructor, the loss keys it requires)
+# loss family -> (constructor, the loss keys it takes, all required)
 _FAMILIES = {
     "quadratic": (make_quadratic, ("R",)),
     "logistic_ridge": (make_logistic_ridge, ("lam",)),
     "nonconvex_ridge": (make_nonconvex_ridge, ("lam", "a")),
 }
+_FAMILY_KEYS = sorted({key for _, keys in _FAMILIES.values() for key in keys})
 
 
 def _coerce(block: str, key: str, value, expected):
@@ -190,6 +195,9 @@ class ExperimentConfig:
         if family not in _FAMILIES:
             raise ConfigError(f"unknown loss family {family!r}")
         make, keys = _FAMILIES[family]
+        for key in _FAMILY_KEYS:
+            if key not in keys and loss[key] is not None:
+                raise ConfigError(f"loss.{key}: the {family} family takes no {key}")
         if any(loss[key] is None for key in keys):
             raise ConfigError(f"the {family} family requires "
                               + " and ".join(f"loss.{key}" for key in keys))
@@ -233,7 +241,6 @@ class ExperimentConfig:
         try:
             return derive_constants(
                 self.model().constants(), eta=s["eta"], beta=s["beta"],
-                k=s["k"], n=self.blocks["data"]["n"],
                 d=self.blocks["loss"]["d"], s_sq=s["s_sq"],
                 lsi_mode=b["lsi_mode"], overrides=over,
                 universal_C_lsi=b["universal_C_lsi"],
@@ -282,11 +289,13 @@ def load_config(path) -> ExperimentConfig:
     for name in blocks["bounds"]["which"]:
         if name not in BOUND_NAMES:
             raise ConfigError(f"bounds.which: unknown bound name {name!r}")
-    if blocks["bounds"]["lsi_mode"] not in LSI_MODES:
+    if blocks["bounds"]["lsi_mode"] not in (None, *LSI_MODES):
         raise ConfigError(f"bounds.lsi_mode: unknown mode "
                           f"{blocks['bounds']['lsi_mode']!r}")
     cfg = ExperimentConfig(blocks=blocks)
-    cfg.model()  # family-specific parameter validation
+    lc = cfg.model().constants()  # family-specific parameter validation
+    if blocks["bounds"]["lsi_mode"] is None:
+        blocks["bounds"]["lsi_mode"] = lsi_route(lc)
     _check_values(cfg)
     return cfg
 
@@ -304,7 +313,7 @@ def _check_values(cfg: ExperimentConfig) -> None:
     that the code using it would refuse later; each refusal is that code's."""
     sgld_cfg = cfg.sgld_config()
     lc = cfg.model().constants()
-    est, fp = cfg["estimators"], cfg["fp"]
+    est = cfg["estimators"]
     if est["eval_loss"] not in EVAL_LOSSES:
         raise ConfigError(f"estimators.eval_loss: unknown loss {est['eval_loss']!r}")
     for key, param in (("n_trials", "n_trials"), ("n_chains", "n_chains"),
@@ -314,9 +323,7 @@ def _check_values(cfg: ExperimentConfig) -> None:
     _check("estimators.p_list", pth_moment_min_chains, est["p_list"])
     nu = subexp_params(lc, beta=sgld_cfg.beta, d=sgld_cfg.d, s_sq=sgld_cfg.s_sq)["nu"]
     _check("estimators.lambda_grid", admitted_lambdas, est["lambda_grid"], nu)
-    hw = fp["halfwidth"] or suggested_halfwidth(sgld_cfg.beta, lc.m)
-    _check("fp", Grid1D, -hw, hw, fp["n_cells"])
-    for _, grid, gs, ga, dt in _verify_fp_runs(cfg, lc):
+    for _, grid, gs, ga, dt in _check("fp", _verify_fp_runs, cfg, lc):
         for grad in (gs, ga):
             _check("fp.dt_safety", check_dt, grid, grad, sgld_cfg.beta, dt)
     _check("verify.oracle_T", dataclasses.replace, sgld_cfg, k=sgld_cfg.n,
@@ -370,7 +377,8 @@ class _OutputDir:
     completes, then listing the files; it does not list itself. Each write
     replaces the whole file by a rename. `.lock`
     holds the owning process id, so a lock left by a process that is gone
-    is reported as stale.
+    is reported as stale. A directory holding anything but its `.lock` is
+    refused, so no file of an earlier invocation sits among the new ones.
     """
 
     def __init__(self, path):
@@ -396,6 +404,11 @@ class _OutputDir:
             )
         with os.fdopen(fd, "w") as fh:
             fh.write(f"{os.getpid()}\n")
+        left = sorted(set(os.listdir(self.path)) - {".lock"})
+        if left:
+            os.unlink(self.lock_path)
+            raise ConfigError(f"output directory {self.path} is not empty "
+                              f"({len(left)} entries); give a new or empty --out")
         return self
 
     def __exit__(self, *exc):
@@ -491,7 +504,7 @@ def cmd_certify(args) -> int:
                      rng_seed=seed)
     with _OutputDir(args.out) as out:
         _start_config_manifest(out, cfg, seed, {})
-        out.write_json("certify_report.json", json.loads(report.to_json()))
+        out.write_json("certify_report.json", report.to_dict())
         out.finish_manifest()
     for check in report.checks:
         state = "ok" if check.n_violations == 0 else "VIOLATED"
@@ -515,7 +528,14 @@ def cmd_run(args) -> int:
     est = cfg["estimators"]
 
     quick = certify(model, n_samples=2000, rng_seed=seed)
-    strict_fails = strict_mode_failures(sgld_cfg, model)
+    lc, b = model.constants(), cfg["bounds"]
+    try:
+        # the route and constant `bounds` evaluates the KL chain with
+        c_LS = lsi_constant(lc, sgld_cfg.beta, sgld_cfg.d, b["lsi_mode"],
+                            b["universal_C_lsi"])
+    except ValueError as exc:
+        c_LS = str(exc)
+    strict_fails = admissibility_failures(lc, sgld_cfg.eta, sgld_cfg.beta, c_LS)
     preconditions = {
         "certified": quick.passed,
         "strict_mode_failures": strict_fails,
@@ -588,7 +608,7 @@ def cmd_run(args) -> int:
                             [(gap.estimator_name, sgld_cfg.T, gap)])
 
         if len(traces) >= 2:
-            pars = subexp_params(model.constants(), beta=sgld_cfg.beta,
+            pars = subexp_params(lc, beta=sgld_cfg.beta,
                                  d=sgld_cfg.d, s_sq=sgld_cfg.s_sq)
             zrng = np.random.default_rng(np.random.SeedSequence([seed, 0x10F]))
             Z = model.sample_data(zrng, len(traces))
@@ -606,7 +626,7 @@ def cmd_run(args) -> int:
         need = pth_moment_min_chains(est["p_list"])
         if len(traces) >= need:
             moments = pth_moment_check(traces, est["p_list"],
-                                       model.constants(), beta=sgld_cfg.beta,
+                                       lc, beta=sgld_cfg.beta,
                                        d=sgld_cfg.d, s_sq=sgld_cfg.s_sq)
             out.write_json("pth_moments.json", moments.to_dict())
         else:
@@ -673,7 +693,7 @@ class _GridPoint:
     oracle: tuple | None     # xu_raginsky's (pair gaps at n, a_T, v_T), when it runs
     cfg: SGLDConfig          # the run's config at horizon T
     n: int
-    kl_chain: BoundEntry | str  # time_independent; its kl_bound is free of sigma_g_sq
+    kl: object               # KLChain at horizon T, or why dc is undefined
     variance: np.ndarray     # per-update conditional variances, length T
     strided: bool            # variance repeats stored values over skipped steps
     stability: np.ndarray    # (eta t, value) rows of the stability trace, t <= T
@@ -693,7 +713,9 @@ class _GridPoint:
         return entry
 
     def time_independent(self):
-        return self.kl_chain
+        if isinstance(self.kl, str):
+            return self.kl
+        return bound_time_independent(self.kl, self.n, self.b["sigma_g_sq"])
 
     def strongly_convex(self):
         if self.lc.R is None:
@@ -710,12 +732,11 @@ class _GridPoint:
                                    k=self.cfg.k, m=self.lc.m)
 
     def subexp_gen(self):
-        if isinstance(self.kl_chain, str):
-            return self.kl_chain
-        if not self.kl_chain.preconditions_ok:
+        if isinstance(self.kl, str):
+            return self.kl
+        if self.kl.kl is None:
             return "kl-chain-unavailable"
-        y = self.kl_chain.constants_used["kl_bound"] / self.n
-        sub = bound_subexp_gen(y, self.dc.sigma_e_sq, self.dc.nu)
+        sub = bound_subexp_gen(self.kl.kl / self.n, self.dc.sigma_e_sq, self.dc.nu)
         return dataclasses.replace(sub, notes=sub.notes + tuple(self.dc.notes))
 
     def excess_risk(self):
@@ -776,15 +797,12 @@ def cmd_bounds(args) -> int:
         T_cfg = dataclasses.replace(sgld_cfg, T=T)
         keep = stab_steps <= T
         stability = np.column_stack([eta * stab_steps[keep], stab_vals[keep]])
+        kl = dc if isinstance(dc, str) else kl_chain(lc, dc, T_cfg)
         for n in n_grid:
-            # kl_bound does not depend on sigma_g_sq, so this one evaluation
-            # also serves subexp_gen and excess_risk
-            kl_chain = dc if isinstance(dc, str) else bound_time_independent(
-                lc, dc, T_cfg, n, 1.0 if sigma_g_sq is None else sigma_g_sq)
             point = _GridPoint(
                 lc=lc, dc=dc, b=b, cfg=T_cfg, n=n,
                 oracle=(pair_gaps[n], a[T], v[T]) if pair_gaps else None,
-                kl_chain=kl_chain, variance=variance[:T],
+                kl=kl, variance=variance[:T],
                 strided=bool(np.any(skips < T)), stability=stability,
             )
             for name in b["which"]:
@@ -803,8 +821,7 @@ def cmd_bounds(args) -> int:
     with _OutputDir(args.out) as out:
         _start_config_manifest(out, cfg, seed, {"traces": args.traces})
         report.to_csv(out.file("bounds.csv"))
-        with open(out.file("bounds.json"), "w") as fh:
-            fh.write(report.to_json())
+        out.write_json("bounds.json", [e.to_dict() for e in entries])
         gap_src = os.path.join(args.traces, "gap.csv")
         if os.path.exists(gap_src):
             # carried along so a report directory is self-contained for compare
@@ -868,8 +885,8 @@ def cmd_verify(args) -> int:
             start = gibbs_density(grid, (grid.centers - 1.0) ** 2, 1.0)
             run = evolve_pair(grid, gs, ga, beta, dt,
                               max(2, int(fp["T_end"] / dt)), start, start)
-            run.to_csv(out.file(f"fp_{label}.csv"))
             rep = verify_inequality_12(run, beta)
+            run.to_csv(out.file(f"fp_{label}.csv"), rep)
             rates[label] = rep.violation_rate
             sections[f"fp_{label}"] = {
                 "n_cells": grid.n_cells,

@@ -13,11 +13,11 @@ The constant chains, in dependency order:
 
 * `moment_bound_C0`: along the whole trajectory E||W_t||^2 <= C0 with
   C0 = s^2 + 2 max(1, 1/m) (b + 10 eta M^2 b/m + d/beta), valid for
-  eta in (0, min(1, m/(5 M^2))). `grad_sq_bound` = M^2 C0 + M^2 b/m then
-  controls the expected squared gradient norm.
+  eta in (0, min(1, m/(5 M^2))).
 
 * `lsi_constant`: the stationary law of the dynamics satisfies a
-  log-Sobolev inequality. Two modes:
+  log-Sobolev inequality. Two modes, of which `lsi_route` picks the one a
+  loss takes:
   - strongly_convex: the Gibbs potential beta*F is beta*R-strongly convex,
     giving c_LS = 1/(2 beta R).
   - general_dissipative: an explicit but enormously conservative constant
@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .losses import LossConstants
 
@@ -57,6 +57,7 @@ __all__ = [
     "minibatch_delta",
     "sg_variance_bound",
     "moment_bound_C0",
+    "lsi_route",
     "lsi_constant",
     "kl_recursion_constants",
     "admissibility_failures",
@@ -92,23 +93,18 @@ class ParametrixOverrides:
 
 @dataclass(frozen=True)
 class DerivedConstants:
-    """Full record of the derived constant chain for one configuration.
+    """The derived constants the bounds read, for one configuration.
 
     Fields:
         c_LS: log-Sobolev constant of the stationary law.
         C0: uniform-in-time second-moment bound E||W_t||^2 <= C0.
-        grad_sq_bound: E||grad F||^2 <= M^2 C0 + M^2 b/m.
-        delta: minibatch variance factor (n-k)/(k(n-1)); zero iff full batch.
         D1..D5: per-step KL-recursion constants; D1 = 2(D4 + D5).
-        sigma_e_sq, nu, C5: sub-exponential parameters of the training loss.
-        parametrix_overrides: the heuristic expansion constants used.
+        sigma_e_sq, nu: sub-exponential parameters of the training loss.
         notes: provenance flags (heuristic constants, LSI mode).
     """
 
     c_LS: float
     C0: float
-    grad_sq_bound: float
-    delta: float
     D1: float
     D2: float
     D3: float
@@ -116,27 +112,16 @@ class DerivedConstants:
     D5: float
     sigma_e_sq: float
     nu: float
-    C5: float
-    parametrix_overrides: ParametrixOverrides = field(default_factory=ParametrixOverrides)
     notes: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        for name in ("c_LS", "C0", "grad_sq_bound", "D1", "D2", "D3", "D4", "D5",
-                     "sigma_e_sq", "nu", "C5"):
+        for name in ("c_LS", "C0", "D1", "D2", "D3", "D4", "D5", "sigma_e_sq", "nu"):
             v = getattr(self, name)
             if not (v > 0 and math.isfinite(v)):
                 raise ValueError(f"derived constant {name} must be positive and finite, got {v}")
-        if not 0.0 <= self.delta <= 1.0:
-            raise ValueError(f"delta must lie in [0, 1], got {self.delta}")
         if abs(self.D1 - 2.0 * (self.D4 + self.D5)) > 1e-12 * max(1.0, self.D1):
             raise ValueError(f"D1 must equal 2 (D4 + D5), got D1={self.D1}, "
                              f"D4={self.D4}, D5={self.D5}")
-
-    def to_dict(self) -> dict:
-        out = dataclasses.asdict(self)
-        out["parametrix_overrides"] = self.parametrix_overrides.to_dict()
-        out["notes"] = list(self.notes)
-        return out
 
 
 # ----------------------------------------------------------------- minibatch
@@ -197,11 +182,17 @@ def _moment_core(lc: LossConstants, eta: float, beta: float, d: int) -> float:
 # ----------------------------------------------------------------------- LSI
 
 
+def lsi_route(lc: LossConstants) -> str:
+    """The `lsi_constant` mode a loss takes: strongly_convex if and only if
+    it has a strong-convexity modulus R, else general_dissipative."""
+    return "strongly_convex" if lc.R is not None else "general_dissipative"
+
+
 def lsi_constant(
     lc: LossConstants,
     beta: float,
     d: int,
-    mode: str = "general_dissipative",
+    mode: str,
     universal_C: float = 1.0,
 ) -> float:
     """Log-Sobolev constant of the stationary law, by one of two routes.
@@ -314,18 +305,17 @@ def kl_recursion_constants(dc: DerivedConstants, eta: float, beta: float) -> dic
 
 
 def admissibility_failures(
-    lc: LossConstants, eta: float, beta: float, c_LS: float | None
+    lc: LossConstants, eta: float, beta: float, c_LS: float | str
 ) -> list[str]:
     """Which validated (beta, eta) ranges of the KL chain a configuration leaves.
 
     Checks, in order: beta >= 2/m, eta < m/(5 M^2), eta < 1, and
-    eta < 4 beta c_LS; c_LS is None when the log-Sobolev constant is
-    undefined, and the last check is then reported as unavailable.
+    eta < 4 beta c_LS; c_LS is why `lsi_constant` is undefined when it is,
+    and the last check is then reported as unavailable for that reason.
     """
     failures = _beta_failures(lc, beta) + _eta_failures(lc, eta)
-    if c_LS is None:
-        failures.append("eta < 4 beta c_LS unavailable: c_LS undefined "
-                        "(general dissipative route requires beta >= 2/m)")
+    if isinstance(c_LS, str):
+        failures.append(f"eta < 4 beta c_LS unavailable: {c_LS}")
     else:
         cap_ls = 4.0 * beta * c_LS
         if eta >= cap_ls:
@@ -406,21 +396,17 @@ def derive_constants(
     lc: LossConstants,
     eta: float,
     beta: float,
-    k: int,
-    n: int,
     d: int,
     s_sq: float,
-    lsi_mode: str = "general_dissipative",
+    lsi_mode: str,
     overrides: ParametrixOverrides | None = None,
     universal_C_lsi: float = 1.0,
     universal_C_moment: float = 1.0,
 ) -> DerivedConstants:
-    """Assemble the full derived-constant record for one configuration."""
+    """Assemble the derived constants of one configuration."""
     overrides = overrides if overrides is not None else ParametrixOverrides()
     c_LS = lsi_constant(lc, beta, d, mode=lsi_mode, universal_C=universal_C_lsi)
     C0 = moment_bound_C0(lc, eta, beta, d, s_sq)
-    grad_sq = lc.M**2 * C0 + lc.M**2 * lc.b / lc.m
-    delta = minibatch_delta(n, k)
     D1, D2, D3, D4, D5 = _kl_recursion_D(lc, beta, d, s_sq, eta, overrides)
     sub = subexp_params(lc, beta, d, s_sq, universal_C=universal_C_moment)
 
@@ -435,8 +421,6 @@ def derive_constants(
     return DerivedConstants(
         c_LS=c_LS,
         C0=C0,
-        grad_sq_bound=grad_sq,
-        delta=delta,
         D1=D1,
         D2=D2,
         D3=D3,
@@ -444,8 +428,6 @@ def derive_constants(
         D5=D5,
         sigma_e_sq=sub["sigma_e_sq"],
         nu=sub["nu"],
-        C5=sub["C5"],
-        parametrix_overrides=overrides,
         notes=tuple(notes),
     )
 

@@ -267,18 +267,11 @@ class FPPairRun:
     stability: np.ndarray
     clamped_mass: float
 
-    @property
-    def n_steps(self) -> int:
-        return self.kl.shape[0] - 1
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.arange(self.kl.shape[0]) * self.dt
-
-    def to_csv(self, path) -> None:
+    def to_csv(self, path, report: Inequality12Report) -> None:
+        """Write the traces with `report`, this run's `verify_inequality_12`."""
         import csv
 
-        report = verify_inequality_12(self, self.beta)
+        times = np.arange(self.kl.shape[0]) * self.dt
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["t", "kl", "fisher", "stability_term", "dkl_dt",
@@ -288,7 +281,7 @@ class FPPairRun:
                 slack = report.slack[i]
                 writer.writerow(
                     [
-                        repr(float(self.times[i])),
+                        repr(float(times[i])),
                         repr(float(self.kl[i])),
                         repr(float(self.fisher[i])),
                         repr(float(self.stability[i])),

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import copy
 import dataclasses
-import json
 import math
 from dataclasses import dataclass
 
@@ -520,9 +519,6 @@ class CertificationReport:
             "tol": self.tol,
             "checks": [c.to_dict() for c in self.checks],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
 def _check_from_margins(

@@ -36,7 +36,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import admissibility_failures, lsi_constant
 from .losses import LossModel
 
 __all__ = [
@@ -46,7 +45,6 @@ __all__ = [
     "sample_initial",
     "run_chain",
     "run_ensemble",
-    "strict_mode_failures",
 ]
 
 STEP_CHUNK = 512          # steps per pre-drawn RNG block
@@ -108,23 +106,6 @@ def check_count(name: str, value: int) -> None:
     """Raise ValueError if the count parameter `name` is below its least value."""
     if value < _LEAST_COUNT[name]:
         raise ValueError(f"{name} must be at least {_LEAST_COUNT[name]}, got {value}")
-
-
-def strict_mode_failures(config: SGLDConfig, model: LossModel) -> list[str]:
-    """Which validated-range checks the configuration violates.
-
-    The checks are those of `constants.admissibility_failures`. The
-    log-Sobolev constant uses the strongly-convex route when the model has
-    one, otherwise the general dissipative route (which itself needs
-    beta >= 2/m; if that fails the c_LS check is reported as unavailable).
-    """
-    lc = model.constants()
-    mode = "strongly_convex" if lc.R is not None else "general_dissipative"
-    try:
-        c_ls = lsi_constant(lc, config.beta, config.d, mode=mode)
-    except ValueError:
-        c_ls = None
-    return admissibility_failures(lc, config.eta, config.beta, c_ls)
 
 
 @dataclass

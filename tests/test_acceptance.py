@@ -16,6 +16,7 @@ from sgldlab.bounds import (
     bound_strongly_convex,
     bound_subexp_gen,
     bound_time_independent,
+    kl_chain,
 )
 from sgldlab.cli import main
 from sgldlab.constants import derive_constants, subexp_params
@@ -136,14 +137,14 @@ def test_criterion_05_time_independence_vs_linear_growth():
     """Saturated chain bound is T-independent; per-step sum keeps growing."""
     model = make_quadratic(1.0, 1.0, 5)
     lc = model.constants()
-    dc = derive_constants(lc, eta=0.01, beta=4.0, k=50, n=50, d=5, s_sq=1.0,
+    dc = derive_constants(lc, eta=0.01, beta=4.0, d=5, s_sq=1.0,
                           lsi_mode="strongly_convex")
     # horizon 4 beta c_LS = 2, so eta T >= 2 from T = 200 on
     values = {}
     for T in (1000, 1_000_000):
         cfg = SGLDConfig(eta=0.01, beta=4.0, k=50, n=50, T=T, d=5, s_sq=1.0,
                          seed=0)
-        entry = bound_time_independent(lc, dc, cfg, cfg.n, 0.25)
+        entry = bound_time_independent(kl_chain(lc, dc, cfg), cfg.n, 0.25)
         assert entry.preconditions_ok and "min-saturated" in entry.notes
         values[T] = entry.value
     rel = abs(values[1000] - values[1_000_000]) / values[1000]
@@ -173,9 +174,9 @@ def test_criterion_06_validity():
 
     gap = empirical_gen_gap(model, cfg, n_trials=200,
                             eval_loss="surrogate")
-    dc = derive_constants(lc, eta=cfg.eta, beta=cfg.beta, k=cfg.k, n=cfg.n,
-                          d=cfg.d, s_sq=cfg.s_sq, lsi_mode="strongly_convex")
-    chain = bound_time_independent(lc, dc, cfg, cfg.n, sigma_g_sq)
+    dc = derive_constants(lc, eta=cfg.eta, beta=cfg.beta, d=cfg.d, s_sq=cfg.s_sq,
+                          lsi_mode="strongly_convex")
+    chain = bound_time_independent(kl_chain(lc, dc, cfg), cfg.n, sigma_g_sq)
     assert chain.preconditions_ok
 
     stab = grad_stability_trace(model, cfg, n_pairs=100)
@@ -208,10 +209,9 @@ def test_criterion_07_inverse_sqrt_n_scaling():
     for n in n_grid:
         cfg = SGLDConfig(eta=0.01, beta=4.0, k=n, n=n, T=1000, d=5, s_sq=1.0,
                          seed=0)
-        dc = derive_constants(lc, eta=cfg.eta, beta=cfg.beta, k=n, n=n,
-                              d=cfg.d, s_sq=cfg.s_sq,
-                              lsi_mode="strongly_convex")
-        entry = bound_time_independent(lc, dc, cfg, n, 0.25)
+        dc = derive_constants(lc, eta=cfg.eta, beta=cfg.beta, d=cfg.d,
+                              s_sq=cfg.s_sq, lsi_mode="strongly_convex")
+        entry = bound_time_independent(kl_chain(lc, dc, cfg), n, 0.25)
         scaled.append(entry.value * math.sqrt(n))
     spread = (max(scaled) - min(scaled)) / scaled[0]
     assert spread <= 1e-9, f"sqrt(n-scaled bound varies by {spread}"

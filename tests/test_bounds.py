@@ -17,6 +17,7 @@ from sgldlab.bounds import (
     bound_time_independent,
     bound_xu_raginsky,
     excess_risk_bound,
+    kl_chain,
 )
 from sgldlab.constants import derive_constants
 from sgldlab.losses import LossConstants
@@ -25,8 +26,8 @@ from sgldlab.sgld import SGLDConfig
 UNIT_LC = LossConstants(M=1.0, m=1.0, b=1.0, A=0.5, data_radius=1.0, R=1.0)
 
 
-def unit_dc(eta=0.1, beta=2.0, k=100, n=100, d=2, s_sq=1.0):
-    return derive_constants(UNIT_LC, eta=eta, beta=beta, k=k, n=n, d=d, s_sq=s_sq,
+def unit_dc(eta=0.1, beta=2.0, d=2, s_sq=1.0):
+    return derive_constants(UNIT_LC, eta=eta, beta=beta, d=d, s_sq=s_sq,
                             lsi_mode="strongly_convex")
 
 
@@ -95,8 +96,8 @@ def test_pensia_rejects_negative_entry():
 
 
 def test_time_independent_zero_horizon():
-    entry = bound_time_independent(UNIT_LC, unit_dc(), unit_cfg(T=0), n=100,
-                                   sigma_g_sq=0.25)
+    entry = bound_time_independent(kl_chain(UNIT_LC, unit_dc(), unit_cfg(T=0)),
+                                   n=100, sigma_g_sq=0.25)
     assert entry.preconditions_ok
     assert entry.value == 0.0
 
@@ -104,16 +105,16 @@ def test_time_independent_zero_horizon():
 def test_time_independent_saturates_in_T():
     dc = unit_dc()
     values = [
-        bound_time_independent(UNIT_LC, dc, unit_cfg(T=T), n=100,
-                               sigma_g_sq=0.25).value
+        bound_time_independent(kl_chain(UNIT_LC, dc, unit_cfg(T=T)),
+                               n=100, sigma_g_sq=0.25).value
         for T in (0, 5, 10, 20, 100, 10_000)
     ]
     assert all(a <= b + 1e-15 for a, b in zip(values, values[1:]))
     # eta T >= 4 beta c_LS = 2 from T = 20 on: exactly constant
     assert values[3] == values[4] == values[5]
     assert values[2] < values[3]
-    entry = bound_time_independent(UNIT_LC, dc, unit_cfg(T=100), n=100,
-                                   sigma_g_sq=0.25)
+    entry = bound_time_independent(kl_chain(UNIT_LC, dc, unit_cfg(T=100)),
+                                   n=100, sigma_g_sq=0.25)
     assert "min-saturated" in entry.notes
 
 
@@ -121,8 +122,8 @@ def test_time_independent_sqrt_n_invariant():
     dc = unit_dc()
     ref = None
     for n in (10, 100, 10_000):
-        v = bound_time_independent(UNIT_LC, dc, unit_cfg(T=50), n=n,
-                                   sigma_g_sq=0.25).value
+        v = bound_time_independent(kl_chain(UNIT_LC, dc, unit_cfg(T=50)),
+                                   n=n, sigma_g_sq=0.25).value
         scaled = v * math.sqrt(n)
         if ref is None:
             ref = scaled
@@ -132,20 +133,20 @@ def test_time_independent_sqrt_n_invariant():
 def test_time_independent_precondition_failures():
     dc = unit_dc()
     cold = unit_cfg(T=50, beta=1.0)  # beta < 2/m
-    entry = bound_time_independent(UNIT_LC, dc, cold, n=100, sigma_g_sq=0.25)
+    entry = bound_time_independent(kl_chain(UNIT_LC, dc, cold), n=100, sigma_g_sq=0.25)
     assert not entry.preconditions_ok
     assert entry.value is None
     assert any("beta" in note for note in entry.notes)
-    # the same checks, in the same words, as the sampler's strict mode
+    # the same checks, in the same words, as `run`'s refusal
     assert entry.notes == ("beta >= 2/m violated: beta=1.0 < 2.0",)
     hot = unit_cfg(T=50, eta=0.5)  # eta above m/(5 M^2) = 0.2
-    entry = bound_time_independent(UNIT_LC, dc, hot, n=100, sigma_g_sq=0.25)
+    entry = bound_time_independent(kl_chain(UNIT_LC, dc, hot), n=100, sigma_g_sq=0.25)
     assert not entry.preconditions_ok and entry.value is None
 
 
 def test_time_independent_carries_heuristic_notes():
-    entry = bound_time_independent(UNIT_LC, unit_dc(), unit_cfg(T=50), n=100,
-                                   sigma_g_sq=0.25)
+    entry = bound_time_independent(kl_chain(UNIT_LC, unit_dc(), unit_cfg(T=50)),
+                                   n=100, sigma_g_sq=0.25)
     assert any("heuristic" in note for note in entry.notes)
 
 
@@ -332,8 +333,8 @@ def test_pensia_overtakes_time_independent():
     for T in (1000, 1_000_000):
         pen = bound_pensia(np.full(T, 1.0), eta=0.1, beta=2.0, d=2, n=100,
                            sigma_g_sq=0.25)
-        ti = bound_time_independent(UNIT_LC, dc, unit_cfg(T=T), n=100,
-                                    sigma_g_sq=0.25)
+        ti = bound_time_independent(kl_chain(UNIT_LC, dc, unit_cfg(T=T)),
+                                    n=100, sigma_g_sq=0.25)
         ratios.append(pen.value / ti.value)
     assert ratios[1] > ratios[0]
 
@@ -352,15 +353,15 @@ def test_bound_report_roundtrip(tmp_path):
         bound_xu_raginsky(0.25, 100, 0.5),
         bound_pensia(np.full(100, 0.5), eta=0.1, beta=2.0, d=2, n=100,
                      sigma_g_sq=0.25),
-        bound_time_independent(UNIT_LC, dc, unit_cfg(T=100), n=100,
-                               sigma_g_sq=0.25),
-        bound_time_independent(UNIT_LC, dc, unit_cfg(T=100, beta=1.0), n=100,
-                               sigma_g_sq=0.25),
+        bound_time_independent(kl_chain(UNIT_LC, dc, unit_cfg(T=100)),
+                               n=100, sigma_g_sq=0.25),
+        bound_time_independent(kl_chain(UNIT_LC, dc, unit_cfg(T=100, beta=1.0)),
+                               n=100, sigma_g_sq=0.25),
         bound_farghly_shape(1.0, 1.0, eta=0.01, T=1000, n=100, k=10),
         bound_subexp_gen(0.5, 2.0, 1.0),
     )
     report = BoundReport(entries=entries)
-    parsed = json.loads(report.to_json())
+    parsed = json.loads(json.dumps([e.to_dict() for e in report.entries]))
     assert len(parsed) == 6
     assert parsed[0]["name"] == "xu_raginsky"
 

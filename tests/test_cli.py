@@ -12,7 +12,7 @@ import sys
 import pytest
 
 from sgldlab import cli
-from sgldlab.bounds import bound_xu_raginsky
+from sgldlab.bounds import bound_xu_raginsky, kl_chain
 from sgldlab.cli import ConfigError, load_config, main
 from sgldlab.estimators import grad_stability_trace, write_estimates_csv
 from sgldlab.oracle import oracle_mi_upper
@@ -99,6 +99,20 @@ def test_unknown_lsi_mode_rejected(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("loss, key", [
+    ({"family": "nonconvex_ridge", "R": 7.0, "lam": 1.0, "a": 0.5}, "R"),
+    ({"family": "quadratic", "lam": 1.0}, "lam"),
+    ({"family": "quadratic", "a": 0.5}, "a"),
+    ({"family": "logistic_ridge", "R": None, "lam": 1.0, "a": 0.5}, "a"),
+])
+def test_family_parameter_it_does_not_take_exits_one(tmp_path, capsys, loss, key):
+    cfg = write_config(tmp_path / "c.json", loss=loss)
+    out = tmp_path / "out"
+    assert main(["certify", "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: loss.{key}: ")
+    assert not out.exists()
+
+
 def test_unknown_block_rejected(tmp_path):
     path = tmp_path / "c.json"
     for block in ("mystery", "output"):
@@ -142,7 +156,7 @@ def test_bad_seed_rejected_cleanly(run_and_bounds, tmp_path, capsys):
     # also refuses it on a family whose verify builds no SGLDConfig
     quad = write_config(tmp_path / "quad.json")
     nonconvex = write_config(tmp_path / "nonconvex.json", loss={
-        "family": "nonconvex_ridge", "lam": 1.0, "a": 0.5, "d": 2})
+        "family": "nonconvex_ridge", "R": None, "lam": 1.0, "a": 0.5, "d": 2})
     cases = [(sub, quad) for sub in ("certify", "run", "bounds", "verify")]
     for sub, cfg in cases + [("verify", nonconvex)]:
         for seed in (-3, 2**64):
@@ -248,6 +262,17 @@ def test_run_strict_failures_refused_then_allowed(tmp_path, capsys):
     manifest = json.load(open(tmp_path / "forced" / "manifest.json"))
     failures = manifest["preconditions"]["strict_mode_failures"]
     assert len(failures) >= 2 and any("beta" in f for f in failures)
+
+
+def test_run_refuses_at_the_c_ls_bounds_uses(tmp_path, capsys):
+    # universal_C_lsi enters the general dissipative c_LS that bounds uses
+    cfg = write_config(tmp_path / "c.json",
+                       loss={"family": "nonconvex_ridge", "R": None, "lam": 1.0,
+                             "a": 0.5},
+                       sgld={"eta": 0.02, "T": 20}, bounds={"universal_C_lsi": -1.0})
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+    assert ("eta < 4 beta c_LS unavailable: universal_C must be positive"
+            in capsys.readouterr().err)
 
 
 def test_run_refuses_uncertified_claims(tmp_path):
@@ -410,6 +435,27 @@ def test_lock_file_refusal(tmp_path, capsys):
     assert not (locked / ".lock").exists()
 
 
+def test_reused_out_refused_before_writing(run_and_bounds, tmp_path, capsys):
+    cfg = write_config(tmp_path / "c.json", loss={"certify_samples": 500})
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["certify", "--config", cfg, "--out", str(out)]) == 0  # empty
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+    assert main(["certify", "--config", cfg, "--out", str(out)]) == 1
+    assert "is not empty" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before  # no .lock
+
+    # a bounds report into an earlier one would keep its gap.csv
+    reused = tmp_path / "bounds"
+    shutil.copytree(run_and_bounds / "bounds", reused)
+    before = {p.name: p.read_bytes() for p in reused.iterdir()}
+    assert main(["bounds", "--config", cfg, "--out", str(reused),
+                 "--traces", str(run_and_bounds / "run")]) == 1
+    assert "is not empty" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in reused.iterdir()} == before
+
+
 def test_lock_names_its_owner_and_a_dead_owner_reads_stale(tmp_path, capsys,
                                                           monkeypatch):
     cfg = write_config(tmp_path / "c.json", loss={"certify_samples": 500})
@@ -503,6 +549,25 @@ def test_bounds_pensia_strictly_increasing(run_and_bounds):
     assert not any("strided" in r[6] for r in bounds_rows(run_and_bounds))
 
 
+def test_bounds_evaluates_the_kl_chain_once_per_horizon(run_and_bounds, tmp_path,
+                                                        monkeypatch):
+    # the KL bound depends on neither n nor sigma_g_sq
+    horizons = []
+
+    def recording(lc, dc, config):
+        horizons.append(config.T)
+        return kl_chain(lc, dc, config)
+
+    monkeypatch.setattr(cli, "kl_chain", recording)
+    cfg = write_config(tmp_path / "c.json", bounds={"T_grid": [0, 10, 40, 60],
+                                                    "n_grid": [10, 20, 40]})
+    assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "b"),
+                 "--traces", str(run_and_bounds / "run")]) == 0
+    assert horizons == [0, 10, 40, 60]
+    rows = read_csv_rows(tmp_path / "b" / "bounds.csv")[1]
+    assert sum(r[0] == "time_independent" and r[1] != "" for r in rows) == 4 * 3
+
+
 def test_bounds_xu_unavailable_without_full_batch(run_and_bounds):
     rows = [r for r in bounds_rows(run_and_bounds) if r[0] == "xu_raginsky"]
     assert all(r[1] == "" and "full-batch" in r[6] for r in rows)
@@ -567,7 +632,7 @@ def test_bounds_farghly_needs_subsampling_at_grid_sizes_up_to_k(run_and_bounds,
 def test_bounds_strongly_convex_needs_R(tmp_path):
     # logistic ridge with its strong-convexity claim withdrawn
     cfg = write_config(tmp_path / "c.json",
-                       loss={"family": "logistic_ridge", "lam": 1.0,
+                       loss={"family": "logistic_ridge", "R": None, "lam": 1.0,
                              "claimed": {"R": None}},
                        sgld={"T": 20},
                        bounds={"which": ["strongly_convex", "pensia"],
@@ -576,6 +641,30 @@ def test_bounds_strongly_convex_needs_R(tmp_path):
     sc = [r for r in rows if r[0] == "strongly_convex"]
     assert sc and all(r[1] == "" and r[6] == "needs-R" for r in sc)
     assert all(r[1] != "" for r in rows if r[0] == "pensia")
+
+
+@pytest.mark.parametrize("loss", [
+    {"family": "quadratic", "R": 1.0},
+    {"family": "logistic_ridge", "R": None, "lam": 1.0},
+    {"family": "nonconvex_ridge", "R": None, "lam": 1.0, "a": 0.5},
+])
+def test_run_and_bounds_agree_on_the_kl_chain(tmp_path, loss):
+    # the default bounds block: the log-Sobolev route is the model's own, and
+    # a run admitted into the KL chain's ranges gets the chain's bounds
+    cfg = write_config(tmp_path / "c.json", loss=loss, sgld={"eta": 0.02, "T": 40})
+    rows = run_then_bounds(tmp_path, cfg)
+    run = json.load(open(tmp_path / "run" / "manifest.json"))
+    assert run["preconditions"]["strict_mode_failures"] == []
+    route = run["config"]["bounds"]["lsi_mode"]
+    assert route == ("general_dissipative" if loss["family"] == "nonconvex_ridge"
+                     else "strongly_convex")
+    assert json.load(open(tmp_path / "b" / "manifest.json"))["config"] == run["config"]
+    chain = [r for r in rows if r[2] != "0" and r[0] in
+             ("time_independent", "subexp_gen", "excess_risk")]
+    assert len(chain) == 3 * 3  # default T grid {0, 10, 20, 40}
+    assert all(r[1] != "" for r in chain)
+    assert all(f"lsi_mode={route}" in r[6].split("|") for r in chain
+               if r[0] == "time_independent")
 
 
 def test_bounds_farghly_needs_subsampling(tmp_path):

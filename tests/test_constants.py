@@ -1,6 +1,5 @@
 """Derived-constant chains: moments, LSI, KL recursion, sub-exponential."""
 
-import json
 import math
 
 import numpy as np
@@ -153,8 +152,8 @@ def test_lsi_unknown_mode():
 
 
 def _unit_dc(eta=0.1, beta=2.0, d=2, s_sq=1.0, lsi_mode="strongly_convex"):
-    return derive_constants(UNIT_LC, eta=eta, beta=beta, k=10, n=100, d=d,
-                            s_sq=s_sq, lsi_mode=lsi_mode)
+    return derive_constants(UNIT_LC, eta=eta, beta=beta, d=d, s_sq=s_sq,
+                            lsi_mode=lsi_mode)
 
 
 def test_kl_recursion_D_constants_frozen():
@@ -261,39 +260,24 @@ def test_derive_constants_record():
     dc = _unit_dc()
     assert dc.c_LS == 0.25
     assert dc.C0 == 7.0
-    assert dc.grad_sq_bound == 8.0  # M^2 C0 + M^2 b/m
-    assert dc.delta == pytest.approx(90 / 990)
     assert dc.D1 == pytest.approx(2 * (dc.D4 + dc.D5))
     assert any("heuristic" in note for note in dc.notes)
-    json.dumps(dc.to_dict())  # serializable
-
-
-def test_derive_constants_full_batch_delta_zero():
-    dc = derive_constants(UNIT_LC, eta=0.1, beta=2.0, k=50, n=50, d=2,
-                          s_sq=1.0, lsi_mode="strongly_convex")
-    assert dc.delta == 0.0
 
 
 def test_derived_constants_validation():
     with pytest.raises(ValueError):
-        DerivedConstants(c_LS=0.25, C0=7.0, grad_sq_bound=8.0, delta=0.5,
-                         D1=100.0, D2=1.0, D3=1.0, D4=26.0, D5=52.0,
-                         sigma_e_sq=1.0, nu=1.0, C5=1.0)  # D1 != 2 (D4+D5)
+        DerivedConstants(c_LS=0.25, C0=7.0, D1=100.0, D2=1.0, D3=1.0, D4=26.0,
+                         D5=52.0, sigma_e_sq=1.0, nu=1.0)  # D1 != 2 (D4+D5)
     with pytest.raises(ValueError):
-        DerivedConstants(c_LS=-0.25, C0=7.0, grad_sq_bound=8.0, delta=0.5,
-                         D1=156.0, D2=1.0, D3=1.0, D4=26.0, D5=52.0,
-                         sigma_e_sq=1.0, nu=1.0, C5=1.0)
-    with pytest.raises(ValueError):
-        DerivedConstants(c_LS=0.25, C0=7.0, grad_sq_bound=8.0, delta=1.5,
-                         D1=156.0, D2=1.0, D3=1.0, D4=26.0, D5=52.0,
-                         sigma_e_sq=1.0, nu=1.0, C5=1.0)
+        DerivedConstants(c_LS=-0.25, C0=7.0, D1=156.0, D2=1.0, D3=1.0, D4=26.0,
+                         D5=52.0, sigma_e_sq=1.0, nu=1.0)
 
 
 def test_parametrix_overrides_validation():
     with pytest.raises(ValueError):
         ParametrixOverrides(C1_prime=-1.0)
     ov = ParametrixOverrides(C1_tilde=3.0)
-    dc = derive_constants(UNIT_LC, eta=0.1, beta=2.0, k=10, n=100, d=2,
-                          s_sq=1.0, lsi_mode="strongly_convex", overrides=ov)
+    dc = derive_constants(UNIT_LC, eta=0.1, beta=2.0, d=2, s_sq=1.0,
+                          lsi_mode="strongly_convex", overrides=ov)
     # quadratic-in-time expansion coefficient feeds D5
     assert dc.D5 > 52.0

@@ -7,7 +7,14 @@ import pytest
 
 import sgldlab.estimators as estimators
 import sgldlab.sgld as sgld
-from sgldlab.constants import moment_bound_C0, sg_variance_bound, subexp_params
+from sgldlab.constants import (
+    admissibility_failures,
+    lsi_constant,
+    lsi_route,
+    moment_bound_C0,
+    sg_variance_bound,
+    subexp_params,
+)
 from sgldlab.estimators import (
     EstimateWithError,
     empirical_gen_gap,
@@ -24,7 +31,7 @@ from sgldlab.losses import (
     make_nonconvex_ridge,
     make_quadratic,
 )
-from sgldlab.sgld import SGLDConfig, run_chain, run_ensemble, strict_mode_failures
+from sgldlab.sgld import SGLDConfig, run_chain, run_ensemble
 
 
 class ConstantLoss(LossModel):
@@ -410,9 +417,10 @@ def test_block_estimates_equal_per_row_estimate(m):
 def test_pth_moment_p2_below_moment_bound():
     model = make_quadratic(R=1.0, data_radius=1.0, d=2)
     cfg = quad_cfg(k=10, n=100, T=300, seed=21)
-    assert strict_mode_failures(cfg, model) == []
-    traces = run_ensemble(cfg, model, n_chains=400)
     lc = model.constants()
+    c_LS = lsi_constant(lc, cfg.beta, cfg.d, lsi_route(lc))
+    assert admissibility_failures(lc, cfg.eta, cfg.beta, c_LS) == []
+    traces = run_ensemble(cfg, model, n_chains=400)
     report = pth_moment_check(traces, [2], lc, beta=cfg.beta, d=cfg.d, s_sq=cfg.s_sq)
     c0 = moment_bound_C0(lc, cfg.eta, cfg.beta, cfg.d, cfg.s_sq)
     finals = np.stack([tr.final_state for tr in traces])

@@ -377,7 +377,7 @@ def test_short_run_has_no_checkable_steps():
 def test_run_csv_roundtrip(tmp_path):
     run, rep = run_shifted_pair(256, T_end=0.02)
     path = tmp_path / "fp.csv"
-    run.to_csv(path)
+    run.to_csv(path, rep)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "t,kl,fisher,stability_term,dkl_dt,slack"
     assert len(lines) == run.kl.shape[0] + 1

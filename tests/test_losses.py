@@ -313,7 +313,7 @@ def test_certify_report_json_schema():
 def test_certify_deterministic_in_seed():
     a = certify(make_nonconvex_ridge(1.0, 0.5, 1.0, 2), n_samples=1000, rng_seed=9)
     b = certify(make_nonconvex_ridge(1.0, 0.5, 1.0, 2), n_samples=1000, rng_seed=9)
-    assert a.to_json() == b.to_json()
+    assert a.to_dict() == b.to_dict()
 
 
 # -------------------------------------------------------- property checks

@@ -10,7 +10,12 @@ import pytest
 
 import sgldlab
 import sgldlab.sgld as sgld
-from sgldlab.constants import moment_bound_C0
+from sgldlab.constants import (
+    admissibility_failures,
+    lsi_constant,
+    lsi_route,
+    moment_bound_C0,
+)
 from sgldlab.losses import make_logistic_ridge, make_nonconvex_ridge, make_quadratic
 from sgldlab.sgld import (
     ChainTrace,
@@ -18,7 +23,6 @@ from sgldlab.sgld import (
     run_chain,
     run_ensemble,
     sample_initial,
-    strict_mode_failures,
 )
 
 
@@ -33,6 +37,14 @@ def quad_config(**kw):
     base = dict(eta=0.05, beta=4.0, k=10, n=100, T=200, d=2, s_sq=1.0, seed=123)
     base.update(kw)
     return SGLDConfig(**base)
+
+
+def admission_failures(cfg, model):
+    # `run`'s refusal at the default config: the KL chain's range checks at
+    # the c_LS of the model's own log-Sobolev route
+    lc = model.constants()
+    c_LS = lsi_constant(lc, cfg.beta, cfg.d, lsi_route(lc))
+    return admissibility_failures(lc, cfg.eta, cfg.beta, c_LS)
 
 
 # ---------------------------------------------------------------- primitives
@@ -164,19 +176,19 @@ def test_config_validation():
 def test_strict_mode_refusal_lists_failures():
     # `run` refuses, and prints, exactly these failures
     model = quad_model()  # M=1, m=0.5: eta cap m/(5 M^2) = 0.1, 2/m = 4
-    failures = strict_mode_failures(quad_config(eta=0.5, beta=1.0), model)
+    failures = admission_failures(quad_config(eta=0.5, beta=1.0), model)
     assert any("beta >= 2/m" in f for f in failures)
     assert any("eta < m/(5 M^2)" in f for f in failures)
 
 
 def test_strict_mode_accepts_valid_config():
     model = quad_model()
-    assert strict_mode_failures(quad_config(eta=0.05, beta=4.0, T=10), model) == []
+    assert admission_failures(quad_config(eta=0.05, beta=4.0, T=10), model) == []
 
 
 def test_strict_mode_eta_one_cap():
     model = quad_model()
-    failures = strict_mode_failures(quad_config(eta=1.5, beta=4.0), model)
+    failures = admission_failures(quad_config(eta=1.5, beta=4.0), model)
     assert any("eta < 1" in f for f in failures)
 
 
@@ -403,7 +415,7 @@ def test_ensemble_rejects_bad_counts():
 def test_ensemble_second_moment_within_C0():
     model = quad_model()
     cfg = quad_config(eta=0.05, beta=4.0, k=10, T=300, s_sq=1.0)
-    assert strict_mode_failures(cfg, model) == []
+    assert admission_failures(cfg, model) == []
     traces = run_ensemble(cfg, model, n_chains=1000, n_datasets=1)
     c0 = moment_bound_C0(model.constants(), cfg.eta, cfg.beta, cfg.d, cfg.s_sq)
     norms = np.stack([tr.w_norm_sq for tr in traces])  # (1000, T+1)
