@@ -53,6 +53,7 @@ from .constants import (
 from .estimators import (
     ESTIMATES_CSV_COLUMNS,
     EVAL_LOSSES,
+    EstimateWithError,
     admitted_lambdas,
     empirical_gen_gap,
     grad_stability_trace,
@@ -321,23 +322,33 @@ def _check_values(cfg: ExperimentConfig) -> None:
                        ("mi_pairs", "n_dataset_pairs")):
         _check(f"estimators.{key}", check_count, param, est[key])
     _check("estimators.p_list", pth_moment_min_chains, est["p_list"])
-    nu = subexp_params(lc, beta=sgld_cfg.beta, d=sgld_cfg.d, s_sq=sgld_cfg.s_sq)["nu"]
+    bnd = cfg["bounds"]
+    nu = _check("bounds.universal_C_moment", subexp_params, lc, beta=sgld_cfg.beta,
+                d=sgld_cfg.d, s_sq=sgld_cfg.s_sq,
+                universal_C=bnd["universal_C_moment"])["nu"]
     _check("estimators.lambda_grid", admitted_lambdas, est["lambda_grid"], nu)
+    # lsi_constant reads its universal C on the general dissipative route only
+    default_C_lsi = _SCHEMAS["bounds"]["universal_C_lsi"][0]
+    if bnd["lsi_mode"] == "strongly_convex" and bnd["universal_C_lsi"] != default_C_lsi:
+        raise ConfigError(
+            f"bounds.universal_C_lsi: the strongly_convex route reads no universal C, "
+            f"got {bnd['universal_C_lsi']}; leave it at {default_C_lsi} or set "
+            f"bounds.lsi_mode to general_dissipative")
     for _, grid, gs, ga, dt in _check("fp", _verify_fp_runs, cfg, lc):
         for grad in (gs, ga):
             _check("fp.dt_safety", check_dt, grid, grad, sgld_cfg.beta, dt)
     _check("verify.oracle_T", dataclasses.replace, sgld_cfg, k=sgld_cfg.n,
            T=cfg["verify"]["oracle_T"])
-    for T in cfg["bounds"]["T_grid"] or ():
+    for T in bnd["T_grid"] or ():
         _coerce("bounds", "T_grid", T, int)
-    for n in cfg["bounds"]["n_grid"] or ():
+    for n in bnd["n_grid"] or ():
         # SGLDConfig states the dataset-size rule; k = 1 fits every size
         _check("bounds.n_grid", dataclasses.replace, sgld_cfg,
                n=_coerce("bounds", "n_grid", n, int), k=1)
     # bounds.csv has one row per (name, T, n), the key `compare` reads it by;
     # an empty list would give no rows (null selects a grid's default)
     for key in ("which", "T_grid", "n_grid"):
-        entries = cfg["bounds"][key]
+        entries = bnd[key]
         if entries is None:
             continue
         if not entries:
@@ -608,8 +619,8 @@ def cmd_run(args) -> int:
                             [(gap.estimator_name, sgld_cfg.T, gap)])
 
         if len(traces) >= 2:
-            pars = subexp_params(lc, beta=sgld_cfg.beta,
-                                 d=sgld_cfg.d, s_sq=sgld_cfg.s_sq)
+            pars = subexp_params(lc, beta=sgld_cfg.beta, d=sgld_cfg.d, s_sq=sgld_cfg.s_sq,
+                                 universal_C=cfg["bounds"]["universal_C_moment"])
             zrng = np.random.default_rng(np.random.SeedSequence([seed, 0x10F]))
             Z = model.sample_data(zrng, len(traces))
             samples = model.eval_many(
@@ -619,7 +630,8 @@ def cmd_run(args) -> int:
                                est["lambda_grid"], rng_seed=seed)
             write_estimates_csv(
                 out.file("logmgf.csv"),
-                [("logmgf", lam, val, (hi - lo) / 2.0, mgf.n_samples)
+                [("logmgf", lam,
+                  EstimateWithError(val, (hi - lo) / 2.0, mgf.n_samples, "logmgf"))
                  for lam, val, lo, hi in zip(mgf.lambdas, mgf.logmgf,
                                              mgf.band_lo, mgf.band_hi)],
             )

@@ -423,19 +423,12 @@ ESTIMATES_CSV_COLUMNS = ("estimator", "t_or_lambda", "mean", "stderr", "n")
 def write_estimates_csv(path, rows) -> None:
     """Emit estimate rows as CSV {estimator, t_or_lambda, mean, stderr, n}.
 
-    `rows` is an iterable of (estimator_name, t_or_lambda, EstimateWithError)
-    or raw (estimator, t_or_lambda, mean, stderr, n) tuples.
+    `rows` is an iterable of (estimator_name, t_or_lambda, EstimateWithError).
     """
     import csv
 
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(ESTIMATES_CSV_COLUMNS)
-        for row in rows:
-            if len(row) == 3 and isinstance(row[2], EstimateWithError):
-                est = row[2]
-                writer.writerow([row[0], row[1], repr(est.mean), repr(est.stderr),
-                                 est.n_samples])
-            else:
-                name, tl, mean, stderr, n = row
-                writer.writerow([name, tl, repr(float(mean)), repr(float(stderr)), n])
+        for name, tl, est in rows:
+            writer.writerow([name, tl, repr(est.mean), repr(est.stderr), est.n_samples])

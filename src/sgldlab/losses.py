@@ -91,12 +91,13 @@ class LossConstants:
 class LossModel:
     """Contract shared by all loss families.
 
-    Families implement `eval`, `grad`, `eval_many`, `grad_many` and
-    `grad_minibatch`, and populate `self.d` (parameter dimension),
-    `self.z_dim` (data point width) and `self._constants` in their
-    constructor. `full_batch_grad` (on (c, d) states) and `grad_resampled`
-    are optional overrides; their defaults call `grad_minibatch`, and an
-    override must return the same bits.
+    Families implement `eval`, `grad`, `eval_many` and `grad_minibatch`,
+    and populate `self.d` (parameter dimension), `self.z_dim` (data point
+    width) and `self._constants` in their constructor. `grad_minibatch` is
+    the one vectorised gradient: the chains run it and `certify` checks it.
+    `full_batch_grad` (on (c, d) states) and `grad_resampled` are optional
+    overrides; their defaults call `grad_minibatch`, and an override must
+    return the same bits.
     """
 
     d: int
@@ -119,19 +120,8 @@ class LossModel:
     # -- vectorized interface ----------------------------------------------
 
     def eval_many(self, W: np.ndarray, Z: np.ndarray) -> np.ndarray:
-        """Row-wise loss values: out[i] = eval(W[i], Z[i]).
-
-        Default implementation loops; subclasses override with array code.
-        """
-        W = np.atleast_2d(np.asarray(W, dtype=float))
-        Z = np.atleast_2d(np.asarray(Z, dtype=float))
-        return np.array([self.eval(w, z) for w, z in zip(W, Z)])
-
-    def grad_many(self, W: np.ndarray, Z: np.ndarray) -> np.ndarray:
-        """Row-wise gradients: out[i] = grad(W[i], Z[i])."""
-        W = np.atleast_2d(np.asarray(W, dtype=float))
-        Z = np.atleast_2d(np.asarray(Z, dtype=float))
-        return np.stack([self.grad(w, z) for w, z in zip(W, Z)])
+        """Row-wise loss values: out[i] = eval(W[i], Z[i])."""
+        raise NotImplementedError
 
     def grad_minibatch(self, W: np.ndarray, Zb: np.ndarray) -> np.ndarray:
         """Per-chain mean gradient over per-chain minibatches.
@@ -142,13 +132,10 @@ class LossModel:
 
         Returns:
             (c, d) array; row i is the mean over k points of grad(W[i], .).
+            At k = 1, `grad_minibatch(W, Z[:, None])` gives the row-wise
+            gradients grad(W[i], Z[i]).
         """
-        W = np.asarray(W, dtype=float)
-        Zb = np.asarray(Zb, dtype=float)
-        c, k = Zb.shape[0], Zb.shape[1]
-        flatW = np.repeat(W, k, axis=0)
-        flatZ = Zb.reshape(c * k, -1)
-        return self.grad_many(flatW, flatZ).reshape(c, k, -1).mean(axis=1)
+        raise NotImplementedError
 
     def full_batch_grad(self, datasets: np.ndarray):
         """Full-batch gradients over fixed per-chain datasets.
@@ -251,9 +238,6 @@ class QuadraticLoss(LossModel):
         diff = np.atleast_2d(W) - np.atleast_2d(Z)
         return 0.5 * self.R * np.einsum("ij,ij->i", diff, diff)
 
-    def grad_many(self, W, Z):
-        return self.R * (np.atleast_2d(W) - np.atleast_2d(Z))
-
     def grad_minibatch(self, W, Zb):
         # gradient is linear in z, so the minibatch mean collapses to z-bar
         return self.R * (np.asarray(W, dtype=float) - np.asarray(Zb, dtype=float).mean(axis=1))
@@ -328,14 +312,6 @@ class LogisticRidgeLoss(LossModel):
         margins = Y * np.einsum("ij,ij->i", W, X)
         return self._softplus(-margins) + 0.5 * self.lam * np.einsum("ij,ij->i", W, W)
 
-    def grad_many(self, W, Z):
-        W = np.atleast_2d(W)
-        Z = np.atleast_2d(Z)
-        X, Y = Z[:, :-1], Z[:, -1]
-        margins = Y * np.einsum("ij,ij->i", W, X)
-        sig = _expit(-margins)
-        return -(Y * sig)[:, None] * X + self.lam * W
-
     def grad_minibatch(self, W, Zb):
         W = np.asarray(W, dtype=float)
         Zb = np.asarray(Zb, dtype=float)
@@ -409,12 +385,6 @@ class NonconvexRidgeLoss(LossModel):
         Z = np.atleast_2d(Z)
         dots = np.einsum("ij,ij->i", W, Z)
         return 0.5 * self.lam * np.einsum("ij,ij->i", W, W) + self.a * np.cos(dots)
-
-    def grad_many(self, W, Z):
-        W = np.atleast_2d(W)
-        Z = np.atleast_2d(Z)
-        dots = np.einsum("ij,ij->i", W, Z)
-        return self.lam * W - self.a * np.sin(dots)[:, None] * Z
 
     def grad_minibatch(self, W, Zb):
         W = np.asarray(W, dtype=float)
@@ -593,8 +563,9 @@ def certify(
         Wbar = rng.uniform(-half_width, half_width, size=(take, model.d))
         Z = model.sample_data(rng, take)
 
-        G = model.grad_many(W, Z)
-        Gbar = model.grad_many(Wbar, Z)
+        # the kernel the chains run, at one point per row
+        G = model.grad_minibatch(W, Z[:, None])
+        Gbar = model.grad_minibatch(Wbar, Z[:, None])
         f_vals = model.eval_many(W, Z)
         w_norm = np.linalg.norm(W, axis=1)
 
@@ -605,7 +576,7 @@ def certify(
         inner = np.einsum("ij,ij->i", G, W)
         _stash("dissipativity", inner - (lc.m * w_norm**2 - lc.b), w=W, z=Z)
 
-        G0 = model.grad_many(np.zeros((take, model.d)), Z)
+        G0 = model.grad_minibatch(np.zeros((take, model.d)), Z[:, None])
         _stash("origin_gradient", root_M_bm - np.linalg.norm(G0, axis=1), z=Z)
 
         lower = lc.m / 3.0 * w_norm**2 - lc.b / 2.0 * math.log(3.0)

@@ -191,6 +191,8 @@ def test_bad_seed_rejected_cleanly(run_and_bounds, tmp_path, capsys):
     ("bounds", "bounds", "T_grid", []),
     ("bounds", "bounds", "n_grid", []),
     ("bounds", "bounds", "which", []),
+    ("bounds", "bounds", "universal_C_lsi", 5.0),
+    ("run", "bounds", "universal_C_moment", -1.0),
 ])
 def test_bad_value_exits_one_before_any_output(run_and_bounds, tmp_path, capsys,
                                                sub, block, key, value):
@@ -273,6 +275,30 @@ def test_run_refuses_at_the_c_ls_bounds_uses(tmp_path, capsys):
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
     assert ("eta < 4 beta c_LS unavailable: universal_C must be positive"
             in capsys.readouterr().err)
+
+
+def test_universal_c_lsi_accepted_where_the_route_reads_it(tmp_path):
+    nonconvex = write_config(tmp_path / "n.json",
+                             loss={"family": "nonconvex_ridge", "R": None, "lam": 1.0,
+                                   "a": 0.5},
+                             bounds={"universal_C_lsi": 5.0})
+    quad = write_config(tmp_path / "q.json", bounds={"universal_C_lsi": 5.0,
+                                                     "lsi_mode": "general_dissipative"})
+    for path in (nonconvex, quad):
+        assert load_config(path)["bounds"]["universal_C_lsi"] == 5.0
+
+
+def test_run_checks_the_log_mgf_envelope_the_bound_uses(tmp_path):
+    # on BASE the admitted cap 1/(2 nu) is 77.4 at universal_C_moment 1 and
+    # 301.6 at 2, the C that subexp_gen's envelope takes
+    grid = {"lambda_grid": [-100.0, 100.0]}
+    cfg = write_config(tmp_path / "c.json", bounds={"universal_C_moment": 2.0},
+                       estimators=grid)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "r")]) == 0
+    _, rows = read_csv_rows(tmp_path / "r" / "logmgf.csv")
+    assert [float(r[1]) for r in rows] == [-100.0, 100.0]
+    with pytest.raises(ConfigError, match="estimators.lambda_grid"):
+        load_config(write_config(tmp_path / "one.json", estimators=grid))
 
 
 def test_run_refuses_uncertified_claims(tmp_path):

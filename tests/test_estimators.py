@@ -52,8 +52,8 @@ class ConstantLoss(LossModel):
         W = np.atleast_2d(np.asarray(W, dtype=float))
         return 0.5 * np.einsum("ij,ij->i", W, W)
 
-    def grad_many(self, W, Z):
-        return np.atleast_2d(np.asarray(W, dtype=float)).copy()
+    def grad_minibatch(self, W, Zb):
+        return np.asarray(W, dtype=float).copy()
 
 
 def quad_cfg(**kw):
@@ -555,16 +555,8 @@ def test_logmgf_input_validation():
 def test_write_estimates_csv(tmp_path):
     est = EstimateWithError(mean=0.125, stderr=0.5, n_samples=16, estimator_name="gv")
     path = tmp_path / "est.csv"
-    write_estimates_csv(
-        path,
-        [
-            ("gv", 3, est),
-            ("logmgf", 0.25, 1.5, 0.0, 100),
-        ],
-    )
+    write_estimates_csv(path, [("gv", 3, est)])
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "estimator,t_or_lambda,mean,stderr,n"
     cells = lines[1].split(",")
     assert cells[0] == "gv" and float(cells[2]) == 0.125 and cells[4] == "16"
-    cells = lines[2].split(",")
-    assert cells[0] == "logmgf" and float(cells[3]) == 0.0 and cells[4] == "100"

@@ -108,7 +108,8 @@ def test_logistic_scalar_grad_survives_huge_margins():
     for margin in (-800.0, -720.0, 705.0, 720.0, 800.0):
         w = np.array([margin])
         z = np.array([1.0, 1.0])
-        np.testing.assert_allclose(model.grad(w, z), model.grad_many(w, z)[0],
+        np.testing.assert_allclose(model.grad(w, z),
+                                   model.grad_minibatch(w[None], z[None, None])[0],
                                    rtol=1e-15)
     # below the overflow the old expression is kept, bit for bit; w[1] = 0
     # leaves grad[1] = -sigmoid(-margin) unmasked by the ridge term, and at
@@ -213,7 +214,7 @@ def test_vectorized_paths_match_scalar(factory):
     W = rng.uniform(-2, 2, size=(8, model.d))
     Z = model.sample_data(rng, 8)
     ev = model.eval_many(W, Z)
-    gv = model.grad_many(W, Z)
+    gv = model.grad_minibatch(W, Z[:, None])
     for i in range(8):
         assert ev[i] == pytest.approx(model.eval(W[i], Z[i]), rel=1e-12, abs=1e-14)
         np.testing.assert_allclose(gv[i], model.grad(W[i], Z[i]), rtol=1e-12, atol=1e-14)
@@ -291,6 +292,26 @@ def test_certify_understated_smoothness_fails_with_witness():
     assert lhs > 0.5 * np.linalg.norm(w - wbar)  # violates the claimed M
 
 
+@pytest.mark.parametrize(
+    "factory",
+    [
+        lambda: make_quadratic(1.0, 1.0, 2),
+        lambda: make_logistic_ridge(1.0, 1.0, 3),
+        lambda: make_nonconvex_ridge(1.0, 0.5, 1.0, 3),
+    ],
+    ids=["quadratic", "logistic", "nonconvex"],
+)
+def test_certify_checks_the_kernel_the_chains_run(factory, monkeypatch):
+    # a wrong grad_minibatch, with the scalar grad left right, must fail certify
+    model = factory()
+    assert certify(model, n_samples=2_000, rng_seed=0).passed
+    cls = type(model)
+    kernel = cls.grad_minibatch
+    monkeypatch.setattr(cls, "grad_minibatch", lambda self, W, Zb: 3.0 * kernel(self, W, Zb))
+    report = certify(model, n_samples=2_000, rng_seed=0)
+    assert any(c.n_violations > 0 for c in report.checks)
+
+
 def test_certify_envelope_lower_at_origin():
     model = make_quadratic(1.0, 1.0, 2)
     lc = model.constants()
@@ -331,7 +352,7 @@ def test_quadratic_assumptions_hold_at_random_points(R, radius, seed):
     rng = np.random.default_rng(seed)
     W = rng.uniform(-20, 20, size=(32, 2))
     Z = model.sample_data(rng, 32)
-    G = model.grad_many(W, Z)
+    G = model.grad_minibatch(W, Z[:, None])
     inner = np.einsum("ij,ij->i", G, W)
     norms = np.linalg.norm(W, axis=1)
     assert np.all(inner >= lc.m * norms**2 - lc.b - 1e-9), "dissipativity failed"
@@ -356,8 +377,8 @@ def test_nonconvex_assumptions_hold_at_random_points(lam, a, radius, seed):
     W = rng.uniform(-15, 15, size=(32, 3))
     Wbar = rng.uniform(-15, 15, size=(32, 3))
     Z = model.sample_data(rng, 32)
-    G = model.grad_many(W, Z)
-    Gbar = model.grad_many(Wbar, Z)
+    G = model.grad_minibatch(W, Z[:, None])
+    Gbar = model.grad_minibatch(Wbar, Z[:, None])
     lhs = np.linalg.norm(G - Gbar, axis=1)
     rhs = lc.M * np.linalg.norm(W - Wbar, axis=1)
     assert np.all(lhs <= rhs + 1e-9), "smoothness failed"
@@ -393,9 +414,10 @@ FAMILY_FACTORIES = {
 )
 @settings(max_examples=80, deadline=None)
 def test_gradient_paths_agree_and_stay_finite(family, param, d, margin, seed):
-    # the scalar, row-wise, minibatch, full-batch and resampled paths of one
-    # family at states from the certify cube, and for logistic at states whose
-    # margin y <w, x> with one data point is the given extreme
+    # the scalar, one-point (k = 1) minibatch, minibatch, full-batch and
+    # resampled paths of one family at states from the certify cube, and for
+    # logistic at states whose margin y <w, x> with one data point is the
+    # given extreme
     model = FAMILY_FACTORIES[family](param, d)
     lc = model.constants()
     half_width = 10.0 * max(1.0, math.sqrt(lc.b / lc.m))  # certify's cube
@@ -409,10 +431,10 @@ def test_gradient_paths_agree_and_stay_finite(family, param, d, margin, seed):
             if x @ x > 0:
                 W[i] = margin * y * x / (x @ x)
 
-    # scalar against row-wise, and the minibatch mean against both
+    # scalar against one point per row, and the minibatch mean against both
     flatW = np.repeat(W, n, axis=0)
     flatZ = datasets.reshape(c * n, -1)
-    rows = model.grad_many(flatW, flatZ)
+    rows = model.grad_minibatch(flatW, flatZ[:, None])
     scalar = np.stack([model.grad(w, z) for w, z in zip(flatW, flatZ)])
     atol = 1e-12 * (1.0 + np.abs(W).max())
     np.testing.assert_allclose(rows, scalar, rtol=1e-9, atol=atol)
