@@ -163,6 +163,8 @@ def _coerce(block: str, key: str, value, expected):
     if expected is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{block}.{key}: expected a number, got {value!r}")
+        if not math.isfinite(value):
+            raise ConfigError(f"{block}.{key}: expected a finite number, got {value!r}")
         return float(value)
     if expected is int:
         if isinstance(value, bool) or not isinstance(value, int):
@@ -202,8 +204,11 @@ class ExperimentConfig:
         if any(loss[key] is None for key in keys):
             raise ConfigError(f"the {family} family requires "
                               + " and ".join(f"loss.{key}" for key in keys))
-        model = make(**{key: loss[key] for key in keys},
-                     data_radius=loss["data_radius"], d=loss["d"])
+        try:
+            model = make(**{key: loss[key] for key in keys},
+                         data_radius=loss["data_radius"], d=loss["d"])
+        except ValueError as exc:
+            raise ConfigError(f"loss: {exc}") from exc
         if loss["claimed"] is not None:
             # deliberately wrong claims, for exercising the certifier
             try:
@@ -334,7 +339,7 @@ def _check_values(cfg: ExperimentConfig) -> None:
             f"bounds.universal_C_lsi: the strongly_convex route reads no universal C, "
             f"got {bnd['universal_C_lsi']}; leave it at {default_C_lsi} or set "
             f"bounds.lsi_mode to general_dissipative")
-    for _, grid, gs, ga, dt in _check("fp", _verify_fp_runs, cfg, lc):
+    for _, grid, gs, ga, dt, _ in _check("fp", _verify_fp_runs, cfg, lc):
         for grad in (gs, ga):
             _check("fp.dt_safety", check_dt, grid, grad, sgld_cfg.beta, dt)
     _check("verify.oracle_T", dataclasses.replace, sgld_cfg, k=sgld_cfg.n,
@@ -359,10 +364,13 @@ def _check_values(cfg: ExperimentConfig) -> None:
 
 
 def _verify_fp_runs(cfg: ExperimentConfig, lc):
-    """(label, grid, grad_s, grad_alt, dt) of each of `verify`'s Fokker-Planck
-    runs: two shifted quadratics on the coarse grid and on twice its cells,
-    with dt the `fp.dt_safety` share of the stability limit at grad_s."""
+    """(label, grid, grad_s, grad_alt, dt, n_steps) of each of `verify`'s
+    Fokker-Planck runs: two shifted quadratics on the coarse grid and on
+    twice its cells, with dt the `fp.dt_safety` share of the stability limit
+    at grad_s, and n_steps the steps of dt in `fp.T_end` (at least 2)."""
     fp = cfg["fp"]
+    if not fp["T_end"] > 0:
+        raise ValueError(f"T_end must be positive, got {fp['T_end']}")
     beta = cfg["sgld"]["beta"]
     R_fp = lc.R if lc.R is not None else lc.m
     hw = fp["halfwidth"] or suggested_halfwidth(beta, lc.m)
@@ -374,7 +382,7 @@ def _verify_fp_runs(cfg: ExperimentConfig, lc):
         gs, ga = R_fp * (w - cs), R_fp * (w - ca)
         dt = fp["dt_safety"] * grid.h**2 / (
             2.0 / beta + grid.h * float(np.abs(gs).max()))
-        runs.append((label, grid, gs, ga, dt))
+        runs.append((label, grid, gs, ga, dt, max(2, int(fp["T_end"] / dt))))
     return runs
 
 
@@ -890,13 +898,11 @@ def cmd_verify(args) -> int:
             sections["oracle"] = {"skipped": "loss family has no curvature "
                                              "constant; exact law unavailable"}
 
-        fp = cfg["fp"]
         beta = cfg["sgld"]["beta"]
         rates = {}
-        for label, grid, gs, ga, dt in _verify_fp_runs(cfg, lc):
+        for label, grid, gs, ga, dt, n_steps in _verify_fp_runs(cfg, lc):
             start = gibbs_density(grid, (grid.centers - 1.0) ** 2, 1.0)
-            run = evolve_pair(grid, gs, ga, beta, dt,
-                              max(2, int(fp["T_end"] / dt)), start, start)
+            run = evolve_pair(grid, gs, ga, beta, dt, n_steps, start, start)
             rep = verify_inequality_12(run, beta)
             run.to_csv(out.file(f"fp_{label}.csv"), rep)
             rates[label] = rep.violation_rate

@@ -19,8 +19,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
+
+from .sgld import _block_len
 
 __all__ = [
     "Grid1D",
@@ -40,6 +43,14 @@ __all__ = [
 MASS_TOL = 1e-8
 SUPPORT_FLOOR = 1e-300
 SUPPORT_REL_FLOOR = 1e-12
+
+
+def _check_mass(values: np.ndarray, h: float) -> None:
+    """Raise unless each row of `values` has unit mass within MASS_TOL; a
+    NaN mass fails."""
+    worst = np.max(np.abs(values.sum(axis=-1) * h - 1.0))
+    if not worst <= MASS_TOL:
+        raise ValueError(f"mass deviates from 1 by {worst}, beyond {MASS_TOL}")
 
 
 @dataclass(frozen=True)
@@ -84,11 +95,10 @@ class DensityField:
             raise ValueError(
                 f"values shape {values.shape} != ({self.grid.n_cells},)"
             )
-        if values.min() < 0:
-            raise ValueError(f"negative density {values.min()}")
-        mass = float(values.sum() * self.grid.h)
-        if abs(mass - 1.0) > MASS_TOL:
-            raise ValueError(f"mass {mass} deviates from 1 beyond {MASS_TOL}")
+        # a NaN fails both checks below, +inf the mass check
+        if not values.min() >= 0:
+            raise ValueError(f"negative or NaN density {values.min()}")
+        _check_mass(values, self.grid.h)
         object.__setattr__(self, "values", values)
 
     def mass(self) -> float:
@@ -142,17 +152,28 @@ def fp_step(
     of the adjacent cells. The stability limit is h^2 / (2/beta +
     h max|grad|); a dt above it raises with a suggested replacement.
     """
-    return _advance(rho, _face_terms(rho.grid, grad, beta, dt), beta, dt)
+    new = np.empty((1, rho.grid.n_cells))
+    clamped = _advance(rho.values[None], _face_terms(rho.grid, [grad], beta, dt),
+                       beta, dt, new)
+    return DensityField(
+        grid=rho.grid,
+        values=new[0],
+        t=rho.t + dt,
+        clamped_mass=rho.clamped_mass + clamped[0],
+    )
 
 
 def check_dt(grid: Grid1D, grad: np.ndarray, beta: float, dt: float) -> None:
-    """Raise ValueError unless beta, dt > 0 and dt is within `fp_step`'s
-    stability limit for `grad` on `grid`."""
+    """Raise ValueError unless beta, dt > 0, grad is finite and dt is within
+    `fp_step`'s stability limit for `grad` on `grid`."""
     if not (beta > 0 and dt > 0):
         raise ValueError("beta and dt must be positive")
+    steepest = float(np.abs(grad).max())
+    if not math.isfinite(steepest):
+        raise ValueError("grad must be finite on the grid")
     h = grid.h
     D = 1.0 / beta
-    dt_max = h * h / (2.0 * D + h * float(np.abs(grad).max()))
+    dt_max = h * h / (2.0 * D + h * steepest)
     if dt > dt_max:
         raise ValueError(
             f"dt={dt} exceeds the stability limit {dt_max}; "
@@ -160,50 +181,86 @@ def check_dt(grid: Grid1D, grad: np.ndarray, beta: float, dt: float) -> None:
         )
 
 
-def _face_terms(grid: Grid1D, grad: np.ndarray, beta: float, dt: float):
-    """The part of `fp_step` fixed by (grid, grad, beta, dt): checks dt, and
-    returns the face gradients and both Chang-Cooper weights."""
+class _Faces(NamedTuple):
+    """What `_advance` needs besides the values: the cell width, the face
+    gradients and both Chang-Cooper weights of each row (fixed by grid,
+    grad, beta and dt), and the buffers one step writes through."""
+
+    h: float
+    v_face: np.ndarray
+    delta: np.ndarray
+    delta_right: np.ndarray
+    face_buffers: tuple  # two (rows, n_cells - 1) arrays
+    flux: np.ndarray     # (rows, n_cells + 1), its end columns held at 0
+    div: np.ndarray      # (rows, n_cells)
+
+
+def _face_terms(grid: Grid1D, grads, beta: float, dt: float) -> _Faces:
+    """The part of `fp_step` fixed by (grid, grad, beta, dt), for the stacked
+    rows of `grads`: checks dt on each, and returns their `_Faces`."""
+    rows = []
+    for grad in grads:
+        g = np.asarray(grad, dtype=float)
+        if g.shape != (grid.n_cells,):
+            raise ValueError(f"grad shape {g.shape} != ({grid.n_cells},)")
+        check_dt(grid, g, beta, dt)
+        rows.append(g)
+    g = np.stack(rows)
     h = grid.h
-    g = np.asarray(grad, dtype=float)
-    if g.shape != (grid.n_cells,):
-        raise ValueError(f"grad shape {g.shape} != ({grid.n_cells},)")
-    check_dt(grid, g, beta, dt)
-    v_face = 0.5 * (g[:-1] + g[1:])
+    v_face = 0.5 * (g[:, :-1] + g[:, 1:])
     delta = _cc_weight(beta * v_face * h)
-    return v_face, delta, 1.0 - delta
-
-
-def _advance(rho: DensityField, faces, beta: float, dt: float) -> DensityField:
-    """One `fp_step` from the `_face_terms` of its grad."""
-    v_face, delta, delta_right = faces
-    grid = rho.grid
-    h = grid.h
-    D = 1.0 / beta
-    rho_face = delta * rho.values[:-1] + delta_right * rho.values[1:]
-    flux = -(D / h) * (rho.values[1:] - rho.values[:-1]) - v_face * rho_face
-    # zero-flux boundaries: mass moves only through interior faces
-    div = (np.concatenate([flux, [0.0]]) - np.concatenate([[0.0], flux])) / h
-    new = rho.values - dt * div
-    clamped = float(-new[new < 0].sum() * h) if np.any(new < 0) else 0.0
-    new = np.maximum(new, 0.0)
-    return DensityField(
-        grid=grid,
-        values=new,
-        t=rho.t + dt,
-        clamped_mass=rho.clamped_mass + clamped,
+    return _Faces(
+        h=h, v_face=v_face, delta=delta, delta_right=1.0 - delta,
+        face_buffers=(np.empty_like(v_face), np.empty_like(v_face)),
+        flux=np.zeros((g.shape[0], grid.n_cells + 1)),
+        div=np.empty_like(g),
     )
 
 
-def _support_band(rho: DensityField, gamma: DensityField) -> slice:
-    """The longest run of cells where both densities clear the floors
-    (the first such run on ties)."""
-    r, q = rho.values, gamma.values
-    mask = (
+def _advance(values: np.ndarray, faces: _Faces, beta: float, dt: float,
+             out: np.ndarray) -> list:
+    """One `fp_step` of each row of `values` (rows, n_cells) under the grad
+    of its `faces` row, written to `out` (which may be `values`).
+
+    Returns the mass each row's flooring of negative cells added.
+    """
+    h = faces.h
+    D = 1.0 / beta
+    left, right = values[:, :-1], values[:, 1:]
+    drift, diffusion = faces.face_buffers
+    np.multiply(faces.delta, left, out=drift)
+    np.multiply(faces.delta_right, right, out=diffusion)
+    np.add(drift, diffusion, out=drift)  # the face density
+    np.multiply(faces.v_face, drift, out=drift)
+    np.subtract(right, left, out=diffusion)
+    np.multiply(-(D / h), diffusion, out=diffusion)
+    # zero-flux boundaries: mass moves only through interior faces
+    flux, div = faces.flux, faces.div
+    np.subtract(diffusion, drift, out=flux[:, 1:-1])
+    np.subtract(flux[:, 1:], flux[:, :-1], out=div)
+    np.divide(div, h, out=div)
+    np.multiply(dt, div, out=div)
+    np.subtract(values, div, out=out)
+    clamped = [0.0] * out.shape[0]
+    if out.min() < 0:
+        clamped = [float(-row[row < 0].sum() * h) for row in out]
+    np.maximum(out, 0.0, out=out)
+    return clamped
+
+
+def _support_mask(r: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Per row, the cells where both densities clear the floors."""
+    return (
         (r > SUPPORT_FLOOR)
         & (q > SUPPORT_FLOOR)
-        & (r > SUPPORT_REL_FLOOR * r.max())
-        & (q > SUPPORT_REL_FLOOR * q.max())
+        & (r > SUPPORT_REL_FLOOR * r.max(axis=-1, keepdims=True))
+        & (q > SUPPORT_REL_FLOOR * q.max(axis=-1, keepdims=True))
     )
+
+
+def _support_band(mask: np.ndarray) -> slice:
+    """The longest run of cells of a 1-d support mask (the first such run
+    on ties)."""
     if not mask.any():
         raise ValueError("densities share no support above the floors")
     idx = np.nonzero(mask)[0]
@@ -214,29 +271,34 @@ def _support_band(rho: DensityField, gamma: DensityField) -> slice:
     return slice(int(idx[starts[i]]), int(idx[ends[i] - 1]) + 1)
 
 
-def _band_log_ratio(rho: DensityField, gamma: DensityField):
+def _band_log_ratio(r: np.ndarray, q: np.ndarray, band: slice):
+    """Per row, r and log(r/q) on `band`."""
+    r = r[..., band]
+    return r, np.log(r / q[..., band])
+
+
+def _kl(h: float, r: np.ndarray, log_ratio: np.ndarray):
+    return h * np.sum(r * log_ratio, axis=-1)
+
+
+def _fisher(h: float, r: np.ndarray, log_ratio: np.ndarray):
+    if r.shape[-1] < 2:
+        raise ValueError("support band too narrow for differences")
+    score = np.gradient(log_ratio, h, axis=-1)
+    return h * np.sum(r * score**2, axis=-1)
+
+
+def _shared_band(rho: DensityField, gamma: DensityField):
     """rho and log(rho/gamma) on the shared support band."""
     if rho.grid != gamma.grid:
         raise ValueError("densities live on different grids")
-    band = _support_band(rho, gamma)
-    r = rho.values[band]
-    return r, np.log(r / gamma.values[band])
-
-
-def _kl(h: float, r: np.ndarray, log_ratio: np.ndarray) -> float:
-    return float(h * np.sum(r * log_ratio))
-
-
-def _fisher(h: float, r: np.ndarray, log_ratio: np.ndarray) -> float:
-    if r.shape[0] < 2:
-        raise ValueError("support band too narrow for differences")
-    score = np.gradient(log_ratio, h)
-    return float(h * np.sum(r * score**2))
+    r, q = rho.values, gamma.values
+    return _band_log_ratio(r, q, _support_band(_support_mask(r, q)))
 
 
 def kl_on_grid(rho: DensityField, gamma: DensityField) -> float:
     """Quadrature KL(rho | gamma) over the shared support band."""
-    return _kl(rho.grid.h, *_band_log_ratio(rho, gamma))
+    return float(_kl(rho.grid.h, *_shared_band(rho, gamma)))
 
 
 def fisher_on_grid(rho: DensityField, gamma: DensityField) -> float:
@@ -245,7 +307,7 @@ def fisher_on_grid(rho: DensityField, gamma: DensityField) -> float:
     Sum of h * rho * (d/dw log(rho/gamma))^2 with central differences on
     the band interior and one-sided differences at its edges.
     """
-    return _fisher(rho.grid.h, *_band_log_ratio(rho, gamma))
+    return float(_fisher(rho.grid.h, *_shared_band(rho, gamma)))
 
 
 # ---------------------------------------------------------------- paired runs
@@ -303,31 +365,50 @@ def evolve_pair(
 ) -> FPPairRun:
     """Run rho under grad_s and gamma under grad_alt, recording the traces.
 
-    Each step is `fp_step`'s; the face terms, fixed by the gradient, are
-    computed once per density.
+    The two densities advance as the rows of one (2, n_cells) array, each
+    row by `fp_step`'s arithmetic, with the face terms computed once. The
+    states of a block of steps (`sgld._block_len` of the 2 n_cells words a
+    step stores) are kept, then checked and measured at once: each state's
+    mass, its stability term, and KL and Fisher as row reductions over the
+    shared support band, found once per run of steps whose support mask
+    does not change. Every number equals that of the `fp_step` loop.
     """
     if n_steps < 1:
         raise ValueError(f"need at least 1 step, got {n_steps}")
-    grad_s = np.asarray(grad_s, dtype=float)
-    grad_alt = np.asarray(grad_alt, dtype=float)
-    gap_sq = (grad_s - grad_alt) ** 2
-    faces_s = _face_terms(rho0.grid, grad_s, beta, dt)
-    faces_alt = _face_terms(gamma0.grid, grad_alt, beta, dt)
+    if rho0.grid != grid or gamma0.grid != grid:
+        raise ValueError("densities live on different grids")
+    grads = [np.asarray(grad_s, dtype=float), np.asarray(grad_alt, dtype=float)]
+    faces = _face_terms(grid, grads, beta, dt)
+    gap_sq = (grads[0] - grads[1]) ** 2
+    h = grid.h
 
-    kl = np.empty(n_steps + 1)
-    fisher = np.empty(n_steps + 1)
-    stability = np.empty(n_steps + 1)
-    rho, gamma = rho0, gamma0
-    for step in range(n_steps + 1):
-        r, log_ratio = _band_log_ratio(rho, gamma)
-        kl[step] = _kl(rho.grid.h, r, log_ratio)
-        fisher[step] = _fisher(rho.grid.h, r, log_ratio)
-        stability[step] = (beta / 2.0) * float(
-            grid.h * np.sum(rho.values * gap_sq)
-        )
-        if step < n_steps:
-            rho = _advance(rho, faces_s, beta, dt)
-            gamma = _advance(gamma, faces_alt, beta, dt)
+    n_rows = n_steps + 1
+    kl = np.empty(n_rows)
+    fisher = np.empty(n_rows)
+    stability = np.empty(n_rows)
+    states = np.empty((min(_block_len(2 * grid.n_cells), n_rows), 2, grid.n_cells))
+    states[0] = rho0.values, gamma0.values
+    clamped_s, clamped_alt = rho0.clamped_mass, gamma0.clamped_mass
+    for first in range(0, n_rows, states.shape[0]):
+        rows = min(states.shape[0], n_rows - first)
+        # states[-1] holds the last step of the previous block, which is full
+        for j in range(0 if first else 1, rows):
+            c_s, c_alt = _advance(states[j - 1], faces, beta, dt, states[j])
+            clamped_s += c_s
+            clamped_alt += c_alt
+        block = states[:rows]
+        _check_mass(block, h)
+        r, q = block[:, 0], block[:, 1]
+        stability[first:first + rows] = (beta / 2.0) * (
+            h * np.sum(r * gap_sq, axis=-1))
+        mask = _support_mask(r, q)
+        changes = np.nonzero((mask[1:] != mask[:-1]).any(axis=-1))[0] + 1
+        edges = [0, *changes.tolist(), rows]
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            band_r, log_ratio = _band_log_ratio(
+                r[lo:hi], q[lo:hi], _support_band(mask[lo]))
+            kl[first + lo:first + hi] = _kl(h, band_r, log_ratio)
+            fisher[first + lo:first + hi] = _fisher(h, band_r, log_ratio)
     return FPPairRun(
         grid=grid,
         beta=beta,
@@ -335,7 +416,7 @@ def evolve_pair(
         kl=kl,
         fisher=fisher,
         stability=stability,
-        clamped_mass=rho.clamped_mass + gamma.clamped_mass,
+        clamped_mass=clamped_s + clamped_alt,
     )
 
 

@@ -113,6 +113,37 @@ def test_family_parameter_it_does_not_take_exits_one(tmp_path, capsys, loss, key
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, value", [("R", -1.0), ("data_radius", 0.0),
+                                        ("d", 0)])
+def test_family_constructor_refusal_exits_one(run_and_bounds, tmp_path, capsys,
+                                              key, value):
+    # the constructor's own rule, reported as a config error by every
+    # subcommand before any output opens
+    cfg = write_config(tmp_path / "c.json", loss={key: value})
+    for sub in ("certify", "run", "bounds", "verify"):
+        out = tmp_path / sub
+        argv = [sub, "--config", cfg, "--out", str(out)]
+        if sub == "bounds":
+            argv += ["--traces", str(run_and_bounds / "run")]
+        assert main(argv) == 1, sub
+        assert capsys.readouterr().err.startswith(f"config error: loss: {key} ")
+        assert not out.exists()
+
+
+def test_non_finite_number_refused_naming_its_key(tmp_path):
+    # JSON's NaN and Infinity parse as floats; every float key refuses them
+    float_keys = [(block, key) for block, schema in cli._SCHEMAS.items()
+                  for key, (_, expected) in schema.items() if expected is float]
+    assert ("fp", "center_gap") in float_keys and ("fp", "T_end") in float_keys
+    path = tmp_path / "c.json"
+    for block, key in float_keys:
+        for value in (float("nan"), float("inf"), float("-inf")):
+            write_config(path, **{block: {key: value}})
+            with pytest.raises(ConfigError,
+                               match=rf"^{block}\.{key}: expected a finite number"):
+                load_config(path)
+
+
 def test_unknown_block_rejected(tmp_path):
     path = tmp_path / "c.json"
     for block in ("mystery", "output"):
@@ -193,6 +224,15 @@ def test_bad_seed_rejected_cleanly(run_and_bounds, tmp_path, capsys):
     ("bounds", "bounds", "which", []),
     ("bounds", "bounds", "universal_C_lsi", 5.0),
     ("run", "bounds", "universal_C_moment", -1.0),
+    ("verify", "fp", "T_end", -1.0),
+    ("verify", "fp", "T_end", 0.0),
+    ("verify", "fp", "T_end", float("nan")),
+    ("verify", "fp", "T_end", float("inf")),
+    ("run", "bounds", "universal_C_moment", float("inf")),
+    ("bounds", "bounds", "sigma_g_sq", float("nan")),
+    ("bounds", "bounds", "farghly_C1", float("inf")),
+    ("verify", "fp", "center_gap", float("nan")),
+    ("verify", "fp", "halfwidth", float("inf")),
 ])
 def test_bad_value_exits_one_before_any_output(run_and_bounds, tmp_path, capsys,
                                                sub, block, key, value):

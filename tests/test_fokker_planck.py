@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from sgldlab import fokker_planck, sgld
 from sgldlab.fokker_planck import (
     DensityField,
     Grid1D,
+    check_dt,
     evolve_pair,
     fisher_on_grid,
     fp_step,
@@ -61,6 +63,29 @@ def test_density_validation():
         DensityField(grid=g, values=bad)
     with pytest.raises(ValueError):
         DensityField(grid=g, values=np.full(32, 1.0))
+
+
+def test_density_refuses_non_finite_values():
+    g = Grid1D(-1.0, 1.0, 64)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            DensityField(grid=g, values=np.full(64, bad))
+        one = np.full(64, 0.5)
+        one[3] = bad
+        with pytest.raises(ValueError):
+            DensityField(grid=g, values=one)
+
+
+def test_mass_check_fails_a_nan_row():
+    # the mass rule on stacked rows, as the pair run checks a block of steps
+    h = Grid1D(-1.0, 1.0, 64).h
+    ok = np.full(64, 0.5)
+    fokker_planck._check_mass(np.stack([[ok, ok], [ok, ok]]), h)
+    for bad in (np.full(64, np.nan), np.full(64, 0.6)):
+        with pytest.raises(ValueError, match="mass"):
+            fokker_planck._check_mass(bad, h)
+        with pytest.raises(ValueError, match="mass"):
+            fokker_planck._check_mass(np.stack([[ok, ok], [ok, bad]]), h)
 
 
 def test_suggested_halfwidth():
@@ -146,6 +171,22 @@ def test_step_input_checks():
         fp_step(pi, np.zeros(100), BETA, 1e-5)
     with pytest.raises(ValueError):
         fp_step(pi, np.zeros(256), -1.0, 1e-5)
+
+
+def test_step_refuses_a_non_finite_grad():
+    g = quad_grid(256)
+    pi = gibbs_density(g, 0.5 * g.centers**2, BETA)
+    grad = R * g.centers
+    dt = stable_dt(g, grad, BETA)
+    for bad in (np.nan, np.inf, -np.inf):
+        rough = grad.copy()
+        rough[100] = bad
+        with pytest.raises(ValueError, match="finite"):
+            check_dt(g, rough, BETA, dt)
+        with pytest.raises(ValueError, match="finite"):
+            fp_step(pi, rough, BETA, dt)
+        with pytest.raises(ValueError, match="finite"):
+            evolve_pair(g, grad, rough, BETA, dt, 3, pi, pi)
 
 
 # ------------------------------------------------------------ kl and fisher
@@ -342,6 +383,77 @@ def test_evolve_pair_bitwise_equals_the_fp_step_loop(case):
     assert np.array_equal(run.fisher, fisher)
     assert np.array_equal(run.stability, stability)
     assert run.clamped_mass == clamped
+
+
+def pair_case(case):
+    """(grid, grad_s, grad_alt, dt, rho, gamma) of a 120-step pair run."""
+    g = quad_grid(128)
+    w = g.centers
+    if case == "shifted":
+        gs, ga = R * (w - 0.2), R * (w + 0.2)
+        rho = gamma = gaussian_on(g, 1.0, 0.3)
+    elif case == "contraction":
+        gs = ga = R * w
+        rho = gaussian_on(g, 1.5, 0.3)
+        gamma = gibbs_density(g, 0.5 * R * w**2, BETA)
+    elif case == "steep":  # the shared band moves
+        gs, ga = 40.0 * (w - 1.0), 40.0 * (w + 1.0)
+        rho = gamma = gaussian_on(g, 0.0, 0.01)
+    else:  # "clamped": a five-cell spike on an empty grid under rough,
+        # high-Peclet gradients at the stability limit, where the face
+        # fluxes cancel to rounding-level negative cells that get floored
+        gs, ga = np.random.default_rng(0).normal(0.0, 300.0, (2, 128))
+        values = np.zeros(128)
+        values[60:65] = 1.0
+        rho = gamma = DensityField(g, values / (values.sum() * g.h))
+        dt = stable_dt(g, np.concatenate([gs, ga]), BETA, safety=1.0)
+        return g, gs, ga, dt, rho, gamma
+    return g, gs, ga, stable_dt(g, gs, BETA, safety=0.9), rho, gamma
+
+
+def check_against_the_fp_step_loop(case):
+    """Assert `evolve_pair` equals the fp_step loop bit for bit on `case`;
+    returns the loop's clamped mass."""
+    g, gs, ga, dt, rho, gamma = pair_case(case)
+    run = evolve_pair(g, gs, ga, BETA, dt, 120, rho, gamma)
+    kl, fisher, stability, clamped = reference_evolve_pair(
+        g, gs, ga, BETA, dt, 120, rho, gamma)
+    assert np.array_equal(run.kl, kl)
+    assert np.array_equal(run.fisher, fisher)
+    assert np.array_equal(run.stability, stability)
+    assert run.clamped_mass == clamped
+    return clamped
+
+
+def test_evolve_pair_bitwise_equals_the_fp_step_loop_when_it_clamps():
+    assert check_against_the_fp_step_loop("clamped") > 0.0
+
+
+def band_starts(case, n_steps):
+    """The steps at which the fp_step loop's shared support band changes."""
+    g, gs, ga, dt, rho, gamma = pair_case(case)
+    bands = []
+    for _ in range(n_steps + 1):
+        mask = fokker_planck._support_mask(rho.values, gamma.values)
+        bands.append(fokker_planck._support_band(mask))
+        rho = fp_step(rho, gs, BETA, dt)
+        gamma = fp_step(gamma, ga, BETA, dt)
+    return [s for s in range(1, n_steps + 1) if bands[s] != bands[s - 1]]
+
+
+@pytest.mark.parametrize("block_steps", [1, 7])
+@pytest.mark.parametrize("case", ["shifted", "contraction", "steep", "clamped"])
+def test_evolve_pair_blocks_equal_the_fp_step_loop(monkeypatch, case, block_steps):
+    # a step of the pair run stores 2 n_cells words; 121 states fill 17 blocks
+    # of 7 and a last of 2; in the steep case the band changes inside blocks
+    # of 7, so a band found in one block carries on across block edges
+    monkeypatch.setattr(sgld, "BLOCK_WORDS", 2 * 128 * block_steps + 1)
+    assert sgld._block_len(2 * 128) == block_steps
+    if case == "steep":
+        starts = band_starts(case, 120)
+        assert any(s % 7 for s in starts) and len(starts) >= 2
+        assert any(a // 7 < b // 7 for a, b in zip(starts, starts[1:]))
+    check_against_the_fp_step_loop(case)
 
 
 def test_kl_and_fisher_use_the_longest_shared_support_run():
