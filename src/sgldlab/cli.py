@@ -382,7 +382,11 @@ def _verify_fp_runs(cfg: ExperimentConfig, lc):
         gs, ga = R_fp * (w - cs), R_fp * (w - ca)
         dt = fp["dt_safety"] * grid.h**2 / (
             2.0 / beta + grid.h * float(np.abs(gs).max()))
-        runs.append((label, grid, gs, ga, dt, max(2, int(fp["T_end"] / dt))))
+        steps = fp["T_end"] / dt
+        if not math.isfinite(steps):
+            raise ValueError(f"T_end = {fp['T_end']} is {steps} steps of dt = {dt}; "
+                             f"the step count must be finite")
+        runs.append((label, grid, gs, ga, dt, max(2, int(steps))))
     return runs
 
 

@@ -84,8 +84,9 @@ class ParametrixOverrides:
 
     def __post_init__(self) -> None:
         for name in ("C1_prime", "C2_prime", "C0_tilde", "C1_tilde"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+            value = getattr(self, name)
+            if not (value >= 0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be nonnegative and finite, got {value}")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

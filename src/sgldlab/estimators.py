@@ -19,6 +19,7 @@ from .losses import LossModel
 from .sgld import (
     SGLDConfig,
     _block_len,
+    _draw_offsets,
     _fy_subset_rows,
     _run_chains_lockstep,
     check_count,
@@ -184,7 +185,7 @@ def grad_variance_trace(
         W = trace.states[r0:r0 + block]
         b = W.shape[0]
         gfull = model.grad_minibatch(W, np.broadcast_to(dataset, (b, *dataset.shape)))
-        offs = rng.integers(0, high, size=(b * n_resamples, cfg.k))
+        offs = _draw_offsets(rng, high, b * n_resamples)
         idx = _fy_subset_rows(offs, cfg.n)
         G = model.grad_resampled(W, dataset, idx)
         dev = G - np.repeat(gfull, n_resamples, axis=0)
@@ -343,9 +344,14 @@ class LogMgfReport:
     n_bootstrap: int
 
 
-def _log_mean_exp(x: np.ndarray) -> float:
-    m = float(np.max(x))
-    return m + math.log(float(np.mean(np.exp(x - m))))
+def _log_mean_exp(rows: np.ndarray) -> list[float]:
+    """log mean exp of each row of a (b, m) block, shifted by the row's max,
+    overwriting the block. The log is math.log, which np.log does not match
+    in every last bit."""
+    top = rows.max(axis=1)
+    rows -= top[:, None]
+    means = np.exp(rows, out=rows).mean(axis=1)
+    return [t + math.log(mean) for t, mean in zip(top.tolist(), means.tolist())]
 
 
 def admitted_lambdas(lambda_grid, nu: float) -> list[float]:
@@ -380,22 +386,19 @@ def logmgf_check(
 
     centered = samples - samples.mean()
     rng = np.random.default_rng(np.random.SeedSequence([rng_seed, 0x176F]))
-    boot_idx = rng.integers(0, samples.size, size=(n_bootstrap, samples.size))
+    # every resample at once, each row centered on its own mean
+    boot_centered = samples[rng.integers(0, samples.size, size=(n_bootstrap, samples.size))]
+    boot_centered -= boot_centered.mean(axis=1, keepdims=True)
 
     vals, los, his, envs = [], [], [], []
     n_violations = 0
     for lam in lambdas:
-        x = lam * centered
-        point = _log_mean_exp(x) if lam != 0.0 else 0.0
+        point = _log_mean_exp((lam * centered)[None])[0] if lam != 0.0 else 0.0
         env = sigma_e_sq * lam**2 / 2.0
         if lam == 0.0:
             lo = hi = 0.0
         else:
-            boot = np.empty(n_bootstrap)
-            for bi in range(n_bootstrap):
-                sub = samples[boot_idx[bi]]
-                boot[bi] = _log_mean_exp(lam * (sub - sub.mean()))
-            lo, hi = np.percentile(boot, [2.5, 97.5])
+            lo, hi = np.percentile(_log_mean_exp(lam * boot_centered), [2.5, 97.5])
         if point > env:
             n_violations += 1
         vals.append(point)

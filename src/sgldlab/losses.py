@@ -321,16 +321,18 @@ class LogisticRidgeLoss(LossModel):
 
     def grad_resampled(self, W, dataset, idx):
         # each point's factor y sigma(-margin) is taken once per state over
-        # all n points, then gathered for the R minibatches of that state
+        # all n points, then gathered for the R minibatches of that state.
+        # np.take gathers several times faster than fancy indexing; the
+        # points keep their label column, since the back-contraction's bits
+        # depend on the row stride of its (k, d) operand when d = 1
         W = np.asarray(W, dtype=float)
         dataset = np.asarray(dataset, dtype=float)
         b, n = W.shape[0], dataset.shape[0]
         R, k = idx.shape[0] // b, idx.shape[1]
-        factor = _weights(np.einsum("bd,nd->bn", W, dataset[:, :-1]),
-                          dataset[:, -1]).reshape(-1)
+        factor = _weights(np.einsum("bd,nd->bn", W, dataset[:, :-1]), dataset[:, -1])
         rows = np.repeat(n * np.arange(b), R)[:, None]
-        Zb = dataset[idx]
-        return (-_back_contract(factor[idx + rows], Zb[:, :, :-1]) / k
+        Zb = np.take(dataset, idx, axis=0)
+        return (-_back_contract(np.take(factor, idx + rows), Zb[:, :, :-1]) / k
                 + self.lam * np.repeat(W, R, axis=0))
 
     def sample_data(self, rng, n_points):

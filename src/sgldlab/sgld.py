@@ -17,7 +17,7 @@ chain); minibatch indices use a partial Fisher-Yates shuffle, which is
 exactly uniform over size-k subsets, and consume k integer draws per step
 (none when k = n). Draws are made in blocks of `STEP_CHUNK` steps; the
 block structure is fixed, so identical seeds give bit-identical traces.
-The Fisher-Yates swaps are then applied to blocks of (chain, step) rows of
+The Fisher-Yates swaps are then applied to blocks of (step, chain) rows of
 a drawn chunk at once, sized by `BLOCK_WORDS`; each row is still shuffled
 from its own offsets alone, so the swap blocking never moves a draw or an
 index and the layout above does not depend on it.
@@ -189,23 +189,85 @@ def _block_len(words_per_unit: int) -> int:
     return max(1, BLOCK_WORDS // words_per_unit)
 
 
-def _fy_subset_rows(offsets: np.ndarray, n: int) -> np.ndarray:
-    """Apply partial Fisher-Yates swaps rowwise; offsets is (c, k).
+def _index_dtype(n: int):
+    """int32 when every index below n fits (n <= 2**31), else int64."""
+    return np.int32 if n <= 2**31 else np.int64
 
-    The scratch holds int32 indices when they fit (n <= 2**31), which
-    halves the memory each swap moves; the indices are the same either way.
+
+def _draw_offsets(rng: np.random.Generator, high: np.ndarray, rows: int) -> np.ndarray:
+    """`rng.integers(0, high, size=(rows, len(high)))`: the same values, and
+    the same generator state after, in a fraction of the time.
+
+    For 2 <= high <= 2**32, numpy maps each raw 32-bit draw x to
+    (x * high) >> 32 (Lemire's method), rejecting x when (x * high) mod
+    2**32 < (2**32 - high) mod high; PCG64 gives the raw draws as the low
+    then the high half of each 64-bit output, and a half one call leaves
+    over opens the next. Here the block's raw draws come from one
+    `random_raw` call and are mapped as arrays, not one by one. A block
+    with a rejection rewinds the generator and draws with `rng.integers`,
+    as do other generators and ranges; at n = 200, k = 20 about one block
+    of 24,000 draws in 2,200 has one.
     """
-    c, k = offsets.shape
-    dtype = np.int32 if n <= 2**31 else np.int64
-    base = np.broadcast_to(np.arange(n, dtype=dtype), (c, n)).copy()
-    flat = base.reshape(-1)
-    targets = offsets + np.arange(k) + n * np.arange(c)[:, None]  # flat positions
+    bitgen = rng.bit_generator
+    if not (type(bitgen) is np.random.PCG64 and rows > 0
+            and 2 <= high.min() and high.max() <= 2**32):
+        return rng.integers(0, high, size=(rows, high.shape[0]))
+    saved = bitgen.state
+    count = rows * high.shape[0]
+    held = saved["has_uint32"]
+    words = bitgen.random_raw((count - held + 1) // 2)
+    x = np.empty((words.shape[0] + held, 2), dtype=np.uint64)
+    np.bitwise_and(words, 0xFFFFFFFF, out=x[held:, 0])
+    np.right_shift(words, 32, out=x[held:, 1])
+    if held:
+        x[0, 1] = saved["uinteger"]
+    s = high.astype(np.uint64)
+    m = x.reshape(-1)[held:held + count].reshape(rows, -1)
+    m *= s
+    if np.any(m.astype(np.uint32) < (2**32 - s) % s):  # the low 32 bits
+        bitgen.state = saved
+        return rng.integers(0, high, size=(rows, high.shape[0]))
+    state = bitgen.state
+    state["has_uint32"] = (count - held) % 2
+    if words.shape[0]:
+        state["uinteger"] = int(words[-1] >> 32)
+    bitgen.state = state
+    m >>= 32
+    return m.view(np.int64)
+
+
+def _fy_subset_rows(offsets: np.ndarray, n: int) -> np.ndarray:
+    """Apply partial Fisher-Yates swaps rowwise; offsets is (rows, k).
+
+    Row r's swap j exchanges its positions j and j + offsets[r, j]. The
+    (n, rows) scratch is position-major, so swap j of every row reads and
+    writes one contiguous scratch row plus one gathered element per row.
+    It holds int32 indices when they fit (`_index_dtype`), which halves the
+    memory each swap moves; the indices are the same either way. Returns a
+    C-ordered (rows, k) copy, the layout the gradient kernels' bits assume.
+    """
+    rows, k = offsets.shape
+    scratch = np.repeat(np.arange(n, dtype=_index_dtype(n)), rows).reshape(n, rows)
+    flat = scratch.reshape(-1)
+    # flat scratch position of each swap target, one row per swap
+    targets = np.ascontiguousarray(offsets.T, dtype=np.int64)
+    targets += np.arange(k)[:, None]
+    targets *= rows
+    targets += np.arange(rows)
     for j in range(k):
-        target = targets[:, j]
-        tmp = base[:, j].copy()
-        base[:, j] = flat[target]
+        target = targets[j]
+        tmp = scratch[j].copy()
+        scratch[j] = flat[target]
         flat[target] = tmp
-    return base[:, :k]
+    return np.ascontiguousarray(scratch[:k].T)
+
+
+def _row_sq(A: np.ndarray) -> np.ndarray:
+    """Squared norm of each length-d row of A, (..., d) -> (...), as one
+    einsum("ij,ij->i"): every row is the same reduction however many rows
+    are taken at once, so a chunk's rows have the bits of single steps'."""
+    rows = A.reshape(-1, A.shape[-1])
+    return np.einsum("ij,ij->i", rows, rows).reshape(A.shape[:-1])
 
 
 def _run_chains_lockstep(
@@ -218,11 +280,17 @@ def _run_chains_lockstep(
     """Advance several chains together, vectorized across chains.
 
     `datasets` is (c, n, z_dim), row i being chain i's dataset (a broadcast
-    view when chains share one). Per-chain RNG draws are issued chain by
-    chain, so each chain's stream is independent of how chains are grouped.
-    Minibatch indices are built for a block of steps of the current chunk
-    at a time, as the step loop reaches them; `_block_len` sizes the block
-    from its (c * steps, n) Fisher-Yates scratch.
+    view when chains share one, which is gathered from and never copied
+    c times). Per-chain RNG draws are issued chain by chain, so each
+    chain's stream is independent of how chains are grouped. Minibatch
+    indices are built for a block of steps of the current chunk at a time,
+    as the step loop reaches them; `_block_len` sizes the block from its
+    (steps * c, n) Fisher-Yates scratch.
+
+    The step loop computes only the gradients and the update: each step's
+    states go into a (chunk, c, d) buffer, and `w_norm_sq`, the gradient
+    series and the stored states are filled once per chunk from it, by the
+    same per-row reductions a step would take (`_row_sq`).
 
     `series` is the number of leading chains that get the per-step gradient
     series (`grad_var_sample`, `grad_fullbatch_norm`, `grad_minibatch_norm`),
@@ -253,55 +321,74 @@ def _run_chains_lockstep(
     if stored_steps[-1] != T:
         stored_steps.append(T)
     stored_steps = np.asarray(stored_steps)
-    store_pos = {int(t): i for i, t in enumerate(stored_steps)}
 
     states = np.empty((c, len(stored_steps), d))
     w_norm_sq = np.empty((c, T + 1))
     grad_var, grad_full_norm, grad_mini_norm = np.empty((3, series, T))
     no_series = np.broadcast_to(np.nan, (T,))  # read-only, takes no memory
 
-    w_norm_sq[:, 0] = np.einsum("ij,ij->i", W, W)
-    if 0 in store_pos:
-        states[:, store_pos[0]] = W
+    w_norm_sq[:, 0] = _row_sq(W)
+    states[:, 0] = W
     noise_count = 0
 
     full = model.full_batch_grad(datasets)
     full_series = full if series == c else model.full_batch_grad(datasets[:series])
+    # one contiguous table of data points to gather minibatches from: the
+    # shared dataset, or the stacked datasets with chain i's at row i * n
+    if c == 1 or datasets.strides[0] == 0:
+        table, first_row = np.ascontiguousarray(datasets[0]), 0
+    else:
+        table = np.ascontiguousarray(datasets).reshape(c * n, -1)
+        first_row = n * np.arange(c)[:, None]
     high = (n - np.arange(k)).astype(np.int64)
-    rows = np.arange(c)[:, None]  # chain i gathers from datasets[i]
     block = _block_len(c * n)  # steps per Fisher-Yates block
+
+    # per-chunk buffers, step-major; a shorter last chunk uses their heads.
+    # Ws[s] holds step s's scaled noise until the update adds it in place
+    # (a + b is b + a in floating point), so the states take no extra buffer
+    chunk = min(STEP_CHUNK, T)
+    if k < n:
+        offs = np.empty((chunk, c, k), dtype=_index_dtype(n))
+    Ws = np.empty((chunk, c, d))
+    G_mini = np.empty((chunk, series, d))
+    G_full = G_mini if k == n else np.empty((chunk, series, d))
     for start in range(0, T, STEP_CHUNK):
         cl = min(STEP_CHUNK, T - start)
-        if k < n:
-            offs = np.empty((c, cl, k), dtype=np.int64)
-            for i, r in enumerate(rng_batch):
-                offs[i] = r.integers(0, high, size=(cl, k))
-        xis = np.stack([r.standard_normal((cl, d)) for r in rng_noise])
+        W = W.copy()  # off the buffer the draws below overwrite
+        for i in range(c):
+            if k < n:
+                offs[:cl, i] = _draw_offsets(rng_batch[i], high, cl)
+            Ws[:cl, i] = rng_noise[i].standard_normal((cl, d))
+        Ws[:cl] *= noise_scale
         noise_count += cl * d
 
         for s in range(cl):
-            t = start + s
             if k < n:
                 if s % block == 0:
                     b = min(block, cl - s)
-                    idx = _fy_subset_rows(offs[:, s:s + b].reshape(c * b, k), n)
-                    idx = idx.reshape(c, b, k)
-                Zb = datasets[rows, idx[:, s % block]]
+                    idx = _fy_subset_rows(offs[s:s + b].reshape(b * c, k), n)
+                    idx = idx.reshape(b, c, k)
+                Zb = np.take(table, idx[s % block] + first_row, axis=0)
                 G = model.grad_minibatch(W, Zb)
             else:
                 G = full(W)
             if series:
-                Gs = G[:series]
-                Gfull = Gs if k == n else full_series(W[:series])
-                diff = Gs - Gfull
-                grad_var[:, t] = np.einsum("ij,ij->i", diff, diff)
-                grad_full_norm[:, t] = np.sqrt(np.einsum("ij,ij->i", Gfull, Gfull))
-                grad_mini_norm[:, t] = np.sqrt(np.einsum("ij,ij->i", Gs, Gs))
+                G_mini[s] = G[:series]
+                if k < n:
+                    G_full[s] = full_series(W[:series])
+            W = np.add(W - eta * G, Ws[s], out=Ws[s])
 
-            W = W - eta * G + noise_scale * xis[:, s]
-            w_norm_sq[:, t + 1] = np.einsum("ij,ij->i", W, W)
-            if (t + 1) in store_pos:
-                states[:, store_pos[t + 1]] = W
+        w_norm_sq[:, start + 1:start + cl + 1] = _row_sq(Ws[:cl]).T
+        if series:
+            steps = slice(start, start + cl)
+            grad_var[:, steps] = _row_sq(G_mini[:cl] - G_full[:cl]).T
+            grad_full_norm[:, steps] = np.sqrt(_row_sq(G_full[:cl])).T
+            grad_mini_norm[:, steps] = np.sqrt(_row_sq(G_mini[:cl])).T
+        # the chunk's stored multiples of the stride, from states[:, lo] on
+        lo = -(-(start + 1) // stride)
+        kept = Ws[lo * stride - start - 1:cl:stride]
+        states[:, lo:lo + kept.shape[0]] = kept.swapaxes(0, 1)
+    states[:, -1] = W  # the final state, stored whether or not on the stride
 
     return [
         ChainTrace(

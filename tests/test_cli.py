@@ -233,6 +233,7 @@ def test_bad_seed_rejected_cleanly(run_and_bounds, tmp_path, capsys):
     ("bounds", "bounds", "farghly_C1", float("inf")),
     ("verify", "fp", "center_gap", float("nan")),
     ("verify", "fp", "halfwidth", float("inf")),
+    ("verify", "fp", "T_end", 1e308),  # finite, but T_end / dt is not
 ])
 def test_bad_value_exits_one_before_any_output(run_and_bounds, tmp_path, capsys,
                                                sub, block, key, value):
@@ -847,6 +848,19 @@ def test_bounds_malformed_parametrix_exits_one(run_and_bounds, tmp_path, capsys)
     assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "b"),
                  "--traces", str(run_and_bounds / "run")]) == 1
     assert "bounds.parametrix" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_bounds_nonfinite_parametrix_exits_one(run_and_bounds, tmp_path, capsys, value):
+    cfg = write_config(tmp_path / "c.json",
+                       bounds={"T_grid": [0, 10, 40, 60],
+                               "parametrix": {"C1_prime": value}})
+    out = tmp_path / "b"
+    assert main(["bounds", "--config", cfg, "--out", str(out),
+                 "--traces", str(run_and_bounds / "run")]) == 1
+    assert capsys.readouterr().err.startswith(
+        "config error: bounds.parametrix: C1_prime must be nonnegative and finite")
+    assert not out.exists()
 
 
 # -------------------------------------------------------------------- verify

@@ -542,6 +542,36 @@ def test_logmgf_reproducible_and_band_orders():
     assert a.n_bootstrap == 200
 
 
+@pytest.mark.parametrize("n", [2, 7, 120])
+def test_logmgf_bands_equal_per_resample_loop(n):
+    # the point estimate and the bootstrap band against one resample at a
+    # time, drawn as documented: n_bootstrap rows of n indices from
+    # SeedSequence([rng_seed, 0x176F])
+    samples, model = _loss_samples(n)
+    pars = subexp_params(model.constants(), beta=4.0, d=2, s_sq=1.0)
+    grid = [-0.5, -0.1, 0.0, 0.3]
+    rep = logmgf_check(samples, pars["sigma_e_sq"], pars["nu"], grid, rng_seed=5,
+                       n_bootstrap=50)
+
+    def log_mean_exp(x):
+        top = float(np.max(x))
+        return top + math.log(float(np.mean(np.exp(x - top))))
+
+    rng = np.random.default_rng(np.random.SeedSequence([5, 0x176F]))
+    boot_idx = rng.integers(0, n, size=(50, n))
+    for i, lam in enumerate(grid):
+        if lam == 0.0:
+            assert rep.logmgf[i] == rep.band_lo[i] == rep.band_hi[i] == 0.0
+            continue
+        assert rep.logmgf[i] == log_mean_exp(lam * (samples - samples.mean()))
+        boot = np.empty(50)
+        for b in range(50):
+            sub = samples[boot_idx[b]]
+            boot[b] = log_mean_exp(lam * (sub - sub.mean()))
+        lo, hi = np.percentile(boot, [2.5, 97.5])
+        assert (rep.band_lo[i], rep.band_hi[i]) == (float(lo), float(hi))
+
+
 def test_logmgf_input_validation():
     with pytest.raises(ValueError):
         logmgf_check(np.array([1.0]), 1.0, 1.0, [0.1])

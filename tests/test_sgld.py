@@ -4,6 +4,7 @@ import csv
 import importlib
 import math
 import pkgutil
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -116,6 +117,29 @@ def test_fisher_yates_int32_scratch_equals_int64_loop(n, k):
     assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("n, k, rows", [
+    (200, 20, 1200), (200, 20, 7), (3, 2, 1001), (7, 5, 1), (2, 1, 33),
+    (2**32, 2, 99),      # the largest range: raw draws pass through
+    (2**31 + 1, 3, 500),  # about half the raw draws rejected
+    (2**32 + 5, 2, 9),   # past 32 bits: numpy's own draw
+    (5, 5, 40),          # a range of 1 takes no draw
+])
+def test_draw_offsets_equal_generator_integers(n, k, rows):
+    # values and generator state after, also with a 32-bit half held over
+    # from the call before
+    high = (n - np.arange(k)).astype(np.int64)
+    for seed in range(4):
+        want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for call in range(4):
+            if call % 2:
+                for r in (want_rng, got_rng):
+                    r.integers(0, 2**32, dtype=np.uint32)
+            want = want_rng.integers(0, high, size=(rows, k))
+            got = sgld._draw_offsets(got_rng, high, rows)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
 def test_sample_minibatch_uniform_frequencies():
     # n=4, k=2: chi-square over the 12 ordered pairs in 30000 draws; the
     # 99% critical value at 11 degrees of freedom is 24.72
@@ -224,12 +248,15 @@ def test_run_chain_noise_accounting():
     assert tr.noise_variates == 777 * 2
 
 
-def _chain_by_hand(cfg, model, ds, seq):
-    """All states of one chain, rebuilt from the documented stream layout.
+def _chain_record_by_hand(cfg, model, ds, seq):
+    """One chain rebuilt step by step from the documented stream layout.
 
     Substreams spawn in the order (init, batch, noise); offsets and noise
     are drawn per STEP_CHUNK steps; each step's minibatch comes from k
-    partial Fisher-Yates swaps of 0..n-1 by that step's own offsets.
+    partial Fisher-Yates swaps of 0..n-1 by that step's own offsets, and
+    k = n draws no offsets and takes the full batch. Returns every state
+    and every per-step series, the squared norms being the per-row
+    reduction einsum("ij,ij->i") of one row at a time.
     """
     init_s, batch_s, noise_s = seq.spawn(3)
     rng_i = np.random.default_rng(init_s)
@@ -238,20 +265,41 @@ def _chain_by_hand(cfg, model, ds, seq):
     w = math.sqrt(cfg.s_sq) * rng_i.standard_normal(cfg.d)
     high = cfg.n - np.arange(cfg.k)
     scale = math.sqrt(2 * cfg.eta / cfg.beta)
-    states = [w]
+    full = model.full_batch_grad(ds[None])
+
+    def sq(v):
+        return np.einsum("ij,ij->i", v[None], v[None])[0]
+
+    rec = {name: [] for name in ("states", "w_norm_sq", *SERIES)}
+    rec["states"].append(w)
+    rec["w_norm_sq"].append(sq(w))
     for start in range(0, cfg.T, sgld.STEP_CHUNK):
         cl = min(sgld.STEP_CHUNK, cfg.T - start)
-        offs = rng_b.integers(0, high, size=(cl, cfg.k))
+        if cfg.k < cfg.n:
+            offs = rng_b.integers(0, high, size=(cl, cfg.k))
         xis = rng_n.standard_normal((cl, cfg.d))
         for s in range(cl):
-            idx = np.arange(cfg.n)
-            for j in range(cfg.k):
-                tgt = j + offs[s, j]
-                idx[j], idx[tgt] = idx[tgt], idx[j]
-            g = model.grad_minibatch(w[None], ds[idx[: cfg.k]][None])[0]
+            g_full = full(w[None])[0]
+            if cfg.k < cfg.n:
+                idx = np.arange(cfg.n)
+                for j in range(cfg.k):
+                    tgt = j + offs[s, j]
+                    idx[j], idx[tgt] = idx[tgt], idx[j]
+                g = model.grad_minibatch(w[None], ds[idx[: cfg.k]][None])[0]
+            else:
+                g = g_full
+            rec["grad_var_sample"].append(sq(g - g_full))
+            rec["grad_fullbatch_norm"].append(np.sqrt(sq(g_full)))
+            rec["grad_minibatch_norm"].append(np.sqrt(sq(g)))
             w = w - cfg.eta * g + scale * xis[s]
-            states.append(w)
-    return np.stack(states)
+            rec["states"].append(w)
+            rec["w_norm_sq"].append(sq(w))
+    return {name: np.array(v) for name, v in rec.items()}
+
+
+def _chain_by_hand(cfg, model, ds, seq):
+    """All states of one chain, from `_chain_record_by_hand`."""
+    return _chain_record_by_hand(cfg, model, ds, seq)["states"]
 
 
 def test_run_chain_matches_documented_stream_layout():
@@ -287,6 +335,43 @@ def test_ensemble_matches_documented_stream_layout(monkeypatch, block_steps):
             for j, chain_seq in enumerate(chain_seqs):
                 want = _chain_by_hand(cfg, model, ds, chain_seq)
                 assert np.array_equal(traces[i * n_chains + j].states, want)
+
+
+@pytest.mark.parametrize("strided", [False, True])
+@pytest.mark.parametrize("series", [1, None])
+@pytest.mark.parametrize("k", [10, 100])
+@pytest.mark.parametrize("n_datasets", [1, 2])
+def test_engine_bookkeeping_equals_per_step_record(monkeypatch, n_datasets, k,
+                                                    series, strided):
+    # every recorded field of each chain against the step-by-step record:
+    # chunks of 512, 512 and 37 steps; one shared or two stacked datasets;
+    # k < n and k = n; series on the first chain or on all of them
+    if strided:
+        # stride ceil(1061 / 100) = 11: steps 0, 11, ..., 1056 plus 1061
+        monkeypatch.setattr(sgld, "STATE_STORE_CAP", 100)
+    model = quad_model()
+    cfg = quad_config(T=2 * sgld.STEP_CHUNK + 37, k=k)
+    n_chains = 2
+    traces = run_ensemble(cfg, model, n_chains=n_chains, n_datasets=n_datasets,
+                          series=series)
+    n_series = len(traces) if series is None else series
+    for i, ds_seq in enumerate(np.random.SeedSequence(cfg.seed).spawn(n_datasets)):
+        sampler_seq, *chain_seqs = ds_seq.spawn(1 + n_chains)
+        ds = model.sample_data(np.random.default_rng(sampler_seq), cfg.n)
+        for j, chain_seq in enumerate(chain_seqs):
+            tr = traces[i * n_chains + j]
+            want = _chain_record_by_hand(cfg, model, ds, chain_seq)
+            stride = 11 if strided else 1
+            steps = np.r_[np.arange(0, cfg.T, stride), cfg.T]
+            assert np.array_equal(tr.stored_steps, np.unique(steps))
+            assert np.array_equal(tr.states, want["states"][tr.stored_steps])
+            assert np.array_equal(tr.w_norm_sq, want["w_norm_sq"])
+            for name in SERIES:
+                got = getattr(tr, name)
+                if i * n_chains + j < n_series:
+                    assert np.array_equal(got, want[name])
+                else:
+                    assert np.all(np.isnan(got))
 
 
 def test_lockstep_without_series_keeps_states():
@@ -398,6 +483,25 @@ def test_ensemble_single_equals_run_chain():
     tr_s = run_chain(cfg, model, ds, seed_seq=chain_seq)
     assert np.array_equal(tr_e.states, tr_s.states)
     assert np.array_equal(tr_e.grad_var_sample, tr_s.grad_var_sample)
+
+
+@pytest.mark.parametrize("series", [1, None])
+@pytest.mark.parametrize(
+    "model", [make_quadratic(1.0, 1.0, 16), make_logistic_ridge(1.0, 1.0, 15)],
+    ids=["quadratic", "logistic"])
+def test_shared_dataset_ensemble_makes_no_per_chain_copy(model, series):
+    # 64 chains on one (4096, 16) dataset: a (c, n, z) copy of its broadcast
+    # would take 32 MiB, against about 1 MiB for the largest per-step block
+    cfg = quad_config(n=4096, k=8, T=3, d=model.d)
+    c = 64
+    broadcast_bytes = c * cfg.n * model.z_dim * 8
+    tracemalloc.start()
+    try:
+        run_ensemble(cfg, model, n_chains=c, series=series)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < broadcast_bytes / 4
 
 
 def test_ensemble_chains_differ_within_dataset():
