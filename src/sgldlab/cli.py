@@ -7,7 +7,7 @@ hash, seed, precondition results and the produced files, and an output
 directory is protected by a lock file against concurrent runs.
 
 Exit codes: 0 success, 1 usage or config error or a failed run, 2 assertion
-or violation.
+or violation, 128 + the signal number when SIGINT or SIGTERM interrupts it.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import json
 import math
 import os
 import shutil
+import signal
 import sys
 import time
 from dataclasses import dataclass
@@ -367,7 +368,8 @@ def _verify_fp_runs(cfg: ExperimentConfig, lc):
     """(label, grid, grad_s, grad_alt, dt, n_steps) of each of `verify`'s
     Fokker-Planck runs: two shifted quadratics on the coarse grid and on
     twice its cells, with dt the `fp.dt_safety` share of the stability limit
-    at grad_s, and n_steps the steps of dt in `fp.T_end` (at least 2)."""
+    at grad_s, and n_steps the steps of dt in `fp.T_end` (at least 2), few
+    enough that numpy can allocate the pair's (n_steps + 1)-long traces."""
     fp = cfg["fp"]
     if not fp["T_end"] > 0:
         raise ValueError(f"T_end must be positive, got {fp['T_end']}")
@@ -383,9 +385,10 @@ def _verify_fp_runs(cfg: ExperimentConfig, lc):
         dt = fp["dt_safety"] * grid.h**2 / (
             2.0 / beta + grid.h * float(np.abs(gs).max()))
         steps = fp["T_end"] / dt
-        if not math.isfinite(steps):
+        if not (steps + 1) * 8 <= np.iinfo(np.intp).max:
             raise ValueError(f"T_end = {fp['T_end']} is {steps} steps of dt = {dt}; "
-                             f"the step count must be finite")
+                             f"the step count must be finite, and its (steps + 1)-"
+                             f"long float64 traces within numpy's largest array")
         runs.append((label, grid, gs, ga, dt, max(2, int(steps))))
     return runs
 
@@ -402,6 +405,9 @@ class _OutputDir:
     holds the owning process id, so a lock left by a process that is gone
     is reported as stale. A directory holding anything but its `.lock` is
     refused, so no file of an earlier invocation sits among the new ones.
+    A KeyboardInterrupt (SIGINT or SIGTERM, see `main`) leaving a started
+    manifest sets its status to `interrupted`; any other failure leaves it
+    `running`.
     """
 
     def __init__(self, path):
@@ -409,6 +415,7 @@ class _OutputDir:
         self.lock_path = os.path.join(path, ".lock")
         self.manifest_path = os.path.join(path, "manifest.json")
         self.files = []
+        self.manifest = None
 
     def __enter__(self):
         os.makedirs(self.path, exist_ok=True)
@@ -434,11 +441,18 @@ class _OutputDir:
                               f"({len(left)} entries); give a new or empty --out")
         return self
 
-    def __exit__(self, *exc):
+    def __exit__(self, exc_type, exc, tb):
         try:
-            os.unlink(self.lock_path)
-        except FileNotFoundError:
-            pass
+            if (exc_type is not None and issubclass(exc_type, KeyboardInterrupt)
+                    and self.manifest is not None
+                    and self.manifest["status"] == "running"):
+                self.manifest["status"] = "interrupted"
+                _write_json(self.manifest_path, self.manifest)
+        finally:
+            try:
+                os.unlink(self.lock_path)
+            except FileNotFoundError:
+                pass
         return False
 
     def file(self, name: str) -> str:
@@ -640,6 +654,12 @@ def cmd_run(args) -> int:
             )
             mgf = logmgf_check(samples, pars["sigma_e_sq"], pars["nu"],
                                est["lambda_grid"], rng_seed=seed)
+            out.manifest["checks"] = {"logmgf": {
+                "lambdas": list(mgf.lambdas), "envelope": list(mgf.envelope),
+                "n_violations": mgf.n_violations}}
+            if mgf.n_violations:
+                print(f"run: log-MGF above its envelope at {mgf.n_violations} "
+                      f"of {len(mgf.lambdas)} lambdas")
             write_estimates_csv(
                 out.file("logmgf.csv"),
                 [("logmgf", lam,
@@ -774,6 +794,38 @@ _EVALUATORS = {name: getattr(_GridPoint, name) for name in BOUND_NAMES}
 _NEEDS_SIGMA_G = ("xu_raginsky", "pensia", "time_independent", "strongly_convex")
 
 
+# the loss keys a run's traces depend on; `claimed` and `certify_samples` only
+# change what is checked and assumed about the same chain
+_TRACE_LOSS_KEYS = ("family", "d", "data_radius", "R", "lam", "a")
+
+
+def _chain_settings(cfg: ExperimentConfig) -> dict:
+    """What a run's traces depend on: its SGLDConfig, seed aside, and its
+    loss parameters."""
+    return {**dataclasses.asdict(cfg.sgld_config(seed=0)),
+            **{f"loss.{key}": cfg["loss"][key] for key in _TRACE_LOSS_KEYS}}
+
+
+def _check_run_manifest(traces: str, cfg: ExperimentConfig) -> None:
+    """Refuse traces that no complete run of this config's chain made."""
+    path = os.path.join(traces, "manifest.json")
+    try:
+        with open(path) as fh:
+            manifest = json.load(fh)
+        status = manifest["status"]
+        made = _chain_settings(ExperimentConfig(blocks=manifest["config"]))
+    except (OSError, ValueError, LookupError, TypeError, ConfigError) as exc:
+        raise ConfigError(f"--traces: no readable run manifest {path}: {exc!r}") from exc
+    if status != "complete":
+        raise ConfigError(f"--traces: the run in {traces} is {status!r}, not complete")
+    want = _chain_settings(cfg)
+    differ = [key for key in want if made[key] != want[key]]
+    if differ:
+        raise ConfigError(f"--traces: the run in {traces} was made with other "
+                          + ", ".join(f"{key} ({made[key]!r}, not {want[key]!r})"
+                                      for key in differ))
+
+
 def cmd_bounds(args) -> int:
     cfg = load_config(args.config)
     if args.traces is None:
@@ -784,6 +836,7 @@ def cmd_bounds(args) -> int:
     sgld_cfg = cfg.sgld_config(seed=seed)
     b = cfg["bounds"]
     dc = cfg.derived()
+    _check_run_manifest(args.traces, cfg)
 
     var_steps, var_vals = _load_trace(args.traces, "variance.csv")
     stab_steps, stab_vals = _load_trace(args.traces, "stability.csv")
@@ -1033,17 +1086,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _interrupt(signum, frame):
+    # SIGTERM takes SIGINT's path: the with statements unwind, so `run`'s
+    # pool waits for its worker and the output directory loses its lock
+    raise KeyboardInterrupt(signum)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    handlers = {sig: signal.signal(sig, _interrupt)
+                for sig in (signal.SIGINT, signal.SIGTERM)}
     try:
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt as exc:
+        sig = signal.Signals(exc.args[0] if exc.args else signal.SIGINT)
+        print(f"{args.command} interrupted: {sig.name}", file=sys.stderr)
+        return 128 + sig
+    finally:
+        for sig, handler in handlers.items():
+            if handler is not None:  # None: a handler not set from Python
+                signal.signal(sig, handler)
 
 
 if __name__ == "__main__":

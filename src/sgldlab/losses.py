@@ -43,6 +43,7 @@ __all__ = [
 CERT_TOL = 1e-9          # slack allowed on O(1) inequality margins in float64
 FD_REL_TOL = 1e-5        # central-difference gradient agreement threshold
 FD_DEGENERATE_NORM = 1e-6  # skip FD relative error where the gradient vanishes
+FD_MINIBATCH = 3         # points per FD minibatch: above 1, a sum is no mean
 
 
 @dataclass(frozen=True)
@@ -94,7 +95,8 @@ class LossModel:
     Families implement `eval`, `grad`, `eval_many` and `grad_minibatch`,
     and populate `self.d` (parameter dimension), `self.z_dim` (data point
     width) and `self._constants` in their constructor. `grad_minibatch` is
-    the one vectorised gradient: the chains run it and `certify` checks it.
+    the one vectorised gradient: the chains run it and `certify` checks it;
+    the scalar `eval` and `grad` are the test suite's reference for it.
     `full_batch_grad` (on (c, d) states) and `grad_resampled` are optional
     overrides; their defaults call `grad_minibatch`, and an override must
     return the same bits.
@@ -520,14 +522,18 @@ def certify(
     Parameters w are drawn uniformly from the cube of half-width
     10 * max(1, sqrt(b/m)), which covers the region where the dynamics
     concentrate; data points come from the model's data distribution.
+    Each block of 4096 samples is drawn from its own child seed.
 
-    Checks performed:
+    Checks performed, each on `grad_minibatch`, the kernel the chains run
+    (at one point per row in the five sampled checks):
       smoothness         ||grad(w,z) - grad(w',z)|| <= M ||w - w'||
       dissipativity      <grad(w,z), w> >= m ||w||^2 - b
       origin_gradient    ||grad(0,z)|| <= M sqrt(b/m)
       envelope_lower     f(w,z) >= (m/3) ||w||^2 - (b/2) log 3
       envelope_upper     f(w,z) <= (M/2) ||w||^2 + M sqrt(b/m) ||w|| + A
-      gradient_fd        central differences match grad to rel. error 1e-5
+      gradient_fd        on 3-point minibatches at 100 states, central
+                         differences of the minibatch mean of `eval_many`
+                         match `grad_minibatch` to rel. error 1e-5
 
     Returns a report with per-inequality violation counts and witness
     points. A wrong claim yields a failing report, never an exception.
@@ -539,98 +545,79 @@ def certify(
     root_M_bm = lc.M * math.sqrt(lc.b / lc.m)
 
     seq = np.random.SeedSequence(rng_seed)
-    checks: list[InequalityCheck] = []
-
     chunk = 4096
-    margins: dict[str, list[np.ndarray]] = {
-        k: [] for k in ("smoothness", "dissipativity", "origin_gradient",
-                        "envelope_lower", "envelope_upper")
-    }
-    stash: dict[str, dict[str, list[np.ndarray]]] = {k: {} for k in margins}
-
-    def _stash(name: str, m: np.ndarray, **wit: np.ndarray) -> None:
-        margins[name].append(m)
-        for key, val in wit.items():
-            stash[name].setdefault(key, []).append(np.asarray(val))
-
-    remaining = int(n_samples)
-    for child in seq.spawn(max(1, -(-n_samples // chunk))):
-        take = min(chunk, remaining)
-        if take <= 0:
-            break
-        remaining -= take
+    W = np.empty((n_samples, model.d))
+    Wbar = np.empty((n_samples, model.d))
+    Z = np.empty((n_samples, model.z_dim))
+    for i, child in enumerate(seq.spawn(-(-n_samples // chunk))):
         rng = np.random.default_rng(child)
+        rows = slice(i * chunk, min((i + 1) * chunk, n_samples))
+        take = rows.stop - rows.start
+        W[rows] = rng.uniform(-half_width, half_width, size=(take, model.d))
+        Wbar[rows] = rng.uniform(-half_width, half_width, size=(take, model.d))
+        Z[rows] = model.sample_data(rng, take)
 
-        W = rng.uniform(-half_width, half_width, size=(take, model.d))
-        Wbar = rng.uniform(-half_width, half_width, size=(take, model.d))
-        Z = model.sample_data(rng, take)
+    # the kernels are row-independent, so one call over all rows gives the
+    # bits of per-block calls; each gradient array goes once its margins do
+    Z1 = Z[:, None]
+    G = model.grad_minibatch(W, Z1)
+    smooth = (lc.M * np.linalg.norm(W - Wbar, axis=1)
+              - np.linalg.norm(G - model.grad_minibatch(Wbar, Z1), axis=1))
+    w_norm = np.linalg.norm(W, axis=1)
+    dissip = np.einsum("ij,ij->i", G, W) - (lc.m * w_norm**2 - lc.b)
+    del G
+    origin = root_M_bm - np.linalg.norm(model.grad_minibatch(np.zeros_like(W), Z1), axis=1)
+    f_vals = model.eval_many(W, Z)
+    lower = lc.m / 3.0 * w_norm**2 - lc.b / 2.0 * math.log(3.0)
+    upper = lc.M / 2.0 * w_norm**2 + root_M_bm * w_norm + lc.A
 
-        # the kernel the chains run, at one point per row
-        G = model.grad_minibatch(W, Z[:, None])
-        Gbar = model.grad_minibatch(Wbar, Z[:, None])
-        f_vals = model.eval_many(W, Z)
-        w_norm = np.linalg.norm(W, axis=1)
-
-        diff_g = np.linalg.norm(G - Gbar, axis=1)
-        diff_w = np.linalg.norm(W - Wbar, axis=1)
-        _stash("smoothness", lc.M * diff_w - diff_g, w=W, w_bar=Wbar, z=Z)
-
-        inner = np.einsum("ij,ij->i", G, W)
-        _stash("dissipativity", inner - (lc.m * w_norm**2 - lc.b), w=W, z=Z)
-
-        G0 = model.grad_minibatch(np.zeros((take, model.d)), Z[:, None])
-        _stash("origin_gradient", root_M_bm - np.linalg.norm(G0, axis=1), z=Z)
-
-        lower = lc.m / 3.0 * w_norm**2 - lc.b / 2.0 * math.log(3.0)
-        _stash("envelope_lower", f_vals - lower, w=W, z=Z)
-
-        upper = lc.M / 2.0 * w_norm**2 + root_M_bm * w_norm + lc.A
-        _stash("envelope_upper", upper - f_vals, w=W, z=Z)
-
-    for name in margins:
-        all_m = np.concatenate(margins[name])
-        wit = {k: np.concatenate(v) for k, v in stash[name].items()}
-        checks.append(_check_from_margins(name, all_m, wit, tol))
-
-    checks.append(_fd_gradient_check(model, seq.spawn(1)[0]))
-
+    checks = (
+        _check_from_margins("smoothness", smooth, {"w": W, "w_bar": Wbar, "z": Z}, tol),
+        _check_from_margins("dissipativity", dissip, {"w": W, "z": Z}, tol),
+        _check_from_margins("origin_gradient", origin, {"z": Z}, tol),
+        _check_from_margins("envelope_lower", f_vals - lower, {"w": W, "z": Z}, tol),
+        _check_from_margins("envelope_upper", upper - f_vals, {"w": W, "z": Z}, tol),
+        _fd_gradient_check(model, seq.spawn(1)[0], half_width),
+    )
     return CertificationReport(
         model_name=type(model).__name__,
         constants=lc,
-        checks=tuple(checks),
+        checks=checks,
         seed=int(rng_seed),
         tol=tol,
     )
 
 
 def _fd_gradient_check(
-    model: LossModel, seed_seq: np.random.SeedSequence, n_points: int = 100
+    model: LossModel, seed_seq: np.random.SeedSequence, half_width: float,
+    n_points: int = 100,
 ) -> InequalityCheck:
-    """Central-difference agreement of grad with eval at random points."""
+    """Central differences of the minibatch mean of `eval_many` against
+    `grad_minibatch`, on FD_MINIBATCH-point minibatches at n_points states
+    of the cube."""
+    k = FD_MINIBATCH
     rng = np.random.default_rng(seed_seq)
-    lc = model.constants()
-    half_width = 10.0 * max(1.0, math.sqrt(lc.b / lc.m))
     W = rng.uniform(-half_width, half_width, size=(n_points, model.d))
-    Z = model.sample_data(rng, n_points)
+    Zb = model.sample_data(rng, n_points * k).reshape(n_points, k, model.z_dim)
+    g = model.grad_minibatch(W, Zb)
+    g_norm = np.linalg.norm(g, axis=1)
+    h = 1e-5 * (1.0 + np.linalg.norm(W, axis=1))
+    step = h[:, None, None] * np.eye(model.d)  # step[i, j] = h[i] e_j
 
-    margins = np.empty(n_points)
-    witnesses = {"w": W, "z": Z, "rel_err": np.zeros(n_points)}
-    for i in range(n_points):
-        w, z = W[i], Z[i]
-        g = model.grad(w, z)
-        g_norm = float(np.linalg.norm(g))
-        if g_norm < FD_DEGENERATE_NORM:
-            margins[i] = FD_REL_TOL  # degenerate point: vacuously fine
-            continue
-        h = 1e-5 * (1.0 + float(np.linalg.norm(w)))
-        fd = np.empty_like(w)
-        for j in range(w.shape[0]):
-            e = np.zeros_like(w)
-            e[j] = h
-            fd[j] = (model.eval(w + e, z) - model.eval(w - e, z)) / (2.0 * h)
-        rel_err = float(np.linalg.norm(fd - g) / g_norm)
-        witnesses["rel_err"][i] = rel_err
-        margins[i] = FD_REL_TOL - rel_err
+    def mean_loss(states: np.ndarray) -> np.ndarray:
+        # states (n_points, d, d): the minibatch mean of the loss at each
+        # shifted state, as one eval_many call over (point, coordinate, k) rows
+        shape = (n_points, model.d, k)
+        rows = np.broadcast_to(states[:, :, None], (*shape, model.d))
+        pts = np.broadcast_to(Zb[:, None], (*shape, model.z_dim))
+        return model.eval_many(rows.reshape(-1, model.d),
+                               pts.reshape(-1, model.z_dim)).reshape(shape).mean(axis=2)
+
+    fd = (mean_loss(W[:, None] + step) - mean_loss(W[:, None] - step)) / (2.0 * h[:, None])
+    # a vanishing gradient (a degenerate point) counts as agreement
+    rel_err = np.divide(np.linalg.norm(fd - g, axis=1), g_norm,
+                        out=np.zeros(n_points), where=g_norm >= FD_DEGENERATE_NORM)
     # violations here mean rel. error at or past the threshold, not a
     # float-slack overrun, so the check uses tol = 0
-    return _check_from_margins("gradient_fd", margins, witnesses, tol=0.0)
+    return _check_from_margins("gradient_fd", FD_REL_TOL - rel_err,
+                               {"w": W, "z": Zb, "rel_err": rel_err}, tol=0.0)

@@ -8,6 +8,7 @@ import shutil
 import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -234,6 +235,7 @@ def test_bad_seed_rejected_cleanly(run_and_bounds, tmp_path, capsys):
     ("verify", "fp", "center_gap", float("nan")),
     ("verify", "fp", "halfwidth", float("inf")),
     ("verify", "fp", "T_end", 1e308),  # finite, but T_end / dt is not
+    ("verify", "fp", "T_end", 1e30),  # finite steps, but no array holds them
 ])
 def test_bad_value_exits_one_before_any_output(run_and_bounds, tmp_path, capsys,
                                                sub, block, key, value):
@@ -340,6 +342,40 @@ def test_run_checks_the_log_mgf_envelope_the_bound_uses(tmp_path):
     assert [float(r[1]) for r in rows] == [-100.0, 100.0]
     with pytest.raises(ConfigError, match="estimators.lambda_grid"):
         load_config(write_config(tmp_path / "one.json", estimators=grid))
+
+
+@pytest.mark.parametrize("C", [1.0, 2.0])
+def test_run_manifest_records_the_log_mgf_envelope(tmp_path, capsys, C):
+    cfg_path = write_config(tmp_path / "c.json", bounds={"universal_C_moment": C})
+    out = tmp_path / "r"
+    assert main(["run", "--config", cfg_path, "--out", str(out)]) == 0
+    cfg = load_config(cfg_path)
+    sigma_e_sq = cli.subexp_params(cfg.model().constants(), beta=4.0, d=2, s_sq=1.0,
+                                   universal_C=C)["sigma_e_sq"]
+    lambdas = cfg["estimators"]["lambda_grid"]
+    record = json.loads((out / "manifest.json").read_text())["checks"]["logmgf"]
+    assert record == {"lambdas": lambdas, "n_violations": 0,
+                      "envelope": [sigma_e_sq * lam**2 / 2.0 for lam in lambdas]}
+    assert "log-MGF" not in capsys.readouterr().out
+
+
+def test_run_reports_a_log_mgf_above_its_envelope(tmp_path, capsys, monkeypatch):
+    real = cli.subexp_params
+    monkeypatch.setattr(cli, "subexp_params", lambda *args, **kwargs: {
+        **real(*args, **kwargs), "sigma_e_sq": 1e-12})
+    cfg = write_config(tmp_path / "c.json")
+    out = tmp_path / "r"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    record = json.loads((out / "manifest.json").read_text())["checks"]["logmgf"]
+    assert 0 < record["n_violations"] <= 4
+    assert (f"run: log-MGF above its envelope at {record['n_violations']} of 4 "
+            f"lambdas") in capsys.readouterr().out.splitlines()
+    # the envelope enters the manifest only
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "same")]) == 0
+    monkeypatch.setattr(cli, "subexp_params", real)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "real")]) == 0
+    assert ((tmp_path / "same" / "logmgf.csv").read_bytes()
+            == (tmp_path / "real" / "logmgf.csv").read_bytes())
 
 
 def test_run_refuses_uncertified_claims(tmp_path):
@@ -487,6 +523,70 @@ def test_run_worker_death_exits_one(tmp_path, monkeypatch, capsys):
     assert not (out / ".lock").exists()
     assert not (out / "stability.csv").exists()
     assert json.loads((out / "manifest.json").read_text())["status"] == "running"
+
+
+def _proc_stat(pid):
+    """(state, parent pid) of a process from /proc, or None once it is reaped."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            fields = fh.read().rsplit(")", 1)[1].split()
+    except OSError:
+        return None
+    return fields[0], int(fields[1])
+
+
+def _alive(pid):
+    stat = _proc_stat(pid)
+    return stat is not None and stat[0] != "Z"
+
+
+def _children(pid):
+    stats = {int(e): _proc_stat(e) for e in os.listdir("/proc") if e.isdigit()}
+    return [c for c, st in stats.items() if st is not None and st[1] == pid and st[0] != "Z"]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
+@pytest.mark.parametrize("sig", [signal.SIGTERM, signal.SIGINT], ids=lambda s: s.name)
+def test_run_interrupted_by_a_signal_exits_cleanly(tmp_path, sig):
+    # long enough that the signal lands while the worker runs its stage
+    cfg = write_config(tmp_path / "c.json", sgld={"T": 30_000})
+    out = tmp_path / "run"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(REPO, "src") + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    # files, not pipes: a worker left behind cannot hold the test up
+    with open(tmp_path / "stdout", "w") as so, open(tmp_path / "stderr", "w") as se:
+        proc = subprocess.Popen([sys.executable, "-m", "sgldlab.cli", "run",
+                                 "--config", cfg, "--out", str(out)],
+                                stdout=so, stderr=se, env=env)
+    children, left = [], []
+    try:
+        deadline = time.monotonic() + 60.0
+        while not children and proc.poll() is None and time.monotonic() < deadline:
+            try:
+                running = json.loads((out / "manifest.json").read_text())["status"] == "running"
+            except (OSError, ValueError):
+                running = False
+            if running:
+                children = _children(proc.pid)
+            time.sleep(0.01)
+        assert children, "the worker never ran while the manifest read running"
+        proc.send_signal(sig)
+        code = proc.wait(timeout=60)
+        left = [pid for pid in children if _alive(pid)]
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        for pid in children:
+            if _alive(pid):
+                os.kill(pid, signal.SIGKILL)
+    assert code == 128 + sig
+    assert (tmp_path / "stderr").read_text().splitlines() == [
+        f"run interrupted: {sig.name}"]
+    assert not (out / ".lock").exists()
+    assert json.loads((out / "manifest.json").read_text())["status"] == "interrupted"
+    assert left == []
 
 
 def test_lock_file_refusal(tmp_path, capsys):
@@ -662,6 +762,51 @@ def test_bounds_missing_traces_exit_one(tmp_path, capsys):
     assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "b")]) == 1
     assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "b2"),
                  "--traces", str(tmp_path / "nowhere")]) == 1
+
+
+def _bounds_on_copied_traces(run_and_bounds, tmp_path, edit_manifest, **over):
+    traces = tmp_path / "run"
+    shutil.copytree(run_and_bounds / "run", traces)
+    path = traces / "manifest.json"
+    manifest = edit_manifest(json.loads(path.read_text()))
+    if manifest is None:
+        path.unlink()
+    else:
+        path.write_text(json.dumps(manifest))
+    cfg = write_config(tmp_path / "c.json", **over)
+    out = tmp_path / "b"
+    code = main(["bounds", "--config", cfg, "--out", str(out), "--traces", str(traces)])
+    return code, out
+
+
+@pytest.mark.parametrize("edit, over", [
+    (lambda m: {**m, "status": "running"}, {}),  # interrupted or failed run
+    (lambda m: {**m, "status": "interrupted"}, {}),
+    (lambda m: None, {}),
+    (lambda m: {**m, "config": "?"}, {}),
+    (lambda m: m, {"sgld": {"eta": 0.02}}),  # traces made at eta = 0.05
+    (lambda m: m, {"data": {"n": 40}}),
+    (lambda m: m, {"loss": {"R": 2.0}}),
+    (lambda m: m, {"loss": {"data_radius": 2.0}}),
+], ids=["running", "interrupted", "no-manifest", "unreadable-config", "other-eta",
+        "other-n", "other-R", "other-data-radius"])
+def test_bounds_refuses_traces_it_cannot_vouch_for(run_and_bounds, tmp_path, capsys,
+                                                   edit, over):
+    code, out = _bounds_on_copied_traces(run_and_bounds, tmp_path, edit, **over)
+    assert code == 1
+    assert capsys.readouterr().err.startswith("config error: --traces: ")
+    assert not out.exists()
+
+
+def test_bounds_takes_traces_of_the_same_chain_under_other_settings(run_and_bounds,
+                                                                    tmp_path):
+    # the seed, the checks and the bound settings do not change the chain
+    code, _ = _bounds_on_copied_traces(
+        run_and_bounds, tmp_path, lambda m: m, sgld={"seed": 5},
+        loss={"certify_samples": 100, "claimed": {"M": 2.0}},
+        bounds={"which": ["pensia"]}, estimators={"n_trials": 3},
+        fp={"n_cells": 64}, verify={"oracle_T": 10})
+    assert code == 0
 
 
 def test_bounds_json_mirror_and_gap_copy(run_and_bounds):

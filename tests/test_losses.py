@@ -312,6 +312,98 @@ def test_certify_checks_the_kernel_the_chains_run(factory, monkeypatch):
     assert any(c.n_violations > 0 for c in report.checks)
 
 
+@pytest.mark.parametrize("mutation", ["data-sign-flipped", "sum-not-mean"])
+@pytest.mark.parametrize(
+    "factory",
+    [
+        lambda: make_quadratic(1.0, 1.0, 2),
+        lambda: make_logistic_ridge(1.0, 1.0, 3),
+        lambda: make_nonconvex_ridge(1.0, 0.5, 1.0, 3),
+    ],
+    ids=["quadratic", "logistic", "nonconvex"],
+)
+def test_certify_fails_a_kernel_with_a_wrong_data_term(factory, mutation, monkeypatch):
+    # every sampled check runs one point per row, where a flipped data term
+    # still meets the claimed inequalities and a sum equals the mean; the
+    # finite-difference check's 3-point minibatches catch both
+    model = factory()
+    cls = type(model)
+    kernel = cls.grad_minibatch
+
+    def mutated(self, W, Zb):
+        # at all-zero points every family's data term vanishes
+        rest = kernel(self, W, np.zeros_like(Zb[:, :1]))
+        data = kernel(self, W, Zb) - rest
+        return rest + (-data if mutation == "data-sign-flipped" else Zb.shape[1] * data)
+
+    monkeypatch.setattr(cls, "grad_minibatch", mutated)
+    report = certify(model, n_samples=2_000, rng_seed=7)
+    assert not report.passed
+    fd = next(c for c in report.checks if c.inequality_name == "gradient_fd")
+    assert fd.n_violations > 90
+
+
+@pytest.mark.parametrize(
+    "model",
+    [make_quadratic(1.0, 1.0, 4), make_logistic_ridge(1.0, 1.0, 5),
+     make_nonconvex_ridge(1.0, 0.5, 1.0, 20)],
+    ids=["quadratic", "logistic", "nonconvex"],
+)
+def test_certify_sampled_checks_match_a_blockwise_computation(model):
+    # the five sampled checks over all rows at once give the bits of 4096-row
+    # blocks, each drawn from its own child seed and checked on its own
+    n_samples, chunk, seed = 2 * 4096 + 37, 4096, 7
+    lc = model.constants()
+    half_width = 10.0 * max(1.0, math.sqrt(lc.b / lc.m))
+    root_M_bm = lc.M * math.sqrt(lc.b / lc.m)
+    names = ("smoothness", "dissipativity", "origin_gradient",
+             "envelope_lower", "envelope_upper")
+    margins = {name: [] for name in names}
+    W_all, Wbar_all, Z_all = [], [], []
+    seq = np.random.SeedSequence(seed)
+    for child in seq.spawn(3):
+        rng = np.random.default_rng(child)
+        take = min(chunk, n_samples - sum(len(w) for w in W_all))
+        W = rng.uniform(-half_width, half_width, size=(take, model.d))
+        Wbar = rng.uniform(-half_width, half_width, size=(take, model.d))
+        Z = model.sample_data(rng, take)
+        G = model.grad_minibatch(W, Z[:, None])
+        Gbar = model.grad_minibatch(Wbar, Z[:, None])
+        G0 = model.grad_minibatch(np.zeros((take, model.d)), Z[:, None])
+        f_vals = model.eval_many(W, Z)
+        w_norm = np.linalg.norm(W, axis=1)
+        margins["smoothness"].append(lc.M * np.linalg.norm(W - Wbar, axis=1)
+                                     - np.linalg.norm(G - Gbar, axis=1))
+        margins["dissipativity"].append(np.einsum("ij,ij->i", G, W)
+                                        - (lc.m * w_norm**2 - lc.b))
+        margins["origin_gradient"].append(root_M_bm - np.linalg.norm(G0, axis=1))
+        margins["envelope_lower"].append(
+            f_vals - (lc.m / 3.0 * w_norm**2 - lc.b / 2.0 * math.log(3.0)))
+        margins["envelope_upper"].append(
+            lc.M / 2.0 * w_norm**2 + root_M_bm * w_norm + lc.A - f_vals)
+        W_all.append(W)
+        Wbar_all.append(Wbar)
+        Z_all.append(Z)
+    W, Wbar, Z = (np.concatenate(a) for a in (W_all, Wbar_all, Z_all))
+    assert len(W) == n_samples
+
+    report = certify(model, n_samples=n_samples, rng_seed=seed)
+    for check, name in zip(report.checks[:5], names, strict=True):
+        m = np.concatenate(margins[name])
+        worst = int(np.argmin(m))
+        assert check.inequality_name == name
+        assert check.n_samples == n_samples
+        assert check.n_violations == int(np.sum(m < -CERT_TOL)) == 0
+        assert check.worst_margin == m[worst]
+        assert check.witness["margin"] == m[worst]
+        assert check.witness["z"] == Z[worst].tolist()
+        if name != "origin_gradient":
+            assert check.witness["w"] == W[worst].tolist()
+        if name == "smoothness":
+            assert check.witness["w_bar"] == Wbar[worst].tolist()
+    assert [c.inequality_name for c in report.checks[5:]] == ["gradient_fd"]
+
+
 def test_certify_envelope_lower_at_origin():
     model = make_quadratic(1.0, 1.0, 2)
     lc = model.constants()
