@@ -13,6 +13,7 @@ or violation, 128 + the signal number when SIGINT or SIGTERM interrupts it.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import hashlib
@@ -57,11 +58,13 @@ from .estimators import (
     EstimateWithError,
     admitted_lambdas,
     empirical_gen_gap,
-    grad_stability_trace,
     grad_variance_trace,
     logmgf_check,
     pth_moment_check,
     pth_moment_min_chains,
+    stability_chains,
+    stability_datasets,
+    stability_estimates,
     write_estimates_csv,
 )
 from .fokker_planck import (
@@ -400,8 +403,9 @@ class _OutputDir:
     """Locked output directory that tracks the files written into it.
 
     Its manifest.json is written when the work starts and again when it
-    completes, then listing the files; it does not list itself. Each write
-    replaces the whole file by a rename. `.lock`
+    completes, then listing the files; it does not list itself. Every file,
+    the manifest included, is written to a temp file that a rename puts in
+    place, so none is ever seen part-written. `.lock`
     holds the owning process id, so a lock left by a process that is gone
     is reported as stale. A directory holding anything but its `.lock` is
     refused, so no file of an earlier invocation sits among the new ones.
@@ -455,14 +459,23 @@ class _OutputDir:
                 pass
         return False
 
-    def file(self, name: str) -> str:
-        full = os.path.join(self.path, name)
+    @contextlib.contextmanager
+    def file(self, name: str):
+        """The temp path to write artifact `name` to; it takes the name when
+        the with block completes, and goes if the block raises."""
+        with _replacing(os.path.join(self.path, name)) as tmp:
+            yield tmp
         if name not in self.files:
             self.files.append(name)
-        return full
 
     def write_json(self, name: str, payload) -> None:
-        _write_json(self.file(name), payload)
+        with self.file(name) as tmp:
+            _dump_json(tmp, payload)
+
+    def save_npy(self, name: str, array) -> None:
+        # through a handle: np.save appends ".npy" to a name lacking it
+        with self.file(name) as tmp, open(tmp, "wb") as fh:
+            np.save(fh, array)
 
     def start_manifest(self, **fields) -> None:
         self.t0 = time.monotonic()
@@ -497,15 +510,15 @@ def _pid_alive(pid: int) -> bool:
     return True
 
 
-def _write_json(path, payload) -> None:
-    # a temp file in the same directory, then os.replace: a dump that fails
-    # part way leaves the previous file whole, and no temp file behind
+@contextlib.contextmanager
+def _replacing(path):
+    """A temp path in `path`'s directory, renamed to `path` by os.replace
+    when the with block completes: a write that fails part way leaves the
+    previous file whole, or none, and no temp file behind."""
     head, name = os.path.split(path)
     tmp = os.path.join(head, f".{name}.tmp")
     try:
-        with open(tmp, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        yield tmp
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -513,6 +526,17 @@ def _write_json(path, payload) -> None:
         except FileNotFoundError:
             pass
         raise
+
+
+def _dump_json(path, payload) -> None:
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _write_json(path, payload) -> None:
+    with _replacing(path) as tmp:
+        _dump_json(tmp, payload)
 
 
 def _start_config_manifest(out: _OutputDir, cfg: ExperimentConfig, seed: int,
@@ -554,8 +578,7 @@ def cmd_certify(args) -> int:
 
 def cmd_run(args) -> int:
     # imported here, not at module top, to keep them off every start-up
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
+    import mmap
     from multiprocessing import get_context
 
     cfg = load_config(args.config)
@@ -588,11 +611,7 @@ def cmd_run(args) -> int:
             print(f"  - {failure}", file=sys.stderr)
         return 2
 
-    # fork, not spawn, so the worker needs no re-import; the pool forks it
-    # at submit, before starting threads of its own. Leaving the with
-    # statement waits for the worker before the lock goes.
-    with _OutputDir(args.out) as out, ProcessPoolExecutor(
-            max_workers=1, mp_context=get_context("fork")) as pool:
+    with _OutputDir(args.out) as out:
         _start_config_manifest(out, cfg, seed, preconditions)
 
         root = np.random.SeedSequence([seed, 0xDA7A])
@@ -600,97 +619,203 @@ def cmd_run(args) -> int:
             model.sample_data(np.random.default_rng(root), cfg["data"]["n"]),
             dtype=float,
         )
-        np.save(out.file("dataset.npy"), dataset)
-        # the stability trace and the gap read nothing the stages below
-        # compute, so the worker runs them while this process runs the
-        # rest; it writes no file and ends in os._exit, so `out.__exit__`
-        # never runs in it
-        worker = pool.submit(_worker_stages, model, sgld_cfg, est["n_pairs"],
-                             est["n_trials"], est["eval_loss"])
-
-        traces = run_ensemble(sgld_cfg, model,
-                              dataset_sampler=lambda rng, m: dataset,
-                              n_chains=est["n_chains"], series=1)
-        traces[0].to_csv(out.file("chain_000.csv"))
-        np.save(out.file("final_states.npy"),
-                np.stack([tr.final_state for tr in traces]))
-
-        norms = np.stack([tr.w_norm_sq for tr in traces])
-        with open(out.file("moments.csv"), "w") as fh:
-            fh.write("t,mean_w_norm_sq\n")
-            means = norms.mean(axis=0)
-            for t in range(means.shape[0]):
-                fh.write(f"{t},{repr(float(means[t]))}\n")
-
-        variance = grad_variance_trace(model, dataset, traces[0],
-                                       n_resamples=est["n_resamples"])
-        write_estimates_csv(
-            out.file("variance.csv"),
-            [("grad_variance", int(step), e)
-             for step, e in zip(traces[0].stored_steps, variance)],
-        )
-        try:
-            stability, gap = worker.result()
-        except BrokenProcessPool as exc:
-            # killed, say out of memory: the lock goes, the manifest stays running
-            print(f"run failed: the stability and gap worker died: {exc}",
-                  file=sys.stderr)
-            return 1
-        write_estimates_csv(
-            out.file("stability.csv"),
-            [("grad_stability", int(step), e)
-             for step, e in zip(traces[0].stored_steps, stability)],
-        )
-        write_estimates_csv(out.file("gap.csv"),
-                            [(gap.estimator_name, sgld_cfg.T, gap)])
-
-        if len(traces) >= 2:
-            pars = subexp_params(lc, beta=sgld_cfg.beta, d=sgld_cfg.d, s_sq=sgld_cfg.s_sq,
-                                 universal_C=cfg["bounds"]["universal_C_moment"])
-            zrng = np.random.default_rng(np.random.SeedSequence([seed, 0x10F]))
-            Z = model.sample_data(zrng, len(traces))
-            samples = model.eval_many(
-                np.stack([tr.final_state for tr in traces]), Z
-            )
-            mgf = logmgf_check(samples, pars["sigma_e_sq"], pars["nu"],
-                               est["lambda_grid"], rng_seed=seed)
-            out.manifest["checks"] = {"logmgf": {
-                "lambdas": list(mgf.lambdas), "envelope": list(mgf.envelope),
-                "n_violations": mgf.n_violations}}
-            if mgf.n_violations:
-                print(f"run: log-MGF above its envelope at {mgf.n_violations} "
-                      f"of {len(mgf.lambdas)} lambdas")
+        out.save_npy("dataset.npy", dataset)
+        # the gap and the stability trace read nothing the stages below
+        # compute, so a forked worker runs them while this process runs the
+        # rest; once this process is idle (one shared byte) it may take the
+        # tail of the stability evaluation, see `_handoff`
+        parent_idle = mmap.mmap(-1, 1)
+        with _worker_process(get_context("fork"), parent_idle, model, sgld_cfg,
+                             est) as (worker, receive):
+            # the stages' arrays are gone once it returns, so a tail of the
+            # stability evaluation does not add to this process's peak
+            stored_steps = _run_own_stages(out, cfg, model, dataset, sgld_cfg, seed)
+            parent_idle[0] = 1
+            try:
+                stability, gap = _worker_results(receive, model, sgld_cfg,
+                                                 est["n_pairs"])
+            except EOFError:
+                # killed, say out of memory: the lock goes, the manifest stays running
+                worker.join()
+                print(f"run failed: the stability and gap worker died "
+                      f"(exit code {worker.exitcode})", file=sys.stderr)
+                return 1
+        with out.file("stability.csv") as path:
             write_estimates_csv(
-                out.file("logmgf.csv"),
-                [("logmgf", lam,
-                  EstimateWithError(val, (hi - lo) / 2.0, mgf.n_samples, "logmgf"))
-                 for lam, val, lo, hi in zip(mgf.lambdas, mgf.logmgf,
-                                             mgf.band_lo, mgf.band_hi)],
-            )
-        need = pth_moment_min_chains(est["p_list"])
-        if len(traces) >= need:
-            moments = pth_moment_check(traces, est["p_list"],
-                                       lc, beta=sgld_cfg.beta,
-                                       d=sgld_cfg.d, s_sq=sgld_cfg.s_sq)
-            out.write_json("pth_moments.json", moments.to_dict())
-        else:
-            out.write_json("pth_moments.json", {
-                "skipped": f"needs at least {need} chains for "
-                           f"p up to {max(est['p_list'])}, have {len(traces)}"
-            })
+                path, [("grad_stability", int(step), e)
+                       for step, e in zip(stored_steps, stability)])
+        with out.file("gap.csv") as path:
+            write_estimates_csv(path, [(gap.estimator_name, sgld_cfg.T, gap)])
         out.finish_manifest()
     print(f"run complete: {len(out.files)} files in {args.out}")
     return 0
 
 
-def _worker_stages(model, sgld_cfg: SGLDConfig, n_pairs: int, n_trials: int,
-                   eval_loss: str):
-    # what `run`'s worker runs; the estimators are looked up in this
-    # module's globals at call time, so wrappers set there are the ones run
-    stability = grad_stability_trace(model, sgld_cfg, n_pairs=n_pairs)
-    gap = empirical_gen_gap(model, sgld_cfg, n_trials=n_trials,
-                            eval_loss=eval_loss)
-    return stability, gap
+def _run_own_stages(out: _OutputDir, cfg: ExperimentConfig, model, dataset,
+                    sgld_cfg: SGLDConfig, seed: int) -> np.ndarray:
+    """The stages `run` keeps in its own process: the ensemble, chain 0's
+    trace and variance, the moments, the log-MGF and p-th moment checks.
+    Returns chain 0's stored steps."""
+    est, lc = cfg["estimators"], model.constants()
+    traces = run_ensemble(sgld_cfg, model,
+                          dataset_sampler=lambda rng, m: dataset,
+                          n_chains=est["n_chains"], series=1)
+    with out.file("chain_000.csv") as path:
+        traces[0].to_csv(path)
+    out.save_npy("final_states.npy",
+                 np.stack([tr.final_state for tr in traces]))
+
+    norms = np.stack([tr.w_norm_sq for tr in traces])
+    with out.file("moments.csv") as path, open(path, "w") as fh:
+        fh.write("t,mean_w_norm_sq\n")
+        means = norms.mean(axis=0)
+        for t in range(means.shape[0]):
+            fh.write(f"{t},{repr(float(means[t]))}\n")
+
+    variance = grad_variance_trace(model, dataset, traces[0],
+                                   n_resamples=est["n_resamples"])
+    with out.file("variance.csv") as path:
+        write_estimates_csv(
+            path,
+            [("grad_variance", int(step), e)
+             for step, e in zip(traces[0].stored_steps, variance)],
+        )
+
+    if len(traces) >= 2:
+        pars = subexp_params(lc, beta=sgld_cfg.beta, d=sgld_cfg.d, s_sq=sgld_cfg.s_sq,
+                             universal_C=cfg["bounds"]["universal_C_moment"])
+        zrng = np.random.default_rng(np.random.SeedSequence([seed, 0x10F]))
+        Z = model.sample_data(zrng, len(traces))
+        samples = model.eval_many(
+            np.stack([tr.final_state for tr in traces]), Z
+        )
+        mgf = logmgf_check(samples, pars["sigma_e_sq"], pars["nu"],
+                           est["lambda_grid"], rng_seed=seed)
+        out.manifest["checks"] = {"logmgf": {
+            "lambdas": list(mgf.lambdas), "envelope": list(mgf.envelope),
+            "n_violations": mgf.n_violations}}
+        if mgf.n_violations:
+            print(f"run: log-MGF above its envelope at {mgf.n_violations} "
+                  f"of {len(mgf.lambdas)} lambdas")
+        with out.file("logmgf.csv") as path:
+            write_estimates_csv(
+                path,
+                [("logmgf", lam,
+                  EstimateWithError(val, (hi - lo) / 2.0, mgf.n_samples, "logmgf"))
+                 for lam, val, lo, hi in zip(mgf.lambdas, mgf.logmgf,
+                                             mgf.band_lo, mgf.band_hi)],
+            )
+    need = pth_moment_min_chains(est["p_list"])
+    if len(traces) >= need:
+        moments = pth_moment_check(traces, est["p_list"],
+                                   lc, beta=sgld_cfg.beta,
+                                   d=sgld_cfg.d, s_sq=sgld_cfg.s_sq)
+        out.write_json("pth_moments.json", moments.to_dict())
+    else:
+        out.write_json("pth_moments.json", {
+            "skipped": f"needs at least {need} chains for "
+                       f"p up to {max(est['p_list'])}, have {len(traces)}"
+        })
+    return traces[0].stored_steps
+
+
+_SIGNALS = (signal.SIGINT, signal.SIGTERM)
+
+
+@contextlib.contextmanager
+def _worker_process(ctx, *args):
+    """`_worker(receive, send, *args)` in a process of the fork context
+    `ctx`, yielding the process and the receiving end of its one-way pipe.
+
+    The process is terminated and joined on leaving, however the with block
+    ends. SIGINT and SIGTERM stay blocked across the fork, so neither reaches
+    the child before it has dropped this process's handlers.
+    """
+    receive, send = ctx.Pipe(duplex=False)
+    process = ctx.Process(target=_worker, args=(receive, send, *args))
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, _SIGNALS)
+    try:
+        process.start()
+        try:
+            send.close()  # the child's end only, so its death reads as EOF here
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+            yield process, receive
+        finally:
+            process.terminate()
+            process.join()
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        send.close()
+        receive.close()
+
+
+def _handoff(parent_idle: bool, done: int, total: int) -> int | None:
+    """The stored step `run`'s worker stops its stability evaluation before,
+    decided at step `done` of `total`, the first it reaches once the parent
+    is idle (None until then). The parent takes the last half of the steps
+    left if the worker has already evaluated at least as many; otherwise
+    the worker finishes alone (`total`)."""
+    if not parent_idle:
+        return None
+    left = total - done
+    return total - left // 2 if 2 * done >= left else total
+
+
+def _worker(receive, send, parent_idle, model, sgld_cfg: SGLDConfig, est: dict) -> None:
+    """`run`'s worker: the gap, then the stability pairs' chains, then the
+    evaluation of their stored steps from the first, up to the `_handoff`
+    split. A tail handed to the parent is sent the moment it is decided, as
+    ("tail", split) and then each pair's states from the split on. Last
+    comes ("done", (estimates, gap)), or ("error", (exception, traceback
+    text)) from any stage. It writes no file. The estimators are looked up
+    in this module's globals at call time, so wrappers set there are the
+    ones run."""
+    receive.close()  # so that a parent gone makes `send` fail
+    for sig in _SIGNALS:
+        signal.signal(sig, signal.SIG_DFL)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, _SIGNALS)
+    try:
+        gap = empirical_gen_gap(model, sgld_cfg, n_trials=est["n_trials"],
+                                eval_loss=est["eval_loss"])
+        datasets, states = stability_chains(model, sgld_cfg, n_pairs=est["n_pairs"])
+        n_steps = states[0].shape[0]
+        split = None
+
+        def until(t):
+            nonlocal split
+            if split is None:
+                split = _handoff(bool(parent_idle[0]), t, n_steps)
+                if split is not None and split < n_steps:
+                    send.send(("tail", split))
+                    for s in states:
+                        send.send(s[split:])
+            return n_steps if split is None else split
+
+        send.send(("done", (stability_estimates(model, datasets, states, until), gap)))
+    except Exception as exc:
+        import traceback
+
+        with contextlib.suppress(BrokenPipeError):  # the parent is gone
+            send.send(("error", (exc, traceback.format_exc())))
+
+
+def _worker_results(receive, model, sgld_cfg: SGLDConfig, n_pairs: int):
+    """The stability estimates and the gap from `_worker`, evaluating here,
+    with the worker's code, any tail it hands over. An exception raised in
+    the worker is raised here, caused by one holding the worker's
+    traceback; EOFError means the worker died."""
+    kind, payload = receive.recv()
+    tail = []
+    if kind == "tail":
+        states = [receive.recv() for _ in range(n_pairs)]
+        datasets, _ = stability_datasets(model, sgld_cfg, n_pairs)
+        tail = stability_estimates(model, datasets, states)
+        kind, payload = receive.recv()
+    if kind == "error":
+        exc, worker_traceback = payload
+        raise exc from RuntimeError(f"raised in the worker:\n{worker_traceback}")
+    head, gap = payload
+    return head + tail, gap
 
 
 def _read_csv(path, columns) -> list:
@@ -897,12 +1022,14 @@ def cmd_bounds(args) -> int:
 
     with _OutputDir(args.out) as out:
         _start_config_manifest(out, cfg, seed, {"traces": args.traces})
-        report.to_csv(out.file("bounds.csv"))
+        with out.file("bounds.csv") as path:
+            report.to_csv(path)
         out.write_json("bounds.json", [e.to_dict() for e in entries])
         gap_src = os.path.join(args.traces, "gap.csv")
         if os.path.exists(gap_src):
             # carried along so a report directory is self-contained for compare
-            shutil.copyfile(gap_src, out.file("gap.csv"))
+            with out.file("gap.csv") as path:
+                shutil.copyfile(gap_src, path)
         out.finish_manifest()
     print(f"bounds: {len(entries)} entries over T={T_grid} n={n_grid}")
     return 0
@@ -929,7 +1056,8 @@ def cmd_verify(args) -> int:
             S = model.sample_data(np.random.default_rng(s_seq), o_cfg.n)
             S_alt = model.sample_data(np.random.default_rng(alt_seq), o_cfg.n)
             trace = oracle_trace(S, S_alt, o_cfg, R=lc.R)
-            trace.to_csv(out.file("oracle_trace.csv"))
+            with out.file("oracle_trace.csv") as path:
+                trace.to_csv(path)
             gap_sq = float(np.sum((S.mean(axis=0) - S_alt.mean(axis=0)) ** 2))
             if falsify:
                 contraction, add = 1.0, 0.0
@@ -961,7 +1089,8 @@ def cmd_verify(args) -> int:
             start = gibbs_density(grid, (grid.centers - 1.0) ** 2, 1.0)
             run = evolve_pair(grid, gs, ga, beta, dt, n_steps, start, start)
             rep = verify_inequality_12(run, beta)
-            run.to_csv(out.file(f"fp_{label}.csv"), rep)
+            with out.file(f"fp_{label}.csv") as path:
+                run.to_csv(path, rep)
             rates[label] = rep.violation_rate
             sections[f"fp_{label}"] = {
                 "n_cells": grid.n_cells,
@@ -1013,13 +1142,13 @@ def cmd_compare(args) -> int:
     with _OutputDir(args.out) as out:
         out.start_manifest(inputs=args.reports)
         labels = [label for label, _ in tables]
-        with open(out.file("compare.csv"), "w", newline="") as fh:
+        with out.file("compare.csv") as path, open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["bound_name", "T", "n", *labels])
             for key in keys:
                 writer.writerow([key[0], key[1], key[2],
                                  *(table.get(key, "") for _, table in tables)])
-        with open(out.file("compare.txt"), "w") as fh:
+        with out.file("compare.txt") as path, open(path, "w") as fh:
             widths = [max(12, len(label) + 2) for label in labels]
             fh.write(f"{'bound':24s}{'T':>8s}{'n':>8s}"
                      + "".join(f"{label:>{w}s}" for label, w in zip(labels, widths))
@@ -1087,8 +1216,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _interrupt(signum, frame):
-    # SIGTERM takes SIGINT's path: the with statements unwind, so `run`'s
-    # pool waits for its worker and the output directory loses its lock
+    # SIGTERM takes SIGINT's path: the with statements unwind, so `run`
+    # terminates and joins its worker and the output directory loses its lock
     raise KeyboardInterrupt(signum)
 
 
@@ -1098,8 +1227,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    handlers = {sig: signal.signal(sig, _interrupt)
-                for sig in (signal.SIGINT, signal.SIGTERM)}
+    handlers = {sig: signal.signal(sig, _interrupt) for sig in _SIGNALS}
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -31,6 +31,9 @@ __all__ = [
     "empirical_gen_gap",
     "grad_variance_trace",
     "grad_stability_trace",
+    "stability_datasets",
+    "stability_chains",
+    "stability_estimates",
     "PthMomentReport",
     "pth_moment_min_chains",
     "pth_moment_check",
@@ -208,9 +211,24 @@ def grad_stability_trace(
     chain's law is driven by S only; the statistic is asymmetric in that
     respect. `control_identical` replaces S' by S (the statistic is then
     exactly zero; falsification control).
-    """
-    check_count("n_pairs", n_pairs)
 
+    The composition of its two phases: `stability_chains` draws the pairs
+    and runs their chains, `stability_estimates` evaluates the stored steps.
+    """
+    return stability_estimates(
+        model, *stability_chains(model, config, n_pairs, control_identical))
+
+
+def stability_datasets(
+    model: LossModel,
+    config: SGLDConfig,
+    n_pairs: int,
+    control_identical: bool = False,
+) -> tuple[np.ndarray, list]:
+    """The pairs of `grad_stability_trace`: their datasets as one (2 n_pairs,
+    n, z) array, the n_pairs datasets S then their n_pairs datasets S', and
+    the seed sequence of each pair's chain."""
+    check_count("n_pairs", n_pairs)
     root = np.random.SeedSequence(config.seed)
     datasets, datasets_alt, chain_seqs = [], [], []
     for seq in root.spawn(n_pairs):
@@ -221,23 +239,63 @@ def grad_stability_trace(
             S if control_identical
             else model.sample_data(np.random.default_rng(s_alt_seq), config.n))
         chain_seqs.append(chain_seq)
+    return np.stack(datasets + datasets_alt), chain_seqs
 
-    DS = np.stack(datasets)
-    traces = _run_chains_lockstep(config, model, DS, chain_seqs, series=0)
-    full_s = model.full_batch_grad(DS)
-    full_alt = model.full_batch_grad(np.stack(datasets_alt))
 
+def stability_chains(
+    model: LossModel,
+    config: SGLDConfig,
+    n_pairs: int,
+    control_identical: bool = False,
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Phase (a) of `grad_stability_trace`: the `stability_datasets` array
+    and each pair's chain, run on its S, at the stored steps, one (steps, d)
+    array per pair."""
+    datasets, chain_seqs = stability_datasets(model, config, n_pairs,
+                                              control_identical)
+    traces = _run_chains_lockstep(config, model, datasets[:n_pairs], chain_seqs,
+                                  series=0)
+    return datasets, [tr.states for tr in traces]
+
+
+def stability_estimates(
+    model: LossModel,
+    datasets: np.ndarray,
+    states,
+    until=None,
+) -> list[EstimateWithError]:
+    """Phase (b) of `grad_stability_trace`: the estimate at each step of
+    `states`, one (steps, d) array per pair, from the pairs'
+    `stability_datasets` array.
+
+    S and S' of every pair are evaluated in one kernel call per step. Each
+    step's estimate depends on that step's states alone, so a range of
+    steps gives the bits of the same rows of a whole trace. `until`, when
+    given, is called with each step's index before the step is evaluated
+    and returns the index of the step to stop before; the estimates of the
+    steps before it are returned.
+    """
+    n_pairs = len(states)
+    n_steps = states[0].shape[0]
+    full = model.full_batch_grad(datasets)
     # blocks of stored steps, sized by the stacked (b, n_pairs, d) states;
     # W[r, p] is pair p at the block's r-th step
-    n_steps = traces[0].stored_steps.shape[0]
-    block = _block_len(n_pairs * config.d)
+    block = _block_len(n_pairs * states[0].shape[1])
     out = []
     for r0 in range(0, n_steps, block):
-        W = np.stack([tr.states[r0:r0 + block] for tr in traces], axis=1)
-        b = W.shape[0]
-        diff = np.stack([full_s(w) - full_alt(w) for w in W]).reshape(b * n_pairs, -1)
-        sq = np.einsum("ij,ij->i", diff, diff).reshape(b, n_pairs)
-        out.extend(_estimates(sq, "grad_stability"))
+        W = np.stack([s[r0:r0 + block] for s in states], axis=1)
+        diffs = []
+        for t, w in enumerate(W, r0):
+            if until is not None and t >= until(t):
+                break
+            g = full(np.concatenate([w, w]))
+            diffs.append(g[:n_pairs] - g[n_pairs:])
+        if diffs:
+            diff = np.stack(diffs).reshape(len(diffs) * n_pairs, -1)
+            sq = np.einsum("ij,ij->i", diff, diff).reshape(len(diffs), n_pairs)
+            out.extend(_estimates(sq, "grad_stability"))
+        if len(diffs) < W.shape[0]:
+            break
     return out
 
 

@@ -315,11 +315,23 @@ class LogisticRidgeLoss(LossModel):
         return self._softplus(-margins) + 0.5 * self.lam * np.einsum("ij,ij->i", W, W)
 
     def grad_minibatch(self, W, Zb):
-        W = np.asarray(W, dtype=float)
         Zb = np.asarray(Zb, dtype=float)
-        X, Y = Zb[:, :, :-1], Zb[:, :, -1]
+        return self._mean_grad(W, Zb[:, :, :-1], Zb[:, :, -1])
+
+    def full_batch_grad(self, datasets):
+        # the labels are sliced once, into a contiguous (c, n) table; the
+        # points stay a strided view, since the back-contraction's bits
+        # depend on the row stride of its (n, d) operand when d <= 3
+        datasets = np.asarray(datasets, dtype=float)
+        X, Y = datasets[:, :, :-1], np.ascontiguousarray(datasets[:, :, -1])
+        return lambda W: self._mean_grad(W, X, Y)
+
+    def _mean_grad(self, W, X, Y):
+        # row c: the mean gradient at W[c] over the points X[c] (k, d) with
+        # the labels Y[c] (k,)
+        W = np.asarray(W, dtype=float)
         factor = _weights(np.einsum("cd,ckd->ck", W, X), Y)
-        return -_back_contract(factor, X) / Zb.shape[1] + self.lam * W
+        return -_back_contract(factor, X) / X.shape[1] + self.lam * W
 
     def grad_resampled(self, W, dataset, idx):
         # each point's factor y sigma(-margin) is taken once per state over
@@ -594,26 +606,35 @@ def _fd_gradient_check(
 ) -> InequalityCheck:
     """Central differences of the minibatch mean of `eval_many` against
     `grad_minibatch`, on FD_MINIBATCH-point minibatches at n_points states
-    of the cube."""
-    k = FD_MINIBATCH
+    of the cube. The coordinates go in blocks whose (point, coordinate, k)
+    rows hold at most `sgld.BLOCK_WORDS` words, so memory does not grow
+    with d^2; `eval_many` is row-wise, so the blocks give the same bits."""
+    from .sgld import _block_len  # sgld imports this module
+
+    k, d = FD_MINIBATCH, model.d
     rng = np.random.default_rng(seed_seq)
-    W = rng.uniform(-half_width, half_width, size=(n_points, model.d))
+    W = rng.uniform(-half_width, half_width, size=(n_points, d))
     Zb = model.sample_data(rng, n_points * k).reshape(n_points, k, model.z_dim)
     g = model.grad_minibatch(W, Zb)
     g_norm = np.linalg.norm(g, axis=1)
     h = 1e-5 * (1.0 + np.linalg.norm(W, axis=1))
-    step = h[:, None, None] * np.eye(model.d)  # step[i, j] = h[i] e_j
 
     def mean_loss(states: np.ndarray) -> np.ndarray:
-        # states (n_points, d, d): the minibatch mean of the loss at each
+        # states (n_points, b, d): the minibatch mean of the loss at each
         # shifted state, as one eval_many call over (point, coordinate, k) rows
-        shape = (n_points, model.d, k)
-        rows = np.broadcast_to(states[:, :, None], (*shape, model.d))
+        shape = (*states.shape[:2], k)
+        rows = np.broadcast_to(states[:, :, None], (*shape, d))
         pts = np.broadcast_to(Zb[:, None], (*shape, model.z_dim))
-        return model.eval_many(rows.reshape(-1, model.d),
+        return model.eval_many(rows.reshape(-1, d),
                                pts.reshape(-1, model.z_dim)).reshape(shape).mean(axis=2)
 
-    fd = (mean_loss(W[:, None] + step) - mean_loss(W[:, None] - step)) / (2.0 * h[:, None])
+    fd = np.empty((n_points, d))
+    block = _block_len(n_points * k * model.z_dim)
+    for j0 in range(0, d, block):
+        # step[i, j] = h[i] e_(j0 + j), the block's rows of h[i] I
+        step = h[:, None, None] * np.eye(min(block, d - j0), d, k=j0)
+        fd[:, j0:j0 + block] = ((mean_loss(W[:, None] + step) - mean_loss(W[:, None] - step))
+                                / (2.0 * h[:, None]))
     # a vanishing gradient (a degenerate point) counts as agreement
     rel_err = np.divide(np.linalg.norm(fd - g, axis=1), g_norm,
                         out=np.zeros(n_points), where=g_norm >= FD_DEGENERATE_NORM)

@@ -10,9 +10,10 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
-from sgldlab import cli
+from sgldlab import cli, sgld
 from sgldlab.bounds import bound_xu_raginsky, kl_chain
 from sgldlab.cli import ConfigError, load_config, main
 from sgldlab.estimators import grad_stability_trace, write_estimates_csv
@@ -419,13 +420,13 @@ def test_run_stability_csv_equals_in_process_trace(tmp_path):
 
 def test_run_computes_stability_in_a_worker_process(tmp_path, monkeypatch):
     # a local closure, as perfbench/probe.py sets, which pickle cannot send
-    real, pid_file = cli.grad_stability_trace, tmp_path / "pid"
+    real, pid_file = cli.stability_chains, tmp_path / "pid"
 
     def recording(*args, **kwargs):
         pid_file.write_text(str(os.getpid()))
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "grad_stability_trace", recording)
+    monkeypatch.setattr(cli, "stability_chains", recording)
     cfg = write_config(tmp_path / "c.json")
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
     assert int(pid_file.read_text()) != os.getpid()
@@ -435,7 +436,7 @@ def test_run_worker_failure_reaches_the_caller(tmp_path, monkeypatch):
     def failing(*args, **kwargs):
         raise RuntimeError(f"stability failed in pid {os.getpid()}")
 
-    monkeypatch.setattr(cli, "grad_stability_trace", failing)
+    monkeypatch.setattr(cli, "stability_chains", failing)
     cfg = write_config(tmp_path / "c.json")
     out = tmp_path / "run"
     with pytest.raises(RuntimeError, match="stability failed") as info:
@@ -512,9 +513,9 @@ def test_run_worker_death_exits_one(tmp_path, monkeypatch, capsys):
     def killed(*args, **kwargs):
         if os.getpid() != parent:  # the worker only, never this process
             os.kill(os.getpid(), signal.SIGKILL)
-        raise AssertionError("the stability trace ran in the parent")
+        raise AssertionError("the stability chains ran in the parent")
 
-    monkeypatch.setattr(cli, "grad_stability_trace", killed)
+    monkeypatch.setattr(cli, "stability_chains", killed)
     cfg = write_config(tmp_path / "c.json")
     out = tmp_path / "run"
     assert main(["run", "--config", cfg, "--out", str(out)]) == 1
@@ -522,6 +523,111 @@ def test_run_worker_death_exits_one(tmp_path, monkeypatch, capsys):
     assert len(err) == 1 and err[0].startswith("run failed: ")
     assert not (out / ".lock").exists()
     assert not (out / "stability.csv").exists()
+    assert json.loads((out / "manifest.json").read_text())["status"] == "running"
+
+
+LOGISTIC = {"loss": {"family": "logistic_ridge", "lam": 1.0, "d": 3, "R": None}}
+
+
+@pytest.mark.parametrize("family", ["quadratic", "logistic"])
+@pytest.mark.parametrize("split", [0, 30, 60, 61], ids=["first", "middle", "last", "none"])
+def test_run_stability_csv_the_same_wherever_the_worker_splits(tmp_path, monkeypatch,
+                                                               family, split):
+    # T = 60: 61 stored steps; the worker hands the parent steps split to 60
+    over = LOGISTIC if family == "logistic" else {}
+    path = write_config(tmp_path / "c.json", **over)
+    assert main(["run", "--config", path, "--out", str(tmp_path / "alone")]) == 0
+
+    parent, evaluated_here = os.getpid(), []
+    real = cli.stability_estimates
+
+    def recording(model, datasets, states, until=None):
+        if os.getpid() == parent:
+            evaluated_here.append(len(states[0]))
+        return real(model, datasets, states, until)
+
+    monkeypatch.setattr(cli, "_handoff", lambda parent_idle, done, total: split)
+    monkeypatch.setattr(cli, "stability_estimates", recording)
+    assert main(["run", "--config", path, "--out", str(tmp_path / "split")]) == 0
+    assert evaluated_here == ([61 - split] if split < 61 else [])
+    names = sorted(os.listdir(tmp_path / "alone"))
+    assert names == sorted(os.listdir(tmp_path / "split"))
+    for name in set(names) - {"manifest.json"}:
+        assert ((tmp_path / "alone" / name).read_bytes()
+                == (tmp_path / "split" / name).read_bytes()), name
+
+
+def test_run_worker_death_after_the_handoff_exits_one(tmp_path, monkeypatch, capsys):
+    parent, evaluated_here = os.getpid(), []
+    real = cli.stability_estimates
+
+    def dying_after_the_handoff(model, datasets, states, until=None):
+        if os.getpid() == parent:
+            evaluated_here.append(len(states[0]))
+            return real(model, datasets, states, until)
+
+        def until_then_die(t):
+            if t == 1:  # the tail went at step 0
+                os.kill(os.getpid(), signal.SIGKILL)
+            return until(t)
+
+        return real(model, datasets, states, until_then_die)
+
+    monkeypatch.setattr(cli, "_handoff", lambda parent_idle, done, total: 30)
+    monkeypatch.setattr(cli, "stability_estimates", dying_after_the_handoff)
+    cfg = write_config(tmp_path / "c.json")
+    out = tmp_path / "run"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 1
+    assert evaluated_here == [31]
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("run failed: ")
+    assert not (out / ".lock").exists()
+    assert not (out / "stability.csv").exists()
+    assert json.loads((out / "manifest.json").read_text())["status"] == "running"
+
+
+def test_handoff_rule():
+    assert cli._handoff(False, 4000, 5001) is None  # the parent is still busy
+    # the worker has evaluated at least half the steps left: the parent
+    # takes the last half of them
+    assert cli._handoff(True, 3142, 5001) == 5001 - 1859 // 2
+    assert cli._handoff(True, 1, 3) == 2
+    assert cli._handoff(True, 5000, 5001) == 5001  # one step left: no half
+    # too few evaluated, say the parent was done before the worker began
+    assert cli._handoff(True, 0, 4001) == 4001
+    assert cli._handoff(True, 1333, 4001) == 4001
+    assert cli._handoff(True, 1334, 4001) == 4001 - 2667 // 2
+
+
+def test_run_failing_artifact_write_leaves_no_file_under_its_name(tmp_path, monkeypatch):
+    def failing_to_csv(self, path):
+        with open(path, "w") as fh:
+            fh.write("t,w_norm_sq\n0,")
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(sgld.ChainTrace, "to_csv", failing_to_csv)
+    cfg = write_config(tmp_path / "c.json")
+    out = tmp_path / "run"
+    with pytest.raises(OSError, match="no space left"):
+        main(["run", "--config", cfg, "--out", str(out)])
+    assert sorted(os.listdir(out)) == ["dataset.npy", "manifest.json"]
+
+
+def test_failing_npy_write_leaves_no_file_under_its_name(tmp_path, monkeypatch):
+    def failing_save(file, arr, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)):
+            with open(file, "wb") as fh:
+                fh.write(b"\x93NUMPY")
+        else:
+            file.write(b"\x93NUMPY")
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(np, "save", failing_save)
+    cfg = write_config(tmp_path / "c.json")
+    out = tmp_path / "run"
+    with pytest.raises(OSError, match="no space left"):
+        main(["run", "--config", cfg, "--out", str(out)])
+    assert sorted(os.listdir(out)) == ["manifest.json"]
     assert json.loads((out / "manifest.json").read_text())["status"] == "running"
 
 
@@ -587,6 +693,45 @@ def test_run_interrupted_by_a_signal_exits_cleanly(tmp_path, sig):
     assert not (out / ".lock").exists()
     assert json.loads((out / "manifest.json").read_text())["status"] == "interrupted"
     assert left == []
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
+def test_run_worker_of_a_killed_parent_exits_quietly_after_its_stages(tmp_path):
+    # SIGKILL runs no cleanup: the worker finishes its stages, finds the
+    # pipe closed and exits, printing nothing
+    cfg = write_config(tmp_path / "c.json", sgld={"T": 30_000})
+    out = tmp_path / "run"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(REPO, "src") + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    with open(tmp_path / "stdout", "w") as so, open(tmp_path / "stderr", "w") as se:
+        proc = subprocess.Popen([sys.executable, "-m", "sgldlab.cli", "run",
+                                 "--config", cfg, "--out", str(out)],
+                                stdout=so, stderr=se, env=env)
+    children, left = [], []
+    try:
+        deadline = time.monotonic() + 60.0
+        while not children and proc.poll() is None and time.monotonic() < deadline:
+            children = _children(proc.pid)
+            time.sleep(0.01)
+        assert children, "the worker never ran"
+        proc.kill()
+        proc.wait(timeout=60)
+        deadline = time.monotonic() + 60.0
+        while time.monotonic() < deadline:
+            left = [pid for pid in children if _alive(pid)]
+            if not left:
+                break
+            time.sleep(0.05)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        for pid in children:
+            if _alive(pid):
+                os.kill(pid, signal.SIGKILL)
+    assert left == []
+    assert (tmp_path / "stderr").read_text() == ""
 
 
 def test_lock_file_refusal(tmp_path, capsys):

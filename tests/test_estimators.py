@@ -22,6 +22,9 @@ from sgldlab.estimators import (
     grad_variance_trace,
     logmgf_check,
     pth_moment_check,
+    stability_chains,
+    stability_datasets,
+    stability_estimates,
     write_estimates_csv,
 )
 from sgldlab.losses import (
@@ -327,6 +330,29 @@ def test_grad_stability_blocks_equal_per_row_loop(monkeypatch, model, strided,
     assert np.array_equal(got_se, want_se)
     if control_identical:
         assert np.all(got_mean == 0.0) and np.all(got_se == 0.0)
+
+
+@pytest.mark.parametrize("model", [*GRAD_MODELS, make_nonconvex_ridge(1.0, 0.5, 1.0, 3)],
+                         ids=["quadratic", "logistic", "nonconvex"])
+def test_stability_phases_give_the_trace_split_anywhere(monkeypatch, model):
+    # blocks of 4 stored steps, so splits fall inside, at and across blocks
+    monkeypatch.setattr(sgld, "BLOCK_WORDS", 4 * 6 * model.d)
+    cfg = quad_cfg(k=5, n=30, T=47, d=model.d, seed=22)
+    whole = _fields(grad_stability_trace(model, cfg, n_pairs=6))
+    datasets, states = stability_chains(model, cfg, n_pairs=6)
+    redrawn, _ = stability_datasets(model, cfg, n_pairs=6)
+    assert np.array_equal(redrawn, datasets)
+    for split in (0, 1, 4, 5, 24, 47, 48):
+        asked = []
+
+        def until(t):
+            asked.append(t)
+            return split
+
+        head = stability_estimates(model, datasets, states, until)
+        assert len(head) == split and asked == list(range(min(split + 1, 48)))
+        tail = stability_estimates(model, redrawn, [s[split:] for s in states])
+        assert np.array_equal(_fields(head + tail), whole)
 
 
 def test_gradient_trace_blocks_bound_fisher_yates_scratch(monkeypatch):

@@ -1,17 +1,24 @@
 """Loss family constants, gradients, and certification."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sgldlab.losses as losses
+import sgldlab.sgld as sgld
 from sgldlab.losses import (
     CERT_TOL,
+    FD_DEGENERATE_NORM,
+    FD_MINIBATCH,
+    FD_REL_TOL,
     LossConstants,
     LossModel,
     _expit,
+    _fd_gradient_check,
     certify,
     make_logistic_ridge,
     make_nonconvex_ridge,
@@ -253,6 +260,23 @@ def test_full_batch_grad_bitwise_equals_grad_minibatch(factory, d):
         assert np.array_equal(full(W), model.grad_minibatch(W, stacked))
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_logistic_full_batch_grad_of_stacked_pairs_equals_grad_minibatch(d):
+    # the stability trace's call: the datasets S then S' in one table, each
+    # state given once for its S and once for its S'
+    model = make_logistic_ridge(0.7, 1.2, d)
+    rng = np.random.default_rng(11)
+    p, n = 5, 200
+    S = np.stack([model.sample_data(rng, n) for _ in range(p)])
+    S_alt = np.stack([model.sample_data(rng, n) for _ in range(p)])
+    full = model.full_batch_grad(np.concatenate([S, S_alt]))
+    for _ in range(2):
+        W = rng.uniform(-2, 2, size=(p, d))
+        g = full(np.concatenate([W, W]))
+        assert np.array_equal(g[:p], model.grad_minibatch(W, S))
+        assert np.array_equal(g[p:], model.grad_minibatch(W, S_alt))
+
+
 # ------------------------------------------------------------- certification
 
 
@@ -402,6 +426,68 @@ def test_certify_sampled_checks_match_a_blockwise_computation(model):
         if name == "smoothness":
             assert check.witness["w_bar"] == Wbar[worst].tolist()
     assert [c.inequality_name for c in report.checks[5:]] == ["gradient_fd"]
+
+
+def _fd_margins_unblocked(model, seed_seq, half_width, n_points=100):
+    """The gradient_fd margins with every coordinate in one eval_many call."""
+    k, d = FD_MINIBATCH, model.d
+    rng = np.random.default_rng(seed_seq)
+    W = rng.uniform(-half_width, half_width, size=(n_points, d))
+    Zb = model.sample_data(rng, n_points * k).reshape(n_points, k, model.z_dim)
+    g = model.grad_minibatch(W, Zb)
+    h = 1e-5 * (1.0 + np.linalg.norm(W, axis=1))
+    step = h[:, None, None] * np.eye(d)
+
+    def mean_loss(states):
+        rows = np.repeat(states[:, :, None], k, axis=2).reshape(-1, d)
+        pts = np.repeat(Zb[:, None], d, axis=1).reshape(-1, model.z_dim)
+        return model.eval_many(rows, pts).reshape(n_points, d, k).mean(axis=2)
+
+    fd = (mean_loss(W[:, None] + step) - mean_loss(W[:, None] - step)) / (2.0 * h[:, None])
+    g_norm = np.linalg.norm(g, axis=1)
+    rel_err = np.divide(np.linalg.norm(fd - g, axis=1), g_norm,
+                        out=np.zeros(n_points), where=g_norm >= FD_DEGENERATE_NORM)
+    return FD_REL_TOL - rel_err
+
+
+@pytest.mark.parametrize(
+    "factory",
+    [make_quadratic, make_logistic_ridge,
+     lambda R, r, d: make_nonconvex_ridge(R, 0.4, r, d)],
+    ids=["quadratic", "logistic", "nonconvex"],
+)
+@pytest.mark.parametrize("coords_per_block", [None, 1, 3])
+def test_fd_gradient_check_blocks_give_the_unblocked_margins(monkeypatch, factory,
+                                                            coords_per_block):
+    model = factory(1.3, 1.2, 4)
+    if coords_per_block is not None:
+        # blocks of 1, or of 3 then 1, of the d = 4 coordinates
+        monkeypatch.setattr(sgld, "BLOCK_WORDS",
+                            coords_per_block * 100 * FD_MINIBATCH * model.z_dim)
+    seen = []
+    check_from_margins = losses._check_from_margins
+
+    def recording(name, margins, witnesses, tol):
+        seen.append(margins.copy())
+        return check_from_margins(name, margins, witnesses, tol)
+
+    monkeypatch.setattr(losses, "_check_from_margins", recording)
+    _fd_gradient_check(model, np.random.SeedSequence(9), 7.0)
+    want = _fd_margins_unblocked(model, np.random.SeedSequence(9), 7.0)
+    assert np.array_equal(seen[0], want)
+
+
+def test_fd_gradient_check_memory_does_not_grow_with_d():
+    # unblocked, the (100 d 3, d) shifted states alone were 96 MB at d = 200
+    model = make_nonconvex_ridge(1.0, 0.5, 1.0, 200)
+    tracemalloc.start()
+    try:
+        check = _fd_gradient_check(model, np.random.SeedSequence(3), 10.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert check.n_samples == 100 and check.n_violations == 0
+    assert peak < 4 * 8 * sgld.BLOCK_WORDS
 
 
 def test_certify_envelope_lower_at_origin():
