@@ -625,8 +625,8 @@ def cmd_run(args) -> int:
         # rest; once this process is idle (one shared byte) it may take the
         # tail of the stability evaluation, see `_handoff`
         parent_idle = mmap.mmap(-1, 1)
-        with _worker_process(get_context("fork"), parent_idle, model, sgld_cfg,
-                             est) as (worker, receive):
+        with _worker_process(get_context("fork"), os.getpid(), parent_idle, model,
+                             sgld_cfg, est) as (worker, receive):
             # the stages' arrays are gone once it returns, so a tail of the
             # stability evaluation does not add to this process's peak
             stored_steps = _run_own_stages(out, cfg, model, dataset, sgld_cfg, seed)
@@ -749,42 +749,55 @@ def _worker_process(ctx, *args):
         receive.close()
 
 
-def _handoff(parent_idle: bool, done: int, total: int) -> int | None:
+def _handoff(parent_idle: bool, done: int, total: int, block: int) -> int | None:
     """The stored step `run`'s worker stops its stability evaluation before,
-    decided at step `done` of `total`, the first it reaches once the parent
-    is idle (None until then). The parent takes the last half of the steps
-    left if the worker has already evaluated at least as many; otherwise
-    the worker finishes alone (`total`)."""
+    decided at step `done` of `total`, the first block start it reaches once
+    the parent is idle (None until then). Counted in blocks of `block` steps
+    from the first (the last may be shorter): the parent takes the last half
+    of the blocks left if the worker has already evaluated at least as many;
+    otherwise the worker finishes alone (`total`)."""
     if not parent_idle:
         return None
-    left = total - done
-    return total - left // 2 if 2 * done >= left else total
+    done, left = done // block, -(-(total - done) // block)
+    split = done + left - (left // 2 if 2 * done >= left else 0)
+    return min(total, split * block)
 
 
-def _worker(receive, send, parent_idle, model, sgld_cfg: SGLDConfig, est: dict) -> None:
-    """`run`'s worker: the gap, then the stability pairs' chains, then the
-    evaluation of their stored steps from the first, up to the `_handoff`
-    split. A tail handed to the parent is sent the moment it is decided, as
-    ("tail", split) and then each pair's states from the split on. Last
-    comes ("done", (estimates, gap)), or ("error", (exception, traceback
-    text)) from any stage. It writes no file. The estimators are looked up
-    in this module's globals at call time, so wrappers set there are the
-    ones run."""
+def _worker(receive, send, parent: int, parent_idle, model, sgld_cfg: SGLDConfig,
+            est: dict) -> None:
+    """`run`'s worker, forked from the process `parent`: the gap, then the
+    stability pairs' chains, then the evaluation of their stored steps from
+    the first, up to the `_handoff` split. A tail handed to the parent is
+    sent the moment it is decided, as ("tail", split) and then each pair's
+    states from the split on. Last comes ("done", (estimates, gap)), or
+    ("error", (exception, traceback text)) from any stage. It writes no
+    file, and exits at once if `parent` is gone (say killed by SIGKILL),
+    checked between stages and at each block of the evaluation. The
+    estimators are looked up in this module's globals at call time, so
+    wrappers set there are the ones run."""
     receive.close()  # so that a parent gone makes `send` fail
     for sig in _SIGNALS:
         signal.signal(sig, signal.SIG_DFL)
     signal.pthread_sigmask(signal.SIG_UNBLOCK, _SIGNALS)
+
+    def exit_if_orphaned():
+        if os.getppid() != parent:  # adopted: nobody is left to read the results
+            os._exit(1)
+
     try:
         gap = empirical_gen_gap(model, sgld_cfg, n_trials=est["n_trials"],
                                 eval_loss=est["eval_loss"])
+        exit_if_orphaned()
         datasets, states = stability_chains(model, sgld_cfg, n_pairs=est["n_pairs"])
+        exit_if_orphaned()
         n_steps = states[0].shape[0]
         split = None
 
-        def until(t):
+        def until(t, block):
             nonlocal split
+            exit_if_orphaned()
             if split is None:
-                split = _handoff(bool(parent_idle[0]), t, n_steps)
+                split = _handoff(bool(parent_idle[0]), t, n_steps, block)
                 if split is not None and split < n_steps:
                     send.send(("tail", split))
                     for s in states:

@@ -207,7 +207,7 @@ def grad_stability_trace(
 
     Per pair, S and S' are drawn independently from the model's data
     distribution, one chain runs on S, and both full-batch gradients are
-    evaluated at its stored states, one stored step at a time. The
+    evaluated at its stored states, by blocks of steps. The
     chain's law is driven by S only; the statistic is asymmetric in that
     respect. `control_identical` replaces S' by S (the statistic is then
     exactly zero; falsification control).
@@ -268,34 +268,30 @@ def stability_estimates(
     `states`, one (steps, d) array per pair, from the pairs'
     `stability_datasets` array.
 
-    S and S' of every pair are evaluated in one kernel call per step. Each
-    step's estimate depends on that step's states alone, so a range of
-    steps gives the bits of the same rows of a whole trace. `until`, when
-    given, is called with each step's index before the step is evaluated
-    and returns the index of the step to stop before; the estimates of the
-    steps before it are returned.
+    Per pair and per block of steps, one `LossModel.stability_sq` call
+    gives the squared gradient differences. The blocks lie on a fixed grid
+    from the first step, `_block_len` steps long by one dataset's (steps,
+    n) margins, since a family's bits may depend on a row's place in its
+    block. So a range of steps starting on the grid gives the bits of the
+    same rows of a whole trace. `until`, when given, is called with each
+    block's first step and the block length before the block is evaluated,
+    and returns the index of the step to stop before: a step on the grid,
+    or the number of steps. The estimates of the steps before it are
+    returned.
     """
     n_pairs = len(states)
     n_steps = states[0].shape[0]
-    full = model.full_batch_grad(datasets)
-    # blocks of stored steps, sized by the stacked (b, n_pairs, d) states;
-    # W[r, p] is pair p at the block's r-th step
-    block = _block_len(n_pairs * states[0].shape[1])
+    block = _block_len(datasets.shape[1])
     out = []
     for r0 in range(0, n_steps, block):
-        W = np.stack([s[r0:r0 + block] for s in states], axis=1)
-        diffs = []
-        for t, w in enumerate(W, r0):
-            if until is not None and t >= until(t):
-                break
-            g = full(np.concatenate([w, w]))
-            diffs.append(g[:n_pairs] - g[n_pairs:])
-        if diffs:
-            diff = np.stack(diffs).reshape(len(diffs) * n_pairs, -1)
-            sq = np.einsum("ij,ij->i", diff, diff).reshape(len(diffs), n_pairs)
-            out.extend(_estimates(sq, "grad_stability"))
-        if len(diffs) < W.shape[0]:
+        if until is not None and r0 >= until(r0, block):
             break
+        # sq[r, p] is pair p at the block's r-th step
+        sq = np.empty((min(block, n_steps - r0), n_pairs))
+        for p, s in enumerate(states):
+            sq[:, p] = model.stability_sq(s[r0:r0 + block], datasets[p],
+                                          datasets[n_pairs + p])
+        out.extend(_estimates(sq, "grad_stability"))
     return out
 
 

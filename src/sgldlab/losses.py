@@ -92,14 +92,17 @@ class LossConstants:
 class LossModel:
     """Contract shared by all loss families.
 
-    Families implement `eval`, `grad`, `eval_many` and `grad_minibatch`,
-    and populate `self.d` (parameter dimension), `self.z_dim` (data point
-    width) and `self._constants` in their constructor. `grad_minibatch` is
-    the one vectorised gradient: the chains run it and `certify` checks it;
-    the scalar `eval` and `grad` are the test suite's reference for it.
-    `full_batch_grad` (on (c, d) states) and `grad_resampled` are optional
-    overrides; their defaults call `grad_minibatch`, and an override must
-    return the same bits.
+    Families implement `eval`, `grad`, `eval_many`, `grad_minibatch` and
+    `stability_sq`, and populate `self.d` (parameter dimension),
+    `self.z_dim` (data point width) and `self._constants` in their
+    constructor. `grad_minibatch` is the one vectorised gradient: the
+    chains run it and `certify` checks it; the scalar `eval` and `grad` are
+    the test suite's reference for it. `stability_sq` gives one dataset
+    pair's squared full-batch gradient differences over a block of states,
+    the stability estimator's input; it agrees with `grad_minibatch` to
+    rounding, not to the bit. `full_batch_grad` (on (c, d) states) and
+    `grad_resampled` are optional overrides; their defaults call
+    `grad_minibatch`, and an override must return the same bits.
     """
 
     d: int
@@ -136,6 +139,22 @@ class LossModel:
             (c, d) array; row i is the mean over k points of grad(W[i], .).
             At k = 1, `grad_minibatch(W, Z[:, None])` gives the row-wise
             gradients grad(W[i], Z[i]).
+        """
+        raise NotImplementedError
+
+    def stability_sq(self, W: np.ndarray, S: np.ndarray,
+                     S_alt: np.ndarray) -> np.ndarray:
+        """Squared full-batch gradient differences of one dataset pair.
+
+        Args:
+            W: (b, d) parameter states.
+            S, S_alt: (n, z_dim) the pair's datasets.
+
+        Returns:
+            (b,) array; entry i is ||grad F_S(W[i]) - grad F_S'(W[i])||^2,
+            with F_S the mean loss over S. Each entry depends on W[i] alone,
+            but its bits may depend on b and on the row's place in the block.
+            With S_alt equal to S every entry is exactly 0.
         """
         raise NotImplementedError
 
@@ -249,6 +268,12 @@ class QuadraticLoss(LossModel):
         zbar = np.asarray(datasets, dtype=float).mean(axis=1)
         return lambda W: self.R * (np.asarray(W, dtype=float) - zbar)
 
+    def stability_sq(self, W, S, S_alt):
+        # the difference R (zbar_S' - zbar_S) does not depend on W: one value
+        # for every state
+        diff = self.R * (np.mean(S_alt, axis=0) - np.mean(S, axis=0))
+        return np.full(W.shape[0], diff @ diff)
+
 
 class LogisticRidgeLoss(LossModel):
     """f(w, (x, y)) = log(1 + exp(-y <w, x>)) + (lam/2) ||w||^2.
@@ -325,6 +350,22 @@ class LogisticRidgeLoss(LossModel):
         datasets = np.asarray(datasets, dtype=float)
         X, Y = datasets[:, :, :-1], np.ascontiguousarray(datasets[:, :, -1])
         return lambda W: self._mean_grad(W, X, Y)
+
+    def stability_sq(self, W, S, S_alt):
+        # lam W cancels. Each dataset takes its own contractions: stacked
+        # into one (2 n)-long contraction, the bits follow the BLAS thread
+        # count
+        diff = self._data_sum(W, S) - self._data_sum(W, S_alt)
+        diff /= S.shape[0]
+        return np.einsum("ij,ij->i", diff, diff)
+
+    @staticmethod
+    def _data_sum(W, dataset):
+        # sum_i y_i sigma(-y_i <W[c], x_i>) x_i per state c, the inner
+        # products turned into weights in place
+        X = dataset[:, :-1]
+        factor = _weights(_margins(W, X), np.ascontiguousarray(dataset[:, -1]))
+        return _back_contract(factor, X)
 
     def _mean_grad(self, W, X, Y):
         # row c: the mean gradient at W[c] over the points X[c] (k, d) with
@@ -408,6 +449,19 @@ class NonconvexRidgeLoss(LossModel):
         dots = np.einsum("cd,ckd->ck", W, Zb)
         return self.lam * W - self.a * np.einsum("ck,ckd->cd", np.sin(dots), Zb) / Zb.shape[1]
 
+    def stability_sq(self, W, S, S_alt):
+        # lam W cancels; each dataset takes its own contractions, as in the
+        # logistic family
+        diff = self._data_sum(W, S) - self._data_sum(W, S_alt)
+        diff *= self.a / S.shape[0]
+        return np.einsum("ij,ij->i", diff, diff)
+
+    @staticmethod
+    def _data_sum(W, dataset):
+        # sum_i sin(<W[c], z_i>) z_i per state c, the sines taken in place
+        dots = _margins(W, dataset)
+        return _back_contract(np.sin(dots, out=dots), dataset)
+
 
 def _expit(t: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Logistic sigmoid 1 / (1 + exp(-t)) as 0.5 * (1 + tanh(t / 2)).
@@ -435,11 +489,20 @@ def _weights(dots: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return dots
 
 
+def _margins(W: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """The (b, n) inner products <W[c], X[i]> of b states and n shared points,
+    as one (1, d) @ (d, n) product per row c, like `_back_contract`. So a
+    row's bits depend neither on the other rows nor on the BLAS thread
+    count, as a (b, d) @ (d, n) product's do."""
+    return np.matmul(W[:, None, :], np.ascontiguousarray(X.T))[:, 0]
+
+
 def _back_contract(factor: np.ndarray, X: np.ndarray) -> np.ndarray:
     """sum_k factor[c, k] X[c, k, :] as one batched (1, k) @ (k, d) product
-    per row c. Each row is its own BLAS call of the same shape, so a row's
-    bits do not depend on the other rows of the call (unlike a BLAS margin,
-    whose output rows take different kernel paths by position)."""
+    per row c; X may be one (k, d) array shared by every row. Each row is
+    its own BLAS call of the same shape, so a row's bits do not depend on
+    the other rows of the call (unlike one (c, k) @ (k, d) product, whose
+    output rows take different kernel paths by position)."""
     return np.matmul(factor[:, None, :], X)[:, 0]
 
 

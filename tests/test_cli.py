@@ -40,6 +40,11 @@ def write_config(path, **over):
     return str(path)
 
 
+def read_json(path):
+    with open(path) as fh:
+        return json.load(fh)
+
+
 def read_csv_rows(path):
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -55,7 +60,7 @@ def test_certify_default_quadratic_exits_zero(tmp_path):
                        loss={"certify_samples": 2000})
     rc = main(["certify", "--config", cfg, "--out", str(tmp_path / "out")])
     assert rc == 0
-    report = json.load(open(tmp_path / "out" / "certify_report.json"))
+    report = read_json(tmp_path / "out" / "certify_report.json")
     assert report["passed"] is True
 
 
@@ -65,7 +70,7 @@ def test_certify_wrong_claimed_smoothness_exits_two_with_witness(tmp_path):
                              "certify_samples": 2000})
     rc = main(["certify", "--config", cfg, "--out", str(tmp_path / "out")])
     assert rc == 2
-    report = json.load(open(tmp_path / "out" / "certify_report.json"))
+    report = read_json(tmp_path / "out" / "certify_report.json")
     assert report["passed"] is False
     bad = [c for c in report["checks"] if c["n_violations"] > 0]
     assert any(c["inequality_name"] == "smoothness" for c in bad)
@@ -273,7 +278,7 @@ def test_run_seed_flag_overrides_config(tmp_path):
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "b")]) == 0
     assert ((tmp_path / "a" / "chain_000.csv").read_bytes()
             != (tmp_path / "b" / "chain_000.csv").read_bytes())
-    assert json.load(open(tmp_path / "a" / "manifest.json"))["seed"] == 123
+    assert read_json(tmp_path / "a" / "manifest.json")["seed"] == 123
 
 
 def test_run_T_zero_single_row(tmp_path):
@@ -305,7 +310,7 @@ def test_run_strict_failures_refused_then_allowed(tmp_path, capsys):
     rc = main(["run", "--config", cfg, "--out", str(tmp_path / "forced"),
                "--allow-unsafe"])
     assert rc == 0
-    manifest = json.load(open(tmp_path / "forced" / "manifest.json"))
+    manifest = read_json(tmp_path / "forced" / "manifest.json")
     failures = manifest["preconditions"]["strict_mode_failures"]
     assert len(failures) >= 2 and any("beta" in f for f in failures)
 
@@ -386,14 +391,14 @@ def test_run_refuses_uncertified_claims(tmp_path):
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "f"),
                  "--allow-unsafe"]) == 0
-    manifest = json.load(open(tmp_path / "f" / "manifest.json"))
+    manifest = read_json(tmp_path / "f" / "manifest.json")
     assert manifest["preconditions"]["certified"] is False
 
 
 def test_run_manifest_lists_every_output_file(tmp_path):
     cfg = write_config(tmp_path / "c.json")
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
-    manifest = json.load(open(tmp_path / "out" / "manifest.json"))
+    manifest = read_json(tmp_path / "out" / "manifest.json")
     assert manifest["status"] == "complete"
     assert manifest["wall_clock_seconds"] >= 0
     assert manifest["artifact_version"]
@@ -527,14 +532,21 @@ def test_run_worker_death_exits_one(tmp_path, monkeypatch, capsys):
 
 
 LOGISTIC = {"loss": {"family": "logistic_ridge", "lam": 1.0, "d": 3, "R": None}}
+NONCONVEX = {"loss": {"family": "nonconvex_ridge", "lam": 1.0, "a": 0.2, "d": 3,
+                      "R": None}}
+# blocks of 8 stored steps in the stability evaluation, by its (8 steps,
+# n = 20) margins
+EIGHT_STEP_BLOCKS = 8 * BASE["data"]["n"]
 
 
-@pytest.mark.parametrize("family", ["quadratic", "logistic"])
-@pytest.mark.parametrize("split", [0, 30, 60, 61], ids=["first", "middle", "last", "none"])
+@pytest.mark.parametrize("family", ["quadratic", "logistic", "nonconvex"])
+@pytest.mark.parametrize("split", [0, 32, 56, 61], ids=["first", "middle", "last", "none"])
 def test_run_stability_csv_the_same_wherever_the_worker_splits(tmp_path, monkeypatch,
                                                                family, split):
-    # T = 60: 61 stored steps; the worker hands the parent steps split to 60
-    over = LOGISTIC if family == "logistic" else {}
+    # T = 60: 61 stored steps in blocks of 8 (the last of 5); the worker
+    # hands the parent steps split to 60, split on the block grid
+    monkeypatch.setattr(sgld, "BLOCK_WORDS", EIGHT_STEP_BLOCKS)
+    over = {"logistic": LOGISTIC, "nonconvex": NONCONVEX}.get(family, {})
     path = write_config(tmp_path / "c.json", **over)
     assert main(["run", "--config", path, "--out", str(tmp_path / "alone")]) == 0
 
@@ -546,7 +558,7 @@ def test_run_stability_csv_the_same_wherever_the_worker_splits(tmp_path, monkeyp
             evaluated_here.append(len(states[0]))
         return real(model, datasets, states, until)
 
-    monkeypatch.setattr(cli, "_handoff", lambda parent_idle, done, total: split)
+    monkeypatch.setattr(cli, "_handoff", lambda parent_idle, done, total, block: split)
     monkeypatch.setattr(cli, "stability_estimates", recording)
     assert main(["run", "--config", path, "--out", str(tmp_path / "split")]) == 0
     assert evaluated_here == ([61 - split] if split < 61 else [])
@@ -558,6 +570,7 @@ def test_run_stability_csv_the_same_wherever_the_worker_splits(tmp_path, monkeyp
 
 
 def test_run_worker_death_after_the_handoff_exits_one(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(sgld, "BLOCK_WORDS", EIGHT_STEP_BLOCKS)
     parent, evaluated_here = os.getpid(), []
     real = cli.stability_estimates
 
@@ -566,19 +579,19 @@ def test_run_worker_death_after_the_handoff_exits_one(tmp_path, monkeypatch, cap
             evaluated_here.append(len(states[0]))
             return real(model, datasets, states, until)
 
-        def until_then_die(t):
-            if t == 1:  # the tail went at step 0
+        def until_then_die(t, block):
+            if t == block:  # the tail went at the first block
                 os.kill(os.getpid(), signal.SIGKILL)
-            return until(t)
+            return until(t, block)
 
         return real(model, datasets, states, until_then_die)
 
-    monkeypatch.setattr(cli, "_handoff", lambda parent_idle, done, total: 30)
+    monkeypatch.setattr(cli, "_handoff", lambda parent_idle, done, total, block: 32)
     monkeypatch.setattr(cli, "stability_estimates", dying_after_the_handoff)
     cfg = write_config(tmp_path / "c.json")
     out = tmp_path / "run"
     assert main(["run", "--config", cfg, "--out", str(out)]) == 1
-    assert evaluated_here == [31]
+    assert evaluated_here == [29]
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("run failed: ")
     assert not (out / ".lock").exists()
@@ -587,16 +600,24 @@ def test_run_worker_death_after_the_handoff_exits_one(tmp_path, monkeypatch, cap
 
 
 def test_handoff_rule():
-    assert cli._handoff(False, 4000, 5001) is None  # the parent is still busy
+    assert cli._handoff(False, 4000, 5001, 1) is None  # the parent is still busy
     # the worker has evaluated at least half the steps left: the parent
     # takes the last half of them
-    assert cli._handoff(True, 3142, 5001) == 5001 - 1859 // 2
-    assert cli._handoff(True, 1, 3) == 2
-    assert cli._handoff(True, 5000, 5001) == 5001  # one step left: no half
+    assert cli._handoff(True, 3142, 5001, 1) == 5001 - 1859 // 2
+    assert cli._handoff(True, 1, 3, 1) == 2
+    assert cli._handoff(True, 5000, 5001, 1) == 5001  # one step left: no half
     # too few evaluated, say the parent was done before the worker began
-    assert cli._handoff(True, 0, 4001) == 4001
-    assert cli._handoff(True, 1333, 4001) == 4001
-    assert cli._handoff(True, 1334, 4001) == 4001 - 2667 // 2
+    assert cli._handoff(True, 0, 4001, 1) == 4001
+    assert cli._handoff(True, 1333, 4001, 1) == 4001
+    assert cli._handoff(True, 1334, 4001, 1) == 4001 - 2667 // 2
+    # in blocks: 5001 steps are 4 blocks of 1310, the last of 1071
+    assert cli._handoff(False, 2620, 5001, 1310) is None
+    assert cli._handoff(True, 2620, 5001, 1310) == 3930  # 2 done, 2 left: 1 goes
+    assert cli._handoff(True, 1310, 5001, 1310) == 5001  # 1 done, 3 left
+    assert cli._handoff(True, 3930, 5001, 1310) == 5001  # one block left: no half
+    # 61 steps are 8 blocks of 8, the last of 5
+    assert cli._handoff(True, 24, 61, 8) == 48  # 3 done, 5 left: 2 go
+    assert cli._handoff(True, 32, 61, 8) == 48  # 4 done, 4 left: 2 go
 
 
 def test_run_failing_artifact_write_leaves_no_file_under_its_name(tmp_path, monkeypatch):
@@ -697,8 +718,8 @@ def test_run_interrupted_by_a_signal_exits_cleanly(tmp_path, sig):
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
 def test_run_worker_of_a_killed_parent_exits_quietly_after_its_stages(tmp_path):
-    # SIGKILL runs no cleanup: the worker finishes its stages, finds the
-    # pipe closed and exits, printing nothing
+    # SIGKILL runs no cleanup: the worker finds its parent gone at its next
+    # check and exits, printing nothing
     cfg = write_config(tmp_path / "c.json", sgld={"T": 30_000})
     out = tmp_path / "run"
     env = dict(os.environ)
@@ -732,6 +753,55 @@ def test_run_worker_of_a_killed_parent_exits_quietly_after_its_stages(tmp_path):
                 os.kill(pid, signal.SIGKILL)
     assert left == []
     assert (tmp_path / "stderr").read_text() == ""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
+def test_run_worker_exits_once_the_parent_is_killed(tmp_path):
+    # the evaluation of 4 pairs on n = 20,000 points over 6,001 stored steps
+    # takes several seconds, in blocks of 13 steps of some tens of ms each
+    cfg = write_config(tmp_path / "c.json",
+                       loss={"family": "logistic_ridge", "lam": 1.0, "d": 5, "R": None},
+                       sgld={"eta": 0.02, "k": 1, "T": 6000},
+                       data={"n": 20_000},
+                       estimators={"n_pairs": 4, "n_trials": 2, "n_chains": 2,
+                                   "n_resamples": 2})
+    marker = tmp_path / "worker.pid"
+    # the worker records its pid as it begins the evaluation
+    script = (
+        "import os, sys\n"
+        "from sgldlab import cli\n"
+        "real = cli.stability_estimates\n"
+        "def marked(*args):\n"
+        "    with open(sys.argv[1] + '.tmp', 'w') as fh:\n"
+        "        fh.write(str(os.getpid()))\n"
+        "    os.replace(sys.argv[1] + '.tmp', sys.argv[1])\n"
+        "    return real(*args)\n"
+        "cli.stability_estimates = marked\n"
+        "sys.exit(cli.main(['run', '--config', sys.argv[2], '--out', sys.argv[3]]))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(REPO, "src") + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    proc = subprocess.Popen([sys.executable, "-c", script, str(marker), cfg,
+                             str(tmp_path / "run")], env=env,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    worker = None
+    try:
+        deadline = time.monotonic() + 60
+        while not marker.exists() and proc.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert marker.exists(), "the worker never began the evaluation"
+        worker = int(marker.read_text())
+        os.kill(proc.pid, signal.SIGKILL)
+        proc.wait()
+        deadline = time.monotonic() + 2
+        while _alive(worker) and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert not _alive(worker), "the worker outlived its parent"
+    finally:
+        proc.kill()
+        proc.wait()
+        if worker is not None and _alive(worker):
+            os.kill(worker, signal.SIGKILL)
 
 
 def test_lock_file_refusal(tmp_path, capsys):
@@ -811,6 +881,28 @@ def test_failed_manifest_dump_leaves_the_previous_manifest(tmp_path):
     assert (tmp_path / "out" / "manifest.json").read_bytes() == before
     assert json.loads(before)["status"] == "running"
     assert sorted(os.listdir(tmp_path / "out")) == ["manifest.json"]
+
+
+def test_run_quadratic_stability_matches_its_closed_form(tmp_path):
+    # a second source for stability.csv: on the quadratic family grad F_S -
+    # grad F_S' = R (zbar_S' - zbar_S) at every W, whose expected square is
+    # 2 R^2 tr Cov(z) / n, and tr Cov(z) = d r^2 / (d + 2) for z uniform on
+    # the d-ball of radius r
+    R, r, d, n = 2.0, 1.5, 3, 20
+    cfg = write_config(tmp_path / "c.json", loss={"R": R, "d": d, "data_radius": r},
+                       sgld={"eta": 0.02, "T": 4}, estimators={"n_pairs": 2000})
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+    _, rows = read_csv_rows(tmp_path / "run" / "stability.csv")
+    assert len(rows) == 5 and len({tuple(row[2:]) for row in rows}) == 1
+    mean, se = float(rows[0][2]), float(rows[0][3])
+
+    def closed_form(R):
+        return 2.0 * R**2 * d * r**2 / ((d + 2) * n)
+
+    assert abs(mean - closed_form(R)) < 3.0 * se
+    # an R mis-set by 10% moves the closed form by over 5 stderr
+    assert abs(mean - closed_form(1.1 * R)) > 5.0 * se
+    assert abs(mean - closed_form(R / 1.1)) > 5.0 * se
 
 
 # -------------------------------------------------------------------- bounds
@@ -956,7 +1048,7 @@ def test_bounds_takes_traces_of_the_same_chain_under_other_settings(run_and_boun
 
 def test_bounds_json_mirror_and_gap_copy(run_and_bounds):
     base = run_and_bounds
-    mirror = json.load(open(base / "bounds" / "bounds.json"))
+    mirror = read_json(base / "bounds" / "bounds.json")
     assert len(mirror) == 7 * 4
     assert all(set(e) >= {"name", "value", "inputs", "notes"} for e in mirror)
     assert ((base / "bounds" / "gap.csv").read_bytes()
@@ -1010,12 +1102,12 @@ def test_run_and_bounds_agree_on_the_kl_chain(tmp_path, loss):
     # a run admitted into the KL chain's ranges gets the chain's bounds
     cfg = write_config(tmp_path / "c.json", loss=loss, sgld={"eta": 0.02, "T": 40})
     rows = run_then_bounds(tmp_path, cfg)
-    run = json.load(open(tmp_path / "run" / "manifest.json"))
+    run = read_json(tmp_path / "run" / "manifest.json")
     assert run["preconditions"]["strict_mode_failures"] == []
     route = run["config"]["bounds"]["lsi_mode"]
     assert route == ("general_dissipative" if loss["family"] == "nonconvex_ridge"
                      else "strongly_convex")
-    assert json.load(open(tmp_path / "b" / "manifest.json"))["config"] == run["config"]
+    assert read_json(tmp_path / "b" / "manifest.json")["config"] == run["config"]
     chain = [r for r in rows if r[2] != "0" and r[0] in
              ("time_independent", "subexp_gen", "excess_risk")]
     assert len(chain) == 3 * 3  # default T grid {0, 10, 20, 40}
@@ -1159,7 +1251,7 @@ def test_bounds_nonfinite_parametrix_exits_one(run_and_bounds, tmp_path, capsys,
 def test_verify_defaults_exit_zero(tmp_path):
     cfg = write_config(tmp_path / "c.json", fp={"n_cells": 64, "T_end": 0.1})
     assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == 0
-    report = json.load(open(tmp_path / "v" / "verify_report.json"))
+    report = read_json(tmp_path / "v" / "verify_report.json")
     assert report["hard_failures"] == []
     assert report["oracle"]["recursion_violations"] == 0
     assert report["oracle"]["identical_pair_mi"] == 0.0
@@ -1171,7 +1263,7 @@ def test_verify_falsification_control_exits_two(tmp_path, capsys):
                        fp={"n_cells": 64, "T_end": 0.1})
     assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == 2
     assert "VIOLATION" in capsys.readouterr().out
-    report = json.load(open(tmp_path / "v" / "verify_report.json"))
+    report = read_json(tmp_path / "v" / "verify_report.json")
     assert report["oracle"]["recursion_violations"] > 0
 
 
@@ -1246,5 +1338,5 @@ def test_benchmark_probe_traces_the_cli(tmp_path, sub, span):
          "--out", str(tmp_path / "out")],
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    names = {name for name, *_ in json.load(open(spans_out))["spans"]}
+    names = {name for name, *_ in read_json(spans_out)["spans"]}
     assert span in names
