@@ -121,8 +121,10 @@ def bound_xu_raginsky(sigma_g_sq: float, n: int, mi_upper: float) -> BoundEntry:
     """Gap bound sqrt(2 sigma_g_sq mi_upper / n) from a MI upper bound."""
     if mi_upper < 0:
         raise ValueError(f"mi_upper must be nonnegative, got {mi_upper}")
-    if not (sigma_g_sq > 0 and n >= 1):
-        raise ValueError("sigma_g_sq must be positive and n >= 1")
+    if not sigma_g_sq > 0:
+        raise ValueError(f"sigma_g_sq must be positive, got {sigma_g_sq}")
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
     return BoundEntry(
         name="xu_raginsky",
         value=_gen_from_info(sigma_g_sq, n, mi_upper),

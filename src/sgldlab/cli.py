@@ -63,7 +63,6 @@ from .estimators import (
     pth_moment_check,
     pth_moment_min_chains,
     stability_chains,
-    stability_datasets,
     stability_estimates,
     write_estimates_csv,
 )
@@ -348,6 +347,9 @@ def _check_values(cfg: ExperimentConfig) -> None:
             _check("fp.dt_safety", check_dt, grid, grad, sgld_cfg.beta, dt)
     _check("verify.oracle_T", dataclasses.replace, sgld_cfg, k=sgld_cfg.n,
            T=cfg["verify"]["oracle_T"])
+    if bnd["sigma_g_sq"] is not None:
+        # xu_raginsky's rule; n = 1 and a zero MI fit every config
+        _check("bounds.sigma_g_sq", bound_xu_raginsky, bnd["sigma_g_sq"], 1, 0.0)
     for T in bnd["T_grid"] or ():
         _coerce("bounds", "T_grid", T, int)
     for n in bnd["n_grid"] or ():
@@ -577,8 +579,7 @@ def cmd_certify(args) -> int:
 
 
 def cmd_run(args) -> int:
-    # imported here, not at module top, to keep them off every start-up
-    import mmap
+    # imported here, not at module top, to keep it off every start-up
     from multiprocessing import get_context
 
     cfg = load_config(args.config)
@@ -622,18 +623,12 @@ def cmd_run(args) -> int:
         out.save_npy("dataset.npy", dataset)
         # the gap and the stability trace read nothing the stages below
         # compute, so a forked worker runs them while this process runs the
-        # rest; once this process is idle (one shared byte) it may take the
-        # tail of the stability evaluation, see `_handoff`
-        parent_idle = mmap.mmap(-1, 1)
-        with _worker_process(get_context("fork"), os.getpid(), parent_idle, model,
+        # rest
+        with _worker_process(get_context("fork"), os.getpid(), model,
                              sgld_cfg, est) as (worker, receive):
-            # the stages' arrays are gone once it returns, so a tail of the
-            # stability evaluation does not add to this process's peak
             stored_steps = _run_own_stages(out, cfg, model, dataset, sgld_cfg, seed)
-            parent_idle[0] = 1
             try:
-                stability, gap = _worker_results(receive, model, sgld_cfg,
-                                                 est["n_pairs"])
+                stability, gap = _worker_results(receive)
             except EOFError:
                 # killed, say out of memory: the lock goes, the manifest stays running
                 worker.join()
@@ -749,30 +744,14 @@ def _worker_process(ctx, *args):
         receive.close()
 
 
-def _handoff(parent_idle: bool, done: int, total: int, block: int) -> int | None:
-    """The stored step `run`'s worker stops its stability evaluation before,
-    decided at step `done` of `total`, the first block start it reaches once
-    the parent is idle (None until then). Counted in blocks of `block` steps
-    from the first (the last may be shorter): the parent takes the last half
-    of the blocks left if the worker has already evaluated at least as many;
-    otherwise the worker finishes alone (`total`)."""
-    if not parent_idle:
-        return None
-    done, left = done // block, -(-(total - done) // block)
-    split = done + left - (left // 2 if 2 * done >= left else 0)
-    return min(total, split * block)
-
-
-def _worker(receive, send, parent: int, parent_idle, model, sgld_cfg: SGLDConfig,
+def _worker(receive, send, parent: int, model, sgld_cfg: SGLDConfig,
             est: dict) -> None:
     """`run`'s worker, forked from the process `parent`: the gap, then the
-    stability pairs' chains, then the evaluation of their stored steps from
-    the first, up to the `_handoff` split. A tail handed to the parent is
-    sent the moment it is decided, as ("tail", split) and then each pair's
-    states from the split on. Last comes ("done", (estimates, gap)), or
+    stability pairs' chains, then the evaluation of every stored step of
+    every pair. It sends one message: ("done", (estimates, gap)), or
     ("error", (exception, traceback text)) from any stage. It writes no
     file, and exits at once if `parent` is gone (say killed by SIGKILL),
-    checked between stages and at each block of the evaluation. The
+    checked between stages and before each block of the evaluation. The
     estimators are looked up in this module's globals at call time, so
     wrappers set there are the ones run."""
     receive.close()  # so that a parent gone makes `send` fail
@@ -789,22 +768,8 @@ def _worker(receive, send, parent: int, parent_idle, model, sgld_cfg: SGLDConfig
                                 eval_loss=est["eval_loss"])
         exit_if_orphaned()
         datasets, states = stability_chains(model, sgld_cfg, n_pairs=est["n_pairs"])
-        exit_if_orphaned()
-        n_steps = states[0].shape[0]
-        split = None
-
-        def until(t, block):
-            nonlocal split
-            exit_if_orphaned()
-            if split is None:
-                split = _handoff(bool(parent_idle[0]), t, n_steps, block)
-                if split is not None and split < n_steps:
-                    send.send(("tail", split))
-                    for s in states:
-                        send.send(s[split:])
-            return n_steps if split is None else split
-
-        send.send(("done", (stability_estimates(model, datasets, states, until), gap)))
+        send.send(("done", (stability_estimates(model, datasets, states,
+                                                exit_if_orphaned), gap)))
     except Exception as exc:
         import traceback
 
@@ -812,23 +777,15 @@ def _worker(receive, send, parent: int, parent_idle, model, sgld_cfg: SGLDConfig
             send.send(("error", (exc, traceback.format_exc())))
 
 
-def _worker_results(receive, model, sgld_cfg: SGLDConfig, n_pairs: int):
-    """The stability estimates and the gap from `_worker`, evaluating here,
-    with the worker's code, any tail it hands over. An exception raised in
-    the worker is raised here, caused by one holding the worker's
+def _worker_results(receive):
+    """The stability estimates and the gap from `_worker`. An exception
+    raised in the worker is raised here, caused by one holding the worker's
     traceback; EOFError means the worker died."""
     kind, payload = receive.recv()
-    tail = []
-    if kind == "tail":
-        states = [receive.recv() for _ in range(n_pairs)]
-        datasets, _ = stability_datasets(model, sgld_cfg, n_pairs)
-        tail = stability_estimates(model, datasets, states)
-        kind, payload = receive.recv()
     if kind == "error":
         exc, worker_traceback = payload
         raise exc from RuntimeError(f"raised in the worker:\n{worker_traceback}")
-    head, gap = payload
-    return head + tail, gap
+    return payload
 
 
 def _read_csv(path, columns) -> list:

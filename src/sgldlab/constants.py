@@ -232,12 +232,20 @@ def lsi_constant(
     B = M * math.sqrt(b / m)
     drift = (2.0 * m**2 + 8.0 * M**2) / (beta * m**2 * M)
     tail = 6.0 * M * (d + beta) / m
+    exponent = (2.0 / m) * (M + B) * (b * beta + d) + beta * (A + B)
+    try:
+        growth = math.exp(exponent)
+    except OverflowError:
+        growth = math.inf
     rho0_inv = (
-        2.0 * universal_C * (d + b * beta) / (m * beta)
-        * math.exp((2.0 / m) * (M + B) * (b * beta + d) + beta * (A + B))
+        2.0 * universal_C * (d + b * beta) / (m * beta) * growth
         + 1.0 / (m * beta * (d + b * beta))
     )
-    return 2.0 * drift + 2.0 * rho0_inv * (tail + 2.0)
+    c_LS = 2.0 * drift + 2.0 * rho0_inv * (tail + 2.0)
+    if c_LS == math.inf:
+        raise ValueError(f"general_dissipative mode overflows: c_LS, with a factor "
+                         f"exp({exponent:g}), exceeds the float range")
+    return c_LS
 
 
 # ------------------------------------------------------------- KL recursion

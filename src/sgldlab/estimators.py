@@ -31,7 +31,6 @@ __all__ = [
     "empirical_gen_gap",
     "grad_variance_trace",
     "grad_stability_trace",
-    "stability_datasets",
     "stability_chains",
     "stability_estimates",
     "PthMomentReport",
@@ -219,15 +218,16 @@ def grad_stability_trace(
         model, *stability_chains(model, config, n_pairs, control_identical))
 
 
-def stability_datasets(
+def stability_chains(
     model: LossModel,
     config: SGLDConfig,
     n_pairs: int,
     control_identical: bool = False,
-) -> tuple[np.ndarray, list]:
-    """The pairs of `grad_stability_trace`: their datasets as one (2 n_pairs,
-    n, z) array, the n_pairs datasets S then their n_pairs datasets S', and
-    the seed sequence of each pair's chain."""
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Phase (a) of `grad_stability_trace`: the pairs' datasets as one
+    (2 n_pairs, n, z) array, the n_pairs datasets S then their n_pairs
+    datasets S', and each pair's chain, run on its S, at the stored steps,
+    one (steps, d) array per pair."""
     check_count("n_pairs", n_pairs)
     root = np.random.SeedSequence(config.seed)
     datasets, datasets_alt, chain_seqs = [], [], []
@@ -239,20 +239,8 @@ def stability_datasets(
             S if control_identical
             else model.sample_data(np.random.default_rng(s_alt_seq), config.n))
         chain_seqs.append(chain_seq)
-    return np.stack(datasets + datasets_alt), chain_seqs
-
-
-def stability_chains(
-    model: LossModel,
-    config: SGLDConfig,
-    n_pairs: int,
-    control_identical: bool = False,
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Phase (a) of `grad_stability_trace`: the `stability_datasets` array
-    and each pair's chain, run on its S, at the stored steps, one (steps, d)
-    array per pair."""
-    datasets, chain_seqs = stability_datasets(model, config, n_pairs,
-                                              control_identical)
+    datasets = np.stack(datasets + datasets_alt)
+    del datasets_alt  # copied into `datasets`; not held while the chains run
     traces = _run_chains_lockstep(config, model, datasets[:n_pairs], chain_seqs,
                                   series=0)
     return datasets, [tr.states for tr in traces]
@@ -262,30 +250,25 @@ def stability_estimates(
     model: LossModel,
     datasets: np.ndarray,
     states,
-    until=None,
+    each_block=None,
 ) -> list[EstimateWithError]:
     """Phase (b) of `grad_stability_trace`: the estimate at each step of
-    `states`, one (steps, d) array per pair, from the pairs'
-    `stability_datasets` array.
+    `states`, one (steps, d) array per pair, from the pairs' datasets array
+    of `stability_chains`.
 
     Per pair and per block of steps, one `LossModel.stability_sq` call
     gives the squared gradient differences. The blocks lie on a fixed grid
     from the first step, `_block_len` steps long by one dataset's (steps,
-    n) margins, since a family's bits may depend on a row's place in its
-    block. So a range of steps starting on the grid gives the bits of the
-    same rows of a whole trace. `until`, when given, is called with each
-    block's first step and the block length before the block is evaluated,
-    and returns the index of the step to stop before: a step on the grid,
-    or the number of steps. The estimates of the steps before it are
-    returned.
+    n) margins. `each_block`, when given, is called with no argument
+    before each block is evaluated.
     """
     n_pairs = len(states)
     n_steps = states[0].shape[0]
     block = _block_len(datasets.shape[1])
     out = []
     for r0 in range(0, n_steps, block):
-        if until is not None and r0 >= until(r0, block):
-            break
+        if each_block is not None:
+            each_block()
         # sq[r, p] is pair p at the block's r-th step
         sq = np.empty((min(block, n_steps - r0), n_pairs))
         for p, s in enumerate(states):

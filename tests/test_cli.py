@@ -237,6 +237,7 @@ def test_bad_seed_rejected_cleanly(run_and_bounds, tmp_path, capsys):
     ("verify", "fp", "T_end", float("inf")),
     ("run", "bounds", "universal_C_moment", float("inf")),
     ("bounds", "bounds", "sigma_g_sq", float("nan")),
+    ("bounds", "bounds", "sigma_g_sq", -0.25),
     ("bounds", "bounds", "farghly_C1", float("inf")),
     ("verify", "fp", "center_gap", float("nan")),
     ("verify", "fp", "halfwidth", float("inf")),
@@ -326,6 +327,37 @@ def test_run_refuses_at_the_c_ls_bounds_uses(tmp_path, capsys):
             in capsys.readouterr().err)
 
 
+# nonconvex at beta = 1e8: the general dissipative c_LS's exponential overflows
+OVERFLOWING_C_LS = {"loss": {"family": "nonconvex_ridge", "R": None, "lam": 1.0,
+                             "a": 0.5},
+                    "sgld": {"eta": 0.01, "beta": 1e8, "T": 20}}
+
+
+def test_run_refuses_an_overflowing_c_ls_then_allows_it(tmp_path, capsys):
+    cfg = write_config(tmp_path / "c.json", **OVERFLOWING_C_LS)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[1:] == ["  - eta < 4 beta c_LS unavailable: general_dissipative mode "
+                       "overflows: c_LS, with a factor exp(2.375e+08), exceeds the "
+                       "float range"]
+    assert not (tmp_path / "r").exists()
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "f"),
+                 "--allow-unsafe"]) == 0
+    failures = read_json(tmp_path / "f" / "manifest.json")[
+        "preconditions"]["strict_mode_failures"]
+    assert failures == [err[1][len("  - "):]]
+
+
+def test_bounds_flags_an_overflowing_c_ls(tmp_path):
+    cfg = write_config(tmp_path / "c.json", **OVERFLOWING_C_LS)
+    rows = run_then_bounds(tmp_path, cfg, allow_unsafe=True)
+    chain = [r for r in rows
+             if r[0] in ("time_independent", "subexp_gen", "excess_risk")]
+    assert chain and all(
+        r[1] == "" and r[6].startswith("derived-constants-unavailable: general_"
+                                       "dissipative mode overflows") for r in chain)
+
+
 def test_universal_c_lsi_accepted_where_the_route_reads_it(tmp_path):
     nonconvex = write_config(tmp_path / "n.json",
                              loss={"family": "nonconvex_ridge", "R": None, "lam": 1.0,
@@ -409,8 +441,16 @@ def test_run_manifest_lists_every_output_file(tmp_path):
     assert manifest["config"]["sgld"]["eta"] == 0.05
 
 
-def test_run_stability_csv_equals_in_process_trace(tmp_path):
-    path = write_config(tmp_path / "c.json")
+LOGISTIC = {"loss": {"family": "logistic_ridge", "lam": 1.0, "d": 3, "R": None}}
+NONCONVEX = {"loss": {"family": "nonconvex_ridge", "lam": 1.0, "a": 0.2, "d": 3,
+                      "R": None}}
+# blocks of 8 stored steps in the stability evaluation, by its (8 steps,
+# n = 20) margins
+EIGHT_STEP_BLOCKS = 8 * BASE["data"]["n"]
+
+
+def assert_stability_csv_equals_in_process_trace(tmp_path, **over):
+    path = write_config(tmp_path / "c.json", **over)
     assert main(["run", "--config", path, "--out", str(tmp_path / "run")]) == 0
     cfg = load_config(path)
     stability = grad_stability_trace(cfg.model(), cfg.sgld_config(),
@@ -421,6 +461,19 @@ def test_run_stability_csv_equals_in_process_trace(tmp_path):
                          for step, e in enumerate(stability)])
     assert ((tmp_path / "run" / "stability.csv").read_bytes()
             == (tmp_path / "expected.csv").read_bytes())
+
+
+def test_run_stability_csv_equals_in_process_trace(tmp_path):
+    assert_stability_csv_equals_in_process_trace(tmp_path)
+
+
+@pytest.mark.parametrize("family", ["quadratic", "logistic", "nonconvex"])
+def test_run_stability_csv_in_blocks_equals_in_process_trace(tmp_path, monkeypatch,
+                                                            family):
+    # T = 60: the worker evaluates 61 stored steps in blocks of 8 (the last of 5)
+    monkeypatch.setattr(sgld, "BLOCK_WORDS", EIGHT_STEP_BLOCKS)
+    assert_stability_csv_equals_in_process_trace(
+        tmp_path, **{"logistic": LOGISTIC, "nonconvex": NONCONVEX}.get(family, {}))
 
 
 def test_run_computes_stability_in_a_worker_process(tmp_path, monkeypatch):
@@ -529,95 +582,6 @@ def test_run_worker_death_exits_one(tmp_path, monkeypatch, capsys):
     assert not (out / ".lock").exists()
     assert not (out / "stability.csv").exists()
     assert json.loads((out / "manifest.json").read_text())["status"] == "running"
-
-
-LOGISTIC = {"loss": {"family": "logistic_ridge", "lam": 1.0, "d": 3, "R": None}}
-NONCONVEX = {"loss": {"family": "nonconvex_ridge", "lam": 1.0, "a": 0.2, "d": 3,
-                      "R": None}}
-# blocks of 8 stored steps in the stability evaluation, by its (8 steps,
-# n = 20) margins
-EIGHT_STEP_BLOCKS = 8 * BASE["data"]["n"]
-
-
-@pytest.mark.parametrize("family", ["quadratic", "logistic", "nonconvex"])
-@pytest.mark.parametrize("split", [0, 32, 56, 61], ids=["first", "middle", "last", "none"])
-def test_run_stability_csv_the_same_wherever_the_worker_splits(tmp_path, monkeypatch,
-                                                               family, split):
-    # T = 60: 61 stored steps in blocks of 8 (the last of 5); the worker
-    # hands the parent steps split to 60, split on the block grid
-    monkeypatch.setattr(sgld, "BLOCK_WORDS", EIGHT_STEP_BLOCKS)
-    over = {"logistic": LOGISTIC, "nonconvex": NONCONVEX}.get(family, {})
-    path = write_config(tmp_path / "c.json", **over)
-    assert main(["run", "--config", path, "--out", str(tmp_path / "alone")]) == 0
-
-    parent, evaluated_here = os.getpid(), []
-    real = cli.stability_estimates
-
-    def recording(model, datasets, states, until=None):
-        if os.getpid() == parent:
-            evaluated_here.append(len(states[0]))
-        return real(model, datasets, states, until)
-
-    monkeypatch.setattr(cli, "_handoff", lambda parent_idle, done, total, block: split)
-    monkeypatch.setattr(cli, "stability_estimates", recording)
-    assert main(["run", "--config", path, "--out", str(tmp_path / "split")]) == 0
-    assert evaluated_here == ([61 - split] if split < 61 else [])
-    names = sorted(os.listdir(tmp_path / "alone"))
-    assert names == sorted(os.listdir(tmp_path / "split"))
-    for name in set(names) - {"manifest.json"}:
-        assert ((tmp_path / "alone" / name).read_bytes()
-                == (tmp_path / "split" / name).read_bytes()), name
-
-
-def test_run_worker_death_after_the_handoff_exits_one(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(sgld, "BLOCK_WORDS", EIGHT_STEP_BLOCKS)
-    parent, evaluated_here = os.getpid(), []
-    real = cli.stability_estimates
-
-    def dying_after_the_handoff(model, datasets, states, until=None):
-        if os.getpid() == parent:
-            evaluated_here.append(len(states[0]))
-            return real(model, datasets, states, until)
-
-        def until_then_die(t, block):
-            if t == block:  # the tail went at the first block
-                os.kill(os.getpid(), signal.SIGKILL)
-            return until(t, block)
-
-        return real(model, datasets, states, until_then_die)
-
-    monkeypatch.setattr(cli, "_handoff", lambda parent_idle, done, total, block: 32)
-    monkeypatch.setattr(cli, "stability_estimates", dying_after_the_handoff)
-    cfg = write_config(tmp_path / "c.json")
-    out = tmp_path / "run"
-    assert main(["run", "--config", cfg, "--out", str(out)]) == 1
-    assert evaluated_here == [29]
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("run failed: ")
-    assert not (out / ".lock").exists()
-    assert not (out / "stability.csv").exists()
-    assert json.loads((out / "manifest.json").read_text())["status"] == "running"
-
-
-def test_handoff_rule():
-    assert cli._handoff(False, 4000, 5001, 1) is None  # the parent is still busy
-    # the worker has evaluated at least half the steps left: the parent
-    # takes the last half of them
-    assert cli._handoff(True, 3142, 5001, 1) == 5001 - 1859 // 2
-    assert cli._handoff(True, 1, 3, 1) == 2
-    assert cli._handoff(True, 5000, 5001, 1) == 5001  # one step left: no half
-    # too few evaluated, say the parent was done before the worker began
-    assert cli._handoff(True, 0, 4001, 1) == 4001
-    assert cli._handoff(True, 1333, 4001, 1) == 4001
-    assert cli._handoff(True, 1334, 4001, 1) == 4001 - 2667 // 2
-    # in blocks: 5001 steps are 4 blocks of 1310, the last of 1071
-    assert cli._handoff(False, 2620, 5001, 1310) is None
-    assert cli._handoff(True, 2620, 5001, 1310) == 3930  # 2 done, 2 left: 1 goes
-    assert cli._handoff(True, 1310, 5001, 1310) == 5001  # 1 done, 3 left
-    assert cli._handoff(True, 3930, 5001, 1310) == 5001  # one block left: no half
-    # 61 steps are 8 blocks of 8, the last of 5
-    assert cli._handoff(True, 24, 61, 8) == 48  # 3 done, 5 left: 2 go
-    assert cli._handoff(True, 32, 61, 8) == 48  # 4 done, 4 left: 2 go
 
 
 def test_run_failing_artifact_write_leaves_no_file_under_its_name(tmp_path, monkeypatch):
@@ -975,6 +939,21 @@ def test_bounds_evaluates_the_kl_chain_once_per_horizon(run_and_bounds, tmp_path
 def test_bounds_xu_unavailable_without_full_batch(run_and_bounds):
     rows = [r for r in bounds_rows(run_and_bounds) if r[0] == "xu_raginsky"]
     assert all(r[1] == "" and "full-batch" in r[6] for r in rows)
+
+
+def test_bounds_refuses_a_zero_sigma_g_sq_on_a_full_batch_run(tmp_path, capsys):
+    # k = n: bounds evaluates xu_raginsky, whose rule refuses sigma_g_sq = 0
+    over = dict(sgld={"k": 20, "T": 20},
+                estimators={"n_chains": 2, "n_trials": 2, "n_pairs": 2})
+    cfg = write_config(tmp_path / "c.json", **over)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+    zero = write_config(tmp_path / "z.json", bounds={"sigma_g_sq": 0.0}, **over)
+    out = tmp_path / "b"
+    assert main(["bounds", "--config", zero, "--out", str(out),
+                 "--traces", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err == ("config error: bounds.sigma_g_sq: sigma_g_sq "
+                                       "must be positive, got 0.0\n")
+    assert not out.exists()
 
 
 def test_bounds_missing_sigma_g_marks_unavailable(tmp_path):

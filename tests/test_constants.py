@@ -143,6 +143,15 @@ def test_lsi_general_increases_with_universal_constant():
     assert hi > lo
 
 
+@pytest.mark.parametrize("beta", [127.5, 1e8])
+def test_lsi_general_overflow_is_a_value_error(beta):
+    # the exponent is 5.5 beta + 8: at beta = 127.5 exp stays finite but
+    # c_LS does not; at 1e8 exp itself overflows
+    assert lsi_constant(UNIT_LC, 125.0, 2, mode="general_dissipative") < math.inf
+    with pytest.raises(ValueError, match="general_dissipative mode overflows"):
+        lsi_constant(UNIT_LC, beta, 2, mode="general_dissipative")
+
+
 def test_lsi_unknown_mode():
     with pytest.raises(ValueError):
         lsi_constant(UNIT_LC, 2.0, 2, mode="bogus")

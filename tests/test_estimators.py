@@ -23,7 +23,6 @@ from sgldlab.estimators import (
     logmgf_check,
     pth_moment_check,
     stability_chains,
-    stability_datasets,
     stability_estimates,
     write_estimates_csv,
 )
@@ -340,28 +339,26 @@ def test_grad_stability_blocks_equal_per_row_loop(monkeypatch, model, strided,
 
 @pytest.mark.parametrize("model", [*GRAD_MODELS, make_nonconvex_ridge(1.0, 0.5, 1.0, 3)],
                          ids=["quadratic", "logistic", "nonconvex"])
-def test_stability_phases_give_the_trace_split_anywhere(monkeypatch, model):
-    # blocks of 4 stored steps by the (4 steps, n = 30) margins; a split
-    # falls on the block grid, so at the first block, inside the trace, at
-    # the last block and after it
-    monkeypatch.setattr(sgld, "BLOCK_WORDS", 4 * 30)
+def test_stability_estimates_call_each_block_before_each_block(monkeypatch, model):
+    # blocks of 10 stored steps by the (10 steps, n = 30) margins: 48 steps
+    # are 5 blocks, the last of 8
+    monkeypatch.setattr(sgld, "BLOCK_WORDS", 10 * 30)
     cfg = quad_cfg(k=5, n=30, T=47, d=model.d, seed=22)
-    whole = _fields(grad_stability_trace(model, cfg, n_pairs=6))
     datasets, states = stability_chains(model, cfg, n_pairs=6)
-    redrawn, _ = stability_datasets(model, cfg, n_pairs=6)
-    assert np.array_equal(redrawn, datasets)
-    for split in (0, 4, 24, 44, 48):
-        asked = []
+    plain = _fields(stability_estimates(model, datasets, states))
+    rows, kernel = [], model.stability_sq
 
-        def until(t, block):
-            asked.append((t, block))
-            return split
+    def recording(W, S, S_alt):
+        rows.append(W.shape[0])
+        return kernel(W, S, S_alt)
 
-        head = stability_estimates(model, datasets, states, until)
-        assert len(head) == split
-        assert asked == [(t, 4) for t in range(0, min(split, 44) + 1, 4)]
-        tail = stability_estimates(model, redrawn, [s[split:] for s in states])
-        assert np.array_equal(_fields(head + tail), whole)
+    monkeypatch.setattr(model, "stability_sq", recording)
+    seen = []
+    hooked = stability_estimates(model, datasets, states, lambda: seen.append(len(rows)))
+    # each call comes before its block's 6 kernel calls, one per pair
+    assert seen == [0, 6, 12, 18, 24]
+    assert rows == [10] * 24 + [8] * 6
+    assert np.array_equal(_fields(hooked), plain)
 
 
 def test_gradient_trace_blocks_bound_fisher_yates_scratch(monkeypatch):
