@@ -57,7 +57,8 @@ from .estimators import (
     EVAL_LOSSES,
     EstimateWithError,
     admitted_lambdas,
-    empirical_gen_gap,
+    gap_trials,
+    gen_gap,
     grad_variance_trace,
     logmgf_check,
     pth_moment_check,
@@ -83,7 +84,7 @@ from .oracle import (
     oracle_trace,
     verify_kl_recursion,
 )
-from .sgld import SGLDConfig, check_count, run_ensemble
+from .sgld import SGLDConfig, _run_chains_lockstep, check_count, run_ensemble
 
 
 class ConfigError(Exception):
@@ -746,14 +747,11 @@ def _worker_process(ctx, *args):
 
 def _worker(receive, send, parent: int, model, sgld_cfg: SGLDConfig,
             est: dict) -> None:
-    """`run`'s worker, forked from the process `parent`: the gap, then the
-    stability pairs' chains, then the evaluation of every stored step of
-    every pair. It sends one message: ("done", (estimates, gap)), or
-    ("error", (exception, traceback text)) from any stage. It writes no
-    file, and exits at once if `parent` is gone (say killed by SIGKILL),
-    checked between stages and before each block of the evaluation. The
-    estimators are looked up in this module's globals at call time, so
-    wrappers set there are the ones run."""
+    """`run`'s worker, forked from the process `parent`: `_worker_stages`.
+    It sends one message: ("done", (estimates, gap)), or ("error",
+    (exception, traceback text)) from any stage. It writes no file, and
+    exits at once if `parent` is gone (say killed by SIGKILL), checked
+    after the chains and before each block of the evaluation."""
     receive.close()  # so that a parent gone makes `send` fail
     for sig in _SIGNALS:
         signal.signal(sig, signal.SIG_DFL)
@@ -764,17 +762,35 @@ def _worker(receive, send, parent: int, model, sgld_cfg: SGLDConfig,
             os._exit(1)
 
     try:
-        gap = empirical_gen_gap(model, sgld_cfg, n_trials=est["n_trials"],
-                                eval_loss=est["eval_loss"])
-        exit_if_orphaned()
-        datasets, states = stability_chains(model, sgld_cfg, n_pairs=est["n_pairs"])
-        send.send(("done", (stability_estimates(model, datasets, states,
-                                                exit_if_orphaned), gap)))
+        send.send(("done", _worker_stages(model, sgld_cfg, est, exit_if_orphaned)))
     except Exception as exc:
         import traceback
 
         with contextlib.suppress(BrokenPipeError):  # the parent is gone
             send.send(("error", (exc, traceback.format_exc())))
+
+
+def _worker_stages(model, sgld_cfg: SGLDConfig, est: dict, each_block):
+    """The stability estimates and the gap, from one chain-engine call: the
+    stability pairs' chains, each on its S, then the gap trials' chains.
+    The gap is evaluated at the trials' final states, then every stored
+    step of every pair; `each_block` is called after the chains and before
+    each block of the pair evaluation. The estimators are looked up in this
+    module's globals at call time, so wrappers set there are the ones run."""
+    n_pairs = est["n_pairs"]
+    # the chains' datasets, the pairs' S then the trials', as one array the
+    # engine reads in place
+    datasets = np.empty((n_pairs + est["n_trials"], sgld_cfg.n, model.z_dim))
+    datasets_alt = np.empty((n_pairs, sgld_cfg.n, model.z_dim))
+    chain_seqs = stability_chains(model, sgld_cfg, datasets[:n_pairs], datasets_alt)
+    trial_seqs, pool_seqs = gap_trials(model, sgld_cfg, datasets[n_pairs:])
+    states = [tr.states for tr in _run_chains_lockstep(
+        sgld_cfg, model, datasets, chain_seqs + trial_seqs, series=0)]
+    each_block()
+    gap = gen_gap(model, datasets[n_pairs:], [s[-1] for s in states[n_pairs:]],
+                  pool_seqs, est["eval_loss"])
+    return stability_estimates(model, datasets[:n_pairs], datasets_alt,
+                               states[:n_pairs], each_block), gap
 
 
 def _worker_results(receive):

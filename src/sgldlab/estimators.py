@@ -29,6 +29,8 @@ __all__ = [
     "EstimateWithError",
     "EVAL_LOSSES",
     "empirical_gen_gap",
+    "gap_trials",
+    "gen_gap",
     "grad_variance_trace",
     "grad_stability_trace",
     "stability_chains",
@@ -115,30 +117,46 @@ def empirical_gen_gap(
     runs one chain on it, and compares the mean loss of W_T on a fresh test
     pool of 10 n points against the mean loss on S. `eval_loss` selects the raw training loss
     ("same_as_f") or the bounded surrogate f/(1+f) ("surrogate").
+
+    The composition of `gap_trials`, the chains and `gen_gap`.
     """
     check_count("n_trials", n_trials)
-    if eval_loss not in EVAL_LOSSES:
-        raise ValueError(f"unknown eval_loss {eval_loss!r}")
+    datasets = np.empty((n_trials, config.n, model.z_dim))
+    chain_seqs, pool_seqs = gap_trials(model, config, datasets)
+    traces = _run_chains_lockstep(config, model, datasets, chain_seqs, series=0)
+    return gen_gap(model, datasets, [tr.final_state for tr in traces], pool_seqs,
+                   eval_loss)
 
-    root = np.random.SeedSequence(config.seed)
-    trial_seqs = root.spawn(n_trials)
-    datasets, chain_seqs, pool_seqs = [], [], []
-    for seq in trial_seqs:
+
+def gap_trials(model: LossModel, config: SGLDConfig, datasets: np.ndarray):
+    """Draw the trials of `empirical_gen_gap`: trial i's dataset S into row i
+    of the (n_trials, n, z_dim) `datasets`. Returns the trials' chain seed
+    sequences, each for a chain on its S, and their test pools' sequences.
+    These streams are not the other estimators' own: trial p's S is
+    `stability_chains`' pair p's S, and trial 0's chain streams are
+    `run_ensemble`'s chain 0's."""
+    check_count("n_trials", datasets.shape[0])
+    chain_seqs, pool_seqs = [], []
+    for i, seq in enumerate(np.random.SeedSequence(config.seed).spawn(datasets.shape[0])):
         ds_seq, chain_seq, pool_seq = seq.spawn(3)
-        datasets.append(model.sample_data(np.random.default_rng(ds_seq), config.n))
+        datasets[i] = model.sample_data(np.random.default_rng(ds_seq), config.n)
         chain_seqs.append(chain_seq)
         pool_seqs.append(pool_seq)
+    return chain_seqs, pool_seqs
 
-    traces = _run_chains_lockstep(config, model, np.stack(datasets), chain_seqs,
-                                  series=0)
 
-    n_pool = TEST_POOL_FACTOR * config.n
-    gaps = np.empty(n_trials)
-    for i, tr in enumerate(traces):
-        pool = model.sample_data(np.random.default_rng(pool_seqs[i]), n_pool)
-        w = tr.final_state
+def gen_gap(model: LossModel, datasets: np.ndarray, final_states, pool_seqs,
+            eval_loss: str = "same_as_f") -> EstimateWithError:
+    """The gap estimate of the trials `gap_trials` drew, from each trial's
+    dataset, its chain's final state W_T and its test pool's seed sequence."""
+    if eval_loss not in EVAL_LOSSES:
+        raise ValueError(f"unknown eval_loss {eval_loss!r}")
+    n_pool = TEST_POOL_FACTOR * datasets.shape[1]
+    gaps = np.empty(len(pool_seqs))
+    for i, (S, w, pool_seq) in enumerate(zip(datasets, final_states, pool_seqs)):
+        pool = model.sample_data(np.random.default_rng(pool_seq), n_pool)
         test_vals = _eval_losses(model, w, pool)
-        train_vals = _eval_losses(model, w, datasets[i])
+        train_vals = _eval_losses(model, w, S)
         if eval_loss == "surrogate":
             test_vals = _surrogate(test_vals)
             train_vals = _surrogate(train_vals)
@@ -162,6 +180,9 @@ def grad_variance_trace(
     gradient, known exactly, so the estimator averages squared deviations
     of freshly resampled minibatch gradients around it. Full batch (k = n)
     has no sampling noise and returns exact zeros without resampling.
+    Each state's n per-point gradients are taken once and centred on their
+    mean, the full-batch gradient; a resample's deviation is the mean of
+    its k centred rows, summed in minibatch order.
     """
     check_count("n_resamples", n_resamples)
     cfg = trace.config
@@ -178,20 +199,28 @@ def grad_variance_trace(
     # blocks of stored states; drawing a block's offsets in one call gives
     # the same stream as one (n_resamples, k) draw per state
     out = []
-    high = cfg.n - np.arange(cfg.k)
-    # per state: an (n_resamples, n) Fisher-Yates scratch, and the
-    # (n_resamples, k, z) minibatches next to the (n, z) full batch
-    words = max(n_resamples * cfg.n, (n_resamples * cfg.k + cfg.n) * dataset.shape[1])
-    block = _block_len(words)
-    for r0 in range(0, trace.states.shape[0], block):
+    n, k, R = cfg.n, cfg.k, n_resamples
+    n_states = trace.states.shape[0]
+    high = n - np.arange(k)
+    # per state: an (R, n) Fisher-Yates scratch, n rows of the point table,
+    # and the (k, R, d) gathered rows
+    block = min(n_states, _block_len(max(R * n, n * dataset.shape[1], k * R * cfg.d)))
+    # one point per row, the dataset once per state of a block; and the
+    # first row of each resample's state in the flattened per-point table
+    points = np.tile(dataset, (block, 1))[:, None]
+    first = np.repeat(n * np.arange(block), R)
+    for r0 in range(0, n_states, block):
         W = trace.states[r0:r0 + block]
         b = W.shape[0]
-        gfull = model.grad_minibatch(W, np.broadcast_to(dataset, (b, *dataset.shape)))
-        offs = _draw_offsets(rng, high, b * n_resamples)
-        idx = _fy_subset_rows(offs, cfg.n)
-        G = model.grad_resampled(W, dataset, idx)
-        dev = G - np.repeat(gfull, n_resamples, axis=0)
-        sq = np.einsum("ij,ij->i", dev, dev).reshape(b, n_resamples)
+        per_point = model.grad_minibatch(np.repeat(W, n, axis=0), points[:b * n])
+        per_point = per_point.reshape(b, n, -1)
+        per_point -= per_point.mean(axis=1, keepdims=True)
+        idx = _fy_subset_rows(_draw_offsets(rng, high, b * R), n)
+        # the resamples' rows of that table, minibatch position-major
+        rows = idx.T + first[:b * R]
+        dev = np.take(per_point.reshape(b * n, -1), rows, axis=0).sum(axis=0)
+        dev /= k
+        sq = np.einsum("ij,ij->i", dev, dev).reshape(b, R)
         out.extend(_estimates(sq, "grad_variance"))
     return out
 
@@ -211,50 +240,44 @@ def grad_stability_trace(
     respect. `control_identical` replaces S' by S (the statistic is then
     exactly zero; falsification control).
 
-    The composition of its two phases: `stability_chains` draws the pairs
-    and runs their chains, `stability_estimates` evaluates the stored steps.
+    The composition of `stability_chains`, the chains and
+    `stability_estimates`.
     """
-    return stability_estimates(
-        model, *stability_chains(model, config, n_pairs, control_identical))
-
-
-def stability_chains(
-    model: LossModel,
-    config: SGLDConfig,
-    n_pairs: int,
-    control_identical: bool = False,
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Phase (a) of `grad_stability_trace`: the pairs' datasets as one
-    (2 n_pairs, n, z) array, the n_pairs datasets S then their n_pairs
-    datasets S', and each pair's chain, run on its S, at the stored steps,
-    one (steps, d) array per pair."""
     check_count("n_pairs", n_pairs)
-    root = np.random.SeedSequence(config.seed)
-    datasets, datasets_alt, chain_seqs = [], [], []
-    for seq in root.spawn(n_pairs):
+    datasets, datasets_alt = np.empty((2, n_pairs, config.n, model.z_dim))
+    chain_seqs = stability_chains(model, config, datasets, datasets_alt,
+                                  control_identical)
+    traces = _run_chains_lockstep(config, model, datasets, chain_seqs, series=0)
+    return stability_estimates(model, datasets, datasets_alt,
+                               [tr.states for tr in traces])
+
+
+def stability_chains(model: LossModel, config: SGLDConfig, datasets: np.ndarray,
+                     datasets_alt: np.ndarray, control_identical: bool = False):
+    """Draw the pairs of `grad_stability_trace`: pair p's S and S' into row p
+    of the (n_pairs, n, z_dim) `datasets` and `datasets_alt`. Returns the
+    pairs' chain seed sequences, each for a chain on its S. These streams
+    are not the other estimators' own: pair p's S is `gap_trials`' trial
+    p's S, and pair 0's chain streams are `run_ensemble`'s chain 1's."""
+    n_pairs = datasets.shape[0]
+    check_count("n_pairs", n_pairs)
+    chain_seqs = []
+    for p, seq in enumerate(np.random.SeedSequence(config.seed).spawn(n_pairs)):
         s_seq, s_alt_seq, chain_seq = seq.spawn(3)
-        S = model.sample_data(np.random.default_rng(s_seq), config.n)
-        datasets.append(S)
-        datasets_alt.append(
-            S if control_identical
+        datasets[p] = model.sample_data(np.random.default_rng(s_seq), config.n)
+        datasets_alt[p] = (
+            datasets[p] if control_identical
             else model.sample_data(np.random.default_rng(s_alt_seq), config.n))
         chain_seqs.append(chain_seq)
-    datasets = np.stack(datasets + datasets_alt)
-    del datasets_alt  # copied into `datasets`; not held while the chains run
-    traces = _run_chains_lockstep(config, model, datasets[:n_pairs], chain_seqs,
-                                  series=0)
-    return datasets, [tr.states for tr in traces]
+    return chain_seqs
 
 
-def stability_estimates(
-    model: LossModel,
-    datasets: np.ndarray,
-    states,
-    each_block=None,
-) -> list[EstimateWithError]:
-    """Phase (b) of `grad_stability_trace`: the estimate at each step of
-    `states`, one (steps, d) array per pair, from the pairs' datasets array
-    of `stability_chains`.
+def stability_estimates(model: LossModel, datasets: np.ndarray,
+                        datasets_alt: np.ndarray, states,
+                        each_block=None) -> list[EstimateWithError]:
+    """The estimate of `grad_stability_trace` at each step of `states`, one
+    (steps, d) array per pair, from the pairs' datasets S and S' as
+    `stability_chains` drew them.
 
     Per pair and per block of steps, one `LossModel.stability_sq` call
     gives the squared gradient differences. The blocks lie on a fixed grid
@@ -273,7 +296,7 @@ def stability_estimates(
         sq = np.empty((min(block, n_steps - r0), n_pairs))
         for p, s in enumerate(states):
             sq[:, p] = model.stability_sq(s[r0:r0 + block], datasets[p],
-                                          datasets[n_pairs + p])
+                                          datasets_alt[p])
         out.extend(_estimates(sq, "grad_stability"))
     return out
 

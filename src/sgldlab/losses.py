@@ -100,9 +100,10 @@ class LossModel:
     the test suite's reference for it. `stability_sq` gives one dataset
     pair's squared full-batch gradient differences over a block of states,
     the stability estimator's input; it agrees with `grad_minibatch` to
-    rounding, not to the bit. `full_batch_grad` (on (c, d) states) and
-    `grad_resampled` are optional overrides; their defaults call
-    `grad_minibatch`, and an override must return the same bits.
+    rounding, not to the bit. `full_batch_grad` (on (c, d) states) is an
+    optional override; its default calls `grad_minibatch`, and an override
+    must return the same bits. The variance estimator has no hook of its
+    own: it takes per-point gradients from `grad_minibatch` at k = 1.
     """
 
     d: int
@@ -168,24 +169,6 @@ class LossModel:
             A function of (c, d) states W giving `grad_minibatch(W, datasets)`.
         """
         return lambda W: self.grad_minibatch(W, datasets)
-
-    def grad_resampled(self, W: np.ndarray, dataset: np.ndarray,
-                       idx: np.ndarray) -> np.ndarray:
-        """Minibatch gradients at b states over R index rows each.
-
-        Args:
-            W: (b, d) parameter states.
-            dataset: (n, z_dim) data points.
-            idx: (b * R, k) minibatch indices into `dataset`, state-major:
-                rows i*R to i*R + R - 1 are W[i]'s.
-
-        Returns:
-            (b * R, d); row i*R + r is `grad_minibatch` of W[i] over the
-            points `idx[i*R + r]`. Families that can share work across one
-            state's R minibatches override this with the same bits.
-        """
-        R = idx.shape[0] // W.shape[0]
-        return self.grad_minibatch(np.repeat(W, R, axis=0), dataset[idx])
 
     # -- data sampling ------------------------------------------------------
 
@@ -374,22 +357,6 @@ class LogisticRidgeLoss(LossModel):
         factor = _weights(np.einsum("cd,ckd->ck", W, X), Y)
         return -_back_contract(factor, X) / X.shape[1] + self.lam * W
 
-    def grad_resampled(self, W, dataset, idx):
-        # each point's factor y sigma(-margin) is taken once per state over
-        # all n points, then gathered for the R minibatches of that state.
-        # np.take gathers several times faster than fancy indexing; the
-        # points keep their label column, since the back-contraction's bits
-        # depend on the row stride of its (k, d) operand when d = 1
-        W = np.asarray(W, dtype=float)
-        dataset = np.asarray(dataset, dtype=float)
-        b, n = W.shape[0], dataset.shape[0]
-        R, k = idx.shape[0] // b, idx.shape[1]
-        factor = _weights(np.einsum("bd,nd->bn", W, dataset[:, :-1]), dataset[:, -1])
-        rows = np.repeat(n * np.arange(b), R)[:, None]
-        Zb = np.take(dataset, idx, axis=0)
-        return (-_back_contract(np.take(factor, idx + rows), Zb[:, :, :-1]) / k
-                + self.lam * np.repeat(W, R, axis=0))
-
     def sample_data(self, rng, n_points):
         x = _uniform_ball(rng, n_points, self.d, self._constants.data_radius)
         y = rng.integers(0, 2, size=(n_points, 1)) * 2.0 - 1.0
@@ -463,29 +430,21 @@ class NonconvexRidgeLoss(LossModel):
         return _back_contract(np.sin(dots, out=dots), dataset)
 
 
-def _expit(t: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Logistic sigmoid 1 / (1 + exp(-t)) as 0.5 * (1 + tanh(t / 2)).
-
-    tanh saturates instead of overflowing, so every t is safe: +-0 gives
-    exactly 1/2, and |t| >= 40 (+-inf included) exactly 1 or 0. The result
-    is within one machine epsilon of the sigmoid in absolute error only:
-    1 + tanh cancels for t << 0, where the relative error grows (up to
-    about 1e-3 for t in [-31, -29]). `out` may be `t`.
-    """
-    out = np.multiply(t, 0.5, out=out)
-    np.tanh(out, out=out)
-    out += 1.0
-    out *= 0.5
-    return out
-
-
 def _weights(dots: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """y sigma(-y <w, x>) from the inner products <w, x>, in place in `dots`:
-    the one buffer carries the margin, the sigmoid and the weight."""
-    dots *= Y
-    np.negative(dots, out=dots)
-    _expit(dots, out=dots)
-    dots *= Y
+    """y sigma(-y <w, x>) from the inner products <w, x> and the +-1 labels
+    y, in place in `dots`, as 0.5 (y - tanh(<w, x> / 2)).
+
+    tanh saturates instead of overflowing, so every input is safe: +-inf
+    and |<w, x>| >= 40 give exactly 0 or y, and +-0 gives y / 2. The weight
+    is within one machine epsilon of y sigma(-y <w, x>) in absolute error
+    only: y - tanh cancels where the weight is near 0, and its relative
+    error grows there. It has the bits of y * 0.5 (1 + tanh(-y <w, x> / 2)),
+    save the sign of an exactly-zero weight.
+    """
+    dots *= 0.5
+    np.tanh(dots, out=dots)
+    np.subtract(Y, dots, out=dots)
+    dots *= 0.5
     return dots
 
 

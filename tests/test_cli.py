@@ -16,7 +16,7 @@ import pytest
 from sgldlab import cli, sgld
 from sgldlab.bounds import bound_xu_raginsky, kl_chain
 from sgldlab.cli import ConfigError, load_config, main
-from sgldlab.estimators import grad_stability_trace, write_estimates_csv
+from sgldlab.estimators import empirical_gen_gap, grad_stability_trace, write_estimates_csv
 from sgldlab.oracle import oracle_mi_upper
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -207,6 +207,16 @@ def test_bad_seed_rejected_cleanly(run_and_bounds, tmp_path, capsys):
             assert not out.exists()
 
 
+@pytest.fixture(scope="module")
+def full_batch_run(tmp_path_factory):
+    # traces of the k = n chain the bad-value rows run with, so that a bounds
+    # value load fails to refuse meets its own error, not one of --traces
+    base = tmp_path_factory.mktemp("full_batch")
+    cfg = write_config(base / "c.json", sgld={"k": 20})
+    assert main(["run", "--config", cfg, "--out", str(base / "run")]) == 0
+    return base / "run"
+
+
 @pytest.mark.parametrize("sub, block, key, value", [
     ("bounds", "bounds", "n_grid", [20, 0]),
     ("bounds", "bounds", "n_grid", ["x"]),
@@ -244,13 +254,13 @@ def test_bad_seed_rejected_cleanly(run_and_bounds, tmp_path, capsys):
     ("verify", "fp", "T_end", 1e308),  # finite, but T_end / dt is not
     ("verify", "fp", "T_end", 1e30),  # finite steps, but no array holds them
 ])
-def test_bad_value_exits_one_before_any_output(run_and_bounds, tmp_path, capsys,
+def test_bad_value_exits_one_before_any_output(full_batch_run, tmp_path, capsys,
                                                sub, block, key, value):
     cfg = write_config(tmp_path / "c.json", sgld={"k": 20}, **{block: {key: value}})
     out = tmp_path / "out"
     argv = [sub, "--config", cfg, "--out", str(out)]
     if sub == "bounds":
-        argv += ["--traces", str(run_and_bounds / "run")]
+        argv += ["--traces", str(full_batch_run)]
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith(f"config error: {block}")
     assert not out.exists()
@@ -461,6 +471,13 @@ def assert_stability_csv_equals_in_process_trace(tmp_path, **over):
                          for step, e in enumerate(stability)])
     assert ((tmp_path / "run" / "stability.csv").read_bytes()
             == (tmp_path / "expected.csv").read_bytes())
+    est = cfg["estimators"]
+    gap = empirical_gen_gap(cfg.model(), cfg.sgld_config(), n_trials=est["n_trials"],
+                            eval_loss=est["eval_loss"])
+    write_estimates_csv(tmp_path / "expected-gap.csv",
+                        [(gap.estimator_name, cfg["sgld"]["T"], gap)])
+    assert ((tmp_path / "run" / "gap.csv").read_bytes()
+            == (tmp_path / "expected-gap.csv").read_bytes())
 
 
 def test_run_stability_csv_equals_in_process_trace(tmp_path):
@@ -474,6 +491,28 @@ def test_run_stability_csv_in_blocks_equals_in_process_trace(tmp_path, monkeypat
     monkeypatch.setattr(sgld, "BLOCK_WORDS", EIGHT_STEP_BLOCKS)
     assert_stability_csv_equals_in_process_trace(
         tmp_path, **{"logistic": LOGISTIC, "nonconvex": NONCONVEX}.get(family, {}))
+
+
+def test_run_worker_stages_make_one_chain_engine_call(tmp_path, monkeypatch):
+    # the pairs' chains and the trials' chains are rows of one engine call,
+    # which gives each row the bits the in-process estimators give it
+    path = write_config(tmp_path / "c.json", **LOGISTIC)
+    cfg = load_config(path)
+    model, sgld_cfg, est = cfg.model(), cfg.sgld_config(), cfg["estimators"]
+    real, calls, checks = cli._run_chains_lockstep, [], []
+
+    def counting(config, model, datasets, chain_seqs, **kwargs):
+        calls.append(len(chain_seqs))
+        return real(config, model, datasets, chain_seqs, **kwargs)
+
+    monkeypatch.setattr(cli, "_run_chains_lockstep", counting)
+    stability, gap = cli._worker_stages(model, sgld_cfg, est,
+                                        lambda: checks.append(len(calls)))
+    assert calls == [est["n_pairs"] + est["n_trials"]]
+    assert checks and set(checks) == {1}
+    assert stability == grad_stability_trace(model, sgld_cfg, n_pairs=est["n_pairs"])
+    assert gap == empirical_gen_gap(model, sgld_cfg, n_trials=est["n_trials"],
+                                    eval_loss=est["eval_loss"])
 
 
 def test_run_computes_stability_in_a_worker_process(tmp_path, monkeypatch):
@@ -506,13 +545,13 @@ def test_run_worker_failure_reaches_the_caller(tmp_path, monkeypatch):
 
 
 def test_run_computes_the_gap_in_the_worker_process(tmp_path, monkeypatch):
-    real, pid_file = cli.empirical_gen_gap, tmp_path / "pid"
+    real, pid_file = cli.gen_gap, tmp_path / "pid"
 
     def recording(*args, **kwargs):
         pid_file.write_text(str(os.getpid()))
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "empirical_gen_gap", recording)
+    monkeypatch.setattr(cli, "gen_gap", recording)
     cfg = write_config(tmp_path / "c.json")
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
     assert int(pid_file.read_text()) != os.getpid()
@@ -523,7 +562,7 @@ def test_run_gap_failure_reaches_the_caller(tmp_path, monkeypatch):
     def failing(*args, **kwargs):
         raise RuntimeError(f"gap failed in pid {os.getpid()}")
 
-    monkeypatch.setattr(cli, "empirical_gen_gap", failing)
+    monkeypatch.setattr(cli, "gen_gap", failing)
     cfg = write_config(tmp_path / "c.json")
     out = tmp_path / "run"
     with pytest.raises(RuntimeError, match="gap failed") as info:

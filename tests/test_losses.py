@@ -16,15 +16,13 @@ from sgldlab.losses import (
     FD_MINIBATCH,
     FD_REL_TOL,
     LossConstants,
-    LossModel,
-    _expit,
     _fd_gradient_check,
+    _weights,
     certify,
     make_logistic_ridge,
     make_nonconvex_ridge,
     make_quadratic,
 )
-from sgldlab.sgld import _fy_subset_rows
 
 
 # ---------------------------------------------------------------- quadratic
@@ -136,28 +134,42 @@ def test_certify_small_lambda_logistic_returns_a_report():
 
 
 def test_expit_within_one_eps_of_longdouble_reference():
-    # the tanh form is accurate in absolute terms only: 1 + tanh cancels
-    # for t << 0, so no relative (ulp) bound holds there
+    # the logistic weight y sigma(-y m) of margin m and label y, as
+    # 0.5 (y - tanh(m / 2)), is accurate in absolute terms only: y - tanh
+    # cancels where the weight is near 0, so no relative (ulp) bound holds there
     edges = np.array([np.inf, -np.inf, 0.0, -0.0, 800.0, -800.0])
-    assert np.array_equal(_expit(edges), [1.0, 0.0, 0.5, 0.5, 1.0, 0.0])
+    for y, sig in ((1.0, [0.0, 1.0, 0.5, 0.5, 0.0, 1.0]),
+                   (-1.0, [1.0, 0.0, 0.5, 0.5, 1.0, 0.0])):
+        got = _weights(edges.copy(), np.full(edges.shape, y))
+        assert np.array_equal(got, y * np.array(sig)), y
 
     rng = np.random.default_rng(17)
-    t = np.concatenate([rng.standard_normal(200_000) * 40.0,
+    m = np.concatenate([rng.standard_normal(200_000) * 40.0,
                         rng.uniform(-1.0, 1.0, 100_000),
                         np.linspace(-750.0, 750.0, 30_001)])
-    lt = t.astype(np.longdouble)
-    e = np.exp(-np.abs(lt))
-    ref = np.where(lt >= 0, 1.0, e) / (1.0 + e)
-    err = np.abs(_expit(t).astype(np.longdouble) - ref)
+    Y = rng.integers(0, 2, size=m.shape) * 2.0 - 1.0
+    t = -(Y * m).astype(np.longdouble)
+    e = np.exp(-np.abs(t))
+    ref = Y * (np.where(t >= 0, 1.0, e) / (1.0 + e))
+    err = np.abs(_weights(m.copy(), Y).astype(np.longdouble) - ref)
     assert float(err.max()) <= np.finfo(float).eps
 
+    # the bits of the sigmoid form it replaces, subnormal margins included
+    tiny = np.finfo(float).smallest_subnormal
+    sub = np.array([tiny, 7 * tiny, 2.0**-1040, 2.0**-1023 - tiny])
+    m_all = np.concatenate([m, edges, sub, -sub])
+    Y_all = rng.integers(0, 2, size=m_all.shape) * 2.0 - 1.0
+    old = Y_all * 0.5 * (1.0 + np.tanh(-Y_all * m_all / 2.0))
+    assert np.array_equal(_weights(m_all.copy(), Y_all), old)
+
     grid = np.linspace(-60.0, 60.0, 1_200_001)
-    sig = _expit(grid)
-    assert np.all((sig >= 0.0) & (sig <= 1.0))
-    assert np.all(np.diff(sig) >= 0.0)
-    # in place: `out` may be the input itself
-    buf = t.copy()
-    assert _expit(buf, out=buf) is buf and np.array_equal(buf, _expit(t))
+    for y in (1.0, -1.0):
+        w = _weights(grid.copy(), np.full(grid.shape, y))
+        assert np.all((y * w >= 0.0) & (y * w <= 1.0))
+        assert np.all(np.diff(w) <= 0.0)
+    # in place: the margins' buffer carries the weights
+    buf = m.copy()
+    assert _weights(buf, Y) is buf
 
 
 def test_logistic_invalid_lambda():
@@ -592,15 +604,15 @@ FAMILY_FACTORIES = {
 )
 @settings(max_examples=80, deadline=None)
 def test_gradient_paths_agree_and_stay_finite(family, param, d, margin, seed):
-    # the scalar, one-point (k = 1) minibatch, minibatch, full-batch and
-    # resampled paths of one family at states from the certify cube, and for
+    # the scalar, one-point (k = 1) minibatch, minibatch and full-batch
+    # paths of one family at states from the certify cube, and for
     # logistic at states whose margin y <w, x> with one data point is the
     # given extreme
     model = FAMILY_FACTORIES[family](param, d)
     lc = model.constants()
     half_width = 10.0 * max(1.0, math.sqrt(lc.b / lc.m))  # certify's cube
     rng = np.random.default_rng(seed)
-    c, n, k, reps = 3, 8, 3, 4
+    c, n = 3, 8
     datasets = np.stack([model.sample_data(rng, n) for _ in range(c)])
     W = rng.uniform(-half_width, half_width, size=(c, d))
     if margin is not None and family == "logistic":
@@ -624,11 +636,5 @@ def test_gradient_paths_agree_and_stay_finite(family, param, d, margin, seed):
     full = model.full_batch_grad(datasets)
     assert np.array_equal(full(W), mini)
 
-    # the variance hook over reps index rows per state, bit for bit
-    offsets = rng.integers(0, n - np.arange(k), size=(c * reps, k))
-    idx = _fy_subset_rows(offsets, n)
-    hook = model.grad_resampled(W, datasets[0], idx)
-    assert np.array_equal(hook, LossModel.grad_resampled(model, W, datasets[0], idx))
-
-    for arr in (rows, scalar, mini, hook):
+    for arr in (rows, scalar, mini):
         assert np.all(np.isfinite(arr))
