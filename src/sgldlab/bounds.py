@@ -15,7 +15,6 @@ conversion wherever the underlying quantity is an information measure.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import math
 from dataclasses import dataclass, field
@@ -24,7 +23,7 @@ import numpy as np
 
 from .constants import DerivedConstants, admissibility_failures, kl_recursion_constants
 from .losses import LossConstants
-from .sgld import SGLDConfig
+from .sgld import SGLDConfig, write_csv
 
 __all__ = [
     "BoundEntry",
@@ -92,21 +91,11 @@ class BoundReport:
 
     def to_csv(self, path) -> None:
         """One row per entry; (T, n, eta, beta) cells are empty when absent."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(BOUNDS_CSV_COLUMNS)
-            for e in self.entries:
-                writer.writerow(
-                    [
-                        e.name,
-                        "" if e.value is None else repr(float(e.value)),
-                        e.inputs.get("T", ""),
-                        e.inputs.get("n", ""),
-                        e.inputs.get("eta", ""),
-                        e.inputs.get("beta", ""),
-                        "|".join(e.notes),
-                    ]
-                )
+        write_csv(path, BOUNDS_CSV_COLUMNS,
+                  [(e.name, None if e.value is None else float(e.value),
+                    *(e.inputs.get(key) for key in ("T", "n", "eta", "beta")),
+                    "|".join(e.notes))
+                   for e in self.entries])
 
 
 def _gen_from_info(sigma_g_sq: float, n: int, info: float) -> float:

@@ -84,7 +84,7 @@ from .oracle import (
     oracle_trace,
     verify_kl_recursion,
 )
-from .sgld import SGLDConfig, _run_chains_lockstep, check_count, run_ensemble
+from .sgld import SGLDConfig, _run_chains_lockstep, check_count, run_ensemble, write_csv
 
 
 class ConfigError(Exception):
@@ -662,11 +662,8 @@ def _run_own_stages(out: _OutputDir, cfg: ExperimentConfig, model, dataset,
                  np.stack([tr.final_state for tr in traces]))
 
     norms = np.stack([tr.w_norm_sq for tr in traces])
-    with out.file("moments.csv") as path, open(path, "w") as fh:
-        fh.write("t,mean_w_norm_sq\n")
-        means = norms.mean(axis=0)
-        for t in range(means.shape[0]):
-            fh.write(f"{t},{repr(float(means[t]))}\n")
+    with out.file("moments.csv") as path:
+        write_csv(path, ("t", "mean_w_norm_sq"), enumerate(norms.mean(axis=0).tolist()))
 
     variance = grad_variance_trace(model, dataset, traces[0],
                                    n_resamples=est["n_resamples"])
@@ -1128,12 +1125,9 @@ def cmd_compare(args) -> int:
     with _OutputDir(args.out) as out:
         out.start_manifest(inputs=args.reports)
         labels = [label for label, _ in tables]
-        with out.file("compare.csv") as path, open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["bound_name", "T", "n", *labels])
-            for key in keys:
-                writer.writerow([key[0], key[1], key[2],
-                                 *(table.get(key, "") for _, table in tables)])
+        with out.file("compare.csv") as path:
+            write_csv(path, ("bound_name", "T", "n", *labels),
+                      [(*key, *(table.get(key) for _, table in tables)) for key in keys])
         with out.file("compare.txt") as path, open(path, "w") as fh:
             widths = [max(12, len(label) + 2) for label in labels]
             fh.write(f"{'bound':24s}{'T':>8s}{'n':>8s}"

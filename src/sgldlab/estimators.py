@@ -23,6 +23,7 @@ from .sgld import (
     _fy_subset_rows,
     _run_chains_lockstep,
     check_count,
+    write_csv,
 )
 
 __all__ = [
@@ -70,19 +71,11 @@ class EstimateWithError:
 
 
 def _estimate(samples: np.ndarray, name: str) -> EstimateWithError:
-    samples = np.asarray(samples, dtype=float)
-    n = samples.size
-    sd = float(samples.std(ddof=1)) if n > 1 else 0.0
-    return EstimateWithError(
-        mean=float(samples.mean()),
-        stderr=sd / math.sqrt(n),
-        n_samples=n,
-        estimator_name=name,
-    )
+    return _estimates(np.asarray(samples, dtype=float).reshape(1, -1), name)[0]
 
 
 def _estimates(rows: np.ndarray, name: str) -> list[EstimateWithError]:
-    """`_estimate` of each row of a (b, m) block, in one pass over the block."""
+    """The mean and standard error of each row of a (b, m) block, in one pass."""
     m = rows.shape[1]
     means = rows.mean(axis=1)
     sds = rows.std(axis=1, ddof=1) if m > 1 else np.zeros(rows.shape[0])
@@ -488,10 +481,5 @@ def write_estimates_csv(path, rows) -> None:
 
     `rows` is an iterable of (estimator_name, t_or_lambda, EstimateWithError).
     """
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(ESTIMATES_CSV_COLUMNS)
-        for name, tl, est in rows:
-            writer.writerow([name, tl, repr(est.mean), repr(est.stderr), est.n_samples])
+    write_csv(path, ESTIMATES_CSV_COLUMNS,
+              ((name, tl, est.mean, est.stderr, est.n_samples) for name, tl, est in rows))

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .sgld import _block_len
+from .sgld import _block_len, write_csv
 
 __all__ = [
     "Grid1D",
@@ -331,26 +331,14 @@ class FPPairRun:
 
     def to_csv(self, path, report: Inequality12Report) -> None:
         """Write the traces with `report`, this run's `verify_inequality_12`."""
-        import csv
+        def defined(values):  # the undefined ends are empty cells
+            return [None if math.isnan(v) else v for v in values.tolist()]
 
         times = np.arange(self.kl.shape[0]) * self.dt
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "kl", "fisher", "stability_term", "dkl_dt",
-                             "slack"])
-            for i in range(self.kl.shape[0]):
-                dkl = report.dkl_dt[i]
-                slack = report.slack[i]
-                writer.writerow(
-                    [
-                        repr(float(times[i])),
-                        repr(float(self.kl[i])),
-                        repr(float(self.fisher[i])),
-                        repr(float(self.stability[i])),
-                        "" if math.isnan(dkl) else repr(float(dkl)),
-                        "" if math.isnan(slack) else repr(float(slack)),
-                    ]
-                )
+        write_csv(path, ("t", "kl", "fisher", "stability_term", "dkl_dt", "slack"),
+                  zip(times.tolist(), self.kl.tolist(), self.fisher.tolist(),
+                      self.stability.tolist(), defined(report.dkl_dt),
+                      defined(report.slack)))
 
 
 def evolve_pair(

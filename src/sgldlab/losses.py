@@ -44,6 +44,8 @@ CERT_TOL = 1e-9          # slack allowed on O(1) inequality margins in float64
 FD_REL_TOL = 1e-5        # central-difference gradient agreement threshold
 FD_DEGENERATE_NORM = 1e-6  # skip FD relative error where the gradient vanishes
 FD_MINIBATCH = 3         # points per FD minibatch: above 1, a sum is no mean
+# the constants a claim may change: those `certify` and the bounds read
+CLAIMABLE = ("M", "m", "b", "A", "R")
 
 
 @dataclass(frozen=True)
@@ -57,8 +59,6 @@ class LossConstants:
         A: bound on |f(0, z)| over the data ball, >= 0.
         data_radius: radius of the ball containing all data points, > 0.
         R: strong-convexity modulus if the family has one (0 < R <= M).
-        sigma_g_sq: sub-Gaussian proxy variance of the evaluation loss,
-            when the experiment evaluates with a bounded surrogate.
     """
 
     M: float
@@ -67,7 +67,6 @@ class LossConstants:
     A: float
     data_radius: float
     R: float | None = None
-    sigma_g_sq: float | None = None
 
     def __post_init__(self) -> None:
         if not (self.M > 0 and math.isfinite(self.M)):
@@ -82,8 +81,6 @@ class LossConstants:
             raise ValueError(f"data_radius must be positive, got {self.data_radius}")
         if self.R is not None and not (0 < self.R <= self.M + 1e-12):
             raise ValueError(f"R must satisfy 0 < R <= M, got R={self.R}, M={self.M}")
-        if self.sigma_g_sq is not None and not self.sigma_g_sq > 0:
-            raise ValueError(f"sigma_g_sq must be positive, got {self.sigma_g_sq}")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -102,8 +99,7 @@ class LossModel:
     the stability estimator's input; it agrees with `grad_minibatch` to
     rounding, not to the bit. `full_batch_grad` (on (c, d) states) is an
     optional override; its default calls `grad_minibatch`, and an override
-    must return the same bits. The variance estimator has no hook of its
-    own: it takes per-point gradients from `grad_minibatch` at k = 1.
+    (the quadratic family's) must return the same bits.
     """
 
     d: int
@@ -182,8 +178,13 @@ class LossModel:
         """Copy of this model whose claimed constants are altered.
 
         Exists so the certifier's failure path can be exercised against a
-        model with deliberately wrong claims.
+        model with deliberately wrong claims. Only `CLAIMABLE` constants can
+        be claimed: a claimed `data_radius` would change the data drawn.
         """
+        refused = [key for key in changes if key not in CLAIMABLE]
+        if refused:
+            raise ValueError(f"only {', '.join(CLAIMABLE)} can be claimed, "
+                             f"not {', '.join(refused)}")
         other = copy.copy(self)
         other._constants = dataclasses.replace(self._constants, **changes)
         return other
@@ -323,16 +324,12 @@ class LogisticRidgeLoss(LossModel):
         return self._softplus(-margins) + 0.5 * self.lam * np.einsum("ij,ij->i", W, W)
 
     def grad_minibatch(self, W, Zb):
+        # row c: the mean gradient at W[c] over the k points of Zb[c]
+        W = np.asarray(W, dtype=float)
         Zb = np.asarray(Zb, dtype=float)
-        return self._mean_grad(W, Zb[:, :, :-1], Zb[:, :, -1])
-
-    def full_batch_grad(self, datasets):
-        # the labels are sliced once, into a contiguous (c, n) table; the
-        # points stay a strided view, since the back-contraction's bits
-        # depend on the row stride of its (n, d) operand when d <= 3
-        datasets = np.asarray(datasets, dtype=float)
-        X, Y = datasets[:, :, :-1], np.ascontiguousarray(datasets[:, :, -1])
-        return lambda W: self._mean_grad(W, X, Y)
+        X = Zb[:, :, :-1]
+        factor = _weights(np.einsum("cd,ckd->ck", W, X), Zb[:, :, -1])
+        return -_back_contract(factor, X) / X.shape[1] + self.lam * W
 
     def stability_sq(self, W, S, S_alt):
         # lam W cancels. Each dataset takes its own contractions: stacked
@@ -349,13 +346,6 @@ class LogisticRidgeLoss(LossModel):
         X = dataset[:, :-1]
         factor = _weights(_margins(W, X), np.ascontiguousarray(dataset[:, -1]))
         return _back_contract(factor, X)
-
-    def _mean_grad(self, W, X, Y):
-        # row c: the mean gradient at W[c] over the points X[c] (k, d) with
-        # the labels Y[c] (k,)
-        W = np.asarray(W, dtype=float)
-        factor = _weights(np.einsum("cd,ckd->ck", W, X), Y)
-        return -_back_contract(factor, X) / X.shape[1] + self.lam * W
 
     def sample_data(self, rng, n_points):
         x = _uniform_ball(rng, n_points, self.d, self._constants.data_radius)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimators import EstimateWithError, _estimate
-from .sgld import SGLDConfig, check_count
+from .sgld import SGLDConfig, check_count, write_csv
 
 __all__ = [
     "OracleTrace",
@@ -67,20 +67,9 @@ class OracleTrace:
     kl: np.ndarray
 
     def to_csv(self, path) -> None:
-        import csv
-
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "mean_norm", "var", "kl"])
-            for i in range(self.steps.shape[0]):
-                writer.writerow(
-                    [
-                        int(self.steps[i]),
-                        repr(float(self.mean_norm[i])),
-                        repr(float(self.var[i])),
-                        repr(float(self.kl[i])),
-                    ]
-                )
+        write_csv(path, ("t", "mean_norm", "var", "kl"),
+                  zip(self.steps.tolist(), self.mean_norm.tolist(), self.var.tolist(),
+                      self.kl.tolist()))
 
 
 def oracle_trace(

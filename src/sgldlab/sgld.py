@@ -31,6 +31,8 @@ path, so serial and ensemble runs agree bitwise.
 
 from __future__ import annotations
 
+import csv
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -45,6 +47,7 @@ __all__ = [
     "sample_initial",
     "run_chain",
     "run_ensemble",
+    "write_csv",
 ]
 
 STEP_CHUNK = 512          # steps per pre-drawn RNG block
@@ -108,6 +111,19 @@ def check_count(name: str, value: int) -> None:
         raise ValueError(f"{name} must be at least {_LEAST_COUNT[name]}, got {value}")
 
 
+def write_csv(path, columns, rows) -> None:
+    """Write one artifact CSV: the header `columns`, then `rows`.
+
+    Every CSV artifact is written here, in csv's own cell rule: \\r\\n line
+    ends, a float as its repr (which reads back to the same float), None as
+    an empty cell, and any other cell as its str.
+    """
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows(rows)
+
+
 @dataclass
 class ChainTrace:
     """Recorded output of one SGLD chain.
@@ -149,21 +165,12 @@ class ChainTrace:
 
     def to_csv(self, path) -> None:
         """Columnar per-step record; update columns are empty on the final row."""
-        import csv
-
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "w_norm_sq", "grad_var_sample",
-                            "grad_fullbatch_norm", "grad_minibatch_norm"])
-            T = self.config.T
-            for t in range(T + 1):
-                if t < T:
-                    writer.writerow([t, repr(float(self.w_norm_sq[t])),
-                                     repr(float(self.grad_var_sample[t])),
-                                     repr(float(self.grad_fullbatch_norm[t])),
-                                     repr(float(self.grad_minibatch_norm[t]))])
-                else:
-                    writer.writerow([t, repr(float(self.w_norm_sq[t])), "", "", ""])
+        T, w_norm_sq = self.config.T, self.w_norm_sq.tolist()
+        rows = zip(range(T), w_norm_sq, self.grad_var_sample.tolist(),
+                   self.grad_fullbatch_norm.tolist(), self.grad_minibatch_norm.tolist())
+        write_csv(path, ("t", "w_norm_sq", "grad_var_sample", "grad_fullbatch_norm",
+                         "grad_minibatch_norm"),
+                  itertools.chain(rows, [(T, w_norm_sq[T], None, None, None)]))
 
 
 # ------------------------------------------------------------ primitive ops

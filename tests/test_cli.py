@@ -253,6 +253,8 @@ def full_batch_run(tmp_path_factory):
     ("verify", "fp", "halfwidth", float("inf")),
     ("verify", "fp", "T_end", 1e308),  # finite, but T_end / dt is not
     ("verify", "fp", "T_end", 1e30),  # finite steps, but no array holds them
+    ("run", "loss", "claimed", {"data_radius": 3.0}),  # would move the data
+    ("run", "loss", "claimed", {"sigma_g_sq": 0.5}),  # read by nothing
 ])
 def test_bad_value_exits_one_before_any_output(full_batch_run, tmp_path, capsys,
                                                sub, block, key, value):
@@ -1335,6 +1337,37 @@ def test_compare_schema_mismatch_exits_one(run_and_bounds, tmp_path, capsys):
     rc = main(["compare", str(broken), "--out", str(tmp_path / "cmp")])
     assert rc == 1
     assert "unexpected columns" in capsys.readouterr().err
+
+
+ESTIMATES_HEADER = "estimator,t_or_lambda,mean,stderr,n"
+FP_HEADER = "t,kl,fisher,stability_term,dkl_dt,slack"
+CSV_HEADERS = {
+    "run": {"chain_000.csv": "t,w_norm_sq,grad_var_sample,grad_fullbatch_norm,"
+                             "grad_minibatch_norm",
+            "moments.csv": "t,mean_w_norm_sq",
+            **{name: ESTIMATES_HEADER for name in RUN_CSVS[2:]}},
+    "bounds": {"bounds.csv": "name,value,T,n,eta,beta,flags", "gap.csv": ESTIMATES_HEADER},
+    "verify": {"oracle_trace.csv": "t,mean_norm,var,kl", "fp_coarse.csv": FP_HEADER,
+               "fp_fine.csv": FP_HEADER},
+    "compare": {"compare.csv": "bound_name,T,n,bounds"},
+}
+
+
+def test_every_csv_artifact_has_crlf_line_ends_and_its_header(run_and_bounds, tmp_path):
+    base = run_and_bounds
+    cfg = write_config(tmp_path / "c.json", fp={"n_cells": 64, "T_end": 0.1})
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "verify")]) == 0
+    assert main(["compare", str(base / "bounds"), "--out", str(tmp_path / "compare")]) == 0
+    dirs = {"run": base / "run", "bounds": base / "bounds",
+            "verify": tmp_path / "verify", "compare": tmp_path / "compare"}
+    for sub, headers in CSV_HEADERS.items():
+        assert sorted(p.name for p in dirs[sub].glob("*.csv")) == sorted(headers), sub
+        for name, header in headers.items():
+            data = (dirs[sub] / name).read_bytes()
+            lines = data.split(b"\r\n")
+            assert lines[-1] == b"" and len(lines) > 2, name
+            assert not any(b"\n" in line or b"\r" in line for line in lines), name
+            assert lines[0].decode() == header, name
 
 
 # ----------------------------------------------------------- benchmark probe

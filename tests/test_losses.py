@@ -272,23 +272,6 @@ def test_full_batch_grad_bitwise_equals_grad_minibatch(factory, d):
         assert np.array_equal(full(W), model.grad_minibatch(W, stacked))
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 5])
-def test_logistic_full_batch_grad_of_stacked_pairs_equals_grad_minibatch(d):
-    # the stability trace's call: the datasets S then S' in one table, each
-    # state given once for its S and once for its S'
-    model = make_logistic_ridge(0.7, 1.2, d)
-    rng = np.random.default_rng(11)
-    p, n = 5, 200
-    S = np.stack([model.sample_data(rng, n) for _ in range(p)])
-    S_alt = np.stack([model.sample_data(rng, n) for _ in range(p)])
-    full = model.full_batch_grad(np.concatenate([S, S_alt]))
-    for _ in range(2):
-        W = rng.uniform(-2, 2, size=(p, d))
-        g = full(np.concatenate([W, W]))
-        assert np.array_equal(g[:p], model.grad_minibatch(W, S))
-        assert np.array_equal(g[p:], model.grad_minibatch(W, S_alt))
-
-
 # ------------------------------------------------------------- certification
 
 

@@ -549,6 +549,21 @@ def test_trace_csv_round_trip(tmp_path):
     assert float(rows[5][2]) == tr.grad_var_sample[4]
 
 
+def test_write_csv_cells_read_back_as_written(tmp_path):
+    floats = [0.1, 1e-300, -0.0, math.inf, math.nan, 1 / 3]
+    path = tmp_path / "cells.csv"
+    sgld.write_csv(path, ("a", "b"), [(*floats, None, 7, "x|y", "")])
+    assert path.read_bytes().count(b"\r\n") == 2
+    with open(path, newline="") as fh:
+        header, row = list(csv.reader(fh))
+    assert header == ["a", "b"]
+    for cell, value in zip(row, floats):
+        back = float(cell)
+        assert (math.isnan(back) if math.isnan(value)
+                else back == value and math.copysign(1, back) == math.copysign(1, value))
+    assert row[len(floats):] == ["", "7", "x|y", ""]
+
+
 def test_trace_validate_catches_bad_shapes():
     model = quad_model()
     ds = model.sample_data(np.random.default_rng(0), 100)
