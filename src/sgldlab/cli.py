@@ -75,7 +75,7 @@ from .fokker_planck import (
     suggested_halfwidth,
     verify_inequality_12,
 )
-from .losses import certify, make_logistic_ridge, make_nonconvex_ridge, make_quadratic
+from .losses import QuadraticLoss, certify, make_logistic_ridge, make_nonconvex_ridge, make_quadratic
 from .oracle import (
     _response_and_var,
     oracle_mi_from_gaps,
@@ -233,6 +233,17 @@ class ExperimentConfig:
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"sgld: {exc}") from exc
 
+    def parametrix(self) -> ParametrixOverrides | None:
+        """bounds.parametrix as overrides, None for the defaults; a malformed
+        one is a ConfigError."""
+        over = self.blocks["bounds"]["parametrix"]
+        if over is None:
+            return None
+        try:
+            return ParametrixOverrides(**over)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bounds.parametrix: {exc}") from exc
+
     def derived(self):
         """The derived constants, or why they are undefined for this config.
 
@@ -242,17 +253,11 @@ class ExperimentConfig:
         """
         b = self.blocks["bounds"]
         s = self.blocks["sgld"]
-        over = None
-        if b["parametrix"] is not None:
-            try:
-                over = ParametrixOverrides(**b["parametrix"])
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"bounds.parametrix: {exc}") from exc
         try:
             return derive_constants(
                 self.model().constants(), eta=s["eta"], beta=s["beta"],
                 d=self.blocks["loss"]["d"], s_sq=s["s_sq"],
-                lsi_mode=b["lsi_mode"], overrides=over,
+                lsi_mode=b["lsi_mode"], overrides=self.parametrix(),
                 universal_C_lsi=b["universal_C_lsi"],
                 universal_C_moment=b["universal_C_moment"],
             )
@@ -348,6 +353,11 @@ def _check_values(cfg: ExperimentConfig) -> None:
             _check("fp.dt_safety", check_dt, grid, grad, sgld_cfg.beta, dt)
     _check("verify.oracle_T", dataclasses.replace, sgld_cfg, k=sgld_cfg.n,
            T=cfg["verify"]["oracle_T"])
+    cfg.parametrix()  # the parse `derived` makes
+    if cfg["verify"]["falsify"] and lc.R is None:
+        # falsify changes the oracle section only, which needs R
+        raise ConfigError(f"verify.falsify: the {cfg['loss']['family']} family has "
+                          f"no R, so verify runs no oracle check to falsify")
     if bnd["sigma_g_sq"] is not None:
         # xu_raginsky's rule; n = 1 and a zero MI fit every config
         _check("bounds.sigma_g_sq", bound_xu_raginsky, bnd["sigma_g_sq"], 1, 0.0)
@@ -580,9 +590,6 @@ def cmd_certify(args) -> int:
 
 
 def cmd_run(args) -> int:
-    # imported here, not at module top, to keep it off every start-up
-    from multiprocessing import get_context
-
     cfg = load_config(args.config)
     model = cfg.model()
     seed = _seed_of(args, cfg)
@@ -625,11 +632,10 @@ def cmd_run(args) -> int:
         # the gap and the stability trace read nothing the stages below
         # compute, so a forked worker runs them while this process runs the
         # rest
-        with _worker_process(get_context("fork"), os.getpid(), model,
-                             sgld_cfg, est) as (worker, receive):
+        with _worker_process(model, sgld_cfg, est) as (worker, result):
             stored_steps = _run_own_stages(out, cfg, model, dataset, sgld_cfg, seed)
             try:
-                stability, gap = _worker_results(receive)
+                stability, gap = result()
             except EOFError:
                 # killed, say out of memory: the lock goes, the manifest stays running
                 worker.join()
@@ -716,23 +722,38 @@ _SIGNALS = (signal.SIGINT, signal.SIGTERM)
 
 
 @contextlib.contextmanager
-def _worker_process(ctx, *args):
-    """`_worker(receive, send, *args)` in a process of the fork context
-    `ctx`, yielding the process and the receiving end of its one-way pipe.
+def _worker_process(model, sgld_cfg: SGLDConfig, est: dict):
+    """`_worker` in a forked process, yielding the process and a function
+    that receives its result: the stability estimates and the gap. An
+    exception raised in the worker is raised there, caused by one holding
+    the worker's traceback; EOFError means the worker died.
 
     The process is terminated and joined on leaving, however the with block
     ends. SIGINT and SIGTERM stay blocked across the fork, so neither reaches
     the child before it has dropped this process's handlers.
     """
+    # imported here, not at module top, to keep it off every start-up
+    from multiprocessing import get_context
+
+    ctx = get_context("fork")
     receive, send = ctx.Pipe(duplex=False)
-    process = ctx.Process(target=_worker, args=(receive, send, *args))
+    process = ctx.Process(target=_worker,
+                          args=(send, os.getpid(), model, sgld_cfg, est))
+
+    def result():
+        kind, payload = receive.recv()
+        if kind == "error":
+            exc, worker_traceback = payload
+            raise exc from RuntimeError(f"raised in the worker:\n{worker_traceback}")
+        return payload
+
     mask = signal.pthread_sigmask(signal.SIG_BLOCK, _SIGNALS)
     try:
         process.start()
         try:
             send.close()  # the child's end only, so its death reads as EOF here
             signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-            yield process, receive
+            yield process, result
         finally:
             process.terminate()
             process.join()
@@ -742,38 +763,37 @@ def _worker_process(ctx, *args):
         receive.close()
 
 
-def _worker(receive, send, parent: int, model, sgld_cfg: SGLDConfig,
-            est: dict) -> None:
+def _worker(send, parent: int, model, sgld_cfg: SGLDConfig, est: dict) -> None:
     """`run`'s worker, forked from the process `parent`: `_worker_stages`.
     It sends one message: ("done", (estimates, gap)), or ("error",
-    (exception, traceback text)) from any stage. It writes no file, and
-    exits at once if `parent` is gone (say killed by SIGKILL), checked
-    after the chains and before each block of the evaluation."""
-    receive.close()  # so that a parent gone makes `send` fail
+    (exception, traceback text)) from any stage. It writes no file, and a
+    thread exits the process within 0.05 s of `parent` being gone (say
+    killed by SIGKILL), in any stage or send."""
+    import threading
+
+    def exit_once_orphaned():
+        while os.getppid() == parent:
+            time.sleep(0.05)
+        os._exit(1)  # adopted: nobody is left to read the results
+
     for sig in _SIGNALS:
         signal.signal(sig, signal.SIG_DFL)
     signal.pthread_sigmask(signal.SIG_UNBLOCK, _SIGNALS)
-
-    def exit_if_orphaned():
-        if os.getppid() != parent:  # adopted: nobody is left to read the results
-            os._exit(1)
-
+    threading.Thread(target=exit_once_orphaned, daemon=True).start()
     try:
-        send.send(("done", _worker_stages(model, sgld_cfg, est, exit_if_orphaned)))
+        send.send(("done", _worker_stages(model, sgld_cfg, est)))
     except Exception as exc:
         import traceback
 
-        with contextlib.suppress(BrokenPipeError):  # the parent is gone
-            send.send(("error", (exc, traceback.format_exc())))
+        send.send(("error", (exc, traceback.format_exc())))
 
 
-def _worker_stages(model, sgld_cfg: SGLDConfig, est: dict, each_block):
+def _worker_stages(model, sgld_cfg: SGLDConfig, est: dict):
     """The stability estimates and the gap, from one chain-engine call: the
     stability pairs' chains, each on its S, then the gap trials' chains.
     The gap is evaluated at the trials' final states, then every stored
-    step of every pair; `each_block` is called after the chains and before
-    each block of the pair evaluation. The estimators are looked up in this
-    module's globals at call time, so wrappers set there are the ones run."""
+    step of every pair. The estimators are looked up in this module's
+    globals at call time, so wrappers set there are the ones run."""
     n_pairs = est["n_pairs"]
     # the chains' datasets, the pairs' S then the trials', as one array the
     # engine reads in place
@@ -783,22 +803,10 @@ def _worker_stages(model, sgld_cfg: SGLDConfig, est: dict, each_block):
     trial_seqs, pool_seqs = gap_trials(model, sgld_cfg, datasets[n_pairs:])
     states = [tr.states for tr in _run_chains_lockstep(
         sgld_cfg, model, datasets, chain_seqs + trial_seqs, series=0)]
-    each_block()
     gap = gen_gap(model, datasets[n_pairs:], [s[-1] for s in states[n_pairs:]],
                   pool_seqs, est["eval_loss"])
     return stability_estimates(model, datasets[:n_pairs], datasets_alt,
-                               states[:n_pairs], each_block), gap
-
-
-def _worker_results(receive):
-    """The stability estimates and the gap from `_worker`. An exception
-    raised in the worker is raised here, caused by one holding the worker's
-    traceback; EOFError means the worker died."""
-    kind, payload = receive.recv()
-    if kind == "error":
-        exc, worker_traceback = payload
-        raise exc from RuntimeError(f"raised in the worker:\n{worker_traceback}")
-    return payload
+                               states[:n_pairs]), gap
 
 
 def _read_csv(path, columns) -> list:
@@ -968,14 +976,17 @@ def cmd_bounds(args) -> int:
     sigma_g_sq = b["sigma_g_sq"]
     eta, beta = sgld_cfg.eta, sgld_cfg.beta
     # xu_raginsky's dataset pairs depend on n alone and the law's response
-    # on T alone: the pairs are drawn once per n, the response run once
+    # on T alone: the pairs are drawn once per n, the response run once. The
+    # law is exact for the full-batch quadratic chain, at its own R, not a
+    # claimed one
     pair_gaps = {}
     if ("xu_raginsky" in b["which"] and sigma_g_sq is not None
-            and lc.R is not None and sgld_cfg.k == sgld_cfg.n and T_grid):
+            and isinstance(model, QuadraticLoss) and sgld_cfg.k == sgld_cfg.n
+            and T_grid):
         pair_gaps = {n: oracle_pair_gaps(model.sample_data, seed, n,
                                          cfg["estimators"]["mi_pairs"])
                      for n in n_grid}
-        a, v = _response_and_var(eta, beta, lc.R, sgld_cfg.s_sq, max(T_grid))
+        a, v = _response_and_var(eta, beta, model.R, sgld_cfg.s_sq, max(T_grid))
 
     entries = []
     for T in T_grid:

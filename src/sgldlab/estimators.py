@@ -266,8 +266,7 @@ def stability_chains(model: LossModel, config: SGLDConfig, datasets: np.ndarray,
 
 
 def stability_estimates(model: LossModel, datasets: np.ndarray,
-                        datasets_alt: np.ndarray, states,
-                        each_block=None) -> list[EstimateWithError]:
+                        datasets_alt: np.ndarray, states) -> list[EstimateWithError]:
     """The estimate of `grad_stability_trace` at each step of `states`, one
     (steps, d) array per pair, from the pairs' datasets S and S' as
     `stability_chains` drew them.
@@ -275,16 +274,13 @@ def stability_estimates(model: LossModel, datasets: np.ndarray,
     Per pair and per block of steps, one `LossModel.stability_sq` call
     gives the squared gradient differences. The blocks lie on a fixed grid
     from the first step, `_block_len` steps long by one dataset's (steps,
-    n) margins. `each_block`, when given, is called with no argument
-    before each block is evaluated.
+    n) margins.
     """
     n_pairs = len(states)
     n_steps = states[0].shape[0]
     block = _block_len(datasets.shape[1])
     out = []
     for r0 in range(0, n_steps, block):
-        if each_block is not None:
-            each_block()
         # sq[r, p] is pair p at the block's r-th step
         sq = np.empty((min(block, n_steps - r0), n_pairs))
         for p, s in enumerate(states):

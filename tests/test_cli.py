@@ -255,6 +255,8 @@ def full_batch_run(tmp_path_factory):
     ("verify", "fp", "T_end", 1e30),  # finite steps, but no array holds them
     ("run", "loss", "claimed", {"data_radius": 3.0}),  # would move the data
     ("run", "loss", "claimed", {"sigma_g_sq": 0.5}),  # read by nothing
+    ("run", "bounds", "parametrix", {"C1_prime": -1.0}),
+    ("run", "bounds", "parametrix", {"nope": 1.0}),
 ])
 def test_bad_value_exits_one_before_any_output(full_batch_run, tmp_path, capsys,
                                                sub, block, key, value):
@@ -501,17 +503,15 @@ def test_run_worker_stages_make_one_chain_engine_call(tmp_path, monkeypatch):
     path = write_config(tmp_path / "c.json", **LOGISTIC)
     cfg = load_config(path)
     model, sgld_cfg, est = cfg.model(), cfg.sgld_config(), cfg["estimators"]
-    real, calls, checks = cli._run_chains_lockstep, [], []
+    real, calls = cli._run_chains_lockstep, []
 
     def counting(config, model, datasets, chain_seqs, **kwargs):
         calls.append(len(chain_seqs))
         return real(config, model, datasets, chain_seqs, **kwargs)
 
     monkeypatch.setattr(cli, "_run_chains_lockstep", counting)
-    stability, gap = cli._worker_stages(model, sgld_cfg, est,
-                                        lambda: checks.append(len(calls)))
+    stability, gap = cli._worker_stages(model, sgld_cfg, est)
     assert calls == [est["n_pairs"] + est["n_trials"]]
-    assert checks and set(checks) == {1}
     assert stability == grad_stability_trace(model, sgld_cfg, n_pairs=est["n_pairs"])
     assert gap == empirical_gen_gap(model, sgld_cfg, n_trials=est["n_trials"],
                                     eval_loss=est["eval_loss"])
@@ -760,33 +760,47 @@ def test_run_worker_of_a_killed_parent_exits_quietly_after_its_stages(tmp_path):
     assert (tmp_path / "stderr").read_text() == ""
 
 
+# the worker's stages a SIGKILL of its parent lands in: the marked function
+# and a config under which the stage takes several seconds
+KILL_PHASES = {
+    # 4 pairs on n = 20,000 points over 6,001 stored steps
+    "evaluation": ("stability_estimates", dict(
+        loss={"family": "logistic_ridge", "lam": 1.0, "d": 5, "R": None},
+        sgld={"eta": 0.02, "k": 1, "T": 6000},
+        data={"n": 20_000},
+        estimators={"n_pairs": 4, "n_trials": 2, "n_chains": 2, "n_resamples": 2})),
+    # one engine call of 150,000 steps over 4 chains
+    "chains": ("_run_chains_lockstep", dict(
+        loss={"family": "logistic_ridge", "lam": 1.0, "d": 5, "R": None},
+        sgld={"eta": 0.02, "k": 20, "T": 150_000},
+        data={"n": 200},
+        estimators={"n_pairs": 2, "n_trials": 2, "n_chains": 2, "n_resamples": 2})),
+}
+
+
 @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads /proc")
-def test_run_worker_exits_once_the_parent_is_killed(tmp_path):
-    # the evaluation of 4 pairs on n = 20,000 points over 6,001 stored steps
-    # takes several seconds, in blocks of 13 steps of some tens of ms each
-    cfg = write_config(tmp_path / "c.json",
-                       loss={"family": "logistic_ridge", "lam": 1.0, "d": 5, "R": None},
-                       sgld={"eta": 0.02, "k": 1, "T": 6000},
-                       data={"n": 20_000},
-                       estimators={"n_pairs": 4, "n_trials": 2, "n_chains": 2,
-                                   "n_resamples": 2})
+@pytest.mark.parametrize("phase", sorted(KILL_PHASES))
+def test_run_worker_exits_once_the_parent_is_killed(tmp_path, phase):
+    name, over = KILL_PHASES[phase]
+    cfg = write_config(tmp_path / "c.json", **over)
     marker = tmp_path / "worker.pid"
-    # the worker records its pid as it begins the evaluation
+    # the worker records its pid as it enters the marked function; `run`'s
+    # own process calls neither through `cli`
     script = (
         "import os, sys\n"
         "from sgldlab import cli\n"
-        "real = cli.stability_estimates\n"
-        "def marked(*args):\n"
-        "    with open(sys.argv[1] + '.tmp', 'w') as fh:\n"
+        "real = getattr(cli, sys.argv[1])\n"
+        "def marked(*args, **kwargs):\n"
+        "    with open(sys.argv[2] + '.tmp', 'w') as fh:\n"
         "        fh.write(str(os.getpid()))\n"
-        "    os.replace(sys.argv[1] + '.tmp', sys.argv[1])\n"
-        "    return real(*args)\n"
-        "cli.stability_estimates = marked\n"
-        "sys.exit(cli.main(['run', '--config', sys.argv[2], '--out', sys.argv[3]]))\n")
+        "    os.replace(sys.argv[2] + '.tmp', sys.argv[2])\n"
+        "    return real(*args, **kwargs)\n"
+        "setattr(cli, sys.argv[1], marked)\n"
+        "sys.exit(cli.main(['run', '--config', sys.argv[3], '--out', sys.argv[4]]))\n")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(REPO, "src") + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    proc = subprocess.Popen([sys.executable, "-c", script, str(marker), cfg,
+    proc = subprocess.Popen([sys.executable, "-c", script, name, str(marker), cfg,
                              str(tmp_path / "run")], env=env,
                             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     worker = None
@@ -794,7 +808,7 @@ def test_run_worker_exits_once_the_parent_is_killed(tmp_path):
         deadline = time.monotonic() + 60
         while not marker.exists() and proc.poll() is None and time.monotonic() < deadline:
             time.sleep(0.02)
-        assert marker.exists(), "the worker never began the evaluation"
+        assert marker.exists(), f"the worker never began its {phase}"
         worker = int(marker.read_text())
         os.kill(proc.pid, signal.SIGKILL)
         proc.wait()
@@ -1224,6 +1238,29 @@ def test_bounds_empty_trace_csv_exits_one(run_and_bounds, tmp_path, capsys, name
     assert err.startswith("config error") and name in err
 
 
+def test_bounds_xu_raginsky_needs_the_quadratic_family(tmp_path):
+    # a full-batch logistic chain: its constants carry R (lam), but its law
+    # is not the Gaussian the oracle evaluates
+    cfg = write_config(tmp_path / "c.json", **LOGISTIC, sgld={"k": 20},
+                       bounds={"T_grid": [0, 10, 60], "which": ["xu_raginsky"]})
+    rows = run_then_bounds(tmp_path, cfg)
+    assert len(rows) == 3
+    assert all(r[1] == "" and "exact-mi-needs-full-batch-quadratic" in r[6]
+               for r in rows)
+
+
+def test_bounds_xu_raginsky_takes_the_chain_R_not_a_claimed_one(tmp_path):
+    over = dict(sgld={"k": 20}, bounds={"T_grid": [0, 10, 60], "which": ["xu_raginsky"]})
+    rows = run_then_bounds(tmp_path, write_config(tmp_path / "c.json", **over))
+    claimed = write_config(tmp_path / "claimed.json", loss={"claimed": {"R": 0.5}},
+                           **over)
+    out = tmp_path / "b-claimed"
+    assert main(["bounds", "--config", claimed, "--out", str(out),
+                 "--traces", str(tmp_path / "run")]) == 0
+    assert read_csv_rows(out / "bounds.csv")[1] == rows
+    assert {r[1] for r in rows if r[2] != "0"} - {""}
+
+
 def test_bounds_xu_raginsky_equals_oracle_per_grid_point(tmp_path):
     # full-batch quadratic: the pairs are drawn once per n and reused for
     # every T; each value is what a per-point oracle_mi_upper call gives
@@ -1285,6 +1322,17 @@ def test_verify_falsification_control_exits_two(tmp_path, capsys):
     assert "VIOLATION" in capsys.readouterr().out
     report = read_json(tmp_path / "v" / "verify_report.json")
     assert report["oracle"]["recursion_violations"] > 0
+
+
+def test_verify_falsify_refused_on_a_family_without_R(tmp_path, capsys):
+    # falsify changes the oracle section only, which a family without R skips
+    cfg = write_config(tmp_path / "c.json", **NONCONVEX, verify={"falsify": True},
+                       fp={"n_cells": 64, "T_end": 0.1})
+    out = tmp_path / "v"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: verify.falsify: ") and "nonconvex_ridge" in err
+    assert not out.exists()
 
 
 # ------------------------------------------------------------------- compare

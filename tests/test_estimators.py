@@ -22,8 +22,6 @@ from sgldlab.estimators import (
     grad_variance_trace,
     logmgf_check,
     pth_moment_check,
-    stability_chains,
-    stability_estimates,
     write_estimates_csv,
 )
 from sgldlab.losses import (
@@ -362,33 +360,6 @@ def test_grad_stability_blocks_equal_per_row_loop(monkeypatch, model, strided,
     np.testing.assert_allclose(got_se, want_se, rtol=1e-12, atol=0)
     if control_identical:
         assert np.all(got_mean == 0.0) and np.all(got_se == 0.0)
-
-
-@pytest.mark.parametrize("model", [*GRAD_MODELS, make_nonconvex_ridge(1.0, 0.5, 1.0, 3)],
-                         ids=["quadratic", "logistic", "nonconvex"])
-def test_stability_estimates_call_each_block_before_each_block(monkeypatch, model):
-    # blocks of 10 stored steps by the (10 steps, n = 30) margins: 48 steps
-    # are 5 blocks, the last of 8
-    monkeypatch.setattr(sgld, "BLOCK_WORDS", 10 * 30)
-    cfg = quad_cfg(k=5, n=30, T=47, d=model.d, seed=22)
-    datasets, datasets_alt = np.empty((2, 6, cfg.n, model.z_dim))
-    seqs = stability_chains(model, cfg, datasets, datasets_alt)
-    states = [tr.states for tr in sgld._run_chains_lockstep(cfg, model, datasets, seqs)]
-    plain = _fields(stability_estimates(model, datasets, datasets_alt, states))
-    rows, kernel = [], model.stability_sq
-
-    def recording(W, S, S_alt):
-        rows.append(W.shape[0])
-        return kernel(W, S, S_alt)
-
-    monkeypatch.setattr(model, "stability_sq", recording)
-    seen = []
-    hooked = stability_estimates(model, datasets, datasets_alt, states,
-                                 lambda: seen.append(len(rows)))
-    # each call comes before its block's 6 kernel calls, one per pair
-    assert seen == [0, 6, 12, 18, 24]
-    assert rows == [10] * 24 + [8] * 6
-    assert np.array_equal(_fields(hooked), plain)
 
 
 def test_gradient_trace_blocks_bound_fisher_yates_scratch(monkeypatch):
