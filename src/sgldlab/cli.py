@@ -75,7 +75,7 @@ from .fokker_planck import (
     suggested_halfwidth,
     verify_inequality_12,
 )
-from .losses import QuadraticLoss, certify, make_logistic_ridge, make_nonconvex_ridge, make_quadratic
+from .losses import LogisticRidgeLoss, NonconvexRidgeLoss, QuadraticLoss, certify
 from .oracle import (
     _response_and_var,
     oracle_mi_from_gaps,
@@ -156,9 +156,9 @@ _REQUIRED_BLOCKS = ("loss", "sgld", "data")
 
 # loss family -> (constructor, the loss keys it takes, all required)
 _FAMILIES = {
-    "quadratic": (make_quadratic, ("R",)),
-    "logistic_ridge": (make_logistic_ridge, ("lam",)),
-    "nonconvex_ridge": (make_nonconvex_ridge, ("lam", "a")),
+    "quadratic": (QuadraticLoss, ("R",)),
+    "logistic_ridge": (LogisticRidgeLoss, ("lam",)),
+    "nonconvex_ridge": (NonconvexRidgeLoss, ("lam", "a")),
 }
 _FAMILY_KEYS = sorted({key for _, keys in _FAMILIES.values() for key in keys})
 

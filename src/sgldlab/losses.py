@@ -32,9 +32,6 @@ __all__ = [
     "QuadraticLoss",
     "LogisticRidgeLoss",
     "NonconvexRidgeLoss",
-    "make_quadratic",
-    "make_logistic_ridge",
-    "make_nonconvex_ridge",
     "InequalityCheck",
     "CertificationReport",
     "certify",
@@ -453,21 +450,6 @@ def _back_contract(factor: np.ndarray, X: np.ndarray) -> np.ndarray:
     the other rows of the call (unlike one (c, k) @ (k, d) product, whose
     output rows take different kernel paths by position)."""
     return np.matmul(factor[:, None, :], X)[:, 0]
-
-
-def make_quadratic(R: float, data_radius: float, d: int) -> QuadraticLoss:
-    """Strongly convex quadratic family f(w, z) = (R/2) ||w - z||^2."""
-    return QuadraticLoss(R, data_radius, d)
-
-
-def make_logistic_ridge(lam: float, data_radius: float, d: int) -> LogisticRidgeLoss:
-    """Convex non-quadratic family: logistic loss plus (lam/2) ||w||^2."""
-    return LogisticRidgeLoss(lam, data_radius, d)
-
-
-def make_nonconvex_ridge(lam: float, a: float, data_radius: float, d: int) -> NonconvexRidgeLoss:
-    """Nonconvex family: ridge plus a cosine perturbation of amplitude a."""
-    return NonconvexRidgeLoss(lam, a, data_radius, d)
 
 
 # ======================================================================

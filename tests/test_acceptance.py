@@ -35,18 +35,18 @@ from sgldlab.fokker_planck import (
     verify_inequality_12,
 )
 from sgldlab.losses import (
+    LogisticRidgeLoss,
+    NonconvexRidgeLoss,
+    QuadraticLoss,
     certify,
-    make_logistic_ridge,
-    make_nonconvex_ridge,
-    make_quadratic,
 )
 from sgldlab.oracle import oracle_trace, verify_kl_recursion, _response_and_var
 from sgldlab.sgld import SGLDConfig, run_ensemble
 
 FAMILIES = {
-    "quadratic": make_quadratic(1.0, 1.0, 2),
-    "logistic_ridge": make_logistic_ridge(1.0, 1.0, 3),
-    "nonconvex_ridge": make_nonconvex_ridge(1.0, 0.5, 1.0, 3),
+    "quadratic": QuadraticLoss(1.0, 1.0, 2),
+    "logistic_ridge": LogisticRidgeLoss(1.0, 1.0, 3),
+    "nonconvex_ridge": NonconvexRidgeLoss(1.0, 0.5, 1.0, 3),
 }
 
 SAMPLED_CHECKS = ("smoothness", "dissipativity", "origin_gradient",
@@ -88,7 +88,7 @@ def test_criterion_02_gradient_correctness():
 def test_criterion_03_oracle_equivalence():
     """500-chain ensemble matches the exact Gaussian law within 3 SE."""
     t0 = time.monotonic()
-    model = make_quadratic(1.0, 1.0, 2)
+    model = QuadraticLoss(1.0, 1.0, 2)
     cfg = SGLDConfig(eta=0.01, beta=4.0, k=100, n=100, T=5000, d=2,
                      s_sq=1.0, seed=271828)
     dataset = model.sample_data(
@@ -112,7 +112,7 @@ def test_criterion_03_oracle_equivalence():
 
 def test_criterion_04_kl_evolution_inequality():
     """Exact KL trace satisfies the discrete contraction; control is caught."""
-    model = make_quadratic(1.0, 1.0, 2)
+    model = QuadraticLoss(1.0, 1.0, 2)
     cfg = SGLDConfig(eta=0.01, beta=4.0, k=100, n=100, T=10_000, d=2,
                      s_sq=0.1, seed=1234)
     rng = np.random.default_rng(1234)
@@ -135,7 +135,7 @@ def test_criterion_04_kl_evolution_inequality():
 
 def test_criterion_05_time_independence_vs_linear_growth():
     """Saturated chain bound is T-independent; per-step sum keeps growing."""
-    model = make_quadratic(1.0, 1.0, 5)
+    model = QuadraticLoss(1.0, 1.0, 5)
     lc = model.constants()
     dc = derive_constants(lc, eta=0.01, beta=4.0, d=5, s_sq=1.0,
                           lsi_mode="strongly_convex")
@@ -167,7 +167,7 @@ CRIT6_CFG = SGLDConfig(eta=0.01, beta=4.0, k=50, n=50, T=2000, d=5,
 def test_criterion_06_validity():
     """Measured surrogate gap sits below both computed bounds, margin >= 10x."""
     t0 = time.monotonic()
-    model = make_quadratic(1.0, 1.0, 5)
+    model = QuadraticLoss(1.0, 1.0, 5)
     lc = model.constants()
     cfg = CRIT6_CFG
     sigma_g_sq = 0.25  # surrogate f/(1+f) has range [0, 1]
@@ -201,7 +201,7 @@ def test_criterion_06_validity():
 
 def test_criterion_07_inverse_sqrt_n_scaling():
     """Bound x sqrt(n) is n-free exactly; measured gap decreases in n."""
-    model = make_quadratic(1.0, 1.0, 5)
+    model = QuadraticLoss(1.0, 1.0, 5)
     lc = model.constants()
     n_grid = (50, 100, 200, 400)
 
@@ -273,7 +273,7 @@ def test_criterion_08_fokker_planck_suite():
 
 def test_criterion_09_sub_exponentiality():
     """Log-MGF of the logistic loss under its envelope; moments stay flat."""
-    model = make_logistic_ridge(1.0, 1.0, 5)
+    model = LogisticRidgeLoss(1.0, 1.0, 5)
     cfg = SGLDConfig(eta=0.05, beta=2.0, k=20, n=20, T=2000, d=5, s_sq=1.0,
                      seed=16180)
     traces = run_ensemble(cfg, model, n_datasets=2000, n_chains=1)

@@ -18,7 +18,7 @@ from sgldlab.constants import (
     sg_variance_bound,
     subexp_params,
 )
-from sgldlab.losses import LossConstants, make_quadratic
+from sgldlab.losses import LossConstants, QuadraticLoss
 
 UNIT_LC = LossConstants(M=1.0, m=1.0, b=1.0, A=0.5, data_radius=1.0, R=1.0)
 
@@ -92,7 +92,7 @@ def test_sg_variance_full_batch_is_zero():
 def test_sg_variance_monte_carlo_never_exceeds_bound():
     # brute force: true minibatch-mean gradient variance on the quadratic
     # family stays below 8 delta M^2 (||w||^2 + k/m)
-    model = make_quadratic(1.0, 1.0, 3)
+    model = QuadraticLoss(1.0, 1.0, 3)
     lc = model.constants()
     rng = np.random.default_rng(42)
     n, k = 20, 4

@@ -25,11 +25,11 @@ from sgldlab.estimators import (
     write_estimates_csv,
 )
 from sgldlab.losses import (
+    LogisticRidgeLoss,
     LossConstants,
     LossModel,
-    make_logistic_ridge,
-    make_nonconvex_ridge,
-    make_quadratic,
+    NonconvexRidgeLoss,
+    QuadraticLoss,
 )
 from sgldlab.sgld import SGLDConfig, run_chain, run_ensemble
 
@@ -84,19 +84,19 @@ def test_gen_gap_constant_loss_is_zero():
 
 
 def test_gen_gap_requires_two_trials():
-    model = make_quadratic(R=1.0, data_radius=1.0, d=2)
+    model = QuadraticLoss(R=1.0, data_radius=1.0, d=2)
     with pytest.raises(ValueError):
         empirical_gen_gap(model, quad_cfg(), n_trials=1)
 
 
 def test_gen_gap_rejects_unknown_eval_loss():
-    model = make_quadratic(R=1.0, data_radius=1.0, d=2)
+    model = QuadraticLoss(R=1.0, data_radius=1.0, d=2)
     with pytest.raises(ValueError):
         empirical_gen_gap(model, quad_cfg(), n_trials=2, eval_loss="raw")
 
 
 def test_gen_gap_reproducible_by_seed():
-    model = make_quadratic(R=1.0, data_radius=1.0, d=2)
+    model = QuadraticLoss(R=1.0, data_radius=1.0, d=2)
     cfg = quad_cfg(n=30, k=30, T=40)
     a = empirical_gen_gap(model, cfg, n_trials=4)
     b = empirical_gen_gap(model, cfg, n_trials=4)
@@ -107,7 +107,7 @@ def test_gen_gap_shrinks_with_n():
     # mean gap at n=400 below mean gap at n=50, 30 repetitions each;
     # large beta keeps injected-noise variance small so the dataset-mean
     # signal, which scales like 1/n, dominates
-    model = make_quadratic(R=1.0, data_radius=1.0, d=5)
+    model = QuadraticLoss(R=1.0, data_radius=1.0, d=5)
     small = quad_cfg(n=50, k=50, T=150, d=5, beta=1000.0, seed=91)
     large = quad_cfg(n=400, k=400, T=150, d=5, beta=1000.0, seed=91)
     gap_small = empirical_gen_gap(model, small, n_trials=30)
@@ -116,7 +116,7 @@ def test_gen_gap_shrinks_with_n():
 
 
 def test_gen_gap_surrogate_bounded_and_distinct():
-    model = make_quadratic(R=1.0, data_radius=1.0, d=2)
+    model = QuadraticLoss(R=1.0, data_radius=1.0, d=2)
     cfg = quad_cfg(n=30, k=30, T=40)
     raw = empirical_gen_gap(model, cfg, n_trials=6, eval_loss="same_as_f")
     sur = empirical_gen_gap(model, cfg, n_trials=6, eval_loss="surrogate")
@@ -129,7 +129,7 @@ def test_gen_gap_surrogate_bounded_and_distinct():
 
 
 def test_grad_variance_full_batch_exact_zero():
-    model = make_quadratic(R=1.0, data_radius=1.0, d=2)
+    model = QuadraticLoss(R=1.0, data_radius=1.0, d=2)
     cfg = quad_cfg(k=50, n=50, T=30)
     ds = model.sample_data(np.random.default_rng(0), cfg.n)
     trace = run_chain(cfg, model, ds)
@@ -139,7 +139,7 @@ def test_grad_variance_full_batch_exact_zero():
 
 
 def test_grad_variance_needs_two_resamples():
-    model = make_quadratic(R=1.0, data_radius=1.0, d=2)
+    model = QuadraticLoss(R=1.0, data_radius=1.0, d=2)
     cfg = quad_cfg(T=10)
     ds = model.sample_data(np.random.default_rng(0), cfg.n)
     trace = run_chain(cfg, model, ds)
@@ -150,7 +150,7 @@ def test_grad_variance_needs_two_resamples():
 def test_grad_variance_time_independent_for_quadratic():
     # gradient is R(w - zbar_B): its conditional variance depends only on
     # the minibatch mean, not on w, so estimates at different t must agree
-    model = make_quadratic(R=1.0, data_radius=1.0, d=2)
+    model = QuadraticLoss(R=1.0, data_radius=1.0, d=2)
     cfg = quad_cfg(k=5, n=50, T=40, seed=7)
     ds = model.sample_data(np.random.default_rng(1), cfg.n)
     trace = run_chain(cfg, model, ds)
@@ -161,7 +161,7 @@ def test_grad_variance_time_independent_for_quadratic():
 
 
 def test_grad_variance_within_lemma_bound():
-    model = make_quadratic(R=1.0, data_radius=1.0, d=2)
+    model = QuadraticLoss(R=1.0, data_radius=1.0, d=2)
     cfg = quad_cfg(k=5, n=50, T=40, seed=11)
     ds = model.sample_data(np.random.default_rng(2), cfg.n)
     trace = run_chain(cfg, model, ds)
@@ -173,7 +173,7 @@ def test_grad_variance_within_lemma_bound():
 
 
 def test_grad_variance_reproducible():
-    model = make_quadratic(R=1.0, data_radius=1.0, d=2)
+    model = QuadraticLoss(R=1.0, data_radius=1.0, d=2)
     cfg = quad_cfg(k=5, n=50, T=10)
     ds = model.sample_data(np.random.default_rng(3), cfg.n)
     trace = run_chain(cfg, model, ds)
@@ -190,9 +190,9 @@ def test_grad_variance_reproducible():
 @pytest.mark.parametrize("family", ["quadratic", "logistic", "nonconvex"])
 @pytest.mark.parametrize("d", [1, 2, 3, 5])
 def test_grad_stability_identical_datasets_zero(family, d):
-    model = {"quadratic": make_quadratic(1.0, 1.0, d),
-             "logistic": make_logistic_ridge(1.0, 1.0, d),
-             "nonconvex": make_nonconvex_ridge(1.0, 0.5, 1.0, d)}[family]
+    model = {"quadratic": QuadraticLoss(1.0, 1.0, d),
+             "logistic": LogisticRidgeLoss(1.0, 1.0, d),
+             "nonconvex": NonconvexRidgeLoss(1.0, 0.5, 1.0, d)}[family]
     cfg = quad_cfg(n=20, k=20, T=5, d=d)
     ests = grad_stability_trace(model, cfg, n_pairs=8, control_identical=True)
     assert len(ests) == 6
@@ -203,7 +203,7 @@ def test_grad_stability_quadratic_matches_closed_form():
     # statistic per pair is R^2 ||zbar_S - zbar_S'||^2, independent of W_t;
     # reconstruct the pair datasets through the documented stream layout
     R = 1.5
-    model = make_quadratic(R=R, data_radius=1.0, d=2)
+    model = QuadraticLoss(R=R, data_radius=1.0, d=2)
     cfg = quad_cfg(n=25, k=25, T=3, seed=314)
     n_pairs = 40
     ests = grad_stability_trace(model, cfg, n_pairs=n_pairs)
@@ -224,7 +224,7 @@ def test_grad_stability_quadratic_matches_closed_form():
 
 
 def test_grad_stability_scales_like_one_over_n():
-    model = make_quadratic(R=1.0, data_radius=1.0, d=2)
+    model = QuadraticLoss(R=1.0, data_radius=1.0, d=2)
     small = quad_cfg(n=25, k=25, T=2, seed=5)
     large = quad_cfg(n=100, k=100, T=2, seed=5)
     est_small = grad_stability_trace(model, small, n_pairs=200)[-1]
@@ -288,11 +288,11 @@ def _fields(ests):
     return np.array([e.mean for e in ests]), np.array([e.stderr for e in ests])
 
 
-GRAD_MODELS = [make_quadratic(R=1.0, data_radius=1.0, d=2),
-               make_logistic_ridge(1.0, 1.0, 3)]
+GRAD_MODELS = [QuadraticLoss(R=1.0, data_radius=1.0, d=2),
+               LogisticRidgeLoss(1.0, 1.0, 3)]
 
 
-@pytest.mark.parametrize("model", [*GRAD_MODELS, make_nonconvex_ridge(1.0, 0.5, 1.0, 3)],
+@pytest.mark.parametrize("model", [*GRAD_MODELS, NonconvexRidgeLoss(1.0, 0.5, 1.0, 3)],
                          ids=["quadratic", "logistic", "nonconvex"])
 @pytest.mark.parametrize("strided", [False, True])
 def test_grad_variance_blocks_equal_per_row_loop(monkeypatch, model, strided):
@@ -314,9 +314,9 @@ def test_grad_variance_blocks_equal_per_row_loop(monkeypatch, model, strided):
     np.testing.assert_allclose(got_se, want_se, rtol=1e-12, atol=0)
 
 
-@pytest.mark.parametrize("model", [make_quadratic(1.0, 1.0, 1), make_logistic_ridge(1.0, 1.2, 1),
-                                   make_logistic_ridge(1.0, 1.2, 5),
-                                   make_nonconvex_ridge(1.0, 0.5, 1.0, 3)],
+@pytest.mark.parametrize("model", [QuadraticLoss(1.0, 1.0, 1), LogisticRidgeLoss(1.0, 1.2, 1),
+                                   LogisticRidgeLoss(1.0, 1.2, 5),
+                                   NonconvexRidgeLoss(1.0, 0.5, 1.0, 3)],
                          ids=["quadratic-d1", "logistic-d1", "logistic-d5", "nonconvex-d3"])
 @pytest.mark.parametrize("strided", [False, True])
 def test_grad_variance_trace_the_same_in_any_blocks(monkeypatch, model, strided):
@@ -337,7 +337,7 @@ def test_grad_variance_trace_the_same_in_any_blocks(monkeypatch, model, strided)
         assert np.array_equal(got, traces[0])
 
 
-@pytest.mark.parametrize("model", [*GRAD_MODELS, make_nonconvex_ridge(1.0, 0.5, 1.0, 3)],
+@pytest.mark.parametrize("model", [*GRAD_MODELS, NonconvexRidgeLoss(1.0, 0.5, 1.0, 3)],
                          ids=["quadratic", "logistic", "nonconvex"])
 @pytest.mark.parametrize("strided", [False, True])
 @pytest.mark.parametrize("control_identical", [False, True])
@@ -375,7 +375,7 @@ def test_gradient_trace_blocks_bound_fisher_yates_scratch(monkeypatch):
 
     monkeypatch.setattr(sgld, "_fy_subset_rows", recorder)
     monkeypatch.setattr(estimators, "_fy_subset_rows", recorder)
-    model = make_quadratic(R=1.0, data_radius=1.0, d=2)
+    model = QuadraticLoss(R=1.0, data_radius=1.0, d=2)
     cfg = quad_cfg(k=1, n=4000, T=6)
     assert 300 * cfg.n > sgld.BLOCK_WORDS
 
@@ -403,7 +403,7 @@ def test_block_estimates_equal_per_row_estimate(m):
 
 
 def test_pth_moment_p2_below_moment_bound():
-    model = make_quadratic(R=1.0, data_radius=1.0, d=2)
+    model = QuadraticLoss(R=1.0, data_radius=1.0, d=2)
     cfg = quad_cfg(k=10, n=100, T=300, seed=21)
     lc = model.constants()
     c_LS = lsi_constant(lc, cfg.beta, cfg.d, lsi_route(lc))
@@ -418,7 +418,7 @@ def test_pth_moment_p2_below_moment_bound():
 
 
 def test_pth_moment_fitted_C_stays_bounded():
-    model = make_quadratic(R=1.0, data_radius=1.0, d=2)
+    model = QuadraticLoss(R=1.0, data_radius=1.0, d=2)
     cfg = quad_cfg(k=50, n=50, T=150, seed=22)
     traces = run_ensemble(cfg, model, n_chains=400)
     lc = model.constants()
@@ -431,7 +431,7 @@ def test_pth_moment_fitted_C_stays_bounded():
 
 
 def test_pth_moment_rejects_odd_or_large_p():
-    model = make_quadratic(R=1.0, data_radius=1.0, d=2)
+    model = QuadraticLoss(R=1.0, data_radius=1.0, d=2)
     cfg = quad_cfg(k=20, n=20, T=5)
     traces = run_ensemble(cfg, model, n_chains=100)
     lc = model.constants()
@@ -441,7 +441,7 @@ def test_pth_moment_rejects_odd_or_large_p():
 
 
 def test_pth_moment_rejects_too_few_samples():
-    model = make_quadratic(R=1.0, data_radius=1.0, d=2)
+    model = QuadraticLoss(R=1.0, data_radius=1.0, d=2)
     cfg = quad_cfg(k=20, n=20, T=5)
     traces = run_ensemble(cfg, model, n_chains=40)
     lc = model.constants()
@@ -453,7 +453,7 @@ def test_pth_moment_matches_gaussian_ground_truth():
     # full-batch quadratic with a mean-zero dataset keeps W_T exactly
     # Gaussian N(0, v_T I); compare raw p-th moments against the closed form
     d, n, T, eta, beta, s_sq = 2, 8, 120, 0.05, 4.0, 1.0
-    model = make_quadratic(R=1.0, data_radius=1.0, d=d)
+    model = QuadraticLoss(R=1.0, data_radius=1.0, d=d)
     half = model.sample_data(np.random.default_rng(17), n // 2)
     sym = np.concatenate([half, -half], axis=0)
     cfg = SGLDConfig(eta=eta, beta=beta, k=n, n=n, T=T, d=d, s_sq=s_sq, seed=404)
@@ -478,7 +478,7 @@ def test_pth_moment_matches_gaussian_ground_truth():
 
 
 def _loss_samples(n_samples: int, seed: int = 55):
-    model = make_quadratic(R=1.0, data_radius=1.0, d=2)
+    model = QuadraticLoss(R=1.0, data_radius=1.0, d=2)
     cfg = quad_cfg(n=20, k=20, T=60, seed=seed)
     traces = run_ensemble(cfg, model, n_datasets=n_samples, n_chains=1)
     zrng = np.random.default_rng(np.random.SeedSequence([seed, 0x2]))

@@ -15,13 +15,13 @@ from sgldlab.losses import (
     FD_DEGENERATE_NORM,
     FD_MINIBATCH,
     FD_REL_TOL,
+    LogisticRidgeLoss,
     LossConstants,
+    NonconvexRidgeLoss,
+    QuadraticLoss,
     _fd_gradient_check,
     _weights,
     certify,
-    make_logistic_ridge,
-    make_nonconvex_ridge,
-    make_quadratic,
 )
 
 
@@ -29,7 +29,7 @@ from sgldlab.losses import (
 
 
 def test_quadratic_constants_frozen():
-    lc = make_quadratic(1.0, 1.0, 2).constants()
+    lc = QuadraticLoss(1.0, 1.0, 2).constants()
     assert lc.M == 1.0
     assert lc.m == 0.5
     assert lc.b == 0.5
@@ -38,7 +38,7 @@ def test_quadratic_constants_frozen():
 
 
 def test_quadratic_minimum_at_data_point():
-    model = make_quadratic(1.0, 1.0, 2)
+    model = QuadraticLoss(1.0, 1.0, 2)
     zero = np.zeros(2)
     assert model.eval(zero, zero) == 0.0
     assert np.all(model.grad(zero, zero) == 0.0)
@@ -48,7 +48,7 @@ def test_quadratic_minimum_at_data_point():
 
 def test_quadratic_gradient_difference_identity():
     # gradient is linear in w, so the smoothness bound is an exact equality
-    model = make_quadratic(1.7, 1.0, 3)
+    model = QuadraticLoss(1.7, 1.0, 3)
     rng = np.random.default_rng(0)
     for _ in range(50):
         w, wbar = rng.standard_normal(3), rng.standard_normal(3)
@@ -60,18 +60,18 @@ def test_quadratic_gradient_difference_identity():
 
 def test_quadratic_invalid_parameters():
     with pytest.raises(ValueError):
-        make_quadratic(0.0, 1.0, 2)
+        QuadraticLoss(0.0, 1.0, 2)
     with pytest.raises(ValueError):
-        make_quadratic(1.0, -1.0, 2)
+        QuadraticLoss(1.0, -1.0, 2)
     with pytest.raises(ValueError):
-        make_quadratic(1.0, 1.0, 0)
+        QuadraticLoss(1.0, 1.0, 0)
 
 
 # ------------------------------------------------------------ logistic ridge
 
 
 def test_logistic_constants_frozen():
-    lc = make_logistic_ridge(1.0, 1.0, 3).constants()
+    lc = LogisticRidgeLoss(1.0, 1.0, 3).constants()
     assert lc.m == 0.5
     assert lc.b == 0.5
     assert lc.M == 1.25
@@ -80,7 +80,7 @@ def test_logistic_constants_frozen():
 
 
 def test_logistic_value_at_origin():
-    model = make_logistic_ridge(1.0, 1.0, 3)
+    model = LogisticRidgeLoss(1.0, 1.0, 3)
     z = np.array([0.5, -0.2, 0.1, 1.0])  # last slot is the label
     val = model.eval(np.zeros(3), z)
     assert val == pytest.approx(math.log(2.0))
@@ -88,7 +88,7 @@ def test_logistic_value_at_origin():
 
 
 def test_logistic_gradient_matches_finite_differences():
-    model = make_logistic_ridge(1.0, 1.0, 4)
+    model = LogisticRidgeLoss(1.0, 1.0, 4)
     rng = np.random.default_rng(7)
     Z = model.sample_data(rng, 100)
     for i in range(100):
@@ -109,7 +109,7 @@ def test_logistic_gradient_matches_finite_differences():
 def test_logistic_scalar_grad_survives_huge_margins():
     # exp(margin) overflows past margin ~709; the scalar path must still
     # agree with the vectorized one there
-    model = make_logistic_ridge(1.0, 1.0, 1)
+    model = LogisticRidgeLoss(1.0, 1.0, 1)
     for margin in (-800.0, -720.0, 705.0, 720.0, 800.0):
         w = np.array([margin])
         z = np.array([1.0, 1.0])
@@ -119,7 +119,7 @@ def test_logistic_scalar_grad_survives_huge_margins():
     # below the overflow the old expression is kept, bit for bit; w[1] = 0
     # leaves grad[1] = -sigmoid(-margin) unmasked by the ridge term, and at
     # 706.2294853020038 exp(-margin) differs from it in the last bit
-    model = make_logistic_ridge(1.0, 1.0, 2)
+    model = LogisticRidgeLoss(1.0, 1.0, 2)
     z = np.array([1.0, 1.0, 1.0])
     for margin in (-650.0, 0.5, 706.2294853020038, 709.5, 709.78):
         w = np.array([margin, 0.0])
@@ -129,7 +129,7 @@ def test_logistic_scalar_grad_survives_huge_margins():
 
 def test_certify_small_lambda_logistic_returns_a_report():
     # the certify cube reaches margins far past 709 when lambda is small
-    report = certify(make_logistic_ridge(0.01, 1.0, 10), n_samples=2000)
+    report = certify(LogisticRidgeLoss(0.01, 1.0, 10), n_samples=2000)
     assert len(report.checks) == 6
 
 
@@ -174,11 +174,11 @@ def test_expit_within_one_eps_of_longdouble_reference():
 
 def test_logistic_invalid_lambda():
     with pytest.raises(ValueError):
-        make_logistic_ridge(0.0, 1.0, 2)
+        LogisticRidgeLoss(0.0, 1.0, 2)
 
 
 def test_logistic_labels_are_plus_minus_one():
-    model = make_logistic_ridge(1.0, 1.0, 3)
+    model = LogisticRidgeLoss(1.0, 1.0, 3)
     Z = model.sample_data(np.random.default_rng(3), 500)
     assert set(np.unique(Z[:, -1])) <= {-1.0, 1.0}
     assert np.all(np.linalg.norm(Z[:, :-1], axis=1) <= 1.0 + 1e-12)
@@ -188,7 +188,7 @@ def test_logistic_labels_are_plus_minus_one():
 
 
 def test_nonconvex_constants_frozen():
-    lc = make_nonconvex_ridge(1.0, 0.5, 1.0, 3).constants()
+    lc = NonconvexRidgeLoss(1.0, 0.5, 1.0, 3).constants()
     assert lc.M == 1.5
     assert lc.m == 0.5
     assert lc.b == 0.125
@@ -197,13 +197,13 @@ def test_nonconvex_constants_frozen():
 
 
 def test_nonconvex_amplitude_zero_reduces_to_ridge():
-    lc = make_nonconvex_ridge(2.0, 0.0, 1.0, 3).constants()
+    lc = NonconvexRidgeLoss(2.0, 0.0, 1.0, 3).constants()
     assert lc.m == 1.0
     assert lc.b == 0.0
 
 
 def test_nonconvex_origin_value():
-    model = make_nonconvex_ridge(1.0, 0.5, 1.0, 3)
+    model = NonconvexRidgeLoss(1.0, 0.5, 1.0, 3)
     Z = model.sample_data(np.random.default_rng(0), 20)
     for z in Z:
         assert model.eval(np.zeros(3), z) == pytest.approx(0.5)
@@ -211,9 +211,9 @@ def test_nonconvex_origin_value():
 
 def test_nonconvex_invalid_parameters():
     with pytest.raises(ValueError):
-        make_nonconvex_ridge(-1.0, 0.5, 1.0, 2)
+        NonconvexRidgeLoss(-1.0, 0.5, 1.0, 2)
     with pytest.raises(ValueError):
-        make_nonconvex_ridge(1.0, -0.5, 1.0, 2)
+        NonconvexRidgeLoss(1.0, -0.5, 1.0, 2)
 
 
 # ------------------------------------------------- vectorized consistency
@@ -222,9 +222,9 @@ def test_nonconvex_invalid_parameters():
 @pytest.mark.parametrize(
     "factory",
     [
-        lambda: make_quadratic(1.3, 1.0, 3),
-        lambda: make_logistic_ridge(0.7, 1.5, 3),
-        lambda: make_nonconvex_ridge(1.1, 0.4, 1.2, 3),
+        lambda: QuadraticLoss(1.3, 1.0, 3),
+        lambda: LogisticRidgeLoss(0.7, 1.5, 3),
+        lambda: NonconvexRidgeLoss(1.1, 0.4, 1.2, 3),
     ],
 )
 def test_vectorized_paths_match_scalar(factory):
@@ -250,8 +250,8 @@ def test_vectorized_paths_match_scalar(factory):
 @pytest.mark.parametrize("d", [1, 4])
 @pytest.mark.parametrize(
     "factory",
-    [make_quadratic, make_logistic_ridge,
-     lambda R, r, d: make_nonconvex_ridge(R, 0.4, r, d)],
+    [QuadraticLoss, LogisticRidgeLoss,
+     lambda R, r, d: NonconvexRidgeLoss(R, 0.4, r, d)],
     ids=["quadratic", "logistic", "nonconvex"],
 )
 def test_full_batch_grad_bitwise_equals_grad_minibatch(factory, d):
@@ -276,7 +276,7 @@ def test_full_batch_grad_bitwise_equals_grad_minibatch(factory, d):
 
 
 def test_certify_quadratic_clean():
-    report = certify(make_quadratic(1.0, 1.0, 2), n_samples=10_000, rng_seed=0)
+    report = certify(QuadraticLoss(1.0, 1.0, 2), n_samples=10_000, rng_seed=0)
     assert report.passed
     for check in report.checks:
         assert check.n_violations == 0, f"{check.inequality_name} violated"
@@ -285,8 +285,8 @@ def test_certify_quadratic_clean():
 @pytest.mark.parametrize(
     "factory",
     [
-        lambda: make_logistic_ridge(1.0, 1.0, 3),
-        lambda: make_nonconvex_ridge(1.0, 0.5, 1.0, 3),
+        lambda: LogisticRidgeLoss(1.0, 1.0, 3),
+        lambda: NonconvexRidgeLoss(1.0, 0.5, 1.0, 3),
     ],
 )
 def test_certify_other_families_clean(factory):
@@ -295,7 +295,7 @@ def test_certify_other_families_clean(factory):
 
 
 def test_certify_understated_smoothness_fails_with_witness():
-    bad = make_quadratic(1.0, 1.0, 2).with_constants(M=0.5, R=None)
+    bad = QuadraticLoss(1.0, 1.0, 2).with_constants(M=0.5, R=None)
     report = certify(bad, n_samples=2_000, rng_seed=0)
     assert not report.passed
     smooth = next(c for c in report.checks if c.inequality_name == "smoothness")
@@ -306,7 +306,7 @@ def test_certify_understated_smoothness_fails_with_witness():
     w = np.array(smooth.witness["w"])
     wbar = np.array(smooth.witness["w_bar"])
     z = np.array(smooth.witness["z"])
-    model = make_quadratic(1.0, 1.0, 2)
+    model = QuadraticLoss(1.0, 1.0, 2)
     lhs = np.linalg.norm(model.grad(w, z) - model.grad(wbar, z))
     assert lhs > 0.5 * np.linalg.norm(w - wbar)  # violates the claimed M
 
@@ -314,9 +314,9 @@ def test_certify_understated_smoothness_fails_with_witness():
 @pytest.mark.parametrize(
     "factory",
     [
-        lambda: make_quadratic(1.0, 1.0, 2),
-        lambda: make_logistic_ridge(1.0, 1.0, 3),
-        lambda: make_nonconvex_ridge(1.0, 0.5, 1.0, 3),
+        lambda: QuadraticLoss(1.0, 1.0, 2),
+        lambda: LogisticRidgeLoss(1.0, 1.0, 3),
+        lambda: NonconvexRidgeLoss(1.0, 0.5, 1.0, 3),
     ],
     ids=["quadratic", "logistic", "nonconvex"],
 )
@@ -335,9 +335,9 @@ def test_certify_checks_the_kernel_the_chains_run(factory, monkeypatch):
 @pytest.mark.parametrize(
     "factory",
     [
-        lambda: make_quadratic(1.0, 1.0, 2),
-        lambda: make_logistic_ridge(1.0, 1.0, 3),
-        lambda: make_nonconvex_ridge(1.0, 0.5, 1.0, 3),
+        lambda: QuadraticLoss(1.0, 1.0, 2),
+        lambda: LogisticRidgeLoss(1.0, 1.0, 3),
+        lambda: NonconvexRidgeLoss(1.0, 0.5, 1.0, 3),
     ],
     ids=["quadratic", "logistic", "nonconvex"],
 )
@@ -364,8 +364,8 @@ def test_certify_fails_a_kernel_with_a_wrong_data_term(factory, mutation, monkey
 
 @pytest.mark.parametrize(
     "model",
-    [make_quadratic(1.0, 1.0, 4), make_logistic_ridge(1.0, 1.0, 5),
-     make_nonconvex_ridge(1.0, 0.5, 1.0, 20)],
+    [QuadraticLoss(1.0, 1.0, 4), LogisticRidgeLoss(1.0, 1.0, 5),
+     NonconvexRidgeLoss(1.0, 0.5, 1.0, 20)],
     ids=["quadratic", "logistic", "nonconvex"],
 )
 def test_certify_sampled_checks_match_a_blockwise_computation(model):
@@ -447,8 +447,8 @@ def _fd_margins_unblocked(model, seed_seq, half_width, n_points=100):
 
 @pytest.mark.parametrize(
     "factory",
-    [make_quadratic, make_logistic_ridge,
-     lambda R, r, d: make_nonconvex_ridge(R, 0.4, r, d)],
+    [QuadraticLoss, LogisticRidgeLoss,
+     lambda R, r, d: NonconvexRidgeLoss(R, 0.4, r, d)],
     ids=["quadratic", "logistic", "nonconvex"],
 )
 @pytest.mark.parametrize("coords_per_block", [None, 1, 3])
@@ -474,7 +474,7 @@ def test_fd_gradient_check_blocks_give_the_unblocked_margins(monkeypatch, factor
 
 def test_fd_gradient_check_memory_does_not_grow_with_d():
     # unblocked, the (100 d 3, d) shifted states alone were 96 MB at d = 200
-    model = make_nonconvex_ridge(1.0, 0.5, 1.0, 200)
+    model = NonconvexRidgeLoss(1.0, 0.5, 1.0, 200)
     tracemalloc.start()
     try:
         check = _fd_gradient_check(model, np.random.SeedSequence(3), 10.0)
@@ -486,7 +486,7 @@ def test_fd_gradient_check_memory_does_not_grow_with_d():
 
 
 def test_certify_envelope_lower_at_origin():
-    model = make_quadratic(1.0, 1.0, 2)
+    model = QuadraticLoss(1.0, 1.0, 2)
     lc = model.constants()
     Z = model.sample_data(np.random.default_rng(5), 200)
     lower = -lc.b / 2 * math.log(3.0)
@@ -495,7 +495,7 @@ def test_certify_envelope_lower_at_origin():
 
 
 def test_certify_report_json_schema():
-    report = certify(make_quadratic(1.0, 1.0, 2), n_samples=500, rng_seed=0)
+    report = certify(QuadraticLoss(1.0, 1.0, 2), n_samples=500, rng_seed=0)
     d = report.to_dict()
     assert {"model_name", "constants", "passed", "checks", "seed", "tol"} <= set(d)
     for check in d["checks"]:
@@ -505,8 +505,8 @@ def test_certify_report_json_schema():
 
 
 def test_certify_deterministic_in_seed():
-    a = certify(make_nonconvex_ridge(1.0, 0.5, 1.0, 2), n_samples=1000, rng_seed=9)
-    b = certify(make_nonconvex_ridge(1.0, 0.5, 1.0, 2), n_samples=1000, rng_seed=9)
+    a = certify(NonconvexRidgeLoss(1.0, 0.5, 1.0, 2), n_samples=1000, rng_seed=9)
+    b = certify(NonconvexRidgeLoss(1.0, 0.5, 1.0, 2), n_samples=1000, rng_seed=9)
     assert a.to_dict() == b.to_dict()
 
 
@@ -520,7 +520,7 @@ def test_certify_deterministic_in_seed():
 )
 @settings(max_examples=25, deadline=None)
 def test_quadratic_assumptions_hold_at_random_points(R, radius, seed):
-    model = make_quadratic(R, radius, 2)
+    model = QuadraticLoss(R, radius, 2)
     lc = model.constants()
     rng = np.random.default_rng(seed)
     W = rng.uniform(-20, 20, size=(32, 2))
@@ -544,7 +544,7 @@ def test_quadratic_assumptions_hold_at_random_points(R, radius, seed):
 )
 @settings(max_examples=25, deadline=None)
 def test_nonconvex_assumptions_hold_at_random_points(lam, a, radius, seed):
-    model = make_nonconvex_ridge(lam, a, radius, 3)
+    model = NonconvexRidgeLoss(lam, a, radius, 3)
     lc = model.constants()
     rng = np.random.default_rng(seed)
     W = rng.uniform(-15, 15, size=(32, 3))
@@ -572,9 +572,9 @@ def test_constants_validation():
 # ----------------------------------------- gradient paths at extreme inputs
 
 FAMILY_FACTORIES = {
-    "quadratic": lambda p, d: make_quadratic(p, 1.5, d),
-    "logistic": lambda p, d: make_logistic_ridge(p, 1.5, d),
-    "nonconvex": lambda p, d: make_nonconvex_ridge(p, 0.5, 1.5, d),
+    "quadratic": lambda p, d: QuadraticLoss(p, 1.5, d),
+    "logistic": lambda p, d: LogisticRidgeLoss(p, 1.5, d),
+    "nonconvex": lambda p, d: NonconvexRidgeLoss(p, 0.5, 1.5, d),
 }
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sgldlab.estimators import empirical_gen_gap
-from sgldlab.losses import make_quadratic
+from sgldlab.losses import QuadraticLoss
 from sgldlab.oracle import (
     KLRecursionReport,
     OracleTrace,
@@ -54,7 +54,7 @@ def test_ou_step_stationary_variance_algebra():
 
 
 def test_kl_identical_states_zero():
-    model = make_quadratic(R=1.0, data_radius=1.0, d=2)
+    model = QuadraticLoss(R=1.0, data_radius=1.0, d=2)
     S = model.sample_data(np.random.default_rng(2), 20)
     assert np.all(oracle_trace(S, S, full_batch_cfg(), R=1.0).kl == 0.0)
 
@@ -72,7 +72,7 @@ def test_kl_frozen_unit_mean_shift():
 
 
 def test_oracle_trace_requires_full_batch():
-    model = make_quadratic(R=1.0, data_radius=1.0, d=2)
+    model = QuadraticLoss(R=1.0, data_radius=1.0, d=2)
     ds = model.sample_data(np.random.default_rng(0), 20)
     cfg = full_batch_cfg(k=10)
     with pytest.raises(ValueError):
@@ -84,7 +84,7 @@ def test_oracle_trace_equals_the_per_step_gaussian_recursion():
     # + eta R zbar and v' = (1 - eta R)^2 v + 2 eta / beta, with the KL of
     # two isotropic Gaussians in full; both start from N(0, s^2 I)
     R, d = 1.3, 3
-    model = make_quadratic(R=R, data_radius=1.0, d=d)
+    model = QuadraticLoss(R=R, data_radius=1.0, d=d)
     rng = np.random.default_rng(5)
     S, S_alt = model.sample_data(rng, 20), model.sample_data(rng, 20)
     cfg = full_batch_cfg(d=d, T=300, s_sq=0.7)
@@ -105,7 +105,7 @@ def test_oracle_trace_equals_the_per_step_gaussian_recursion():
 
 
 def test_oracle_trace_kl_plateau_matches_stationary_formula():
-    model = make_quadratic(R=1.0, data_radius=1.0, d=2)
+    model = QuadraticLoss(R=1.0, data_radius=1.0, d=2)
     rng = np.random.default_rng(42)
     S = model.sample_data(rng, 20)
     S_alt = model.sample_data(rng, 20)
@@ -125,7 +125,7 @@ def test_oracle_trace_kl_plateau_matches_stationary_formula():
 def test_oracle_matches_ensemble_moments():
     # exact mean/variance recursions against a 1000-chain ensemble at
     # several stored steps, full-batch quadratic on one fixed dataset
-    model = make_quadratic(R=1.0, data_radius=1.0, d=2)
+    model = QuadraticLoss(R=1.0, data_radius=1.0, d=2)
     ds = model.sample_data(np.random.default_rng(9), 20)
     cfg = full_batch_cfg(T=500, seed=515)
     traces = run_ensemble(cfg, model, dataset_sampler=lambda rng, m: ds,
@@ -151,7 +151,7 @@ def test_oracle_matches_ensemble_moments():
 
 
 def test_mi_identical_control_is_exact_zero():
-    model = make_quadratic(R=1.0, data_radius=1.0, d=2)
+    model = QuadraticLoss(R=1.0, data_radius=1.0, d=2)
     cfg = full_batch_cfg(T=100)
     est = oracle_mi_upper(model.sample_data, cfg, R=1.0, n_dataset_pairs=12,
                           control_identical=True)
@@ -178,7 +178,7 @@ def per_pair_mi_loop(mu_sampler, config, R, n_pairs, control_identical=False):
 @pytest.mark.parametrize("n_pairs", [1, 2, 37])
 @pytest.mark.parametrize("control", [False, True])
 def test_mi_bitwise_equals_the_per_pair_loop(n_pairs, control):
-    model = make_quadratic(R=1.3, data_radius=1.0, d=3)
+    model = QuadraticLoss(R=1.3, data_radius=1.0, d=3)
     for cfg in (full_batch_cfg(), full_batch_cfg(n=7, k=7, T=33, eta=0.2, seed=3)):
         est = oracle_mi_upper(model.sample_data, cfg, R=1.3, n_dataset_pairs=n_pairs,
                               control_identical=control)
@@ -188,7 +188,7 @@ def test_mi_bitwise_equals_the_per_pair_loop(n_pairs, control):
 
 
 def test_mi_from_gaps_reuses_one_draw_across_horizons():
-    model = make_quadratic(R=1.0, data_radius=1.0, d=2)
+    model = QuadraticLoss(R=1.0, data_radius=1.0, d=2)
     gaps = oracle_pair_gaps(model.sample_data, 808, 20, 50)
     assert gaps.shape == (50,) and np.all(gaps > 0)
     # one response run to the longest horizon serves every shorter one
@@ -202,14 +202,14 @@ def test_mi_from_gaps_reuses_one_draw_across_horizons():
 
 
 def test_mi_requires_full_batch():
-    model = make_quadratic(R=1.0, data_radius=1.0, d=2)
+    model = QuadraticLoss(R=1.0, data_radius=1.0, d=2)
     with pytest.raises(ValueError):
         oracle_mi_upper(model.sample_data, full_batch_cfg(k=5), R=1.0,
                         n_dataset_pairs=4)
 
 
 def test_mi_bounded_in_T():
-    model = make_quadratic(R=1.0, data_radius=1.0, d=2)
+    model = QuadraticLoss(R=1.0, data_radius=1.0, d=2)
     a = oracle_mi_upper(model.sample_data, full_batch_cfg(T=10_000), R=1.0,
                         n_dataset_pairs=300)
     b = oracle_mi_upper(model.sample_data, full_batch_cfg(T=100_000), R=1.0,
@@ -219,7 +219,7 @@ def test_mi_bounded_in_T():
 
 
 def test_mi_scales_like_one_over_n():
-    model = make_quadratic(R=1.0, data_radius=1.0, d=2)
+    model = QuadraticLoss(R=1.0, data_radius=1.0, d=2)
     small = oracle_mi_upper(model.sample_data, full_batch_cfg(n=25, k=25), R=1.0,
                             n_dataset_pairs=400)
     large = oracle_mi_upper(model.sample_data, full_batch_cfg(n=100, k=100), R=1.0,
@@ -232,7 +232,7 @@ def test_mi_scales_like_one_over_n():
 def test_gen_gap_within_mi_bound_chain():
     # the information-theoretic chain: empirical gap of the bounded
     # surrogate loss vs sqrt(2 sigma_g^2 MI / n) with sigma_g^2 = 1/4
-    model = make_quadratic(R=1.0, data_radius=1.0, d=2)
+    model = QuadraticLoss(R=1.0, data_radius=1.0, d=2)
     cfg = full_batch_cfg(n=25, k=25, T=400, seed=99)
     mi = oracle_mi_upper(model.sample_data, cfg, R=1.0, n_dataset_pairs=400)
     gap = empirical_gen_gap(model, cfg, n_trials=30, eval_loss="surrogate")
@@ -254,7 +254,7 @@ def test_recursion_all_zero_trace_satisfied():
 def test_recursion_zero_violations_on_exact_oracle():
     # strongly convex constants: contraction e^{-eta R / 4}, additive term
     # eta (beta/2) sup_t E||grad gap||^2 = eta (beta/2) R^2 ||zbar gap||^2
-    model = make_quadratic(R=1.0, data_radius=1.0, d=2)
+    model = QuadraticLoss(R=1.0, data_radius=1.0, d=2)
     rng = np.random.default_rng(1234)
     S = model.sample_data(rng, 100)
     S_alt = model.sample_data(rng, 100)
@@ -298,7 +298,7 @@ def test_recursion_report_dict_roundtrip():
 
 
 def test_oracle_trace_csv_roundtrip(tmp_path):
-    model = make_quadratic(R=1.0, data_radius=1.0, d=2)
+    model = QuadraticLoss(R=1.0, data_radius=1.0, d=2)
     rng = np.random.default_rng(3)
     S = model.sample_data(rng, 10)
     S_alt = model.sample_data(rng, 10)

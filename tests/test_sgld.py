@@ -17,7 +17,7 @@ from sgldlab.constants import (
     lsi_route,
     moment_bound_C0,
 )
-from sgldlab.losses import make_logistic_ridge, make_nonconvex_ridge, make_quadratic
+from sgldlab.losses import LogisticRidgeLoss, NonconvexRidgeLoss, QuadraticLoss
 from sgldlab.sgld import (
     ChainTrace,
     SGLDConfig,
@@ -31,7 +31,7 @@ SERIES = ("grad_var_sample", "grad_fullbatch_norm", "grad_minibatch_norm")
 
 
 def quad_model(d=2):
-    return make_quadratic(1.0, 1.0, d)
+    return QuadraticLoss(1.0, 1.0, d)
 
 
 def quad_config(**kw):
@@ -400,8 +400,8 @@ def test_lockstep_without_series_keeps_states():
 @pytest.mark.parametrize("n_datasets", [1, 3])
 @pytest.mark.parametrize(
     "model",
-    [make_quadratic(1.0, 1.0, 3), make_logistic_ridge(1.0, 1.0, 3),
-     make_nonconvex_ridge(1.0, 0.5, 1.0, 3)],
+    [QuadraticLoss(1.0, 1.0, 3), LogisticRidgeLoss(1.0, 1.0, 3),
+     NonconvexRidgeLoss(1.0, 0.5, 1.0, 3)],
     ids=["quadratic", "logistic", "nonconvex"],
 )
 def test_ensemble_series_count_row_zero_equals_full_series(model, n_datasets, k):
@@ -487,7 +487,7 @@ def test_ensemble_single_equals_run_chain():
 
 @pytest.mark.parametrize("series", [1, None])
 @pytest.mark.parametrize(
-    "model", [make_quadratic(1.0, 1.0, 16), make_logistic_ridge(1.0, 1.0, 15)],
+    "model", [QuadraticLoss(1.0, 1.0, 16), LogisticRidgeLoss(1.0, 1.0, 15)],
     ids=["quadratic", "logistic"])
 def test_shared_dataset_ensemble_makes_no_per_chain_copy(model, series):
     # 64 chains on one (4096, 16) dataset: a (c, n, z) copy of its broadcast
