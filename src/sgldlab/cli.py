@@ -1,8 +1,8 @@
 """Command-line entry point wiring configs to the library modules.
 
 Subcommands: certify | run | bounds | verify | compare. A single JSON
-config drives everything; the schema is strict (unknown keys rejected,
-defaults echoed back), every invocation writes a manifest with the config
+config drives everything, checked by `config` (unknown keys rejected,
+defaults echoed back); every invocation writes a manifest with the config
 hash, seed, precondition results and the produced files, and an output
 directory is protected by a lock file against concurrent runs.
 
@@ -16,7 +16,6 @@ import argparse
 import contextlib
 import csv
 import dataclasses
-import hashlib
 import json
 import math
 import os
@@ -43,20 +42,11 @@ from .bounds import (
     excess_risk_bound,
     kl_chain,
 )
-from .constants import (
-    LSI_MODES,
-    ParametrixOverrides,
-    admissibility_failures,
-    derive_constants,
-    lsi_constant,
-    lsi_route,
-    subexp_params,
-)
+from .config import ConfigError, ExperimentConfig, _check, _verify_fp_runs, load_config
+from .constants import admissibility_failures, lsi_constant, subexp_params
 from .estimators import (
     ESTIMATES_CSV_COLUMNS,
-    EVAL_LOSSES,
     EstimateWithError,
-    admitted_lambdas,
     gap_trials,
     gen_gap,
     grad_variance_trace,
@@ -67,15 +57,8 @@ from .estimators import (
     stability_estimates,
     write_estimates_csv,
 )
-from .fokker_planck import (
-    Grid1D,
-    check_dt,
-    evolve_pair,
-    gibbs_density,
-    suggested_halfwidth,
-    verify_inequality_12,
-)
-from .losses import LogisticRidgeLoss, NonconvexRidgeLoss, QuadraticLoss, certify
+from .fokker_planck import evolve_pair, gibbs_density, verify_inequality_12
+from .losses import QuadraticLoss, certify
 from .oracle import (
     _response_and_var,
     oracle_mi_from_gaps,
@@ -84,329 +67,7 @@ from .oracle import (
     oracle_trace,
     verify_kl_recursion,
 )
-from .sgld import SGLDConfig, _run_chains_lockstep, check_count, run_ensemble, write_csv
-
-
-class ConfigError(Exception):
-    pass
-
-
-# ------------------------------------------------------------- config schema
-
-_REQ = object()
-
-# per block: key -> (default or required marker, expected type)
-_SCHEMAS = {
-    "loss": {
-        "family": (_REQ, str),
-        "d": (_REQ, int),
-        "data_radius": (1.0, float),
-        "R": (None, float),
-        "lam": (None, float),
-        "a": (None, float),
-        "claimed": (None, dict),
-        "certify_samples": (10_000, int),
-    },
-    "sgld": {
-        "eta": (_REQ, float),
-        "beta": (_REQ, float),
-        "k": (_REQ, int),
-        "T": (_REQ, int),
-        "s_sq": (1.0, float),
-        "seed": (0, int),
-    },
-    "data": {
-        "n": (_REQ, int),
-    },
-    "bounds": {
-        "which": (list(BOUND_NAMES), list),
-        "sigma_g_sq": (None, float),
-        "farghly_C1": (1.0, float),
-        "farghly_C2": (1.0, float),
-        "lsi_mode": (None, str),  # null: `lsi_route` of the model, set at load
-        "universal_C_lsi": (1.0, float),
-        "universal_C_moment": (1.0, float),
-        "T_grid": (None, list),
-        "n_grid": (None, list),
-        "parametrix": (None, dict),
-    },
-    "estimators": {
-        "n_trials": (10, int),
-        "n_chains": (32, int),
-        "n_resamples": (300, int),
-        "n_pairs": (50, int),
-        "mi_pairs": (200, int),
-        "p_list": ([2, 4], list),
-        "lambda_grid": ([-0.5, -0.1, 0.1, 0.5], list),
-        "eval_loss": ("surrogate", str),
-    },
-    "fp": {
-        "n_cells": (256, int),
-        "halfwidth": (None, float),
-        "dt_safety": (0.45, float),
-        "T_end": (0.3, float),
-        "center_gap": (0.4, float),
-    },
-    "verify": {
-        "falsify": (False, bool),
-        "oracle_T": (2000, int),
-    },
-}
-_REQUIRED_BLOCKS = ("loss", "sgld", "data")
-
-# loss family -> (constructor, the loss keys it takes, all required)
-_FAMILIES = {
-    "quadratic": (QuadraticLoss, ("R",)),
-    "logistic_ridge": (LogisticRidgeLoss, ("lam",)),
-    "nonconvex_ridge": (NonconvexRidgeLoss, ("lam", "a")),
-}
-_FAMILY_KEYS = sorted({key for _, keys in _FAMILIES.values() for key in keys})
-
-
-def _coerce(block: str, key: str, value, expected):
-    if expected is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{block}.{key}: expected a number, got {value!r}")
-        if not math.isfinite(value):
-            raise ConfigError(f"{block}.{key}: expected a finite number, got {value!r}")
-        return float(value)
-    if expected is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{block}.{key}: expected an integer, got {value!r}")
-        return value
-    if not isinstance(value, expected):
-        raise ConfigError(
-            f"{block}.{key}: expected {expected.__name__}, got {value!r}"
-        )
-    return value
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Validated, fully-defaulted experiment description."""
-
-    blocks: dict
-
-    def __getitem__(self, name: str) -> dict:
-        return self.blocks[name]
-
-    def canonical_json(self) -> str:
-        return json.dumps(self.blocks, sort_keys=True, indent=2)
-
-    def config_hash(self) -> str:
-        return hashlib.sha256(self.canonical_json().encode()).hexdigest()[:16]
-
-    def model(self):
-        loss = self.blocks["loss"]
-        family = loss["family"]
-        if family not in _FAMILIES:
-            raise ConfigError(f"unknown loss family {family!r}")
-        make, keys = _FAMILIES[family]
-        for key in _FAMILY_KEYS:
-            if key not in keys and loss[key] is not None:
-                raise ConfigError(f"loss.{key}: the {family} family takes no {key}")
-        if any(loss[key] is None for key in keys):
-            raise ConfigError(f"the {family} family requires "
-                              + " and ".join(f"loss.{key}" for key in keys))
-        try:
-            model = make(**{key: loss[key] for key in keys},
-                         data_radius=loss["data_radius"], d=loss["d"])
-        except ValueError as exc:
-            raise ConfigError(f"loss: {exc}") from exc
-        if loss["claimed"] is not None:
-            # deliberately wrong claims, for exercising the certifier
-            try:
-                model = model.with_constants(**loss["claimed"])
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"loss.claimed: {exc}") from exc
-        return model
-
-    def sgld_config(self, seed: int | None = None) -> SGLDConfig:
-        s = self.blocks["sgld"]
-        try:
-            return SGLDConfig(
-                eta=s["eta"], beta=s["beta"], k=s["k"],
-                n=self.blocks["data"]["n"], T=s["T"],
-                d=self.blocks["loss"]["d"], s_sq=s["s_sq"],
-                seed=s["seed"] if seed is None else seed,
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"sgld: {exc}") from exc
-
-    def parametrix(self) -> ParametrixOverrides | None:
-        """bounds.parametrix as overrides, None for the defaults; a malformed
-        one is a ConfigError."""
-        over = self.blocks["bounds"]["parametrix"]
-        if over is None:
-            return None
-        try:
-            return ParametrixOverrides(**over)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bounds.parametrix: {exc}") from exc
-
-    def derived(self):
-        """The derived constants, or why they are undefined for this config.
-
-        A malformed bounds.parametrix is a ConfigError; a configuration
-        outside a derivation's range (say, eta >= m/(5 M^2) in a run made
-        with --allow-unsafe) yields the reason, for the bounds to carry.
-        """
-        b = self.blocks["bounds"]
-        s = self.blocks["sgld"]
-        try:
-            return derive_constants(
-                self.model().constants(), eta=s["eta"], beta=s["beta"],
-                d=self.blocks["loss"]["d"], s_sq=s["s_sq"],
-                lsi_mode=b["lsi_mode"], overrides=self.parametrix(),
-                universal_C_lsi=b["universal_C_lsi"],
-                universal_C_moment=b["universal_C_moment"],
-            )
-        except ValueError as exc:
-            return f"derived-constants-unavailable: {exc}"
-
-
-def load_config(path) -> ExperimentConfig:
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a JSON object")
-    unknown = set(raw) - set(_SCHEMAS)
-    if unknown:
-        raise ConfigError(f"unknown config blocks: {sorted(unknown)}")
-    for block in _REQUIRED_BLOCKS:
-        if block not in raw:
-            raise ConfigError(f"missing required config block {block!r}")
-    blocks = {}
-    for block, schema in _SCHEMAS.items():
-        given = raw.get(block, {})
-        if not isinstance(given, dict):
-            raise ConfigError(f"block {block!r} must be an object")
-        unknown = set(given) - set(schema)
-        if unknown:
-            raise ConfigError(f"unknown keys in {block!r}: {sorted(unknown)}")
-        out = {}
-        for key, (default, expected) in schema.items():
-            if key in given:
-                out[key] = (
-                    None if given[key] is None and default is None
-                    else _coerce(block, key, given[key], expected)
-                )
-            elif default is _REQ:
-                raise ConfigError(f"missing required key {block}.{key}")
-            else:
-                out[key] = default
-        blocks[block] = out
-    for name in blocks["bounds"]["which"]:
-        if name not in BOUND_NAMES:
-            raise ConfigError(f"bounds.which: unknown bound name {name!r}")
-    if blocks["bounds"]["lsi_mode"] not in (None, *LSI_MODES):
-        raise ConfigError(f"bounds.lsi_mode: unknown mode "
-                          f"{blocks['bounds']['lsi_mode']!r}")
-    cfg = ExperimentConfig(blocks=blocks)
-    lc = cfg.model().constants()  # family-specific parameter validation
-    if blocks["bounds"]["lsi_mode"] is None:
-        blocks["bounds"]["lsi_mode"] = lsi_route(lc)
-    _check_values(cfg)
-    return cfg
-
-
-def _check(key: str, rule, *args, **kwargs):
-    """`rule(*args, **kwargs)`, its ValueError reported against config key `key`."""
-    try:
-        return rule(*args, **kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"{key}: {exc}") from exc
-
-
-def _check_values(cfg: ExperimentConfig) -> None:
-    """Refuse, before any subcommand opens its output directory, each value
-    that the code using it would refuse later; each refusal is that code's."""
-    sgld_cfg = cfg.sgld_config()
-    lc = cfg.model().constants()
-    est = cfg["estimators"]
-    if est["eval_loss"] not in EVAL_LOSSES:
-        raise ConfigError(f"estimators.eval_loss: unknown loss {est['eval_loss']!r}")
-    for key, param in (("n_trials", "n_trials"), ("n_chains", "n_chains"),
-                       ("n_resamples", "n_resamples"), ("n_pairs", "n_pairs"),
-                       ("mi_pairs", "n_dataset_pairs")):
-        _check(f"estimators.{key}", check_count, param, est[key])
-    _check("estimators.p_list", pth_moment_min_chains, est["p_list"])
-    bnd = cfg["bounds"]
-    nu = _check("bounds.universal_C_moment", subexp_params, lc, beta=sgld_cfg.beta,
-                d=sgld_cfg.d, s_sq=sgld_cfg.s_sq,
-                universal_C=bnd["universal_C_moment"])["nu"]
-    _check("estimators.lambda_grid", admitted_lambdas, est["lambda_grid"], nu)
-    # lsi_constant reads its universal C on the general dissipative route only
-    default_C_lsi = _SCHEMAS["bounds"]["universal_C_lsi"][0]
-    if bnd["lsi_mode"] == "strongly_convex" and bnd["universal_C_lsi"] != default_C_lsi:
-        raise ConfigError(
-            f"bounds.universal_C_lsi: the strongly_convex route reads no universal C, "
-            f"got {bnd['universal_C_lsi']}; leave it at {default_C_lsi} or set "
-            f"bounds.lsi_mode to general_dissipative")
-    for _, grid, gs, ga, dt, _ in _check("fp", _verify_fp_runs, cfg, lc):
-        for grad in (gs, ga):
-            _check("fp.dt_safety", check_dt, grid, grad, sgld_cfg.beta, dt)
-    _check("verify.oracle_T", dataclasses.replace, sgld_cfg, k=sgld_cfg.n,
-           T=cfg["verify"]["oracle_T"])
-    cfg.parametrix()  # the parse `derived` makes
-    if cfg["verify"]["falsify"] and lc.R is None:
-        # falsify changes the oracle section only, which needs R
-        raise ConfigError(f"verify.falsify: the {cfg['loss']['family']} family has "
-                          f"no R, so verify runs no oracle check to falsify")
-    if bnd["sigma_g_sq"] is not None:
-        # xu_raginsky's rule; n = 1 and a zero MI fit every config
-        _check("bounds.sigma_g_sq", bound_xu_raginsky, bnd["sigma_g_sq"], 1, 0.0)
-    for T in bnd["T_grid"] or ():
-        _coerce("bounds", "T_grid", T, int)
-    for n in bnd["n_grid"] or ():
-        # SGLDConfig states the dataset-size rule; k = 1 fits every size
-        _check("bounds.n_grid", dataclasses.replace, sgld_cfg,
-               n=_coerce("bounds", "n_grid", n, int), k=1)
-    # bounds.csv has one row per (name, T, n), the key `compare` reads it by;
-    # an empty list would give no rows (null selects a grid's default)
-    for key in ("which", "T_grid", "n_grid"):
-        entries = bnd[key]
-        if entries is None:
-            continue
-        if not entries:
-            raise ConfigError(f"bounds.{key}: empty list")
-        repeated = sorted({e for e in entries if entries.count(e) > 1})
-        if repeated:
-            raise ConfigError(f"bounds.{key}: repeated entries {repeated}")
-
-
-def _verify_fp_runs(cfg: ExperimentConfig, lc):
-    """(label, grid, grad_s, grad_alt, dt, n_steps) of each of `verify`'s
-    Fokker-Planck runs: two shifted quadratics on the coarse grid and on
-    twice its cells, with dt the `fp.dt_safety` share of the stability limit
-    at grad_s, and n_steps the steps of dt in `fp.T_end` (at least 2), few
-    enough that numpy can allocate the pair's (n_steps + 1)-long traces."""
-    fp = cfg["fp"]
-    if not fp["T_end"] > 0:
-        raise ValueError(f"T_end must be positive, got {fp['T_end']}")
-    beta = cfg["sgld"]["beta"]
-    R_fp = lc.R if lc.R is not None else lc.m
-    hw = fp["halfwidth"] or suggested_halfwidth(beta, lc.m)
-    runs = []
-    for label, n_cells in (("coarse", fp["n_cells"]), ("fine", 2 * fp["n_cells"])):
-        grid = Grid1D(-hw, hw, n_cells)
-        w = grid.centers
-        cs, ca = fp["center_gap"] / 2.0, -fp["center_gap"] / 2.0
-        gs, ga = R_fp * (w - cs), R_fp * (w - ca)
-        dt = fp["dt_safety"] * grid.h**2 / (
-            2.0 / beta + grid.h * float(np.abs(gs).max()))
-        steps = fp["T_end"] / dt
-        if not (steps + 1) * 8 <= np.iinfo(np.intp).max:
-            raise ValueError(f"T_end = {fp['T_end']} is {steps} steps of dt = {dt}; "
-                             f"the step count must be finite, and its (steps + 1)-"
-                             f"long float64 traces within numpy's largest array")
-        runs.append((label, grid, gs, ga, dt, max(2, int(steps))))
-    return runs
+from .sgld import SGLDConfig, _run_chains_lockstep, run_ensemble, write_csv
 
 
 # ---------------------------------------------------------------- run support
@@ -1113,22 +774,17 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def _read_bounds_csv(path):
-    # (name, T, n) -> value cell
-    return {(cells[0], cells[2], cells[3]): cells[1]
-            for cells in _read_csv(path, BOUNDS_CSV_COLUMNS)}
-
-
 def cmd_compare(args) -> int:
     tables = []
     for directory in args.reports:
         bounds_path = os.path.join(directory, "bounds.csv")
         gap_path = os.path.join(directory, "gap.csv")
-        table = _read_bounds_csv(bounds_path)
+        # (name, T, n) -> value cell
+        table = {(cells[0], cells[2], cells[3]): cells[1]
+                 for cells in _read_csv(bounds_path, BOUNDS_CSV_COLUMNS)}
         if os.path.exists(gap_path):
-            for est_name, t, mean, _, _ in _load_estimates_csv(gap_path):
-                key = ("empirical_gap", str(int(t)), "")
-                table[key] = repr(mean)
+            for _, t, mean, _, _ in _load_estimates_csv(gap_path):
+                table[("empirical_gap", str(int(t)), "")] = repr(mean)
         tables.append((os.path.basename(os.path.normpath(directory)), table))
 
     keys = sorted({k for _, table in tables for k in table},

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from sgldlab import cli, sgld
+from sgldlab import cli, config, sgld
 from sgldlab.bounds import bound_xu_raginsky, kl_chain
 from sgldlab.cli import ConfigError, load_config, main
 from sgldlab.estimators import empirical_gen_gap, grad_stability_trace, write_estimates_csv
@@ -139,8 +139,8 @@ def test_family_constructor_refusal_exits_one(run_and_bounds, tmp_path, capsys,
 
 def test_non_finite_number_refused_naming_its_key(tmp_path):
     # JSON's NaN and Infinity parse as floats; every float key refuses them
-    float_keys = [(block, key) for block, schema in cli._SCHEMAS.items()
-                  for key, (_, expected) in schema.items() if expected is float]
+    float_keys = [(block, key) for block, schema in config._SCHEMAS.items()
+                  for key, (_, expected, _rule) in schema.items() if expected is float]
     assert ("fp", "center_gap") in float_keys and ("fp", "T_end") in float_keys
     path = tmp_path / "c.json"
     for block, key in float_keys:
