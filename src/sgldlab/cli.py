@@ -85,7 +85,8 @@ class _OutputDir:
     refused, so no file of an earlier invocation sits among the new ones.
     A KeyboardInterrupt (SIGINT or SIGTERM, see `main`) leaving a started
     manifest sets its status to `interrupted`; any other failure leaves it
-    `running`.
+    `running`. A finished one reads `complete`, or the status given (`run`
+    gives `failed` when its chains leave the float range).
     """
 
     def __init__(self, path):
@@ -157,8 +158,8 @@ class _OutputDir:
                          "wall_clock_seconds": None}
         _write_json(self.manifest_path, self.manifest)
 
-    def finish_manifest(self) -> None:
-        self.manifest["status"] = "complete"
+    def finish_manifest(self, status: str = "complete") -> None:
+        self.manifest["status"] = status
         self.manifest["files"] = sorted(self.files)
         self.manifest["wall_clock_seconds"] = round(time.monotonic() - self.t0, 3)
         _write_json(self.manifest_path, self.manifest)
@@ -296,13 +297,24 @@ def cmd_run(args) -> int:
         with _worker_process(model, sgld_cfg, est) as (worker, result):
             stored_steps = _run_own_stages(out, cfg, model, dataset, sgld_cfg, seed)
             try:
-                stability, gap = result()
+                # None when a chain's states leave the float range
+                estimates = None if stored_steps is None else result()
             except EOFError:
                 # killed, say out of memory: the lock goes, the manifest stays running
                 worker.join()
                 print(f"run failed: the stability and gap worker died "
                       f"(exit code {worker.exitcode})", file=sys.stderr)
                 return 1
+        states = out.manifest["checks"]["states"]
+        states["finite"] = estimates is not None
+        print(f"run: states finite in every chain: {states['finite']}; largest "
+              f"||W||^2 in the ensemble: {states['max_w_norm_sq']}")
+        if estimates is None:
+            # no estimate is defined at a state beyond the float range
+            out.finish_manifest("failed")
+            print("run failed: chain states left the float range", file=sys.stderr)
+            return 2
+        stability, gap = estimates
         with out.file("stability.csv") as path:
             write_estimates_csv(
                 path, [("grad_stability", int(step), e)
@@ -315,10 +327,11 @@ def cmd_run(args) -> int:
 
 
 def _run_own_stages(out: _OutputDir, cfg: ExperimentConfig, model, dataset,
-                    sgld_cfg: SGLDConfig, seed: int) -> np.ndarray:
+                    sgld_cfg: SGLDConfig, seed: int) -> np.ndarray | None:
     """The stages `run` keeps in its own process: the ensemble, chain 0's
     trace and variance, the moments, the log-MGF and p-th moment checks.
-    Returns chain 0's stored steps."""
+    Returns chain 0's stored steps, or None, after the moments, when an
+    ensemble chain's ||W||^2 left the float range."""
     est, lc = cfg["estimators"], model.constants()
     traces = run_ensemble(sgld_cfg, model,
                           dataset_sampler=lambda rng, m: dataset,
@@ -331,6 +344,11 @@ def _run_own_stages(out: _OutputDir, cfg: ExperimentConfig, model, dataset,
     norms = np.stack([tr.w_norm_sq for tr in traces])
     with out.file("moments.csv") as path:
         write_csv(path, ("t", "mean_w_norm_sq"), enumerate(norms.mean(axis=0).tolist()))
+    finite = bool(np.isfinite(norms).all())
+    out.manifest["checks"] = {
+        "states": {"max_w_norm_sq": float(norms.max()) if finite else None}}
+    if not finite:
+        return None
 
     variance = grad_variance_trace(model, dataset, traces[0],
                                    n_resamples=est["n_resamples"])
@@ -351,9 +369,9 @@ def _run_own_stages(out: _OutputDir, cfg: ExperimentConfig, model, dataset,
         )
         mgf = logmgf_check(samples, pars["sigma_e_sq"], pars["nu"],
                            est["lambda_grid"], rng_seed=seed)
-        out.manifest["checks"] = {"logmgf": {
+        out.manifest["checks"]["logmgf"] = {
             "lambdas": list(mgf.lambdas), "envelope": list(mgf.envelope),
-            "n_violations": mgf.n_violations}}
+            "n_violations": mgf.n_violations}
         if mgf.n_violations:
             print(f"run: log-MGF above its envelope at {mgf.n_violations} "
                   f"of {len(mgf.lambdas)} lambdas")
@@ -426,7 +444,7 @@ def _worker_process(model, sgld_cfg: SGLDConfig, est: dict):
 
 def _worker(send, parent: int, model, sgld_cfg: SGLDConfig, est: dict) -> None:
     """`run`'s worker, forked from the process `parent`: `_worker_stages`.
-    It sends one message: ("done", (estimates, gap)), or ("error",
+    It sends one message: ("done", `_worker_stages`' result), or ("error",
     (exception, traceback text)) from any stage. It writes no file, and a
     thread exits the process within 0.05 s of `parent` being gone (say
     killed by SIGKILL), in any stage or send."""
@@ -451,7 +469,8 @@ def _worker(send, parent: int, model, sgld_cfg: SGLDConfig, est: dict) -> None:
 
 def _worker_stages(model, sgld_cfg: SGLDConfig, est: dict):
     """The stability estimates and the gap, from one chain-engine call: the
-    stability pairs' chains, each on its S, then the gap trials' chains.
+    stability pairs' chains, each on its S, then the gap trials' chains;
+    None if a chain's ||W||^2 left the float range.
     The gap is evaluated at the trials' final states, then every stored
     step of every pair. The estimators are looked up in this module's
     globals at call time, so wrappers set there are the ones run."""
@@ -462,8 +481,11 @@ def _worker_stages(model, sgld_cfg: SGLDConfig, est: dict):
     datasets_alt = np.empty((n_pairs, sgld_cfg.n, model.z_dim))
     chain_seqs = stability_chains(model, sgld_cfg, datasets[:n_pairs], datasets_alt)
     trial_seqs, pool_seqs = gap_trials(model, sgld_cfg, datasets[n_pairs:])
-    states = [tr.states for tr in _run_chains_lockstep(
-        sgld_cfg, model, datasets, chain_seqs + trial_seqs, series=0)]
+    traces = _run_chains_lockstep(sgld_cfg, model, datasets, chain_seqs + trial_seqs,
+                                  series=0)
+    if not all(np.isfinite(tr.w_norm_sq).all() for tr in traces):
+        return None  # a state beyond the float range: no estimate is defined
+    states = [tr.states for tr in traces]
     gap = gen_gap(model, datasets[n_pairs:], [s[-1] for s in states[n_pairs:]],
                   pool_seqs, est["eval_loss"])
     return stability_estimates(model, datasets[:n_pairs], datasets_alt,
@@ -719,21 +741,29 @@ def cmd_verify(args) -> int:
             else:
                 contraction = math.exp(-o_cfg.eta * lc.R / 4.0)
                 add = o_cfg.eta * (o_cfg.beta / 2.0) * lc.R**2 * gap_sq
-            rec = verify_kl_recursion(trace.kl, contraction, add)
-            mi_zero = oracle_mi_upper(model.sample_data, o_cfg, R=lc.R,
-                                      n_dataset_pairs=8, control_identical=True)
-            sections["oracle"] = {
-                "recursion_violations": rec.n_violations,
-                "recursion_worst_slack": rec.worst_slack,
-                "identical_pair_mi": mi_zero.mean,
-                "contraction": contraction,
-                "per_step_add": add,
-            }
-            if rec.n_violations > 0:
-                hard_failures.append(
-                    f"kl recursion violated at {rec.n_violations} steps")
-            if mi_zero.mean != 0.0:
-                hard_failures.append("identical-pair MI control is nonzero")
+            finite = np.isfinite([trace.mean_norm, trace.var, trace.kl]).all(axis=0)
+            if not finite.all():
+                # |1 - eta R| > 1: the law leaves the float range, and no
+                # recursion or MI value is defined past it
+                step = int(np.argmin(finite))
+                sections["oracle"] = {"non_finite_from_step": step}
+                hard_failures.append(f"oracle law not finite from step {step}")
+            else:
+                rec = verify_kl_recursion(trace.kl, contraction, add)
+                mi_zero = oracle_mi_upper(model.sample_data, o_cfg, R=lc.R,
+                                          n_dataset_pairs=8, control_identical=True)
+                sections["oracle"] = {
+                    "recursion_violations": rec.n_violations,
+                    "recursion_worst_slack": rec.worst_slack,
+                    "identical_pair_mi": mi_zero.mean,
+                    "contraction": contraction,
+                    "per_step_add": add,
+                }
+                if rec.n_violations > 0:
+                    hard_failures.append(
+                        f"kl recursion violated at {rec.n_violations} steps")
+                if mi_zero.mean != 0.0:
+                    hard_failures.append("identical-pair MI control is nonzero")
         else:
             sections["oracle"] = {"skipped": "loss family has no curvature "
                                              "constant; exact law unavailable"}
@@ -742,7 +772,14 @@ def cmd_verify(args) -> int:
         rates = {}
         for label, grid, gs, ga, dt, n_steps in _verify_fp_runs(cfg, lc):
             start = gibbs_density(grid, (grid.centers - 1.0) ** 2, 1.0)
-            run = evolve_pair(grid, gs, ga, beta, dt, n_steps, start, start)
+            try:
+                run = evolve_pair(grid, gs, ga, beta, dt, n_steps, start, start)
+            except ValueError as exc:
+                # the grid cannot carry the pair (say, its two densities part
+                # on it): the check fails, not the command
+                sections[f"fp_{label}"] = {"n_cells": grid.n_cells, "failed": str(exc)}
+                hard_failures.append(f"fp_{label}: {exc}")
+                continue
             rep = verify_inequality_12(run, beta)
             with out.file(f"fp_{label}.csv") as path:
                 run.to_csv(path, rep)
@@ -753,10 +790,10 @@ def cmd_verify(args) -> int:
                 "n_checked": rep.n_checked,
                 "clamped_mass": run.clamped_mass,
             }
-        if rates["coarse"] > 0.01:
+        if rates.get("coarse", 0.0) > 0.01:
             hard_failures.append(
                 f"fp violation rate {rates['coarse']} above 1%")
-        if rates["fine"] > rates["coarse"]:
+        if len(rates) == 2 and rates["fine"] > rates["coarse"]:
             hard_failures.append("fp violation rate grew under refinement")
 
         sections["hard_failures"] = hard_failures

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import importlib.util
 import json
 import os
 import shutil
@@ -149,6 +150,49 @@ def test_non_finite_number_refused_naming_its_key(tmp_path):
             with pytest.raises(ConfigError,
                                match=rf"^{block}\.{key}: expected a finite number"):
                 load_config(path)
+
+
+# one refused value per schema key with a rule of its own, and one per rule
+# of a bounds list (an unknown or non-integer entry, empty, repeated)
+REFUSED_BY_RULE = {
+    ("bounds", "which"): (["nope"], [], ["pensia", "pensia"]),
+    ("bounds", "sigma_g_sq"): (0.0, -1.0),
+    ("bounds", "lsi_mode"): ("nope",),
+    ("bounds", "T_grid"): ([1.5], [], [4, 4]),
+    ("bounds", "n_grid"): (["x"], [], [10, 10]),
+    ("estimators", "n_trials"): (1,),
+    ("estimators", "n_chains"): (0,),
+    ("estimators", "n_resamples"): (1,),
+    ("estimators", "n_pairs"): (0,),
+    ("estimators", "mi_pairs"): (0,),
+    ("estimators", "p_list"): ([3], []),
+    ("estimators", "eval_loss"): ("nope",),
+}
+
+
+def test_every_schema_rule_refuses_naming_its_key():
+    ruled = {(block, key) for block, schema in config._SCHEMAS.items()
+             for key, (_, _, rule) in schema.items() if rule is not None}
+    assert ruled == set(REFUSED_BY_RULE)
+    for (block, key), values in REFUSED_BY_RULE.items():
+        for value in values:
+            raw = {name: dict(vals) for name, vals in BASE.items()}
+            raw.setdefault(block, {})[key] = value
+            with pytest.raises(ConfigError) as refused:
+                config.parse(raw)
+            assert str(refused.value).startswith(f"{block}.{key}: "), (value, refused.value)
+
+
+def test_parse_of_a_dict_equals_load_config_of_its_file(tmp_path):
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_run", os.path.join(REPO, "perfbench", "run.py"))
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    for workload in ("logistic-probe", "quadratic-fullbatch", "nonconvex-wide"):
+        raw = bench.make_config(workload, 7)
+        path = tmp_path / f"{workload}.json"
+        path.write_text(json.dumps(raw))
+        assert config.parse(raw).blocks == load_config(path).blocks
 
 
 def test_unknown_block_rejected(tmp_path):
@@ -623,6 +667,37 @@ def test_run_worker_death_exits_one(tmp_path, monkeypatch, capsys):
     assert not (out / ".lock").exists()
     assert not (out / "stability.csv").exists()
     assert json.loads((out / "manifest.json").read_text())["status"] == "running"
+
+
+# |1 - eta R| = 24: the full-batch quadratic chain diverges
+DIVERGING = {"loss": {"R": 50.0}, "data": {"n": 10},
+             "sgld": {"eta": 0.5, "k": 10, "T": 200}}
+
+
+@pytest.mark.parametrize("T", [20, 200])
+def test_run_records_whether_the_states_stayed_finite(tmp_path, capsys, T):
+    # at T = 20 the ensemble's ||W||^2 nears 1e55; by T = 200 it is past
+    # the float range, where no estimate is defined
+    cfg = write_config(tmp_path / "c.json", **{**DIVERGING, "sgld": {
+        **DIVERGING["sgld"], "T": T}})
+    out = tmp_path / "out"
+    rc = main(["run", "--config", cfg, "--out", str(out), "--allow-unsafe"])
+    printed = capsys.readouterr()
+    manifest = read_json(out / "manifest.json")
+    states = manifest["checks"]["states"]
+    assert f"states finite in every chain: {states['finite']}" in printed.out
+    assert "Traceback" not in printed.err and not (out / ".lock").exists()
+    if T == 20:
+        assert rc == 0 and manifest["status"] == "complete"
+        assert states["finite"] and states["max_w_norm_sq"] > 1e50
+    else:
+        assert rc == 2 and manifest["status"] == "failed"
+        assert states == {"finite": False, "max_w_norm_sq": None}
+        assert "gap.csv" not in manifest["files"]
+        assert "run failed: chain states left the float range" in printed.err
+        loaded = load_config(cfg)
+        assert cli._worker_stages(loaded.model(), loaded.sgld_config(),
+                                  loaded["estimators"]) is None
 
 
 def test_run_failing_artifact_write_leaves_no_file_under_its_name(tmp_path, monkeypatch):
@@ -1322,6 +1397,35 @@ def test_verify_falsification_control_exits_two(tmp_path, capsys):
     assert "VIOLATION" in capsys.readouterr().out
     report = read_json(tmp_path / "v" / "verify_report.json")
     assert report["oracle"]["recursion_violations"] > 0
+
+
+def test_verify_fails_a_diverging_oracle_law_by_name(tmp_path, capsys):
+    cfg = write_config(tmp_path / "c.json", fp={"n_cells": 64, "T_end": 0.1},
+                       **DIVERGING)
+    out = tmp_path / "out"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 2
+    report = read_json(out / "verify_report.json")
+    assert report["oracle"]["non_finite_from_step"] > 0
+    assert any(failure.startswith("oracle law not finite from step")
+               for failure in report["hard_failures"])
+    assert read_json(out / "manifest.json")["status"] == "complete"
+    assert not (out / ".lock").exists()
+
+
+def test_verify_fails_a_fokker_planck_pair_the_grid_cannot_carry(tmp_path, capsys):
+    # at beta R = 1e7 the two densities part on a grid of halfwidth 1
+    cfg = write_config(tmp_path / "c.json", loss={"R": 1e4, "d": 5},
+                       sgld={"eta": 1e-5, "beta": 1e3},
+                       fp={"halfwidth": 1.0, "T_end": 5.0})
+    out = tmp_path / "out"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 2
+    report = read_json(out / "verify_report.json")
+    assert report["fp_coarse"] == {
+        "n_cells": 256, "failed": "densities share no support above the floors"}
+    assert "failed" in report["fp_fine"] and not (out / "fp_coarse.csv").exists()
+    assert "fp_coarse: densities share no support above the floors" in report["hard_failures"]
+    assert read_json(out / "manifest.json")["status"] == "complete"
+    assert "VIOLATION: fp_coarse" in capsys.readouterr().out
 
 
 def test_verify_falsify_refused_on_a_family_without_R(tmp_path, capsys):
