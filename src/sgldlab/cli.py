@@ -19,6 +19,7 @@ import dataclasses
 import json
 import math
 import os
+import platform
 import shutil
 import signal
 import sys
@@ -77,12 +78,13 @@ class _OutputDir:
     """Locked output directory that tracks the files written into it.
 
     Its manifest.json is written when the work starts and again when it
-    completes, then listing the files; it does not list itself. Every file,
-    the manifest included, is written to a temp file that a rename puts in
-    place, so none is ever seen part-written. `.lock`
-    holds the owning process id, so a lock left by a process that is gone
-    is reported as stale. A directory holding anything but its `.lock` is
-    refused, so no file of an earlier invocation sits among the new ones.
+    completes, then listing the files; it does not list itself, and it says
+    where it ran (`_environment`). Every file, the manifest included, is
+    written to a temp file that a rename puts in place, so none is ever seen
+    part-written. `.lock` holds the owning process id, so a lock left by a
+    process that is gone is reported as stale. A directory holding anything
+    but its `.lock` is refused, so no file of an earlier invocation sits
+    among the new ones.
     A KeyboardInterrupt (SIGINT or SIGTERM, see `main`) leaving a started
     manifest sets its status to `interrupted`; any other failure leaves it
     `running`. A finished one reads `complete`, or the status given (`run`
@@ -154,8 +156,8 @@ class _OutputDir:
 
     def start_manifest(self, **fields) -> None:
         self.t0 = time.monotonic()
-        self.manifest = {"status": "running", **fields, "files": [],
-                         "wall_clock_seconds": None}
+        self.manifest = {"status": "running", **fields, "environment": _environment(),
+                         "files": [], "wall_clock_seconds": None}
         _write_json(self.manifest_path, self.manifest)
 
     def finish_manifest(self, status: str = "complete") -> None:
@@ -218,6 +220,24 @@ def _start_config_manifest(out: _OutputDir, cfg: ExperimentConfig, seed: int,
                            preconditions) -> None:
     out.start_manifest(config=cfg.blocks, config_hash=cfg.config_hash(), seed=seed,
                        artifact_version=__version__, preconditions=preconditions)
+
+
+def _environment() -> dict:
+    """Where an invocation ran: the versions and the machine."""
+    uname = platform.uname()
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "platform": f"{uname.system} {uname.release} {uname.machine}",
+            "cpu_count": os.cpu_count()}
+
+
+def _peak_rss_mb() -> dict:
+    """Peak resident set sizes in MB: of this process, and of the largest
+    child it has joined (`run`'s worker)."""
+    import resource  # POSIX only, as `run`'s fork is
+
+    def peak(who):
+        return round(resource.getrusage(who).ru_maxrss / 1024.0, 2)  # KiB on Linux
+    return {"run": peak(resource.RUSAGE_SELF), "worker": peak(resource.RUSAGE_CHILDREN)}
 
 
 def _seed_of(args, cfg: ExperimentConfig) -> int:
@@ -305,6 +325,7 @@ def cmd_run(args) -> int:
                 print(f"run failed: the stability and gap worker died "
                       f"(exit code {worker.exitcode})", file=sys.stderr)
                 return 1
+        out.manifest["peak_rss_mb"] = _peak_rss_mb()  # the worker is joined
         states = out.manifest["checks"]["states"]
         states["finite"] = estimates is not None
         print(f"run: states finite in every chain: {states['finite']}; largest "
@@ -330,12 +351,14 @@ def _run_own_stages(out: _OutputDir, cfg: ExperimentConfig, model, dataset,
                     sgld_cfg: SGLDConfig, seed: int) -> np.ndarray | None:
     """The stages `run` keeps in its own process: the ensemble, chain 0's
     trace and variance, the moments, the log-MGF and p-th moment checks.
-    Returns chain 0's stored steps, or None, after the moments, when an
-    ensemble chain's ||W||^2 left the float range."""
+    Only chain 0 keeps its trajectory (the variance reads it); the others'
+    final states and ||W||^2 are all the rest read. Returns chain 0's stored
+    steps, or None, after the moments, when an ensemble chain's ||W||^2 left
+    the float range."""
     est, lc = cfg["estimators"], model.constants()
     traces = run_ensemble(sgld_cfg, model,
                           dataset_sampler=lambda rng, m: dataset,
-                          n_chains=est["n_chains"], series=1)
+                          n_chains=est["n_chains"], series=1, trajectories=1)
     with out.file("chain_000.csv") as path:
         traces[0].to_csv(path)
     out.save_npy("final_states.npy",
@@ -472,8 +495,10 @@ def _worker_stages(model, sgld_cfg: SGLDConfig, est: dict):
     stability pairs' chains, each on its S, then the gap trials' chains;
     None if a chain's ||W||^2 left the float range.
     The gap is evaluated at the trials' final states, then every stored
-    step of every pair. The estimators are looked up in this module's
-    globals at call time, so wrappers set there are the ones run."""
+    step of every pair; only the pairs keep their trajectories, and the
+    traces go once the states are checked. The estimators are looked up in
+    this module's globals at call time, so wrappers set there are the ones
+    run."""
     n_pairs = est["n_pairs"]
     # the chains' datasets, the pairs' S then the trials', as one array the
     # engine reads in place
@@ -482,10 +507,11 @@ def _worker_stages(model, sgld_cfg: SGLDConfig, est: dict):
     chain_seqs = stability_chains(model, sgld_cfg, datasets[:n_pairs], datasets_alt)
     trial_seqs, pool_seqs = gap_trials(model, sgld_cfg, datasets[n_pairs:])
     traces = _run_chains_lockstep(sgld_cfg, model, datasets, chain_seqs + trial_seqs,
-                                  series=0)
+                                  series=0, trajectories=n_pairs)
     if not all(np.isfinite(tr.w_norm_sq).all() for tr in traces):
         return None  # a state beyond the float range: no estimate is defined
     states = [tr.states for tr in traces]
+    del traces  # frees every chain's ||W||^2 before the pair evaluation
     gap = gen_gap(model, datasets[n_pairs:], [s[-1] for s in states[n_pairs:]],
                   pool_seqs, est["eval_loss"])
     return stability_estimates(model, datasets[:n_pairs], datasets_alt,

@@ -26,7 +26,7 @@ from .constants import (LSI_MODES, ParametrixOverrides, derive_constants, lsi_ro
 from .estimators import EVAL_LOSSES, admitted_lambdas, pth_moment_min_chains
 from .fokker_planck import Grid1D, check_dt, suggested_halfwidth
 from .losses import LogisticRidgeLoss, NonconvexRidgeLoss, QuadraticLoss
-from .sgld import SGLDConfig, check_count
+from .sgld import SGLDConfig, check_count, check_size
 
 
 class ConfigError(Exception):
@@ -42,11 +42,16 @@ def _check(key: str, rule, *args, **kwargs):
 
 
 def _coerce(value, expected):
-    """`value` as JSON type `expected` (a float key takes a finite int too)."""
+    """`value` as JSON type `expected` (a float key takes an int in the float
+    range too)."""
     if expected is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValueError(f"expected a number, got {value!r}")
-        if not math.isfinite(value):
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:  # an int beyond the float range
+            finite = False
+        if not finite:
             raise ValueError(f"expected a finite number, got {value!r}")
         return float(value)
     if not isinstance(value, expected) or expected is int and isinstance(value, bool):
@@ -63,19 +68,28 @@ def _one_of(names, what: str):
     return rule
 
 
-def _entries(rule):
-    """The rule of a bounds list: `rule` on each entry, then no empty list and
-    no repeated entry, since bounds.csv has one row per (name, T, n), the key
-    `compare` reads it by (null, not [], selects a grid's default)."""
+def _entries(rule, whole=None):
+    """The rule of a list: `rule` on each entry, then `whole` on the list."""
     def check(entries):
         for entry in entries:
             rule(entry)
-        if not entries:
-            raise ValueError("empty list")
-        repeated = sorted({e for e in entries if entries.count(e) > 1})
-        if repeated:
-            raise ValueError(f"repeated entries {repeated}")
+        if whole is not None:
+            whole(entries)
     return check
+
+
+def _grid(entries):
+    """The rule of a whole bounds list: no empty list and no repeated entry,
+    since bounds.csv has one row per (name, T, n), the key `compare` reads
+    it by (null, not [], selects a grid's default)."""
+    if not entries:
+        raise ValueError("empty list")
+    repeated = sorted({e for e in entries if entries.count(e) > 1})
+    if repeated:
+        raise ValueError(f"repeated entries {repeated}")
+
+
+_INT, _FLOAT = partial(_coerce, expected=int), partial(_coerce, expected=float)
 
 
 _REQ = object()
@@ -85,7 +99,7 @@ _REQ = object()
 _SCHEMAS = {
     "loss": {
         "family": (_REQ, str, None),
-        "d": (_REQ, int, None),
+        "d": (_REQ, int, partial(check_size, "d")),
         "data_radius": (1.0, float, None),
         "R": (None, float, None),
         "lam": (None, float, None),
@@ -96,16 +110,17 @@ _SCHEMAS = {
     "sgld": {
         "eta": (_REQ, float, None),
         "beta": (_REQ, float, None),
-        "k": (_REQ, int, None),
-        "T": (_REQ, int, None),
+        "k": (_REQ, int, partial(check_size, "k")),
+        "T": (_REQ, int, partial(check_size, "T")),
         "s_sq": (1.0, float, None),
         "seed": (0, int, None),
     },
     "data": {
-        "n": (_REQ, int, None),
+        "n": (_REQ, int, partial(check_size, "n")),
     },
     "bounds": {
-        "which": (list(BOUND_NAMES), list, _entries(_one_of(BOUND_NAMES, "bound name"))),
+        "which": (list(BOUND_NAMES), list,
+                  _entries(_one_of(BOUND_NAMES, "bound name"), _grid)),
         # xu_raginsky's rule; n = 1 and a zero MI fit every config
         "sigma_g_sq": (None, float, partial(bound_xu_raginsky, n=1, mi_upper=0.0)),
         "farghly_C1": (1.0, float, None),
@@ -114,8 +129,8 @@ _SCHEMAS = {
         "lsi_mode": (None, str, _one_of(LSI_MODES, "mode")),
         "universal_C_lsi": (1.0, float, None),
         "universal_C_moment": (1.0, float, None),
-        "T_grid": (None, list, _entries(partial(_coerce, expected=int))),
-        "n_grid": (None, list, _entries(partial(_coerce, expected=int))),
+        "T_grid": (None, list, _entries(_INT, _grid)),
+        "n_grid": (None, list, _entries(_INT, _grid)),
         "parametrix": (None, dict, None),
     },
     "estimators": {
@@ -124,8 +139,8 @@ _SCHEMAS = {
         "n_resamples": (300, int, partial(check_count, "n_resamples")),
         "n_pairs": (50, int, partial(check_count, "n_pairs")),
         "mi_pairs": (200, int, partial(check_count, "n_dataset_pairs")),
-        "p_list": ([2, 4], list, pth_moment_min_chains),
-        "lambda_grid": ([-0.5, -0.1, 0.1, 0.5], list, None),
+        "p_list": ([2, 4], list, _entries(_INT, pth_moment_min_chains)),
+        "lambda_grid": ([-0.5, -0.1, 0.1, 0.5], list, _entries(_FLOAT)),
         "eval_loss": ("surrogate", str, _one_of(EVAL_LOSSES, "loss")),
     },
     "fp": {

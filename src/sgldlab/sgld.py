@@ -44,6 +44,7 @@ __all__ = [
     "SGLDConfig",
     "ChainTrace",
     "check_count",
+    "check_size",
     "sample_initial",
     "run_chain",
     "run_ensemble",
@@ -95,14 +96,28 @@ class SGLDConfig:
             raise ValueError(f"T must be nonnegative, got {self.T}")
         if self.d < 1:
             raise ValueError(f"d must be positive, got {self.d}")
+        for name in ("T", "n", "k", "d"):
+            check_size(name, getattr(self, name))
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
 
+
+# the longest axis numpy can make
+_MAX_AXIS = int(np.iinfo(np.intp).max)
 
 # least value of each sample-count parameter of the engine and its
 # estimators; a standard error needs two samples
 _LEAST_COUNT = {"n_chains": 1, "n_datasets": 1, "n_pairs": 1,
                 "n_dataset_pairs": 1, "n_trials": 2, "n_resamples": 2}
+
+
+def check_size(name: str, value: int) -> None:
+    """Raise ValueError if the size `name` (T, n, k or d) gives an array axis
+    numpy cannot make: the engine's arrays have T + 1, n, k and d long axes."""
+    length = value + 1 if name == "T" else value
+    if length > _MAX_AXIS:
+        raise ValueError(f"{name} = {value} is too large: it sizes an axis of "
+                         f"{length}, and numpy's longest is {_MAX_AXIS}")
 
 
 def check_count(name: str, value: int) -> None:
@@ -130,7 +145,10 @@ class ChainTrace:
 
     `states` holds every state when T <= 10^4, otherwise every
     ceil(T/10^4)-th state plus the final one; `stored_steps` gives the step
-    index of each stored row. The scalar series are always complete:
+    index of each stored row. A chain past an engine call's `trajectories`
+    count (see `_run_chains_lockstep`) holds its final state alone, with
+    `stored_steps` [T]; `run` keeps trajectories for chain 0 and the
+    stability pairs only. The scalar series are always complete:
     `w_norm_sq` has T+1 entries (one per state); the gradient series have
     one entry per update, `grad_var_sample[t]` being the squared deviation
     ||grad_batch(W_t) - grad_full(W_t)||^2 of the minibatch gradient
@@ -197,8 +215,12 @@ def _block_len(words_per_unit: int) -> int:
 
 
 def _index_dtype(n: int):
-    """int32 when every index below n fits (n <= 2**31), else int64."""
-    return np.int32 if n <= 2**31 else np.int64
+    """The narrowest unsigned integer type that holds every index below n:
+    uint8 up to n = 256, uint16 up to 65,536, and so on."""
+    for dtype in (np.uint8, np.uint16, np.uint32):
+        if n - 1 <= np.iinfo(dtype).max:
+            return dtype
+    return np.uint64
 
 
 def _draw_offsets(rng: np.random.Generator, high: np.ndarray, rows: int) -> np.ndarray:
@@ -249,9 +271,10 @@ def _fy_subset_rows(offsets: np.ndarray, n: int) -> np.ndarray:
     Row r's swap j exchanges its positions j and j + offsets[r, j]. The
     (n, rows) scratch is position-major, so swap j of every row reads and
     writes one contiguous scratch row plus one gathered element per row.
-    It holds int32 indices when they fit (`_index_dtype`), which halves the
-    memory each swap moves; the indices are the same either way. Returns a
-    C-ordered (rows, k) copy, the layout the gradient kernels' bits assume.
+    It holds the narrowest indices that fit (`_index_dtype`), one byte each
+    up to n = 256, which cuts the memory each swap moves; the indices are
+    the same either way. Returns a C-ordered (rows, k) copy, the layout the
+    gradient kernels' bits assume.
     """
     rows, k = offsets.shape
     scratch = np.repeat(np.arange(n, dtype=_index_dtype(n)), rows).reshape(n, rows)
@@ -283,6 +306,7 @@ def _run_chains_lockstep(
     datasets: np.ndarray,
     chain_seqs: list[np.random.SeedSequence],
     series: int | None = None,
+    trajectories: int | None = None,
 ) -> list[ChainTrace]:
     """Advance several chains together, vectorized across chains.
 
@@ -301,15 +325,23 @@ def _run_chains_lockstep(
 
     `series` is the number of leading chains that get the per-step gradient
     series (`grad_var_sample`, `grad_fullbatch_norm`, `grad_minibatch_norm`),
-    all of them when None. Only those rows pay for a full-batch gradient
-    per step when k < n; the other chains' series are read-only all-NaN
-    views that take no memory, and 0 suits callers that read only the
-    states. A chain's series do not depend on how many rows get them.
-    `states`, `stored_steps` and `w_norm_sq` are filled for every chain.
+    all of them when None. When k < n their full-batch gradients are taken
+    once per chunk and series chain, at the chunk's pre-update states in one
+    call; the other chains' series are read-only all-NaN views that take no
+    memory, and 0 suits callers that read only the states. A chain's series
+    do not depend on how many rows get them.
+
+    `trajectories` is the number of leading chains whose `states` hold
+    every stored step, all of them when None; every other chain's `states`
+    holds its final state alone, one row at `stored_steps` [T], which is
+    all `final_state` reads. `w_norm_sq` is filled for every chain, and no
+    chain's values depend on how many rows keep their trajectories.
     """
     c = len(chain_seqs)
     if series is None:
         series = c
+    if trajectories is None:
+        trajectories = c
     T, d, n, k = config.T, config.d, config.n, config.k
     eta, beta = config.eta, config.beta
     noise_scale = math.sqrt(2.0 * eta / beta)
@@ -329,17 +361,16 @@ def _run_chains_lockstep(
         stored_steps.append(T)
     stored_steps = np.asarray(stored_steps)
 
-    states = np.empty((c, len(stored_steps), d))
+    states = np.empty((trajectories, len(stored_steps), d))
     w_norm_sq = np.empty((c, T + 1))
     grad_var, grad_full_norm, grad_mini_norm = np.empty((3, series, T))
     no_series = np.broadcast_to(np.nan, (T,))  # read-only, takes no memory
 
     w_norm_sq[:, 0] = _row_sq(W)
-    states[:, 0] = W
+    states[:, 0] = W[:trajectories]
     noise_count = 0
 
     full = model.full_batch_grad(datasets)
-    full_series = full if series == c else model.full_batch_grad(datasets[:series])
     # one contiguous table of data points to gather minibatches from: the
     # shared dataset, or the stacked datasets with chain i's at row i * n
     if c == 1 or datasets.strides[0] == 0:
@@ -354,13 +385,22 @@ def _run_chains_lockstep(
     # Ws[s] holds step s's scaled noise until the update adds it in place
     # (a + b is b + a in floating point), so the states take no extra buffer
     chunk = min(STEP_CHUNK, T)
-    if k < n:
-        offs = np.empty((chunk, c, k), dtype=_index_dtype(n))
     Ws = np.empty((chunk, c, d))
     G_mini = np.empty((chunk, series, d))
     G_full = G_mini if k == n else np.empty((chunk, series, d))
+    if k < n:
+        offs = np.empty((chunk, c, k), dtype=_index_dtype(n))
+        # series chain i's full-batch gradients at a chunk of its pre-update
+        # states, in one call on a broadcast view of its dataset; rows past a
+        # shorter last chunk hold earlier states and go unread
+        pre = np.zeros((series, chunk, d))
+        per_chunk = (chunk,) + datasets.shape[1:]
+        full_series = [model.full_batch_grad(np.broadcast_to(S, per_chunk))
+                       for S in datasets[:series]]
     for start in range(0, T, STEP_CHUNK):
         cl = min(STEP_CHUNK, T - start)
+        if k < n:
+            pre[:, 0] = W[:series]
         W = W.copy()  # off the buffer the draws below overwrite
         for i in range(c):
             if k < n:
@@ -381,27 +421,32 @@ def _run_chains_lockstep(
                 G = full(W)
             if series:
                 G_mini[s] = G[:series]
-                if k < n:
-                    G_full[s] = full_series(W[:series])
             W = np.add(W - eta * G, Ws[s], out=Ws[s])
 
         w_norm_sq[:, start + 1:start + cl + 1] = _row_sq(Ws[:cl]).T
         if series:
+            if k < n:
+                pre[:, 1:cl] = Ws[:cl - 1, :series].swapaxes(0, 1)
+                for i, grad in enumerate(full_series):
+                    G_full[:cl, i] = grad(pre[i])[:cl]
             steps = slice(start, start + cl)
             grad_var[:, steps] = _row_sq(G_mini[:cl] - G_full[:cl]).T
             grad_full_norm[:, steps] = np.sqrt(_row_sq(G_full[:cl])).T
             grad_mini_norm[:, steps] = np.sqrt(_row_sq(G_mini[:cl])).T
         # the chunk's stored multiples of the stride, from states[:, lo] on
         lo = -(-(start + 1) // stride)
-        kept = Ws[lo * stride - start - 1:cl:stride]
+        kept = Ws[lo * stride - start - 1:cl:stride, :trajectories]
         states[:, lo:lo + kept.shape[0]] = kept.swapaxes(0, 1)
-    states[:, -1] = W  # the final state, stored whether or not on the stride
+    # the final states, off the chunk buffer; each trajectory stores its
+    # own whether or not on the stride
+    final = W.copy()
+    states[:, -1] = final[:trajectories]
 
     return [
         ChainTrace(
             config=config,
-            states=states[i],
-            stored_steps=stored_steps.copy(),
+            states=states[i] if i < trajectories else final[i:i + 1],
+            stored_steps=(stored_steps if i < trajectories else stored_steps[-1:]).copy(),
             w_norm_sq=w_norm_sq[i],
             grad_var_sample=grad_var[i] if i < series else no_series,
             grad_fullbatch_norm=grad_full_norm[i] if i < series else no_series,
@@ -444,6 +489,7 @@ def run_ensemble(
     n_chains: int = 1,
     n_datasets: int = 1,
     series: int | None = None,
+    trajectories: int | None = None,
 ) -> list[ChainTrace]:
     """Independent chains over freshly sampled datasets.
 
@@ -459,6 +505,9 @@ def run_ensemble(
         series: how many leading traces carry the per-step gradient series,
             all when None; the rest hold all-NaN series (see
             `_run_chains_lockstep`). States are the same either way.
+        trajectories: how many leading traces keep every stored state, all
+            when None; the rest hold their final state alone (see
+            `_run_chains_lockstep`).
     """
     check_count("n_chains", n_chains)
     check_count("n_datasets", n_datasets)
@@ -484,7 +533,8 @@ def run_ensemble(
                                    (n_chains, config.n, model.z_dim))
     else:
         datasets = np.repeat(np.stack(per_dataset), n_chains, axis=0)
-    traces = _run_chains_lockstep(config, model, datasets, chain_seqs, series=series)
+    traces = _run_chains_lockstep(config, model, datasets, chain_seqs, series=series,
+                                  trajectories=trajectories)
     for tr in traces:
         tr.validate()
     return traces

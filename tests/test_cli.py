@@ -5,6 +5,7 @@ import dataclasses
 import importlib.util
 import json
 import os
+import platform
 import shutil
 import signal
 import subprocess
@@ -165,8 +166,13 @@ REFUSED_BY_RULE = {
     ("estimators", "n_resamples"): (1,),
     ("estimators", "n_pairs"): (0,),
     ("estimators", "mi_pairs"): (0,),
-    ("estimators", "p_list"): ([3], []),
+    ("estimators", "p_list"): ([3], [], [2, None], [2.0]),
+    ("estimators", "lambda_grid"): ([0.1, [1]], [None]),
     ("estimators", "eval_loss"): ("nope",),
+    ("loss", "d"): (10**30,),
+    ("sgld", "k"): (2**63,),
+    ("sgld", "T"): (2**63 - 1,),
+    ("data", "n"): (10**30,),
 }
 
 
@@ -301,10 +307,17 @@ def full_batch_run(tmp_path_factory):
     ("run", "loss", "claimed", {"sigma_g_sq": 0.5}),  # read by nothing
     ("run", "bounds", "parametrix", {"C1_prime": -1.0}),
     ("run", "bounds", "parametrix", {"nope": 1.0}),
+    ("run", "sgld", "eta", 10**400),  # an integer beyond the float range
+    ("run", "estimators", "p_list", [2, None]),
+    ("run", "estimators", "lambda_grid", [-0.5, [1]]),
+    ("run", "sgld", "T", 10**30),  # no array has T + 1 entries
+    ("run", "loss", "d", 10**30),
 ])
 def test_bad_value_exits_one_before_any_output(full_batch_run, tmp_path, capsys,
                                                sub, block, key, value):
-    cfg = write_config(tmp_path / "c.json", sgld={"k": 20}, **{block: {key: value}})
+    over = {"sgld": {"k": 20}}
+    over.setdefault(block, {})[key] = value
+    cfg = write_config(tmp_path / "c.json", **over)
     out = tmp_path / "out"
     argv = [sub, "--config", cfg, "--out", str(out)]
     if sub == "bounds":
@@ -485,6 +498,23 @@ def test_run_refuses_uncertified_claims(tmp_path):
     assert manifest["preconditions"]["certified"] is False
 
 
+def test_manifests_say_where_they_ran_and_run_its_peak_memory(run_and_bounds,
+                                                               tmp_path):
+    base = run_and_bounds
+    assert main(["compare", str(base / "bounds"), "--out", str(tmp_path / "cmp")]) == 0
+    cfg = write_config(tmp_path / "c.json", loss={"certify_samples": 2000})
+    assert main(["certify", "--config", cfg, "--out", str(tmp_path / "cert")]) == 0
+    for out in (base / "run", base / "bounds", tmp_path / "cmp", tmp_path / "cert"):
+        env = read_json(out / "manifest.json")["environment"]
+        assert set(env) == {"python", "numpy", "platform", "cpu_count"}
+        assert env["python"] == platform.python_version()
+        assert env["numpy"] == np.__version__
+        assert env["platform"] and env["cpu_count"] == os.cpu_count()
+    peak = read_json(base / "run" / "manifest.json")["peak_rss_mb"]
+    assert set(peak) == {"run", "worker"}
+    assert all(isinstance(mb, float) and mb > 0 for mb in peak.values())
+
+
 def test_run_manifest_lists_every_output_file(tmp_path):
     cfg = write_config(tmp_path / "c.json")
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
@@ -648,6 +678,32 @@ def test_run_logistic_artifacts_independent_of_blas_threads(tmp_path):
     assert "stability.csv" in names and "variance.csv" in names
     for name in names:
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS bounds memory on Linux")
+def test_run_of_a_wide_ensemble_holds_only_the_trajectories_it_reads(tmp_path):
+    # 192 chains of 2,001 states in d = 50: their trajectories would take
+    # 147 MiB, and `run` reads chain 0's alone. An idle `python -m
+    # sgldlab.cli` with one BLAS thread has a VmSize of 106 MiB (x86-64
+    # Linux, Python 3.11, numpy 2.4), so a 224 MiB address space holds the
+    # run, its (512, 192, 50) noise chunk (37.5 MiB) included, but not those
+    # unread trajectories on top of it
+    import resource
+
+    cfg = write_config(tmp_path / "c.json", loss={"d": 50},
+                       sgld={"k": 8, "T": 2000}, data={"n": 8},
+                       estimators={"n_chains": 192, "n_pairs": 2, "n_trials": 2})
+    limit = 224 << 20
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.path.join(REPO, "src") + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    proc = subprocess.run(
+        [sys.executable, "-m", "sgldlab.cli", "run", "--config", cfg,
+         "--out", str(tmp_path / "out")], env=env, capture_output=True, text=True,
+        timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert proc.returncode == 0, proc.stderr
+    assert read_json(tmp_path / "out" / "manifest.json")["status"] == "complete"
 
 
 def test_run_worker_death_exits_one(tmp_path, monkeypatch, capsys):

@@ -101,8 +101,9 @@ def test_sample_minibatch_distinct_members():
 
 
 @pytest.mark.parametrize("n, k", [(1, 1), (10, 4), (200, 20), (3000, 1), (50, 50)])
-def test_fisher_yates_int32_scratch_equals_int64_loop(n, k):
-    # the engine's swaps on an int32 scratch against a plain int64 loop
+def test_fisher_yates_narrow_scratch_equals_int64_loop(n, k):
+    # the engine's swaps on its narrowest index scratch against a plain
+    # int64 loop
     rng = np.random.default_rng(n + k)
     offsets = rng.integers(0, n - np.arange(k), size=(30, k))
     want = np.empty((30, k), dtype=np.int64)
@@ -113,8 +114,10 @@ def test_fisher_yates_int32_scratch_equals_int64_loop(n, k):
             perm[j], perm[t] = perm[t], perm[j]
         want[r] = perm[:k]
     got = sgld._fy_subset_rows(offsets, n)
-    assert got.dtype == np.int32
+    assert got.dtype == sgld._index_dtype(n)
     assert np.array_equal(got, want)
+    assert sgld._index_dtype(200) == np.uint8
+    assert sgld._index_dtype(3000) == np.uint16
 
 
 @pytest.mark.parametrize("n, k, rows", [
@@ -418,6 +421,54 @@ def test_ensemble_series_count_row_zero_equals_full_series(model, n_datasets, k)
             for name in SERIES:
                 want = getattr(a, name) if i < series else np.full(cfg.T, np.nan)
                 assert np.array_equal(getattr(b, name), want, equal_nan=True)
+
+
+@pytest.mark.parametrize("strided", [False, True])
+@pytest.mark.parametrize("k", [5, 30])
+@pytest.mark.parametrize(
+    "model",
+    [QuadraticLoss(1.0, 1.0, 3), LogisticRidgeLoss(1.0, 1.0, 3),
+     NonconvexRidgeLoss(1.0, 0.5, 1.0, 3)],
+    ids=["quadratic", "logistic", "nonconvex"],
+)
+def test_lockstep_keeps_trajectories_of_the_leading_rows_only(monkeypatch, model, k,
+                                                              strided):
+    # chunks of 512 and 37 steps over three chains, each on its own dataset;
+    # k < n and k = n
+    if strided:
+        monkeypatch.setattr(sgld, "STATE_STORE_CAP", 100)  # stride 6
+    cfg = quad_config(T=sgld.STEP_CHUNK + 37, k=k, n=30, d=3)
+    rng = np.random.default_rng(9)
+    datasets = np.stack([model.sample_data(rng, cfg.n) for _ in range(3)])
+
+    def run(**kwargs):
+        seqs = np.random.SeedSequence(cfg.seed).spawn(3)  # spawning is stateful
+        return sgld._run_chains_lockstep(cfg, model, datasets, seqs, **kwargs)
+
+    full = run()
+    if not strided:
+        # each step's full-batch gradient, one state at a time
+        for i, tr in enumerate(full):
+            G = np.concatenate([model.full_batch_grad(datasets[i:i + 1])(w[None])
+                                for w in tr.states[:-1]])
+            assert np.array_equal(tr.grad_fullbatch_norm,
+                                  np.sqrt(np.einsum("ij,ij->i", G, G)))
+    for trajectories in (0, 1, 3):
+        for series in (0, 1):
+            part = run(series=series, trajectories=trajectories)
+            for i, (a, b) in enumerate(zip(full, part)):
+                b.validate()
+                assert np.array_equal(b.final_state, a.final_state)
+                assert np.array_equal(b.w_norm_sq, a.w_norm_sq)
+                if i < trajectories:
+                    assert np.array_equal(b.states, a.states)
+                    assert np.array_equal(b.stored_steps, a.stored_steps)
+                else:
+                    assert b.states.shape == (1, cfg.d)
+                    assert b.stored_steps.tolist() == [cfg.T]
+                for name in SERIES:
+                    want = getattr(a, name) if i < series else np.full(cfg.T, np.nan)
+                    assert np.array_equal(getattr(b, name), want, equal_nan=True)
 
 
 def test_run_chain_full_batch_variance_sample_is_zero():
