@@ -216,9 +216,10 @@ def _write_json(path, payload) -> None:
         _dump_json(tmp, payload)
 
 
-def _start_config_manifest(out: _OutputDir, cfg: ExperimentConfig, seed: int,
+def _start_config_manifest(out: _OutputDir, cfg: ExperimentConfig,
                            preconditions) -> None:
-    out.start_manifest(config=cfg.blocks, config_hash=cfg.config_hash(), seed=seed,
+    out.start_manifest(config=cfg.blocks, config_hash=cfg.config_hash(),
+                       seed=cfg["sgld"]["seed"],
                        artifact_version=__version__, preconditions=preconditions)
 
 
@@ -240,13 +241,15 @@ def _peak_rss_mb() -> dict:
     return {"run": peak(resource.RUSAGE_SELF), "worker": peak(resource.RUSAGE_CHILDREN)}
 
 
-def _seed_of(args, cfg: ExperimentConfig) -> int:
-    """The run's seed, `--seed` over the config's, refused by `SGLDConfig`'s
-    rule before any subcommand opens its output directory."""
-    if args.seed is None:
-        return cfg["sgld"]["seed"]
-    _check("--seed", dataclasses.replace, cfg.sgld_config(), seed=args.seed)
-    return args.seed
+def _apply_seed(args, cfg: ExperimentConfig) -> int:
+    """Write `--seed` into the config's sgld.seed, so the manifest's config
+    and hash describe what ran, and return the config's seed. `--seed` is
+    refused by `SGLDConfig`'s rule before any subcommand opens its output
+    directory."""
+    if args.seed is not None:
+        _check("--seed", dataclasses.replace, cfg.sgld_config(), seed=args.seed)
+        cfg["sgld"]["seed"] = args.seed
+    return cfg["sgld"]["seed"]
 
 
 # ---------------------------------------------------------------- subcommands
@@ -255,11 +258,11 @@ def _seed_of(args, cfg: ExperimentConfig) -> int:
 def cmd_certify(args) -> int:
     cfg = load_config(args.config)
     model = cfg.model()
-    seed = _seed_of(args, cfg)
+    seed = _apply_seed(args, cfg)
     report = certify(model, n_samples=cfg["loss"]["certify_samples"],
                      rng_seed=seed)
     with _OutputDir(args.out) as out:
-        _start_config_manifest(out, cfg, seed, {})
+        _start_config_manifest(out, cfg, {})
         out.write_json("certify_report.json", report.to_dict())
         out.finish_manifest()
     for check in report.checks:
@@ -274,8 +277,8 @@ def cmd_certify(args) -> int:
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
     model = cfg.model()
-    seed = _seed_of(args, cfg)
-    sgld_cfg = cfg.sgld_config(seed=seed)
+    seed = _apply_seed(args, cfg)
+    sgld_cfg = cfg.sgld_config()
     est = cfg["estimators"]
 
     quick = certify(model, n_samples=2000, rng_seed=seed)
@@ -303,7 +306,7 @@ def cmd_run(args) -> int:
         return 2
 
     with _OutputDir(args.out) as out:
-        _start_config_manifest(out, cfg, seed, preconditions)
+        _start_config_manifest(out, cfg, preconditions)
 
         root = np.random.SeedSequence([seed, 0xDA7A])
         dataset = np.asarray(
@@ -315,7 +318,7 @@ def cmd_run(args) -> int:
         # compute, so a forked worker runs them while this process runs the
         # rest
         with _worker_process(model, sgld_cfg, est) as (worker, result):
-            stored_steps = _run_own_stages(out, cfg, model, dataset, sgld_cfg, seed)
+            stored_steps = _run_own_stages(out, cfg, model, dataset, sgld_cfg)
             try:
                 # None when a chain's states leave the float range
                 estimates = None if stored_steps is None else result()
@@ -348,17 +351,16 @@ def cmd_run(args) -> int:
 
 
 def _run_own_stages(out: _OutputDir, cfg: ExperimentConfig, model, dataset,
-                    sgld_cfg: SGLDConfig, seed: int) -> np.ndarray | None:
+                    sgld_cfg: SGLDConfig) -> np.ndarray | None:
     """The stages `run` keeps in its own process: the ensemble, chain 0's
     trace and variance, the moments, the log-MGF and p-th moment checks.
     Only chain 0 keeps its trajectory (the variance reads it); the others'
     final states and ||W||^2 are all the rest read. Returns chain 0's stored
     steps, or None, after the moments, when an ensemble chain's ||W||^2 left
     the float range."""
-    est, lc = cfg["estimators"], model.constants()
-    traces = run_ensemble(sgld_cfg, model,
-                          dataset_sampler=lambda rng, m: dataset,
-                          n_chains=est["n_chains"], series=1, trajectories=1)
+    est, lc, seed = cfg["estimators"], model.constants(), sgld_cfg.seed
+    traces = run_ensemble(sgld_cfg, model, dataset, n_chains=est["n_chains"],
+                          series=1, trajectories=1)
     with out.file("chain_000.csv") as path:
         traces[0].to_csv(path)
     out.save_npy("final_states.npy",
@@ -627,8 +629,9 @@ _TRACE_LOSS_KEYS = ("family", "d", "data_radius", "R", "lam", "a")
 def _chain_settings(cfg: ExperimentConfig) -> dict:
     """What a run's traces depend on: its SGLDConfig, seed aside, and its
     loss parameters."""
-    return {**dataclasses.asdict(cfg.sgld_config(seed=0)),
-            **{f"loss.{key}": cfg["loss"][key] for key in _TRACE_LOSS_KEYS}}
+    chain = dataclasses.asdict(cfg.sgld_config())
+    del chain["seed"]
+    return {**chain, **{f"loss.{key}": cfg["loss"][key] for key in _TRACE_LOSS_KEYS}}
 
 
 def _check_run_manifest(traces: str, cfg: ExperimentConfig) -> None:
@@ -657,8 +660,8 @@ def cmd_bounds(args) -> int:
         raise ConfigError("bounds requires --traces DIR from a previous run")
     model = cfg.model()
     lc = model.constants()
-    seed = _seed_of(args, cfg)
-    sgld_cfg = cfg.sgld_config(seed=seed)
+    seed = _apply_seed(args, cfg)
+    sgld_cfg = cfg.sgld_config()
     b = cfg["bounds"]
     dc = cfg.derived()
     _check_run_manifest(args.traces, cfg)
@@ -692,7 +695,7 @@ def cmd_bounds(args) -> int:
     if ("xu_raginsky" in b["which"] and sigma_g_sq is not None
             and isinstance(model, QuadraticLoss) and sgld_cfg.k == sgld_cfg.n
             and T_grid):
-        pair_gaps = {n: oracle_pair_gaps(model.sample_data, seed, n,
+        pair_gaps = {n: oracle_pair_gaps(model, seed, n,
                                          cfg["estimators"]["mi_pairs"])
                      for n in n_grid}
         a, v = _response_and_var(eta, beta, model.R, sgld_cfg.s_sq, max(T_grid))
@@ -724,7 +727,7 @@ def cmd_bounds(args) -> int:
     report = BoundReport(entries=tuple(entries))
 
     with _OutputDir(args.out) as out:
-        _start_config_manifest(out, cfg, seed, {"traces": args.traces})
+        _start_config_manifest(out, cfg, {"traces": args.traces})
         with out.file("bounds.csv") as path:
             report.to_csv(path)
         out.write_json("bounds.json", [e.to_dict() for e in entries])
@@ -742,16 +745,16 @@ def cmd_verify(args) -> int:
     cfg = load_config(args.config)
     model = cfg.model()
     lc = model.constants()
-    seed = _seed_of(args, cfg)
+    seed = _apply_seed(args, cfg)
     falsify = cfg["verify"]["falsify"]
     hard_failures = []
     sections = {}
 
     with _OutputDir(args.out) as out:
-        _start_config_manifest(out, cfg, seed, {"falsify": falsify})
+        _start_config_manifest(out, cfg, {"falsify": falsify})
 
         if lc.R is not None:
-            sgld_cfg = cfg.sgld_config(seed=seed)
+            sgld_cfg = cfg.sgld_config()
             o_cfg = dataclasses.replace(sgld_cfg, k=sgld_cfg.n,
                                         T=cfg["verify"]["oracle_T"])
             pair_rng = np.random.SeedSequence([seed, 0x09AC])
@@ -776,8 +779,8 @@ def cmd_verify(args) -> int:
                 hard_failures.append(f"oracle law not finite from step {step}")
             else:
                 rec = verify_kl_recursion(trace.kl, contraction, add)
-                mi_zero = oracle_mi_upper(model.sample_data, o_cfg, R=lc.R,
-                                          n_dataset_pairs=8, control_identical=True)
+                mi_zero = oracle_mi_upper(model, o_cfg, n_dataset_pairs=8,
+                                          control_identical=True)
                 sections["oracle"] = {
                     "recursion_violations": rec.n_violations,
                     "recursion_worst_slack": rec.worst_slack,
@@ -894,7 +897,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", required=True, help="JSON experiment config")
         p.add_argument("--seed", type=int, default=None,
-                       help="override the config seed (u64)")
+                       help="override the config's sgld.seed (u64)")
         p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("certify", help="check the claimed loss constants")

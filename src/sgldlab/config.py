@@ -204,14 +204,14 @@ class ExperimentConfig:
                 raise ConfigError(f"loss.claimed: {exc}") from exc
         return model
 
-    def sgld_config(self, seed: int | None = None) -> SGLDConfig:
+    def sgld_config(self) -> SGLDConfig:
         s = self.blocks["sgld"]
         try:
             return SGLDConfig(
                 eta=s["eta"], beta=s["beta"], k=s["k"],
                 n=self.blocks["data"]["n"], T=s["T"],
                 d=self.blocks["loss"]["d"], s_sq=s["s_sq"],
-                seed=s["seed"] if seed is None else seed,
+                seed=s["seed"],
             )
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"sgld: {exc}") from exc
@@ -255,7 +255,7 @@ def load_config(path) -> ExperimentConfig:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON, undecodable text, too long an int
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return parse(raw)
 

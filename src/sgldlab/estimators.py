@@ -116,7 +116,8 @@ def empirical_gen_gap(
     check_count("n_trials", n_trials)
     datasets = np.empty((n_trials, config.n, model.z_dim))
     chain_seqs, pool_seqs = gap_trials(model, config, datasets)
-    traces = _run_chains_lockstep(config, model, datasets, chain_seqs, series=0)
+    traces = _run_chains_lockstep(config, model, datasets, chain_seqs, series=0,
+                                  trajectories=0)
     return gen_gap(model, datasets, [tr.final_state for tr in traces], pool_seqs,
                    eval_loss)
 

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimators import EstimateWithError, _estimate
+from .losses import LossModel
 from .sgld import SGLDConfig, check_count, write_csv
 
 __all__ = [
@@ -97,13 +98,14 @@ def oracle_trace(
 
 
 def oracle_pair_gaps(
-    sample_data,
+    model: LossModel,
     seed: int,
     n: int,
     n_dataset_pairs: int,
     control_identical: bool = False,
 ) -> np.ndarray:
-    """Per-pair ||zbar_S - zbar_S'||^2 over the dataset pairs of `oracle_mi_upper`.
+    """Per-pair ||zbar_S - zbar_S'||^2 over the dataset pairs of `oracle_mi_upper`,
+    each dataset drawn by `model.sample_data`.
 
     The data-only part of the bound: it depends on (seed, n, pairs,
     control), not on the step size, temperature or horizon, so a grid of
@@ -113,11 +115,9 @@ def oracle_pair_gaps(
     gaps = np.empty(n_dataset_pairs)
     for i, seq in enumerate(np.random.SeedSequence(seed).spawn(n_dataset_pairs)):
         s_seq, s_alt_seq = seq.spawn(2)
-        S = np.asarray(sample_data(np.random.default_rng(s_seq), n), dtype=float)
-        if control_identical:
-            S_alt = S
-        else:
-            S_alt = np.asarray(sample_data(np.random.default_rng(s_alt_seq), n), dtype=float)
+        S = model.sample_data(np.random.default_rng(s_seq), n)
+        S_alt = S if control_identical else model.sample_data(
+            np.random.default_rng(s_alt_seq), n)
         diff = S.mean(axis=0) - S_alt.mean(axis=0)
         gaps[i] = float(diff @ diff)
     return gaps
@@ -133,21 +133,26 @@ def oracle_mi_from_gaps(gaps: np.ndarray, a_T: float, v_T: float) -> EstimateWit
 
 
 def oracle_mi_upper(
-    sample_data,
+    model: LossModel,
     config: SGLDConfig,
-    R: float,
     n_dataset_pairs: int,
     control_identical: bool = False,
 ) -> EstimateWithError:
     """Mutual-information upper bound from closed-form KL over dataset pairs.
 
     Averages KL(law of W_T given S, law of W_T given S') over independent
-    dataset pairs; each pair's KL is exact, so the only error is the pair
-    Monte Carlo. `control_identical` replaces S' by S, which must give 0.
+    dataset pairs drawn by `model.sample_data`, the law being the
+    full-batch chain's at the model's R; each pair's KL is exact, so the
+    only error is the pair Monte Carlo. `control_identical` replaces S' by
+    S, which must give 0. A model without R, or k < n, is a ValueError.
     """
     if config.k != config.n:
         raise ValueError("the exact law covers full-batch chains only (k = n)")
-    gaps = oracle_pair_gaps(sample_data, config.seed, config.n, n_dataset_pairs,
+    R = model.constants().R
+    if R is None:
+        raise ValueError("the exact law needs the model's curvature R, and "
+                         f"{type(model).__name__} has none")
+    gaps = oracle_pair_gaps(model, config.seed, config.n, n_dataset_pairs,
                             control_identical)
     a, v = _response_and_var(config.eta, config.beta, R, config.s_sq, config.T)
     return oracle_mi_from_gaps(gaps, a[-1], v[-1])

@@ -23,7 +23,8 @@ from its own offsets alone, so the swap blocking never moves a draw or an
 index and the layout above does not depend on it.
 
 Ensembles spawn one child sequence per dataset; each dataset child spawns
-one sequence for sampling the dataset itself plus one per chain. Chains
+one sequence for sampling the dataset itself (unused, but still spawned,
+when the caller gives the dataset) plus one per chain. Chains
 sharing a dataset are advanced together in lockstep, vectorized across
 chains; a single chain is the one-chain special case of the same code
 path, so serial and ensemble runs agree bitwise.
@@ -154,6 +155,9 @@ class ChainTrace:
     ||grad_batch(W_t) - grad_full(W_t)||^2 of the minibatch gradient
     actually used at step t. A trace run without gradient series (the
     `series` count of `run_ensemble`) holds all-NaN gradient series.
+    `noise_variates` counts the Gaussian variates of its noise stream,
+    T * d. Traces are made by `_run_chains_lockstep` alone, whose arrays
+    have these shapes by construction.
     """
 
     config: SGLDConfig
@@ -168,18 +172,6 @@ class ChainTrace:
     @property
     def final_state(self) -> np.ndarray:
         return self.states[-1]
-
-    def validate(self) -> None:
-        T = self.config.T
-        if self.w_norm_sq.shape != (T + 1,):
-            raise ValueError("w_norm_sq must have one entry per state")
-        for name in ("grad_var_sample", "grad_fullbatch_norm", "grad_minibatch_norm"):
-            if getattr(self, name).shape != (T,):
-                raise ValueError(f"{name} must have one entry per update")
-        if self.stored_steps.shape[0] != self.states.shape[0]:
-            raise ValueError("stored_steps and states disagree")
-        if np.any(self.w_norm_sq < 0):
-            raise ValueError("norms must be nonnegative")
 
     def to_csv(self, path) -> None:
         """Columnar per-step record; update columns are empty on the final row."""
@@ -313,10 +305,10 @@ def _run_chains_lockstep(
     `datasets` is (c, n, z_dim), row i being chain i's dataset (a broadcast
     view when chains share one, which is gathered from and never copied
     c times). Per-chain RNG draws are issued chain by chain, so each
-    chain's stream is independent of how chains are grouped. Minibatch
-    indices are built for a block of steps of the current chunk at a time,
-    as the step loop reaches them; `_block_len` sizes the block from its
-    (steps * c, n) Fisher-Yates scratch.
+    chain's stream is independent of how chains are grouped. A chunk's
+    minibatch indices are built before its step loop, a block of steps at a
+    time over the offsets they are drawn from; `_block_len` sizes the block
+    from its (steps * c, n) Fisher-Yates scratch.
 
     The step loop computes only the gradients and the update: each step's
     states go into a (chunk, c, d) buffer, and `w_norm_sq`, the gradient
@@ -325,11 +317,12 @@ def _run_chains_lockstep(
 
     `series` is the number of leading chains that get the per-step gradient
     series (`grad_var_sample`, `grad_fullbatch_norm`, `grad_minibatch_norm`),
-    all of them when None. When k < n their full-batch gradients are taken
-    once per chunk and series chain, at the chunk's pre-update states in one
-    call; the other chains' series are read-only all-NaN views that take no
-    memory, and 0 suits callers that read only the states. A chain's series
-    do not depend on how many rows get them.
+    all of them when None. When k < n a series chain's full-batch gradients
+    are taken once per chunk, at the chunk's pre-update states in one
+    `grad_minibatch` call over its whole dataset; the other chains' series
+    are read-only all-NaN views that take no memory, and 0 suits callers
+    that read only the states. A chain's series do not depend on how many
+    rows get them.
 
     `trajectories` is the number of leading chains whose `states` hold
     every stored step, all of them when None; every other chain's `states`
@@ -368,9 +361,7 @@ def _run_chains_lockstep(
 
     w_norm_sq[:, 0] = _row_sq(W)
     states[:, 0] = W[:trajectories]
-    noise_count = 0
 
-    full = model.full_batch_grad(datasets)
     # one contiguous table of data points to gather minibatches from: the
     # shared dataset, or the stacked datasets with chain i's at row i * n
     if c == 1 or datasets.strides[0] == 0:
@@ -387,36 +378,29 @@ def _run_chains_lockstep(
     chunk = min(STEP_CHUNK, T)
     Ws = np.empty((chunk, c, d))
     G_mini = np.empty((chunk, series, d))
-    G_full = G_mini if k == n else np.empty((chunk, series, d))
     if k < n:
+        # offs[s, i] holds chain i's offsets at step s, then its indices
         offs = np.empty((chunk, c, k), dtype=_index_dtype(n))
-        # series chain i's full-batch gradients at a chunk of its pre-update
-        # states, in one call on a broadcast view of its dataset; rows past a
-        # shorter last chunk hold earlier states and go unread
-        pre = np.zeros((series, chunk, d))
-        per_chunk = (chunk,) + datasets.shape[1:]
-        full_series = [model.full_batch_grad(np.broadcast_to(S, per_chunk))
-                       for S in datasets[:series]]
+        G_full = np.empty((chunk, series, d))
+    else:
+        full, G_full = model.full_batch_grad(datasets), G_mini
     for start in range(0, T, STEP_CHUNK):
         cl = min(STEP_CHUNK, T - start)
-        if k < n:
-            pre[:, 0] = W[:series]
-        W = W.copy()  # off the buffer the draws below overwrite
+        W = W_first = W.copy()  # off the buffer the draws below overwrite
         for i in range(c):
             if k < n:
                 offs[:cl, i] = _draw_offsets(rng_batch[i], high, cl)
             Ws[:cl, i] = rng_noise[i].standard_normal((cl, d))
         Ws[:cl] *= noise_scale
-        noise_count += cl * d
+        if k < n:
+            for s in range(0, cl, block):
+                b = min(block, cl - s)
+                offs[s:s + b] = _fy_subset_rows(offs[s:s + b].reshape(b * c, k),
+                                                n).reshape(b, c, k)
 
         for s in range(cl):
             if k < n:
-                if s % block == 0:
-                    b = min(block, cl - s)
-                    idx = _fy_subset_rows(offs[s:s + b].reshape(b * c, k), n)
-                    idx = idx.reshape(b, c, k)
-                Zb = np.take(table, idx[s % block] + first_row, axis=0)
-                G = model.grad_minibatch(W, Zb)
+                G = model.grad_minibatch(W, np.take(table, offs[s] + first_row, axis=0))
             else:
                 G = full(W)
             if series:
@@ -426,9 +410,11 @@ def _run_chains_lockstep(
         w_norm_sq[:, start + 1:start + cl + 1] = _row_sq(Ws[:cl]).T
         if series:
             if k < n:
-                pre[:, 1:cl] = Ws[:cl - 1, :series].swapaxes(0, 1)
-                for i, grad in enumerate(full_series):
-                    G_full[:cl, i] = grad(pre[i])[:cl]
+                for i in range(series):
+                    # chain i's pre-update states, each with its whole dataset
+                    pre = np.concatenate([W_first[i:i + 1], Ws[:cl - 1, i]])
+                    whole = np.broadcast_to(datasets[i], (cl,) + datasets.shape[1:])
+                    G_full[:cl, i] = model.grad_minibatch(pre, whole)
             steps = slice(start, start + cl)
             grad_var[:, steps] = _row_sq(G_mini[:cl] - G_full[:cl]).T
             grad_full_norm[:, steps] = np.sqrt(_row_sq(G_full[:cl])).T
@@ -451,7 +437,7 @@ def _run_chains_lockstep(
             grad_var_sample=grad_var[i] if i < series else no_series,
             grad_fullbatch_norm=grad_full_norm[i] if i < series else no_series,
             grad_minibatch_norm=grad_mini_norm[i] if i < series else no_series,
-            noise_variates=noise_count,
+            noise_variates=T * d,
         )
         for i in range(c)
     ]
@@ -465,8 +451,8 @@ def run_chain(
 ) -> ChainTrace:
     """Run one chain; deterministic given (seed, config, dataset).
 
-    `seed_seq` overrides the default SeedSequence(config.seed); ensembles
-    use this to hand each chain its spawned substream.
+    `seed_seq` overrides the default SeedSequence(config.seed), so a test
+    can run one chain on any stream of an ensemble's layout.
     """
     dataset = np.asarray(dataset, dtype=float)
     if dataset.shape[0] != config.n:
@@ -477,21 +463,20 @@ def run_chain(
         raise ValueError(f"config.d = {config.d} but model.d = {model.d}")
     if seed_seq is None:
         seed_seq = np.random.SeedSequence(config.seed)
-    trace = _run_chains_lockstep(config, model, dataset[None], [seed_seq])[0]
-    trace.validate()
-    return trace
+    return _run_chains_lockstep(config, model, dataset[None], [seed_seq])[0]
 
 
 def run_ensemble(
     config: SGLDConfig,
     model: LossModel,
-    dataset_sampler=None,
+    dataset: np.ndarray | None = None,
     n_chains: int = 1,
     n_datasets: int = 1,
     series: int | None = None,
     trajectories: int | None = None,
 ) -> list[ChainTrace]:
-    """Independent chains over freshly sampled datasets.
+    """Independent chains over freshly sampled datasets, or over one given
+    dataset.
 
     Spawn layout from SeedSequence(config.seed): one child per dataset;
     each dataset child spawns 1 + n_chains sequences, the first for the
@@ -500,8 +485,9 @@ def run_ensemble(
     the sampled dataset bitwise.
 
     Args:
-        dataset_sampler: callable (rng, n) -> (n, z_dim) array; defaults to
-            the model's data distribution.
+        dataset: (n, z_dim) dataset every chain runs on, in place of the
+            model's draws; each dataset child's first sequence stays
+            reserved for the draw, so the chains' streams are the same.
         series: how many leading traces carry the per-step gradient series,
             all when None; the rest hold all-NaN series (see
             `_run_chains_lockstep`). States are the same either way.
@@ -511,30 +497,24 @@ def run_ensemble(
     """
     check_count("n_chains", n_chains)
     check_count("n_datasets", n_datasets)
-    if dataset_sampler is None:
-        dataset_sampler = model.sample_data
+    shape = (config.n, model.z_dim)
+    if dataset is not None:
+        dataset = np.asarray(dataset, dtype=float)
+        if dataset.shape != shape:
+            raise ValueError(f"dataset has shape {dataset.shape}, expected {shape}")
 
-    root = np.random.SeedSequence(config.seed)
     chain_seqs: list[np.random.SeedSequence] = []
-    per_dataset: list[np.ndarray] = []
-    for ds_seq in root.spawn(n_datasets):
+    drawn: list[np.ndarray] = []
+    for ds_seq in np.random.SeedSequence(config.seed).spawn(n_datasets):
         children = ds_seq.spawn(1 + n_chains)
-        dataset = np.asarray(
-            dataset_sampler(np.random.default_rng(children[0]), config.n), dtype=float
-        )
-        if dataset.shape != (config.n, model.z_dim):
-            raise ValueError(f"dataset sampler returned shape {dataset.shape}, "
-                             f"expected ({config.n}, {model.z_dim})")
-        per_dataset.append(dataset)
+        if dataset is None:
+            drawn.append(model.sample_data(np.random.default_rng(children[0]), config.n))
         chain_seqs.extend(children[1:])
 
-    if n_datasets == 1:
-        datasets = np.broadcast_to(per_dataset[0],
-                                   (n_chains, config.n, model.z_dim))
-    else:
-        datasets = np.repeat(np.stack(per_dataset), n_chains, axis=0)
-    traces = _run_chains_lockstep(config, model, datasets, chain_seqs, series=series,
-                                  trajectories=trajectories)
-    for tr in traces:
-        tr.validate()
-    return traces
+    if len(drawn) > 1:
+        datasets = np.repeat(np.stack(drawn), n_chains, axis=0)
+    else:  # one dataset, shared by every chain
+        datasets = np.broadcast_to(drawn[0] if drawn else dataset,
+                                   (len(chain_seqs),) + shape)
+    return _run_chains_lockstep(config, model, datasets, chain_seqs, series=series,
+                                trajectories=trajectories)

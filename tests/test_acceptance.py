@@ -94,7 +94,7 @@ def test_criterion_03_oracle_equivalence():
     dataset = model.sample_data(
         np.random.default_rng(np.random.SeedSequence([cfg.seed, 1])), cfg.n
     )
-    traces = run_ensemble(cfg, model, dataset_sampler=lambda rng, m: dataset,
+    traces = run_ensemble(cfg, model, dataset=dataset,
                           n_chains=500)
     a, v = _response_and_var(cfg.eta, cfg.beta, 1.0, cfg.s_sq, cfg.T)
     zbar = dataset.mean(axis=0)

@@ -88,6 +88,24 @@ def test_certify_malformed_config_exits_one(tmp_path, capsys):
     assert "JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sub", ["certify", "run", "bounds", "verify"])
+@pytest.mark.parametrize("text", [
+    # an integer of more digits than int() converts from a string
+    json.dumps(BASE).replace('"T": 60', '"T": ' + "1" * 5000).encode(),
+    json.dumps(BASE).encode() + b" \xff",  # not UTF-8 text
+], ids=["long-int", "non-utf8"])
+def test_unreadable_config_exits_one_before_any_output(tmp_path, capsys, sub, text):
+    path = tmp_path / "c.json"
+    path.write_bytes(text)
+    out = tmp_path / "out"
+    argv = [sub, "--config", str(path), "--out", str(out)]
+    if sub == "bounds":
+        argv += ["--traces", str(tmp_path)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not out.exists()
+
+
 # ------------------------------------------------------------- config schema
 
 
@@ -351,6 +369,20 @@ def test_run_seed_flag_overrides_config(tmp_path):
     assert ((tmp_path / "a" / "chain_000.csv").read_bytes()
             != (tmp_path / "b" / "chain_000.csv").read_bytes())
     assert read_json(tmp_path / "a" / "manifest.json")["seed"] == 123
+
+
+@pytest.mark.parametrize("sub", ["certify", "run", "bounds", "verify"])
+def test_seed_flag_is_written_into_the_manifest_config(run_and_bounds, tmp_path, sub):
+    # --seed 3 on a seed-77 config describes the run as the seed-3 config does
+    flagged = write_config(tmp_path / "flagged.json")
+    direct = write_config(tmp_path / "direct.json", sgld={"seed": 3})
+    extra = ["--traces", str(run_and_bounds / "run")] if sub == "bounds" else []
+    assert main([sub, "--config", flagged, "--seed", "3", "--out",
+                 str(tmp_path / "a")] + extra) == 0
+    assert main([sub, "--config", direct, "--out", str(tmp_path / "b")] + extra) == 0
+    a, b = (read_json(tmp_path / out / "manifest.json") for out in "ab")
+    assert a["seed"] == a["config"]["sgld"]["seed"] == 3
+    assert (a["config"], a["config_hash"]) == (b["config"], b["config_hash"])
 
 
 def test_run_T_zero_single_row(tmp_path):
@@ -1405,7 +1437,7 @@ def test_bounds_xu_raginsky_equals_oracle_per_grid_point(tmp_path):
     for name, value, T, n, *_ in rows:
         T, n = int(T), int(n)
         point = dataclasses.replace(sgld_cfg, T=T, k=n, n=n)
-        mi = oracle_mi_upper(model.sample_data, point, R=1.0,
+        mi = oracle_mi_upper(model, point,
                              n_dataset_pairs=BASE["estimators"]["mi_pairs"])
         assert float(value) == bound_xu_raginsky(0.25, n, mi.mean).value
     assert {float(r[1]) for r in rows if r[2] != "0"} != {0.0}

@@ -457,7 +457,7 @@ def test_pth_moment_matches_gaussian_ground_truth():
     half = model.sample_data(np.random.default_rng(17), n // 2)
     sym = np.concatenate([half, -half], axis=0)
     cfg = SGLDConfig(eta=eta, beta=beta, k=n, n=n, T=T, d=d, s_sq=s_sq, seed=404)
-    traces = run_ensemble(cfg, model, dataset_sampler=lambda rng, m: sym,
+    traces = run_ensemble(cfg, model, dataset=sym,
                           n_chains=2000)
 
     decay = (1.0 - eta) ** 2

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sgldlab.estimators import empirical_gen_gap
-from sgldlab.losses import QuadraticLoss
+from sgldlab.losses import NonconvexRidgeLoss, QuadraticLoss
 from sgldlab.oracle import (
     KLRecursionReport,
     OracleTrace,
@@ -128,7 +128,7 @@ def test_oracle_matches_ensemble_moments():
     model = QuadraticLoss(R=1.0, data_radius=1.0, d=2)
     ds = model.sample_data(np.random.default_rng(9), 20)
     cfg = full_batch_cfg(T=500, seed=515)
-    traces = run_ensemble(cfg, model, dataset_sampler=lambda rng, m: ds,
+    traces = run_ensemble(cfg, model, dataset=ds,
                           n_chains=1000)
     a, v = _response_and_var(cfg.eta, cfg.beta, 1.0, cfg.s_sq, cfg.T)
     zbar = ds.mean(axis=0)
@@ -153,7 +153,7 @@ def test_oracle_matches_ensemble_moments():
 def test_mi_identical_control_is_exact_zero():
     model = QuadraticLoss(R=1.0, data_radius=1.0, d=2)
     cfg = full_batch_cfg(T=100)
-    est = oracle_mi_upper(model.sample_data, cfg, R=1.0, n_dataset_pairs=12,
+    est = oracle_mi_upper(model, cfg, n_dataset_pairs=12,
                           control_identical=True)
     assert est.mean == 0.0
     assert est.stderr == 0.0
@@ -180,7 +180,7 @@ def per_pair_mi_loop(mu_sampler, config, R, n_pairs, control_identical=False):
 def test_mi_bitwise_equals_the_per_pair_loop(n_pairs, control):
     model = QuadraticLoss(R=1.3, data_radius=1.0, d=3)
     for cfg in (full_batch_cfg(), full_batch_cfg(n=7, k=7, T=33, eta=0.2, seed=3)):
-        est = oracle_mi_upper(model.sample_data, cfg, R=1.3, n_dataset_pairs=n_pairs,
+        est = oracle_mi_upper(model, cfg, n_dataset_pairs=n_pairs,
                               control_identical=control)
         assert (est.mean, est.stderr) == per_pair_mi_loop(
             model.sample_data, cfg, 1.3, n_pairs, control)
@@ -189,41 +189,43 @@ def test_mi_bitwise_equals_the_per_pair_loop(n_pairs, control):
 
 def test_mi_from_gaps_reuses_one_draw_across_horizons():
     model = QuadraticLoss(R=1.0, data_radius=1.0, d=2)
-    gaps = oracle_pair_gaps(model.sample_data, 808, 20, 50)
+    gaps = oracle_pair_gaps(model, 808, 20, 50)
     assert gaps.shape == (50,) and np.all(gaps > 0)
     # one response run to the longest horizon serves every shorter one
     a, v = _response_and_var(0.05, 4.0, 1.0, 1.0, 5000)
     for T in (0, 1, 400, 5000):
         cfg = full_batch_cfg(T=T)
-        want = oracle_mi_upper(model.sample_data, cfg, R=1.0, n_dataset_pairs=50)
+        want = oracle_mi_upper(model, cfg, n_dataset_pairs=50)
         assert oracle_mi_from_gaps(gaps, a[T], v[T]) == want
     with pytest.raises(ValueError):
-        oracle_pair_gaps(model.sample_data, 808, 20, 0)
+        oracle_pair_gaps(model, 808, 20, 0)
 
 
 def test_mi_requires_full_batch():
     model = QuadraticLoss(R=1.0, data_radius=1.0, d=2)
     with pytest.raises(ValueError):
-        oracle_mi_upper(model.sample_data, full_batch_cfg(k=5), R=1.0,
-                        n_dataset_pairs=4)
+        oracle_mi_upper(model, full_batch_cfg(k=5), n_dataset_pairs=4)
+
+
+def test_mi_requires_the_models_R():
+    # the law's recursion runs at the model's R; the nonconvex family has none
+    model = NonconvexRidgeLoss(lam=1.0, a=0.5, data_radius=1.0, d=2)
+    with pytest.raises(ValueError, match="curvature R"):
+        oracle_mi_upper(model, full_batch_cfg(), n_dataset_pairs=4)
 
 
 def test_mi_bounded_in_T():
     model = QuadraticLoss(R=1.0, data_radius=1.0, d=2)
-    a = oracle_mi_upper(model.sample_data, full_batch_cfg(T=10_000), R=1.0,
-                        n_dataset_pairs=300)
-    b = oracle_mi_upper(model.sample_data, full_batch_cfg(T=100_000), R=1.0,
-                        n_dataset_pairs=300)
+    a = oracle_mi_upper(model, full_batch_cfg(T=10_000), n_dataset_pairs=300)
+    b = oracle_mi_upper(model, full_batch_cfg(T=100_000), n_dataset_pairs=300)
     joint = math.hypot(a.stderr, b.stderr)
     assert abs(a.mean - b.mean) <= 3.0 * joint
 
 
 def test_mi_scales_like_one_over_n():
     model = QuadraticLoss(R=1.0, data_radius=1.0, d=2)
-    small = oracle_mi_upper(model.sample_data, full_batch_cfg(n=25, k=25), R=1.0,
-                            n_dataset_pairs=400)
-    large = oracle_mi_upper(model.sample_data, full_batch_cfg(n=100, k=100), R=1.0,
-                            n_dataset_pairs=400)
+    small = oracle_mi_upper(model, full_batch_cfg(n=25, k=25), n_dataset_pairs=400)
+    large = oracle_mi_upper(model, full_batch_cfg(n=100, k=100), n_dataset_pairs=400)
     ratio = small.mean / large.mean
     rel_se = math.hypot(small.stderr / small.mean, large.stderr / large.mean)
     assert abs(ratio - 4.0) <= 3.0 * ratio * rel_se
@@ -234,7 +236,7 @@ def test_gen_gap_within_mi_bound_chain():
     # surrogate loss vs sqrt(2 sigma_g^2 MI / n) with sigma_g^2 = 1/4
     model = QuadraticLoss(R=1.0, data_radius=1.0, d=2)
     cfg = full_batch_cfg(n=25, k=25, T=400, seed=99)
-    mi = oracle_mi_upper(model.sample_data, cfg, R=1.0, n_dataset_pairs=400)
+    mi = oracle_mi_upper(model, cfg, n_dataset_pairs=400)
     gap = empirical_gen_gap(model, cfg, n_trials=30, eval_loss="surrogate")
     bound = math.sqrt(2.0 * 0.25 * mi.mean / cfg.n)
     bound_se = bound * mi.stderr / (2.0 * mi.mean)

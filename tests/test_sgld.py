@@ -19,7 +19,6 @@ from sgldlab.constants import (
 )
 from sgldlab.losses import LogisticRidgeLoss, NonconvexRidgeLoss, QuadraticLoss
 from sgldlab.sgld import (
-    ChainTrace,
     SGLDConfig,
     run_chain,
     run_ensemble,
@@ -457,7 +456,6 @@ def test_lockstep_keeps_trajectories_of_the_leading_rows_only(monkeypatch, model
         for series in (0, 1):
             part = run(series=series, trajectories=trajectories)
             for i, (a, b) in enumerate(zip(full, part)):
-                b.validate()
                 assert np.array_equal(b.final_state, a.final_state)
                 assert np.array_equal(b.w_norm_sq, a.w_norm_sq)
                 if i < trajectories:
@@ -567,6 +565,34 @@ def test_ensemble_rejects_bad_counts():
         run_ensemble(quad_config(), model, n_chains=0)
 
 
+@pytest.mark.parametrize("k", [7, 40])
+@pytest.mark.parametrize("n_datasets", [1, 2])
+def test_ensemble_on_a_given_dataset_equals_lockstep_on_its_chain_streams(n_datasets, k):
+    # each dataset child's first sequence stays reserved for the draw, so the
+    # chains run on children 1..c of every dataset child, all on the given data
+    model = LogisticRidgeLoss(1.0, 1.0, 3)
+    cfg = quad_config(T=60, k=k, n=40, d=3)
+    ds = model.sample_data(np.random.default_rng(4), cfg.n)
+    got = run_ensemble(cfg, model, dataset=ds, n_chains=3, n_datasets=n_datasets)
+    seqs = [seq for ds_seq in np.random.SeedSequence(cfg.seed).spawn(n_datasets)
+            for seq in ds_seq.spawn(4)[1:]]
+    want = sgld._run_chains_lockstep(
+        cfg, model, np.broadcast_to(ds, (len(seqs),) + ds.shape), seqs)
+    assert len(got) == len(want) == 3 * n_datasets
+    for a, b in zip(got, want):
+        for name in ("states", "stored_steps", "w_norm_sq") + SERIES:
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+
+
+def test_ensemble_refuses_a_dataset_of_the_wrong_shape():
+    model = quad_model()
+    cfg = quad_config(T=5)
+    ds = model.sample_data(np.random.default_rng(0), cfg.n)
+    for bad in (ds[:-1], ds[:, :1], ds[None]):
+        with pytest.raises(ValueError, match="dataset has shape"):
+            run_ensemble(cfg, model, dataset=bad)
+
+
 def test_ensemble_second_moment_within_C0():
     model = quad_model()
     cfg = quad_config(eta=0.05, beta=4.0, k=10, T=300, s_sq=1.0)
@@ -613,22 +639,6 @@ def test_write_csv_cells_read_back_as_written(tmp_path):
         assert (math.isnan(back) if math.isnan(value)
                 else back == value and math.copysign(1, back) == math.copysign(1, value))
     assert row[len(floats):] == ["", "7", "x|y", ""]
-
-
-def test_trace_validate_catches_bad_shapes():
-    model = quad_model()
-    ds = model.sample_data(np.random.default_rng(0), 100)
-    tr = run_chain(quad_config(T=5), model, ds)
-    bad = ChainTrace(
-        config=tr.config, states=tr.states,
-        stored_steps=tr.stored_steps, w_norm_sq=tr.w_norm_sq[:-1],
-        grad_var_sample=tr.grad_var_sample,
-        grad_fullbatch_norm=tr.grad_fullbatch_norm,
-        grad_minibatch_norm=tr.grad_minibatch_norm,
-        noise_variates=tr.noise_variates,
-    )
-    with pytest.raises(ValueError):
-        bad.validate()
 
 
 # ------------------------------------------------------------ package surface
