@@ -282,7 +282,7 @@ def bound_farghly_shape(
     and failure clears preconditions_ok, but the shape is still computed.
     """
     if not (C1 > 0 and C2 > 0):
-        raise ValueError("C1 and C2 must be positive")
+        raise ValueError(f"C1 and C2 must be positive, got C1={C1}, C2={C2}")
     if n <= k:
         raise ValueError(f"need n > k, got n={n}, k={k}")
     if not (eta > 0 and T >= 0):

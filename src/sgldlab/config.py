@@ -20,12 +20,12 @@ from functools import partial
 
 import numpy as np
 
-from .bounds import BOUND_NAMES, bound_xu_raginsky
+from .bounds import BOUND_NAMES, bound_farghly_shape, bound_xu_raginsky
 from .constants import (LSI_MODES, ParametrixOverrides, derive_constants, lsi_route,
                         subexp_params)
 from .estimators import EVAL_LOSSES, admitted_lambdas, pth_moment_min_chains
-from .fokker_planck import Grid1D, check_dt, suggested_halfwidth
-from .losses import LogisticRidgeLoss, NonconvexRidgeLoss, QuadraticLoss
+from .fokker_planck import Grid1D, check_dt, stability_limit, suggested_halfwidth
+from .losses import LogisticRidgeLoss, NonconvexRidgeLoss, QuadraticLoss, check_samples
 from .sgld import SGLDConfig, check_count, check_size
 
 
@@ -105,7 +105,7 @@ _SCHEMAS = {
         "lam": (None, float, None),
         "a": (None, float, None),
         "claimed": (None, dict, None),
-        "certify_samples": (10_000, int, None),
+        "certify_samples": (10_000, int, check_samples),
     },
     "sgld": {
         "eta": (_REQ, float, None),
@@ -123,8 +123,12 @@ _SCHEMAS = {
                   _entries(_one_of(BOUND_NAMES, "bound name"), _grid)),
         # xu_raginsky's rule; n = 1 and a zero MI fit every config
         "sigma_g_sq": (None, float, partial(bound_xu_raginsky, n=1, mi_upper=0.0)),
-        "farghly_C1": (1.0, float, None),
-        "farghly_C2": (1.0, float, None),
+        # farghly_shape's rule; the other constant at 1, eta = 1, T = 0 and
+        # n = 2 > k = 1 fit every config
+        "farghly_C1": (1.0, float, partial(bound_farghly_shape, C2=1.0, eta=1.0,
+                                           T=0, n=2, k=1)),
+        "farghly_C2": (1.0, float, partial(bound_farghly_shape, 1.0, eta=1.0,
+                                           T=0, n=2, k=1)),
         # null: `lsi_route` of the model, set at load
         "lsi_mode": (None, str, _one_of(LSI_MODES, "mode")),
         "universal_C_lsi": (1.0, float, None),
@@ -318,8 +322,11 @@ def _check_values(cfg: ExperimentConfig) -> None:
     for _, grid, gs, ga, dt, _ in _check("fp", _verify_fp_runs, cfg, lc):
         for grad in (gs, ga):
             _check("fp.dt_safety", check_dt, grid, grad, sgld_cfg.beta, dt)
-    _check("verify.oracle_T", dataclasses.replace, sgld_cfg, k=sgld_cfg.n,
-           T=cfg["verify"]["oracle_T"])
+    oracle_T = cfg["verify"]["oracle_T"]
+    if oracle_T < 1:  # a one-entry KL trace has no step to check
+        raise ConfigError(f"verify.oracle_T: the oracle's KL recursion needs at "
+                          f"least 1 step, got {oracle_T}")
+    _check("verify.oracle_T", dataclasses.replace, sgld_cfg, k=sgld_cfg.n, T=oracle_T)
     cfg.parametrix()  # the parse `derived` makes
     if cfg["verify"]["falsify"] and lc.R is None:
         # falsify changes the oracle section only, which needs R
@@ -348,8 +355,7 @@ def _verify_fp_runs(cfg: ExperimentConfig, lc):
         w = grid.centers
         cs, ca = fp["center_gap"] / 2.0, -fp["center_gap"] / 2.0
         gs, ga = R_fp * (w - cs), R_fp * (w - ca)
-        dt = fp["dt_safety"] * grid.h**2 / (
-            2.0 / beta + grid.h * float(np.abs(gs).max()))
+        dt = fp["dt_safety"] * stability_limit(grid, gs, beta)
         steps = fp["T_end"] / dt
         if not (steps + 1) * 8 <= np.iinfo(np.intp).max:
             raise ValueError(f"T_end = {fp['T_end']} is {steps} steps of dt = {dt}; "

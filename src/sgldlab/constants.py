@@ -382,15 +382,22 @@ def subexp_params(
         raise ValueError(f"universal_C must be positive, got {universal_C}")
     M, m, b, A = lc.M, lc.m, lc.b, lc.A
     s = math.sqrt(s_sq)
-    q0 = (beta * b + d) / (beta * m)
-    a0 = universal_C * (s * math.sqrt(d) + math.sqrt(q0))
-    a1 = universal_C * (s * math.sqrt(2.0) + math.sqrt(2.0 / (beta * m)))
-    K = max(M * b / (2.0 * m) + A, (b / 2.0) * math.log(3.0))
-    C0_f = M * (a0**2 + a0 * a1) + K
-    C1_f = M * (a1**2 + a0 * a1)
-    C5 = C0_f + C1_f
+    try:
+        q0 = (beta * b + d) / (beta * m)
+        a0 = universal_C * (s * math.sqrt(d) + math.sqrt(q0))
+        a1 = universal_C * (s * math.sqrt(2.0) + math.sqrt(2.0 / (beta * m)))
+        K = max(M * b / (2.0 * m) + A, (b / 2.0) * math.log(3.0))
+        C0_f = M * (a0**2 + a0 * a1) + K
+        C1_f = M * (a1**2 + a0 * a1)
+        C5 = C0_f + C1_f
+        sigma_e_sq = 4.0 * math.e**2 * C5**2
+    except (OverflowError, ZeroDivisionError):
+        sigma_e_sq = math.inf
+    if not math.isfinite(sigma_e_sq):
+        raise ValueError(f"sigma_e_sq = 4 e^2 C5^2 exceeds the float range at beta = "
+                         f"{beta}, s_sq = {s_sq}, universal_C = {universal_C}")
     return {
-        "sigma_e_sq": 4.0 * math.e**2 * C5**2,
+        "sigma_e_sq": sigma_e_sq,
         "nu": 1.0 / (2.0 * math.e * C5),
         "C5": C5,
         "C0_f": C0_f,

@@ -13,13 +13,17 @@ gets weight delta(w) = 1/w - 1/(e^w - 1), which makes the discrete Gibbs
 density an exact fixed point whenever F'_face * h equals the exact
 potential increment across the face (true for quadratic potentials with
 face gradients averaged from the adjacent cells).
+
+Each face flux is linear in its two cells, so a step is rho -> (I + dt A)
+rho, with A the tridiagonal Chang-Cooper generator: a run builds the three
+bands of I + dt A once (`_generator`), and a step is three multiply-adds of
+them (`_advance`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -38,6 +42,7 @@ __all__ = [
     "verify_inequality_12",
     "suggested_halfwidth",
     "check_dt",
+    "stability_limit",
 ]
 
 MASS_TOL = 1e-8
@@ -146,101 +151,85 @@ def _cc_weight(w: np.ndarray) -> np.ndarray:
 def fp_step(
     rho: DensityField, grad: np.ndarray, beta: float, dt: float
 ) -> DensityField:
-    """One conservative explicit step; refuses time steps beyond stability.
+    """One conservative explicit step, rho -> (I + dt A) rho with A the
+    Chang-Cooper generator of `grad` (see `_generator`); refuses a dt beyond
+    `stability_limit`, suggesting a replacement.
 
     grad holds the per-cell potential gradient; face values are averages
-    of the adjacent cells. The stability limit is h^2 / (2/beta +
-    h max|grad|); a dt above it raises with a suggested replacement.
+    of the adjacent cells.
     """
     new = np.empty((1, rho.grid.n_cells))
-    clamped = _advance(rho.values[None], _face_terms(rho.grid, [grad], beta, dt),
-                       beta, dt, new)
-    return DensityField(
-        grid=rho.grid,
-        values=new[0],
-        t=rho.t + dt,
-        clamped_mass=rho.clamped_mass + clamped[0],
-    )
+    clamped = _advance(rho.values[None], _generator(rho.grid, [grad], beta, dt),
+                       rho.grid.h, new)
+    return DensityField(rho.grid, new[0], t=rho.t + dt,
+                        clamped_mass=rho.clamped_mass + clamped[0])
+
+
+def stability_limit(grid: Grid1D, grad: np.ndarray, beta: float) -> float:
+    """The largest time step `fp_step` takes under `grad` on `grid`:
+    h^2 / (2/beta + h max|grad|), below which I + dt A has a nonnegative
+    diagonal."""
+    h = grid.h
+    return h * h / (2.0 * (1.0 / beta) + h * float(np.abs(grad).max()))
 
 
 def check_dt(grid: Grid1D, grad: np.ndarray, beta: float, dt: float) -> None:
-    """Raise ValueError unless beta, dt > 0, grad is finite and dt is within
-    `fp_step`'s stability limit for `grad` on `grid`."""
+    """Raise ValueError unless beta, dt > 0, grad is finite with one entry per
+    cell of `grid`, and dt is within `stability_limit` for `grad`."""
     if not (beta > 0 and dt > 0):
         raise ValueError("beta and dt must be positive")
-    steepest = float(np.abs(grad).max())
-    if not math.isfinite(steepest):
+    if np.shape(grad) != (grid.n_cells,):
+        raise ValueError(f"grad shape {np.shape(grad)} != ({grid.n_cells},)")
+    if not np.isfinite(grad).all():
         raise ValueError("grad must be finite on the grid")
+    dt_max = stability_limit(grid, grad, beta)
+    if dt > dt_max:
+        raise ValueError(f"dt={dt} exceeds the stability limit {dt_max}; "
+                         f"suggested dt = {0.9 * dt_max}")
+
+
+def _generator(grid: Grid1D, grads, beta: float, dt: float) -> np.ndarray:
+    """The bands (rows, 3, n_cells) of I + dt A for the stacked rows of
+    `grads`, after `check_dt` on each: each cell's left, self and right
+    coefficient.
+
+    Face f, between cells f and f + 1, carries the flux a_f rho_f - b_f
+    rho_{f+1}, with v_f the face gradient, delta_f its Chang-Cooper weight,
+    D = 1/beta, a_f = D/h - v_f delta_f and b_f = D/h + v_f (1 - delta_f).
+    The walls carry no flux: the entries reaching past them are 0.
+    """
+    g = np.stack([np.asarray(grad, dtype=float) for grad in grads])
+    for row in g:
+        check_dt(grid, row, beta, dt)
     h = grid.h
     D = 1.0 / beta
-    dt_max = h * h / (2.0 * D + h * steepest)
-    if dt > dt_max:
-        raise ValueError(
-            f"dt={dt} exceeds the stability limit {dt_max}; "
-            f"suggested dt = {0.9 * dt_max}"
-        )
-
-
-class _Faces(NamedTuple):
-    """What `_advance` needs besides the values: the cell width, the face
-    gradients and both Chang-Cooper weights of each row (fixed by grid,
-    grad, beta and dt), and the buffers one step writes through."""
-
-    h: float
-    v_face: np.ndarray
-    delta: np.ndarray
-    delta_right: np.ndarray
-    face_buffers: tuple  # two (rows, n_cells - 1) arrays
-    flux: np.ndarray     # (rows, n_cells + 1), its end columns held at 0
-    div: np.ndarray      # (rows, n_cells)
-
-
-def _face_terms(grid: Grid1D, grads, beta: float, dt: float) -> _Faces:
-    """The part of `fp_step` fixed by (grid, grad, beta, dt), for the stacked
-    rows of `grads`: checks dt on each, and returns their `_Faces`."""
-    rows = []
-    for grad in grads:
-        g = np.asarray(grad, dtype=float)
-        if g.shape != (grid.n_cells,):
-            raise ValueError(f"grad shape {g.shape} != ({grid.n_cells},)")
-        check_dt(grid, g, beta, dt)
-        rows.append(g)
-    g = np.stack(rows)
-    h = grid.h
     v_face = 0.5 * (g[:, :-1] + g[:, 1:])
     delta = _cc_weight(beta * v_face * h)
-    return _Faces(
-        h=h, v_face=v_face, delta=delta, delta_right=1.0 - delta,
-        face_buffers=(np.empty_like(v_face), np.empty_like(v_face)),
-        flux=np.zeros((g.shape[0], grid.n_cells + 1)),
-        div=np.empty_like(g),
-    )
+    rate = dt / h
+    a = rate * (D / h - v_face * delta)
+    b = rate * (D / h + v_face * (1.0 - delta))
+    bands = np.zeros((g.shape[0], 3, grid.n_cells))
+    bands[:, 0, 1:] = a
+    bands[:, 2, :-1] = b
+    bands[:, 1] = 1.0
+    bands[:, 1, :-1] -= a
+    bands[:, 1, 1:] -= b
+    return bands
 
 
-def _advance(values: np.ndarray, faces: _Faces, beta: float, dt: float,
+def _advance(values: np.ndarray, bands: np.ndarray, h: float,
              out: np.ndarray) -> list:
-    """One `fp_step` of each row of `values` (rows, n_cells) under the grad
-    of its `faces` row, written to `out` (which may be `values`).
+    """One `fp_step` of each row of `values` (rows, n_cells) by the matching
+    `bands` of I + dt A, written to `out`, then its negative cells floored
+    to 0. `out` may be `values`: both neighbour products are taken first.
 
-    Returns the mass each row's flooring of negative cells added.
+    Returns the mass each row's flooring added.
     """
-    h = faces.h
-    D = 1.0 / beta
-    left, right = values[:, :-1], values[:, 1:]
-    drift, diffusion = faces.face_buffers
-    np.multiply(faces.delta, left, out=drift)
-    np.multiply(faces.delta_right, right, out=diffusion)
-    np.add(drift, diffusion, out=drift)  # the face density
-    np.multiply(faces.v_face, drift, out=drift)
-    np.subtract(right, left, out=diffusion)
-    np.multiply(-(D / h), diffusion, out=diffusion)
-    # zero-flux boundaries: mass moves only through interior faces
-    flux, div = faces.flux, faces.div
-    np.subtract(diffusion, drift, out=flux[:, 1:-1])
-    np.subtract(flux[:, 1:], flux[:, :-1], out=div)
-    np.divide(div, h, out=div)
-    np.multiply(dt, div, out=div)
-    np.subtract(values, div, out=out)
+    from_left = bands[:, 0, 1:] * values[:, :-1]
+    from_right = bands[:, 2, :-1] * values[:, 1:]
+    np.multiply(bands[:, 1], values, out=out)
+    out[:, 1:] += from_left
+    out[:, :-1] += from_right
     clamped = [0.0] * out.shape[0]
     if out.min() < 0:
         clamped = [float(-row[row < 0].sum() * h) for row in out]
@@ -354,19 +343,20 @@ def evolve_pair(
     """Run rho under grad_s and gamma under grad_alt, recording the traces.
 
     The two densities advance as the rows of one (2, n_cells) array, each
-    row by `fp_step`'s arithmetic, with the face terms computed once. The
-    states of a block of steps (`sgld._block_len` of the 2 n_cells words a
-    step stores) are kept, then checked and measured at once: each state's
-    mass, its stability term, and KL and Fisher as row reductions over the
-    shared support band, found once per run of steps whose support mask
-    does not change. Every number equals that of the `fp_step` loop.
+    row by `fp_step`'s arithmetic, with the bands of each row's I + dt A
+    built once. The states of a block of steps (`sgld._block_len` of the
+    2 n_cells words a step stores) are kept, then checked and measured at
+    once: each state's mass, its stability term, and KL and Fisher as row
+    reductions over the shared support band, found once per run of steps
+    whose support mask does not change. Every number equals that of the
+    `fp_step` loop.
     """
     if n_steps < 1:
         raise ValueError(f"need at least 1 step, got {n_steps}")
     if rho0.grid != grid or gamma0.grid != grid:
         raise ValueError("densities live on different grids")
     grads = [np.asarray(grad_s, dtype=float), np.asarray(grad_alt, dtype=float)]
-    faces = _face_terms(grid, grads, beta, dt)
+    bands = _generator(grid, grads, beta, dt)
     gap_sq = (grads[0] - grads[1]) ** 2
     h = grid.h
 
@@ -381,7 +371,7 @@ def evolve_pair(
         rows = min(states.shape[0], n_rows - first)
         # states[-1] holds the last step of the previous block, which is full
         for j in range(0 if first else 1, rows):
-            c_s, c_alt = _advance(states[j - 1], faces, beta, dt, states[j])
+            c_s, c_alt = _advance(states[j - 1], bands, h, states[j])
             clamped_s += c_s
             clamped_alt += c_alt
         block = states[:rows]
@@ -397,15 +387,8 @@ def evolve_pair(
                 r[lo:hi], q[lo:hi], _support_band(mask[lo]))
             kl[first + lo:first + hi] = _kl(h, band_r, log_ratio)
             fisher[first + lo:first + hi] = _fisher(h, band_r, log_ratio)
-    return FPPairRun(
-        grid=grid,
-        beta=beta,
-        dt=dt,
-        kl=kl,
-        fisher=fisher,
-        stability=stability,
-        clamped_mass=clamped_s + clamped_alt,
-    )
+    return FPPairRun(grid=grid, beta=beta, dt=dt, kl=kl, fisher=fisher,
+                     stability=stability, clamped_mass=clamped_s + clamped_alt)
 
 
 @dataclass(frozen=True)
@@ -436,18 +419,14 @@ def verify_inequality_12(run: FPPairRun, beta: float) -> Inequality12Report:
     The time derivative comes from centered differences of the stored KL
     trace, so the comparison carries O(h^2 + dt) discretization noise;
     the tolerance is 10 (h^2 + dt) scaled by the local magnitude of the
-    right-hand side or derivative, whichever is larger.
+    right-hand side or derivative, whichever is larger. A run of one step
+    has no interior step, and so no step to check.
     """
     kl, fisher, stability = run.kl, run.fisher, run.stability
     rhs = -fisher / (2.0 * beta) + stability
     T1 = kl.shape[0]
     dkl = np.full(T1, np.nan)
     slack = np.full(T1, np.nan)
-    if T1 < 3:
-        return Inequality12Report(
-            dkl_dt=dkl, rhs=rhs, slack=slack, tol=np.empty(0),
-            violated=np.zeros(0, dtype=bool), n_checked=0, n_violations=0,
-        )
     dkl[1:-1] = (kl[2:] - kl[:-2]) / (2.0 * run.dt)
     inner = slice(1, T1 - 1)
     floor = 1e-10 * max(1.0, float(np.abs(rhs).max()))
@@ -455,12 +434,6 @@ def verify_inequality_12(run: FPPairRun, beta: float) -> Inequality12Report:
     tol = 10.0 * (run.grid.h**2 + run.dt) * scale
     slack[inner] = rhs[inner] - dkl[inner]
     violated = slack[inner] < -tol
-    return Inequality12Report(
-        dkl_dt=dkl,
-        rhs=rhs,
-        slack=slack,
-        tol=tol,
-        violated=violated,
-        n_checked=int(violated.shape[0]),
-        n_violations=int(violated.sum()),
-    )
+    return Inequality12Report(dkl_dt=dkl, rhs=rhs, slack=slack, tol=tol,
+                              violated=violated, n_checked=int(violated.shape[0]),
+                              n_violations=int(violated.sum()))

@@ -35,6 +35,7 @@ __all__ = [
     "InequalityCheck",
     "CertificationReport",
     "certify",
+    "check_samples",
 ]
 
 CERT_TOL = 1e-9          # slack allowed on O(1) inequality margins in float64
@@ -219,7 +220,10 @@ class QuadraticLoss(LossModel):
         self.R = float(R)
         self.d = int(d)
         self.z_dim = int(d)
-        r2 = float(data_radius) ** 2
+        try:
+            r2 = float(data_radius) ** 2
+        except OverflowError:  # LossConstants refuses the infinite b and A
+            r2 = math.inf
         self._constants = LossConstants(
             M=self.R,
             m=self.R / 2.0,
@@ -373,10 +377,14 @@ class NonconvexRidgeLoss(LossModel):
         self.d = int(d)
         self.z_dim = int(d)
         r = float(data_radius)
+        try:
+            a_sq = self.a**2
+        except OverflowError:  # LossConstants refuses the infinite b
+            a_sq = math.inf
         self._constants = LossConstants(
             M=self.lam + self.a * r * r,
             m=self.lam / 2.0,
-            b=self.a**2 * r * r / (2.0 * self.lam),
+            b=a_sq * r * r / (2.0 * self.lam),
             A=self.a if self.a > 0 else 0.0,
             data_radius=r,
         )
@@ -517,6 +525,12 @@ def _check_from_margins(
     )
 
 
+def check_samples(n_samples: int) -> None:
+    """Raise ValueError unless `certify` can draw `n_samples` points."""
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be positive, got {n_samples}")
+
+
 def certify(
     model: LossModel,
     n_samples: int = 10_000,
@@ -544,8 +558,7 @@ def certify(
     Returns a report with per-inequality violation counts and witness
     points. A wrong claim yields a failing report, never an exception.
     """
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be positive, got {n_samples}")
+    check_samples(n_samples)
     lc = model.constants()
     half_width = 10.0 * max(1.0, math.sqrt(lc.b / lc.m))
     root_M_bm = lc.M * math.sqrt(lc.b / lc.m)

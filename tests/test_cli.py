@@ -157,6 +157,44 @@ def test_family_constructor_refusal_exits_one(run_and_bounds, tmp_path, capsys,
         assert not out.exists()
 
 
+@pytest.mark.parametrize("sub", ["certify", "run", "bounds", "verify"])
+@pytest.mark.parametrize("over, refused", [
+    # finite values whose derived constants leave the float range
+    pytest.param({"loss": {"data_radius": 1e300}}, "loss: b ",  # (R/2) r^2
+                 id="data_radius=1e300"),
+    pytest.param({"loss": {"family": "nonconvex_ridge", "R": None, "lam": 1.0,
+                           "a": 1e300}}, "loss: b ",  # a^2 r^2 / (2 lam)
+                 id="nonconvex-a=1e300"),
+    pytest.param({"sgld": {"s_sq": 1e300}}, "bounds.universal_C_moment: ",
+                 id="s_sq=1e300"),  # 4 e^2 C5^2
+    pytest.param({"sgld": {"beta": 1e-300}}, "bounds.universal_C_moment: ",
+                 id="beta=1e-300"),
+    # values a subcommand's consumer refuses
+    pytest.param({"loss": {"certify_samples": 0}}, "loss.certify_samples: ",
+                 id="certify_samples=0"),
+    pytest.param({"loss": {"certify_samples": -5}}, "loss.certify_samples: ",
+                 id="certify_samples=-5"),
+    pytest.param({"bounds": {"farghly_C1": 0.0}}, "bounds.farghly_C1: ",
+                 id="farghly_C1=0"),
+    pytest.param({"bounds": {"farghly_C2": -1.0}}, "bounds.farghly_C2: ",
+                 id="farghly_C2=-1"),
+    pytest.param({"verify": {"oracle_T": 0}}, "verify.oracle_T: ",
+                 id="oracle_T=0"),  # a KL trace of no step
+])
+def test_value_refused_at_load_by_every_subcommand(run_and_bounds, tmp_path, capsys,
+                                                    sub, over, refused):
+    # each ends in one config error line before any output opens, not in a
+    # traceback, nor in a check of nothing
+    cfg = write_config(tmp_path / "c.json", **over)
+    out = tmp_path / "out"
+    argv = [sub, "--config", cfg, "--out", str(out)]
+    if sub == "bounds":
+        argv += ["--traces", str(run_and_bounds / "run")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"config error: {refused}")
+    assert not out.exists()
+
+
 def test_non_finite_number_refused_naming_its_key(tmp_path):
     # JSON's NaN and Infinity parse as floats; every float key refuses them
     float_keys = [(block, key) for block, schema in config._SCHEMAS.items()
@@ -176,6 +214,8 @@ def test_non_finite_number_refused_naming_its_key(tmp_path):
 REFUSED_BY_RULE = {
     ("bounds", "which"): (["nope"], [], ["pensia", "pensia"]),
     ("bounds", "sigma_g_sq"): (0.0, -1.0),
+    ("bounds", "farghly_C1"): (0.0,),
+    ("bounds", "farghly_C2"): (-1.0,),
     ("bounds", "lsi_mode"): ("nope",),
     ("bounds", "T_grid"): ([1.5], [], [4, 4]),
     ("bounds", "n_grid"): (["x"], [], [10, 10]),
@@ -188,6 +228,7 @@ REFUSED_BY_RULE = {
     ("estimators", "lambda_grid"): ([0.1, [1]], [None]),
     ("estimators", "eval_loss"): ("nope",),
     ("loss", "d"): (10**30,),
+    ("loss", "certify_samples"): (0, -5),
     ("sgld", "k"): (2**63,),
     ("sgld", "T"): (2**63 - 1,),
     ("data", "n"): (10**30,),

@@ -456,6 +456,51 @@ def test_evolve_pair_blocks_equal_the_fp_step_loop(monkeypatch, case, block_step
     check_against_the_fp_step_loop(case)
 
 
+def face_flux_step(values, grad, beta, dt, h):
+    """One Chang-Cooper step as a conservative face-flux update: the face
+    density, its drift flux, the diffusion flux, their difference through
+    each interior face, and the flux divergence; then negative cells floored."""
+    v_face = 0.5 * (grad[:-1] + grad[1:])
+    delta = fokker_planck._cc_weight(beta * v_face * h)
+    face_density = delta * values[:-1] + (1.0 - delta) * values[1:]
+    drift = v_face * face_density
+    diffusion = -(1.0 / beta) * (values[1:] - values[:-1]) / h
+    flux = np.zeros(values.shape[0] + 1)  # the walls carry no flux
+    flux[1:-1] = diffusion - drift
+    return np.maximum(values - dt * (flux[1:] - flux[:-1]) / h, 0.0)
+
+
+@pytest.mark.parametrize("case", ["shifted", "contraction", "steep", "clamped"])
+def test_fp_step_equals_the_face_flux_step(case):
+    g, gs, ga, dt, rho, gamma = pair_case(case)
+    for density, grad in ((rho, gs), (gamma, ga)):
+        want = face_flux_step(density.values, grad, BETA, dt, g.h)
+        got = fp_step(density, grad, BETA, dt).values
+        eps = np.finfo(float).eps
+        assert np.abs(got - want).max() <= 4 * eps * density.values.max()
+
+
+@pytest.mark.parametrize("case", ["shifted", "contraction", "steep", "clamped"])
+def test_generator_is_a_mass_conserving_nonnegative_step(case):
+    # I + dt A: nonnegative off the diagonal, and each column sums to 1, so
+    # the mass sum_i rho_i h moves between cells and none is made or lost.
+    # An off-diagonal entry is (dt/h)(D/h) B(+-w) >= 0, B(w) = w/(e^w - 1) at
+    # the face Peclet number w, but formed as a difference of terms up to
+    # (dt/h)|v_f|; at high Peclet number (the steep and clamped cases) it can
+    # round below 0 by less than an ulp of the largest entry, the rounding
+    # the clamp floors
+    g, gs, ga, dt, _, _ = pair_case(case)
+    bands = fokker_planck._generator(g, [gs, ga], BETA, dt)
+    left, diag, right = bands[:, 0], bands[:, 1], bands[:, 2]
+    ulp = np.finfo(float).eps * max(left.max(), right.max())
+    assert left.min() >= -ulp and right.min() >= -ulp
+    assert (left[:, 0] == 0).all() and (right[:, -1] == 0).all()
+    column = diag.copy()
+    column[:, :-1] += left[:, 1:]
+    column[:, 1:] += right[:, :-1]
+    assert np.abs(column - 1.0).max() <= 4 * np.finfo(float).eps
+
+
 def test_kl_and_fisher_use_the_longest_shared_support_run():
     # supports split into runs of 5, 40, 40 and 20 cells: the first of the
     # two longest is the band, as the split-and-max form picked it
