@@ -54,8 +54,8 @@ from .estimators import (
     logmgf_check,
     pth_moment_check,
     pth_moment_min_chains,
+    stability_block,
     stability_chains,
-    stability_estimates,
     write_estimates_csv,
 )
 from .fokker_planck import evolve_pair, gibbs_density, verify_inequality_12
@@ -68,7 +68,7 @@ from .oracle import (
     oracle_trace,
     verify_kl_recursion,
 )
-from .sgld import SGLDConfig, _run_chains_lockstep, run_ensemble, write_csv
+from .sgld import SGLDConfig, _lockstep_chunks, run_ensemble, write_csv
 
 
 # ---------------------------------------------------------------- run support
@@ -338,11 +338,13 @@ def cmd_run(args) -> int:
             out.finish_manifest("failed")
             print("run failed: chain states left the float range", file=sys.stderr)
             return 2
-        stability, gap = estimates
+        (means, stderrs, n_pairs), gap = estimates
         with out.file("stability.csv") as path:
             write_estimates_csv(
-                path, [("grad_stability", int(step), e)
-                       for step, e in zip(stored_steps, stability)])
+                path, (("grad_stability", step,
+                        EstimateWithError(mean, stderr, n_pairs, "grad_stability"))
+                       for step, mean, stderr in zip(stored_steps.tolist(),
+                                                     means.tolist(), stderrs.tolist())))
         with out.file("gap.csv") as path:
             write_estimates_csv(path, [(gap.estimator_name, sgld_cfg.T, gap)])
         out.finish_manifest()
@@ -366,12 +368,17 @@ def _run_own_stages(out: _OutputDir, cfg: ExperimentConfig, model, dataset,
     out.save_npy("final_states.npy",
                  np.stack([tr.final_state for tr in traces]))
 
-    norms = np.stack([tr.w_norm_sq for tr in traces])
+    # the chains' mean ||W||^2 row by row, in the order and with the bits of
+    # np.mean over their stack, which would copy every row
+    total = traces[0].w_norm_sq.copy()
+    for tr in traces[1:]:
+        total += tr.w_norm_sq
+    total /= len(traces)
     with out.file("moments.csv") as path:
-        write_csv(path, ("t", "mean_w_norm_sq"), enumerate(norms.mean(axis=0).tolist()))
-    finite = bool(np.isfinite(norms).all())
-    out.manifest["checks"] = {
-        "states": {"max_w_norm_sq": float(norms.max()) if finite else None}}
+        write_csv(path, ("t", "mean_w_norm_sq"), enumerate(total.tolist()))
+    finite = all(np.isfinite(tr.w_norm_sq).all() for tr in traces)
+    out.manifest["checks"] = {"states": {"max_w_norm_sq": max(
+        float(tr.w_norm_sq.max()) for tr in traces) if finite else None}}
     if not finite:
         return None
 
@@ -493,12 +500,13 @@ def _worker(send, parent: int, model, sgld_cfg: SGLDConfig, est: dict) -> None:
 
 
 def _worker_stages(model, sgld_cfg: SGLDConfig, est: dict):
-    """The stability estimates and the gap, from one chain-engine call: the
-    stability pairs' chains, each on its S, then the gap trials' chains;
-    None if a chain's ||W||^2 left the float range.
-    The gap is evaluated at the trials' final states, then every stored
-    step of every pair; only the pairs keep their trajectories, and the
-    traces go once the states are checked. The estimators are looked up in
+    """The stability trace and the gap, from one pass of the chain engine
+    over the stability pairs' chains, each on its S, then the gap trials'
+    chains; None at the first chunk in which a chain's ||W||^2 leaves the
+    float range. Each chunk's stored pair states are evaluated as the engine
+    yields them, and the trials' final states alone are kept, for the gap,
+    so no trajectory is held whole. The trace is (means, stderrs, n_pairs),
+    one entry of each array per stored step. The estimators are looked up in
     this module's globals at call time, so wrappers set there are the ones
     run."""
     n_pairs = est["n_pairs"]
@@ -508,16 +516,19 @@ def _worker_stages(model, sgld_cfg: SGLDConfig, est: dict):
     datasets_alt = np.empty((n_pairs, sgld_cfg.n, model.z_dim))
     chain_seqs = stability_chains(model, sgld_cfg, datasets[:n_pairs], datasets_alt)
     trial_seqs, pool_seqs = gap_trials(model, sgld_cfg, datasets[n_pairs:])
-    traces = _run_chains_lockstep(sgld_cfg, model, datasets, chain_seqs + trial_seqs,
-                                  series=0, trajectories=n_pairs)
-    if not all(np.isfinite(tr.w_norm_sq).all() for tr in traces):
-        return None  # a state beyond the float range: no estimate is defined
-    states = [tr.states for tr in traces]
-    del traces  # frees every chain's ||W||^2 before the pair evaluation
-    gap = gen_gap(model, datasets[n_pairs:], [s[-1] for s in states[n_pairs:]],
-                  pool_seqs, est["eval_loss"])
-    return stability_estimates(model, datasets[:n_pairs], datasets_alt,
-                               states[:n_pairs]), gap
+    means, stderrs = [], []
+    for chunk in _lockstep_chunks(sgld_cfg, model, datasets, chain_seqs + trial_seqs,
+                                  series=0):
+        if not np.isfinite(chunk.w_norm_sq).all():
+            return None  # a state beyond the float range: no estimate is defined
+        mean, stderr = stability_block(model, datasets[:n_pairs], datasets_alt,
+                                       chunk.states)
+        means.append(mean)
+        stderrs.append(stderr)
+    finals = chunk.states[-1, n_pairs:].copy()  # T is the last stored step
+    del chunk  # frees the engine's step buffer before the gap's test pools
+    gap = gen_gap(model, datasets[n_pairs:], finals, pool_seqs, est["eval_loss"])
+    return (np.concatenate(means), np.concatenate(stderrs), n_pairs), gap
 
 
 def _read_csv(path, columns) -> list:

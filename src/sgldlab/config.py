@@ -355,7 +355,16 @@ def _verify_fp_runs(cfg: ExperimentConfig, lc):
         w = grid.centers
         cs, ca = fp["center_gap"] / 2.0, -fp["center_gap"] / 2.0
         gs, ga = R_fp * (w - cs), R_fp * (w - ca)
-        dt = fp["dt_safety"] * stability_limit(grid, gs, beta)
+        limit = stability_limit(grid, gs, beta)
+        if not limit > 0:  # h^2 underflows, or 2/beta + h max|grad| overflows
+            raise ConfigError(
+                f"fp.halfwidth: {hw} over {n_cells} cells, at beta = {beta} and "
+                f"max|grad| = {float(np.abs(gs).max())}, leaves the Fokker-Planck "
+                f"step no positive dt (its stability limit is {limit})")
+        dt = fp["dt_safety"] * limit
+        if not dt > 0:  # T_end / dt below would divide by a zero dt
+            raise ConfigError(f"fp.dt_safety: {fp['dt_safety']} of the stability "
+                              f"limit {limit} gives dt = {dt}; dt must be positive")
         steps = fp["T_end"] / dt
         if not (steps + 1) * 8 <= np.iinfo(np.intp).max:
             raise ValueError(f"T_end = {fp['T_end']} is {steps} steps of dt = {dt}; "

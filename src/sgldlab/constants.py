@@ -341,7 +341,7 @@ def _beta_failures(lc: LossConstants, beta: float) -> list[str]:
 def _eta_failures(lc: LossConstants, eta: float) -> list[str]:
     # the moment lemma's step-size range (0, min(1, m/(5 M^2)))
     failures = []
-    cap_m = lc.m / (5.0 * lc.M**2)
+    cap_m = lc.m / lc.M / (5.0 * lc.M)  # M**2 underflows to 0 below M = 1e-162
     if eta >= cap_m:
         failures.append(f"eta < m/(5 M^2) violated: eta={eta} >= {cap_m}")
     if eta >= 1.0:

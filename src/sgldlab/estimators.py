@@ -21,6 +21,7 @@ from .sgld import (
     _block_len,
     _draw_offsets,
     _fy_subset_rows,
+    _lockstep_chunks,
     _run_chains_lockstep,
     check_count,
     write_csv,
@@ -34,8 +35,8 @@ __all__ = [
     "gen_gap",
     "grad_variance_trace",
     "grad_stability_trace",
+    "stability_block",
     "stability_chains",
-    "stability_estimates",
     "PthMomentReport",
     "pth_moment_min_chains",
     "pth_moment_check",
@@ -76,13 +77,18 @@ def _estimate(samples: np.ndarray, name: str) -> EstimateWithError:
 
 def _estimates(rows: np.ndarray, name: str) -> list[EstimateWithError]:
     """The mean and standard error of each row of a (b, m) block, in one pass."""
+    means, stderrs = _mean_stderr(rows)
+    return [EstimateWithError(mean=mu, stderr=se, n_samples=rows.shape[1],
+                              estimator_name=name)
+            for mu, se in zip(means.tolist(), stderrs.tolist())]
+
+
+def _mean_stderr(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(means, standard errors) of the rows of a (b, m) block, as arrays."""
     m = rows.shape[1]
-    means = rows.mean(axis=1)
-    sds = rows.std(axis=1, ddof=1) if m > 1 else np.zeros(rows.shape[0])
-    root_m = math.sqrt(m)
-    return [EstimateWithError(mean=float(mu), stderr=float(sd) / root_m,
-                              n_samples=m, estimator_name=name)
-            for mu, sd in zip(means, sds)]
+    if m == 1:
+        return rows.mean(axis=1), np.zeros(rows.shape[0])
+    return rows.mean(axis=1), rows.std(axis=1, ddof=1) / math.sqrt(m)
 
 
 def _surrogate(values: np.ndarray) -> np.ndarray:
@@ -234,16 +240,19 @@ def grad_stability_trace(
     respect. `control_identical` replaces S' by S (the statistic is then
     exactly zero; falsification control).
 
-    The composition of `stability_chains`, the chains and
-    `stability_estimates`.
+    The composition of `stability_chains`, the chains and `stability_block`
+    on each of the engine's chunks in turn, so no trajectory is held whole.
     """
     check_count("n_pairs", n_pairs)
     datasets, datasets_alt = np.empty((2, n_pairs, config.n, model.z_dim))
     chain_seqs = stability_chains(model, config, datasets, datasets_alt,
                                   control_identical)
-    traces = _run_chains_lockstep(config, model, datasets, chain_seqs, series=0)
-    return stability_estimates(model, datasets, datasets_alt,
-                               [tr.states for tr in traces])
+    out = []
+    for chunk in _lockstep_chunks(config, model, datasets, chain_seqs, series=0):
+        means, stderrs = stability_block(model, datasets, datasets_alt, chunk.states)
+        out.extend(EstimateWithError(mu, se, n_pairs, "grad_stability")
+                   for mu, se in zip(means.tolist(), stderrs.tolist()))
+    return out
 
 
 def stability_chains(model: LossModel, config: SGLDConfig, datasets: np.ndarray,
@@ -266,29 +275,27 @@ def stability_chains(model: LossModel, config: SGLDConfig, datasets: np.ndarray,
     return chain_seqs
 
 
-def stability_estimates(model: LossModel, datasets: np.ndarray,
-                        datasets_alt: np.ndarray, states) -> list[EstimateWithError]:
-    """The estimate of `grad_stability_trace` at each step of `states`, one
-    (steps, d) array per pair, from the pairs' datasets S and S' as
-    `stability_chains` drew them.
+def stability_block(model: LossModel, datasets: np.ndarray, datasets_alt: np.ndarray,
+                    states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The mean and standard error over the pairs of ||grad F_S(W_t) -
+    grad F_S'(W_t)||^2 at each step of `states`, a (steps, n_pairs, d) array
+    whose column p is pair p's chain (or any leading columns of a wider
+    one), from the pairs' datasets S and S' as `stability_chains` drew them.
 
     Per pair and per block of steps, one `LossModel.stability_sq` call
-    gives the squared gradient differences. The blocks lie on a fixed grid
-    from the first step, `_block_len` steps long by one dataset's (steps,
-    n) margins.
+    gives the squared gradient differences. The blocks are `_block_len`
+    steps long by one dataset's (steps, n) margins. Each step's values have
+    the same bits however the steps are split into calls, so a trace
+    evaluated chunk by chunk equals one evaluated whole.
     """
-    n_pairs = len(states)
-    n_steps = states[0].shape[0]
+    n_steps, n_pairs = states.shape[0], datasets.shape[0]
     block = _block_len(datasets.shape[1])
-    out = []
+    sq = np.empty((n_steps, n_pairs))  # sq[r, p] is pair p at the r-th step
     for r0 in range(0, n_steps, block):
-        # sq[r, p] is pair p at the block's r-th step
-        sq = np.empty((min(block, n_steps - r0), n_pairs))
-        for p, s in enumerate(states):
-            sq[:, p] = model.stability_sq(s[r0:r0 + block], datasets[p],
-                                          datasets_alt[p])
-        out.extend(_estimates(sq, "grad_stability"))
-    return out
+        for p in range(n_pairs):
+            sq[r0:r0 + block, p] = model.stability_sq(states[r0:r0 + block, p],
+                                                      datasets[p], datasets_alt[p])
+    return _mean_stderr(sq)
 
 
 # ----------------------------------------------------------------- p-th moments
@@ -404,6 +411,29 @@ def _log_mean_exp(rows: np.ndarray) -> list[float]:
     return [t + math.log(mean) for t, mean in zip(top.tolist(), means.tolist())]
 
 
+def _percentiles(values, qs) -> list[float]:
+    """`np.percentile(values, qs)` by its default linear rule, to the bit.
+
+    With the values sorted, q's virtual index is v = (len - 1) q / 100, a
+    and b are the values at floor(v) and the next index, and g = v -
+    floor(v); the percentile is a + (b - a) g for g < 0.5, else b - (b - a)
+    (1 - g), and NaN if a value is NaN. A sort, not np.percentile, whose
+    partition imports numpy.ma (about 1 MB and 20 ms)."""
+    x = np.sort(np.asarray(values, dtype=float)).tolist()
+    if math.isnan(x[-1]):  # the sort puts NaN last
+        return [math.nan for _ in qs]
+    out = []
+    for q in qs:
+        v = (len(x) - 1) * (q / 100.0)
+        i = math.floor(v)
+        if i >= len(x) - 1:
+            out.append(x[-1])
+            continue
+        a, b, g = x[i], x[i + 1], v - i
+        out.append(b - (b - a) * (1.0 - g) if g >= 0.5 else a + (b - a) * g)
+    return out
+
+
 def admitted_lambdas(lambda_grid, nu: float) -> list[float]:
     """The grid as floats if inside |lambda| < 1/(2 nu), else ValueError: half
     the admissible region, where the empirical MGF is still estimable."""
@@ -448,12 +478,12 @@ def logmgf_check(
         if lam == 0.0:
             lo = hi = 0.0
         else:
-            lo, hi = np.percentile(_log_mean_exp(lam * boot_centered), [2.5, 97.5])
+            lo, hi = _percentiles(_log_mean_exp(lam * boot_centered), (2.5, 97.5))
         if point > env:
             n_violations += 1
         vals.append(point)
-        los.append(float(lo))
-        his.append(float(hi))
+        los.append(lo)
+        his.append(hi)
         envs.append(env)
     return LogMgfReport(
         lambdas=tuple(lambdas),

@@ -148,8 +148,9 @@ class ChainTrace:
     ceil(T/10^4)-th state plus the final one; `stored_steps` gives the step
     index of each stored row. A chain past an engine call's `trajectories`
     count (see `_run_chains_lockstep`) holds its final state alone, with
-    `stored_steps` [T]; `run` keeps trajectories for chain 0 and the
-    stability pairs only. The scalar series are always complete:
+    `stored_steps` [T]; `run` keeps chain 0's trajectory only, and its
+    worker reads the stability pairs' states chunk by chunk from
+    `_lockstep_chunks`. The scalar series are always complete:
     `w_norm_sq` has T+1 entries (one per state); the gradient series have
     one entry per update, `grad_var_sample[t]` being the squared deviation
     ||grad_batch(W_t) - grad_full(W_t)||^2 of the minibatch gradient
@@ -272,7 +273,7 @@ def _fy_subset_rows(offsets: np.ndarray, n: int) -> np.ndarray:
     scratch = np.repeat(np.arange(n, dtype=_index_dtype(n)), rows).reshape(n, rows)
     flat = scratch.reshape(-1)
     # flat scratch position of each swap target, one row per swap
-    targets = np.ascontiguousarray(offsets.T, dtype=np.int64)
+    targets = np.array(offsets.T, dtype=np.int64, order="C")  # a copy, always
     targets += np.arange(k)[:, None]
     targets *= rows
     targets += np.arange(rows)
@@ -292,15 +293,40 @@ def _row_sq(A: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", rows, rows).reshape(A.shape[:-1])
 
 
-def _run_chains_lockstep(
+def _stride(T: int) -> int:
+    """The step stride of a stored trajectory: every state up to
+    `STATE_STORE_CAP` steps, else every ceil(T / STATE_STORE_CAP)-th one."""
+    return 1 if T <= STATE_STORE_CAP else -(-T // STATE_STORE_CAP)
+
+
+@dataclass(frozen=True)
+class _Chunk:
+    """One block of `_lockstep_chunks`, every chain's, step-major. Its
+    arrays may be views of buffers the next block overwrites.
+
+    `w_norm_sq` (m, c) holds ||W_t||^2 for the steps t = t0 .. t0 + m - 1,
+    and `states` (r, c, d) the states among them a trajectory stores: the
+    multiples of the stride, and the final state T. `grads` is None for the
+    first block, the initial state alone (t0 = 0, m = 1); else it holds the
+    series of the updates that made the block's states, each (m, series):
+    grad_var_sample, grad_fullbatch_norm, grad_minibatch_norm.
+    """
+
+    t0: int
+    w_norm_sq: np.ndarray
+    states: np.ndarray
+    grads: tuple | None
+
+
+def _lockstep_chunks(
     config: SGLDConfig,
     model: LossModel,
     datasets: np.ndarray,
     chain_seqs: list[np.random.SeedSequence],
     series: int | None = None,
-    trajectories: int | None = None,
-) -> list[ChainTrace]:
-    """Advance several chains together, vectorized across chains.
+):
+    """Advance several chains together, vectorized across chains, yielding
+    a `_Chunk` for the initial states and then one per `STEP_CHUNK` steps.
 
     `datasets` is (c, n, z_dim), row i being chain i's dataset (a broadcast
     view when chains share one, which is gathered from and never copied
@@ -311,33 +337,25 @@ def _run_chains_lockstep(
     from its (steps * c, n) Fisher-Yates scratch.
 
     The step loop computes only the gradients and the update: each step's
-    states go into a (chunk, c, d) buffer, and `w_norm_sq`, the gradient
-    series and the stored states are filled once per chunk from it, by the
-    same per-row reductions a step would take (`_row_sq`).
+    states go into a (chunk, c, d) buffer, and a chunk's ||W||^2, gradient
+    series and stored states are taken once from it, by the same per-row
+    reductions a step would take (`_row_sq`). So a caller holds one chunk
+    of states at a time, whatever T is.
 
     `series` is the number of leading chains that get the per-step gradient
-    series (`grad_var_sample`, `grad_fullbatch_norm`, `grad_minibatch_norm`),
-    all of them when None. When k < n a series chain's full-batch gradients
-    are taken once per chunk, at the chunk's pre-update states in one
-    `grad_minibatch` call over its whole dataset; the other chains' series
-    are read-only all-NaN views that take no memory, and 0 suits callers
-    that read only the states. A chain's series do not depend on how many
-    rows get them.
-
-    `trajectories` is the number of leading chains whose `states` hold
-    every stored step, all of them when None; every other chain's `states`
-    holds its final state alone, one row at `stored_steps` [T], which is
-    all `final_state` reads. `w_norm_sq` is filled for every chain, and no
-    chain's values depend on how many rows keep their trajectories.
+    series, all of them when None; 0 suits callers that read only the
+    states. When k < n a series chain's full-batch gradients are taken once
+    per chunk, at the chunk's pre-update states in one `grad_minibatch`
+    call over its whole dataset. A chain's values do not depend on how many
+    rows get the series.
     """
     c = len(chain_seqs)
     if series is None:
         series = c
-    if trajectories is None:
-        trajectories = c
     T, d, n, k = config.T, config.d, config.n, config.k
     eta, beta = config.eta, config.beta
     noise_scale = math.sqrt(2.0 * eta / beta)
+    stride = _stride(T)
 
     rng_init, rng_batch, rng_noise = [], [], []
     for seq in chain_seqs:
@@ -347,20 +365,7 @@ def _run_chains_lockstep(
         rng_noise.append(np.random.default_rng(noise_s))
 
     W = np.stack([sample_initial(d, config.s_sq, r) for r in rng_init])
-
-    stride = 1 if T <= STATE_STORE_CAP else -(-T // STATE_STORE_CAP)
-    stored_steps = list(range(0, T + 1, stride))
-    if stored_steps[-1] != T:
-        stored_steps.append(T)
-    stored_steps = np.asarray(stored_steps)
-
-    states = np.empty((trajectories, len(stored_steps), d))
-    w_norm_sq = np.empty((c, T + 1))
-    grad_var, grad_full_norm, grad_mini_norm = np.empty((3, series, T))
-    no_series = np.broadcast_to(np.nan, (T,))  # read-only, takes no memory
-
-    w_norm_sq[:, 0] = _row_sq(W)
-    states[:, 0] = W[:trajectories]
+    yield _Chunk(0, _row_sq(W)[None], W[None], None)
 
     # one contiguous table of data points to gather minibatches from: the
     # shared dataset, or the stacked datasets with chain i's at row i * n
@@ -407,27 +412,70 @@ def _run_chains_lockstep(
                 G_mini[s] = G[:series]
             W = np.add(W - eta * G, Ws[s], out=Ws[s])
 
-        w_norm_sq[:, start + 1:start + cl + 1] = _row_sq(Ws[:cl]).T
-        if series:
-            if k < n:
-                for i in range(series):
-                    # chain i's pre-update states, each with its whole dataset
-                    pre = np.concatenate([W_first[i:i + 1], Ws[:cl - 1, i]])
-                    whole = np.broadcast_to(datasets[i], (cl,) + datasets.shape[1:])
-                    G_full[:cl, i] = model.grad_minibatch(pre, whole)
-            steps = slice(start, start + cl)
-            grad_var[:, steps] = _row_sq(G_mini[:cl] - G_full[:cl]).T
-            grad_full_norm[:, steps] = np.sqrt(_row_sq(G_full[:cl])).T
-            grad_mini_norm[:, steps] = np.sqrt(_row_sq(G_mini[:cl])).T
-        # the chunk's stored multiples of the stride, from states[:, lo] on
-        lo = -(-(start + 1) // stride)
-        kept = Ws[lo * stride - start - 1:cl:stride, :trajectories]
-        states[:, lo:lo + kept.shape[0]] = kept.swapaxes(0, 1)
-    # the final states, off the chunk buffer; each trajectory stores its
-    # own whether or not on the stride
-    final = W.copy()
-    states[:, -1] = final[:trajectories]
+        if series and k < n:
+            for i in range(series):
+                # chain i's pre-update states, each with its whole dataset
+                pre = np.concatenate([W_first[i:i + 1], Ws[:cl - 1, i]])
+                whole = np.broadcast_to(datasets[i], (cl,) + datasets.shape[1:])
+                G_full[:cl, i] = model.grad_minibatch(pre, whole)
+        grads = (_row_sq(G_mini[:cl] - G_full[:cl]), np.sqrt(_row_sq(G_full[:cl])),
+                 np.sqrt(_row_sq(G_mini[:cl])))
+        # the chunk's multiples of the stride, and T when off the stride
+        kept = Ws[-(-(start + 1) // stride) * stride - start - 1:cl:stride]
+        if start + cl == T and T % stride:
+            kept = np.concatenate([kept, Ws[cl - 1:cl]])
+        yield _Chunk(start + 1, _row_sq(Ws[:cl]), kept, grads)
 
+
+def _run_chains_lockstep(
+    config: SGLDConfig,
+    model: LossModel,
+    datasets: np.ndarray,
+    chain_seqs: list[np.random.SeedSequence],
+    series: int | None = None,
+    trajectories: int | None = None,
+) -> list[ChainTrace]:
+    """The traces of `_lockstep_chunks`' chains, collected from its chunks.
+
+    `series` is the number of leading chains that get the per-step gradient
+    series (`grad_var_sample`, `grad_fullbatch_norm`, `grad_minibatch_norm`),
+    all of them when None; the other chains' series are read-only all-NaN
+    views that take no memory.
+
+    `trajectories` is the number of leading chains whose `states` hold
+    every stored step, all of them when None; every other chain's `states`
+    holds its final state alone, one row at `stored_steps` [T], which is
+    all `final_state` reads. `w_norm_sq` is filled for every chain, and no
+    chain's values depend on how many rows keep their trajectories.
+    """
+    c = len(chain_seqs)
+    if series is None:
+        series = c
+    if trajectories is None:
+        trajectories = c
+    T = config.T
+    stored_steps = np.arange(0, T + 1, _stride(T))
+    if stored_steps[-1] != T:
+        stored_steps = np.append(stored_steps, T)
+
+    states = np.empty((trajectories, len(stored_steps), config.d))
+    w_norm_sq = np.empty((c, T + 1))
+    grad_series = np.empty((3, series, T))
+    no_series = np.broadcast_to(np.nan, (T,))  # read-only, takes no memory
+
+    row = 0
+    for chunk in _lockstep_chunks(config, model, datasets, chain_seqs, series):
+        t0, (m, _) = chunk.t0, chunk.w_norm_sq.shape
+        w_norm_sq[:, t0:t0 + m] = chunk.w_norm_sq.T
+        if chunk.grads is not None:
+            for out, values in zip(grad_series, chunk.grads):
+                out[:, t0 - 1:t0 - 1 + m] = values.T
+        kept = chunk.states.shape[0]
+        states[:, row:row + kept] = chunk.states[:, :trajectories].swapaxes(0, 1)
+        row += kept
+    final = chunk.states[-1].copy()  # T is the last stored step
+
+    grad_var, grad_full_norm, grad_mini_norm = grad_series
     return [
         ChainTrace(
             config=config,
@@ -437,7 +485,7 @@ def _run_chains_lockstep(
             grad_var_sample=grad_var[i] if i < series else no_series,
             grad_fullbatch_norm=grad_full_norm[i] if i < series else no_series,
             grad_minibatch_norm=grad_mini_norm[i] if i < series else no_series,
-            noise_variates=T * d,
+            noise_variates=T * config.d,
         )
         for i in range(c)
     ]

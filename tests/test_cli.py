@@ -18,7 +18,8 @@ import pytest
 from sgldlab import cli, config, sgld
 from sgldlab.bounds import bound_xu_raginsky, kl_chain
 from sgldlab.cli import ConfigError, load_config, main
-from sgldlab.estimators import empirical_gen_gap, grad_stability_trace, write_estimates_csv
+from sgldlab.estimators import (EstimateWithError, empirical_gen_gap, grad_stability_trace,
+                                stability_block, stability_chains, write_estimates_csv)
 from sgldlab.oracle import oracle_mi_upper
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -386,6 +387,29 @@ def test_bad_value_exits_one_before_any_output(full_batch_run, tmp_path, capsys,
     assert not out.exists()
 
 
+def test_loss_whose_M_squared_underflows_is_refused_by_admissibility(tmp_path, capsys):
+    # R = 1e-300: M^2 underflows to 0 in the step-size cap m/(5 M^2); beta
+    # >= 2/m = 4e300 is what fails
+    cfg = write_config(tmp_path / "c.json", loss={"R": 1e-300})
+    assert load_config(cfg).derived().startswith("derived-constants-unavailable: ")
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("run refused: parameter ranges outside the certified regime")
+    assert "beta >= 2/m violated" in err and not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [("halfwidth", 1e-300), ("dt_safety", 0.0)])
+def test_vanishing_fp_time_step_is_a_config_error(tmp_path, capsys, key, value):
+    # h^2 underflows at halfwidth 1e-300, so the stability limit and dt are
+    # 0; fp.T_end / dt would divide by it on every subcommand
+    cfg = write_config(tmp_path / "c.json", fp={key: value})
+    out = tmp_path / "out"
+    assert main(["certify", "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: fp.{key}: ")
+    assert not out.exists()
+
+
 # ----------------------------------------------------------------------- run
 
 RUN_CSVS = ("chain_000.csv", "moments.csv", "variance.csv", "stability.csv",
@@ -644,22 +668,59 @@ def test_run_stability_csv_in_blocks_equals_in_process_trace(tmp_path, monkeypat
         tmp_path, **{"logistic": LOGISTIC, "nonconvex": NONCONVEX}.get(family, {}))
 
 
+@pytest.mark.parametrize("case", ["strided", "diverging"])
+def test_run_stability_chunk_by_chunk_equals_the_whole_trace(tmp_path, monkeypatch,
+                                                            case):
+    # chunks of 16 steps over T = 61; strided: every 7th state, with T off
+    # the stride; diverging: |1 - eta lam| = 2, so ||W||^2 reaches 1e37
+    monkeypatch.setattr(sgld, "STEP_CHUNK", 16)
+    over = {"loss": LOGISTIC["loss"], "sgld": {"T": 61}}
+    if case == "strided":
+        monkeypatch.setattr(sgld, "STATE_STORE_CAP", 10)
+    else:
+        over["sgld"]["eta"] = 3.0
+    path = write_config(tmp_path / "c.json", **over)
+    assert main(["run", "--config", path, "--out", str(tmp_path / "run"),
+                 "--allow-unsafe"]) == 0
+    manifest = read_json(tmp_path / "run" / "manifest.json")
+    assert (manifest["checks"]["states"]["max_w_norm_sq"] > 1e30) == (case == "diverging")
+
+    # every pair's trajectory held whole, then evaluated in one call
+    cfg = load_config(path)
+    model, sgld_cfg, n_pairs = cfg.model(), cfg.sgld_config(), cfg["estimators"]["n_pairs"]
+    datasets, datasets_alt = np.empty((2, n_pairs, sgld_cfg.n, model.z_dim))
+    seqs = stability_chains(model, sgld_cfg, datasets, datasets_alt)
+    traces = sgld._run_chains_lockstep(sgld_cfg, model, datasets, seqs, series=0)
+    steps = traces[0].stored_steps
+    assert len(steps) == (10 if case == "strided" else 62) and steps[-1] == 61
+    means, stderrs = stability_block(model, datasets, datasets_alt,
+                                     np.stack([tr.states for tr in traces], axis=1))
+    write_estimates_csv(tmp_path / "whole.csv", [
+        ("grad_stability", int(t), EstimateWithError(mu, se, n_pairs, "grad_stability"))
+        for t, mu, se in zip(steps, means.tolist(), stderrs.tolist())])
+    assert ((tmp_path / "run" / "stability.csv").read_bytes()
+            == (tmp_path / "whole.csv").read_bytes())
+
+
 def test_run_worker_stages_make_one_chain_engine_call(tmp_path, monkeypatch):
     # the pairs' chains and the trials' chains are rows of one engine call,
     # which gives each row the bits the in-process estimators give it
     path = write_config(tmp_path / "c.json", **LOGISTIC)
     cfg = load_config(path)
     model, sgld_cfg, est = cfg.model(), cfg.sgld_config(), cfg["estimators"]
-    real, calls = cli._run_chains_lockstep, []
+    real, calls = cli._lockstep_chunks, []
 
     def counting(config, model, datasets, chain_seqs, **kwargs):
         calls.append(len(chain_seqs))
         return real(config, model, datasets, chain_seqs, **kwargs)
 
-    monkeypatch.setattr(cli, "_run_chains_lockstep", counting)
-    stability, gap = cli._worker_stages(model, sgld_cfg, est)
+    monkeypatch.setattr(cli, "_lockstep_chunks", counting)
+    (means, stderrs, n), gap = cli._worker_stages(model, sgld_cfg, est)
     assert calls == [est["n_pairs"] + est["n_trials"]]
-    assert stability == grad_stability_trace(model, sgld_cfg, n_pairs=est["n_pairs"])
+    want = grad_stability_trace(model, sgld_cfg, n_pairs=est["n_pairs"])
+    assert means.tolist() == [e.mean for e in want]
+    assert stderrs.tolist() == [e.stderr for e in want]
+    assert n == est["n_pairs"] == want[0].n_samples
     assert gap == empirical_gen_gap(model, sgld_cfg, n_trials=est["n_trials"],
                                     eval_loss=est["eval_loss"])
 
@@ -777,6 +838,48 @@ def test_run_of_a_wide_ensemble_holds_only_the_trajectories_it_reads(tmp_path):
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
     assert proc.returncode == 0, proc.stderr
     assert read_json(tmp_path / "out" / "manifest.json")["status"] == "complete"
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS bounds memory on Linux")
+def test_run_worker_holds_one_chunk_of_the_stability_pairs(tmp_path):
+    # 192 pairs of 2,001 states in d = 50: their trajectories alone would
+    # take 147 MiB, while the worker evaluates them one (512, 194, 50) step
+    # chunk (37.9 MiB) at a time. On x86-64 Linux, Python 3.11, numpy 2.4
+    # the run completes in a 160 MiB address space, and with the pairs'
+    # trajectories held whole it needs over 320 MiB
+    import resource
+
+    cfg = write_config(tmp_path / "c.json", loss={"d": 50},
+                       sgld={"k": 8, "T": 2000}, data={"n": 8},
+                       estimators={"n_chains": 2, "n_pairs": 192, "n_trials": 2})
+    limit = 224 << 20
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.path.join(REPO, "src") + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    proc = subprocess.run(
+        [sys.executable, "-m", "sgldlab.cli", "run", "--config", cfg,
+         "--out", str(tmp_path / "out")], env=env, capture_output=True, text=True,
+        timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert proc.returncode == 0, proc.stderr
+    assert read_json(tmp_path / "out" / "manifest.json")["status"] == "complete"
+
+
+def test_run_process_never_imports_numpy_ma(tmp_path):
+    # numpy.ma costs about 1 MB and 20 ms; np.percentile's partition imports it
+    cfg = write_config(tmp_path / "c.json")
+    script = ("import sys\n"
+              "from sgldlab import cli\n"
+              "code = cli.main(['run', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
+              "print(code, 'numpy.ma' in sys.modules)\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(REPO, "src") + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    proc = subprocess.run([sys.executable, "-c", script, cfg, str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"
+    assert (tmp_path / "out" / "logmgf.csv").exists()
 
 
 def test_run_worker_death_exits_one(tmp_path, monkeypatch, capsys):
@@ -968,13 +1071,13 @@ def test_run_worker_of_a_killed_parent_exits_quietly_after_its_stages(tmp_path):
 # and a config under which the stage takes several seconds
 KILL_PHASES = {
     # 4 pairs on n = 20,000 points over 6,001 stored steps
-    "evaluation": ("stability_estimates", dict(
+    "evaluation": ("stability_block", dict(
         loss={"family": "logistic_ridge", "lam": 1.0, "d": 5, "R": None},
         sgld={"eta": 0.02, "k": 1, "T": 6000},
         data={"n": 20_000},
         estimators={"n_pairs": 4, "n_trials": 2, "n_chains": 2, "n_resamples": 2})),
     # one engine call of 150,000 steps over 4 chains
-    "chains": ("_run_chains_lockstep", dict(
+    "chains": ("_lockstep_chunks", dict(
         loss={"family": "logistic_ridge", "lam": 1.0, "d": 5, "R": None},
         sgld={"eta": 0.02, "k": 20, "T": 150_000},
         data={"n": 200},

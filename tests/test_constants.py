@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from sgldlab.constants import (
     DerivedConstants,
+    admissibility_failures,
     ParametrixOverrides,
     derive_constants,
     kl_recursion_constants,
@@ -53,6 +54,15 @@ def test_moment_bound_step_size_range():
     with pytest.raises(ValueError):
         moment_bound_C0(UNIT_LC, eta=0.0, beta=2.0, d=2, s_sq=1.0)
     moment_bound_C0(UNIT_LC, eta=0.19, beta=2.0, d=2, s_sq=1.0)  # inside
+
+
+def test_step_size_cap_where_M_squared_underflows():
+    # M = 1e-300: M^2 underflows to 0, and m/(5 M^2) = 1e299 is still the cap
+    lc = QuadraticLoss(R=1e-300, data_radius=1.0, d=2).constants()
+    assert lc.M**2 == 0.0
+    moment_bound_C0(lc, eta=0.5, beta=2.0, d=2, s_sq=1.0)  # eta < 1 <= the cap
+    failures = admissibility_failures(lc, eta=0.5, beta=4.0, c_LS=1.0)
+    assert failures == [f"beta >= 2/m violated: beta=4.0 < {2.0 / lc.m}"]
 
 
 # ------------------------------------------------------------ minibatch noise

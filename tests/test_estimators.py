@@ -560,6 +560,22 @@ def test_logmgf_bands_equal_per_resample_loop(n):
         assert (rep.band_lo[i], rep.band_hi[i]) == (float(lo), float(hi))
 
 
+def test_percentiles_equal_numpy_percentile():
+    # the logmgf band's sorted-array percentiles against np.percentile's
+    # partition: sizes 1 to 400, ties, and a NaN
+    rng = np.random.default_rng(11)
+    for trial in range(2000):
+        x = rng.standard_normal(int(rng.integers(1, 400))) * 10.0 ** rng.integers(-3, 4)
+        if trial % 5 == 0:
+            x = np.round(x, 1)
+        qs = (2.5, 97.5) if trial % 2 else tuple(rng.uniform(0.0, 100.0, size=3))
+        want = np.percentile(x, qs).tolist()
+        assert estimators._percentiles(x.tolist(), qs) == want
+    x = [1.0, float("nan"), 0.5]
+    assert all(math.isnan(v) for v in estimators._percentiles(x, (2.5, 97.5)))
+    assert all(math.isnan(v) for v in np.percentile(x, [2.5, 97.5]))
+
+
 def test_logmgf_input_validation():
     with pytest.raises(ValueError):
         logmgf_check(np.array([1.0]), 1.0, 1.0, [0.1])

@@ -99,6 +99,19 @@ def test_sample_minibatch_distinct_members():
     assert np.all((0 <= idx) & (idx < 10))
 
 
+@pytest.mark.parametrize("offsets", [
+    np.array([[5, 0, 3]]),             # (1, k) int64: its transpose is contiguous
+    np.array([[5], [0], [3]]),         # (rows, 1)
+    np.array([[5, 0, 3], [1, 2, 0]]),
+    np.asfortranarray([[5, 0, 3], [1, 2, 0]]),
+    np.array([[5, 0, 3]], dtype=np.uint8),
+])
+def test_fisher_yates_leaves_its_offsets_alone(offsets):
+    before = offsets.copy()
+    sgld._fy_subset_rows(offsets, 10)
+    assert np.array_equal(offsets, before) and offsets.dtype == before.dtype
+
+
 @pytest.mark.parametrize("n, k", [(1, 1), (10, 4), (200, 20), (3000, 1), (50, 50)])
 def test_fisher_yates_narrow_scratch_equals_int64_loop(n, k):
     # the engine's swaps on its narrowest index scratch against a plain
