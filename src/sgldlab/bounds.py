@@ -4,7 +4,9 @@ Each bound evaluator is a pure function returning a BoundEntry: the value,
 the inputs it saw, the constants it consumed, whether its preconditions
 held, and short flag notes ("heuristic-constant", "comparison-only",
 "order-level", ...). Entries aggregate into a BoundReport that writes a flat
-CSV; its JSON form is the list of the entries' dicts.
+CSV; its JSON form is the list of the entries' dicts. `evaluate_grid`
+evaluates the bounds a config names over a (T, n) grid from a run's
+traces, and is the one place that says which bound has no value where.
 
 Conventions shared by every evaluator: sigma_g_sq is the sub-Gaussian
 variance proxy of the evaluation loss (1/4 for losses clipped to [0, 1]),
@@ -22,8 +24,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import DerivedConstants, admissibility_failures, kl_recursion_constants
-from .losses import LossConstants
-from .sgld import SGLDConfig, write_csv
+from .losses import LossConstants, LossModel, QuadraticLoss
+from .oracle import _response_and_var, oracle_mi_from_gaps, oracle_pair_gaps
+from .sgld import SGLDConfig, _stored_steps, write_csv
 
 __all__ = [
     "BoundEntry",
@@ -39,6 +42,8 @@ __all__ = [
     "bound_farghly_shape",
     "bound_subexp_gen",
     "excess_risk_bound",
+    "horizon_grid",
+    "evaluate_grid",
 ]
 
 BOUND_NAMES = (
@@ -374,3 +379,123 @@ def excess_risk_bound(
         },
         notes=notes,
     )
+
+
+# ------------------------------------------------------------------ the grid
+
+
+def horizon_grid(T_grid, T: int) -> list:
+    """The horizons `evaluate_grid` evaluates for a run of horizon T: the
+    entries of `T_grid`, each a step the run stores (`sgld._stored_steps`),
+    or when `T_grid` is None {0, T/4, T/2, T}, each at the last stored step
+    not after it."""
+    steps = _stored_steps(T)
+    if T_grid is None:
+        at = np.searchsorted(steps, [0, T // 4, T // 2, T], side="right")
+        return sorted({int(step) for step in steps[at - 1]})
+    for t in T_grid:
+        if t not in steps:
+            raise ValueError(f"entry {t} is not a step a run of T = {T} stores")
+    return list(T_grid)
+
+
+def evaluate_grid(model: LossModel, dc, b: dict, config: SGLDConfig, variance,
+                  stability, T_grid, n_grid, mi_pairs: int) -> list:
+    """The bounds `b["which"]` names at every (T, n) of the grid, T outer,
+    each point's entries in `which` order and stamped with (T, n, eta,
+    beta). A bound with no value at a point is an entry without one, its
+    note the reason.
+
+    `b` is a config's bounds block, `config` the run's SGLDConfig and `dc`
+    its derived constants, or why they are undefined. `variance` and
+    `stability` are the run's (steps, values) traces, at the steps
+    `sgld._stored_steps(config.T)`; a negative value is read as 0, and the
+    variance holds its value over the steps a strided trace skips. T_grid
+    is `horizon_grid`'s; n_grid None is the run's n. xu_raginsky's exact
+    MI is the oracle's, averaged over `mi_pairs` dataset pairs drawn once
+    per n.
+    """
+    lc, which, sigma_g_sq = model.constants(), b["which"], b["sigma_g_sq"]
+    eta, beta = config.eta, config.beta
+    T_grid = horizon_grid(T_grid, config.T)
+    n_grid = n_grid or [config.n]
+    # each update's conditional variance: the updates after a stored step in
+    # `skips` repeat its value
+    var_steps, stab_steps = variance[0], stability[0]
+    per_update = np.repeat(np.maximum(variance[1], 0.0),
+                           np.diff(np.append(var_steps, var_steps[-1] + 1)))
+    skips = var_steps[:-1][np.diff(var_steps) > 1]
+    stab_values = np.maximum(stability[1], 0.0)
+    # the oracle's law is exact for the full-batch quadratic chain, at the
+    # model's own R, not a claimed one; its dataset pairs depend on n alone
+    # and its response on T alone, so the pairs are drawn once per n and
+    # the response run once
+    exact_mi = isinstance(model, QuadraticLoss) and config.k == config.n
+    if exact_mi and "xu_raginsky" in which and sigma_g_sq is not None:
+        pair_gaps = {n: oracle_pair_gaps(model, config.seed, n, mi_pairs) for n in n_grid}
+        a, v = _response_and_var(eta, beta, model.R, config.s_sq, max(T_grid))
+
+    def evaluate(name, cfg, n, chain, trace, point):
+        """`name`'s entry at (cfg.T, n), or the reason it has none."""
+        T = cfg.T
+        if sigma_g_sq is None and name in (
+                "xu_raginsky", "pensia", "time_independent", "strongly_convex"):
+            return "sigma_g_sq-unavailable"
+        if name == "xu_raginsky":
+            if not exact_mi:
+                return "exact-mi-needs-full-batch-quadratic"
+            mi = oracle_mi_from_gaps(pair_gaps[n], a[T], v[T])
+            return bound_xu_raginsky(sigma_g_sq, n, mi.mean)
+        if name == "pensia":
+            entry = bound_pensia(per_update[:T], eta=eta, beta=beta, d=cfg.d, n=n,
+                                 sigma_g_sq=sigma_g_sq)
+            if np.any(skips < T):
+                entry = dataclasses.replace(
+                    entry, notes=entry.notes + ("variance-trace-strided",))
+            return entry
+        if name == "strongly_convex":
+            if lc.R is None:
+                return "needs-R"
+            return bound_strongly_convex(trace, R=lc.R, beta=beta, n=n,
+                                         sigma_g_sq=sigma_g_sq, T=eta * T)
+        if name == "farghly_shape":
+            if cfg.k >= min(cfg.n, n):
+                return "needs-subsampling"
+            return bound_farghly_shape(b["farghly_C1"], b["farghly_C2"], eta=eta, T=T,
+                                       n=n, k=cfg.k, m=lc.m)
+        if isinstance(chain, str):  # the KL chain's bounds, without dc
+            return chain
+        if name == "time_independent":
+            return bound_time_independent(chain, n, sigma_g_sq)
+        if name == "subexp_gen":
+            if chain.kl is None:
+                return "kl-chain-unavailable"
+            sub = bound_subexp_gen(chain.kl / n, dc.sigma_e_sq, dc.nu)
+            return dataclasses.replace(sub, notes=sub.notes + tuple(dc.notes))
+        gen = point["subexp_gen"]  # excess_risk
+        if isinstance(gen, str):
+            return gen
+        return excess_risk_bound(lc, dc, cfg, n, gen.value)
+
+    # excess_risk reads its point's subexp_gen, which BOUND_NAMES puts first
+    needed = [name for name in BOUND_NAMES if name in which
+              or (name == "subexp_gen" and "excess_risk" in which)]
+    entries = []
+    for T in T_grid:
+        cfg = dataclasses.replace(config, T=T)
+        keep = stab_steps <= T
+        trace = np.column_stack([eta * stab_steps[keep], stab_values[keep]])
+        chain = dc if isinstance(dc, str) else kl_chain(lc, dc, cfg)
+        for n in n_grid:
+            point = {}
+            for name in needed:
+                point[name] = evaluate(name, cfg, n, chain, trace, point)
+            for name in which:
+                entry = point[name]
+                if isinstance(entry, str):
+                    entry = BoundEntry(name=name, value=None, preconditions_ok=False,
+                                       notes=(entry,))
+                # uniform (T, n, eta, beta) keys so every CSV row is addressable
+                stamped = {**entry.inputs, "T": T, "n": n, "eta": eta, "beta": beta}
+                entries.append(dataclasses.replace(entry, inputs=stamped))
+    return entries

@@ -24,25 +24,11 @@ import shutil
 import signal
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__
-from .bounds import (
-    BOUND_NAMES,
-    BOUNDS_CSV_COLUMNS,
-    BoundEntry,
-    BoundReport,
-    bound_farghly_shape,
-    bound_pensia,
-    bound_strongly_convex,
-    bound_subexp_gen,
-    bound_time_independent,
-    bound_xu_raginsky,
-    excess_risk_bound,
-    kl_chain,
-)
+from .bounds import BOUNDS_CSV_COLUMNS, BoundReport, evaluate_grid
 from .config import ConfigError, ExperimentConfig, _check, _verify_fp_runs, load_config
 from .constants import admissibility_failures, lsi_constant, subexp_params
 from .estimators import (
@@ -59,16 +45,9 @@ from .estimators import (
     write_estimates_csv,
 )
 from .fokker_planck import evolve_pair, gibbs_density, verify_inequality_12
-from .losses import QuadraticLoss, certify
-from .oracle import (
-    _response_and_var,
-    oracle_mi_from_gaps,
-    oracle_mi_upper,
-    oracle_pair_gaps,
-    oracle_trace,
-    verify_kl_recursion,
-)
-from .sgld import SGLDConfig, _lockstep_chunks, run_ensemble, write_csv
+from .losses import certify
+from .oracle import oracle_mi_upper, oracle_trace, verify_kl_recursion
+from .sgld import SGLDConfig, _lockstep_chunks, _stored_steps, run_ensemble, write_csv
 
 
 # ---------------------------------------------------------------- run support
@@ -550,86 +529,20 @@ def _load_estimates_csv(path):
              int(cells[4])) for cells in _read_csv(path, ESTIMATES_CSV_COLUMNS)]
 
 
-def _load_trace(traces_dir, name):
-    """(steps, means floored at 0) of one of a run's per-step estimate CSVs."""
+def _load_trace(traces_dir, name, T: int):
+    """(steps, means) of one of a run's per-step estimate CSVs, refused
+    unless its steps are those a run of horizon T stores and its means are
+    finite."""
     path = os.path.join(traces_dir, name)
     rows = _load_estimates_csv(path)
-    if not rows:
-        raise ConfigError(f"{path} has no data rows")
-    return (np.array([int(r[1]) for r in rows]),
-            np.array([max(r[2], 0.0) for r in rows]))
-
-
-@dataclass(frozen=True)
-class _GridPoint:
-    """One (T, n) point of the bound grid, with one evaluator per bound name.
-
-    Each evaluator returns its entry, or the reason it is unavailable. They
-    call the bound functions through this module's globals, so wrappers set
-    on this module after import see every call.
-    """
-
-    lc: object
-    dc: object               # DerivedConstants, or why they are undefined
-    b: dict                  # the config's bounds block
-    oracle: tuple | None     # xu_raginsky's (pair gaps at n, a_T, v_T), when it runs
-    cfg: SGLDConfig          # the run's config at horizon T
-    n: int
-    kl: object               # KLChain at horizon T, or why dc is undefined
-    variance: np.ndarray     # per-update conditional variances, length T
-    strided: bool            # variance repeats stored values over skipped steps
-    stability: np.ndarray    # (eta t, value) rows of the stability trace, t <= T
-
-    def xu_raginsky(self):
-        if self.oracle is None:
-            return "exact-mi-needs-full-batch-quadratic"
-        mi = oracle_mi_from_gaps(*self.oracle)
-        return bound_xu_raginsky(self.b["sigma_g_sq"], self.n, mi.mean)
-
-    def pensia(self):
-        entry = bound_pensia(self.variance, eta=self.cfg.eta, beta=self.cfg.beta,
-                             d=self.cfg.d, n=self.n, sigma_g_sq=self.b["sigma_g_sq"])
-        if self.strided:
-            entry = dataclasses.replace(
-                entry, notes=entry.notes + ("variance-trace-strided",))
-        return entry
-
-    def time_independent(self):
-        if isinstance(self.kl, str):
-            return self.kl
-        return bound_time_independent(self.kl, self.n, self.b["sigma_g_sq"])
-
-    def strongly_convex(self):
-        if self.lc.R is None:
-            return "needs-R"
-        return bound_strongly_convex(self.stability, R=self.lc.R, beta=self.cfg.beta,
-                                     n=self.n, sigma_g_sq=self.b["sigma_g_sq"],
-                                     T=self.cfg.eta * self.cfg.T)
-
-    def farghly_shape(self):
-        if self.cfg.k >= min(self.cfg.n, self.n):
-            return "needs-subsampling"
-        return bound_farghly_shape(self.b["farghly_C1"], self.b["farghly_C2"],
-                                   eta=self.cfg.eta, T=self.cfg.T, n=self.n,
-                                   k=self.cfg.k, m=self.lc.m)
-
-    def subexp_gen(self):
-        if isinstance(self.kl, str):
-            return self.kl
-        if self.kl.kl is None:
-            return "kl-chain-unavailable"
-        sub = bound_subexp_gen(self.kl.kl / self.n, self.dc.sigma_e_sq, self.dc.nu)
-        return dataclasses.replace(sub, notes=sub.notes + tuple(self.dc.notes))
-
-    def excess_risk(self):
-        gen = self.subexp_gen()
-        if isinstance(gen, str):
-            return gen
-        return excess_risk_bound(self.lc, self.dc, self.cfg, self.n, gen.value)
-
-
-_EVALUATORS = {name: getattr(_GridPoint, name) for name in BOUND_NAMES}
-_NEEDS_SIGMA_G = ("xu_raginsky", "pensia", "time_independent", "strongly_convex")
+    steps = _stored_steps(T)
+    if not np.array_equal([r[1] for r in rows], steps):
+        raise ConfigError(f"{path}: its steps are not the {len(steps)} steps a run "
+                          f"of T = {T} stores")
+    means = np.array([r[2] for r in rows])
+    if not np.isfinite(means).all():
+        raise ConfigError(f"{path}: a mean is not finite")
+    return steps, means
 
 
 # the loss keys a run's traces depend on; `claimed` and `certify_samples` only
@@ -670,77 +583,19 @@ def cmd_bounds(args) -> int:
     if args.traces is None:
         raise ConfigError("bounds requires --traces DIR from a previous run")
     model = cfg.model()
-    lc = model.constants()
-    seed = _apply_seed(args, cfg)
-    sgld_cfg = cfg.sgld_config()
-    b = cfg["bounds"]
+    _apply_seed(args, cfg)
+    sgld_cfg, b = cfg.sgld_config(), cfg["bounds"]
     dc = cfg.derived()
     _check_run_manifest(args.traces, cfg)
-
-    var_steps, var_vals = _load_trace(args.traces, "variance.csv")
-    stab_steps, stab_vals = _load_trace(args.traces, "stability.csv")
-
-    T_grid = b["T_grid"]
-    if T_grid is None:
-        # {0, T/4, T/2, T}, each at the last stored step not after it, since
-        # a strided run stores every stride-th step and T itself
-        last = int(var_steps[-1])
-        at = np.searchsorted(var_steps, [0, last // 4, last // 2, last], side="right")
-        T_grid = sorted({int(step) for step in var_steps[at - 1]})
-    n_grid = b["n_grid"] or [cfg["data"]["n"]]
-
-    # piecewise-constant extension of the stored trace to per-update values;
-    # the updates after a stored step in `skips` repeat its value
-    variance = np.repeat(var_vals, np.diff(np.append(var_steps, var_steps[-1] + 1)))
-    skips = var_steps[:-1][np.diff(var_steps) > 1]
-    for T in T_grid:
-        if T not in var_steps:
-            raise ConfigError(f"bounds.T_grid entry {T} is not a recorded step")
-    sigma_g_sq = b["sigma_g_sq"]
-    eta, beta = sgld_cfg.eta, sgld_cfg.beta
-    # xu_raginsky's dataset pairs depend on n alone and the law's response
-    # on T alone: the pairs are drawn once per n, the response run once. The
-    # law is exact for the full-batch quadratic chain, at its own R, not a
-    # claimed one
-    pair_gaps = {}
-    if ("xu_raginsky" in b["which"] and sigma_g_sq is not None
-            and isinstance(model, QuadraticLoss) and sgld_cfg.k == sgld_cfg.n
-            and T_grid):
-        pair_gaps = {n: oracle_pair_gaps(model, seed, n,
-                                         cfg["estimators"]["mi_pairs"])
-                     for n in n_grid}
-        a, v = _response_and_var(eta, beta, model.R, sgld_cfg.s_sq, max(T_grid))
-
-    entries = []
-    for T in T_grid:
-        T_cfg = dataclasses.replace(sgld_cfg, T=T)
-        keep = stab_steps <= T
-        stability = np.column_stack([eta * stab_steps[keep], stab_vals[keep]])
-        kl = dc if isinstance(dc, str) else kl_chain(lc, dc, T_cfg)
-        for n in n_grid:
-            point = _GridPoint(
-                lc=lc, dc=dc, b=b, cfg=T_cfg, n=n,
-                oracle=(pair_gaps[n], a[T], v[T]) if pair_gaps else None,
-                kl=kl, variance=variance[:T],
-                strided=bool(np.any(skips < T)), stability=stability,
-            )
-            for name in b["which"]:
-                if name in _NEEDS_SIGMA_G and sigma_g_sq is None:
-                    entry = "sigma_g_sq-unavailable"
-                else:
-                    entry = _EVALUATORS[name](point)
-                if isinstance(entry, str):
-                    entry = BoundEntry(name=name, value=None,
-                                       preconditions_ok=False, notes=(entry,))
-                # uniform (T, n, eta, beta) keys so every CSV row is addressable
-                stamped = {**entry.inputs, "T": T, "n": n, "eta": eta, "beta": beta}
-                entries.append(dataclasses.replace(entry, inputs=stamped))
-    report = BoundReport(entries=tuple(entries))
+    entries = evaluate_grid(model, dc, b, sgld_cfg,
+                            _load_trace(args.traces, "variance.csv", sgld_cfg.T),
+                            _load_trace(args.traces, "stability.csv", sgld_cfg.T),
+                            b["T_grid"], b["n_grid"], cfg["estimators"]["mi_pairs"])
 
     with _OutputDir(args.out) as out:
         _start_config_manifest(out, cfg, {"traces": args.traces})
         with out.file("bounds.csv") as path:
-            report.to_csv(path)
+            BoundReport(entries=tuple(entries)).to_csv(path)
         out.write_json("bounds.json", [e.to_dict() for e in entries])
         gap_src = os.path.join(args.traces, "gap.csv")
         if os.path.exists(gap_src):
@@ -748,7 +603,7 @@ def cmd_bounds(args) -> int:
             with out.file("gap.csv") as path:
                 shutil.copyfile(gap_src, path)
         out.finish_manifest()
-    print(f"bounds: {len(entries)} entries over T={T_grid} n={n_grid}")
+    print(f"bounds: {len(entries)} entries in {args.out}")
     return 0
 
 

@@ -20,7 +20,7 @@ from functools import partial
 
 import numpy as np
 
-from .bounds import BOUND_NAMES, bound_farghly_shape, bound_xu_raginsky
+from .bounds import BOUND_NAMES, bound_farghly_shape, bound_xu_raginsky, horizon_grid
 from .constants import (LSI_MODES, ParametrixOverrides, derive_constants, lsi_route,
                         subexp_params)
 from .estimators import EVAL_LOSSES, admitted_lambdas, pth_moment_min_chains
@@ -332,6 +332,7 @@ def _check_values(cfg: ExperimentConfig) -> None:
         # falsify changes the oracle section only, which needs R
         raise ConfigError(f"verify.falsify: the {cfg['loss']['family']} family has "
                           f"no R, so verify runs no oracle check to falsify")
+    _check("bounds.T_grid", horizon_grid, bnd["T_grid"], sgld_cfg.T)
     for n in bnd["n_grid"] or ():
         # SGLDConfig states the dataset-size rule; k = 1 fits every size
         _check("bounds.n_grid", dataclasses.replace, sgld_cfg, n=n, k=1)

@@ -299,6 +299,13 @@ def _stride(T: int) -> int:
     return 1 if T <= STATE_STORE_CAP else -(-T // STATE_STORE_CAP)
 
 
+def _stored_steps(T: int) -> np.ndarray:
+    """The steps a trajectory of horizon T stores: the multiples of
+    `_stride(T)`, and T itself."""
+    steps = np.arange(0, T + 1, _stride(T))
+    return steps if steps[-1] == T else np.append(steps, T)
+
+
 @dataclass(frozen=True)
 class _Chunk:
     """One block of `_lockstep_chunks`, every chain's, step-major. Its
@@ -454,9 +461,7 @@ def _run_chains_lockstep(
     if trajectories is None:
         trajectories = c
     T = config.T
-    stored_steps = np.arange(0, T + 1, _stride(T))
-    if stored_steps[-1] != T:
-        stored_steps = np.append(stored_steps, T)
+    stored_steps = _stored_steps(T)
 
     states = np.empty((trajectories, len(stored_steps), config.d))
     w_norm_sq = np.empty((c, T + 1))

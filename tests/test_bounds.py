@@ -16,9 +16,11 @@ from sgldlab.bounds import (
     bound_subexp_gen,
     bound_time_independent,
     bound_xu_raginsky,
+    evaluate_grid,
     excess_risk_bound,
     kl_chain,
 )
+from sgldlab.config import parse
 from sgldlab.constants import derive_constants
 from sgldlab.losses import LossConstants
 from sgldlab.sgld import SGLDConfig
@@ -377,3 +379,43 @@ def test_bound_report_roundtrip(tmp_path):
     with pytest.raises(KeyError):
         report["nope"]
     assert set(BOUND_NAMES) >= set(e.name for e in entries)
+
+
+# ---------------------------------------------------------------- the grid
+
+
+def grid_inputs(k, which):
+    """evaluate_grid's arguments on a quadratic config of T = 40 and n = 20,
+    with in-memory traces at every step."""
+    cfg = parse({"loss": {"family": "quadratic", "R": 1.0, "d": 2},
+                 "sgld": {"eta": 0.05, "beta": 4.0, "k": k, "T": 40, "seed": 3},
+                 "data": {"n": 20},
+                 "bounds": {"sigma_g_sq": 0.25, "which": which},
+                 "estimators": {"mi_pairs": 20}})
+    rng = np.random.default_rng(0)
+    steps = np.arange(41)
+    return (cfg.model(), cfg.derived(), cfg["bounds"], cfg.sgld_config(),
+            (steps, rng.uniform(0.0, 0.1, 41)), (steps, rng.uniform(0.0, 0.02, 41)),
+            [0, 10, 40], [10, 20, 30], 20)
+
+
+@pytest.mark.parametrize("k", [5, 20], ids=["subsampled", "full-batch"])
+def test_evaluate_grid_excess_risk_alone_equals_its_entries_in_the_full_grid(k):
+    full = evaluate_grid(*grid_inputs(k, list(BOUND_NAMES)))
+    alone = evaluate_grid(*grid_inputs(k, ["excess_risk"]))
+    assert alone == [e for e in full if e.name == "excess_risk"]
+    assert len(alone) == 3 * 3 and {e.value is None for e in alone} == {False}
+
+
+@pytest.mark.parametrize("k", [5, 20], ids=["subsampled", "full-batch"])
+def test_evaluate_grid_keeps_the_order_of_which_at_each_point(k):
+    names = len(BOUND_NAMES)
+    full = evaluate_grid(*grid_inputs(k, list(BOUND_NAMES)))
+    reverse = evaluate_grid(*grid_inputs(k, list(reversed(BOUND_NAMES))))
+    assert len(reverse) == len(full) == 3 * 3 * names
+    for at in range(0, len(full), names):
+        assert reverse[at:at + names] == full[at:at + names][::-1]
+    # both branches of xu_raginsky's gate and farghly_shape's are reached
+    valued = {e.name for e in full if e.value is not None}
+    assert ("xu_raginsky" in valued) == (k == 20)
+    assert ("farghly_shape" in valued) == (k == 5)

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from sgldlab import cli, config, sgld
-from sgldlab.bounds import bound_xu_raginsky, kl_chain
+from sgldlab.bounds import bound_xu_raginsky, evaluate_grid, kl_chain
 from sgldlab.cli import ConfigError, load_config, main
 from sgldlab.estimators import (EstimateWithError, empirical_gen_gap, grad_stability_trace,
                                 stability_block, stability_chains, write_estimates_csv)
@@ -372,6 +372,7 @@ def full_batch_run(tmp_path_factory):
     ("run", "estimators", "lambda_grid", [-0.5, [1]]),
     ("run", "sgld", "T", 10**30),  # no array has T + 1 entries
     ("run", "loss", "d", 10**30),
+    ("run", "bounds", "T_grid", [0, 61]),  # a step the run of T = 60 never stores
 ])
 def test_bad_value_exits_one_before_any_output(full_batch_run, tmp_path, capsys,
                                                sub, block, key, value):
@@ -1288,7 +1289,7 @@ def test_bounds_evaluates_the_kl_chain_once_per_horizon(run_and_bounds, tmp_path
         horizons.append(config.T)
         return kl_chain(lc, dc, config)
 
-    monkeypatch.setattr(cli, "kl_chain", recording)
+    monkeypatch.setattr("sgldlab.bounds.kl_chain", recording)
     cfg = write_config(tmp_path / "c.json", bounds={"T_grid": [0, 10, 40, 60],
                                                     "n_grid": [10, 20, 40]})
     assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "b"),
@@ -1385,6 +1386,22 @@ def test_bounds_takes_traces_of_the_same_chain_under_other_settings(run_and_boun
         bounds={"which": ["pensia"]}, estimators={"n_trials": 3},
         fp={"n_cells": 64}, verify={"oracle_T": 10})
     assert code == 0
+
+
+def test_evaluate_grid_equals_the_bounds_json_cmd_bounds_writes(run_and_bounds):
+    # the run's traces as arrays, read here with no sgldlab reader
+    def trace(name):
+        _, rows = read_csv_rows(run_and_bounds / "run" / name)
+        return (np.array([int(r[1]) for r in rows]),
+                np.array([float(r[2]) for r in rows]))
+
+    cfg = load_config(run_and_bounds / "c.json")
+    b = cfg["bounds"]
+    entries = evaluate_grid(cfg.model(), cfg.derived(), b, cfg.sgld_config(),
+                            trace("variance.csv"), trace("stability.csv"),
+                            b["T_grid"], b["n_grid"], cfg["estimators"]["mi_pairs"])
+    assert (json.loads(json.dumps([e.to_dict() for e in entries]))
+            == read_json(run_and_bounds / "bounds" / "bounds.json"))
 
 
 def test_bounds_json_mirror_and_gap_copy(run_and_bounds):
@@ -1543,6 +1560,43 @@ def test_bounds_empty_trace_csv_exits_one(run_and_bounds, tmp_path, capsys, name
                  "--traces", str(traces)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error") and name in err
+
+
+def _cut_to_20_rows(lines):
+    return lines[:21]
+
+
+def _swap_two_rows(lines):
+    return lines[:11] + [lines[12], lines[11]] + lines[13:]
+
+
+def _nan_mean_at_step_5(lines):
+    cells = lines[6].split(b",")
+    return lines[:6] + [b",".join(cells[:2] + [b"nan"] + cells[3:])] + lines[7:]
+
+
+STEPS_61 = "its steps are not the 61 steps a run of T = 60 stores"
+
+
+@pytest.mark.parametrize("name, damage, reason", [
+    ("stability.csv", _cut_to_20_rows, STEPS_61),
+    ("variance.csv", _swap_two_rows, STEPS_61),
+    ("stability.csv", _nan_mean_at_step_5, "a mean is not finite"),
+], ids=["stability-short", "variance-unsorted", "stability-nan"])
+def test_bounds_refuses_a_damaged_trace_at_read(run_and_bounds, tmp_path, capsys,
+                                                name, damage, reason):
+    # the steps must be those the run of T = 60 stores: 0, 1, ..., 60
+    traces = tmp_path / "run"
+    shutil.copytree(run_and_bounds / "run", traces)
+    lines = (traces / name).read_bytes().splitlines(keepends=True)
+    (traces / name).write_bytes(b"".join(damage(lines)))
+    cfg = write_config(tmp_path / "c.json", bounds={"T_grid": [0, 10, 40, 60]})
+    out = tmp_path / "b"
+    assert main(["bounds", "--config", cfg, "--out", str(out),
+                 "--traces", str(traces)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and name in err and reason in err
+    assert not out.exists()
 
 
 def test_bounds_xu_raginsky_needs_the_quadratic_family(tmp_path):
