@@ -6,4 +6,10 @@ estimators, a closed-form Gaussian oracle, and a one-dimensional
 Fokker-Planck grid solver, plus a command line front end.
 """
 
+import time
+
 __version__ = "0.1.0"
+
+# where a process's clock starts where its start time cannot be read (see
+# `cli._process_start`)
+_import_time = time.monotonic()

@@ -27,7 +27,7 @@ import time
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _import_time
 from .bounds import BOUNDS_CSV_COLUMNS, BoundReport, evaluate_grid
 from .config import ConfigError, ExperimentConfig, _check, _verify_fp_runs, load_config
 from .constants import admissibility_failures, lsi_constant, subexp_params
@@ -43,11 +43,20 @@ from .estimators import (
     stability_block,
     stability_chains,
     write_estimates_csv,
+    write_trace_csv,
 )
 from .fokker_planck import evolve_pair, gibbs_density, verify_inequality_12
 from .losses import certify
 from .oracle import oracle_mi_upper, oracle_trace, verify_kl_recursion
-from .sgld import SGLDConfig, _lockstep_chunks, _stored_steps, run_ensemble, write_csv
+from .sgld import (
+    ChainTrace,
+    SGLDConfig,
+    _lockstep_chunks,
+    _stored_steps,
+    array_rows,
+    ensemble_seqs,
+    write_csv,
+)
 
 
 # ---------------------------------------------------------------- run support
@@ -57,8 +66,9 @@ class _OutputDir:
     """Locked output directory that tracks the files written into it.
 
     Its manifest.json is written when the work starts and again when it
-    completes, then listing the files; it does not list itself, and it says
-    where it ran (`_environment`). Every file, the manifest included, is
+    completes, then listing the files and the `wall_clock_seconds` since
+    `started` (a time.monotonic() reading; the manifest's start when None);
+    it does not list itself, and it says where it ran (`_environment`). Every file, the manifest included, is
     written to a temp file that a rename puts in place, so none is ever seen
     part-written. `.lock` holds the owning process id, so a lock left by a
     process that is gone is reported as stale. A directory holding anything
@@ -70,8 +80,9 @@ class _OutputDir:
     gives `failed` when its chains leave the float range).
     """
 
-    def __init__(self, path):
+    def __init__(self, path, started: float | None = None):
         self.path = path
+        self.started = started
         self.lock_path = os.path.join(path, ".lock")
         self.manifest_path = os.path.join(path, "manifest.json")
         self.files = []
@@ -134,7 +145,7 @@ class _OutputDir:
             np.save(fh, array)
 
     def start_manifest(self, **fields) -> None:
-        self.t0 = time.monotonic()
+        self.t0 = time.monotonic() if self.started is None else self.started
         self.manifest = {"status": "running", **fields, "environment": _environment(),
                          "files": [], "wall_clock_seconds": None}
         _write_json(self.manifest_path, self.manifest)
@@ -144,6 +155,22 @@ class _OutputDir:
         self.manifest["files"] = sorted(self.files)
         self.manifest["wall_clock_seconds"] = round(time.monotonic() - self.t0, 3)
         _write_json(self.manifest_path, self.manifest)
+
+
+def _process_start() -> float:
+    """This process's start on time.monotonic()'s clock. On Linux it is the
+    start time in /proc/self/stat (field 22, clock ticks since boot) read
+    against CLOCK_BOOTTIME, which also counts from boot, so interpreter
+    start-up and imports are timed; elsewhere it is sgldlab's import."""
+    try:
+        with open("/proc/self/stat") as fh:
+            # the fields after the command name, which may hold spaces and
+            # parentheses, start at field 3
+            ticks = int(fh.read().rpartition(")")[2].split()[19])
+        age = time.clock_gettime(time.CLOCK_BOOTTIME) - ticks / os.sysconf("SC_CLK_TCK")
+    except (OSError, ValueError, IndexError, AttributeError):  # no procfs or BOOTTIME
+        return _import_time
+    return time.monotonic() - max(age, 0.0)
 
 
 def _lock_owner(lock_path) -> int | None:
@@ -240,7 +267,7 @@ def cmd_certify(args) -> int:
     seed = _apply_seed(args, cfg)
     report = certify(model, n_samples=cfg["loss"]["certify_samples"],
                      rng_seed=seed)
-    with _OutputDir(args.out) as out:
+    with _OutputDir(args.out, args.started) as out:
         _start_config_manifest(out, cfg, {})
         out.write_json("certify_report.json", report.to_dict())
         out.finish_manifest()
@@ -284,7 +311,7 @@ def cmd_run(args) -> int:
             print(f"  - {failure}", file=sys.stderr)
         return 2
 
-    with _OutputDir(args.out) as out:
+    with _OutputDir(args.out, args.started) as out:
         _start_config_manifest(out, cfg, preconditions)
 
         root = np.random.SeedSequence([seed, 0xDA7A])
@@ -296,8 +323,10 @@ def cmd_run(args) -> int:
         # the gap and the stability trace read nothing the stages below
         # compute, so a forked worker runs them while this process runs the
         # rest
+        seconds = {}
         with _worker_process(model, sgld_cfg, est) as (worker, result):
-            stored_steps = _run_own_stages(out, cfg, model, dataset, sgld_cfg)
+            stored_steps = _run_own_stages(out, cfg, model, dataset, sgld_cfg, seconds)
+            start = time.monotonic()
             try:
                 # None when a chain's states leave the float range
                 estimates = None if stored_steps is None else result()
@@ -307,6 +336,7 @@ def cmd_run(args) -> int:
                 print(f"run failed: the stability and gap worker died "
                       f"(exit code {worker.exitcode})", file=sys.stderr)
                 return 1
+            seconds["worker_wait_s"] = time.monotonic() - start
         out.manifest["peak_rss_mb"] = _peak_rss_mb()  # the worker is joined
         states = out.manifest["checks"]["states"]
         states["finite"] = estimates is not None
@@ -314,16 +344,14 @@ def cmd_run(args) -> int:
               f"||W||^2 in the ensemble: {states['max_w_norm_sq']}")
         if estimates is None:
             # no estimate is defined at a state beyond the float range
+            out.manifest["stages"] = _stages(seconds, {})
             out.finish_manifest("failed")
             print("run failed: chain states left the float range", file=sys.stderr)
             return 2
-        (means, stderrs, n_pairs), gap = estimates
+        (means, stderrs, n_pairs), gap, worker_seconds = estimates
+        out.manifest["stages"] = _stages(seconds, worker_seconds)
         with out.file("stability.csv") as path:
-            write_estimates_csv(
-                path, (("grad_stability", step,
-                        EstimateWithError(mean, stderr, n_pairs, "grad_stability"))
-                       for step, mean, stderr in zip(stored_steps.tolist(),
-                                                     means.tolist(), stderrs.tolist())))
+            write_trace_csv(path, "grad_stability", stored_steps, means, stderrs, n_pairs)
         with out.file("gap.csv") as path:
             write_estimates_csv(path, [(gap.estimator_name, sgld_cfg.T, gap)])
         out.finish_manifest()
@@ -331,53 +359,82 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _run_own_stages(out: _OutputDir, cfg: ExperimentConfig, model, dataset,
-                    sgld_cfg: SGLDConfig) -> np.ndarray | None:
-    """The stages `run` keeps in its own process: the ensemble, chain 0's
-    trace and variance, the moments, the log-MGF and p-th moment checks.
-    Only chain 0 keeps its trajectory (the variance reads it); the others'
-    final states and ||W||^2 are all the rest read. Returns chain 0's stored
-    steps, or None, after the moments, when an ensemble chain's ||W||^2 left
-    the float range."""
-    est, lc, seed = cfg["estimators"], model.constants(), sgld_cfg.seed
-    traces = run_ensemble(sgld_cfg, model, dataset, n_chains=est["n_chains"],
-                          series=1, trajectories=1)
-    with out.file("chain_000.csv") as path:
-        traces[0].to_csv(path)
-    out.save_npy("final_states.npy",
-                 np.stack([tr.final_state for tr in traces]))
+def _stages(own: dict, worker: dict) -> dict:
+    """The manifest's `stages` block: the seconds of `run`'s stages in its
+    own process (`run`) and in its worker (`worker`), rounded to the us."""
+    return {who: {name: round(value, 6) for name, value in sorted(times.items())}
+            for who, times in (("run", own), ("worker", worker))}
 
-    # the chains' mean ||W||^2 row by row, in the order and with the bits of
-    # np.mean over their stack, which would copy every row
-    total = traces[0].w_norm_sq.copy()
-    for tr in traces[1:]:
-        total += tr.w_norm_sq
-    total /= len(traces)
+
+def _run_own_stages(out: _OutputDir, cfg: ExperimentConfig, model, dataset,
+                    sgld_cfg: SGLDConfig, seconds: dict) -> np.ndarray | None:
+    """The stages `run` keeps in its own process: the ensemble, chain 0's
+    trace and variance, the moments, the log-MGF and p-th moment checks,
+    whose seconds go into `seconds` as `ensemble_s`, `variance_s` and
+    `checks_s`. Returns chain 0's stored steps, or None, after the moments,
+    when an ensemble chain's ||W||^2 left the float range.
+
+    The ensemble is read chunk by chunk from `_lockstep_chunks`, as the
+    worker reads its chains: a chunk's ||W||^2 are added chain by chain into
+    one per-step sum (the order and bits of np.mean over the chains' stack),
+    chain 0 alone keeps its trace, and the final states are the last
+    chunk's. So no array has both a chain axis and a step axis."""
+    est, lc, seed = cfg["estimators"], model.constants(), sgld_cfg.seed
+    T, n_chains = sgld_cfg.T, est["n_chains"]
+    start = time.monotonic()
+    [(_, chain_seqs)] = ensemble_seqs(seed, n_chains)
+    stored_steps = _stored_steps(T)
+    trace = ChainTrace(config=sgld_cfg, states=np.empty((len(stored_steps), sgld_cfg.d)),
+                       stored_steps=stored_steps, w_norm_sq=np.empty(T + 1),
+                       grad_var_sample=np.empty(T), grad_fullbatch_norm=np.empty(T),
+                       grad_minibatch_norm=np.empty(T), noise_variates=T * sgld_cfg.d)
+    series = (trace.grad_var_sample, trace.grad_fullbatch_norm, trace.grad_minibatch_norm)
+    total = np.empty(T + 1)  # the ensemble's ||W_t||^2 summed over its chains
+    largest, finite, row = -math.inf, True, 0
+    datasets = np.broadcast_to(dataset, (n_chains,) + dataset.shape)
+    for chunk in _lockstep_chunks(sgld_cfg, model, datasets, chain_seqs, series=1):
+        norms = chunk.w_norm_sq  # (steps, chains)
+        steps = slice(chunk.t0, chunk.t0 + norms.shape[0])
+        total[steps] = norms[:, 0]
+        for i in range(1, n_chains):
+            total[steps] += norms[:, i]
+        trace.w_norm_sq[steps] = norms[:, 0]
+        if chunk.grads is not None:  # the updates into the chunk's steps
+            for kept, values in zip(series, chunk.grads):
+                kept[steps.start - 1:steps.stop - 1] = values[:, 0]
+        trace.states[row:row + chunk.states.shape[0]] = chunk.states[:, 0]
+        row += chunk.states.shape[0]
+        finite = finite and bool(np.isfinite(norms).all())
+        largest = max(largest, float(norms.max()))
+    finals = chunk.states[-1].copy()  # T is the last stored step
+    del chunk  # frees the engine's step buffer
+    total /= n_chains
+
+    with out.file("chain_000.csv") as path:
+        trace.to_csv(path)
+    out.save_npy("final_states.npy", finals)
     with out.file("moments.csv") as path:
-        write_csv(path, ("t", "mean_w_norm_sq"), enumerate(total.tolist()))
-    finite = all(np.isfinite(tr.w_norm_sq).all() for tr in traces)
-    out.manifest["checks"] = {"states": {"max_w_norm_sq": max(
-        float(tr.w_norm_sq.max()) for tr in traces) if finite else None}}
+        write_csv(path, ("t", "mean_w_norm_sq"), array_rows(range(T + 1), total))
+    out.manifest["checks"] = {"states": {"max_w_norm_sq": largest if finite else None}}
+    seconds["ensemble_s"] = time.monotonic() - start
     if not finite:
         return None
 
-    variance = grad_variance_trace(model, dataset, traces[0],
-                                   n_resamples=est["n_resamples"])
+    start = time.monotonic()
+    means, stderrs = grad_variance_trace(model, dataset, trace,
+                                         n_resamples=est["n_resamples"])
     with out.file("variance.csv") as path:
-        write_estimates_csv(
-            path,
-            [("grad_variance", int(step), e)
-             for step, e in zip(traces[0].stored_steps, variance)],
-        )
+        write_trace_csv(path, "grad_variance", stored_steps, means, stderrs,
+                        est["n_resamples"])
+    seconds["variance_s"] = time.monotonic() - start
 
-    if len(traces) >= 2:
+    start = time.monotonic()
+    if n_chains >= 2:
         pars = subexp_params(lc, beta=sgld_cfg.beta, d=sgld_cfg.d, s_sq=sgld_cfg.s_sq,
                              universal_C=cfg["bounds"]["universal_C_moment"])
         zrng = np.random.default_rng(np.random.SeedSequence([seed, 0x10F]))
-        Z = model.sample_data(zrng, len(traces))
-        samples = model.eval_many(
-            np.stack([tr.final_state for tr in traces]), Z
-        )
+        Z = model.sample_data(zrng, n_chains)
+        samples = model.eval_many(finals, Z)
         mgf = logmgf_check(samples, pars["sigma_e_sq"], pars["nu"],
                            est["lambda_grid"], rng_seed=seed)
         out.manifest["checks"]["logmgf"] = {
@@ -395,17 +452,18 @@ def _run_own_stages(out: _OutputDir, cfg: ExperimentConfig, model, dataset,
                                              mgf.band_lo, mgf.band_hi)],
             )
     need = pth_moment_min_chains(est["p_list"])
-    if len(traces) >= need:
-        moments = pth_moment_check(traces, est["p_list"],
+    if n_chains >= need:
+        moments = pth_moment_check(finals, est["p_list"],
                                    lc, beta=sgld_cfg.beta,
                                    d=sgld_cfg.d, s_sq=sgld_cfg.s_sq)
         out.write_json("pth_moments.json", moments.to_dict())
     else:
         out.write_json("pth_moments.json", {
             "skipped": f"needs at least {need} chains for "
-                       f"p up to {max(est['p_list'])}, have {len(traces)}"
+                       f"p up to {max(est['p_list'])}, have {n_chains}"
         })
-    return traces[0].stored_steps
+    seconds["checks_s"] = time.monotonic() - start
+    return stored_steps
 
 
 _SIGNALS = (signal.SIGINT, signal.SIGTERM)
@@ -479,15 +537,17 @@ def _worker(send, parent: int, model, sgld_cfg: SGLDConfig, est: dict) -> None:
 
 
 def _worker_stages(model, sgld_cfg: SGLDConfig, est: dict):
-    """The stability trace and the gap, from one pass of the chain engine
-    over the stability pairs' chains, each on its S, then the gap trials'
-    chains; None at the first chunk in which a chain's ||W||^2 leaves the
-    float range. Each chunk's stored pair states are evaluated as the engine
-    yields them, and the trials' final states alone are kept, for the gap,
-    so no trajectory is held whole. The trace is (means, stderrs, n_pairs),
-    one entry of each array per stored step. The estimators are looked up in
-    this module's globals at call time, so wrappers set there are the ones
-    run."""
+    """The stability trace, the gap and their seconds, from one pass of the
+    chain engine over the stability pairs' chains, each on its S, then the
+    gap trials' chains; None at the first chunk in which a chain's ||W||^2
+    leaves the float range. Each chunk's stored pair states are evaluated as
+    the engine yields them, and the trials' final states alone are kept, for
+    the gap, so no trajectory is held whole. The trace is (means, stderrs,
+    n_pairs), one entry of each array per stored step; the seconds are
+    `stability_s`, the engine's and the pairs' evaluation, and `gap_s`. The
+    estimators are looked up in this module's globals at call time, so
+    wrappers set there are the ones run."""
+    start = time.monotonic()
     n_pairs = est["n_pairs"]
     # the chains' datasets, the pairs' S then the trials', as one array the
     # engine reads in place
@@ -506,8 +566,11 @@ def _worker_stages(model, sgld_cfg: SGLDConfig, est: dict):
         stderrs.append(stderr)
     finals = chunk.states[-1, n_pairs:].copy()  # T is the last stored step
     del chunk  # frees the engine's step buffer before the gap's test pools
+    seconds = {"stability_s": time.monotonic() - start}
+    start = time.monotonic()
     gap = gen_gap(model, datasets[n_pairs:], finals, pool_seqs, est["eval_loss"])
-    return (np.concatenate(means), np.concatenate(stderrs), n_pairs), gap
+    seconds["gap_s"] = time.monotonic() - start
+    return (np.concatenate(means), np.concatenate(stderrs), n_pairs), gap, seconds
 
 
 def _read_csv(path, columns) -> list:
@@ -592,7 +655,7 @@ def cmd_bounds(args) -> int:
                             _load_trace(args.traces, "stability.csv", sgld_cfg.T),
                             b["T_grid"], b["n_grid"], cfg["estimators"]["mi_pairs"])
 
-    with _OutputDir(args.out) as out:
+    with _OutputDir(args.out, args.started) as out:
         _start_config_manifest(out, cfg, {"traces": args.traces})
         with out.file("bounds.csv") as path:
             BoundReport(entries=tuple(entries)).to_csv(path)
@@ -616,7 +679,7 @@ def cmd_verify(args) -> int:
     hard_failures = []
     sections = {}
 
-    with _OutputDir(args.out) as out:
+    with _OutputDir(args.out, args.started) as out:
         _start_config_manifest(out, cfg, {"falsify": falsify})
 
         if lc.R is not None:
@@ -721,7 +784,7 @@ def cmd_compare(args) -> int:
 
     keys = sorted({k for _, table in tables for k in table},
                   key=lambda k: (k[0], float(k[1] or -1), k[2]))
-    with _OutputDir(args.out) as out:
+    with _OutputDir(args.out, args.started) as out:
         out.start_manifest(inputs=args.reports)
         labels = [label for label, _ in tables]
         with out.file("compare.csv") as path:
@@ -801,11 +864,16 @@ def _interrupt(signum, frame):
 
 
 def main(argv=None) -> int:
+    """Run the command in `argv`, or in sys.argv when None. The manifest's
+    `wall_clock_seconds` counts from the process's start for a command line
+    (argv None), and from this call for a call with arguments."""
+    started = _process_start() if argv is None else time.monotonic()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    args.started = started
     handlers = {sig: signal.signal(sig, _interrupt) for sig in _SIGNALS}
     try:
         return args.func(args)

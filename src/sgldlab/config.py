@@ -338,12 +338,20 @@ def _check_values(cfg: ExperimentConfig) -> None:
         _check("bounds.n_grid", dataclasses.replace, sgld_cfg, n=n, k=1)
 
 
+# the most steps of one of `verify`'s Fokker-Planck runs. A step takes about
+# 64 us at 1,024 cells, so a run at the cap takes seconds and its
+# (n_steps + 1)-long traces a few MB; a cap of numpy's largest array let
+# fp.halfwidth 1e-3 over 64 cells ask for 341,337,621 rows (2.54 GiB) and
+# fail in the middle of `verify`. The benchmark's runs take at most 3,942.
+FP_STEP_CAP = 10**5
+
+
 def _verify_fp_runs(cfg: ExperimentConfig, lc):
     """(label, grid, grad_s, grad_alt, dt, n_steps) of each of `verify`'s
     Fokker-Planck runs: two shifted quadratics on the coarse grid and on
     twice its cells, with dt the `fp.dt_safety` share of the stability limit
-    at grad_s, and n_steps the steps of dt in `fp.T_end` (at least 2), few
-    enough that numpy can allocate the pair's (n_steps + 1)-long traces."""
+    at grad_s, and n_steps the steps of dt in `fp.T_end` (at least 2), at
+    most `FP_STEP_CAP`."""
     fp = cfg["fp"]
     if not fp["T_end"] > 0:
         raise ValueError(f"T_end must be positive, got {fp['T_end']}")
@@ -367,9 +375,10 @@ def _verify_fp_runs(cfg: ExperimentConfig, lc):
             raise ConfigError(f"fp.dt_safety: {fp['dt_safety']} of the stability "
                               f"limit {limit} gives dt = {dt}; dt must be positive")
         steps = fp["T_end"] / dt
-        if not (steps + 1) * 8 <= np.iinfo(np.intp).max:
-            raise ValueError(f"T_end = {fp['T_end']} is {steps} steps of dt = {dt}; "
-                             f"the step count must be finite, and its (steps + 1)-"
-                             f"long float64 traces within numpy's largest array")
+        if not steps <= FP_STEP_CAP:
+            raise ValueError(f"T_end = {fp['T_end']} is {steps} steps of dt = {dt} "
+                             f"over {n_cells} cells of halfwidth {hw}; a run takes at "
+                             f"most {FP_STEP_CAP}: lower fp.T_end, or widen the cells "
+                             f"(fewer fp.n_cells or a larger fp.halfwidth)")
         runs.append((label, grid, gs, ga, dt, max(2, int(steps))))
     return runs

@@ -22,7 +22,7 @@ from .sgld import (
     _draw_offsets,
     _fy_subset_rows,
     _lockstep_chunks,
-    _run_chains_lockstep,
+    array_rows,
     check_count,
     write_csv,
 )
@@ -44,6 +44,7 @@ __all__ = [
     "admitted_lambdas",
     "logmgf_check",
     "write_estimates_csv",
+    "write_trace_csv",
 ]
 
 TEST_POOL_FACTOR = 10    # test pool size = factor * n per trial
@@ -72,15 +73,10 @@ class EstimateWithError:
 
 
 def _estimate(samples: np.ndarray, name: str) -> EstimateWithError:
-    return _estimates(np.asarray(samples, dtype=float).reshape(1, -1), name)[0]
-
-
-def _estimates(rows: np.ndarray, name: str) -> list[EstimateWithError]:
-    """The mean and standard error of each row of a (b, m) block, in one pass."""
-    means, stderrs = _mean_stderr(rows)
-    return [EstimateWithError(mean=mu, stderr=se, n_samples=rows.shape[1],
-                              estimator_name=name)
-            for mu, se in zip(means.tolist(), stderrs.tolist())]
+    samples = np.asarray(samples, dtype=float).reshape(1, -1)
+    (mean,), (stderr,) = (a.tolist() for a in _mean_stderr(samples))
+    return EstimateWithError(mean=mean, stderr=stderr, n_samples=samples.shape[1],
+                             estimator_name=name)
 
 
 def _mean_stderr(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -122,10 +118,9 @@ def empirical_gen_gap(
     check_count("n_trials", n_trials)
     datasets = np.empty((n_trials, config.n, model.z_dim))
     chain_seqs, pool_seqs = gap_trials(model, config, datasets)
-    traces = _run_chains_lockstep(config, model, datasets, chain_seqs, series=0,
-                                  trajectories=0)
-    return gen_gap(model, datasets, [tr.final_state for tr in traces], pool_seqs,
-                   eval_loss)
+    for chunk in _lockstep_chunks(config, model, datasets, chain_seqs, series=0):
+        pass  # the final states are the last chunk's, T being its last stored step
+    return gen_gap(model, datasets, chunk.states[-1], pool_seqs, eval_loss)
 
 
 def gap_trials(model: LossModel, config: SGLDConfig, datasets: np.ndarray):
@@ -173,8 +168,9 @@ def grad_variance_trace(
     trace,
     n_resamples: int,
     rng_seed: int | None = None,
-) -> list[EstimateWithError]:
-    """Conditional minibatch-gradient variance at each stored state.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Conditional minibatch-gradient variance at each stored state, as
+    (means, standard errors) over the resamples, one entry per stored step.
 
     At W_t the conditional mean of the minibatch gradient is the full-batch
     gradient, known exactly, so the estimator averages squared deviations
@@ -187,20 +183,17 @@ def grad_variance_trace(
     check_count("n_resamples", n_resamples)
     cfg = trace.config
     dataset = np.asarray(dataset, dtype=float)
+    n_states = trace.states.shape[0]
     if cfg.k == cfg.n:
-        return [
-            EstimateWithError(0.0, 0.0, n_resamples, "grad_variance[exact_full_batch]")
-            for _ in trace.stored_steps
-        ]
+        return np.zeros(n_states), np.zeros(n_states)
     if rng_seed is None:
         rng_seed = cfg.seed
     rng = np.random.default_rng(np.random.SeedSequence([rng_seed, 0xE57]))
 
     # blocks of stored states; drawing a block's offsets in one call gives
     # the same stream as one (n_resamples, k) draw per state
-    out = []
+    means, stderrs = np.empty(n_states), np.empty(n_states)
     n, k, R = cfg.n, cfg.k, n_resamples
-    n_states = trace.states.shape[0]
     high = n - np.arange(k)
     # per state: an (R, n) Fisher-Yates scratch, n rows of the point table,
     # and the (k, R, d) gathered rows
@@ -221,8 +214,8 @@ def grad_variance_trace(
         dev = np.take(per_point.reshape(b * n, -1), rows, axis=0).sum(axis=0)
         dev /= k
         sq = np.einsum("ij,ij->i", dev, dev).reshape(b, R)
-        out.extend(_estimates(sq, "grad_variance"))
-    return out
+        means[r0:r0 + b], stderrs[r0:r0 + b] = _mean_stderr(sq)
+    return means, stderrs
 
 
 def grad_stability_trace(
@@ -342,17 +335,18 @@ def pth_moment_min_chains(p_list) -> int:
 
 
 def pth_moment_check(
-    traces,
+    final_states: np.ndarray,
     p_list,
     lc,
     beta: float,
     d: int,
     s_sq: float,
 ) -> PthMomentReport:
-    """Fit the universal constant of the p-th moment bound per p."""
+    """Fit the universal constant of the p-th moment bound per p, from the
+    (n_chains, d) final states W_T of independent chains."""
     need = pth_moment_min_chains(p_list)
     p_list = [int(p) for p in p_list]
-    finals = np.stack([tr.final_state for tr in traces])
+    finals = np.asarray(final_states, dtype=float)
     n = finals.shape[0]
     if n < need:
         raise ValueError(
@@ -510,3 +504,18 @@ def write_estimates_csv(path, rows) -> None:
     """
     write_csv(path, ESTIMATES_CSV_COLUMNS,
               ((name, tl, est.mean, est.stderr, est.n_samples) for name, tl, est in rows))
+
+
+def write_trace_csv(path, name: str, steps: np.ndarray, means: np.ndarray,
+                    stderrs: np.ndarray, n_samples: int) -> None:
+    """Emit a per-step trace as the rows `write_estimates_csv` writes, from
+    arrays (see `array_rows`): step steps[i] has means[i] and stderrs[i]
+    over n_samples samples. Refused, as `EstimateWithError` refuses a row,
+    unless every mean is finite and every stderr finite and nonnegative."""
+    if not (np.isfinite(means).all() and np.isfinite(stderrs).all()
+            and (stderrs >= 0).all()):
+        raise ValueError(f"{name}: every mean must be finite and every stderr "
+                         f"nonnegative and finite")
+    write_csv(path, ESTIMATES_CSV_COLUMNS,
+              ((name, step, mean, stderr, n_samples)
+               for step, mean, stderr in array_rows(steps, means, stderrs)))

@@ -49,6 +49,8 @@ __all__ = [
     "sample_initial",
     "run_chain",
     "run_ensemble",
+    "ensemble_seqs",
+    "array_rows",
     "write_csv",
 ]
 
@@ -56,6 +58,7 @@ STEP_CHUNK = 512          # steps per pre-drawn RNG block
 STATE_STORE_CAP = 10_000  # full state storage up to this many steps
 BLOCK_WORDS = 2**18       # 8-byte words in the largest array of one block;
                           # twice this raised peak RSS and saved no time
+CSV_BLOCK_ROWS = 4096     # CSV rows converted from arrays at a time
 
 
 @dataclass(frozen=True)
@@ -140,17 +143,25 @@ def write_csv(path, columns, rows) -> None:
         writer.writerows(rows)
 
 
+def array_rows(*columns):
+    """The rows of equal-length columns, each a 1-d array or a range, with
+    Python scalars as cells: an array's are its `tolist` values, taken
+    `CSV_BLOCK_ROWS` rows at a time, so no column is ever one whole list."""
+    for r0 in range(0, len(columns[0]), CSV_BLOCK_ROWS):
+        block = slice(r0, r0 + CSV_BLOCK_ROWS)
+        yield from zip(*(col[block].tolist() if isinstance(col, np.ndarray)
+                         else col[block] for col in columns))
+
+
 @dataclass
 class ChainTrace:
     """Recorded output of one SGLD chain.
 
     `states` holds every state when T <= 10^4, otherwise every
     ceil(T/10^4)-th state plus the final one; `stored_steps` gives the step
-    index of each stored row. A chain past an engine call's `trajectories`
-    count (see `_run_chains_lockstep`) holds its final state alone, with
-    `stored_steps` [T]; `run` keeps chain 0's trajectory only, and its
-    worker reads the stability pairs' states chunk by chunk from
-    `_lockstep_chunks`. The scalar series are always complete:
+    index of each stored row. `run` reads its chains chunk by chunk from
+    `_lockstep_chunks` and makes chain 0's trace alone. The scalar series
+    are always complete:
     `w_norm_sq` has T+1 entries (one per state); the gradient series have
     one entry per update, `grad_var_sample[t]` being the squared deviation
     ||grad_batch(W_t) - grad_full(W_t)||^2 of the minibatch gradient
@@ -176,12 +187,12 @@ class ChainTrace:
 
     def to_csv(self, path) -> None:
         """Columnar per-step record; update columns are empty on the final row."""
-        T, w_norm_sq = self.config.T, self.w_norm_sq.tolist()
-        rows = zip(range(T), w_norm_sq, self.grad_var_sample.tolist(),
-                   self.grad_fullbatch_norm.tolist(), self.grad_minibatch_norm.tolist())
+        T = self.config.T
+        rows = array_rows(range(T), self.w_norm_sq[:T], self.grad_var_sample,
+                          self.grad_fullbatch_norm, self.grad_minibatch_norm)
+        last = (T, float(self.w_norm_sq[T]), None, None, None)
         write_csv(path, ("t", "w_norm_sq", "grad_var_sample", "grad_fullbatch_norm",
-                         "grad_minibatch_norm"),
-                  itertools.chain(rows, [(T, w_norm_sq[T], None, None, None)]))
+                         "grad_minibatch_norm"), itertools.chain(rows, [last]))
 
 
 # ------------------------------------------------------------ primitive ops
@@ -440,7 +451,6 @@ def _run_chains_lockstep(
     datasets: np.ndarray,
     chain_seqs: list[np.random.SeedSequence],
     series: int | None = None,
-    trajectories: int | None = None,
 ) -> list[ChainTrace]:
     """The traces of `_lockstep_chunks`' chains, collected from its chunks.
 
@@ -448,22 +458,14 @@ def _run_chains_lockstep(
     series (`grad_var_sample`, `grad_fullbatch_norm`, `grad_minibatch_norm`),
     all of them when None; the other chains' series are read-only all-NaN
     views that take no memory.
-
-    `trajectories` is the number of leading chains whose `states` hold
-    every stored step, all of them when None; every other chain's `states`
-    holds its final state alone, one row at `stored_steps` [T], which is
-    all `final_state` reads. `w_norm_sq` is filled for every chain, and no
-    chain's values depend on how many rows keep their trajectories.
     """
     c = len(chain_seqs)
     if series is None:
         series = c
-    if trajectories is None:
-        trajectories = c
     T = config.T
     stored_steps = _stored_steps(T)
 
-    states = np.empty((trajectories, len(stored_steps), config.d))
+    states = np.empty((c, len(stored_steps), config.d))
     w_norm_sq = np.empty((c, T + 1))
     grad_series = np.empty((3, series, T))
     no_series = np.broadcast_to(np.nan, (T,))  # read-only, takes no memory
@@ -476,16 +478,15 @@ def _run_chains_lockstep(
             for out, values in zip(grad_series, chunk.grads):
                 out[:, t0 - 1:t0 - 1 + m] = values.T
         kept = chunk.states.shape[0]
-        states[:, row:row + kept] = chunk.states[:, :trajectories].swapaxes(0, 1)
+        states[:, row:row + kept] = chunk.states.swapaxes(0, 1)
         row += kept
-    final = chunk.states[-1].copy()  # T is the last stored step
 
     grad_var, grad_full_norm, grad_mini_norm = grad_series
     return [
         ChainTrace(
             config=config,
-            states=states[i] if i < trajectories else final[i:i + 1],
-            stored_steps=(stored_steps if i < trajectories else stored_steps[-1:]).copy(),
+            states=states[i],
+            stored_steps=stored_steps.copy(),
             w_norm_sq=w_norm_sq[i],
             grad_var_sample=grad_var[i] if i < series else no_series,
             grad_fullbatch_norm=grad_full_norm[i] if i < series else no_series,
@@ -519,6 +520,18 @@ def run_chain(
     return _run_chains_lockstep(config, model, dataset[None], [seed_seq])[0]
 
 
+def ensemble_seqs(seed: int, n_chains: int, n_datasets: int = 1):
+    """The seed sequences of an ensemble, one (dataset sequence, chain
+    sequences) pair per dataset: SeedSequence(seed) spawns one child per
+    dataset, and each dataset child spawns 1 + n_chains sequences, the first
+    for the dataset sample and the rest one per chain."""
+    check_count("n_chains", n_chains)
+    check_count("n_datasets", n_datasets)
+    return [(children[0], children[1:])
+            for children in (ds_seq.spawn(1 + n_chains) for ds_seq
+                             in np.random.SeedSequence(seed).spawn(n_datasets))]
+
+
 def run_ensemble(
     config: SGLDConfig,
     model: LossModel,
@@ -526,48 +539,35 @@ def run_ensemble(
     n_chains: int = 1,
     n_datasets: int = 1,
     series: int | None = None,
-    trajectories: int | None = None,
 ) -> list[ChainTrace]:
     """Independent chains over freshly sampled datasets, or over one given
     dataset.
 
-    Spawn layout from SeedSequence(config.seed): one child per dataset;
-    each dataset child spawns 1 + n_chains sequences, the first for the
-    dataset sample and the rest one per chain. Returns traces grouped
+    The seed sequences are `ensemble_seqs`'. Returns traces grouped
     dataset-major; `n_chains=1, n_datasets=1` reproduces `run_chain` on
     the sampled dataset bitwise.
 
     Args:
         dataset: (n, z_dim) dataset every chain runs on, in place of the
-            model's draws; each dataset child's first sequence stays
-            reserved for the draw, so the chains' streams are the same.
+            model's draws; each dataset's own sequence stays reserved for
+            the draw, so the chains' streams are the same.
         series: how many leading traces carry the per-step gradient series,
             all when None; the rest hold all-NaN series (see
             `_run_chains_lockstep`). States are the same either way.
-        trajectories: how many leading traces keep every stored state, all
-            when None; the rest hold their final state alone (see
-            `_run_chains_lockstep`).
     """
-    check_count("n_chains", n_chains)
-    check_count("n_datasets", n_datasets)
+    seqs = ensemble_seqs(config.seed, n_chains, n_datasets)
+    chain_seqs = [seq for _, chains in seqs for seq in chains]
     shape = (config.n, model.z_dim)
-    if dataset is not None:
+    if dataset is not None:  # shared by every chain
         dataset = np.asarray(dataset, dtype=float)
         if dataset.shape != shape:
             raise ValueError(f"dataset has shape {dataset.shape}, expected {shape}")
-
-    chain_seqs: list[np.random.SeedSequence] = []
-    drawn: list[np.ndarray] = []
-    for ds_seq in np.random.SeedSequence(config.seed).spawn(n_datasets):
-        children = ds_seq.spawn(1 + n_chains)
-        if dataset is None:
-            drawn.append(model.sample_data(np.random.default_rng(children[0]), config.n))
-        chain_seqs.extend(children[1:])
-
-    if len(drawn) > 1:
-        datasets = np.repeat(np.stack(drawn), n_chains, axis=0)
-    else:  # one dataset, shared by every chain
-        datasets = np.broadcast_to(drawn[0] if drawn else dataset,
-                                   (len(chain_seqs),) + shape)
-    return _run_chains_lockstep(config, model, datasets, chain_seqs, series=series,
-                                trajectories=trajectories)
+        datasets = np.broadcast_to(dataset, (len(chain_seqs),) + shape)
+    else:
+        drawn = [model.sample_data(np.random.default_rng(ds_seq), config.n)
+                 for ds_seq, _ in seqs]
+        if len(drawn) > 1:
+            datasets = np.repeat(np.stack(drawn), n_chains, axis=0)
+        else:
+            datasets = np.broadcast_to(drawn[0], (len(chain_seqs),) + shape)
+    return _run_chains_lockstep(config, model, datasets, chain_seqs, series=series)

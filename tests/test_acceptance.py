@@ -295,7 +295,7 @@ def test_criterion_09_sub_exponentiality():
                for lam, point, lo, hi in zip(report.lambdas, report.logmgf,
                                              report.band_lo, report.band_hi))
 
-    moments = pth_moment_check(traces, [2, 4, 6, 8, 10, 12],
+    moments = pth_moment_check(finals, [2, 4, 6, 8, 10, 12],
                                model.constants(), beta=cfg.beta, d=cfg.d,
                                s_sq=cfg.s_sq)
     base = moments.fitted_C[moments.p_values.index(2)]

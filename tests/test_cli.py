@@ -19,7 +19,8 @@ from sgldlab import cli, config, sgld
 from sgldlab.bounds import bound_xu_raginsky, evaluate_grid, kl_chain
 from sgldlab.cli import ConfigError, load_config, main
 from sgldlab.estimators import (EstimateWithError, empirical_gen_gap, grad_stability_trace,
-                                stability_block, stability_chains, write_estimates_csv)
+                                grad_variance_trace, stability_block, stability_chains,
+                                write_estimates_csv)
 from sgldlab.oracle import oracle_mi_upper
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -716,7 +717,8 @@ def test_run_worker_stages_make_one_chain_engine_call(tmp_path, monkeypatch):
         return real(config, model, datasets, chain_seqs, **kwargs)
 
     monkeypatch.setattr(cli, "_lockstep_chunks", counting)
-    (means, stderrs, n), gap = cli._worker_stages(model, sgld_cfg, est)
+    (means, stderrs, n), gap, seconds = cli._worker_stages(model, sgld_cfg, est)
+    assert set(seconds) == {"stability_s", "gap_s"} and min(seconds.values()) >= 0
     assert calls == [est["n_pairs"] + est["n_trials"]]
     want = grad_stability_trace(model, sgld_cfg, n_pairs=est["n_pairs"])
     assert means.tolist() == [e.mean for e in want]
@@ -815,6 +817,23 @@ def test_run_logistic_artifacts_independent_of_blas_threads(tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
+def run_cli(argv, limit_mib=None):
+    """`python -m sgldlab.cli *argv` with one BLAS thread, under an address
+    space of `limit_mib` MiB (RLIMIT_AS) when given."""
+    import resource
+
+    def limit():
+        size = limit_mib << 20
+        resource.setrlimit(resource.RLIMIT_AS, (size, size))
+
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.path.join(REPO, "src") + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    return subprocess.run([sys.executable, "-m", "sgldlab.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120,
+                          preexec_fn=None if limit_mib is None else limit)
+
+
 @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS bounds memory on Linux")
 def test_run_of_a_wide_ensemble_holds_only_the_trajectories_it_reads(tmp_path):
     # 192 chains of 2,001 states in d = 50: their trajectories would take
@@ -823,20 +842,10 @@ def test_run_of_a_wide_ensemble_holds_only_the_trajectories_it_reads(tmp_path):
     # Linux, Python 3.11, numpy 2.4), so a 224 MiB address space holds the
     # run, its (512, 192, 50) noise chunk (37.5 MiB) included, but not those
     # unread trajectories on top of it
-    import resource
-
     cfg = write_config(tmp_path / "c.json", loss={"d": 50},
                        sgld={"k": 8, "T": 2000}, data={"n": 8},
                        estimators={"n_chains": 192, "n_pairs": 2, "n_trials": 2})
-    limit = 224 << 20
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-    env["PYTHONPATH"] = os.path.join(REPO, "src") + (
-        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    proc = subprocess.run(
-        [sys.executable, "-m", "sgldlab.cli", "run", "--config", cfg,
-         "--out", str(tmp_path / "out")], env=env, capture_output=True, text=True,
-        timeout=120,
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    proc = run_cli(["run", "--config", cfg, "--out", str(tmp_path / "out")], 224)
     assert proc.returncode == 0, proc.stderr
     assert read_json(tmp_path / "out" / "manifest.json")["status"] == "complete"
 
@@ -848,22 +857,101 @@ def test_run_worker_holds_one_chunk_of_the_stability_pairs(tmp_path):
     # chunk (37.9 MiB) at a time. On x86-64 Linux, Python 3.11, numpy 2.4
     # the run completes in a 160 MiB address space, and with the pairs'
     # trajectories held whole it needs over 320 MiB
-    import resource
-
     cfg = write_config(tmp_path / "c.json", loss={"d": 50},
                        sgld={"k": 8, "T": 2000}, data={"n": 8},
                        estimators={"n_chains": 2, "n_pairs": 192, "n_trials": 2})
-    limit = 224 << 20
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-    env["PYTHONPATH"] = os.path.join(REPO, "src") + (
-        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    proc = subprocess.run(
-        [sys.executable, "-m", "sgldlab.cli", "run", "--config", cfg,
-         "--out", str(tmp_path / "out")], env=env, capture_output=True, text=True,
-        timeout=120,
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    proc = run_cli(["run", "--config", cfg, "--out", str(tmp_path / "out")], 224)
     assert proc.returncode == 0, proc.stderr
     assert read_json(tmp_path / "out" / "manifest.json")["status"] == "complete"
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS bounds memory on Linux")
+def test_run_parent_holds_one_chunk_of_the_ensemble(tmp_path):
+    # 64 full-batch chains over T = 100,000: their (64, 100,001) ||W||^2
+    # alone take 48.8 MiB, while `run` sums them into one (100,001,) row a
+    # 512-step chunk at a time and keeps chain 0's trace alone (five
+    # (100,001,)-long series, 3.8 MiB). On x86-64 Linux, Python 3.11, numpy
+    # 2.4 the run completes in a 120 MiB address space (an idle `python -m
+    # sgldlab.cli` takes 106 MiB), and with the ensemble's norms held whole
+    # it needs 177 MiB; 144 MiB leaves 24 MiB of headroom below that
+    cfg = write_config(tmp_path / "c.json", sgld={"k": 20, "T": 100_000},
+                       estimators={"n_chains": 64, "n_pairs": 2, "n_trials": 2})
+    proc = run_cli(["run", "--config", cfg, "--out", str(tmp_path / "out")], 144)
+    assert proc.returncode == 0, proc.stderr
+    assert read_json(tmp_path / "out" / "manifest.json")["status"] == "complete"
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS bounds memory on Linux")
+def test_fokker_planck_run_beyond_the_step_cap_is_refused_at_load(tmp_path):
+    # halfwidth 1e-3 over 64 cells gives dt = 2.9e-10 and 341,337,620 steps
+    # in T_end = 0.1, whose traces would take 2.54 GiB; under a 1 GiB address
+    # space the run must be refused before any subcommand allocates them
+    cfg = write_config(tmp_path / "c.json", sgld={"k": 20},
+                       fp={"halfwidth": 1e-3, "n_cells": 64, "T_end": 0.1})
+    for sub in ("certify", "run", "bounds", "verify"):
+        out = tmp_path / sub
+        extra = ["--traces", str(tmp_path)] if sub == "bounds" else []
+        proc = run_cli([sub, "--config", cfg, "--out", str(out), *extra], 1024)
+        assert proc.returncode == 1, (sub, proc.stderr)
+        assert proc.stderr.startswith("config error: fp: "), (sub, proc.stderr)
+        assert f"at most {config.FP_STEP_CAP}" in proc.stderr
+        assert "Traceback" not in proc.stderr and not out.exists()
+
+
+def test_run_wall_clock_counts_from_process_start(tmp_path):
+    # interpreter start-up and imports take about 0.25 s of this 0.7 s `run`
+    # process, which a clock started with the manifest misses; what follows
+    # the manifest's last write (the process's exit) takes about 0.04 s. The
+    # start time is read in clock ticks, so it may be one tick early
+    cfg = write_config(tmp_path / "c.json", sgld={"T": 6000})
+    start = time.monotonic()
+    proc = run_cli(["run", "--config", cfg, "--out", str(tmp_path / "out")])
+    wall = time.monotonic() - start
+    assert proc.returncode == 0, proc.stderr
+    manifest = read_json(tmp_path / "out" / "manifest.json")
+    tick = 1.0 / os.sysconf("SC_CLK_TCK")
+    assert 0.9 * wall <= manifest["wall_clock_seconds"] <= wall + tick
+
+
+def test_run_manifest_records_stage_seconds(tmp_path):
+    cfg = write_config(tmp_path / "c.json")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    manifest = read_json(tmp_path / "out" / "manifest.json")
+    stages = manifest["stages"]
+    assert set(stages["run"]) == {"ensemble_s", "variance_s", "checks_s", "worker_wait_s"}
+    assert set(stages["worker"]) == {"stability_s", "gap_s"}
+    assert all(s >= 0 for times in stages.values() for s in times.values())
+    assert sum(stages["run"].values()) <= manifest["wall_clock_seconds"]
+
+
+@pytest.mark.parametrize("strided", [False, True])
+def test_run_ensemble_artifacts_equal_in_process_ensemble(tmp_path, monkeypatch, strided):
+    # chunks of 16 steps over T = 61 and CSV rows 7 at a time: the chunk by
+    # chunk ensemble writes what the traces of `run_ensemble` give, its
+    # moments the mean over the chains' stacked ||W||^2
+    monkeypatch.setattr(sgld, "STEP_CHUNK", 16)
+    monkeypatch.setattr(sgld, "CSV_BLOCK_ROWS", 7)
+    if strided:
+        monkeypatch.setattr(sgld, "STATE_STORE_CAP", 10)  # every 7th state
+    path = write_config(tmp_path / "c.json", **LOGISTIC, sgld={"T": 61})
+    assert main(["run", "--config", path, "--out", str(tmp_path / "run")]) == 0
+    cfg = load_config(path)
+    model, sgld_cfg, est = cfg.model(), cfg.sgld_config(), cfg["estimators"]
+    dataset = np.load(tmp_path / "run" / "dataset.npy")
+    traces = sgld.run_ensemble(sgld_cfg, model, dataset, n_chains=est["n_chains"],
+                               series=1)
+    traces[0].to_csv(tmp_path / "chain_000.csv")
+    sgld.write_csv(tmp_path / "moments.csv", ("t", "mean_w_norm_sq"), enumerate(
+        np.mean([tr.w_norm_sq for tr in traces], axis=0).tolist()))
+    for name in ("chain_000.csv", "moments.csv"):
+        assert (tmp_path / "run" / name).read_bytes() == (tmp_path / name).read_bytes()
+    assert np.array_equal(np.load(tmp_path / "run" / "final_states.npy"),
+                          [tr.final_state for tr in traces])
+    means, stderrs = grad_variance_trace(model, dataset, traces[0], est["n_resamples"])
+    _, rows = read_csv_rows(tmp_path / "run" / "variance.csv")
+    assert [int(r[1]) for r in rows] == traces[0].stored_steps.tolist()
+    assert [float(r[2]) for r in rows] == means.tolist()
+    assert [float(r[3]) for r in rows] == stderrs.tolist()
 
 
 def test_run_process_never_imports_numpy_ma(tmp_path):
@@ -1699,10 +1787,11 @@ def test_verify_fails_a_diverging_oracle_law_by_name(tmp_path, capsys):
 
 
 def test_verify_fails_a_fokker_planck_pair_the_grid_cannot_carry(tmp_path, capsys):
-    # at beta R = 1e7 the two densities part on a grid of halfwidth 1
+    # at beta R = 1e7 the two densities part on a grid of halfwidth 1, well
+    # within T_end = 0.005 (17,011 coarse steps, under verify's step cap)
     cfg = write_config(tmp_path / "c.json", loss={"R": 1e4, "d": 5},
                        sgld={"eta": 1e-5, "beta": 1e3},
-                       fp={"halfwidth": 1.0, "T_end": 5.0})
+                       fp={"halfwidth": 1.0, "T_end": 0.005})
     out = tmp_path / "out"
     assert main(["verify", "--config", cfg, "--out", str(out)]) == 2
     report = read_json(out / "verify_report.json")
@@ -1811,7 +1900,7 @@ def test_every_csv_artifact_has_crlf_line_ends_and_its_header(run_and_bounds, tm
 # ----------------------------------------------------------- benchmark probe
 
 
-@pytest.mark.parametrize("sub, span", [("run", "sgld.run_ensemble"),
+@pytest.mark.parametrize("sub, span", [("run", "estimators.grad_variance_trace"),
                                        ("verify", "fokker_planck.evolve_pair")])
 def test_benchmark_probe_traces_the_cli(tmp_path, sub, span):
     # perfbench/probe.py wraps the library functions the CLI calls by name;

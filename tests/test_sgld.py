@@ -435,7 +435,6 @@ def test_ensemble_series_count_row_zero_equals_full_series(model, n_datasets, k)
                 assert np.array_equal(getattr(b, name), want, equal_nan=True)
 
 
-@pytest.mark.parametrize("strided", [False, True])
 @pytest.mark.parametrize("k", [5, 30])
 @pytest.mark.parametrize(
     "model",
@@ -443,43 +442,18 @@ def test_ensemble_series_count_row_zero_equals_full_series(model, n_datasets, k)
      NonconvexRidgeLoss(1.0, 0.5, 1.0, 3)],
     ids=["quadratic", "logistic", "nonconvex"],
 )
-def test_lockstep_keeps_trajectories_of_the_leading_rows_only(monkeypatch, model, k,
-                                                              strided):
+def test_lockstep_full_batch_series_equals_per_state_gradients(model, k):
     # chunks of 512 and 37 steps over three chains, each on its own dataset;
-    # k < n and k = n
-    if strided:
-        monkeypatch.setattr(sgld, "STATE_STORE_CAP", 100)  # stride 6
+    # k < n and k = n: each step's full-batch gradient, one state at a time
     cfg = quad_config(T=sgld.STEP_CHUNK + 37, k=k, n=30, d=3)
     rng = np.random.default_rng(9)
     datasets = np.stack([model.sample_data(rng, cfg.n) for _ in range(3)])
-
-    def run(**kwargs):
-        seqs = np.random.SeedSequence(cfg.seed).spawn(3)  # spawning is stateful
-        return sgld._run_chains_lockstep(cfg, model, datasets, seqs, **kwargs)
-
-    full = run()
-    if not strided:
-        # each step's full-batch gradient, one state at a time
-        for i, tr in enumerate(full):
-            G = np.concatenate([model.full_batch_grad(datasets[i:i + 1])(w[None])
-                                for w in tr.states[:-1]])
-            assert np.array_equal(tr.grad_fullbatch_norm,
-                                  np.sqrt(np.einsum("ij,ij->i", G, G)))
-    for trajectories in (0, 1, 3):
-        for series in (0, 1):
-            part = run(series=series, trajectories=trajectories)
-            for i, (a, b) in enumerate(zip(full, part)):
-                assert np.array_equal(b.final_state, a.final_state)
-                assert np.array_equal(b.w_norm_sq, a.w_norm_sq)
-                if i < trajectories:
-                    assert np.array_equal(b.states, a.states)
-                    assert np.array_equal(b.stored_steps, a.stored_steps)
-                else:
-                    assert b.states.shape == (1, cfg.d)
-                    assert b.stored_steps.tolist() == [cfg.T]
-                for name in SERIES:
-                    want = getattr(a, name) if i < series else np.full(cfg.T, np.nan)
-                    assert np.array_equal(getattr(b, name), want, equal_nan=True)
+    seqs = np.random.SeedSequence(cfg.seed).spawn(3)
+    for i, tr in enumerate(sgld._run_chains_lockstep(cfg, model, datasets, seqs)):
+        G = np.concatenate([model.full_batch_grad(datasets[i:i + 1])(w[None])
+                            for w in tr.states[:-1]])
+        assert np.array_equal(tr.grad_fullbatch_norm,
+                              np.sqrt(np.einsum("ij,ij->i", G, G)))
 
 
 def test_run_chain_full_batch_variance_sample_is_zero():
