@@ -68,12 +68,12 @@ class _OutputDir:
     Its manifest.json is written when the work starts and again when it
     completes, then listing the files and the `wall_clock_seconds` since
     `started` (a time.monotonic() reading; the manifest's start when None);
-    it does not list itself, and it says where it ran (`_environment`). Every file, the manifest included, is
-    written to a temp file that a rename puts in place, so none is ever seen
-    part-written. `.lock` holds the owning process id, so a lock left by a
-    process that is gone is reported as stale. A directory holding anything
-    but its `.lock` is refused, so no file of an earlier invocation sits
-    among the new ones.
+    it does not list itself, and it says where it ran (`_environment`).
+    Every file, the manifest included, is written to a temp file that a
+    rename puts in place, so none is ever seen part-written. `.lock` holds
+    the owning process id, so a lock left by a process that is gone is
+    reported as stale. A directory holding anything but its `.lock` is
+    refused, so no file of an earlier invocation sits among the new ones.
     A KeyboardInterrupt (SIGINT or SIGTERM, see `main`) leaving a started
     manifest sets its status to `interrupted`; any other failure leaves it
     `running`. A finished one reads `complete`, or the status given (`run`
@@ -574,22 +574,39 @@ def _worker_stages(model, sgld_cfg: SGLDConfig, est: dict):
 
 
 def _read_csv(path, columns) -> list:
-    """Data rows of a CSV artifact whose header must be `columns`."""
+    """Data rows of a CSV artifact whose header must be `columns`, each
+    refused unless it has a cell per column."""
     try:
         fh = open(path, newline="")
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != list(columns):
-            raise ConfigError(f"{path}: unexpected columns {header}")
-        return list(reader)
+        try:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            rows = list(reader)
+        except (UnicodeDecodeError, csv.Error) as exc:  # not text, or a cell past csv's limit
+            raise ConfigError(f"{path}: not a readable CSV: {exc}") from exc
+    if header != list(columns):
+        raise ConfigError(f"{path}: unexpected columns {header}")
+    for i, cells in enumerate(rows, 1):
+        if len(cells) != len(columns):
+            raise ConfigError(f"{path}: row {i} has {len(cells)} cells, "
+                              f"not {len(columns)}")
+    return rows
 
 
 def _load_estimates_csv(path):
-    return [(cells[0], float(cells[1]), float(cells[2]), float(cells[3]),
-             int(cells[4])) for cells in _read_csv(path, ESTIMATES_CSV_COLUMNS)]
+    """The rows of an estimates CSV, parsed; a cell that does not parse is
+    refused by its row."""
+    rows = []
+    for i, (name, t, mean, stderr, n) in enumerate(
+            _read_csv(path, ESTIMATES_CSV_COLUMNS), 1):
+        try:
+            rows.append((name, float(t), float(mean), float(stderr), int(n)))
+        except ValueError as exc:
+            raise ConfigError(f"{path}: row {i}: {exc}") from exc
+    return rows
 
 
 def _load_trace(traces_dir, name, T: int):
@@ -774,11 +791,20 @@ def cmd_compare(args) -> int:
     for directory in args.reports:
         bounds_path = os.path.join(directory, "bounds.csv")
         gap_path = os.path.join(directory, "gap.csv")
-        # (name, T, n) -> value cell
-        table = {(cells[0], cells[2], cells[3]): cells[1]
-                 for cells in _read_csv(bounds_path, BOUNDS_CSV_COLUMNS)}
+        # (name, T, n) -> value cell; the value and T cells are each empty or
+        # a float, which the tables below sort by and format
+        table = {}
+        for i, (name, value, T, n, *_) in enumerate(
+                _read_csv(bounds_path, BOUNDS_CSV_COLUMNS), 1):
+            try:
+                float(value or 0), float(T or 0)
+            except ValueError as exc:
+                raise ConfigError(f"{bounds_path}: row {i}: {exc}") from exc
+            table[(name, T, n)] = value
         if os.path.exists(gap_path):
             for _, t, mean, _, _ in _load_estimates_csv(gap_path):
+                if not t.is_integer():
+                    raise ConfigError(f"{gap_path}: T = {t} is not a step")
                 table[("empirical_gap", str(int(t)), "")] = repr(mean)
         tables.append((os.path.basename(os.path.normpath(directory)), table))
 

@@ -7,10 +7,6 @@ and are flagged heuristic wherever they enter.
 
 The constant chains, in dependency order:
 
-* `minibatch_delta` / `sg_variance_bound`: variance of the minibatch
-  gradient around the full-batch gradient is at most
-  8 delta M^2 (||w||^2 + k/m) with delta = (n-k)/(k(n-1)).
-
 * `moment_bound_C0`: along the whole trajectory E||W_t||^2 <= C0 with
   C0 = s^2 + 2 max(1, 1/m) (b + 10 eta M^2 b/m + d/beta), valid for
   eta in (0, min(1, m/(5 M^2))).
@@ -54,8 +50,6 @@ __all__ = [
     "LSI_MODES",
     "ParametrixOverrides",
     "DerivedConstants",
-    "minibatch_delta",
-    "sg_variance_bound",
     "moment_bound_C0",
     "lsi_route",
     "lsi_constant",
@@ -123,32 +117,6 @@ class DerivedConstants:
         if abs(self.D1 - 2.0 * (self.D4 + self.D5)) > 1e-12 * max(1.0, self.D1):
             raise ValueError(f"D1 must equal 2 (D4 + D5), got D1={self.D1}, "
                              f"D4={self.D4}, D5={self.D5}")
-
-
-# ----------------------------------------------------------------- minibatch
-
-
-def minibatch_delta(n: int, k: int) -> float:
-    """Variance factor delta = (n-k)/(k(n-1)) of uniform size-k minibatches.
-
-    Equals 1 at k=1 and 0 at k=n (full batch).
-    """
-    if n < 2:
-        raise ValueError(f"dataset size n must be at least 2, got {n}")
-    if not 1 <= k <= n:
-        raise ValueError(f"batch size k must satisfy 1 <= k <= n, got k={k}, n={n}")
-    return (n - k) / (k * (n - 1))
-
-
-def sg_variance_bound(lc: LossConstants, n: int, k: int, w_norm_sq: float) -> float:
-    """Upper bound on E||grad_full(w) - grad_batch(w)||^2 at one point w.
-
-    The bound is 8 delta M^2 (||w||^2 + k/m).
-    """
-    if w_norm_sq < 0:
-        raise ValueError(f"w_norm_sq must be nonnegative, got {w_norm_sq}")
-    delta = minibatch_delta(n, k)
-    return 8.0 * delta * lc.M**2 * (w_norm_sq + k / lc.m)
 
 
 # ------------------------------------------------------------------- moments

@@ -21,7 +21,6 @@ from .sgld import (
     _block_len,
     _draw_offsets,
     _fy_subset_rows,
-    _lockstep_chunks,
     array_rows,
     check_count,
     write_csv,
@@ -30,11 +29,9 @@ from .sgld import (
 __all__ = [
     "EstimateWithError",
     "EVAL_LOSSES",
-    "empirical_gen_gap",
     "gap_trials",
     "gen_gap",
     "grad_variance_trace",
-    "grad_stability_trace",
     "stability_block",
     "stability_chains",
     "PthMomentReport",
@@ -100,36 +97,13 @@ def _eval_losses(model: LossModel, w: np.ndarray, Z: np.ndarray) -> np.ndarray:
 # ------------------------------------------------------------------ gen gap
 
 
-def empirical_gen_gap(
-    model: LossModel,
-    config: SGLDConfig,
-    n_trials: int,
-    eval_loss: str = "same_as_f",
-) -> EstimateWithError:
-    """Mean train-test gap of the final iterate over independent trials.
-
-    Each trial draws a fresh dataset S from the model's data distribution,
-    runs one chain on it, and compares the mean loss of W_T on a fresh test
-    pool of 10 n points against the mean loss on S. `eval_loss` selects the raw training loss
-    ("same_as_f") or the bounded surrogate f/(1+f) ("surrogate").
-
-    The composition of `gap_trials`, the chains and `gen_gap`.
-    """
-    check_count("n_trials", n_trials)
-    datasets = np.empty((n_trials, config.n, model.z_dim))
-    chain_seqs, pool_seqs = gap_trials(model, config, datasets)
-    for chunk in _lockstep_chunks(config, model, datasets, chain_seqs, series=0):
-        pass  # the final states are the last chunk's, T being its last stored step
-    return gen_gap(model, datasets, chunk.states[-1], pool_seqs, eval_loss)
-
-
 def gap_trials(model: LossModel, config: SGLDConfig, datasets: np.ndarray):
-    """Draw the trials of `empirical_gen_gap`: trial i's dataset S into row i
+    """Draw the trials of the train-test gap: trial i's dataset S into row i
     of the (n_trials, n, z_dim) `datasets`. Returns the trials' chain seed
-    sequences, each for a chain on its S, and their test pools' sequences.
-    These streams are not the other estimators' own: trial p's S is
-    `stability_chains`' pair p's S, and trial 0's chain streams are
-    `run_ensemble`'s chain 0's."""
+    sequences, each for a chain on its S, and their test pools' sequences
+    (see `gen_gap`). These streams are not the other estimators' own: trial
+    p's S is `stability_chains`' pair p's S, and trial 0's chain streams
+    are chain 0's of `ensemble_seqs(seed, n_chains)`."""
     check_count("n_trials", datasets.shape[0])
     chain_seqs, pool_seqs = [], []
     for i, seq in enumerate(np.random.SeedSequence(config.seed).spawn(datasets.shape[0])):
@@ -142,8 +116,12 @@ def gap_trials(model: LossModel, config: SGLDConfig, datasets: np.ndarray):
 
 def gen_gap(model: LossModel, datasets: np.ndarray, final_states, pool_seqs,
             eval_loss: str = "same_as_f") -> EstimateWithError:
-    """The gap estimate of the trials `gap_trials` drew, from each trial's
-    dataset, its chain's final state W_T and its test pool's seed sequence."""
+    """The mean train-test gap of the final iterate over the trials
+    `gap_trials` drew, from each trial's dataset S, its chain's final state
+    W_T and its test pool's seed sequence: per trial, the mean loss of W_T
+    on a fresh pool of 10 n points minus its mean loss on S. `eval_loss`
+    selects the raw training loss ("same_as_f") or the bounded surrogate
+    f/(1+f) ("surrogate")."""
     if eval_loss not in EVAL_LOSSES:
         raise ValueError(f"unknown eval_loss {eval_loss!r}")
     n_pool = TEST_POOL_FACTOR * datasets.shape[1]
@@ -167,7 +145,6 @@ def grad_variance_trace(
     dataset: np.ndarray,
     trace,
     n_resamples: int,
-    rng_seed: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Conditional minibatch-gradient variance at each stored state, as
     (means, standard errors) over the resamples, one entry per stored step.
@@ -178,7 +155,8 @@ def grad_variance_trace(
     has no sampling noise and returns exact zeros without resampling.
     Each state's n per-point gradients are taken once and centred on their
     mean, the full-batch gradient; a resample's deviation is the mean of
-    its k centred rows, summed in minibatch order.
+    its k centred rows, summed in minibatch order. The resamples are drawn
+    from a stream of the trace's config seed.
     """
     check_count("n_resamples", n_resamples)
     cfg = trace.config
@@ -186,9 +164,7 @@ def grad_variance_trace(
     n_states = trace.states.shape[0]
     if cfg.k == cfg.n:
         return np.zeros(n_states), np.zeros(n_states)
-    if rng_seed is None:
-        rng_seed = cfg.seed
-    rng = np.random.default_rng(np.random.SeedSequence([rng_seed, 0xE57]))
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xE57]))
 
     # blocks of stored states; drawing a block's offsets in one call gives
     # the same stream as one (n_resamples, k) draw per state
@@ -218,52 +194,22 @@ def grad_variance_trace(
     return means, stderrs
 
 
-def grad_stability_trace(
-    model: LossModel,
-    config: SGLDConfig,
-    n_pairs: int,
-    control_identical: bool = False,
-) -> list[EstimateWithError]:
-    """E ||grad_F(W_t, S) - grad_F(W_t, S')||^2 over dataset pairs.
-
-    Per pair, S and S' are drawn independently from the model's data
-    distribution, one chain runs on S, and both full-batch gradients are
-    evaluated at its stored states, by blocks of steps. The
-    chain's law is driven by S only; the statistic is asymmetric in that
-    respect. `control_identical` replaces S' by S (the statistic is then
-    exactly zero; falsification control).
-
-    The composition of `stability_chains`, the chains and `stability_block`
-    on each of the engine's chunks in turn, so no trajectory is held whole.
-    """
-    check_count("n_pairs", n_pairs)
-    datasets, datasets_alt = np.empty((2, n_pairs, config.n, model.z_dim))
-    chain_seqs = stability_chains(model, config, datasets, datasets_alt,
-                                  control_identical)
-    out = []
-    for chunk in _lockstep_chunks(config, model, datasets, chain_seqs, series=0):
-        means, stderrs = stability_block(model, datasets, datasets_alt, chunk.states)
-        out.extend(EstimateWithError(mu, se, n_pairs, "grad_stability")
-                   for mu, se in zip(means.tolist(), stderrs.tolist()))
-    return out
-
-
 def stability_chains(model: LossModel, config: SGLDConfig, datasets: np.ndarray,
-                     datasets_alt: np.ndarray, control_identical: bool = False):
-    """Draw the pairs of `grad_stability_trace`: pair p's S and S' into row p
-    of the (n_pairs, n, z_dim) `datasets` and `datasets_alt`. Returns the
-    pairs' chain seed sequences, each for a chain on its S. These streams
-    are not the other estimators' own: pair p's S is `gap_trials`' trial
-    p's S, and pair 0's chain streams are `run_ensemble`'s chain 1's."""
+                     datasets_alt: np.ndarray):
+    """Draw the pairs of the gradient stability trace: pair p's S and S'
+    into row p of the (n_pairs, n, z_dim) `datasets` and `datasets_alt`,
+    each from the model's data distribution. Returns the pairs' chain seed
+    sequences, each for a chain on its S, whose law S alone drives (see
+    `stability_block`). These streams are not the other estimators' own:
+    pair p's S is `gap_trials`' trial p's S, and pair 0's chain streams are
+    chain 1's of `ensemble_seqs(seed, n_chains)`."""
     n_pairs = datasets.shape[0]
     check_count("n_pairs", n_pairs)
     chain_seqs = []
     for p, seq in enumerate(np.random.SeedSequence(config.seed).spawn(n_pairs)):
         s_seq, s_alt_seq, chain_seq = seq.spawn(3)
         datasets[p] = model.sample_data(np.random.default_rng(s_seq), config.n)
-        datasets_alt[p] = (
-            datasets[p] if control_identical
-            else model.sample_data(np.random.default_rng(s_alt_seq), config.n))
+        datasets_alt[p] = model.sample_data(np.random.default_rng(s_alt_seq), config.n)
         chain_seqs.append(chain_seq)
     return chain_seqs
 

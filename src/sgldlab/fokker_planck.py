@@ -34,8 +34,6 @@ __all__ = [
     "DensityField",
     "gibbs_density",
     "fp_step",
-    "kl_on_grid",
-    "fisher_on_grid",
     "FPPairRun",
     "evolve_pair",
     "Inequality12Report",
@@ -105,9 +103,6 @@ class DensityField:
             raise ValueError(f"negative or NaN density {values.min()}")
         _check_mass(values, self.grid.h)
         object.__setattr__(self, "values", values)
-
-    def mass(self) -> float:
-        return float(self.values.sum() * self.grid.h)
 
     def mean(self) -> float:
         return float((self.values * self.grid.centers).sum() * self.grid.h)
@@ -275,28 +270,6 @@ def _fisher(h: float, r: np.ndarray, log_ratio: np.ndarray):
         raise ValueError("support band too narrow for differences")
     score = np.gradient(log_ratio, h, axis=-1)
     return h * np.sum(r * score**2, axis=-1)
-
-
-def _shared_band(rho: DensityField, gamma: DensityField):
-    """rho and log(rho/gamma) on the shared support band."""
-    if rho.grid != gamma.grid:
-        raise ValueError("densities live on different grids")
-    r, q = rho.values, gamma.values
-    return _band_log_ratio(r, q, _support_band(_support_mask(r, q)))
-
-
-def kl_on_grid(rho: DensityField, gamma: DensityField) -> float:
-    """Quadrature KL(rho | gamma) over the shared support band."""
-    return float(_kl(rho.grid.h, *_shared_band(rho, gamma)))
-
-
-def fisher_on_grid(rho: DensityField, gamma: DensityField) -> float:
-    """Quadrature relative Fisher information over the shared support band.
-
-    Sum of h * rho * (d/dw log(rho/gamma))^2 with central differences on
-    the band interior and one-sided differences at its edges.
-    """
-    return float(_fisher(rho.grid.h, *_shared_band(rho, gamma)))
 
 
 # ---------------------------------------------------------------- paired runs

@@ -22,12 +22,12 @@ a drawn chunk at once, sized by `BLOCK_WORDS`; each row is still shuffled
 from its own offsets alone, so the swap blocking never moves a draw or an
 index and the layout above does not depend on it.
 
-Ensembles spawn one child sequence per dataset; each dataset child spawns
-one sequence for sampling the dataset itself (unused, but still spawned,
-when the caller gives the dataset) plus one per chain. Chains
-sharing a dataset are advanced together in lockstep, vectorized across
-chains; a single chain is the one-chain special case of the same code
-path, so serial and ensemble runs agree bitwise.
+Ensembles spawn one child sequence per dataset (`ensemble_seqs`); each
+dataset child spawns one sequence for sampling the dataset itself (unused,
+but still spawned, when `run` gives its dataset) plus one per chain. Chains
+are advanced together in lockstep, vectorized across chains; a single
+chain is the one-chain special case of the same code path, so a chain's
+values do not depend on how many chains run beside it.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ __all__ = [
     "check_count",
     "check_size",
     "sample_initial",
-    "run_chain",
     "run_ensemble",
     "ensemble_seqs",
     "array_rows",
@@ -161,15 +160,11 @@ class ChainTrace:
     ceil(T/10^4)-th state plus the final one; `stored_steps` gives the step
     index of each stored row. `run` reads its chains chunk by chunk from
     `_lockstep_chunks` and makes chain 0's trace alone. The scalar series
-    are always complete:
-    `w_norm_sq` has T+1 entries (one per state); the gradient series have
-    one entry per update, `grad_var_sample[t]` being the squared deviation
-    ||grad_batch(W_t) - grad_full(W_t)||^2 of the minibatch gradient
-    actually used at step t. A trace run without gradient series (the
-    `series` count of `run_ensemble`) holds all-NaN gradient series.
-    `noise_variates` counts the Gaussian variates of its noise stream,
-    T * d. Traces are made by `_run_chains_lockstep` alone, whose arrays
-    have these shapes by construction.
+    are always complete: `w_norm_sq` has T+1 entries (one per state); the
+    gradient series have one entry per update, `grad_var_sample[t]` being
+    the squared deviation ||grad_batch(W_t) - grad_full(W_t)||^2 of the
+    minibatch gradient actually used at step t. `noise_variates` counts the
+    Gaussian variates of its noise stream, T * d.
     """
 
     config: SGLDConfig
@@ -180,10 +175,6 @@ class ChainTrace:
     grad_fullbatch_norm: np.ndarray
     grad_minibatch_norm: np.ndarray
     noise_variates: int
-
-    @property
-    def final_state(self) -> np.ndarray:
-        return self.states[-1]
 
     def to_csv(self, path) -> None:
         """Columnar per-step record; update columns are empty on the final row."""
@@ -450,28 +441,19 @@ def _run_chains_lockstep(
     model: LossModel,
     datasets: np.ndarray,
     chain_seqs: list[np.random.SeedSequence],
-    series: int | None = None,
 ) -> list[ChainTrace]:
-    """The traces of `_lockstep_chunks`' chains, collected from its chunks.
-
-    `series` is the number of leading chains that get the per-step gradient
-    series (`grad_var_sample`, `grad_fullbatch_norm`, `grad_minibatch_norm`),
-    all of them when None; the other chains' series are read-only all-NaN
-    views that take no memory.
-    """
+    """The traces of `_lockstep_chunks`' chains, each with its per-step
+    gradient series, collected from its chunks."""
     c = len(chain_seqs)
-    if series is None:
-        series = c
     T = config.T
     stored_steps = _stored_steps(T)
 
     states = np.empty((c, len(stored_steps), config.d))
     w_norm_sq = np.empty((c, T + 1))
-    grad_series = np.empty((3, series, T))
-    no_series = np.broadcast_to(np.nan, (T,))  # read-only, takes no memory
+    grad_series = np.empty((3, c, T))
 
     row = 0
-    for chunk in _lockstep_chunks(config, model, datasets, chain_seqs, series):
+    for chunk in _lockstep_chunks(config, model, datasets, chain_seqs):
         t0, (m, _) = chunk.t0, chunk.w_norm_sq.shape
         w_norm_sq[:, t0:t0 + m] = chunk.w_norm_sq.T
         if chunk.grads is not None:
@@ -488,36 +470,13 @@ def _run_chains_lockstep(
             states=states[i],
             stored_steps=stored_steps.copy(),
             w_norm_sq=w_norm_sq[i],
-            grad_var_sample=grad_var[i] if i < series else no_series,
-            grad_fullbatch_norm=grad_full_norm[i] if i < series else no_series,
-            grad_minibatch_norm=grad_mini_norm[i] if i < series else no_series,
+            grad_var_sample=grad_var[i],
+            grad_fullbatch_norm=grad_full_norm[i],
+            grad_minibatch_norm=grad_mini_norm[i],
             noise_variates=T * config.d,
         )
         for i in range(c)
     ]
-
-
-def run_chain(
-    config: SGLDConfig,
-    model: LossModel,
-    dataset: np.ndarray,
-    seed_seq: np.random.SeedSequence | None = None,
-) -> ChainTrace:
-    """Run one chain; deterministic given (seed, config, dataset).
-
-    `seed_seq` overrides the default SeedSequence(config.seed), so a test
-    can run one chain on any stream of an ensemble's layout.
-    """
-    dataset = np.asarray(dataset, dtype=float)
-    if dataset.shape[0] != config.n:
-        raise ValueError(f"dataset has {dataset.shape[0]} rows, config.n = {config.n}")
-    if dataset.ndim != 2 or dataset.shape[1] != model.z_dim:
-        raise ValueError(f"dataset must be (n, {model.z_dim}), got {dataset.shape}")
-    if config.d != model.d:
-        raise ValueError(f"config.d = {config.d} but model.d = {model.d}")
-    if seed_seq is None:
-        seed_seq = np.random.SeedSequence(config.seed)
-    return _run_chains_lockstep(config, model, dataset[None], [seed_seq])[0]
 
 
 def ensemble_seqs(seed: int, n_chains: int, n_datasets: int = 1):
@@ -535,39 +494,18 @@ def ensemble_seqs(seed: int, n_chains: int, n_datasets: int = 1):
 def run_ensemble(
     config: SGLDConfig,
     model: LossModel,
-    dataset: np.ndarray | None = None,
     n_chains: int = 1,
     n_datasets: int = 1,
-    series: int | None = None,
 ) -> list[ChainTrace]:
-    """Independent chains over freshly sampled datasets, or over one given
-    dataset.
-
-    The seed sequences are `ensemble_seqs`'. Returns traces grouped
-    dataset-major; `n_chains=1, n_datasets=1` reproduces `run_chain` on
-    the sampled dataset bitwise.
-
-    Args:
-        dataset: (n, z_dim) dataset every chain runs on, in place of the
-            model's draws; each dataset's own sequence stays reserved for
-            the draw, so the chains' streams are the same.
-        series: how many leading traces carry the per-step gradient series,
-            all when None; the rest hold all-NaN series (see
-            `_run_chains_lockstep`). States are the same either way.
-    """
+    """Independent chains, `n_chains` on each of `n_datasets` freshly
+    sampled datasets, on `ensemble_seqs`' streams. Returns traces grouped
+    dataset-major."""
     seqs = ensemble_seqs(config.seed, n_chains, n_datasets)
     chain_seqs = [seq for _, chains in seqs for seq in chains]
-    shape = (config.n, model.z_dim)
-    if dataset is not None:  # shared by every chain
-        dataset = np.asarray(dataset, dtype=float)
-        if dataset.shape != shape:
-            raise ValueError(f"dataset has shape {dataset.shape}, expected {shape}")
-        datasets = np.broadcast_to(dataset, (len(chain_seqs),) + shape)
-    else:
-        drawn = [model.sample_data(np.random.default_rng(ds_seq), config.n)
-                 for ds_seq, _ in seqs]
-        if len(drawn) > 1:
-            datasets = np.repeat(np.stack(drawn), n_chains, axis=0)
-        else:
-            datasets = np.broadcast_to(drawn[0], (len(chain_seqs),) + shape)
-    return _run_chains_lockstep(config, model, datasets, chain_seqs, series=series)
+    drawn = [model.sample_data(np.random.default_rng(ds_seq), config.n)
+             for ds_seq, _ in seqs]
+    if len(drawn) > 1:
+        datasets = np.repeat(np.stack(drawn), n_chains, axis=0)
+    else:  # shared by every chain, and never copied per chain
+        datasets = np.broadcast_to(drawn[0], (len(chain_seqs),) + drawn[0].shape)
+    return _run_chains_lockstep(config, model, datasets, chain_seqs)

@@ -18,10 +18,11 @@ import pytest
 from sgldlab import cli, config, sgld
 from sgldlab.bounds import bound_xu_raginsky, evaluate_grid, kl_chain
 from sgldlab.cli import ConfigError, load_config, main
-from sgldlab.estimators import (EstimateWithError, empirical_gen_gap, grad_stability_trace,
-                                grad_variance_trace, stability_block, stability_chains,
-                                write_estimates_csv)
+from sgldlab.estimators import (EstimateWithError, grad_variance_trace, stability_block,
+                                stability_chains, write_estimates_csv)
 from sgldlab.oracle import oracle_mi_upper
+
+from reference import collect, empirical_gen_gap, ensemble, grad_stability_trace
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -692,7 +693,7 @@ def test_run_stability_chunk_by_chunk_equals_the_whole_trace(tmp_path, monkeypat
     model, sgld_cfg, n_pairs = cfg.model(), cfg.sgld_config(), cfg["estimators"]["n_pairs"]
     datasets, datasets_alt = np.empty((2, n_pairs, sgld_cfg.n, model.z_dim))
     seqs = stability_chains(model, sgld_cfg, datasets, datasets_alt)
-    traces = sgld._run_chains_lockstep(sgld_cfg, model, datasets, seqs, series=0)
+    traces = collect(sgld_cfg, model, datasets, seqs, series=0)
     steps = traces[0].stored_steps
     assert len(steps) == (10 if case == "strided" else 62) and steps[-1] == 61
     means, stderrs = stability_block(model, datasets, datasets_alt,
@@ -927,7 +928,7 @@ def test_run_manifest_records_stage_seconds(tmp_path):
 @pytest.mark.parametrize("strided", [False, True])
 def test_run_ensemble_artifacts_equal_in_process_ensemble(tmp_path, monkeypatch, strided):
     # chunks of 16 steps over T = 61 and CSV rows 7 at a time: the chunk by
-    # chunk ensemble writes what the traces of `run_ensemble` give, its
+    # chunk ensemble writes what the traces of the reference ensemble give, its
     # moments the mean over the chains' stacked ||W||^2
     monkeypatch.setattr(sgld, "STEP_CHUNK", 16)
     monkeypatch.setattr(sgld, "CSV_BLOCK_ROWS", 7)
@@ -938,15 +939,14 @@ def test_run_ensemble_artifacts_equal_in_process_ensemble(tmp_path, monkeypatch,
     cfg = load_config(path)
     model, sgld_cfg, est = cfg.model(), cfg.sgld_config(), cfg["estimators"]
     dataset = np.load(tmp_path / "run" / "dataset.npy")
-    traces = sgld.run_ensemble(sgld_cfg, model, dataset, n_chains=est["n_chains"],
-                               series=1)
+    traces = ensemble(sgld_cfg, model, dataset, n_chains=est["n_chains"], series=1)
     traces[0].to_csv(tmp_path / "chain_000.csv")
     sgld.write_csv(tmp_path / "moments.csv", ("t", "mean_w_norm_sq"), enumerate(
         np.mean([tr.w_norm_sq for tr in traces], axis=0).tolist()))
     for name in ("chain_000.csv", "moments.csv"):
         assert (tmp_path / "run" / name).read_bytes() == (tmp_path / name).read_bytes()
     assert np.array_equal(np.load(tmp_path / "run" / "final_states.npy"),
-                          [tr.final_state for tr in traces])
+                          [tr.states[-1] for tr in traces])
     means, stderrs = grad_variance_trace(model, dataset, traces[0], est["n_resamples"])
     _, rows = read_csv_rows(tmp_path / "run" / "variance.csv")
     assert [int(r[1]) for r in rows] == traces[0].stored_steps.tolist()
@@ -1663,6 +1663,14 @@ def _nan_mean_at_step_5(lines):
     return lines[:6] + [b",".join(cells[:2] + [b"nan"] + cells[3:])] + lines[7:]
 
 
+def _at_step_5(edit):
+    # step 5's row, data row 6, with its cells edited
+    def damage(lines):
+        cells = lines[6].rstrip(b"\r\n").split(b",")
+        return lines[:6] + [b",".join(edit(cells)) + b"\r\n"] + lines[7:]
+    return damage
+
+
 STEPS_61 = "its steps are not the 61 steps a run of T = 60 stores"
 
 
@@ -1670,7 +1678,15 @@ STEPS_61 = "its steps are not the 61 steps a run of T = 60 stores"
     ("stability.csv", _cut_to_20_rows, STEPS_61),
     ("variance.csv", _swap_two_rows, STEPS_61),
     ("stability.csv", _nan_mean_at_step_5, "a mean is not finite"),
-], ids=["stability-short", "variance-unsorted", "stability-nan"])
+    ("variance.csv", _at_step_5(lambda cells: [cells[0], b"abc", *cells[2:]]),
+     "row 6: could not convert string to float: 'abc'"),
+    ("variance.csv", _at_step_5(lambda cells: cells[:-1]), "row 6 has 4 cells, not 5"),
+    ("stability.csv", _at_step_5(lambda cells: [*cells[:4], b"x"]),
+     "row 6: invalid literal for int() with base 10: 'x'"),
+    ("variance.csv", _at_step_5(lambda cells: [cells[0], b"\xff", *cells[2:]]),
+     "not a readable CSV"),
+], ids=["stability-short", "variance-unsorted", "stability-nan", "variance-step-abc",
+        "variance-cell-cut", "stability-n-x", "variance-not-utf8"])
 def test_bounds_refuses_a_damaged_trace_at_read(run_and_bounds, tmp_path, capsys,
                                                 name, damage, reason):
     # the steps must be those the run of T = 60 stores: 0, 1, ..., 60
@@ -1855,6 +1871,31 @@ def test_compare_two_reports_wide(run_and_bounds, tmp_path):
     assert len(ti) == 1 and ti[0][3] != "" and ti[0][4] != ""
     # constants-only bound agrees across seeds; trace-driven ones need not
     assert float(ti[0][3]) == float(ti[0][4])
+
+
+@pytest.mark.parametrize("name, row, edit, reason", [
+    ("bounds.csv", 3, lambda cells: [cells[0], "zzz", *cells[2:]],
+     "row 3: could not convert string to float: 'zzz'"),
+    ("bounds.csv", 3, lambda cells: cells[:2], "row 3 has 2 cells, not 7"),
+    ("bounds.csv", 3, lambda cells: [*cells[:2], "abc", *cells[3:]],
+     "row 3: could not convert string to float: 'abc'"),
+    ("gap.csv", 1, lambda cells: [cells[0], "inf", *cells[2:]], "T = inf is not a step"),
+], ids=["value-zzz", "row-cut", "T-abc", "gap-T-inf"])
+def test_compare_refuses_a_damaged_report_before_its_output(run_and_bounds, tmp_path,
+                                                           capsys, name, row, edit,
+                                                           reason):
+    # a cell that does not parse, or a short row, is refused as the reports
+    # are read, so no output directory is made
+    report = tmp_path / "bounds"
+    shutil.copytree(run_and_bounds / "bounds", report)
+    header, rows = read_csv_rows(report / name)
+    rows[row - 1] = edit(rows[row - 1])
+    sgld.write_csv(report / name, header, rows)
+    out = tmp_path / "cmp"
+    assert main(["compare", str(report), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and reason in err
+    assert not out.exists()
 
 
 def test_compare_schema_mismatch_exits_one(run_and_bounds, tmp_path, capsys):

@@ -14,12 +14,12 @@ from sgldlab.constants import (
     derive_constants,
     kl_recursion_constants,
     lsi_constant,
-    minibatch_delta,
     moment_bound_C0,
-    sg_variance_bound,
     subexp_params,
 )
 from sgldlab.losses import LossConstants, QuadraticLoss
+
+from reference import minibatch_delta, sg_variance_bound
 
 UNIT_LC = LossConstants(M=1.0, m=1.0, b=1.0, A=0.5, data_radius=1.0, R=1.0)
 

@@ -1,5 +1,6 @@
 """Tests for the Monte Carlo estimators."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,13 +13,10 @@ from sgldlab.constants import (
     lsi_constant,
     lsi_route,
     moment_bound_C0,
-    sg_variance_bound,
     subexp_params,
 )
 from sgldlab.estimators import (
     EstimateWithError,
-    empirical_gen_gap,
-    grad_stability_trace,
     grad_variance_trace,
     logmgf_check,
     pth_moment_check,
@@ -31,7 +29,15 @@ from sgldlab.losses import (
     NonconvexRidgeLoss,
     QuadraticLoss,
 )
-from sgldlab.sgld import SGLDConfig, run_chain, run_ensemble
+from sgldlab.sgld import SGLDConfig, run_ensemble
+
+from reference import (
+    empirical_gen_gap,
+    ensemble,
+    grad_stability_trace,
+    run_chain,
+    sg_variance_bound,
+)
 
 
 class ConstantLoss(LossModel):
@@ -60,6 +66,12 @@ def quad_cfg(**kw):
     base = dict(eta=0.05, beta=4.0, k=10, n=100, T=200, d=2, s_sq=1.0, seed=2024)
     base.update(kw)
     return SGLDConfig(**base)
+
+
+def reseeded(trace, seed):
+    # the trace under a config of another seed, the seed of its variance's
+    # resamples
+    return dataclasses.replace(trace, config=dataclasses.replace(trace.config, seed=seed))
 
 
 # ----------------------------------------------------------- EstimateWithError
@@ -179,7 +191,7 @@ def test_grad_variance_reproducible():
     a = grad_variance_trace(model, ds, trace, n_resamples=200)
     b = grad_variance_trace(model, ds, trace, n_resamples=200)
     assert np.array_equal(a, b)
-    c = grad_variance_trace(model, ds, trace, n_resamples=200, rng_seed=99)
+    c = grad_variance_trace(model, ds, reseeded(trace, 99), n_resamples=200)
     assert not np.array_equal(c, a)
 
 
@@ -241,10 +253,10 @@ def _mean_and_stderr(rows):
             np.array([r.std(ddof=1) / math.sqrt(r.size) for r in rows]))
 
 
-def _variance_per_row(model, dataset, trace, n_resamples, rng_seed):
+def _variance_per_row(model, dataset, trace, n_resamples):
     # one offset draw, Fisher-Yates shuffle and kernel call per stored state
     cfg = trace.config
-    rng = np.random.default_rng(np.random.SeedSequence([rng_seed, 0xE57]))
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xE57]))
     high = cfg.n - np.arange(cfg.k)
     rows = []
     for w in trace.states:
@@ -304,10 +316,10 @@ def test_grad_variance_blocks_equal_per_row_loop(monkeypatch, model, strided):
         monkeypatch.setattr(sgld, "BLOCK_WORDS", 4 * 20 * 30)  # (20 resamples, n = 30)
     cfg = quad_cfg(k=5, n=30, T=47, d=model.d, seed=21)
     ds = model.sample_data(np.random.default_rng(6), cfg.n)
-    trace = run_chain(cfg, model, ds)
-    got_mean, got_se = grad_variance_trace(model, ds, trace, n_resamples=20, rng_seed=4)
+    trace = reseeded(run_chain(cfg, model, ds), 4)
+    got_mean, got_se = grad_variance_trace(model, ds, trace, n_resamples=20)
     assert len(got_mean) == trace.states.shape[0] == (11 if strided else 48)
-    want_mean, want_se = _variance_per_row(model, ds, trace, 20, rng_seed=4)
+    want_mean, want_se = _variance_per_row(model, ds, trace, 20)
     np.testing.assert_allclose(got_mean, want_mean, rtol=1e-12, atol=0)
     np.testing.assert_allclose(got_se, want_se, rtol=1e-12, atol=0)
 
@@ -324,11 +336,11 @@ def test_grad_variance_trace_the_same_in_any_blocks(monkeypatch, model, strided)
         monkeypatch.setattr(sgld, "STATE_STORE_CAP", 10)  # stride 5 over T = 47
     cfg = quad_cfg(k=6, n=30, T=47, d=model.d, seed=31)
     ds = model.sample_data(np.random.default_rng(7), cfg.n)
-    trace = run_chain(cfg, model, ds)
+    trace = reseeded(run_chain(cfg, model, ds), 2)
     traces = []
     for words in (sgld.BLOCK_WORDS, 3 * 9 * 30, 1):  # default, 3 states, one state
         monkeypatch.setattr(sgld, "BLOCK_WORDS", words)
-        traces.append(grad_variance_trace(model, ds, trace, n_resamples=9, rng_seed=2))
+        traces.append(grad_variance_trace(model, ds, trace, n_resamples=9))
     assert traces[0][0].shape == (11 if strided else 48,)
     for got in traces[1:]:
         assert np.array_equal(got, traces[0])
@@ -380,7 +392,7 @@ def test_gradient_trace_blocks_bound_fisher_yates_scratch(monkeypatch):
     assert calls and max(calls) <= sgld.BLOCK_WORDS
     calls.clear()
     ds = model.sample_data(np.random.default_rng(3), cfg.n)
-    grad_variance_trace(model, ds, traces[0], n_resamples=300, rng_seed=1)
+    grad_variance_trace(model, ds, reseeded(traces[0], 1), n_resamples=300)
     assert calls == [300 * cfg.n] * 7
 
 
@@ -407,7 +419,7 @@ def test_pth_moment_p2_below_moment_bound():
     c_LS = lsi_constant(lc, cfg.beta, cfg.d, lsi_route(lc))
     assert admissibility_failures(lc, cfg.eta, cfg.beta, c_LS) == []
     traces = run_ensemble(cfg, model, n_chains=400)
-    finals = np.stack([tr.final_state for tr in traces])
+    finals = np.stack([tr.states[-1] for tr in traces])
     report = pth_moment_check(finals, [2], lc, beta=cfg.beta, d=cfg.d, s_sq=cfg.s_sq)
     c0 = moment_bound_C0(lc, cfg.eta, cfg.beta, cfg.d, cfg.s_sq)
     sq = np.einsum("ij,ij->i", finals, finals)
@@ -420,7 +432,7 @@ def test_pth_moment_fitted_C_stays_bounded():
     cfg = quad_cfg(k=50, n=50, T=150, seed=22)
     traces = run_ensemble(cfg, model, n_chains=400)
     lc = model.constants()
-    finals = np.stack([tr.final_state for tr in traces])
+    finals = np.stack([tr.states[-1] for tr in traces])
     report = pth_moment_check(
         finals, [2, 4, 6, 8, 10, 12], lc, beta=cfg.beta, d=cfg.d, s_sq=cfg.s_sq
     )
@@ -432,7 +444,7 @@ def test_pth_moment_fitted_C_stays_bounded():
 def test_pth_moment_rejects_odd_or_large_p():
     model = QuadraticLoss(R=1.0, data_radius=1.0, d=2)
     cfg = quad_cfg(k=20, n=20, T=5)
-    finals = np.stack([tr.final_state for tr in run_ensemble(cfg, model, n_chains=100)])
+    finals = np.stack([tr.states[-1] for tr in run_ensemble(cfg, model, n_chains=100)])
     lc = model.constants()
     for bad in ([3], [14], [0]):
         with pytest.raises(ValueError):
@@ -442,7 +454,7 @@ def test_pth_moment_rejects_odd_or_large_p():
 def test_pth_moment_rejects_too_few_samples():
     model = QuadraticLoss(R=1.0, data_radius=1.0, d=2)
     cfg = quad_cfg(k=20, n=20, T=5)
-    finals = np.stack([tr.final_state for tr in run_ensemble(cfg, model, n_chains=40)])
+    finals = np.stack([tr.states[-1] for tr in run_ensemble(cfg, model, n_chains=40)])
     lc = model.constants()
     with pytest.raises(ValueError):
         pth_moment_check(finals, [12], lc, beta=cfg.beta, d=cfg.d, s_sq=cfg.s_sq)
@@ -456,14 +468,13 @@ def test_pth_moment_matches_gaussian_ground_truth():
     half = model.sample_data(np.random.default_rng(17), n // 2)
     sym = np.concatenate([half, -half], axis=0)
     cfg = SGLDConfig(eta=eta, beta=beta, k=n, n=n, T=T, d=d, s_sq=s_sq, seed=404)
-    traces = run_ensemble(cfg, model, dataset=sym,
-                          n_chains=2000)
+    traces = ensemble(cfg, model, dataset=sym, n_chains=2000)
 
     decay = (1.0 - eta) ** 2
     v = s_sq
     for _ in range(T):
         v = decay * v + 2.0 * eta / beta
-    norms = np.linalg.norm(np.stack([tr.final_state for tr in traces]), axis=1)
+    norms = np.linalg.norm(np.stack([tr.states[-1] for tr in traces]), axis=1)
     for p in (2, 4):
         logm = (p / 2.0) * math.log(2.0) + math.lgamma((d + p) / 2.0) \
             - math.lgamma(d / 2.0)
@@ -482,7 +493,7 @@ def _loss_samples(n_samples: int, seed: int = 55):
     traces = run_ensemble(cfg, model, n_datasets=n_samples, n_chains=1)
     zrng = np.random.default_rng(np.random.SeedSequence([seed, 0x2]))
     Z = model.sample_data(zrng, n_samples)
-    W = np.stack([tr.final_state for tr in traces])
+    W = np.stack([tr.states[-1] for tr in traces])
     return model.eval_many(W, Z), model
 
 

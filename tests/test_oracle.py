@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from sgldlab.estimators import empirical_gen_gap
 from sgldlab.losses import NonconvexRidgeLoss, QuadraticLoss
 from sgldlab.oracle import (
     KLRecursionReport,
@@ -17,7 +16,9 @@ from sgldlab.oracle import (
     oracle_trace,
     verify_kl_recursion,
 )
-from sgldlab.sgld import SGLDConfig, run_ensemble
+from sgldlab.sgld import SGLDConfig
+
+from reference import empirical_gen_gap, ensemble
 
 
 def full_batch_cfg(**kw):
@@ -128,8 +129,7 @@ def test_oracle_matches_ensemble_moments():
     model = QuadraticLoss(R=1.0, data_radius=1.0, d=2)
     ds = model.sample_data(np.random.default_rng(9), 20)
     cfg = full_batch_cfg(T=500, seed=515)
-    traces = run_ensemble(cfg, model, dataset=ds,
-                          n_chains=1000)
+    traces = ensemble(cfg, model, dataset=ds, n_chains=1000)
     a, v = _response_and_var(cfg.eta, cfg.beta, 1.0, cfg.s_sq, cfg.T)
     zbar = ds.mean(axis=0)
     states = np.stack([tr.states for tr in traces])  # (chains, steps, d)

@@ -1,8 +1,10 @@
 """SGLD engine: primitives, determinism, ensembles, accounting."""
 
+import ast
 import csv
 import importlib
 import math
+import pathlib
 import pkgutil
 import tracemalloc
 
@@ -18,15 +20,9 @@ from sgldlab.constants import (
     moment_bound_C0,
 )
 from sgldlab.losses import LogisticRidgeLoss, NonconvexRidgeLoss, QuadraticLoss
-from sgldlab.sgld import (
-    SGLDConfig,
-    run_chain,
-    run_ensemble,
-    sample_initial,
-)
+from sgldlab.sgld import SGLDConfig, run_ensemble, sample_initial
 
-
-SERIES = ("grad_var_sample", "grad_fullbatch_norm", "grad_minibatch_norm")
+from reference import SERIES, collect, ensemble, run_chain
 
 
 def quad_model(d=2):
@@ -367,8 +363,9 @@ def test_engine_bookkeeping_equals_per_step_record(monkeypatch, n_datasets, k,
     model = quad_model()
     cfg = quad_config(T=2 * sgld.STEP_CHUNK + 37, k=k)
     n_chains = 2
-    traces = run_ensemble(cfg, model, n_chains=n_chains, n_datasets=n_datasets,
-                          series=series)
+    traces = (run_ensemble(cfg, model, n_chains, n_datasets) if series is None
+              else ensemble(cfg, model, n_chains=n_chains, n_datasets=n_datasets,
+                            series=series))
     n_series = len(traces) if series is None else series
     for i, ds_seq in enumerate(np.random.SeedSequence(cfg.seed).spawn(n_datasets)):
         sampler_seq, *chain_seqs = ds_seq.spawn(1 + n_chains)
@@ -395,8 +392,7 @@ def test_lockstep_without_series_keeps_states():
     ds = model.sample_data(np.random.default_rng(4), cfg.n)
     def run(series):
         seqs = np.random.SeedSequence(cfg.seed).spawn(2)  # spawning is stateful
-        return sgld._run_chains_lockstep(cfg, model, np.stack([ds, ds[::-1]]),
-                                         seqs, series=series)
+        return collect(cfg, model, np.stack([ds, ds[::-1]]), seqs, series=series)
 
     full = run(None)
     for series in (0, 1):
@@ -424,8 +420,7 @@ def test_ensemble_series_count_row_zero_equals_full_series(model, n_datasets, k)
     cfg = quad_config(T=60, k=k, n=40, d=3)
     full = run_ensemble(cfg, model, n_chains=4, n_datasets=n_datasets)
     for series in (0, 1, 2):
-        part = run_ensemble(cfg, model, n_chains=4, n_datasets=n_datasets,
-                            series=series)
+        part = ensemble(cfg, model, n_chains=4, n_datasets=n_datasets, series=series)
         assert len(part) == len(full) == 4 * n_datasets
         for i, (a, b) in enumerate(zip(full, part)):
             assert np.array_equal(a.states, b.states)
@@ -533,7 +528,10 @@ def test_shared_dataset_ensemble_makes_no_per_chain_copy(model, series):
     broadcast_bytes = c * cfg.n * model.z_dim * 8
     tracemalloc.start()
     try:
-        run_ensemble(cfg, model, n_chains=c, series=series)
+        if series is None:
+            run_ensemble(cfg, model, n_chains=c)
+        else:
+            ensemble(cfg, model, n_chains=c, series=series)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -560,7 +558,7 @@ def test_ensemble_on_a_given_dataset_equals_lockstep_on_its_chain_streams(n_data
     model = LogisticRidgeLoss(1.0, 1.0, 3)
     cfg = quad_config(T=60, k=k, n=40, d=3)
     ds = model.sample_data(np.random.default_rng(4), cfg.n)
-    got = run_ensemble(cfg, model, dataset=ds, n_chains=3, n_datasets=n_datasets)
+    got = ensemble(cfg, model, dataset=ds, n_chains=3, n_datasets=n_datasets)
     seqs = [seq for ds_seq in np.random.SeedSequence(cfg.seed).spawn(n_datasets)
             for seq in ds_seq.spawn(4)[1:]]
     want = sgld._run_chains_lockstep(
@@ -577,7 +575,7 @@ def test_ensemble_refuses_a_dataset_of_the_wrong_shape():
     ds = model.sample_data(np.random.default_rng(0), cfg.n)
     for bad in (ds[:-1], ds[:, :1], ds[None]):
         with pytest.raises(ValueError, match="dataset has shape"):
-            run_ensemble(cfg, model, dataset=bad)
+            ensemble(cfg, model, dataset=bad)
 
 
 def test_ensemble_second_moment_within_C0():
@@ -644,3 +642,37 @@ def test_every_module_export_resolves():
         namespace = {}
         exec(f"from sgldlab.{name} import *", namespace)
         assert set(exported) <= set(namespace)
+
+
+def _referenced(path):
+    """(name, owner) for each name the Python file at `path` loads, reads as
+    an attribute or imports, owner being the top-level function or class it
+    appears in (None outside any)."""
+    found = set()
+    for top in ast.parse(path.read_text()).body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                found.add((node.id, owner))
+            elif isinstance(node, ast.Attribute):
+                found.add((node.attr, owner))
+            elif isinstance(node, ast.alias):
+                found.add((node.name, owner))
+    return found
+
+
+def test_every_export_has_a_caller_in_the_library_or_the_benchmark():
+    # each `__all__` name is used in src/ or perfbench/ outside its own
+    # definition; what only the tests call lives in tests/reference.py
+    repo = pathlib.Path(__file__).resolve().parents[1]
+    files = sorted((repo / "src" / "sgldlab").glob("*.py")) + sorted(
+        (repo / "perfbench").glob("*.py"))
+    refs = {path: _referenced(path) for path in files}
+    uncalled = []
+    for info in pkgutil.iter_modules(sgldlab.__path__):
+        own = repo / "src" / "sgldlab" / f"{info.name}.py"
+        exported = getattr(importlib.import_module(f"sgldlab.{info.name}"), "__all__", [])
+        uncalled += [f"{info.name}.{name}" for name in exported
+                     if not any(used == name and (path != own or owner != name)
+                                for path, found in refs.items() for used, owner in found)]
+    assert uncalled == []
