@@ -19,10 +19,12 @@ import dataclasses
 import json
 import math
 import os
+import pickle
 import platform
 import shutil
 import signal
 import sys
+import threading
 import time
 
 import numpy as np
@@ -239,7 +241,7 @@ def _environment() -> dict:
 
 def _peak_rss_mb() -> dict:
     """Peak resident set sizes in MB: of this process, and of the largest
-    child it has joined (`run`'s worker)."""
+    child it has reaped (`run`'s worker)."""
     import resource  # POSIX only, as `run`'s fork is
 
     def peak(who):
@@ -324,20 +326,18 @@ def cmd_run(args) -> int:
         # compute, so a forked worker runs them while this process runs the
         # rest
         seconds = {}
-        with _worker_process(model, sgld_cfg, est) as (worker, result):
+        with _worker_process(model, sgld_cfg, est) as result:
             stored_steps = _run_own_stages(out, cfg, model, dataset, sgld_cfg, seconds)
             start = time.monotonic()
             try:
                 # None when a chain's states leave the float range
                 estimates = None if stored_steps is None else result()
-            except EOFError:
+            except EOFError as exc:
                 # killed, say out of memory: the lock goes, the manifest stays running
-                worker.join()
-                print(f"run failed: the stability and gap worker died "
-                      f"(exit code {worker.exitcode})", file=sys.stderr)
+                print(f"run failed: {exc}", file=sys.stderr)
                 return 1
             seconds["worker_wait_s"] = time.monotonic() - start
-        out.manifest["peak_rss_mb"] = _peak_rss_mb()  # the worker is joined
+        out.manifest["peak_rss_mb"] = _peak_rss_mb()  # the worker is reaped
         states = out.manifest["checks"]["states"]
         states["finite"] = estimates is not None
         print(f"run: states finite in every chain: {states['finite']}; largest "
@@ -471,54 +471,76 @@ _SIGNALS = (signal.SIGINT, signal.SIGTERM)
 
 @contextlib.contextmanager
 def _worker_process(model, sgld_cfg: SGLDConfig, est: dict):
-    """`_worker` in a forked process, yielding the process and a function
-    that receives its result: the stability estimates and the gap. An
-    exception raised in the worker is raised there, caused by one holding
-    the worker's traceback; EOFError means the worker died.
+    """`_worker` in a process forked with os.fork, yielding a function that
+    receives its result: the stability estimates and the gap. The worker
+    writes one pickle to an os.pipe; the function reads the pipe to its end,
+    reaps the worker with os.waitpid and, if it exited 0, unpickles the
+    message. An exception raised in the worker is raised there, caused by
+    one holding the worker's traceback; EOFError, naming the exit code,
+    means the worker ended without its message (killed, say, or ended by a
+    BaseException).
 
-    The process is terminated and joined on leaving, however the with block
+    The worker is sent SIGTERM and reaped on leaving, however the with block
     ends. SIGINT and SIGTERM stay blocked across the fork, so neither reaches
-    the child before it has dropped this process's handlers.
+    the child before it has dropped this process's handlers. The child
+    leaves through os._exit alone, so it never unwinds into its caller's
+    stack (whose with blocks would drop the output directory's lock) and
+    never flushes the stdio buffers it inherited.
     """
-    # imported here, not at module top, to keep it off every start-up
-    from multiprocessing import get_context
-
-    ctx = get_context("fork")
-    receive, send = ctx.Pipe(duplex=False)
-    process = ctx.Process(target=_worker,
-                          args=(send, os.getpid(), model, sgld_cfg, est))
+    parent = os.getpid()
+    receive, send = os.pipe()
+    status = None
 
     def result():
-        kind, payload = receive.recv()
+        nonlocal status
+        with open(receive, "rb", closefd=False) as fh:
+            message = fh.read()
+        _, status = os.waitpid(pid, 0)
+        code = os.waitstatus_to_exitcode(status)
+        if code or not message:
+            raise EOFError(f"the stability and gap worker died (exit code {code})")
+        kind, payload = pickle.loads(message)
         if kind == "error":
             exc, worker_traceback = payload
             raise exc from RuntimeError(f"raised in the worker:\n{worker_traceback}")
         return payload
 
-    mask = signal.pthread_sigmask(signal.SIG_BLOCK, _SIGNALS)
     try:
-        process.start()
+        for stream in (sys.stdout, sys.stderr):
+            stream.flush()  # else a line the child writes repeats what they held
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, _SIGNALS)
         try:
-            send.close()  # the child's end only, so its death reads as EOF here
-            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-            yield process, result
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    os.close(receive)
+                    _worker(send, parent, model, sgld_cfg, est)
+                    code = 0
+                except SystemExit as exc:
+                    code = exc.code if isinstance(exc.code, int) else 1
+                finally:
+                    os._exit(code)
         finally:
-            process.terminate()
-            process.join()
+            os.close(send)  # the child's end only, so its exit reads as EOF here
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        try:
+            yield result
+        finally:
+            if status is None:
+                os.kill(pid, signal.SIGTERM)
+                os.waitpid(pid, 0)
     finally:
-        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        send.close()
-        receive.close()
+        os.close(receive)
 
 
-def _worker(send, parent: int, model, sgld_cfg: SGLDConfig, est: dict) -> None:
+def _worker(send: int, parent: int, model, sgld_cfg: SGLDConfig, est: dict) -> None:
     """`run`'s worker, forked from the process `parent`: `_worker_stages`.
-    It sends one message: ("done", `_worker_stages`' result), or ("error",
-    (exception, traceback text)) from any stage. It writes no file, and a
-    thread exits the process within 0.05 s of `parent` being gone (say
-    killed by SIGKILL), in any stage or send."""
-    import threading
-
+    It writes one pickle to the pipe end `send` and closes it: ("done",
+    `_worker_stages`' result), or ("error", (exception, traceback text))
+    from an Exception in any stage. It writes no file, and a thread exits
+    the process within 0.05 s of `parent` being gone (say killed by
+    SIGKILL), in any stage or write."""
     def exit_once_orphaned():
         while os.getppid() == parent:
             time.sleep(0.05)
@@ -529,11 +551,13 @@ def _worker(send, parent: int, model, sgld_cfg: SGLDConfig, est: dict) -> None:
     signal.pthread_sigmask(signal.SIG_UNBLOCK, _SIGNALS)
     threading.Thread(target=exit_once_orphaned, daemon=True).start()
     try:
-        send.send(("done", _worker_stages(model, sgld_cfg, est)))
+        message = ("done", _worker_stages(model, sgld_cfg, est))
     except Exception as exc:
         import traceback
 
-        send.send(("error", (exc, traceback.format_exc())))
+        message = ("error", (exc, traceback.format_exc()))
+    with open(send, "wb") as fh:
+        fh.write(pickle.dumps(message))
 
 
 def _worker_stages(model, sgld_cfg: SGLDConfig, est: dict):
@@ -806,16 +830,19 @@ def cmd_compare(args) -> int:
                 if not t.is_integer():
                     raise ConfigError(f"{gap_path}: T = {t} is not a step")
                 table[("empirical_gap", str(int(t)), "")] = repr(mean)
-        tables.append((os.path.basename(os.path.normpath(directory)), table))
+        tables.append(table)
+    # each column's label is its report directory's name, or, where two
+    # reports' names are one, the path as given
+    names = [os.path.basename(os.path.normpath(d)) for d in args.reports]
+    labels = [d if names.count(name) > 1 else name for d, name in zip(args.reports, names)]
 
-    keys = sorted({k for _, table in tables for k in table},
+    keys = sorted({k for table in tables for k in table},
                   key=lambda k: (k[0], float(k[1] or -1), k[2]))
     with _OutputDir(args.out, args.started) as out:
         out.start_manifest(inputs=args.reports)
-        labels = [label for label, _ in tables]
         with out.file("compare.csv") as path:
             write_csv(path, ("bound_name", "T", "n", *labels),
-                      [(*key, *(table.get(key) for _, table in tables)) for key in keys])
+                      [(*key, *(table.get(key) for table in tables)) for key in keys])
         with out.file("compare.txt") as path, open(path, "w") as fh:
             widths = [max(12, len(label) + 2) for label in labels]
             fh.write(f"{'bound':24s}{'T':>8s}{'n':>8s}"
@@ -823,7 +850,7 @@ def cmd_compare(args) -> int:
                      + "\n")
             for key in keys:
                 row = f"{key[0]:24s}{key[1]:>8s}{key[2]:>8s}"
-                for (_, table), w in zip(tables, widths):
+                for table, w in zip(tables, widths):
                     cell = table.get(key, "")
                     if cell:
                         cell = f"{float(cell):.6g}"

@@ -155,8 +155,11 @@ def grad_variance_trace(
     has no sampling noise and returns exact zeros without resampling.
     Each state's n per-point gradients are taken once and centred on their
     mean, the full-batch gradient; a resample's deviation is the mean of
-    its k centred rows, summed in minibatch order. The resamples are drawn
-    from a stream of the trace's config seed.
+    its k centred rows. The rows are added one minibatch position at a
+    time, in minibatch order, into one (n_resamples, d) sum per state, so
+    each deviation has the bits of the axis-0 sum of its gathered rows and
+    no (k, n_resamples, d) gather is held. The resamples are drawn from a
+    stream of the trace's config seed.
     """
     check_count("n_resamples", n_resamples)
     cfg = trace.config
@@ -172,8 +175,8 @@ def grad_variance_trace(
     n, k, R = cfg.n, cfg.k, n_resamples
     high = n - np.arange(k)
     # per state: an (R, n) Fisher-Yates scratch, n rows of the point table,
-    # and the (k, R, d) gathered rows
-    block = min(n_states, _block_len(max(R * n, n * dataset.shape[1], k * R * cfg.d)))
+    # and the (R, d) deviation sum and gathered rows
+    block = min(n_states, _block_len(max(R * n, n * dataset.shape[1], R * cfg.d)))
     # one point per row, the dataset once per state of a block; and the
     # first row of each resample's state in the flattened per-point table
     points = np.tile(dataset, (block, 1))[:, None]
@@ -184,10 +187,16 @@ def grad_variance_trace(
         per_point = model.grad_minibatch(np.repeat(W, n, axis=0), points[:b * n])
         per_point = per_point.reshape(b, n, -1)
         per_point -= per_point.mean(axis=1, keepdims=True)
+        per_point = per_point.reshape(b * n, -1)
         idx = _fy_subset_rows(_draw_offsets(rng, high, b * R), n)
-        # the resamples' rows of that table, minibatch position-major
+        # the resamples' rows of that table, minibatch position-major, added
+        # one position at a time in minibatch order. Every index is in range,
+        # so "clip" changes none; the default "raise" would buffer `out`
         rows = idx.T + first[:b * R]
-        dev = np.take(per_point.reshape(b * n, -1), rows, axis=0).sum(axis=0)
+        dev = np.take(per_point, rows[0], axis=0)
+        gathered = np.empty_like(dev)
+        for j in range(1, k):
+            dev += np.take(per_point, rows[j], axis=0, out=gathered, mode="clip")
         dev /= k
         sq = np.einsum("ij,ij->i", dev, dev).reshape(b, R)
         means[r0:r0 + b], stderrs[r0:r0 + b] = _mean_stderr(sq)

@@ -57,7 +57,10 @@ STEP_CHUNK = 512          # steps per pre-drawn RNG block
 STATE_STORE_CAP = 10_000  # full state storage up to this many steps
 BLOCK_WORDS = 2**18       # 8-byte words in the largest array of one block;
                           # twice this raised peak RSS and saved no time
-CSV_BLOCK_ROWS = 4096     # CSV rows converted from arrays at a time
+CSV_BLOCK_ROWS = 256      # CSV rows converted from arrays at a time; on
+                          # logistic-probe `run`'s peak RSS was 39.41 MB at
+                          # 4096, 39.18 at 1024, 39.12 at 512, 39.05 at 256
+                          # and 39.07-39.09 at 64-128
 
 
 @dataclass(frozen=True)
@@ -353,10 +356,10 @@ def _lockstep_chunks(
 
     `series` is the number of leading chains that get the per-step gradient
     series, all of them when None; 0 suits callers that read only the
-    states. When k < n a series chain's full-batch gradients are taken once
-    per chunk, at the chunk's pre-update states in one `grad_minibatch`
-    call over its whole dataset. A chain's values do not depend on how many
-    rows get the series.
+    states. When k < n a series chain's full-batch gradients are taken at
+    the chunk's pre-update states, one `grad_minibatch` call over its whole
+    dataset per Fisher-Yates block of steps, so no (chunk, n) table is made.
+    A chain's values do not depend on how many rows get the series.
     """
     c = len(chain_seqs)
     if series is None:
@@ -423,10 +426,13 @@ def _lockstep_chunks(
 
         if series and k < n:
             for i in range(series):
-                # chain i's pre-update states, each with its whole dataset
+                # chain i's pre-update states, each with its whole dataset, a
+                # Fisher-Yates block of steps at a time
                 pre = np.concatenate([W_first[i:i + 1], Ws[:cl - 1, i]])
-                whole = np.broadcast_to(datasets[i], (cl,) + datasets.shape[1:])
-                G_full[:cl, i] = model.grad_minibatch(pre, whole)
+                for s in range(0, cl, block):
+                    b = min(block, cl - s)
+                    whole = np.broadcast_to(datasets[i], (b,) + datasets.shape[1:])
+                    G_full[s:s + b, i] = model.grad_minibatch(pre[s:s + b], whole)
         grads = (_row_sq(G_mini[:cl] - G_full[:cl]), np.sqrt(_row_sq(G_full[:cl])),
                  np.sqrt(_row_sq(G_mini[:cl])))
         # the chunk's multiples of the stride, and T when off the stride

@@ -883,6 +883,21 @@ def test_run_parent_holds_one_chunk_of_the_ensemble(tmp_path):
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS bounds memory on Linux")
+def test_run_variance_holds_one_resample_sum_per_state(tmp_path):
+    # 2,000 resamples of k = 100 rows in d = 50: gathered whole, one state's
+    # rows take a (100, 2,000, 50) array of 76.3 MiB, while the variance adds
+    # them one minibatch position at a time into a (2,000, 50) sum. On x86-64
+    # Linux, Python 3.11, numpy 2.4 the run completes in a 125 MiB address
+    # space, and with each state's rows gathered whole it needs 195 MiB
+    cfg = write_config(tmp_path / "c.json", loss={"d": 50},
+                       sgld={"k": 100, "T": 20}, data={"n": 200},
+                       estimators={"n_resamples": 2000})
+    proc = run_cli(["run", "--config", cfg, "--out", str(tmp_path / "out")], 160)
+    assert proc.returncode == 0, proc.stderr
+    assert read_json(tmp_path / "out" / "manifest.json")["status"] == "complete"
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS bounds memory on Linux")
 def test_fokker_planck_run_beyond_the_step_cap_is_refused_at_load(tmp_path):
     # halfwidth 1e-3 over 64 cells gives dt = 2.9e-10 and 341,337,620 steps
     # in T_end = 0.1, whose traces would take 2.54 GiB; under a 1 GiB address
@@ -954,21 +969,33 @@ def test_run_ensemble_artifacts_equal_in_process_ensemble(tmp_path, monkeypatch,
     assert [float(r[3]) for r in rows] == stderrs.tolist()
 
 
-def test_run_process_never_imports_numpy_ma(tmp_path):
-    # numpy.ma costs about 1 MB and 20 ms; np.percentile's partition imports it
+def run_imports(tmp_path, module):
+    """`run`'s exit code in a fresh interpreter, and whether `module` was
+    imported in it by the end."""
     cfg = write_config(tmp_path / "c.json")
     script = ("import sys\n"
               "from sgldlab import cli\n"
               "code = cli.main(['run', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
-              "print(code, 'numpy.ma' in sys.modules)\n")
+              "print(code, sys.argv[3] in sys.modules)\n")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(REPO, "src") + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    proc = subprocess.run([sys.executable, "-c", script, cfg, str(tmp_path / "out")],
+    proc = subprocess.run([sys.executable, "-c", script, cfg, str(tmp_path / "out"), module],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "0 False"
     assert (tmp_path / "out" / "logmgf.csv").exists()
+    return proc.stdout.splitlines()[-1]
+
+
+def test_run_process_never_imports_numpy_ma(tmp_path):
+    # numpy.ma costs about 1 MB and 20 ms; np.percentile's partition imports it
+    assert run_imports(tmp_path, "numpy.ma") == "0 False"
+
+
+def test_run_process_never_imports_multiprocessing(tmp_path):
+    # multiprocessing's modules cost about 0.8 MB; `run` forks its worker
+    # with os.fork and reads its result from an os.pipe
+    assert run_imports(tmp_path, "multiprocessing") == "0 False"
 
 
 def test_run_worker_death_exits_one(tmp_path, monkeypatch, capsys):
@@ -985,6 +1012,35 @@ def test_run_worker_death_exits_one(tmp_path, monkeypatch, capsys):
     assert main(["run", "--config", cfg, "--out", str(out)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("run failed: ")
+    assert not (out / ".lock").exists()
+    assert not (out / "stability.csv").exists()
+    assert json.loads((out / "manifest.json").read_text())["status"] == "running"
+
+
+def test_run_worker_ended_by_a_base_exception_never_returns_into_the_caller(
+        tmp_path, monkeypatch, capsys):
+    # SystemExit is no Exception: the worker sends no message and leaves by
+    # os._exit with its code, never unwinding into this stack, where it
+    # would run on as a second copy of the test
+    parent, escaped = os.getpid(), tmp_path / "escaped"
+
+    def exiting(*args, **kwargs):
+        raise SystemExit(3)
+
+    monkeypatch.setattr(cli, "_worker_stages", exiting)
+    cfg = write_config(tmp_path / "c.json")
+    out = tmp_path / "run"
+    try:
+        rc = main(["run", "--config", cfg, "--out", str(out)])
+    finally:
+        if os.getpid() != parent:
+            escaped.write_text(str(os.getpid()))
+            os._exit(0)
+    assert not escaped.exists()
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("run failed: ")
+    assert err[0].endswith("(exit code 3)")
     assert not (out / ".lock").exists()
     assert not (out / "stability.csv").exists()
     assert json.loads((out / "manifest.json").read_text())["status"] == "running"
@@ -1871,6 +1927,22 @@ def test_compare_two_reports_wide(run_and_bounds, tmp_path):
     assert len(ti) == 1 and ti[0][3] != "" and ti[0][4] != ""
     # constants-only bound agrees across seeds; trace-driven ones need not
     assert float(ti[0][3]) == float(ti[0][4])
+
+
+def test_compare_labels_reports_of_one_name_by_their_paths(run_and_bounds, tmp_path):
+    # two reports named bounds would give two columns of one label; each
+    # takes its path as given, and a report of its own name keeps its name
+    for parent in ("a", "b"):
+        shutil.copytree(run_and_bounds / "bounds", tmp_path / parent / "bounds")
+    shutil.copytree(run_and_bounds / "bounds", tmp_path / "other")
+    reports = [str(tmp_path / "a" / "bounds"), str(tmp_path / "b" / "bounds"),
+               str(tmp_path / "other")]
+    assert main(["compare", *reports, "--out", str(tmp_path / "cmp")]) == 0
+    header, rows = read_csv_rows(tmp_path / "cmp" / "compare.csv")
+    assert header == ["bound_name", "T", "n", *reports[:2], "other"]
+    assert all(r[3] == r[4] == r[5] for r in rows)
+    txt_header = (tmp_path / "cmp" / "compare.txt").read_text().splitlines()[0]
+    assert txt_header.split() == ["bound", "T", "n", *reports[:2], "other"]
 
 
 @pytest.mark.parametrize("name, row, edit, reason", [
