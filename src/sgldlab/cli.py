@@ -91,7 +91,10 @@ class _OutputDir:
         self.manifest = None
 
     def __enter__(self):
-        os.makedirs(self.path, exist_ok=True)
+        try:
+            os.makedirs(self.path, exist_ok=True)
+        except OSError as exc:  # a file of that name, say, or no permission
+            raise ConfigError(f"output directory {self.path} cannot be made: {exc}") from exc
         try:
             fd = os.open(self.lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
         except FileExistsError:
@@ -105,6 +108,8 @@ class _OutputDir:
                 f"output directory {self.path} is locked by another invocation "
                 f"(remove {self.lock_path} if that run is dead)"
             )
+        except OSError as exc:
+            raise ConfigError(f"output directory {self.path} cannot be locked: {exc}") from exc
         with os.fdopen(fd, "w") as fh:
             fh.write(f"{os.getpid()}\n")
         left = sorted(set(os.listdir(self.path)) - {".lock"})
@@ -122,10 +127,8 @@ class _OutputDir:
                 self.manifest["status"] = "interrupted"
                 _write_json(self.manifest_path, self.manifest)
         finally:
-            try:
+            with contextlib.suppress(FileNotFoundError):
                 os.unlink(self.lock_path)
-            except FileNotFoundError:
-                pass
         return False
 
     @contextlib.contextmanager
@@ -206,10 +209,8 @@ def _replacing(path):
         yield tmp
         os.replace(tmp, path)
     except BaseException:
-        try:
+        with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
-        except FileNotFoundError:
-            pass
         raise
 
 
@@ -385,9 +386,8 @@ def _run_own_stages(out: _OutputDir, cfg: ExperimentConfig, model, dataset,
     [(_, chain_seqs)] = ensemble_seqs(seed, n_chains)
     stored_steps = _stored_steps(T)
     trace = ChainTrace(config=sgld_cfg, states=np.empty((len(stored_steps), sgld_cfg.d)),
-                       stored_steps=stored_steps, w_norm_sq=np.empty(T + 1),
-                       grad_var_sample=np.empty(T), grad_fullbatch_norm=np.empty(T),
-                       grad_minibatch_norm=np.empty(T), noise_variates=T * sgld_cfg.d)
+                       w_norm_sq=np.empty(T + 1), grad_var_sample=np.empty(T),
+                       grad_fullbatch_norm=np.empty(T), grad_minibatch_norm=np.empty(T))
     series = (trace.grad_var_sample, trace.grad_fullbatch_norm, trace.grad_minibatch_norm)
     total = np.empty(T + 1)  # the ensemble's ||W_t||^2 summed over its chains
     largest, finite, row = -math.inf, True, 0
@@ -815,13 +815,13 @@ def cmd_compare(args) -> int:
     for directory in args.reports:
         bounds_path = os.path.join(directory, "bounds.csv")
         gap_path = os.path.join(directory, "gap.csv")
-        # (name, T, n) -> value cell; the value and T cells are each empty or
-        # a float, which the tables below sort by and format
+        # (name, T, n) -> value cell; value and T are each empty or a float,
+        # and n empty or an integer, which the tables below sort by and format
         table = {}
         for i, (name, value, T, n, *_) in enumerate(
                 _read_csv(bounds_path, BOUNDS_CSV_COLUMNS), 1):
             try:
-                float(value or 0), float(T or 0)
+                float(value or 0), float(T or 0), int(n or 0)
             except ValueError as exc:
                 raise ConfigError(f"{bounds_path}: row {i}: {exc}") from exc
             table[(name, T, n)] = value
@@ -837,7 +837,7 @@ def cmd_compare(args) -> int:
     labels = [d if names.count(name) > 1 else name for d, name in zip(args.reports, names)]
 
     keys = sorted({k for table in tables for k in table},
-                  key=lambda k: (k[0], float(k[1] or -1), k[2]))
+                  key=lambda k: (k[0], float(k[1] or -1), int(k[2] or -1)))
     with _OutputDir(args.out, args.started) as out:
         out.start_manifest(inputs=args.reports)
         with out.file("compare.csv") as path:
@@ -932,6 +932,11 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        # as when run's worker dies: the lock goes, a started manifest stays running
+        detail = f": {exc}" if str(exc) else ""
+        print(f"{args.command} failed: out of memory{detail}", file=sys.stderr)
         return 1
     except KeyboardInterrupt as exc:
         sig = signal.Signals(exc.args[0] if exc.args else signal.SIGINT)

@@ -172,12 +172,18 @@ class ChainTrace:
 
     config: SGLDConfig
     states: np.ndarray
-    stored_steps: np.ndarray
     w_norm_sq: np.ndarray
     grad_var_sample: np.ndarray
     grad_fullbatch_norm: np.ndarray
     grad_minibatch_norm: np.ndarray
-    noise_variates: int
+
+    @property
+    def stored_steps(self) -> np.ndarray:
+        return _stored_steps(self.config.T)
+
+    @property
+    def noise_variates(self) -> int:
+        return self.config.T * self.config.d
 
     def to_csv(self, path) -> None:
         """Columnar per-step record; update columns are empty on the final row."""
@@ -335,7 +341,7 @@ def _lockstep_chunks(
     model: LossModel,
     datasets: np.ndarray,
     chain_seqs: list[np.random.SeedSequence],
-    series: int | None = None,
+    series: int,
 ):
     """Advance several chains together, vectorized across chains, yielding
     a `_Chunk` for the initial states and then one per `STEP_CHUNK` steps.
@@ -355,15 +361,13 @@ def _lockstep_chunks(
     of states at a time, whatever T is.
 
     `series` is the number of leading chains that get the per-step gradient
-    series, all of them when None; 0 suits callers that read only the
-    states. When k < n a series chain's full-batch gradients are taken at
-    the chunk's pre-update states, one `grad_minibatch` call over its whole
-    dataset per Fisher-Yates block of steps, so no (chunk, n) table is made.
-    A chain's values do not depend on how many rows get the series.
+    series; 0 suits callers that read only the states. When k < n a series
+    chain's full-batch gradients are taken at the chunk's pre-update states,
+    one `grad_minibatch` call over its whole dataset per Fisher-Yates block
+    of steps, so no (chunk, n) table is made. A chain's values do not depend
+    on how many rows get the series.
     """
     c = len(chain_seqs)
-    if series is None:
-        series = c
     T, d, n, k = config.T, config.d, config.n, config.k
     eta, beta = config.eta, config.beta
     noise_scale = math.sqrt(2.0 * eta / beta)
@@ -442,49 +446,6 @@ def _lockstep_chunks(
         yield _Chunk(start + 1, _row_sq(Ws[:cl]), kept, grads)
 
 
-def _run_chains_lockstep(
-    config: SGLDConfig,
-    model: LossModel,
-    datasets: np.ndarray,
-    chain_seqs: list[np.random.SeedSequence],
-) -> list[ChainTrace]:
-    """The traces of `_lockstep_chunks`' chains, each with its per-step
-    gradient series, collected from its chunks."""
-    c = len(chain_seqs)
-    T = config.T
-    stored_steps = _stored_steps(T)
-
-    states = np.empty((c, len(stored_steps), config.d))
-    w_norm_sq = np.empty((c, T + 1))
-    grad_series = np.empty((3, c, T))
-
-    row = 0
-    for chunk in _lockstep_chunks(config, model, datasets, chain_seqs):
-        t0, (m, _) = chunk.t0, chunk.w_norm_sq.shape
-        w_norm_sq[:, t0:t0 + m] = chunk.w_norm_sq.T
-        if chunk.grads is not None:
-            for out, values in zip(grad_series, chunk.grads):
-                out[:, t0 - 1:t0 - 1 + m] = values.T
-        kept = chunk.states.shape[0]
-        states[:, row:row + kept] = chunk.states.swapaxes(0, 1)
-        row += kept
-
-    grad_var, grad_full_norm, grad_mini_norm = grad_series
-    return [
-        ChainTrace(
-            config=config,
-            states=states[i],
-            stored_steps=stored_steps.copy(),
-            w_norm_sq=w_norm_sq[i],
-            grad_var_sample=grad_var[i],
-            grad_fullbatch_norm=grad_full_norm[i],
-            grad_minibatch_norm=grad_mini_norm[i],
-            noise_variates=T * config.d,
-        )
-        for i in range(c)
-    ]
-
-
 def ensemble_seqs(seed: int, n_chains: int, n_datasets: int = 1):
     """The seed sequences of an ensemble, one (dataset sequence, chain
     sequences) pair per dataset: SeedSequence(seed) spawns one child per
@@ -502,10 +463,11 @@ def run_ensemble(
     model: LossModel,
     n_chains: int = 1,
     n_datasets: int = 1,
-) -> list[ChainTrace]:
-    """Independent chains, `n_chains` on each of `n_datasets` freshly
-    sampled datasets, on `ensemble_seqs`' streams. Returns traces grouped
-    dataset-major."""
+) -> np.ndarray:
+    """The final states W_T, (c, d), of independent chains, `n_chains` on
+    each of `n_datasets` freshly sampled datasets, on `ensemble_seqs`'
+    streams, grouped dataset-major. One pass of `_lockstep_chunks` with no
+    gradient series, so only one chunk of states is held at a time."""
     seqs = ensemble_seqs(config.seed, n_chains, n_datasets)
     chain_seqs = [seq for _, chains in seqs for seq in chains]
     drawn = [model.sample_data(np.random.default_rng(ds_seq), config.n)
@@ -514,4 +476,6 @@ def run_ensemble(
         datasets = np.repeat(np.stack(drawn), n_chains, axis=0)
     else:  # shared by every chain, and never copied per chain
         datasets = np.broadcast_to(drawn[0], (len(chain_seqs),) + drawn[0].shape)
-    return _run_chains_lockstep(config, model, datasets, chain_seqs)
+    for chunk in _lockstep_chunks(config, model, datasets, chain_seqs, 0):
+        pass
+    return chunk.states[-1].copy()  # T is the last stored step

@@ -1,11 +1,13 @@
 """Second sources the tests check the library against.
 
 Each function here is a composition or a quantity that `sgldlab` does not
-run itself, built from the library's own pieces: one chain on a given
-dataset, ensembles on a given dataset or with a gradient-series count, the
-in-process gap and stability estimators that `run`'s worker reproduces in
-one pass, the grid KL and Fisher information of two densities, and the
-minibatch-variance bound. Not a test file: the tests import it.
+run itself, built from the library's own pieces: the only collector of
+whole chain traces (`collect`; the library reads the chain engine a chunk
+at a time), one chain on a given dataset, ensembles on a given dataset or
+with a gradient-series count, the in-process gap and stability estimators
+that `run`'s worker reproduces in one pass, the grid KL and Fisher
+information of two densities, and the minibatch-variance bound. Not a
+test file: the tests import it.
 """
 
 import numpy as np
@@ -25,16 +27,15 @@ SERIES = ("grad_var_sample", "grad_fullbatch_norm", "grad_minibatch_norm")
 
 
 def collect(config, model, datasets, chain_seqs, series=None):
-    """The traces of `sgld._lockstep_chunks`' chains, with `series` passed
-    to it: the number of leading chains that get the per-step gradient
-    series, all of them when None. The other chains hold read-only all-NaN
-    series views that take no memory."""
+    """The traces of `sgld._lockstep_chunks`' chains, each held whole, with
+    `series` passed to it: the number of leading chains that get the
+    per-step gradient series, all of them when None. The other chains hold
+    read-only all-NaN series views that take no memory."""
     c = len(chain_seqs)
     if series is None:
         series = c
     T = config.T
-    stored_steps = sgld._stored_steps(T)
-    states = np.empty((c, len(stored_steps), config.d))
+    states = np.empty((c, len(sgld._stored_steps(T)), config.d))
     w_norm_sq = np.empty((c, T + 1))
     grad_series = np.empty((3, series, T))
     no_series = np.broadcast_to(np.nan, (T,))
@@ -48,11 +49,9 @@ def collect(config, model, datasets, chain_seqs, series=None):
         kept = chunk.states.shape[0]
         states[:, row:row + kept] = chunk.states.swapaxes(0, 1)
         row += kept
-    return [sgld.ChainTrace(config=config, states=states[i],
-                            stored_steps=stored_steps.copy(), w_norm_sq=w_norm_sq[i],
+    return [sgld.ChainTrace(config=config, states=states[i], w_norm_sq=w_norm_sq[i],
                             **{name: values[i] if i < series else no_series
-                               for name, values in zip(SERIES, grad_series)},
-                            noise_variates=T * config.d)
+                               for name, values in zip(SERIES, grad_series)})
             for i in range(c)]
 
 
@@ -68,14 +67,15 @@ def run_chain(config, model, dataset, seed_seq=None):
         raise ValueError(f"config.d = {config.d} but model.d = {model.d}")
     if seed_seq is None:
         seed_seq = np.random.SeedSequence(config.seed)
-    return sgld._run_chains_lockstep(config, model, dataset[None], [seed_seq])[0]
+    return collect(config, model, dataset[None], [seed_seq])[0]
 
 
 def ensemble(config, model, dataset=None, n_chains=1, n_datasets=1, series=None):
-    """`sgld.run_ensemble`'s chains, on `ensemble_seqs`' streams, over one
-    given (n, z_dim) `dataset` when not None (each dataset's own sequence
-    stays reserved for the draw, so the chains' streams are the same), and
-    with `series` passed to `collect`."""
+    """The chains whose final states `sgld.run_ensemble` returns, held
+    whole, on `ensemble_seqs`' streams, over one given (n, z_dim) `dataset`
+    when not None (each dataset's own sequence stays reserved for the draw,
+    so the chains' streams are the same), and with `series` passed to
+    `collect`."""
     seqs = sgld.ensemble_seqs(config.seed, n_chains, n_datasets)
     chain_seqs = [seq for _, chains in seqs for seq in chains]
     shape = (config.n, model.z_dim)

@@ -271,8 +271,7 @@ def test_criterion_09_sub_exponentiality():
     model = LogisticRidgeLoss(1.0, 1.0, 5)
     cfg = SGLDConfig(eta=0.05, beta=2.0, k=20, n=20, T=2000, d=5, s_sq=1.0,
                      seed=16180)
-    traces = run_ensemble(cfg, model, n_datasets=2000, n_chains=1)
-    finals = np.stack([tr.states[-1] for tr in traces])
+    finals = run_ensemble(cfg, model, n_datasets=2000, n_chains=1)
     Z = model.sample_data(
         np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x10F])), 2000
     )

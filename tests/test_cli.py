@@ -914,6 +914,53 @@ def test_fokker_planck_run_beyond_the_step_cap_is_refused_at_load(tmp_path):
         assert "Traceback" not in proc.stderr and not out.exists()
 
 
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS bounds memory on Linux")
+@pytest.mark.parametrize("sub, over, limit_mib, started", [
+    ("certify", {"fp": {"n_cells": 10**9, "T_end": 1e-300}}, 300, False),
+    ("verify", {"verify": {"oracle_T": 10**9}}, 300, True),
+    ("bounds", {"estimators": {"mi_pairs": 10**9}}, 300, False),
+    ("run", {"estimators": {"n_chains": 10**7}}, 192, True),
+])
+def test_out_of_memory_ends_in_one_line(tmp_path, sub, over, limit_mib, started):
+    # each asks for more than its address space holds: one (10^9,) array,
+    # or, for `run`, 10^7 chains' seed sequences. The command fails in one
+    # line; the lock goes, and a started manifest stays running
+    cfg = write_config(tmp_path / "c.json", sgld={"k": 20}, **over)
+    extra = []
+    if sub == "bounds":  # the exact MI's pairs are drawn for a full-batch run
+        traces = tmp_path / "traces"
+        assert main(["run", "--config", write_config(tmp_path / "r.json", sgld={"k": 20}),
+                     "--out", str(traces)]) == 0
+        extra = ["--traces", str(traces)]
+    out = tmp_path / "out"
+    proc = run_cli([sub, "--config", cfg, "--out", str(out), *extra], limit_mib)
+    assert proc.returncode == 1, proc.stderr
+    assert f"{sub} failed: out of memory" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert out.exists() == started and not (out / ".lock").exists()
+    if started:
+        assert read_json(out / "manifest.json")["status"] == "running"
+
+
+@pytest.mark.parametrize("sub", ["certify", "run", "bounds", "verify", "compare"])
+@pytest.mark.parametrize("within", [False, True], ids=["file", "under-a-file"])
+def test_out_naming_a_file_is_a_config_error(run_and_bounds, tmp_path, capsys, sub,
+                                             within):
+    # --out names an existing file, or a path under one: no directory can be
+    # made there, and the file is left as it was
+    blocker = tmp_path / "taken"
+    blocker.write_text("kept\n")
+    out = blocker / "out" if within else blocker
+    cfg = write_config(tmp_path / "c.json", fp={"n_cells": 64, "T_end": 0.1})
+    argv = {"bounds": ["bounds", "--config", cfg, "--traces", str(run_and_bounds / "run")],
+            "compare": ["compare", str(run_and_bounds / "bounds")]}.get(
+                sub, [sub, "--config", cfg])
+    assert main([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: output directory {out} cannot be made: ")
+    assert blocker.read_text() == "kept\n"
+
+
 def test_run_wall_clock_counts_from_process_start(tmp_path):
     # interpreter start-up and imports take about 0.25 s of this 0.7 s `run`
     # process, which a clock started with the manifest misses; what follows
@@ -1945,14 +1992,34 @@ def test_compare_labels_reports_of_one_name_by_their_paths(run_and_bounds, tmp_p
     assert txt_header.split() == ["bound", "T", "n", *reports[:2], "other"]
 
 
+def test_compare_sorts_n_as_an_integer(run_and_bounds, tmp_path):
+    # as text, n = 100 and 200 would come before 25, and 400 before 50
+    n_grid = [25, 50, 100, 200, 400]
+    cfg = write_config(tmp_path / "c.json",
+                       bounds={"T_grid": [0, 10, 40, 60], "n_grid": n_grid[::-1]})
+    assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "report"),
+                 "--traces", str(run_and_bounds / "run")]) == 0
+    assert main(["compare", str(tmp_path / "report"), "--out", str(tmp_path / "cmp")]) == 0
+    _, rows = read_csv_rows(tmp_path / "cmp" / "compare.csv")
+    bound_rows = [r for r in rows if r[0] != "empirical_gap"]
+    assert len(bound_rows) == 7 * 4 * 5
+    for i in range(0, len(bound_rows), 5):
+        group = bound_rows[i:i + 5]
+        assert len({(r[0], r[1]) for r in group}) == 1
+        assert [int(r[2]) for r in group] == n_grid
+    assert [r[:3] for r in rows if r[0] == "empirical_gap"] == [["empirical_gap", "60", ""]]
+
+
 @pytest.mark.parametrize("name, row, edit, reason", [
     ("bounds.csv", 3, lambda cells: [cells[0], "zzz", *cells[2:]],
      "row 3: could not convert string to float: 'zzz'"),
     ("bounds.csv", 3, lambda cells: cells[:2], "row 3 has 2 cells, not 7"),
     ("bounds.csv", 3, lambda cells: [*cells[:2], "abc", *cells[3:]],
      "row 3: could not convert string to float: 'abc'"),
+    ("bounds.csv", 3, lambda cells: [*cells[:3], "abc", *cells[4:]],
+     "row 3: invalid literal for int() with base 10: 'abc'"),
     ("gap.csv", 1, lambda cells: [cells[0], "inf", *cells[2:]], "T = inf is not a step"),
-], ids=["value-zzz", "row-cut", "T-abc", "gap-T-inf"])
+], ids=["value-zzz", "row-cut", "T-abc", "n-abc", "gap-T-inf"])
 def test_compare_refuses_a_damaged_report_before_its_output(run_and_bounds, tmp_path,
                                                            capsys, name, row, edit,
                                                            reason):

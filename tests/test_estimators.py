@@ -32,6 +32,7 @@ from sgldlab.losses import (
 from sgldlab.sgld import SGLDConfig, run_ensemble
 
 from reference import (
+    collect,
     empirical_gen_gap,
     ensemble,
     grad_stability_trace,
@@ -286,7 +287,7 @@ def _stability_per_row(model, config, n_pairs, control_identical):
                       else model.sample_data(np.random.default_rng(s_alt_seq), config.n))
         seqs.append(chain_seq)
     DS, DS_alt = np.stack(DS), np.stack(DS_alt)
-    traces = sgld._run_chains_lockstep(config, model, DS, seqs)
+    traces = collect(config, model, DS, seqs)
     rows = []
     for row in range(traces[0].states.shape[0]):
         W = np.stack([tr.states[row] for tr in traces])
@@ -388,7 +389,7 @@ def test_gradient_trace_blocks_bound_fisher_yates_scratch(monkeypatch):
     cfg = quad_cfg(k=1, n=4000, T=6)
     assert 300 * cfg.n > sgld.BLOCK_WORDS
 
-    traces = run_ensemble(cfg, model, n_chains=50, n_datasets=1)
+    traces = ensemble(cfg, model, n_chains=50, n_datasets=1)
     assert calls and max(calls) <= sgld.BLOCK_WORDS
     calls.clear()
     ds = model.sample_data(np.random.default_rng(3), cfg.n)
@@ -418,8 +419,7 @@ def test_pth_moment_p2_below_moment_bound():
     lc = model.constants()
     c_LS = lsi_constant(lc, cfg.beta, cfg.d, lsi_route(lc))
     assert admissibility_failures(lc, cfg.eta, cfg.beta, c_LS) == []
-    traces = run_ensemble(cfg, model, n_chains=400)
-    finals = np.stack([tr.states[-1] for tr in traces])
+    finals = run_ensemble(cfg, model, n_chains=400)
     report = pth_moment_check(finals, [2], lc, beta=cfg.beta, d=cfg.d, s_sq=cfg.s_sq)
     c0 = moment_bound_C0(lc, cfg.eta, cfg.beta, cfg.d, cfg.s_sq)
     sq = np.einsum("ij,ij->i", finals, finals)
@@ -430,9 +430,8 @@ def test_pth_moment_p2_below_moment_bound():
 def test_pth_moment_fitted_C_stays_bounded():
     model = QuadraticLoss(R=1.0, data_radius=1.0, d=2)
     cfg = quad_cfg(k=50, n=50, T=150, seed=22)
-    traces = run_ensemble(cfg, model, n_chains=400)
+    finals = run_ensemble(cfg, model, n_chains=400)
     lc = model.constants()
-    finals = np.stack([tr.states[-1] for tr in traces])
     report = pth_moment_check(
         finals, [2, 4, 6, 8, 10, 12], lc, beta=cfg.beta, d=cfg.d, s_sq=cfg.s_sq
     )
@@ -444,7 +443,7 @@ def test_pth_moment_fitted_C_stays_bounded():
 def test_pth_moment_rejects_odd_or_large_p():
     model = QuadraticLoss(R=1.0, data_radius=1.0, d=2)
     cfg = quad_cfg(k=20, n=20, T=5)
-    finals = np.stack([tr.states[-1] for tr in run_ensemble(cfg, model, n_chains=100)])
+    finals = run_ensemble(cfg, model, n_chains=100)
     lc = model.constants()
     for bad in ([3], [14], [0]):
         with pytest.raises(ValueError):
@@ -454,7 +453,7 @@ def test_pth_moment_rejects_odd_or_large_p():
 def test_pth_moment_rejects_too_few_samples():
     model = QuadraticLoss(R=1.0, data_radius=1.0, d=2)
     cfg = quad_cfg(k=20, n=20, T=5)
-    finals = np.stack([tr.states[-1] for tr in run_ensemble(cfg, model, n_chains=40)])
+    finals = run_ensemble(cfg, model, n_chains=40)
     lc = model.constants()
     with pytest.raises(ValueError):
         pth_moment_check(finals, [12], lc, beta=cfg.beta, d=cfg.d, s_sq=cfg.s_sq)
@@ -490,10 +489,9 @@ def test_pth_moment_matches_gaussian_ground_truth():
 def _loss_samples(n_samples: int, seed: int = 55):
     model = QuadraticLoss(R=1.0, data_radius=1.0, d=2)
     cfg = quad_cfg(n=20, k=20, T=60, seed=seed)
-    traces = run_ensemble(cfg, model, n_datasets=n_samples, n_chains=1)
+    W = run_ensemble(cfg, model, n_datasets=n_samples, n_chains=1)
     zrng = np.random.default_rng(np.random.SeedSequence([seed, 0x2]))
     Z = model.sample_data(zrng, n_samples)
-    W = np.stack([tr.states[-1] for tr in traces])
     return model.eval_many(W, Z), model
 
 

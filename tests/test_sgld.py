@@ -338,7 +338,7 @@ def test_ensemble_matches_documented_stream_layout(monkeypatch, block_steps):
             monkeypatch.setattr(sgld, "BLOCK_WORDS",
                                 (block_steps + 1) * words_per_step - 1)
             assert sgld._block_len(words_per_step) == block_steps
-        traces = run_ensemble(cfg, model, n_chains=n_chains, n_datasets=3)
+        traces = ensemble(cfg, model, n_chains=n_chains, n_datasets=3)
         assert len(traces) == 3 * n_chains
         for i, ds_seq in enumerate(np.random.SeedSequence(cfg.seed).spawn(3)):
             sampler_seq, *chain_seqs = ds_seq.spawn(1 + n_chains)
@@ -363,9 +363,8 @@ def test_engine_bookkeeping_equals_per_step_record(monkeypatch, n_datasets, k,
     model = quad_model()
     cfg = quad_config(T=2 * sgld.STEP_CHUNK + 37, k=k)
     n_chains = 2
-    traces = (run_ensemble(cfg, model, n_chains, n_datasets) if series is None
-              else ensemble(cfg, model, n_chains=n_chains, n_datasets=n_datasets,
-                            series=series))
+    traces = ensemble(cfg, model, n_chains=n_chains, n_datasets=n_datasets,
+                      series=series)
     n_series = len(traces) if series is None else series
     for i, ds_seq in enumerate(np.random.SeedSequence(cfg.seed).spawn(n_datasets)):
         sampler_seq, *chain_seqs = ds_seq.spawn(1 + n_chains)
@@ -418,7 +417,7 @@ def test_lockstep_without_series_keeps_states():
 def test_ensemble_series_count_row_zero_equals_full_series(model, n_datasets, k):
     # the series of the leading rows do not depend on how many rows get them
     cfg = quad_config(T=60, k=k, n=40, d=3)
-    full = run_ensemble(cfg, model, n_chains=4, n_datasets=n_datasets)
+    full = ensemble(cfg, model, n_chains=4, n_datasets=n_datasets)
     for series in (0, 1, 2):
         part = ensemble(cfg, model, n_chains=4, n_datasets=n_datasets, series=series)
         assert len(part) == len(full) == 4 * n_datasets
@@ -444,7 +443,7 @@ def test_lockstep_full_batch_series_equals_per_state_gradients(model, k):
     rng = np.random.default_rng(9)
     datasets = np.stack([model.sample_data(rng, cfg.n) for _ in range(3)])
     seqs = np.random.SeedSequence(cfg.seed).spawn(3)
-    for i, tr in enumerate(sgld._run_chains_lockstep(cfg, model, datasets, seqs)):
+    for i, tr in enumerate(collect(cfg, model, datasets, seqs)):
         G = np.concatenate([model.full_batch_grad(datasets[i:i + 1])(w[None])
                             for w in tr.states[:-1]])
         assert np.array_equal(tr.grad_fullbatch_norm,
@@ -485,7 +484,7 @@ def test_chain_mean_matches_linear_recursion():
     # full-batch quadratic: E W_{t+1} = (1 - eta R) E W_t + eta R zbar
     model = quad_model()
     cfg = quad_config(k=100, T=100, eta=0.05, beta=4.0)
-    traces = run_ensemble(cfg, model, n_chains=400, n_datasets=1)
+    traces = ensemble(cfg, model, n_chains=400, n_datasets=1)
     ds_rng = np.random.default_rng(
         np.random.SeedSequence(cfg.seed).spawn(1)[0].spawn(1)[0]
     )
@@ -506,7 +505,7 @@ def test_chain_mean_matches_linear_recursion():
 def test_ensemble_single_equals_run_chain():
     model = quad_model()
     cfg = quad_config(T=60)
-    [tr_e] = run_ensemble(cfg, model, n_chains=1, n_datasets=1)
+    [tr_e] = ensemble(cfg, model, n_chains=1, n_datasets=1)
     root = np.random.SeedSequence(cfg.seed)
     ds_seq = root.spawn(1)[0]
     sampler_seq, chain_seq = ds_seq.spawn(2)
@@ -514,6 +513,38 @@ def test_ensemble_single_equals_run_chain():
     tr_s = run_chain(cfg, model, ds, seed_seq=chain_seq)
     assert np.array_equal(tr_e.states, tr_s.states)
     assert np.array_equal(tr_e.grad_var_sample, tr_s.grad_var_sample)
+
+
+@pytest.mark.parametrize("k", [10, 100])
+@pytest.mark.parametrize("n_datasets", [1, 2])
+def test_run_ensemble_returns_the_final_states_of_the_whole_traces(n_datasets, k):
+    # chunks of 512 and 37 steps; k < n and k = n; one shared or two
+    # stacked datasets, dataset-major
+    model = quad_model()
+    cfg = quad_config(T=sgld.STEP_CHUNK + 37, k=k)
+    finals = run_ensemble(cfg, model, n_chains=3, n_datasets=n_datasets)
+    traces = ensemble(cfg, model, n_chains=3, n_datasets=n_datasets)
+    assert finals.shape == (3 * n_datasets, cfg.d)
+    assert np.array_equal(finals, np.stack([tr.states[-1] for tr in traces]))
+
+
+def test_run_ensemble_holds_no_chain_by_step_array():
+    # 50 full-batch chains of 20,000 steps: whole traces, every state,
+    # ||W||^2 and gradient series, would take about 40 MB, against about
+    # 1 MB for the engine's chunk buffers
+    model = quad_model()
+    cfg = quad_config(k=100, T=20_000)
+    c = 50
+    traces_bytes = 8 * c * (len(sgld._stored_steps(cfg.T)) * cfg.d
+                            + (cfg.T + 1) + 3 * cfg.T)
+    tracemalloc.start()
+    try:
+        finals = run_ensemble(cfg, model, n_chains=c)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < traces_bytes / 10
+    assert finals.shape == (c, cfg.d)
 
 
 @pytest.mark.parametrize("series", [1, None])
@@ -540,7 +571,7 @@ def test_shared_dataset_ensemble_makes_no_per_chain_copy(model, series):
 
 def test_ensemble_chains_differ_within_dataset():
     model = quad_model()
-    traces = run_ensemble(quad_config(T=20), model, n_chains=2, n_datasets=1)
+    traces = ensemble(quad_config(T=20), model, n_chains=2, n_datasets=1)
     assert not np.array_equal(traces[0].states, traces[1].states)
 
 
@@ -561,8 +592,7 @@ def test_ensemble_on_a_given_dataset_equals_lockstep_on_its_chain_streams(n_data
     got = ensemble(cfg, model, dataset=ds, n_chains=3, n_datasets=n_datasets)
     seqs = [seq for ds_seq in np.random.SeedSequence(cfg.seed).spawn(n_datasets)
             for seq in ds_seq.spawn(4)[1:]]
-    want = sgld._run_chains_lockstep(
-        cfg, model, np.broadcast_to(ds, (len(seqs),) + ds.shape), seqs)
+    want = collect(cfg, model, np.broadcast_to(ds, (len(seqs),) + ds.shape), seqs)
     assert len(got) == len(want) == 3 * n_datasets
     for a, b in zip(got, want):
         for name in ("states", "stored_steps", "w_norm_sq") + SERIES:
@@ -582,7 +612,7 @@ def test_ensemble_second_moment_within_C0():
     model = quad_model()
     cfg = quad_config(eta=0.05, beta=4.0, k=10, T=300, s_sq=1.0)
     assert admission_failures(cfg, model) == []
-    traces = run_ensemble(cfg, model, n_chains=1000, n_datasets=1)
+    traces = ensemble(cfg, model, n_chains=1000, n_datasets=1)
     c0 = moment_bound_C0(model.constants(), cfg.eta, cfg.beta, cfg.d, cfg.s_sq)
     norms = np.stack([tr.w_norm_sq for tr in traces])  # (1000, T+1)
     mean_t = norms.mean(axis=0)
