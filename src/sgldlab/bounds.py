@@ -3,8 +3,8 @@
 Each bound evaluator is a pure function returning a BoundEntry: the value,
 the inputs it saw, the constants it consumed, whether its preconditions
 held, and short flag notes ("heuristic-constant", "comparison-only",
-"order-level", ...). Entries aggregate into a BoundReport that writes a flat
-CSV; its JSON form is the list of the entries' dicts. `evaluate_grid`
+"order-level", ...). `write_bounds_csv` writes entries as a flat CSV; their
+JSON form is the list of the entries' dicts. `evaluate_grid`
 evaluates the bounds a config names over a (T, n) grid from a run's
 traces, and is the one place that says which bound has no value where.
 
@@ -30,7 +30,7 @@ from .sgld import SGLDConfig, _stored_steps, write_csv
 
 __all__ = [
     "BoundEntry",
-    "BoundReport",
+    "write_bounds_csv",
     "BOUND_NAMES",
     "BOUNDS_CSV_COLUMNS",
     "KLChain",
@@ -82,25 +82,13 @@ class BoundEntry:
         return dataclasses.asdict(self)
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    """Collection of bound entries from one experiment."""
-
-    entries: tuple
-
-    def __getitem__(self, name: str) -> BoundEntry:
-        for e in self.entries:
-            if e.name == name:
-                return e
-        raise KeyError(name)
-
-    def to_csv(self, path) -> None:
-        """One row per entry; (T, n, eta, beta) cells are empty when absent."""
-        write_csv(path, BOUNDS_CSV_COLUMNS,
-                  [(e.name, None if e.value is None else float(e.value),
-                    *(e.inputs.get(key) for key in ("T", "n", "eta", "beta")),
-                    "|".join(e.notes))
-                   for e in self.entries])
+def write_bounds_csv(path, entries) -> None:
+    """One row per entry; (T, n, eta, beta) cells are empty when absent."""
+    write_csv(path, BOUNDS_CSV_COLUMNS,
+              [(e.name, None if e.value is None else float(e.value),
+                *(e.inputs.get(key) for key in ("T", "n", "eta", "beta")),
+                "|".join(e.notes))
+               for e in entries])
 
 
 def _gen_from_info(sigma_g_sq: float, n: int, info: float) -> float:

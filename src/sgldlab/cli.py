@@ -30,7 +30,7 @@ import time
 import numpy as np
 
 from . import __version__, _import_time
-from .bounds import BOUNDS_CSV_COLUMNS, BoundReport, evaluate_grid
+from .bounds import BOUNDS_CSV_COLUMNS, evaluate_grid, write_bounds_csv
 from .config import ConfigError, ExperimentConfig, _check, _verify_fp_runs, load_config
 from .constants import admissibility_failures, lsi_constant, subexp_params
 from .estimators import (
@@ -699,7 +699,7 @@ def cmd_bounds(args) -> int:
     with _OutputDir(args.out, args.started) as out:
         _start_config_manifest(out, cfg, {"traces": args.traces})
         with out.file("bounds.csv") as path:
-            BoundReport(entries=tuple(entries)).to_csv(path)
+            write_bounds_csv(path, entries)
         out.write_json("bounds.json", [e.to_dict() for e in entries])
         gap_src = os.path.join(args.traces, "gap.csv")
         if os.path.exists(gap_src):

@@ -26,7 +26,7 @@ from .constants import (LSI_MODES, ParametrixOverrides, derive_constants, lsi_ro
 from .estimators import EVAL_LOSSES, admitted_lambdas, pth_moment_min_chains
 from .fokker_planck import Grid1D, check_dt, stability_limit, suggested_halfwidth
 from .losses import LogisticRidgeLoss, NonconvexRidgeLoss, QuadraticLoss, check_samples
-from .sgld import SGLDConfig, check_count, check_size
+from .sgld import SGLDConfig, check_chains, check_count, check_size
 
 
 class ConfigError(Exception):
@@ -303,11 +303,17 @@ def parse(raw) -> ExperimentConfig:
 def _check_values(cfg: ExperimentConfig) -> None:
     """The rules that read more than one key, each the rule of the code that
     uses the values; an unset bounds.lsi_mode takes the model's route."""
-    lc = cfg.model().constants()  # family-specific parameter validation
+    model = cfg.model()  # family-specific parameter validation
+    lc = model.constants()
     bnd, est = cfg["bounds"], cfg["estimators"]
     if bnd["lsi_mode"] is None:
         bnd["lsi_mode"] = lsi_route(lc)
     sgld_cfg = cfg.sgld_config()
+    # the chain engine's largest arrays in `run`'s process and in its worker,
+    # whose chains each have their own dataset
+    _check("estimators.n_chains", check_chains, sgld_cfg, est["n_chains"])
+    _check("estimators.n_pairs + estimators.n_trials", check_chains, sgld_cfg,
+           est["n_pairs"] + est["n_trials"], model.z_dim)
     nu = _check("bounds.universal_C_moment", subexp_params, lc, beta=sgld_cfg.beta,
                 d=sgld_cfg.d, s_sq=sgld_cfg.s_sq,
                 universal_C=bnd["universal_C_moment"])["nu"]

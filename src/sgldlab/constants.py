@@ -21,13 +21,14 @@ The constant chains, in dependency order:
     6M(d+beta)/m, and a base-measure factor rho0_inv that is exponential in
     (b beta + d)/m. The universal prefactor C defaults to 1 (heuristic).
 
-* KL-recursion constants `D1..D5` (built inside `derive_constants`): one
+* KL-recursion constants `D1..D3` (built inside `derive_constants`): one
   discrete update contracts the KL divergence to the stationary law by
   exp(-eta/(4 beta c_LS)) and adds eta (D2/(4 beta c_LS) + D3/(2 beta)
-  + beta D1/2). D2 and D5 contain constants from a short-time transition
-  density expansion that the theory leaves unspecified; they are taken from
-  `ParametrixOverrides` (defaults C1' = C2' = 1, C0~ = 1, C1~ = 0, flagged
-  heuristic).
+  + beta D1/2), with D1 = 2 (D4 + D5). D4 and D5 live only inside
+  `_kl_recursion_D`, which sums them into D1. D2 and D5 contain constants
+  from a short-time transition density expansion that the theory leaves
+  unspecified; they are taken from `ParametrixOverrides` (defaults C1' =
+  C2' = 1, C0~ = 1, C1~ = 0, flagged heuristic).
 
 * `subexp_params`: the training loss evaluated along the dynamics is
   sub-exponential. From the moment growth (E|f(W_T)|^p)^(1/p)
@@ -93,7 +94,7 @@ class DerivedConstants:
     Fields:
         c_LS: log-Sobolev constant of the stationary law.
         C0: uniform-in-time second-moment bound E||W_t||^2 <= C0.
-        D1..D5: per-step KL-recursion constants; D1 = 2(D4 + D5).
+        D1..D3: per-step KL-recursion constants (see `_kl_recursion_D`).
         sigma_e_sq, nu: sub-exponential parameters of the training loss.
         notes: provenance flags (heuristic constants, LSI mode).
     """
@@ -103,20 +104,15 @@ class DerivedConstants:
     D1: float
     D2: float
     D3: float
-    D4: float
-    D5: float
     sigma_e_sq: float
     nu: float
     notes: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        for name in ("c_LS", "C0", "D1", "D2", "D3", "D4", "D5", "sigma_e_sq", "nu"):
+        for name in ("c_LS", "C0", "D1", "D2", "D3", "sigma_e_sq", "nu"):
             v = getattr(self, name)
             if not (v > 0 and math.isfinite(v)):
                 raise ValueError(f"derived constant {name} must be positive and finite, got {v}")
-        if abs(self.D1 - 2.0 * (self.D4 + self.D5)) > 1e-12 * max(1.0, self.D1):
-            raise ValueError(f"D1 must equal 2 (D4 + D5), got D1={self.D1}, "
-                             f"D4={self.D4}, D5={self.D5}")
 
 
 # ------------------------------------------------------------------- moments
@@ -226,8 +222,9 @@ def _kl_recursion_D(
     s_sq: float,
     eta: float,
     overrides: ParametrixOverrides,
-) -> tuple[float, float, float, float, float]:
-    """The five constants (D1..D5) of the one-step KL recursion.
+) -> tuple[float, float, float]:
+    """The constants (D1, D2, D3) of the one-step KL recursion, D1 being
+    2 (D4 + D5).
 
     All are step-size free except D5's quadratic-in-time expansion term,
     evaluated at its worst case t = eta over the step interval. Built from
@@ -249,8 +246,7 @@ def _kl_recursion_D(
     D3 = B1 + B2
     D4 = M**2 * S + M**2 * b / m
     D5 = 2.0 * M**2 * overrides.C0_tilde * (overrides.C1_tilde * eta**2 + S) + 2.0 * M**2 * b / m
-    D1 = 2.0 * (D4 + D5)
-    return D1, D2, D3, D4, D5
+    return 2.0 * (D4 + D5), D2, D3
 
 
 def kl_recursion_constants(dc: DerivedConstants, eta: float, beta: float) -> dict:
@@ -391,7 +387,7 @@ def derive_constants(
     overrides = overrides if overrides is not None else ParametrixOverrides()
     c_LS = lsi_constant(lc, beta, d, mode=lsi_mode, universal_C=universal_C_lsi)
     C0 = moment_bound_C0(lc, eta, beta, d, s_sq)
-    D1, D2, D3, D4, D5 = _kl_recursion_D(lc, beta, d, s_sq, eta, overrides)
+    D1, D2, D3 = _kl_recursion_D(lc, beta, d, s_sq, eta, overrides)
     sub = subexp_params(lc, beta, d, s_sq, universal_C=universal_C_moment)
 
     notes = [f"lsi_mode={lsi_mode}"]
@@ -408,8 +404,6 @@ def derive_constants(
         D1=D1,
         D2=D2,
         D3=D3,
-        D4=D4,
-        D5=D5,
         sigma_e_sq=sub["sigma_e_sq"],
         nu=sub["nu"],
         notes=tuple(notes),

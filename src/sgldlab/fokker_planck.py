@@ -89,7 +89,6 @@ class DensityField:
 
     grid: Grid1D
     values: np.ndarray
-    t: float = 0.0
     clamped_mass: float = 0.0
 
     def __post_init__(self) -> None:
@@ -103,13 +102,6 @@ class DensityField:
             raise ValueError(f"negative or NaN density {values.min()}")
         _check_mass(values, self.grid.h)
         object.__setattr__(self, "values", values)
-
-    def mean(self) -> float:
-        return float((self.values * self.grid.centers).sum() * self.grid.h)
-
-    def variance(self) -> float:
-        mu = self.mean()
-        return float((self.values * (self.grid.centers - mu) ** 2).sum() * self.grid.h)
 
 
 def suggested_halfwidth(beta: float, m: float) -> float:
@@ -128,7 +120,7 @@ def gibbs_density(grid: Grid1D, potential: np.ndarray, beta: float) -> DensityFi
     logp -= logp.max()
     p = np.exp(logp)
     p /= p.sum() * grid.h
-    return DensityField(grid=grid, values=p, t=0.0)
+    return DensityField(grid=grid, values=p)
 
 
 def _cc_weight(w: np.ndarray) -> np.ndarray:
@@ -156,8 +148,7 @@ def fp_step(
     new = np.empty((1, rho.grid.n_cells))
     clamped = _advance(rho.values[None], _generator(rho.grid, [grad], beta, dt),
                        rho.grid.h, new)
-    return DensityField(rho.grid, new[0], t=rho.t + dt,
-                        clamped_mass=rho.clamped_mass + clamped[0])
+    return DensityField(rho.grid, new[0], clamped_mass=rho.clamped_mass + clamped[0])
 
 
 def stability_limit(grid: Grid1D, grad: np.ndarray, beta: float) -> float:
@@ -284,7 +275,6 @@ class FPPairRun:
     """
 
     grid: Grid1D
-    beta: float
     dt: float
     kl: np.ndarray
     fisher: np.ndarray
@@ -360,8 +350,8 @@ def evolve_pair(
                 r[lo:hi], q[lo:hi], _support_band(mask[lo]))
             kl[first + lo:first + hi] = _kl(h, band_r, log_ratio)
             fisher[first + lo:first + hi] = _fisher(h, band_r, log_ratio)
-    return FPPairRun(grid=grid, beta=beta, dt=dt, kl=kl, fisher=fisher,
-                     stability=stability, clamped_mass=clamped_s + clamped_alt)
+    return FPPairRun(grid=grid, dt=dt, kl=kl, fisher=fisher, stability=stability,
+                     clamped_mass=clamped_s + clamped_alt)
 
 
 @dataclass(frozen=True)
@@ -369,15 +359,13 @@ class Inequality12Report:
     """Per-step slack of dKL/dt <= -(1/(2 beta)) Fisher + stability.
 
     dkl_dt and slack are full-length arrays with NaN at the endpoints
-    where the centered difference is unavailable; violated marks interior
-    steps whose slack is below -tol.
+    where the centered difference is unavailable; n_violations counts the
+    n_checked interior steps whose slack is below -tol (see
+    `verify_inequality_12`).
     """
 
     dkl_dt: np.ndarray
-    rhs: np.ndarray
     slack: np.ndarray
-    tol: np.ndarray
-    violated: np.ndarray
     n_checked: int
     n_violations: int
 
@@ -407,6 +395,5 @@ def verify_inequality_12(run: FPPairRun, beta: float) -> Inequality12Report:
     tol = 10.0 * (run.grid.h**2 + run.dt) * scale
     slack[inner] = rhs[inner] - dkl[inner]
     violated = slack[inner] < -tol
-    return Inequality12Report(dkl_dt=dkl, rhs=rhs, slack=slack, tol=tol,
-                              violated=violated, n_checked=int(violated.shape[0]),
+    return Inequality12Report(dkl_dt=dkl, slack=slack, n_checked=int(violated.shape[0]),
                               n_violations=int(violated.sum()))

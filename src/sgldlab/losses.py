@@ -42,6 +42,7 @@ CERT_TOL = 1e-9          # slack allowed on O(1) inequality margins in float64
 FD_REL_TOL = 1e-5        # central-difference gradient agreement threshold
 FD_DEGENERATE_NORM = 1e-6  # skip FD relative error where the gradient vanishes
 FD_MINIBATCH = 3         # points per FD minibatch: above 1, a sum is no mean
+FD_POINTS = 100          # states of the FD gradient check
 # the constants a claim may change: those `certify` and the bounds read
 CLAIMABLE = ("M", "m", "b", "A", "R")
 
@@ -535,7 +536,6 @@ def certify(
     model: LossModel,
     n_samples: int = 10_000,
     rng_seed: int = 0,
-    tol: float = CERT_TOL,
 ) -> CertificationReport:
     """Stress-test a model's claimed constants on random samples.
 
@@ -556,7 +556,8 @@ def certify(
                          match `grad_minibatch` to rel. error 1e-5
 
     Returns a report with per-inequality violation counts and witness
-    points. A wrong claim yields a failing report, never an exception.
+    points; a margin below -CERT_TOL is a violation. A wrong claim yields
+    a failing report, never an exception.
     """
     check_samples(n_samples)
     lc = model.constants()
@@ -591,11 +592,11 @@ def certify(
     upper = lc.M / 2.0 * w_norm**2 + root_M_bm * w_norm + lc.A
 
     checks = (
-        _check_from_margins("smoothness", smooth, {"w": W, "w_bar": Wbar, "z": Z}, tol),
-        _check_from_margins("dissipativity", dissip, {"w": W, "z": Z}, tol),
-        _check_from_margins("origin_gradient", origin, {"z": Z}, tol),
-        _check_from_margins("envelope_lower", f_vals - lower, {"w": W, "z": Z}, tol),
-        _check_from_margins("envelope_upper", upper - f_vals, {"w": W, "z": Z}, tol),
+        _check_from_margins("smoothness", smooth, {"w": W, "w_bar": Wbar, "z": Z}, CERT_TOL),
+        _check_from_margins("dissipativity", dissip, {"w": W, "z": Z}, CERT_TOL),
+        _check_from_margins("origin_gradient", origin, {"z": Z}, CERT_TOL),
+        _check_from_margins("envelope_lower", f_vals - lower, {"w": W, "z": Z}, CERT_TOL),
+        _check_from_margins("envelope_upper", upper - f_vals, {"w": W, "z": Z}, CERT_TOL),
         _fd_gradient_check(model, seq.spawn(1)[0], half_width),
     )
     return CertificationReport(
@@ -603,22 +604,21 @@ def certify(
         constants=lc,
         checks=checks,
         seed=int(rng_seed),
-        tol=tol,
+        tol=CERT_TOL,
     )
 
 
 def _fd_gradient_check(
     model: LossModel, seed_seq: np.random.SeedSequence, half_width: float,
-    n_points: int = 100,
 ) -> InequalityCheck:
     """Central differences of the minibatch mean of `eval_many` against
-    `grad_minibatch`, on FD_MINIBATCH-point minibatches at n_points states
+    `grad_minibatch`, on FD_MINIBATCH-point minibatches at FD_POINTS states
     of the cube. The coordinates go in blocks whose (point, coordinate, k)
     rows hold at most `sgld.BLOCK_WORDS` words, so memory does not grow
     with d^2; `eval_many` is row-wise, so the blocks give the same bits."""
     from .sgld import _block_len  # sgld imports this module
 
-    k, d = FD_MINIBATCH, model.d
+    k, d, n_points = FD_MINIBATCH, model.d, FD_POINTS
     rng = np.random.default_rng(seed_seq)
     W = rng.uniform(-half_width, half_width, size=(n_points, d))
     Zb = model.sample_data(rng, n_points * k).reshape(n_points, k, model.z_dim)

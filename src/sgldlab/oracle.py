@@ -14,7 +14,6 @@ over batch paths, not single Gaussians.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -160,39 +159,29 @@ def oracle_mi_upper(
 
 @dataclass(frozen=True)
 class KLRecursionReport:
-    """Per-step verdicts of KL_t <= contraction * KL_{t-1} + per_step_add."""
+    """Violations of KL_t <= contraction * KL_{t-1} + per_step_add along a
+    trace, and the least slack over its steps."""
 
-    satisfied: tuple
     n_violations: int
     worst_slack: float
-    tol: float
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
 
-def verify_kl_recursion(
-    kl_trace, contraction: float, per_step_add: float, tol: float = 0.0
-) -> KLRecursionReport:
+def verify_kl_recursion(kl_trace, contraction: float,
+                        per_step_add: float) -> KLRecursionReport:
     """Check the one-step KL inequality along a trace.
 
     Slack at step t is contraction * KL_{t-1} + per_step_add - KL_t;
-    negative slack beyond tol is a violation. worst_slack is the minimum
-    over steps (trace of length < 2 has no steps to check).
+    a negative slack is a violation. worst_slack is the minimum over steps
+    (trace of length < 2 has no steps to check).
     """
     kl = np.asarray(kl_trace, dtype=float)
     if kl.ndim != 1:
         raise ValueError("kl_trace must be a flat sequence")
-    if not (contraction >= 0 and per_step_add >= 0 and tol >= 0):
-        raise ValueError("contraction, per_step_add, tol must be nonnegative")
+    if not (contraction >= 0 and per_step_add >= 0):
+        raise ValueError("contraction and per_step_add must be nonnegative")
     if kl.shape[0] < 2:
-        return KLRecursionReport(satisfied=(), n_violations=0,
-                                 worst_slack=math.inf, tol=tol)
+        return KLRecursionReport(n_violations=0, worst_slack=math.inf)
     slack = contraction * kl[:-1] + per_step_add - kl[1:]
-    ok = slack >= -tol
-    return KLRecursionReport(
-        satisfied=tuple(bool(x) for x in ok),
-        n_violations=int((~ok).sum()),
-        worst_slack=float(slack.min()),
-        tol=tol,
-    )
+    # a NaN slack is a violation too
+    return KLRecursionReport(n_violations=int((~(slack >= 0)).sum()),
+                             worst_slack=float(slack.min()))

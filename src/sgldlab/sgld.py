@@ -44,6 +44,7 @@ from .losses import LossModel
 __all__ = [
     "SGLDConfig",
     "ChainTrace",
+    "check_chains",
     "check_count",
     "check_size",
     "sample_initial",
@@ -54,6 +55,8 @@ __all__ = [
 ]
 
 STEP_CHUNK = 512          # steps per pre-drawn RNG block
+ARRAY_BYTE_CAP = 2**31    # bytes of the largest array of a chain engine pass
+                          # (`check_chains`); nonconvex-wide's is about 26 MB
 STATE_STORE_CAP = 10_000  # full state storage up to this many steps
 BLOCK_WORDS = 2**18       # 8-byte words in the largest array of one block;
                           # twice this raised peak RSS and saved no time
@@ -132,6 +135,26 @@ def check_count(name: str, value: int) -> None:
         raise ValueError(f"{name} must be at least {_LEAST_COUNT[name]}, got {value}")
 
 
+def check_chains(config: SGLDConfig, c: int, z_dim: int | None = None) -> None:
+    """Raise ValueError if `_lockstep_chunks` on `c` chains of `config` needs
+    an array of more than ARRAY_BYTE_CAP bytes: the (min(STEP_CHUNK, T), c,
+    d) float64 step buffer, the (..., c, k) index buffer when k < n, or,
+    when each chain has its own dataset of z_dim-wide points (`run`'s
+    worker), their (c, n, z_dim) float64 stack; z_dim None is one dataset
+    the chains share."""
+    chunk = min(STEP_CHUNK, config.T)
+    arrays = {"step buffer": 8 * chunk * c * config.d}
+    if config.k < config.n:
+        arrays["index buffer"] = (np.dtype(_index_dtype(config.n)).itemsize
+                                  * chunk * c * config.k)
+    if z_dim is not None:
+        arrays["dataset stack"] = 8 * c * config.n * z_dim
+    for what, size in arrays.items():
+        if size > ARRAY_BYTE_CAP:
+            raise ValueError(f"{c} chains need a {size}-byte {what}, above the "
+                             f"{ARRAY_BYTE_CAP}-byte cap")
+
+
 def write_csv(path, columns, rows) -> None:
     """Write one artifact CSV: the header `columns`, then `rows`.
 
@@ -160,8 +183,8 @@ class ChainTrace:
     """Recorded output of one SGLD chain.
 
     `states` holds every state when T <= 10^4, otherwise every
-    ceil(T/10^4)-th state plus the final one; `stored_steps` gives the step
-    index of each stored row. `run` reads its chains chunk by chunk from
+    ceil(T/10^4)-th state plus the final one; `_stored_steps(T)` gives the
+    step index of each stored row. `run` reads its chains chunk by chunk from
     `_lockstep_chunks` and makes chain 0's trace alone. The scalar series
     are always complete: `w_norm_sq` has T+1 entries (one per state); the
     gradient series have one entry per update, `grad_var_sample[t]` being
@@ -176,10 +199,6 @@ class ChainTrace:
     grad_var_sample: np.ndarray
     grad_fullbatch_norm: np.ndarray
     grad_minibatch_norm: np.ndarray
-
-    @property
-    def stored_steps(self) -> np.ndarray:
-        return _stored_steps(self.config.T)
 
     @property
     def noise_variates(self) -> int:

@@ -6,7 +6,8 @@ whole chain traces (`collect`; the library reads the chain engine a chunk
 at a time), one chain on a given dataset, ensembles on a given dataset or
 with a gradient-series count, the in-process gap and stability estimators
 that `run`'s worker reproduces in one pass, the grid KL and Fisher
-information of two densities, and the minibatch-variance bound. Not a
+information of two densities, a density's variance, and the
+minibatch-variance bound. Not a
 test file: the tests import it.
 """
 
@@ -127,6 +128,13 @@ def grad_stability_trace(model, config, n_pairs, control_identical=False):
 def mass(rho):
     """The total mass of a `DensityField` on its grid."""
     return float(rho.values.sum() * rho.grid.h)
+
+
+def variance(rho):
+    """The variance of a unit-mass `DensityField` on its grid's cell centres."""
+    w, h = rho.grid.centers, rho.grid.h
+    mean = (rho.values * w).sum() * h
+    return float((rho.values * (w - mean) ** 2).sum() * h)
 
 
 def _shared_band(rho, gamma):

@@ -57,7 +57,7 @@ def test_criterion_01_loss_certification():
     """10^5-point certification of all three families, zero violations at 1e-9."""
     t0 = time.monotonic()
     for name, model in FAMILIES.items():
-        report = certify(model, n_samples=100_000, rng_seed=0, tol=1e-9)
+        report = certify(model, n_samples=100_000, rng_seed=0)
         for check in report.checks:
             if check.inequality_name in SAMPLED_CHECKS:
                 assert check.n_samples == 100_000

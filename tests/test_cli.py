@@ -694,7 +694,7 @@ def test_run_stability_chunk_by_chunk_equals_the_whole_trace(tmp_path, monkeypat
     datasets, datasets_alt = np.empty((2, n_pairs, sgld_cfg.n, model.z_dim))
     seqs = stability_chains(model, sgld_cfg, datasets, datasets_alt)
     traces = collect(sgld_cfg, model, datasets, seqs, series=0)
-    steps = traces[0].stored_steps
+    steps = sgld._stored_steps(sgld_cfg.T)
     assert len(steps) == (10 if case == "strided" else 62) and steps[-1] == 61
     means, stderrs = stability_block(model, datasets, datasets_alt,
                                      np.stack([tr.states for tr in traces], axis=1))
@@ -914,17 +914,56 @@ def test_fokker_planck_run_beyond_the_step_cap_is_refused_at_load(tmp_path):
         assert "Traceback" not in proc.stderr and not out.exists()
 
 
+@pytest.mark.parametrize("over, refused", [
+    ({"estimators": {"n_chains": 10**7}},
+     "estimators.n_chains: 10000000 chains need a 9600000000-byte step buffer"),
+    # k < n: 512 steps of 100 chains' 50,000 uint32 indices
+    ({"sgld": {"k": 50_000, "T": 512}, "data": {"n": 10**5},
+      "estimators": {"n_chains": 100}},
+     "estimators.n_chains: 100 chains need a 10240000000-byte index buffer"),
+    # the worker's 2,000 pairs and 4 trials, each with 10^5 points of width 2
+    ({"data": {"n": 10**5}, "estimators": {"n_pairs": 2000}},
+     "estimators.n_pairs + estimators.n_trials: 2004 chains need a 3206400000-byte "
+     "dataset stack"),
+], ids=["step-buffer", "index-buffer", "dataset-stack"])
+def test_chain_engine_array_beyond_the_cap_is_refused_naming_its_key(over, refused):
+    raw = {name: dict(vals) for name, vals in BASE.items()}
+    for block, vals in over.items():
+        raw.setdefault(block, {}).update(vals)
+    with pytest.raises(ConfigError) as caught:
+        config.parse(raw)
+    assert str(caught.value) == f"{refused}, above the {sgld.ARRAY_BYTE_CAP}-byte cap"
+
+
+def test_run_of_too_many_chains_is_refused_before_any_output(tmp_path, capsys,
+                                                            monkeypatch):
+    # 10^7 chains' (60, 10^7, 2) step buffer is 9.6 GB: refused at load, in
+    # one line and at once, not after spawning 10^7 seed sequences
+    def started(*args):
+        raise AssertionError("the chains were started")
+
+    monkeypatch.setattr(cli, "ensemble_seqs", started)
+    cfg = write_config(tmp_path / "c.json", estimators={"n_chains": 10**7})
+    out = tmp_path / "out"
+    start = time.monotonic()
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 1
+    assert time.monotonic() - start < 0.5
+    assert capsys.readouterr().err.startswith("config error: estimators.n_chains: ")
+    assert not out.exists()
+
+
 @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS bounds memory on Linux")
 @pytest.mark.parametrize("sub, over, limit_mib, started", [
     ("certify", {"fp": {"n_cells": 10**9, "T_end": 1e-300}}, 300, False),
     ("verify", {"verify": {"oracle_T": 10**9}}, 300, True),
     ("bounds", {"estimators": {"mi_pairs": 10**9}}, 300, False),
-    ("run", {"estimators": {"n_chains": 10**7}}, 192, True),
+    ("run", {"estimators": {"n_chains": 10**6}}, 192, True),
 ])
 def test_out_of_memory_ends_in_one_line(tmp_path, sub, over, limit_mib, started):
     # each asks for more than its address space holds: one (10^9,) array,
-    # or, for `run`, 10^7 chains' seed sequences. The command fails in one
-    # line; the lock goes, and a started manifest stays running
+    # or, for `run`, 10^6 chains, whose seed sequences and 0.96 GB step
+    # buffer the load-time cap admits. The command fails in one line; the
+    # lock goes, and a started manifest stays running
     cfg = write_config(tmp_path / "c.json", sgld={"k": 20}, **over)
     extra = []
     if sub == "bounds":  # the exact MI's pairs are drawn for a full-batch run
@@ -1011,7 +1050,7 @@ def test_run_ensemble_artifacts_equal_in_process_ensemble(tmp_path, monkeypatch,
                           [tr.states[-1] for tr in traces])
     means, stderrs = grad_variance_trace(model, dataset, traces[0], est["n_resamples"])
     _, rows = read_csv_rows(tmp_path / "run" / "variance.csv")
-    assert [int(r[1]) for r in rows] == traces[0].stored_steps.tolist()
+    assert [int(r[1]) for r in rows] == sgld._stored_steps(traces[0].config.T).tolist()
     assert [float(r[2]) for r in rows] == means.tolist()
     assert [float(r[3]) for r in rows] == stderrs.tolist()
 

@@ -178,9 +178,8 @@ def _unit_dc(eta=0.1, beta=2.0, d=2, s_sq=1.0, lsi_mode="strongly_convex"):
 def test_kl_recursion_D_constants_frozen():
     # hand evaluation at M=m=b=1, A=1/2, beta=2, d=2, s^2=1, defaults:
     # core S = 1 + 2 (1 + 10 + 1) = 25
+    # D4 = M^2 (S + b/m) = 26, D5 = 2 M^2 (S + b/m) = 52 at C1~ = 0
     dc = _unit_dc()
-    assert dc.D4 == 26.0                        # M^2 (S + b/m)
-    assert dc.D5 == 52.0                        # 2 M^2 (S + b/m), C1~ = 0
     assert dc.D1 == 156.0                       # 2 (D4 + D5)
     assert dc.D2 == pytest.approx(104.0 + 2.0 / math.sqrt(2 * math.pi) + 2.0)
     b1 = math.log(2 * math.pi) + 0.5 * (1 + 4 * 12)
@@ -201,7 +200,7 @@ def test_kl_recursion_monotone_in_D():
     base = kl_recursion_constants(dc, 0.01, 2.0)["per_step_add"]
     for bump in ({"D2": dc.D2 * 2},
                  {"D3": dc.D3 * 2},
-                 {"D1": dc.D1 * 2, "D4": dc.D4 * 2, "D5": dc.D5 * 2}):
+                 {"D1": dc.D1 * 2}):
         dc2 = dataclasses.replace(dc, **bump)
         assert kl_recursion_constants(dc2, 0.01, 2.0)["per_step_add"] > base
 
@@ -279,17 +278,17 @@ def test_derive_constants_record():
     dc = _unit_dc()
     assert dc.c_LS == 0.25
     assert dc.C0 == 7.0
-    assert dc.D1 == pytest.approx(2 * (dc.D4 + dc.D5))
+    assert dc.D1 == 2 * (26.0 + 52.0)  # 2 (D4 + D5)
     assert any("heuristic" in note for note in dc.notes)
 
 
 def test_derived_constants_validation():
     with pytest.raises(ValueError):
-        DerivedConstants(c_LS=0.25, C0=7.0, D1=100.0, D2=1.0, D3=1.0, D4=26.0,
-                         D5=52.0, sigma_e_sq=1.0, nu=1.0)  # D1 != 2 (D4+D5)
+        DerivedConstants(c_LS=0.25, C0=7.0, D1=0.0, D2=1.0, D3=1.0,
+                         sigma_e_sq=1.0, nu=1.0)
     with pytest.raises(ValueError):
-        DerivedConstants(c_LS=-0.25, C0=7.0, D1=156.0, D2=1.0, D3=1.0, D4=26.0,
-                         D5=52.0, sigma_e_sq=1.0, nu=1.0)
+        DerivedConstants(c_LS=-0.25, C0=7.0, D1=156.0, D2=1.0, D3=1.0,
+                         sigma_e_sq=1.0, nu=1.0)
 
 
 def test_parametrix_overrides_validation():
@@ -298,5 +297,5 @@ def test_parametrix_overrides_validation():
     ov = ParametrixOverrides(C1_tilde=3.0)
     dc = derive_constants(UNIT_LC, eta=0.1, beta=2.0, d=2, s_sq=1.0,
                           lsi_mode="strongly_convex", overrides=ov)
-    # quadratic-in-time expansion coefficient feeds D5
-    assert dc.D5 > 52.0
+    # quadratic-in-time expansion coefficient feeds D5, and so D1
+    assert dc.D1 > 156.0

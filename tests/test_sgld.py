@@ -2,10 +2,13 @@
 
 import ast
 import csv
+import dataclasses
 import importlib
+import json
 import math
 import pathlib
 import pkgutil
+import sys
 import tracemalloc
 
 import numpy as np
@@ -374,8 +377,9 @@ def test_engine_bookkeeping_equals_per_step_record(monkeypatch, n_datasets, k,
             want = _chain_record_by_hand(cfg, model, ds, chain_seq)
             stride = 11 if strided else 1
             steps = np.r_[np.arange(0, cfg.T, stride), cfg.T]
-            assert np.array_equal(tr.stored_steps, np.unique(steps))
-            assert np.array_equal(tr.states, want["states"][tr.stored_steps])
+            stored = sgld._stored_steps(cfg.T)
+            assert np.array_equal(stored, np.unique(steps))
+            assert np.array_equal(tr.states, want["states"][stored])
             assert np.array_equal(tr.w_norm_sq, want["w_norm_sq"])
             for name in SERIES:
                 got = getattr(tr, name)
@@ -463,9 +467,9 @@ def test_run_chain_state_striding(monkeypatch):
     ds = model.sample_data(np.random.default_rng(0), 100)
     tr = run_chain(quad_config(T=25), model, ds)
     # stride ceil(25/10) = 3: steps 0,3,...,24 plus the final 25
-    np.testing.assert_array_equal(tr.stored_steps,
-                                  np.r_[np.arange(0, 25, 3), 25])
-    assert tr.states.shape == (len(tr.stored_steps), 2)
+    stored = sgld._stored_steps(25)
+    np.testing.assert_array_equal(stored, np.r_[np.arange(0, 25, 3), 25])
+    assert tr.states.shape == (len(stored), 2)
     assert tr.w_norm_sq.shape == (26,)
     # final stored state is W_T
     assert tr.w_norm_sq[-1] == pytest.approx(float(tr.states[-1] @ tr.states[-1]))
@@ -595,7 +599,7 @@ def test_ensemble_on_a_given_dataset_equals_lockstep_on_its_chain_streams(n_data
     want = collect(cfg, model, np.broadcast_to(ds, (len(seqs),) + ds.shape), seqs)
     assert len(got) == len(want) == 3 * n_datasets
     for a, b in zip(got, want):
-        for name in ("states", "stored_steps", "w_norm_sq") + SERIES:
+        for name in ("states", "w_norm_sq") + SERIES:
             assert np.array_equal(getattr(a, name), getattr(b, name))
 
 
@@ -691,13 +695,139 @@ def _referenced(path):
     return found
 
 
-def test_every_export_has_a_caller_in_the_library_or_the_benchmark():
+def _callee(node):
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def _calls(path):
+    """(callee name, positional count, keyword names) of each call in the
+    Python file at `path`; a count or names of None is a * or ** splat,
+    which may set any parameter. A function a call passes on, as
+    `partial(f, 1, k=2)` or `_check(key, f, 1, k=2)` do, counts as called
+    with the arguments after it."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, ast.Call):
+            continue
+        keywords = None if any(k.arg is None for k in node.keywords) else {
+            k.arg for k in node.keywords}
+        for i, fn in [(-1, node.func), *enumerate(node.args)]:
+            after = node.args[i + 1:]
+            count = None if any(isinstance(a, ast.Starred) for a in after) else len(after)
+            found.append((_callee(fn), count, keywords))
+    return found
+
+
+def _defaulted_parameters(path):
+    """(callee name, position or None, name) of each parameter with a default
+    of each function in the Python file at `path`, the position counted
+    without a method's self; `__init__` is called by its class's name."""
+    found = []
+
+    def visit(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name)
+            elif isinstance(child, ast.FunctionDef):
+                args = child.args
+                params = args.posonlyargs + args.args
+                static = any(_callee(d) == "staticmethod" for d in child.decorator_list)
+                if cls is not None and not static:
+                    params = params[1:]
+                key = cls if child.name == "__init__" else child.name
+                first = len(params) - len(args.defaults)
+                found.extend((key, i, a.arg) for i, a in enumerate(params) if i >= first)
+                found.extend((key, None, a.arg) for a, d in zip(args.kwonlyargs,
+                                                                args.kw_defaults) if d)
+                visit(child, None)
+            else:
+                visit(child, cls)
+
+    visit(ast.parse(path.read_text()), None)
+    return found
+
+
+# each family, k = n and k < n, enough chains for the log-MGF and p-th moment
+# checks, and small enough that all five subcommands take about a second
+GUARD_CONFIGS = [
+    {"loss": {"family": "quadratic", "R": 1.0, "d": 2},
+     "sgld": {"k": 20}, "verify": {"oracle_T": 30}},
+    {"loss": {"family": "logistic_ridge", "lam": 1.0, "d": 3}, "sgld": {"k": 5}},
+    {"loss": {"family": "nonconvex_ridge", "lam": 1.0, "a": 0.2, "d": 3},
+     "sgld": {"k": 5}},
+]
+
+
+def _members_read_by_the_cli(tmp_path, monkeypatch):
+    """The (class, member) reads of sgldlab dataclasses' fields, methods and
+    properties that sgldlab code makes while `certify`, `run`, `bounds`,
+    `verify` and `compare` run on `GUARD_CONFIGS`, and the dataclasses with
+    their members. A read in the class's own `__post_init__` does not count:
+    a field only validated is used by nothing. `dataclasses.asdict`'s reads
+    count, so a class written through it has every field read."""
+    from sgldlab.cli import main
+
+    classes = {}
+    for info in pkgutil.iter_modules(sgldlab.__path__):
+        module = importlib.import_module(f"sgldlab.{info.name}")
+        for cls in vars(module).values():
+            if (isinstance(cls, type) and dataclasses.is_dataclass(cls)
+                    and cls.__module__ == module.__name__):
+                classes[cls] = {f.name for f in dataclasses.fields(cls)} | {
+                    name for name, value in vars(cls).items()
+                    if (callable(value) or isinstance(value, property))
+                    and (not name.startswith("__") or name == "__getitem__")}
+    library = {importlib.import_module(f"sgldlab.{info.name}").__file__
+               for info in pkgutil.iter_modules(sgldlab.__path__)}
+    validation = {cls: vars(cls)["__post_init__"].__code__
+                  for cls in classes if "__post_init__" in vars(cls)}
+    reads = set()
+
+    def record(cls, name, code):
+        if ((code.co_filename in library and code is not validation.get(cls))
+                or code.co_name == "_asdict_inner"):
+            reads.add((cls, name))
+
+    def getter(self, name):
+        record(type(self), name, sys._getframe(1).f_code)
+        return object.__getattribute__(self, name)
+
+    for cls in classes:
+        monkeypatch.setattr(cls, "__getattribute__", getter)
+        if "__getitem__" in vars(cls):
+            def item(self, key, _get=vars(cls)["__getitem__"]):
+                record(type(self), "__getitem__", sys._getframe(1).f_code)
+                return _get(self, key)
+            monkeypatch.setattr(cls, "__getitem__", item)
+
+    for i, over in enumerate(GUARD_CONFIGS):
+        cfg = {"sgld": {"eta": 0.05, "beta": 4.0, "T": 30, **over["sgld"]},
+               "data": {"n": 20}, "bounds": {"sigma_g_sq": 0.25},
+               "estimators": {"n_chains": 30, "n_trials": 2, "n_pairs": 2,
+                              "n_resamples": 2, "mi_pairs": 2},
+               "loss": {**over["loss"], "certify_samples": 200},
+               "verify": over.get("verify", {})}
+        path, out = tmp_path / f"{i}.json", tmp_path / str(i)
+        path.write_text(json.dumps(cfg))
+        common = ["--config", str(path), "--out"]
+        for argv in (["certify", *common, str(out / "certify")],
+                     ["run", *common, str(out / "run")],
+                     ["bounds", *common, str(out / "bounds"), "--traces", str(out / "run")],
+                     ["verify", *common, str(out / "verify")],
+                     ["compare", str(out / "bounds"), "--out", str(out / "compare")]):
+            assert main(argv) == 0, argv
+    return reads, classes
+
+
+def test_every_export_has_a_caller_in_the_library_or_the_benchmark(tmp_path, monkeypatch):
     # each `__all__` name is used in src/ or perfbench/ outside its own
-    # definition; what only the tests call lives in tests/reference.py
+    # definition, each defaulted parameter is set by some call there, and
+    # each dataclass member is read there; what only the tests call or read
+    # lives in tests/reference.py
     repo = pathlib.Path(__file__).resolve().parents[1]
-    files = sorted((repo / "src" / "sgldlab").glob("*.py")) + sorted(
-        (repo / "perfbench").glob("*.py"))
-    refs = {path: _referenced(path) for path in files}
+    library = sorted((repo / "src" / "sgldlab").glob("*.py"))
+    benchmark = sorted((repo / "perfbench").glob("*.py"))
+    refs = {path: _referenced(path) for path in library + benchmark}
     uncalled = []
     for info in pkgutil.iter_modules(sgldlab.__path__):
         own = repo / "src" / "sgldlab" / f"{info.name}.py"
@@ -706,3 +836,21 @@ def test_every_export_has_a_caller_in_the_library_or_the_benchmark():
                      if not any(used == name and (path != own or owner != name)
                                 for path, found in refs.items() for used, owner in found)]
     assert uncalled == []
+
+    calls = [call for path in library + benchmark for call in _calls(path)]
+    unset = [f"{path.stem}.{key}({name})" for path in library
+             for key, position, name in _defaulted_parameters(path)
+             if not any(callee == key and (
+                 count is None or keywords is None or name in keywords
+                 or position is not None and count > position)
+                 for callee, count, keywords in calls)]
+    assert unset == []
+
+    # the benchmark's names count as reads: its probe reads what it names
+    named = {node.attr for path in benchmark for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Attribute)}
+    reads, classes = _members_read_by_the_cli(tmp_path, monkeypatch)
+    unread = sorted(f"{cls.__module__.rpartition('.')[2]}.{cls.__name__}.{name}"
+                    for cls, members in classes.items() for name in members
+                    if (cls, name) not in reads and name not in named)
+    assert unread == []
