@@ -53,7 +53,9 @@ from .oracle import oracle_mi_upper, oracle_trace, verify_kl_recursion
 from .sgld import (
     ChainTrace,
     SGLDConfig,
+    _block_len,
     _lockstep_chunks,
+    _row_sq,
     _stored_steps,
     array_rows,
     ensemble_seqs,
@@ -367,6 +369,22 @@ def _stages(own: dict, worker: dict) -> dict:
             for who, times in (("run", own), ("worker", worker))}
 
 
+def _update_series(model, dataset, before, chunk, out) -> None:
+    """Write into `out` (3, m) chain 0's grad_var_sample, grad_fullbatch_norm
+    and grad_minibatch_norm rows of the updates into `chunk`'s m steps, at
+    its states before them: `before` (1, d), then the chunk's own. They are
+    taken in the engine's Fisher-Yates blocks of steps, which move no bit."""
+    full = model.full_batch_grad(dataset[None])
+    block = _block_len(chunk.steps.shape[1] * len(dataset))  # c n words a step
+    pre = np.concatenate([before, chunk.steps[:-1, 0]])
+    for s in range(0, pre.shape[0], block):
+        G_full = full(pre[s:s + block])
+        G = G_full if chunk.indices is None else model.grad_minibatch(
+            pre[s:s + block], dataset[chunk.indices[s:s + block, 0]])
+        out[:, s:s + block] = (_row_sq(G - G_full), np.sqrt(_row_sq(G_full)),
+                               np.sqrt(_row_sq(G)))
+
+
 def _run_own_stages(out: _OutputDir, cfg: ExperimentConfig, model, dataset,
                     sgld_cfg: SGLDConfig, seconds: dict) -> np.ndarray | None:
     """The stages `run` keeps in its own process: the ensemble, chain 0's
@@ -378,30 +396,31 @@ def _run_own_stages(out: _OutputDir, cfg: ExperimentConfig, model, dataset,
     The ensemble is read chunk by chunk from `_lockstep_chunks`, as the
     worker reads its chains: a chunk's ||W||^2 are added chain by chain into
     one per-step sum (the order and bits of np.mean over the chains' stack),
-    chain 0 alone keeps its trace, and the final states are the last
-    chunk's. So no array has both a chain axis and a step axis."""
+    chain 0 alone keeps its trace, its gradient series by `_update_series`,
+    and the final states are the last chunk's. So no array has both a chain
+    axis and a step axis."""
     est, lc, seed = cfg["estimators"], model.constants(), sgld_cfg.seed
     T, n_chains = sgld_cfg.T, est["n_chains"]
     start = time.monotonic()
     [(_, chain_seqs)] = ensemble_seqs(seed, n_chains)
     stored_steps = _stored_steps(T)
+    series = np.empty((3, T))  # grad_var_sample, grad_fullbatch_norm, grad_minibatch_norm
     trace = ChainTrace(config=sgld_cfg, states=np.empty((len(stored_steps), sgld_cfg.d)),
-                       w_norm_sq=np.empty(T + 1), grad_var_sample=np.empty(T),
-                       grad_fullbatch_norm=np.empty(T), grad_minibatch_norm=np.empty(T))
-    series = (trace.grad_var_sample, trace.grad_fullbatch_norm, trace.grad_minibatch_norm)
+                       w_norm_sq=np.empty(T + 1), grad_var_sample=series[0],
+                       grad_fullbatch_norm=series[1], grad_minibatch_norm=series[2])
     total = np.empty(T + 1)  # the ensemble's ||W_t||^2 summed over its chains
     largest, finite, row = -math.inf, True, 0
     datasets = np.broadcast_to(dataset, (n_chains,) + dataset.shape)
-    for chunk in _lockstep_chunks(sgld_cfg, model, datasets, chain_seqs, series=1):
+    for chunk in _lockstep_chunks(sgld_cfg, model, datasets, chain_seqs):
         norms = chunk.w_norm_sq  # (steps, chains)
         steps = slice(chunk.t0, chunk.t0 + norms.shape[0])
         total[steps] = norms[:, 0]
         for i in range(1, n_chains):
             total[steps] += norms[:, i]
         trace.w_norm_sq[steps] = norms[:, 0]
-        if chunk.grads is not None:  # the updates into the chunk's steps
-            for kept, values in zip(series, chunk.grads):
-                kept[steps.start - 1:steps.stop - 1] = values[:, 0]
+        if chunk.t0:  # the updates into the chunk's steps
+            _update_series(model, dataset, last, chunk, series[:, chunk.t0 - 1:steps.stop - 1])
+        last = chunk.steps[-1:, 0].copy()  # off the buffer the next chunk overwrites
         trace.states[row:row + chunk.states.shape[0]] = chunk.states[:, 0]
         row += chunk.states.shape[0]
         finite = finite and bool(np.isfinite(norms).all())
@@ -580,8 +599,7 @@ def _worker_stages(model, sgld_cfg: SGLDConfig, est: dict):
     chain_seqs = stability_chains(model, sgld_cfg, datasets[:n_pairs], datasets_alt)
     trial_seqs, pool_seqs = gap_trials(model, sgld_cfg, datasets[n_pairs:])
     means, stderrs = [], []
-    for chunk in _lockstep_chunks(sgld_cfg, model, datasets, chain_seqs + trial_seqs,
-                                  series=0):
+    for chunk in _lockstep_chunks(sgld_cfg, model, datasets, chain_seqs + trial_seqs):
         if not np.isfinite(chunk.w_norm_sq).all():
             return None  # a state beyond the float range: no estimate is defined
         mean, stderr = stability_block(model, datasets[:n_pairs], datasets_alt,

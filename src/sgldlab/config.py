@@ -23,9 +23,11 @@ import numpy as np
 from .bounds import BOUND_NAMES, bound_farghly_shape, bound_xu_raginsky, horizon_grid
 from .constants import (LSI_MODES, ParametrixOverrides, derive_constants, lsi_route,
                         subexp_params)
-from .estimators import EVAL_LOSSES, admitted_lambdas, pth_moment_min_chains
+from .estimators import EVAL_LOSSES, admitted_lambdas, check_resamples, pth_moment_min_chains
 from .fokker_planck import Grid1D, check_dt, stability_limit, suggested_halfwidth
-from .losses import LogisticRidgeLoss, NonconvexRidgeLoss, QuadraticLoss, check_samples
+from .losses import (LogisticRidgeLoss, NonconvexRidgeLoss, QuadraticLoss, check_draws,
+                     check_samples)
+from .oracle import check_horizon, check_pairs
 from .sgld import SGLDConfig, check_chains, check_count, check_size
 
 
@@ -314,6 +316,10 @@ def _check_values(cfg: ExperimentConfig) -> None:
     _check("estimators.n_chains", check_chains, sgld_cfg, est["n_chains"])
     _check("estimators.n_pairs + estimators.n_trials", check_chains, sgld_cfg,
            est["n_pairs"] + est["n_trials"], model.z_dim)
+    # the largest arrays of the variance trace, the oracle's pairs and certify
+    _check("estimators.n_resamples", check_resamples, sgld_cfg, est["n_resamples"])
+    _check("estimators.mi_pairs", check_pairs, est["mi_pairs"])
+    _check("loss.certify_samples", check_draws, model, cfg["loss"]["certify_samples"])
     nu = _check("bounds.universal_C_moment", subexp_params, lc, beta=sgld_cfg.beta,
                 d=sgld_cfg.d, s_sq=sgld_cfg.s_sq,
                 universal_C=bnd["universal_C_moment"])["nu"]
@@ -333,6 +339,7 @@ def _check_values(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"verify.oracle_T: the oracle's KL recursion needs at "
                           f"least 1 step, got {oracle_T}")
     _check("verify.oracle_T", dataclasses.replace, sgld_cfg, k=sgld_cfg.n, T=oracle_T)
+    _check("verify.oracle_T", check_horizon, oracle_T)
     cfg.parametrix()  # the parse `derived` makes
     if cfg["verify"]["falsify"] and lc.R is None:
         # falsify changes the oracle section only, which needs R

@@ -21,7 +21,9 @@ from .sgld import (
     _block_len,
     _draw_offsets,
     _fy_subset_rows,
+    _index_dtype,
     array_rows,
+    check_bytes,
     check_count,
     write_csv,
 )
@@ -31,6 +33,7 @@ __all__ = [
     "EVAL_LOSSES",
     "gap_trials",
     "gen_gap",
+    "check_resamples",
     "grad_variance_trace",
     "stability_block",
     "stability_chains",
@@ -138,6 +141,20 @@ def gen_gap(model: LossModel, datasets: np.ndarray, final_states, pool_seqs,
 
 
 # ------------------------------------------------------- gradient statistics
+
+
+def check_resamples(config: SGLDConfig, n_resamples: int) -> None:
+    """Raise ValueError if `grad_variance_trace` at k < n needs an array of
+    more than ARRAY_BYTE_CAP bytes for one state's `n_resamples` resamples:
+    the (n_resamples, k) int64 offsets, swap targets and rows, the
+    (n_resamples, d) deviation sum, or the (n, n_resamples) Fisher-Yates
+    scratch."""
+    if config.k < config.n:
+        check_bytes(f"{n_resamples} resamples", {
+            "offset array": 8 * n_resamples * config.k,
+            "deviation sum": 8 * n_resamples * config.d,
+            "Fisher-Yates scratch": (np.dtype(_index_dtype(config.n)).itemsize
+                                     * config.n * n_resamples)})
 
 
 def grad_variance_trace(

@@ -21,9 +21,11 @@ import numpy as np
 
 from .estimators import EstimateWithError, _estimate
 from .losses import LossModel
-from .sgld import SGLDConfig, check_count, write_csv
+from .sgld import SGLDConfig, check_bytes, check_count, write_csv
 
 __all__ = [
+    "check_horizon",
+    "check_pairs",
     "OracleTrace",
     "oracle_trace",
     "oracle_pair_gaps",
@@ -32,6 +34,19 @@ __all__ = [
     "KLRecursionReport",
     "verify_kl_recursion",
 ]
+
+
+def check_horizon(T: int) -> None:
+    """Raise ValueError if the law of a horizon of T steps needs an array of
+    more than ARRAY_BYTE_CAP bytes: `_response_and_var`'s and
+    `oracle_trace`'s are (T + 1)-long, 8 bytes an entry."""
+    check_bytes(f"{T} oracle steps", {"law trace": 8 * (T + 1)})
+
+
+def check_pairs(n_dataset_pairs: int) -> None:
+    """Raise ValueError if `oracle_pair_gaps` over `n_dataset_pairs` pairs
+    needs more than ARRAY_BYTE_CAP bytes for its float64 gaps."""
+    check_bytes(f"{n_dataset_pairs} dataset pairs", {"gap array": 8 * n_dataset_pairs})
 
 
 def _response_and_var(eta: float, beta: float, R: float, s_sq: float, T: int):
@@ -46,9 +61,11 @@ def _response_and_var(eta: float, beta: float, R: float, s_sq: float, T: int):
     a[0], v[0] = 0.0, s_sq
     decay = 1.0 - eta * R
     add = 2.0 * eta / beta
-    for t in range(T):
-        a[t + 1] = decay * a[t] + eta * R
-        v[t + 1] = decay**2 * v[t] + add
+    # |1 - eta R| > 1 overflows, and `verify` reports the first step it does
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(T):
+            a[t + 1] = decay * a[t] + eta * R
+            v[t + 1] = decay**2 * v[t] + add
     return a, v
 
 
@@ -88,12 +105,14 @@ def oracle_trace(
     zbar_alt = dataset_alt.mean(axis=0)
     a, v = _response_and_var(config.eta, config.beta, R, config.s_sq, config.T)
     gap_sq = float((zbar - zbar_alt) @ (zbar - zbar_alt))
-    return OracleTrace(
-        steps=np.arange(config.T + 1),
-        mean_norm=a * float(np.linalg.norm(zbar)),
-        var=v.copy(),
-        kl=a**2 * gap_sq / (2.0 * v),
-    )
+    # a law past the float range gives inf and nan, whose first step `verify` reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        return OracleTrace(
+            steps=np.arange(config.T + 1),
+            mean_norm=a * float(np.linalg.norm(zbar)),
+            var=v.copy(),
+            kl=a**2 * gap_sq / (2.0 * v),
+        )
 
 
 def oracle_pair_gaps(

@@ -44,6 +44,7 @@ from .losses import LossModel
 __all__ = [
     "SGLDConfig",
     "ChainTrace",
+    "check_bytes",
     "check_chains",
     "check_count",
     "check_size",
@@ -55,8 +56,12 @@ __all__ = [
 ]
 
 STEP_CHUNK = 512          # steps per pre-drawn RNG block
-ARRAY_BYTE_CAP = 2**31    # bytes of the largest array of a chain engine pass
-                          # (`check_chains`); nonconvex-wide's is about 26 MB
+ARRAY_BYTE_CAP = 2**31    # bytes of the largest array a count may ask for,
+                          # and of a run's chains' RNG objects (`check_bytes`);
+                          # nonconvex-wide's largest array is about 26 MB
+CHAIN_RNG_BYTES = 3_400   # bytes of a chain's seed sequence and its three
+                          # generators: RSS grew 3.4 KB, and tracemalloc
+                          # counted 3.1 KB, a chain over 10^5 chains
 STATE_STORE_CAP = 10_000  # full state storage up to this many steps
 BLOCK_WORDS = 2**18       # 8-byte words in the largest array of one block;
                           # twice this raised peak RSS and saved no time
@@ -135,13 +140,23 @@ def check_count(name: str, value: int) -> None:
         raise ValueError(f"{name} must be at least {_LEAST_COUNT[name]}, got {value}")
 
 
+def check_bytes(who: str, arrays: dict) -> None:
+    """Raise ValueError if an entry of `arrays`, a name and the bytes `who`
+    need for it, is above ARRAY_BYTE_CAP."""
+    for what, size in arrays.items():
+        if size > ARRAY_BYTE_CAP:
+            raise ValueError(f"{who} need a {size}-byte {what}, above the "
+                             f"{ARRAY_BYTE_CAP}-byte cap")
+
+
 def check_chains(config: SGLDConfig, c: int, z_dim: int | None = None) -> None:
     """Raise ValueError if `_lockstep_chunks` on `c` chains of `config` needs
     an array of more than ARRAY_BYTE_CAP bytes: the (min(STEP_CHUNK, T), c,
     d) float64 step buffer, the (..., c, k) index buffer when k < n, or,
     when each chain has its own dataset of z_dim-wide points (`run`'s
     worker), their (c, n, z_dim) float64 stack; z_dim None is one dataset
-    the chains share."""
+    the chains share. The chains' RNG objects, `CHAIN_RNG_BYTES` each, are
+    held to the same cap."""
     chunk = min(STEP_CHUNK, config.T)
     arrays = {"step buffer": 8 * chunk * c * config.d}
     if config.k < config.n:
@@ -149,10 +164,8 @@ def check_chains(config: SGLDConfig, c: int, z_dim: int | None = None) -> None:
                                   * chunk * c * config.k)
     if z_dim is not None:
         arrays["dataset stack"] = 8 * c * config.n * z_dim
-    for what, size in arrays.items():
-        if size > ARRAY_BYTE_CAP:
-            raise ValueError(f"{c} chains need a {size}-byte {what}, above the "
-                             f"{ARRAY_BYTE_CAP}-byte cap")
+    arrays["RNG state"] = CHAIN_RNG_BYTES * c
+    check_bytes(f"{c} chains", arrays)
 
 
 def write_csv(path, columns, rows) -> None:
@@ -341,27 +354,23 @@ class _Chunk:
     """One block of `_lockstep_chunks`, every chain's, step-major. Its
     arrays may be views of buffers the next block overwrites.
 
-    `w_norm_sq` (m, c) holds ||W_t||^2 for the steps t = t0 .. t0 + m - 1,
-    and `states` (r, c, d) the states among them a trajectory stores: the
-    multiples of the stride, and the final state T. `grads` is None for the
-    first block, the initial state alone (t0 = 0, m = 1); else it holds the
-    series of the updates that made the block's states, each (m, series):
-    grad_var_sample, grad_fullbatch_norm, grad_minibatch_norm.
+    `steps` (m, c, d) holds W_t for t = t0 .. t0 + m - 1, `w_norm_sq` (m, c)
+    their ||W_t||^2, and `states` (r, c, d) those a trajectory stores: the
+    multiples of the stride, and the final state T. `indices` (m, c, k)
+    holds, when k < n, row s chain i's minibatch of its own dataset in the
+    update into W_{t0 + s}; it is None when k = n and for the first block,
+    the initial state alone (t0 = 0, m = 1).
     """
 
     t0: int
+    steps: np.ndarray
     w_norm_sq: np.ndarray
     states: np.ndarray
-    grads: tuple | None
+    indices: np.ndarray | None
 
 
-def _lockstep_chunks(
-    config: SGLDConfig,
-    model: LossModel,
-    datasets: np.ndarray,
-    chain_seqs: list[np.random.SeedSequence],
-    series: int,
-):
+def _lockstep_chunks(config: SGLDConfig, model: LossModel, datasets: np.ndarray,
+                     chain_seqs: list[np.random.SeedSequence]):
     """Advance several chains together, vectorized across chains, yielding
     a `_Chunk` for the initial states and then one per `STEP_CHUNK` steps.
 
@@ -374,17 +383,11 @@ def _lockstep_chunks(
     from its (steps * c, n) Fisher-Yates scratch.
 
     The step loop computes only the gradients and the update: each step's
-    states go into a (chunk, c, d) buffer, and a chunk's ||W||^2, gradient
-    series and stored states are taken once from it, by the same per-row
-    reductions a step would take (`_row_sq`). So a caller holds one chunk
-    of states at a time, whatever T is.
-
-    `series` is the number of leading chains that get the per-step gradient
-    series; 0 suits callers that read only the states. When k < n a series
-    chain's full-batch gradients are taken at the chunk's pre-update states,
-    one `grad_minibatch` call over its whole dataset per Fisher-Yates block
-    of steps, so no (chunk, n) table is made. A chain's values do not depend
-    on how many rows get the series.
+    states go into a (chunk, c, d) buffer, which the chunk carries with its
+    minibatch indices, and a chunk's ||W||^2 and stored states are taken
+    once from it, by the same per-row reduction a step would take
+    (`_row_sq`). So a caller holds one chunk of states at a time, whatever
+    T is.
     """
     c = len(chain_seqs)
     T, d, n, k = config.T, config.d, config.n, config.k
@@ -400,7 +403,7 @@ def _lockstep_chunks(
         rng_noise.append(np.random.default_rng(noise_s))
 
     W = np.stack([sample_initial(d, config.s_sq, r) for r in rng_init])
-    yield _Chunk(0, _row_sq(W)[None], W[None], None)
+    yield _Chunk(0, W[None], _row_sq(W)[None], W[None], None)
 
     # one contiguous table of data points to gather minibatches from: the
     # shared dataset, or the stacked datasets with chain i's at row i * n
@@ -417,16 +420,14 @@ def _lockstep_chunks(
     # (a + b is b + a in floating point), so the states take no extra buffer
     chunk = min(STEP_CHUNK, T)
     Ws = np.empty((chunk, c, d))
-    G_mini = np.empty((chunk, series, d))
     if k < n:
         # offs[s, i] holds chain i's offsets at step s, then its indices
         offs = np.empty((chunk, c, k), dtype=_index_dtype(n))
-        G_full = np.empty((chunk, series, d))
     else:
-        full, G_full = model.full_batch_grad(datasets), G_mini
+        full = model.full_batch_grad(datasets)
     for start in range(0, T, STEP_CHUNK):
         cl = min(STEP_CHUNK, T - start)
-        W = W_first = W.copy()  # off the buffer the draws below overwrite
+        W = W.copy()  # off the buffer the draws below overwrite
         for i in range(c):
             if k < n:
                 offs[:cl, i] = _draw_offsets(rng_batch[i], high, cl)
@@ -443,26 +444,14 @@ def _lockstep_chunks(
                 G = model.grad_minibatch(W, np.take(table, offs[s] + first_row, axis=0))
             else:
                 G = full(W)
-            if series:
-                G_mini[s] = G[:series]
             W = np.add(W - eta * G, Ws[s], out=Ws[s])
 
-        if series and k < n:
-            for i in range(series):
-                # chain i's pre-update states, each with its whole dataset, a
-                # Fisher-Yates block of steps at a time
-                pre = np.concatenate([W_first[i:i + 1], Ws[:cl - 1, i]])
-                for s in range(0, cl, block):
-                    b = min(block, cl - s)
-                    whole = np.broadcast_to(datasets[i], (b,) + datasets.shape[1:])
-                    G_full[s:s + b, i] = model.grad_minibatch(pre[s:s + b], whole)
-        grads = (_row_sq(G_mini[:cl] - G_full[:cl]), np.sqrt(_row_sq(G_full[:cl])),
-                 np.sqrt(_row_sq(G_mini[:cl])))
         # the chunk's multiples of the stride, and T when off the stride
         kept = Ws[-(-(start + 1) // stride) * stride - start - 1:cl:stride]
         if start + cl == T and T % stride:
             kept = np.concatenate([kept, Ws[cl - 1:cl]])
-        yield _Chunk(start + 1, _row_sq(Ws[:cl]), kept, grads)
+        yield _Chunk(start + 1, Ws[:cl], _row_sq(Ws[:cl]), kept,
+                     offs[:cl] if k < n else None)
 
 
 def ensemble_seqs(seed: int, n_chains: int, n_datasets: int = 1):
@@ -485,8 +474,8 @@ def run_ensemble(
 ) -> np.ndarray:
     """The final states W_T, (c, d), of independent chains, `n_chains` on
     each of `n_datasets` freshly sampled datasets, on `ensemble_seqs`'
-    streams, grouped dataset-major. One pass of `_lockstep_chunks` with no
-    gradient series, so only one chunk of states is held at a time."""
+    streams, grouped dataset-major. One pass of `_lockstep_chunks`, so only
+    one chunk of states is held at a time."""
     seqs = ensemble_seqs(config.seed, n_chains, n_datasets)
     chain_seqs = [seq for _, chains in seqs for seq in chains]
     drawn = [model.sample_data(np.random.default_rng(ds_seq), config.n)
@@ -495,6 +484,6 @@ def run_ensemble(
         datasets = np.repeat(np.stack(drawn), n_chains, axis=0)
     else:  # shared by every chain, and never copied per chain
         datasets = np.broadcast_to(drawn[0], (len(chain_seqs),) + drawn[0].shape)
-    for chunk in _lockstep_chunks(config, model, datasets, chain_seqs, 0):
+    for chunk in _lockstep_chunks(config, model, datasets, chain_seqs):
         pass
     return chunk.states[-1].copy()  # T is the last stored step

@@ -3,12 +3,11 @@
 Each function here is a composition or a quantity that `sgldlab` does not
 run itself, built from the library's own pieces: the only collector of
 whole chain traces (`collect`; the library reads the chain engine a chunk
-at a time), one chain on a given dataset, ensembles on a given dataset or
-with a gradient-series count, the in-process gap and stability estimators
-that `run`'s worker reproduces in one pass, the grid KL and Fisher
-information of two densities, a density's variance, and the
-minibatch-variance bound. Not a
-test file: the tests import it.
+at a time), with every chain's gradient series, one chain on a given
+dataset, ensembles on a given dataset, the in-process gap and stability
+estimators that `run`'s worker reproduces in one pass, the grid KL and
+Fisher information of two densities, a density's variance, and the
+minibatch-variance bound. Not a test file: the tests import it.
 """
 
 import numpy as np
@@ -27,32 +26,37 @@ SERIES = ("grad_var_sample", "grad_fullbatch_norm", "grad_minibatch_norm")
 # ------------------------------------------------------------------ chains
 
 
-def collect(config, model, datasets, chain_seqs, series=None):
+def collect(config, model, datasets, chain_seqs):
     """The traces of `sgld._lockstep_chunks`' chains, each held whole, with
-    `series` passed to it: the number of leading chains that get the
-    per-step gradient series, all of them when None. The other chains hold
-    read-only all-NaN series views that take no memory."""
+    every chain's gradient series taken step by step from the chunks'
+    states and minibatch indices: at each step, one `grad_minibatch` call
+    over every chain's state before the update and its minibatch (its
+    whole dataset when k = n), and one over the whole datasets."""
     c = len(chain_seqs)
-    if series is None:
-        series = c
     T = config.T
     states = np.empty((c, len(sgld._stored_steps(T)), config.d))
     w_norm_sq = np.empty((c, T + 1))
-    grad_series = np.empty((3, series, T))
-    no_series = np.broadcast_to(np.nan, (T,))
+    grad_series = np.empty((3, c, T))
+    chains = np.arange(c)[:, None]
     row = 0
-    for chunk in sgld._lockstep_chunks(config, model, datasets, chain_seqs, series):
-        t0, m = chunk.t0, chunk.w_norm_sq.shape[0]
+    for chunk in sgld._lockstep_chunks(config, model, datasets, chain_seqs):
+        t0, m = chunk.t0, chunk.steps.shape[0]
         w_norm_sq[:, t0:t0 + m] = chunk.w_norm_sq.T
-        if chunk.grads is not None:
-            for out, values in zip(grad_series, chunk.grads):
-                out[:, t0 - 1:t0 - 1 + m] = values.T
+        for s in range(m if t0 else 0):
+            W = last if s == 0 else chunk.steps[s - 1]
+            G_full = model.grad_minibatch(W, datasets)
+            G = G_full if chunk.indices is None else model.grad_minibatch(
+                W, datasets[chains, chunk.indices[s]])
+            t, D = t0 - 1 + s, G - G_full
+            grad_series[0, :, t] = np.einsum("ij,ij->i", D, D)
+            grad_series[1, :, t] = np.sqrt(np.einsum("ij,ij->i", G_full, G_full))
+            grad_series[2, :, t] = np.sqrt(np.einsum("ij,ij->i", G, G))
+        last = chunk.steps[-1].copy()
         kept = chunk.states.shape[0]
         states[:, row:row + kept] = chunk.states.swapaxes(0, 1)
         row += kept
     return [sgld.ChainTrace(config=config, states=states[i], w_norm_sq=w_norm_sq[i],
-                            **{name: values[i] if i < series else no_series
-                               for name, values in zip(SERIES, grad_series)})
+                            **dict(zip(SERIES, grad_series[:, i])))
             for i in range(c)]
 
 
@@ -71,12 +75,11 @@ def run_chain(config, model, dataset, seed_seq=None):
     return collect(config, model, dataset[None], [seed_seq])[0]
 
 
-def ensemble(config, model, dataset=None, n_chains=1, n_datasets=1, series=None):
+def ensemble(config, model, dataset=None, n_chains=1, n_datasets=1):
     """The chains whose final states `sgld.run_ensemble` returns, held
     whole, on `ensemble_seqs`' streams, over one given (n, z_dim) `dataset`
     when not None (each dataset's own sequence stays reserved for the draw,
-    so the chains' streams are the same), and with `series` passed to
-    `collect`."""
+    so the chains' streams are the same)."""
     seqs = sgld.ensemble_seqs(config.seed, n_chains, n_datasets)
     chain_seqs = [seq for _, chains in seqs for seq in chains]
     shape = (config.n, model.z_dim)
@@ -89,7 +92,7 @@ def ensemble(config, model, dataset=None, n_chains=1, n_datasets=1, series=None)
         if drawn.shape != shape:
             raise ValueError(f"dataset has shape {drawn.shape}, expected {shape}")
         datasets = np.broadcast_to(drawn, (len(chain_seqs),) + shape)
-    return collect(config, model, datasets, chain_seqs, series)
+    return collect(config, model, datasets, chain_seqs)
 
 
 # -------------------------------------------------------------- estimators
@@ -101,7 +104,7 @@ def empirical_gen_gap(model, config, n_trials, eval_loss="same_as_f"):
     composition of `gap_trials`, the trials' chains and `gen_gap`."""
     datasets = np.empty((n_trials, config.n, model.z_dim))
     chain_seqs, pool_seqs = gap_trials(model, config, datasets)
-    traces = collect(config, model, datasets, chain_seqs, series=0)
+    traces = collect(config, model, datasets, chain_seqs)
     return gen_gap(model, datasets, [tr.states[-1] for tr in traces], pool_seqs, eval_loss)
 
 
@@ -115,7 +118,7 @@ def grad_stability_trace(model, config, n_pairs, control_identical=False):
     chain_seqs = stability_chains(model, config, datasets, datasets_alt)
     if control_identical:
         datasets_alt[:] = datasets
-    traces = collect(config, model, datasets, chain_seqs, series=0)
+    traces = collect(config, model, datasets, chain_seqs)
     means, stderrs = stability_block(model, datasets, datasets_alt,
                                      np.stack([tr.states for tr in traces], axis=1))
     return [EstimateWithError(mu, se, n_pairs, "grad_stability")

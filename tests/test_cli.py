@@ -22,7 +22,7 @@ from sgldlab.estimators import (EstimateWithError, grad_variance_trace, stabilit
                                 stability_chains, write_estimates_csv)
 from sgldlab.oracle import oracle_mi_upper
 
-from reference import collect, empirical_gen_gap, ensemble, grad_stability_trace
+from reference import SERIES, collect, empirical_gen_gap, ensemble, grad_stability_trace
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -693,7 +693,7 @@ def test_run_stability_chunk_by_chunk_equals_the_whole_trace(tmp_path, monkeypat
     model, sgld_cfg, n_pairs = cfg.model(), cfg.sgld_config(), cfg["estimators"]["n_pairs"]
     datasets, datasets_alt = np.empty((2, n_pairs, sgld_cfg.n, model.z_dim))
     seqs = stability_chains(model, sgld_cfg, datasets, datasets_alt)
-    traces = collect(sgld_cfg, model, datasets, seqs, series=0)
+    traces = collect(sgld_cfg, model, datasets, seqs)
     steps = sgld._stored_steps(sgld_cfg.T)
     assert len(steps) == (10 if case == "strided" else 62) and steps[-1] == 61
     means, stderrs = stability_block(model, datasets, datasets_alt,
@@ -925,8 +925,35 @@ def test_fokker_planck_run_beyond_the_step_cap_is_refused_at_load(tmp_path):
     ({"data": {"n": 10**5}, "estimators": {"n_pairs": 2000}},
      "estimators.n_pairs + estimators.n_trials: 2004 chains need a 3206400000-byte "
      "dataset stack"),
-], ids=["step-buffer", "index-buffer", "dataset-stack"])
+    # one-step chains of one coordinate: every array fits, their seed
+    # sequences and generators do not
+    ({"loss": {"d": 1}, "sgld": {"k": 20, "T": 1}, "estimators": {"n_chains": 10**6}},
+     "estimators.n_chains: 1000000 chains need a 3400000000-byte RNG state"),
+    ({"loss": {"d": 1}, "sgld": {"k": 20, "T": 1}, "estimators": {"n_pairs": 10**6 - 4}},
+     "estimators.n_pairs + estimators.n_trials: 1000000 chains need a 3400000000-byte "
+     "RNG state"),
+], ids=["step-buffer", "index-buffer", "dataset-stack", "rng-state", "worker-rng-state"])
 def test_chain_engine_array_beyond_the_cap_is_refused_naming_its_key(over, refused):
+    raw = {name: dict(vals) for name, vals in BASE.items()}
+    for block, vals in over.items():
+        raw.setdefault(block, {}).update(vals)
+    with pytest.raises(ConfigError) as caught:
+        config.parse(raw)
+    assert str(caught.value) == f"{refused}, above the {sgld.ARRAY_BYTE_CAP}-byte cap"
+
+
+@pytest.mark.parametrize("over, refused", [
+    # one state's (10^9, 5) int64 offsets
+    ({"estimators": {"n_resamples": 10**9}},
+     "estimators.n_resamples: 1000000000 resamples need a 40000000000-byte offset array"),
+    ({"estimators": {"mi_pairs": 10**9}},
+     "estimators.mi_pairs: 1000000000 dataset pairs need a 8000000000-byte gap array"),
+    ({"verify": {"oracle_T": 10**9}},
+     "verify.oracle_T: 1000000000 oracle steps need a 8000000008-byte law trace"),
+    ({"loss": {"certify_samples": 10**10}},
+     "loss.certify_samples: 10000000000 samples need a 160000000000-byte state draw"),
+], ids=["n_resamples", "mi_pairs", "oracle_T", "certify_samples"])
+def test_count_whose_array_passes_the_cap_is_refused_naming_its_key(over, refused):
     raw = {name: dict(vals) for name, vals in BASE.items()}
     for block, vals in over.items():
         raw.setdefault(block, {}).update(vals)
@@ -955,15 +982,16 @@ def test_run_of_too_many_chains_is_refused_before_any_output(tmp_path, capsys,
 @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS bounds memory on Linux")
 @pytest.mark.parametrize("sub, over, limit_mib, started", [
     ("certify", {"fp": {"n_cells": 10**9, "T_end": 1e-300}}, 300, False),
-    ("verify", {"verify": {"oracle_T": 10**9}}, 300, True),
-    ("bounds", {"estimators": {"mi_pairs": 10**9}}, 300, False),
-    ("run", {"estimators": {"n_chains": 10**6}}, 192, True),
+    ("verify", {"verify": {"oracle_T": 2 * 10**8}}, 300, True),
+    ("bounds", {"estimators": {"mi_pairs": 2 * 10**8}}, 300, False),
+    ("run", {"estimators": {"n_chains": 4 * 10**5}}, 192, True),
 ])
 def test_out_of_memory_ends_in_one_line(tmp_path, sub, over, limit_mib, started):
-    # each asks for more than its address space holds: one (10^9,) array,
-    # or, for `run`, 10^6 chains, whose seed sequences and 0.96 GB step
-    # buffer the load-time cap admits. The command fails in one line; the
-    # lock goes, and a started manifest stays running
+    # each asks for more than its address space holds and no more than the
+    # load-time cap admits: a (10^9,) array, a (2 10^8 + 1,) law trace or
+    # (2 10^8,) gaps, or, for `run`, 4 10^5 chains' 1.36 GB of seed
+    # sequences and generators and 384 MB step buffer. The command fails in
+    # one line; the lock goes, and a started manifest stays running
     cfg = write_config(tmp_path / "c.json", sgld={"k": 20}, **over)
     extra = []
     if sub == "bounds":  # the exact MI's pairs are drawn for a full-batch run
@@ -1040,7 +1068,7 @@ def test_run_ensemble_artifacts_equal_in_process_ensemble(tmp_path, monkeypatch,
     cfg = load_config(path)
     model, sgld_cfg, est = cfg.model(), cfg.sgld_config(), cfg["estimators"]
     dataset = np.load(tmp_path / "run" / "dataset.npy")
-    traces = ensemble(sgld_cfg, model, dataset, n_chains=est["n_chains"], series=1)
+    traces = ensemble(sgld_cfg, model, dataset, n_chains=est["n_chains"])
     traces[0].to_csv(tmp_path / "chain_000.csv")
     sgld.write_csv(tmp_path / "moments.csv", ("t", "mean_w_norm_sq"), enumerate(
         np.mean([tr.w_norm_sq for tr in traces], axis=0).tolist()))
@@ -1053,6 +1081,31 @@ def test_run_ensemble_artifacts_equal_in_process_ensemble(tmp_path, monkeypatch,
     assert [int(r[1]) for r in rows] == sgld._stored_steps(traces[0].config.T).tolist()
     assert [float(r[2]) for r in rows] == means.tolist()
     assert [float(r[3]) for r in rows] == stderrs.tolist()
+
+
+@pytest.mark.parametrize("family, k, strided", [
+    ("quadratic", 5, False), ("quadratic", 20, False), ("logistic", 5, False),
+    ("logistic", 20, False), ("nonconvex", 5, False), ("nonconvex", 20, False),
+    ("logistic", 5, True)])
+def test_run_chain_000_series_equal_the_step_by_step_reference(tmp_path, monkeypatch,
+                                                              family, k, strided):
+    # chain 0's three gradient columns, which `run` takes a chunk at a time,
+    # against every chain's series taken one step at a time; chunks of 16
+    # steps over T = 61, k < n and k = n (n = 20)
+    monkeypatch.setattr(sgld, "STEP_CHUNK", 16)
+    if strided:
+        monkeypatch.setattr(sgld, "STATE_STORE_CAP", 10)  # every 7th state
+    loss = {"quadratic": {}, "logistic": LOGISTIC, "nonconvex": NONCONVEX}[family]
+    path = write_config(tmp_path / "c.json", **loss, sgld={"k": k, "T": 61})
+    assert main(["run", "--config", path, "--out", str(tmp_path / "run")]) == 0
+    cfg = load_config(path)
+    model, sgld_cfg = cfg.model(), cfg.sgld_config()
+    dataset = np.load(tmp_path / "run" / "dataset.npy")
+    [trace, *_] = ensemble(sgld_cfg, model, dataset,
+                           n_chains=cfg["estimators"]["n_chains"])
+    _, rows = read_csv_rows(tmp_path / "run" / "chain_000.csv")
+    for column, name in enumerate(SERIES, start=2):
+        assert [float(row[column]) for row in rows[:-1]] == getattr(trace, name).tolist()
 
 
 def run_imports(tmp_path, module):

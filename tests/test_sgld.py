@@ -16,6 +16,7 @@ import pytest
 
 import sgldlab
 import sgldlab.sgld as sgld
+from sgldlab import cli
 from sgldlab.constants import (
     admissibility_failures,
     lsi_constant,
@@ -351,6 +352,18 @@ def test_ensemble_matches_documented_stream_layout(monkeypatch, block_steps):
                 assert np.array_equal(traces[i * n_chains + j].states, want)
 
 
+def run_series(cfg, model, datasets, chain_seqs):
+    """Chain 0's gradient series as `run` takes them: `cli._update_series`
+    on each chunk of one engine pass."""
+    series = np.empty((3, cfg.T))
+    for chunk in sgld._lockstep_chunks(cfg, model, datasets, chain_seqs):
+        if chunk.t0:
+            cli._update_series(model, datasets[0], last, chunk,
+                               series[:, chunk.t0 - 1:chunk.t0 - 1 + chunk.steps.shape[0]])
+        last = chunk.steps[-1:, 0].copy()
+    return series
+
+
 @pytest.mark.parametrize("strided", [False, True])
 @pytest.mark.parametrize("series", [1, None])
 @pytest.mark.parametrize("k", [10, 100])
@@ -359,19 +372,26 @@ def test_engine_bookkeeping_equals_per_step_record(monkeypatch, n_datasets, k,
                                                     series, strided):
     # every recorded field of each chain against the step-by-step record:
     # chunks of 512, 512 and 37 steps; one shared or two stacked datasets;
-    # k < n and k = n; series on the first chain or on all of them
+    # k < n and k = n; the gradient series of chain 0 as `run` takes them
+    # (series 1), or of every chain as the reference collects them (None)
     if strided:
         # stride ceil(1061 / 100) = 11: steps 0, 11, ..., 1056 plus 1061
         monkeypatch.setattr(sgld, "STATE_STORE_CAP", 100)
     model = quad_model()
     cfg = quad_config(T=2 * sgld.STEP_CHUNK + 37, k=k)
     n_chains = 2
-    traces = ensemble(cfg, model, n_chains=n_chains, n_datasets=n_datasets,
-                      series=series)
-    n_series = len(traces) if series is None else series
-    for i, ds_seq in enumerate(np.random.SeedSequence(cfg.seed).spawn(n_datasets)):
-        sampler_seq, *chain_seqs = ds_seq.spawn(1 + n_chains)
-        ds = model.sample_data(np.random.default_rng(sampler_seq), cfg.n)
+    traces = ensemble(cfg, model, n_chains=n_chains, n_datasets=n_datasets)
+    seqs = [ds_seq.spawn(1 + n_chains)
+            for ds_seq in np.random.SeedSequence(cfg.seed).spawn(n_datasets)]
+    drawn = [model.sample_data(np.random.default_rng(sampler_seq), cfg.n)
+             for sampler_seq, *_ in seqs]
+    if series == 1:
+        datasets = np.repeat(np.stack(drawn), n_chains, axis=0)
+        chain_seqs = [seq for _, chains in sgld.ensemble_seqs(cfg.seed, n_chains, n_datasets)
+                      for seq in chains]  # fresh ones: spawning is stateful
+        got = run_series(cfg, model, datasets, chain_seqs)
+        traces[0] = dataclasses.replace(traces[0], **dict(zip(SERIES, got)))
+    for i, ((_, *chain_seqs), ds) in enumerate(zip(seqs, drawn)):
         for j, chain_seq in enumerate(chain_seqs):
             tr = traces[i * n_chains + j]
             want = _chain_record_by_hand(cfg, model, ds, chain_seq)
@@ -381,56 +401,9 @@ def test_engine_bookkeeping_equals_per_step_record(monkeypatch, n_datasets, k,
             assert np.array_equal(stored, np.unique(steps))
             assert np.array_equal(tr.states, want["states"][stored])
             assert np.array_equal(tr.w_norm_sq, want["w_norm_sq"])
-            for name in SERIES:
-                got = getattr(tr, name)
-                if i * n_chains + j < n_series:
-                    assert np.array_equal(got, want[name])
-                else:
-                    assert np.all(np.isnan(got))
-
-
-def test_lockstep_without_series_keeps_states():
-    model = quad_model()
-    cfg = quad_config(T=90, k=10)
-    ds = model.sample_data(np.random.default_rng(4), cfg.n)
-    def run(series):
-        seqs = np.random.SeedSequence(cfg.seed).spawn(2)  # spawning is stateful
-        return collect(cfg, model, np.stack([ds, ds[::-1]]), seqs, series=series)
-
-    full = run(None)
-    for series in (0, 1):
-        for i, (a, b) in enumerate(zip(full, run(series))):
-            assert np.array_equal(a.states, b.states)
-            assert np.array_equal(a.w_norm_sq, b.w_norm_sq)
-            for name in SERIES:
-                got = getattr(b, name)
-                if i < series:
-                    assert np.array_equal(got, getattr(a, name))
-                else:
-                    assert np.all(np.isnan(got)) and not got.flags.writeable
-
-
-@pytest.mark.parametrize("k", [7, 40])
-@pytest.mark.parametrize("n_datasets", [1, 3])
-@pytest.mark.parametrize(
-    "model",
-    [QuadraticLoss(1.0, 1.0, 3), LogisticRidgeLoss(1.0, 1.0, 3),
-     NonconvexRidgeLoss(1.0, 0.5, 1.0, 3)],
-    ids=["quadratic", "logistic", "nonconvex"],
-)
-def test_ensemble_series_count_row_zero_equals_full_series(model, n_datasets, k):
-    # the series of the leading rows do not depend on how many rows get them
-    cfg = quad_config(T=60, k=k, n=40, d=3)
-    full = ensemble(cfg, model, n_chains=4, n_datasets=n_datasets)
-    for series in (0, 1, 2):
-        part = ensemble(cfg, model, n_chains=4, n_datasets=n_datasets, series=series)
-        assert len(part) == len(full) == 4 * n_datasets
-        for i, (a, b) in enumerate(zip(full, part)):
-            assert np.array_equal(a.states, b.states)
-            assert np.array_equal(a.w_norm_sq, b.w_norm_sq)
-            for name in SERIES:
-                want = getattr(a, name) if i < series else np.full(cfg.T, np.nan)
-                assert np.array_equal(getattr(b, name), want, equal_nan=True)
+            if series is None or i == j == 0:
+                for name in SERIES:
+                    assert np.array_equal(getattr(tr, name), want[name])
 
 
 @pytest.mark.parametrize("k", [5, 30])
@@ -557,7 +530,9 @@ def test_run_ensemble_holds_no_chain_by_step_array():
     ids=["quadratic", "logistic"])
 def test_shared_dataset_ensemble_makes_no_per_chain_copy(model, series):
     # 64 chains on one (4096, 16) dataset: a (c, n, z) copy of its broadcast
-    # would take 32 MiB, against about 1 MiB for the largest per-step block
+    # would take 32 MiB, against about 1 MiB for the largest per-step block;
+    # the engine with chain 0's series as `run` takes them (series 1), or
+    # `run_ensemble` (None)
     cfg = quad_config(n=4096, k=8, T=3, d=model.d)
     c = 64
     broadcast_bytes = c * cfg.n * model.z_dim * 8
@@ -566,7 +541,9 @@ def test_shared_dataset_ensemble_makes_no_per_chain_copy(model, series):
         if series is None:
             run_ensemble(cfg, model, n_chains=c)
         else:
-            ensemble(cfg, model, n_chains=c, series=series)
+            ds = model.sample_data(np.random.default_rng(0), cfg.n)
+            run_series(cfg, model, np.broadcast_to(ds, (c,) + ds.shape),
+                       np.random.SeedSequence(cfg.seed).spawn(c))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
