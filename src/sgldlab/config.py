@@ -3,6 +3,8 @@ validated `ExperimentConfig` the subcommands read.
 
 `_SCHEMAS` holds each key's default, JSON type and the rule its value alone
 must pass; `_check_values` holds the rules that read more than one key.
+`_arrays` is the one table of the arrays whose bytes grow with a count,
+which `_check_values` holds to `sgld.ARRAY_BYTE_CAP`.
 `parse` checks a dict against both, and `load_config` reads one from a JSON
 file. Each refusal is a ConfigError that names its key, raised before any
 subcommand opens its output directory, by the rule of the code that uses
@@ -23,12 +25,11 @@ import numpy as np
 from .bounds import BOUND_NAMES, bound_farghly_shape, bound_xu_raginsky, horizon_grid
 from .constants import (LSI_MODES, ParametrixOverrides, derive_constants, lsi_route,
                         subexp_params)
-from .estimators import EVAL_LOSSES, admitted_lambdas, check_resamples, pth_moment_min_chains
+from .estimators import EVAL_LOSSES, admitted_lambdas, pth_moment_min_chains
 from .fokker_planck import Grid1D, check_dt, stability_limit, suggested_halfwidth
-from .losses import (LogisticRidgeLoss, NonconvexRidgeLoss, QuadraticLoss, check_draws,
-                     check_samples)
-from .oracle import check_horizon, check_pairs
-from .sgld import SGLDConfig, check_chains, check_count, check_size
+from .losses import LogisticRidgeLoss, NonconvexRidgeLoss, QuadraticLoss, check_samples
+from .sgld import (ARRAY_BYTE_CAP, CHAIN_RNG_BYTES, STEP_CHUNK, SGLDConfig, _index_dtype,
+                   check_count, check_size)
 
 
 class ConfigError(Exception):
@@ -304,22 +305,19 @@ def parse(raw) -> ExperimentConfig:
 
 def _check_values(cfg: ExperimentConfig) -> None:
     """The rules that read more than one key, each the rule of the code that
-    uses the values; an unset bounds.lsi_mode takes the model's route."""
+    uses the values, and the byte cap of `_arrays`' table; an unset
+    bounds.lsi_mode takes the model's route."""
     model = cfg.model()  # family-specific parameter validation
     lc = model.constants()
     bnd, est = cfg["bounds"], cfg["estimators"]
     if bnd["lsi_mode"] is None:
         bnd["lsi_mode"] = lsi_route(lc)
     sgld_cfg = cfg.sgld_config()
-    # the chain engine's largest arrays in `run`'s process and in its worker,
-    # whose chains each have their own dataset
-    _check("estimators.n_chains", check_chains, sgld_cfg, est["n_chains"])
-    _check("estimators.n_pairs + estimators.n_trials", check_chains, sgld_cfg,
-           est["n_pairs"] + est["n_trials"], model.z_dim)
-    # the largest arrays of the variance trace, the oracle's pairs and certify
-    _check("estimators.n_resamples", check_resamples, sgld_cfg, est["n_resamples"])
-    _check("estimators.mi_pairs", check_pairs, est["mi_pairs"])
-    _check("loss.certify_samples", check_draws, model, cfg["loss"]["certify_samples"])
+    for key, who, arrays in _arrays(cfg, model, sgld_cfg):
+        for what, size in arrays.items():
+            if size > ARRAY_BYTE_CAP:
+                raise ConfigError(f"{key}: {who} need a {size}-byte {what}, above "
+                                  f"the {ARRAY_BYTE_CAP}-byte cap")
     nu = _check("bounds.universal_C_moment", subexp_params, lc, beta=sgld_cfg.beta,
                 d=sgld_cfg.d, s_sq=sgld_cfg.s_sq,
                 universal_C=bnd["universal_C_moment"])["nu"]
@@ -339,7 +337,6 @@ def _check_values(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"verify.oracle_T: the oracle's KL recursion needs at "
                           f"least 1 step, got {oracle_T}")
     _check("verify.oracle_T", dataclasses.replace, sgld_cfg, k=sgld_cfg.n, T=oracle_T)
-    _check("verify.oracle_T", check_horizon, oracle_T)
     cfg.parametrix()  # the parse `derived` makes
     if cfg["verify"]["falsify"] and lc.R is None:
         # falsify changes the oracle section only, which needs R
@@ -349,6 +346,43 @@ def _check_values(cfg: ExperimentConfig) -> None:
     for n in bnd["n_grid"] or ():
         # SGLDConfig states the dataset-size rule; k = 1 fits every size
         _check("bounds.n_grid", dataclasses.replace, sgld_cfg, n=n, k=1)
+
+
+def _arrays(cfg: ExperimentConfig, model, s: SGLDConfig) -> list:
+    """(key, who, {array: bytes}) of each count whose arrays grow with it:
+    the bytes of each array it makes a subcommand allocate, as the code
+    that allocates it sizes it; an array made only at k < n is 0 at k = n."""
+    est, draws = cfg["estimators"], cfg["loss"]["certify_samples"]
+    R, pairs, oracle_T = est["n_resamples"], est["mi_pairs"], cfg["verify"]["oracle_T"]
+    sub, index = s.k < s.n, np.dtype(_index_dtype(s.n)).itemsize
+    chunk, cells = min(STEP_CHUNK, s.T), cfg["fp"]["n_cells"]
+
+    def engine(c: int, own_data: bool) -> tuple:
+        # `_lockstep_chunks`' buffers and c chains' RNG objects; `run`'s
+        # worker gives each chain its own dataset
+        return f"{c} chains", {"step buffer": 8 * chunk * c * s.d,
+                               "index buffer": sub * index * chunk * c * s.k,
+                               "dataset stack": own_data * 8 * c * s.n * model.z_dim,
+                               "RNG state": CHAIN_RNG_BYTES * c}
+
+    return [
+        ("estimators.n_chains", *engine(est["n_chains"], False)),
+        ("estimators.n_pairs + estimators.n_trials",
+         *engine(est["n_pairs"] + est["n_trials"], True)),
+        # one state's resamples in `grad_variance_trace`
+        ("estimators.n_resamples", f"{R} resamples", {
+            "offset array": sub * 8 * R * s.k, "deviation sum": sub * 8 * R * s.d,
+            "Fisher-Yates scratch": sub * index * s.n * R}),
+        ("estimators.mi_pairs", f"{pairs} dataset pairs", {"gap array": 8 * pairs}),
+        ("loss.certify_samples", f"{draws} samples", {
+            "state draw": 8 * draws * model.d, "data draw": 8 * draws * model.z_dim}),
+        ("verify.oracle_T", f"{oracle_T} oracle steps", {"law trace": 8 * (oracle_T + 1)}),
+        # `run`'s (3, T) chain 0 series; its (T + 1)-long norms, and `bounds`'
+        # law up to a T_grid entry, are no larger
+        ("sgld.T", f"{s.T} steps", {"gradient series": 24 * s.T}),
+        # `verify`'s fine Fokker-Planck run: the (2, 3, 2 n_cells) bands
+        ("fp.n_cells", f"{cells} cells", {"band array": 96 * cells}),
+    ]
 
 
 # the most steps of one of `verify`'s Fokker-Planck runs. A step takes about

@@ -35,7 +35,6 @@ __all__ = [
     "InequalityCheck",
     "CertificationReport",
     "certify",
-    "check_draws",
     "check_samples",
 ]
 
@@ -531,15 +530,6 @@ def check_samples(n_samples: int) -> None:
     """Raise ValueError unless `certify` can draw `n_samples` points."""
     if n_samples < 1:
         raise ValueError(f"n_samples must be positive, got {n_samples}")
-
-
-def check_draws(model: LossModel, n_samples: int) -> None:
-    """Raise ValueError if `certify`'s (n_samples, d) states or (n_samples,
-    z_dim) data points of `model` need more than `sgld.ARRAY_BYTE_CAP` bytes."""
-    from .sgld import check_bytes  # sgld imports this module
-
-    check_bytes(f"{n_samples} samples", {"state draw": 8 * n_samples * model.d,
-                                         "data draw": 8 * n_samples * model.z_dim})
 
 
 def certify(

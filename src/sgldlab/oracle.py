@@ -21,11 +21,9 @@ import numpy as np
 
 from .estimators import EstimateWithError, _estimate
 from .losses import LossModel
-from .sgld import SGLDConfig, check_bytes, check_count, write_csv
+from .sgld import SGLDConfig, _block_len, check_count, write_csv
 
 __all__ = [
-    "check_horizon",
-    "check_pairs",
     "OracleTrace",
     "oracle_trace",
     "oracle_pair_gaps",
@@ -35,18 +33,8 @@ __all__ = [
     "verify_kl_recursion",
 ]
 
-
-def check_horizon(T: int) -> None:
-    """Raise ValueError if the law of a horizon of T steps needs an array of
-    more than ARRAY_BYTE_CAP bytes: `_response_and_var`'s and
-    `oracle_trace`'s are (T + 1)-long, 8 bytes an entry."""
-    check_bytes(f"{T} oracle steps", {"law trace": 8 * (T + 1)})
-
-
-def check_pairs(n_dataset_pairs: int) -> None:
-    """Raise ValueError if `oracle_pair_gaps` over `n_dataset_pairs` pairs
-    needs more than ARRAY_BYTE_CAP bytes for its float64 gaps."""
-    check_bytes(f"{n_dataset_pairs} dataset pairs", {"gap array": 8 * n_dataset_pairs})
+SEQ_WORDS = 51  # 8-byte words of a spawned SeedSequence: tracemalloc
+                # counted 407 B a sequence over 20,000
 
 
 def _response_and_var(eta: float, beta: float, R: float, s_sq: float, T: int):
@@ -128,10 +116,15 @@ def oracle_pair_gaps(
     The data-only part of the bound: it depends on (seed, n, pairs,
     control), not on the step size, temperature or horizon, so a grid of
     horizons can draw its pairs once and pass them to `oracle_mi_from_gaps`.
+    The pairs' sequences are spawned a block at a time, the children one
+    call would spawn, so at most a block of them is held.
     """
     check_count("n_dataset_pairs", n_dataset_pairs)
     gaps = np.empty(n_dataset_pairs)
-    for i, seq in enumerate(np.random.SeedSequence(seed).spawn(n_dataset_pairs)):
+    root, block = np.random.SeedSequence(seed), _block_len(SEQ_WORDS)
+    seqs = (seq for i0 in range(0, n_dataset_pairs, block)
+            for seq in root.spawn(min(block, n_dataset_pairs - i0)))
+    for i, seq in enumerate(seqs):
         s_seq, s_alt_seq = seq.spawn(2)
         S = model.sample_data(np.random.default_rng(s_seq), n)
         S_alt = S if control_identical else model.sample_data(

@@ -44,8 +44,6 @@ from .losses import LossModel
 __all__ = [
     "SGLDConfig",
     "ChainTrace",
-    "check_bytes",
-    "check_chains",
     "check_count",
     "check_size",
     "sample_initial",
@@ -57,8 +55,8 @@ __all__ = [
 
 STEP_CHUNK = 512          # steps per pre-drawn RNG block
 ARRAY_BYTE_CAP = 2**31    # bytes of the largest array a count may ask for,
-                          # and of a run's chains' RNG objects (`check_bytes`);
-                          # nonconvex-wide's largest array is about 26 MB
+                          # and of a run's chains' RNG objects (`config`'s
+                          # table); nonconvex-wide's largest is about 26 MB
 CHAIN_RNG_BYTES = 3_400   # bytes of a chain's seed sequence and its three
                           # generators: RSS grew 3.4 KB, and tracemalloc
                           # counted 3.1 KB, a chain over 10^5 chains
@@ -138,34 +136,6 @@ def check_count(name: str, value: int) -> None:
     """Raise ValueError if the count parameter `name` is below its least value."""
     if value < _LEAST_COUNT[name]:
         raise ValueError(f"{name} must be at least {_LEAST_COUNT[name]}, got {value}")
-
-
-def check_bytes(who: str, arrays: dict) -> None:
-    """Raise ValueError if an entry of `arrays`, a name and the bytes `who`
-    need for it, is above ARRAY_BYTE_CAP."""
-    for what, size in arrays.items():
-        if size > ARRAY_BYTE_CAP:
-            raise ValueError(f"{who} need a {size}-byte {what}, above the "
-                             f"{ARRAY_BYTE_CAP}-byte cap")
-
-
-def check_chains(config: SGLDConfig, c: int, z_dim: int | None = None) -> None:
-    """Raise ValueError if `_lockstep_chunks` on `c` chains of `config` needs
-    an array of more than ARRAY_BYTE_CAP bytes: the (min(STEP_CHUNK, T), c,
-    d) float64 step buffer, the (..., c, k) index buffer when k < n, or,
-    when each chain has its own dataset of z_dim-wide points (`run`'s
-    worker), their (c, n, z_dim) float64 stack; z_dim None is one dataset
-    the chains share. The chains' RNG objects, `CHAIN_RNG_BYTES` each, are
-    held to the same cap."""
-    chunk = min(STEP_CHUNK, config.T)
-    arrays = {"step buffer": 8 * chunk * c * config.d}
-    if config.k < config.n:
-        arrays["index buffer"] = (np.dtype(_index_dtype(config.n)).itemsize
-                                  * chunk * c * config.k)
-    if z_dim is not None:
-        arrays["dataset stack"] = 8 * c * config.n * z_dim
-    arrays["RNG state"] = CHAIN_RNG_BYTES * c
-    check_bytes(f"{c} chains", arrays)
 
 
 def write_csv(path, columns, rows) -> None:

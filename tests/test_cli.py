@@ -962,6 +962,46 @@ def test_count_whose_array_passes_the_cap_is_refused_naming_its_key(over, refuse
     assert str(caught.value) == f"{refused}, above the {sgld.ARRAY_BYTE_CAP}-byte cap"
 
 
+CAP = 2**24  # a cap under which every row's bound fits in memory at load
+
+
+@pytest.mark.parametrize("over, key, block, name, largest", [
+    # 512 steps of 5 coordinates: the step buffer outgrows the RNG state
+    ({"sgld": {"T": 512}, "loss": {"d": 5}}, "estimators.n_chains",
+     "estimators", "n_chains", CAP // (8 * 512 * 5)),
+    # 1,000 points of width 2 a chain, 4 of them trials
+    ({"data": {"n": 1000}}, "estimators.n_pairs + estimators.n_trials",
+     "estimators", "n_pairs", CAP // (8 * 1000 * 2) - 4),
+    # one state's (R, k = 5) int64 offsets
+    ({}, "estimators.n_resamples", "estimators", "n_resamples", CAP // (8 * 5)),
+    ({}, "estimators.mi_pairs", "estimators", "mi_pairs", CAP // 8),
+    # (N, d = 2) states and (N, 2) points
+    ({}, "loss.certify_samples", "loss", "certify_samples", CAP // (8 * 2)),
+    ({}, "verify.oracle_T", "verify", "oracle_T", CAP // 8 - 1),
+    # `run`'s (3, T) chain 0 series
+    ({}, "sgld.T", "sgld", "T", CAP // 24),
+    # the fine run's (2, 3, 2 n_cells) bands; one step of the fine run
+    # outlasts T_end, so FP_STEP_CAP refuses nothing
+    ({"fp": {"T_end": 1e-300}}, "fp.n_cells", "fp", "n_cells", CAP // 96),
+], ids=["n_chains", "n_pairs", "n_resamples", "mi_pairs", "certify_samples",
+        "oracle_T", "T", "n_cells"])
+def test_each_array_row_admits_its_largest_count_and_refuses_the_next(
+        monkeypatch, over, key, block, name, largest):
+    # the table's bound on each count is the bytes of the arrays the code
+    # allocates; neither parse allocates them
+    monkeypatch.setattr(config, "ARRAY_BYTE_CAP", CAP)
+    raw = {blk: dict(vals) for blk, vals in BASE.items()}
+    for blk, vals in over.items():
+        raw.setdefault(blk, {}).update(vals)
+    raw.setdefault(block, {})[name] = largest
+    assert config.parse(raw)[block][name] == largest
+    raw[block][name] = largest + 1
+    with pytest.raises(ConfigError) as caught:
+        config.parse(raw)
+    assert str(caught.value).startswith(f"{key}: ")
+    assert str(caught.value).endswith(f", above the {CAP}-byte cap")
+
+
 def test_run_of_too_many_chains_is_refused_before_any_output(tmp_path, capsys,
                                                             monkeypatch):
     # 10^7 chains' (60, 10^7, 2) step buffer is 9.6 GB: refused at load, in
@@ -981,14 +1021,15 @@ def test_run_of_too_many_chains_is_refused_before_any_output(tmp_path, capsys,
 
 @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS bounds memory on Linux")
 @pytest.mark.parametrize("sub, over, limit_mib, started", [
-    ("certify", {"fp": {"n_cells": 10**9, "T_end": 1e-300}}, 300, False),
+    ("certify", {"fp": {"n_cells": 2 * 10**7, "T_end": 1e-300}}, 300, False),
     ("verify", {"verify": {"oracle_T": 2 * 10**8}}, 300, True),
     ("bounds", {"estimators": {"mi_pairs": 2 * 10**8}}, 300, False),
     ("run", {"estimators": {"n_chains": 4 * 10**5}}, 192, True),
 ])
 def test_out_of_memory_ends_in_one_line(tmp_path, sub, over, limit_mib, started):
     # each asks for more than its address space holds and no more than the
-    # load-time cap admits: a (10^9,) array, a (2 10^8 + 1,) law trace or
+    # load-time cap admits: the load's own (2 10^7,) Fokker-Planck grids,
+    # 160 MB each, a (2 10^8 + 1,) law trace or
     # (2 10^8,) gaps, or, for `run`, 4 10^5 chains' 1.36 GB of seed
     # sequences and generators and 384 MB step buffer. The command fails in
     # one line; the lock goes, and a started manifest stays running

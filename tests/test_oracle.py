@@ -1,10 +1,13 @@
 """Tests for the exact Gaussian law and its KL machinery."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import sgldlab.oracle as oracle
+import sgldlab.sgld as sgld
 from sgldlab.losses import NonconvexRidgeLoss, QuadraticLoss
 from sgldlab.oracle import (
     KLRecursionReport,
@@ -199,6 +202,44 @@ def test_mi_from_gaps_reuses_one_draw_across_horizons():
         assert oracle_mi_from_gaps(gaps, a[T], v[T]) == want
     with pytest.raises(ValueError):
         oracle_pair_gaps(model, 808, 20, 0)
+
+
+def per_pair_gaps(model, seed, n, n_pairs):
+    # each pair's squared mean gap, its sequences spawned in one call
+    gaps = []
+    for seq in np.random.SeedSequence(seed).spawn(n_pairs):
+        S, S_alt = (model.sample_data(np.random.default_rng(s), n) for s in seq.spawn(2))
+        diff = S.mean(axis=0) - S_alt.mean(axis=0)
+        gaps.append(float(diff @ diff))
+    return np.array(gaps)
+
+
+def test_pair_gaps_keep_their_bits_across_spawn_blocks(monkeypatch):
+    # blocks of 3 sequences: 10 pairs spawn 3, 3, 3 and 1, the children
+    # one spawn of 10 gives
+    monkeypatch.setattr(sgld, "BLOCK_WORDS", 4 * oracle.SEQ_WORDS - 1)
+    assert sgld._block_len(oracle.SEQ_WORDS) == 3
+    model = QuadraticLoss(R=1.0, data_radius=1.0, d=2)
+    assert np.array_equal(oracle_pair_gaps(model, 7, 5, 10),
+                          per_pair_gaps(model, 7, 5, 10))
+
+
+def test_pair_gaps_hold_one_block_of_sequences(monkeypatch):
+    # blocks of 100 sequences, about 0.4 KB each: the peak grows by the
+    # 8-byte gaps alone from 400 to 1,600 pairs, where all the pairs'
+    # sequences at once would add about 0.5 MB
+    monkeypatch.setattr(sgld, "BLOCK_WORDS", 100 * oracle.SEQ_WORDS)
+    model = QuadraticLoss(R=1.0, data_radius=1.0, d=1)
+    oracle_pair_gaps(model, 7, 1, 10)  # first-call allocations out of the peaks
+    peaks = []
+    for n_pairs in (400, 1600):
+        tracemalloc.start()
+        try:
+            oracle_pair_gaps(model, 7, 1, n_pairs)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 1200 * 50, peaks
 
 
 def test_mi_requires_full_batch():

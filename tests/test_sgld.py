@@ -16,7 +16,7 @@ import pytest
 
 import sgldlab
 import sgldlab.sgld as sgld
-from sgldlab import cli
+from sgldlab import cli, config
 from sgldlab.constants import (
     admissibility_failures,
     lsi_constant,
@@ -548,6 +548,25 @@ def test_shared_dataset_ensemble_makes_no_per_chain_copy(model, series):
     finally:
         tracemalloc.stop()
     assert peak < broadcast_bytes / 4
+
+
+def test_engine_buffers_have_the_bytes_of_the_config_table():
+    # k < n over 300 points (uint16 indices) and T past one chunk: the step
+    # and index buffers the chunks view are the table's n_chains arrays
+    cfg = config.parse({
+        "loss": {"family": "quadratic", "R": 1.0, "d": 3},
+        "sgld": {"eta": 0.05, "beta": 4.0, "k": 7, "T": 600},
+        "data": {"n": 300}, "estimators": {"n_chains": 5}})
+    model, s = cfg.model(), cfg.sgld_config()
+    rows = {key: arrays for key, _, arrays in config._arrays(cfg, model, s)}
+    arrays = rows["estimators.n_chains"]
+    ds = model.sample_data(np.random.default_rng(0), s.n)
+    chunks = sgld._lockstep_chunks(s, model, np.broadcast_to(ds, (5,) + ds.shape),
+                                   np.random.SeedSequence(s.seed).spawn(5))
+    next(chunks)  # the initial states
+    chunk = next(chunks)
+    assert chunk.steps.base.nbytes == arrays["step buffer"] == 8 * 512 * 5 * 3
+    assert chunk.indices.base.nbytes == arrays["index buffer"] == 2 * 512 * 5 * 7
 
 
 def test_ensemble_chains_differ_within_dataset():
