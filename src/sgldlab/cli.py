@@ -49,7 +49,8 @@ from .estimators import (
 )
 from .fokker_planck import evolve_pair, gibbs_density, verify_inequality_12
 from .losses import certify
-from .oracle import oracle_mi_upper, oracle_trace, verify_kl_recursion
+from .oracle import (oracle_mi_from_gaps, oracle_pair_gaps, oracle_trace,
+                     verify_kl_recursion)
 from .sgld import (
     ChainTrace,
     SGLDConfig,
@@ -758,17 +759,20 @@ def cmd_verify(args) -> int:
             else:
                 contraction = math.exp(-o_cfg.eta * lc.R / 4.0)
                 add = o_cfg.eta * (o_cfg.beta / 2.0) * lc.R**2 * gap_sq
-            finite = np.isfinite([trace.mean_norm, trace.var, trace.kl]).all(axis=0)
-            if not finite.all():
+            # each array tested on its own: a stack of the three is 3 rows
+            step = min((int(np.argmin(ok)) for ok in map(np.isfinite, (
+                trace.mean_norm, trace.var, trace.kl)) if not ok.all()), default=None)
+            if step is not None:
                 # |1 - eta R| > 1: the law leaves the float range, and no
                 # recursion or MI value is defined past it
-                step = int(np.argmin(finite))
                 sections["oracle"] = {"non_finite_from_step": step}
                 hard_failures.append(f"oracle law not finite from step {step}")
             else:
                 rec = verify_kl_recursion(trace.kl, contraction, add)
-                mi_zero = oracle_mi_upper(model, o_cfg, n_dataset_pairs=8,
-                                          control_identical=True)
+                # the identical-pair control: the composition `bounds` runs
+                mi_zero = oracle_mi_from_gaps(
+                    oracle_pair_gaps(model, seed, o_cfg.n, 8, control_identical=True),
+                    trace.response[-1], trace.var[-1])
                 sections["oracle"] = {
                     "recursion_violations": rec.n_violations,
                     "recursion_worst_slack": rec.worst_slack,

@@ -26,7 +26,7 @@ from .bounds import BOUND_NAMES, bound_farghly_shape, bound_xu_raginsky, horizon
 from .constants import (LSI_MODES, ParametrixOverrides, derive_constants, lsi_route,
                         subexp_params)
 from .estimators import EVAL_LOSSES, admitted_lambdas, pth_moment_min_chains
-from .fokker_planck import Grid1D, check_dt, stability_limit, suggested_halfwidth
+from .fokker_planck import Grid1D, stability_limit, suggested_halfwidth
 from .losses import LogisticRidgeLoss, NonconvexRidgeLoss, QuadraticLoss, check_samples
 from .sgld import (ARRAY_BYTE_CAP, CHAIN_RNG_BYTES, STEP_CHUNK, SGLDConfig, _index_dtype,
                    check_count, check_size)
@@ -329,9 +329,7 @@ def _check_values(cfg: ExperimentConfig) -> None:
             f"bounds.universal_C_lsi: the strongly_convex route reads no universal C, "
             f"got {bnd['universal_C_lsi']}; leave it at {default_C_lsi} or set "
             f"bounds.lsi_mode to general_dissipative")
-    for _, grid, gs, ga, dt, _ in _check("fp", _verify_fp_runs, cfg, lc):
-        for grad in (gs, ga):
-            _check("fp.dt_safety", check_dt, grid, grad, sgld_cfg.beta, dt)
+    _check("fp", _verify_fp_runs, cfg, lc, ends_only=True)
     oracle_T = cfg["verify"]["oracle_T"]
     if oracle_T < 1:  # a one-entry KL trace has no step to check
         raise ConfigError(f"verify.oracle_T: the oracle's KL recursion needs at "
@@ -393,12 +391,14 @@ def _arrays(cfg: ExperimentConfig, model, s: SGLDConfig) -> list:
 FP_STEP_CAP = 10**5
 
 
-def _verify_fp_runs(cfg: ExperimentConfig, lc):
+def _verify_fp_runs(cfg: ExperimentConfig, lc, ends_only: bool = False):
     """(label, grid, grad_s, grad_alt, dt, n_steps) of each of `verify`'s
     Fokker-Planck runs: two shifted quadratics on the coarse grid and on
     twice its cells, with dt the `fp.dt_safety` share of the stability limit
     at grad_s, and n_steps the steps of dt in `fp.T_end` (at least 2), at
-    most `FP_STEP_CAP`."""
+    most `FP_STEP_CAP`, and within both gradients' limits. `ends_only`, as
+    load runs it, gives the gradients at the two end cells alone: they are
+    linear in w, so the largest |grad| is at an end."""
     fp = cfg["fp"]
     if not fp["T_end"] > 0:
         raise ValueError(f"T_end must be positive, got {fp['T_end']}")
@@ -408,7 +408,7 @@ def _verify_fp_runs(cfg: ExperimentConfig, lc):
     runs = []
     for label, n_cells in (("coarse", fp["n_cells"]), ("fine", 2 * fp["n_cells"])):
         grid = Grid1D(-hw, hw, n_cells)
-        w = grid.centers
+        w = grid.cell_centers([0, n_cells - 1]) if ends_only else grid.centers
         cs, ca = fp["center_gap"] / 2.0, -fp["center_gap"] / 2.0
         gs, ga = R_fp * (w - cs), R_fp * (w - ca)
         limit = stability_limit(grid, gs, beta)
@@ -428,4 +428,11 @@ def _verify_fp_runs(cfg: ExperimentConfig, lc):
                              f"most {FP_STEP_CAP}: lower fp.T_end, or widen the cells "
                              f"(fewer fp.n_cells or a larger fp.halfwidth)")
         runs.append((label, grid, gs, ga, dt, max(2, int(steps))))
+    # after both grids' step caps, so a config past a cap is refused by fp
+    for _, grid, gs, ga, dt, _ in runs:
+        for grad in (gs, ga):
+            dt_max = stability_limit(grid, grad, beta)
+            if not dt <= dt_max:  # a NaN limit, from a non-finite grad, too
+                raise ConfigError(f"fp.dt_safety: dt={dt} exceeds the stability limit "
+                                  f"{dt_max}; suggested dt = {0.9 * dt_max}")
     return runs

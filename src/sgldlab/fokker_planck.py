@@ -76,7 +76,12 @@ class Grid1D:
 
     @property
     def centers(self) -> np.ndarray:
-        return self.w_min + (np.arange(self.n_cells) + 0.5) * self.h
+        return self.cell_centers(np.arange(self.n_cells))
+
+    def cell_centers(self, cells) -> np.ndarray:
+        """The centers of the cells `cells`, each with the bits of its
+        `centers` entry."""
+        return self.w_min + (np.asarray(cells) + 0.5) * self.h
 
 
 @dataclass(frozen=True)

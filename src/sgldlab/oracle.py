@@ -21,14 +21,13 @@ import numpy as np
 
 from .estimators import EstimateWithError, _estimate
 from .losses import LossModel
-from .sgld import SGLDConfig, _block_len, check_count, write_csv
+from .sgld import SGLDConfig, _block_len, array_rows, check_count, write_csv
 
 __all__ = [
     "OracleTrace",
     "oracle_trace",
     "oracle_pair_gaps",
     "oracle_mi_from_gaps",
-    "oracle_mi_upper",
     "KLRecursionReport",
     "verify_kl_recursion",
 ]
@@ -61,20 +60,21 @@ def _response_and_var(eta: float, beta: float, R: float, s_sq: float, T: int):
 class OracleTrace:
     """Exact law sequence for one dataset pair, with the KL between them.
 
-    mean_norm tracks the chain conditioned on the first dataset; kl[t] is
-    KL(law | first dataset, law | second dataset) at step t, zero at t=0
-    where both start from the same initial Gaussian.
+    Each array has an entry per step: response and var are
+    `_response_and_var`'s a_t and v_t; mean_norm tracks the chain
+    conditioned on the first dataset; kl[t] is KL(law | first dataset,
+    law | second dataset) at step t, zero at t=0 where both start from the
+    same initial Gaussian.
     """
 
-    steps: np.ndarray
+    response: np.ndarray
     mean_norm: np.ndarray
     var: np.ndarray
     kl: np.ndarray
 
     def to_csv(self, path) -> None:
         write_csv(path, ("t", "mean_norm", "var", "kl"),
-                  zip(self.steps.tolist(), self.mean_norm.tolist(), self.var.tolist(),
-                      self.kl.tolist()))
+                  array_rows(range(len(self.kl)), self.mean_norm, self.var, self.kl))
 
 
 def oracle_trace(
@@ -95,12 +95,8 @@ def oracle_trace(
     gap_sq = float((zbar - zbar_alt) @ (zbar - zbar_alt))
     # a law past the float range gives inf and nan, whose first step `verify` reports
     with np.errstate(over="ignore", invalid="ignore"):
-        return OracleTrace(
-            steps=np.arange(config.T + 1),
-            mean_norm=a * float(np.linalg.norm(zbar)),
-            var=v.copy(),
-            kl=a**2 * gap_sq / (2.0 * v),
-        )
+        return OracleTrace(response=a, mean_norm=a * float(np.linalg.norm(zbar)),
+                           var=v, kl=a**2 * gap_sq / (2.0 * v))
 
 
 def oracle_pair_gaps(
@@ -110,8 +106,8 @@ def oracle_pair_gaps(
     n_dataset_pairs: int,
     control_identical: bool = False,
 ) -> np.ndarray:
-    """Per-pair ||zbar_S - zbar_S'||^2 over the dataset pairs of `oracle_mi_upper`,
-    each dataset drawn by `model.sample_data`.
+    """Per-pair ||zbar_S - zbar_S'||^2 over independent dataset pairs, each
+    dataset drawn by `model.sample_data`; `control_identical` sets S' = S.
 
     The data-only part of the bound: it depends on (seed, n, pairs,
     control), not on the step size, temperature or horizon, so a grid of
@@ -135,38 +131,13 @@ def oracle_pair_gaps(
 
 
 def oracle_mi_from_gaps(gaps: np.ndarray, a_T: float, v_T: float) -> EstimateWithError:
-    """`oracle_mi_upper` from the pairs' squared mean gaps and the law at T.
+    """Mutual-information upper bound: the mean over dataset pairs of the
+    full-batch chain's exact KL at T, so the only error is the pair Monte Carlo.
 
-    a_T and v_T are `_response_and_var`'s entries at the horizon T; each
-    pair's KL at T is a_T^2 ||zbar_S - zbar_S'||^2 / (2 v_T).
+    gaps are `oracle_pair_gaps`' and a_T and v_T `_response_and_var`'s
+    entries at the horizon T; each pair's KL is a_T^2 ||zbar_S - zbar_S'||^2 / (2 v_T).
     """
     return _estimate(float(a_T)**2 * gaps / (2.0 * float(v_T)), "oracle_mi_upper")
-
-
-def oracle_mi_upper(
-    model: LossModel,
-    config: SGLDConfig,
-    n_dataset_pairs: int,
-    control_identical: bool = False,
-) -> EstimateWithError:
-    """Mutual-information upper bound from closed-form KL over dataset pairs.
-
-    Averages KL(law of W_T given S, law of W_T given S') over independent
-    dataset pairs drawn by `model.sample_data`, the law being the
-    full-batch chain's at the model's R; each pair's KL is exact, so the
-    only error is the pair Monte Carlo. `control_identical` replaces S' by
-    S, which must give 0. A model without R, or k < n, is a ValueError.
-    """
-    if config.k != config.n:
-        raise ValueError("the exact law covers full-batch chains only (k = n)")
-    R = model.constants().R
-    if R is None:
-        raise ValueError("the exact law needs the model's curvature R, and "
-                         f"{type(model).__name__} has none")
-    gaps = oracle_pair_gaps(model, config.seed, config.n, n_dataset_pairs,
-                            control_identical)
-    a, v = _response_and_var(config.eta, config.beta, R, config.s_sq, config.T)
-    return oracle_mi_from_gaps(gaps, a[-1], v[-1])
 
 
 @dataclass(frozen=True)

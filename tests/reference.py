@@ -5,14 +5,16 @@ run itself, built from the library's own pieces: the only collector of
 whole chain traces (`collect`; the library reads the chain engine a chunk
 at a time), with every chain's gradient series, one chain on a given
 dataset, ensembles on a given dataset, the in-process gap and stability
-estimators that `run`'s worker reproduces in one pass, the grid KL and
-Fisher information of two densities, a density's variance, and the
+estimators that `run`'s worker reproduces in one pass, the exact
+mutual-information bound of one config, the grid KL and Fisher
+information of two densities, a density's variance, and the
 minibatch-variance bound. Not a test file: the tests import it.
 """
 
 import numpy as np
 
 from sgldlab import fokker_planck, sgld
+from sgldlab.oracle import _response_and_var, oracle_mi_from_gaps, oracle_pair_gaps
 from sgldlab.estimators import (
     EstimateWithError,
     gap_trials,
@@ -123,6 +125,28 @@ def grad_stability_trace(model, config, n_pairs, control_identical=False):
                                      np.stack([tr.states for tr in traces], axis=1))
     return [EstimateWithError(mu, se, n_pairs, "grad_stability")
             for mu, se in zip(means.tolist(), stderrs.tolist())]
+
+
+# ------------------------------------------------------------------ oracle
+
+
+def oracle_mi_upper(model, config, n_dataset_pairs, control_identical=False):
+    """The exact mutual-information upper bound at `config`'s horizon, over
+    `n_dataset_pairs` dataset pairs drawn from `config.seed`: the
+    composition of `oracle_pair_gaps`, `_response_and_var` at the model's R
+    and `oracle_mi_from_gaps` that `bounds` and `verify` run.
+    `control_identical` replaces S' by S, which must give 0. A model without
+    R, or k < n, is a ValueError."""
+    if config.k != config.n:
+        raise ValueError("the exact law covers full-batch chains only (k = n)")
+    R = model.constants().R
+    if R is None:
+        raise ValueError("the exact law needs the model's curvature R, and "
+                         f"{type(model).__name__} has none")
+    gaps = oracle_pair_gaps(model, config.seed, config.n, n_dataset_pairs,
+                            control_identical)
+    a, v = _response_and_var(config.eta, config.beta, R, config.s_sq, config.T)
+    return oracle_mi_from_gaps(gaps, a[-1], v[-1])
 
 
 # ---------------------------------------------------------- Fokker-Planck

@@ -11,18 +11,21 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from sgldlab import cli, config, sgld
+from sgldlab import cli, config, oracle, sgld
 from sgldlab.bounds import bound_xu_raginsky, evaluate_grid, kl_chain
 from sgldlab.cli import ConfigError, load_config, main
 from sgldlab.estimators import (EstimateWithError, grad_variance_trace, stability_block,
                                 stability_chains, write_estimates_csv)
-from sgldlab.oracle import oracle_mi_upper
+from sgldlab.fokker_planck import check_dt
 
-from reference import SERIES, collect, empirical_gen_gap, ensemble, grad_stability_trace
+from reference import (SERIES, collect, empirical_gen_gap, ensemble, grad_stability_trace,
+                       oracle_mi_upper)
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -411,6 +414,64 @@ def test_vanishing_fp_time_step_is_a_config_error(tmp_path, capsys, key, value):
     assert main(["certify", "--config", cfg, "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith(f"config error: fp.{key}: ")
     assert not out.exists()
+
+
+def test_load_of_a_huge_fokker_planck_grid_allocates_no_grid():
+    # 2 10^6 coarse cells: each of the fine grid's centers and gradients
+    # would be 32 MB, and load reads its dt and step count from end cells
+    raw = {blk: dict(vals) for blk, vals in BASE.items()}
+    raw["fp"] = {"n_cells": 2 * 10**6, "T_end": 1e-300}
+    config.parse(raw)  # first-call allocations out of the peak
+    tracemalloc.start()
+    try:
+        config.parse(raw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+
+
+def test_end_cell_fp_plan_equals_the_whole_grids():
+    # seeded fp blocks, betas and curvatures over a span that reaches every
+    # refusal: the plan from the grids' end cells refuses what the whole
+    # grids refuse, with the same message, and else gives the same grids,
+    # dt and step counts, bit for bit; every dt it admits passes `check_dt`
+    # on the whole gradients
+    def plan(cfg, lc, ends_only):
+        try:
+            runs = config._verify_fp_runs(cfg, lc, ends_only=ends_only)
+        except (ConfigError, ValueError) as exc:
+            return type(exc), str(exc)
+        return runs
+
+    rng = np.random.default_rng(34)
+    cfg = config.parse({blk: dict(vals) for blk, vals in BASE.items()})
+    outcomes = []
+    for _ in range(400):
+        cfg["sgld"]["beta"] = float(10 ** rng.uniform(-2, 4))
+        span = 300 if rng.random() < 0.1 else 3  # now and then past the float range
+        cfg["fp"].update(
+            n_cells=int(10 ** rng.uniform(1.9, 3.7)),
+            halfwidth=None if rng.random() < 0.3 else float(10 ** rng.uniform(-span, span)),
+            dt_safety=float(rng.uniform(-0.1, 1.5)),
+            T_end=float(10 ** rng.uniform(-8, 1)),
+            center_gap=float(rng.choice([-1, 1]) * 10 ** rng.uniform(-3, span + 1)))
+        m = float(10 ** rng.uniform(-3, 3))
+        lc = SimpleNamespace(m=m, R=None if rng.random() < 0.3 else m * rng.uniform(1, 4))
+        ends, whole = plan(cfg, lc, True), plan(cfg, lc, False)
+        if isinstance(whole, tuple):  # load reports a ValueError against fp
+            assert ends == whole
+            kind, message = whole
+            outcomes.append(message.partition(":")[0] if kind is ConfigError else "fp")
+            continue
+        assert isinstance(ends, list), ends
+        for (label, grid, gs, ga, dt, n_steps), end_run in zip(whole, ends, strict=True):
+            assert end_run[:2] == (label, grid) and end_run[4:] == (dt, n_steps)
+            for grad, end_grad in zip((gs, ga), end_run[2:4]):
+                assert np.array_equal(grad[[0, -1]], end_grad)
+                check_dt(grid, grad, cfg["sgld"]["beta"], dt)
+        outcomes.append("admitted")
+    assert set(outcomes) == {"admitted", "fp", "fp.dt_safety", "fp.halfwidth"}, outcomes
 
 
 # ----------------------------------------------------------------------- run
@@ -1021,15 +1082,15 @@ def test_run_of_too_many_chains_is_refused_before_any_output(tmp_path, capsys,
 
 @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS bounds memory on Linux")
 @pytest.mark.parametrize("sub, over, limit_mib, started", [
-    ("certify", {"fp": {"n_cells": 2 * 10**7, "T_end": 1e-300}}, 300, False),
+    ("verify", {"fp": {"n_cells": 2 * 10**7, "T_end": 1e-300}}, 300, True),
     ("verify", {"verify": {"oracle_T": 2 * 10**8}}, 300, True),
     ("bounds", {"estimators": {"mi_pairs": 2 * 10**8}}, 300, False),
     ("run", {"estimators": {"n_chains": 4 * 10**5}}, 192, True),
 ])
 def test_out_of_memory_ends_in_one_line(tmp_path, sub, over, limit_mib, started):
     # each asks for more than its address space holds and no more than the
-    # load-time cap admits: the load's own (2 10^7,) Fokker-Planck grids,
-    # 160 MB each, a (2 10^8 + 1,) law trace or
+    # load-time cap admits: `verify`'s (2 10^7,) Fokker-Planck grids, 160 MB
+    # each, built after --out is made, a (2 10^8 + 1,) law trace or
     # (2 10^8,) gaps, or, for `run`, 4 10^5 chains' 1.36 GB of seed
     # sequences and generators and 384 MB step buffer. The command fails in
     # one line; the lock goes, and a started manifest stays running
@@ -1048,6 +1109,17 @@ def test_out_of_memory_ends_in_one_line(tmp_path, sub, over, limit_mib, started)
     assert out.exists() == started and not (out / ".lock").exists()
     if started:
         assert read_json(out / "manifest.json")["status"] == "running"
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS bounds memory on Linux")
+def test_load_of_a_huge_fokker_planck_grid_fits_in_little_memory(tmp_path):
+    # load reads the 2 10^7-cell grids' dt and step count from their end
+    # cells, so `certify`, which builds no grid, runs in the address space
+    # `verify` of the same config runs out of
+    cfg = write_config(tmp_path / "c.json", sgld={"k": 20},
+                       fp={"n_cells": 2 * 10**7, "T_end": 1e-300})
+    proc = run_cli(["certify", "--config", cfg, "--out", str(tmp_path / "out")], 300)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("sub", ["certify", "run", "bounds", "verify", "compare"])
@@ -2014,6 +2086,21 @@ def test_verify_defaults_exit_zero(tmp_path):
     assert report["oracle"]["recursion_violations"] == 0
     assert report["oracle"]["identical_pair_mi"] == 0.0
     assert report["fp_fine"]["violation_rate"] <= report["fp_coarse"]["violation_rate"]
+
+
+def test_verify_takes_the_exact_law_once(tmp_path, monkeypatch):
+    # the oracle trace's law serves the identical-pair control too
+    calls = []
+    law = oracle._response_and_var
+
+    def counted(*args):
+        calls.append(args)
+        return law(*args)
+
+    monkeypatch.setattr(oracle, "_response_and_var", counted)
+    cfg = write_config(tmp_path / "c.json", fp={"n_cells": 64, "T_end": 0.1})
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == 0
+    assert len(calls) == 1
 
 
 def test_verify_falsification_control_exits_two(tmp_path, capsys):

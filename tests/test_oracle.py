@@ -14,14 +14,13 @@ from sgldlab.oracle import (
     OracleTrace,
     _response_and_var,
     oracle_mi_from_gaps,
-    oracle_mi_upper,
     oracle_pair_gaps,
     oracle_trace,
     verify_kl_recursion,
 )
 from sgldlab.sgld import SGLDConfig, _stored_steps
 
-from reference import empirical_gen_gap, ensemble
+from reference import empirical_gen_gap, ensemble, oracle_mi_upper
 
 
 def full_batch_cfg(**kw):
@@ -93,18 +92,20 @@ def test_oracle_trace_equals_the_per_step_gaussian_recursion():
     S, S_alt = model.sample_data(rng, 20), model.sample_data(rng, 20)
     cfg = full_batch_cfg(d=d, T=300, s_sq=0.7)
     tr = oracle_trace(S, S_alt, cfg, R=R)
-    np.testing.assert_array_equal(tr.steps, np.arange(cfg.T + 1))
+    assert tr.response.shape == (cfg.T + 1,)
     decay = 1.0 - cfg.eta * R
-    m, m_alt, v = np.zeros(d), np.zeros(d), cfg.s_sq
+    m, m_alt, v, a = np.zeros(d), np.zeros(d), cfg.s_sq, 0.0
     for t in range(cfg.T + 1):
         kl = 0.5 * d * (v / v - 1.0 - math.log(v / v)) + float(
             (m - m_alt) @ (m - m_alt)) / (2.0 * v)
         assert tr.var[t] == v
+        assert tr.response[t] == a  # the mean from 0 is a_t zbar
         assert tr.mean_norm[t] == pytest.approx(np.linalg.norm(m), rel=1e-12, abs=0)
         assert tr.kl[t] == pytest.approx(kl, rel=1e-12, abs=0)
         m = decay * m + cfg.eta * R * S.mean(axis=0)
         m_alt = decay * m_alt + cfg.eta * R * S_alt.mean(axis=0)
         v = decay**2 * v + 2.0 * cfg.eta / cfg.beta
+        a = decay * a + cfg.eta * R
     assert tr.kl[-1] > 0.0
 
 
@@ -351,3 +352,21 @@ def test_oracle_trace_csv_roundtrip(tmp_path):
     assert int(cells[0]) == 5
     assert float(cells[2]) == pytest.approx(tr.var[-1], rel=0)
     assert float(cells[3]) == pytest.approx(tr.kl[-1], rel=0)
+
+
+def test_oracle_trace_csv_holds_no_whole_column(tmp_path):
+    # 10^5 steps: each array is 0.8 MB, and four whole lists of them would
+    # be about 13 MB; the rows go out `sgld.CSV_BLOCK_ROWS` at a time, which
+    # peaks near 0.2 MB whatever T is
+    T = 10**5
+    values = np.linspace(0.0, 1.0, T + 1)
+    tr = OracleTrace(response=values, mean_norm=values, var=values, kl=values)
+    tr.to_csv(tmp_path / "warm.csv")  # first-call allocations out of the peak
+    tracemalloc.start()
+    try:
+        tr.to_csv(tmp_path / "oracle.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * (T + 1) // 2, peak
+    assert (tmp_path / "oracle.csv").read_bytes() == (tmp_path / "warm.csv").read_bytes()
