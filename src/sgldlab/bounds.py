@@ -432,8 +432,8 @@ def evaluate_grid(model: LossModel, dc, b: dict, config: SGLDConfig, variance,
         if name == "xu_raginsky":
             if not exact_mi:
                 return "exact-mi-needs-full-batch-quadratic"
-            mi = oracle_mi_from_gaps(pair_gaps[n], a[T], v[T])
-            return bound_xu_raginsky(sigma_g_sq, n, mi.mean)
+            return bound_xu_raginsky(sigma_g_sq, n,
+                                     oracle_mi_from_gaps(pair_gaps[n], a[T], v[T]))
         if name == "pensia":
             entry = bound_pensia(per_update[:T], eta=eta, beta=beta, d=cfg.d, n=n,
                                  sigma_g_sq=sigma_g_sq)

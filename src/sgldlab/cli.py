@@ -35,7 +35,6 @@ from .config import ConfigError, ExperimentConfig, _check, _verify_fp_runs, load
 from .constants import admissibility_failures, lsi_constant, subexp_params
 from .estimators import (
     ESTIMATES_CSV_COLUMNS,
-    EstimateWithError,
     gap_trials,
     gen_gap,
     grad_variance_trace,
@@ -45,7 +44,6 @@ from .estimators import (
     stability_block,
     stability_chains,
     write_estimates_csv,
-    write_trace_csv,
 )
 from .fokker_planck import evolve_pair, gibbs_density, verify_inequality_12
 from .losses import certify
@@ -355,9 +353,10 @@ def cmd_run(args) -> int:
         (means, stderrs, n_pairs), gap, worker_seconds = estimates
         out.manifest["stages"] = _stages(seconds, worker_seconds)
         with out.file("stability.csv") as path:
-            write_trace_csv(path, "grad_stability", stored_steps, means, stderrs, n_pairs)
+            write_estimates_csv(path, "grad_stability", stored_steps, means, stderrs, n_pairs)
         with out.file("gap.csv") as path:
-            write_estimates_csv(path, [(gap.estimator_name, sgld_cfg.T, gap)])
+            write_estimates_csv(path, gap.estimator_name, [sgld_cfg.T], [gap.mean],
+                                [gap.stderr], gap.n_samples)
         out.finish_manifest()
     print(f"run complete: {len(out.files)} files in {args.out}")
     return 0
@@ -444,8 +443,8 @@ def _run_own_stages(out: _OutputDir, cfg: ExperimentConfig, model, dataset,
     means, stderrs = grad_variance_trace(model, dataset, trace,
                                          n_resamples=est["n_resamples"])
     with out.file("variance.csv") as path:
-        write_trace_csv(path, "grad_variance", stored_steps, means, stderrs,
-                        est["n_resamples"])
+        write_estimates_csv(path, "grad_variance", stored_steps, means, stderrs,
+                            est["n_resamples"])
     seconds["variance_s"] = time.monotonic() - start
 
     start = time.monotonic()
@@ -464,13 +463,10 @@ def _run_own_stages(out: _OutputDir, cfg: ExperimentConfig, model, dataset,
             print(f"run: log-MGF above its envelope at {mgf.n_violations} "
                   f"of {len(mgf.lambdas)} lambdas")
         with out.file("logmgf.csv") as path:
-            write_estimates_csv(
-                path,
-                [("logmgf", lam,
-                  EstimateWithError(val, (hi - lo) / 2.0, mgf.n_samples, "logmgf"))
-                 for lam, val, lo, hi in zip(mgf.lambdas, mgf.logmgf,
-                                             mgf.band_lo, mgf.band_hi)],
-            )
+            # the stderr column is the bootstrap band's half-width
+            write_estimates_csv(path, "logmgf", mgf.lambdas, mgf.logmgf,
+                                np.subtract(mgf.band_hi, mgf.band_lo) / 2.0,
+                                mgf.n_samples)
     need = pth_moment_min_chains(est["p_list"])
     if n_chains >= need:
         moments = pth_moment_check(finals, est["p_list"],
@@ -776,14 +772,14 @@ def cmd_verify(args) -> int:
                 sections["oracle"] = {
                     "recursion_violations": rec.n_violations,
                     "recursion_worst_slack": rec.worst_slack,
-                    "identical_pair_mi": mi_zero.mean,
+                    "identical_pair_mi": mi_zero,
                     "contraction": contraction,
                     "per_step_add": add,
                 }
                 if rec.n_violations > 0:
                     hard_failures.append(
                         f"kl recursion violated at {rec.n_violations} steps")
-                if mi_zero.mean != 0.0:
+                if mi_zero != 0.0:
                     hard_failures.append("identical-pair MI control is nonzero")
         else:
             sections["oracle"] = {"skipped": "loss family has no curvature "

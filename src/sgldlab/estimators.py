@@ -41,7 +41,6 @@ __all__ = [
     "admitted_lambdas",
     "logmgf_check",
     "write_estimates_csv",
-    "write_trace_csv",
 ]
 
 TEST_POOL_FACTOR = 10    # test pool size = factor * n per trial
@@ -121,7 +120,8 @@ def gen_gap(model: LossModel, datasets: np.ndarray, final_states, pool_seqs,
     W_T and its test pool's seed sequence: per trial, the mean loss of W_T
     on a fresh pool of 10 n points minus its mean loss on S. `eval_loss`
     selects the raw training loss ("same_as_f") or the bounded surrogate
-    f/(1+f) ("surrogate")."""
+    f/(1+f) ("surrogate"). The `EstimateWithError` refuses a non-finite
+    mean; `run` writes it as `gap.csv`'s one row at T."""
     if eval_loss not in EVAL_LOSSES:
         raise ValueError(f"unknown eval_loss {eval_loss!r}")
     n_pool = TEST_POOL_FACTOR * datasets.shape[1]
@@ -458,25 +458,17 @@ def logmgf_check(
 ESTIMATES_CSV_COLUMNS = ("estimator", "t_or_lambda", "mean", "stderr", "n")
 
 
-def write_estimates_csv(path, rows) -> None:
-    """Emit estimate rows as CSV {estimator, t_or_lambda, mean, stderr, n}.
-
-    `rows` is an iterable of (estimator_name, t_or_lambda, EstimateWithError).
-    """
-    write_csv(path, ESTIMATES_CSV_COLUMNS,
-              ((name, tl, est.mean, est.stderr, est.n_samples) for name, tl, est in rows))
-
-
-def write_trace_csv(path, name: str, steps: np.ndarray, means: np.ndarray,
-                    stderrs: np.ndarray, n_samples: int) -> None:
-    """Emit a per-step trace as the rows `write_estimates_csv` writes, from
-    arrays (see `array_rows`): step steps[i] has means[i] and stderrs[i]
-    over n_samples samples. Refused, as `EstimateWithError` refuses a row,
+def write_estimates_csv(path, name: str, t, means, stderrs, n_samples: int) -> None:
+    """Emit an estimate table as CSV {estimator, t_or_lambda, mean, stderr, n},
+    from columns (see `array_rows`): row i is `name`'s estimate at t[i] (a
+    step, or a lambda of the log-MGF) with means[i] and stderrs[i] over
+    n_samples samples. Refused, as `EstimateWithError` refuses an estimate,
     unless every mean is finite and every stderr finite and nonnegative."""
+    means, stderrs = np.asarray(means, dtype=float), np.asarray(stderrs, dtype=float)
     if not (np.isfinite(means).all() and np.isfinite(stderrs).all()
             and (stderrs >= 0).all()):
         raise ValueError(f"{name}: every mean must be finite and every stderr "
                          f"nonnegative and finite")
     write_csv(path, ESTIMATES_CSV_COLUMNS,
-              ((name, step, mean, stderr, n_samples)
-               for step, mean, stderr in array_rows(steps, means, stderrs)))
+              ((name, tl, mean, stderr, n_samples)
+               for tl, mean, stderr in array_rows(t, means, stderrs)))

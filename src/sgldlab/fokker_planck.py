@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sgld import _block_len, write_csv
+from .sgld import _block_len, array_rows, write_csv
 
 __all__ = [
     "Grid1D",
@@ -287,15 +287,17 @@ class FPPairRun:
     clamped_mass: float
 
     def to_csv(self, path, report: Inequality12Report) -> None:
-        """Write the traces with `report`, this run's `verify_inequality_12`."""
-        def defined(values):  # the undefined ends are empty cells
-            return [None if math.isnan(v) else v for v in values.tolist()]
+        """Write the traces with `report`, this run's `verify_inequality_12`,
+        a block of rows at a time (see `array_rows`); step i's time is i * dt."""
+        def defined(value):  # the undefined ends are empty cells
+            return None if math.isnan(value) else value
 
-        times = np.arange(self.kl.shape[0]) * self.dt
+        dt = float(self.dt)
         write_csv(path, ("t", "kl", "fisher", "stability_term", "dkl_dt", "slack"),
-                  zip(times.tolist(), self.kl.tolist(), self.fisher.tolist(),
-                      self.stability.tolist(), defined(report.dkl_dt),
-                      defined(report.slack)))
+                  ((i * dt, kl, fisher, stability, defined(dkl_dt), defined(slack))
+                   for i, kl, fisher, stability, dkl_dt, slack in array_rows(
+                       range(self.kl.shape[0]), self.kl, self.fisher, self.stability,
+                       report.dkl_dt, report.slack)))
 
 
 def evolve_pair(

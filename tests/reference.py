@@ -134,7 +134,7 @@ def oracle_mi_upper(model, config, n_dataset_pairs, control_identical=False):
     """The exact mutual-information upper bound at `config`'s horizon, over
     `n_dataset_pairs` dataset pairs drawn from `config.seed`: the
     composition of `oracle_pair_gaps`, `_response_and_var` at the model's R
-    and `oracle_mi_from_gaps` that `bounds` and `verify` run.
+    and `oracle_mi_from_gaps` that `bounds` and `verify` run, as a float.
     `control_identical` replaces S' by S, which must give 0. A model without
     R, or k < n, is a ValueError."""
     if config.k != config.n:

@@ -20,8 +20,8 @@ import pytest
 from sgldlab import cli, config, oracle, sgld
 from sgldlab.bounds import bound_xu_raginsky, evaluate_grid, kl_chain
 from sgldlab.cli import ConfigError, load_config, main
-from sgldlab.estimators import (EstimateWithError, grad_variance_trace, stability_block,
-                                stability_chains, write_estimates_csv)
+from sgldlab.estimators import (grad_variance_trace, stability_block, stability_chains,
+                                write_estimates_csv)
 from sgldlab.fokker_planck import check_dt
 
 from reference import (SERIES, collect, empirical_gen_gap, ensemble, grad_stability_trace,
@@ -705,16 +705,16 @@ def assert_stability_csv_equals_in_process_trace(tmp_path, **over):
     stability = grad_stability_trace(cfg.model(), cfg.sgld_config(),
                                      n_pairs=cfg["estimators"]["n_pairs"])
     # T = 60 is below the storage cap, so step t is row t
-    write_estimates_csv(tmp_path / "expected.csv",
-                        [("grad_stability", step, e)
-                         for step, e in enumerate(stability)])
+    write_estimates_csv(tmp_path / "expected.csv", "grad_stability", range(len(stability)),
+                        [e.mean for e in stability], [e.stderr for e in stability],
+                        stability[0].n_samples)
     assert ((tmp_path / "run" / "stability.csv").read_bytes()
             == (tmp_path / "expected.csv").read_bytes())
     est = cfg["estimators"]
     gap = empirical_gen_gap(cfg.model(), cfg.sgld_config(), n_trials=est["n_trials"],
                             eval_loss=est["eval_loss"])
-    write_estimates_csv(tmp_path / "expected-gap.csv",
-                        [(gap.estimator_name, cfg["sgld"]["T"], gap)])
+    write_estimates_csv(tmp_path / "expected-gap.csv", gap.estimator_name,
+                        [cfg["sgld"]["T"]], [gap.mean], [gap.stderr], gap.n_samples)
     assert ((tmp_path / "run" / "gap.csv").read_bytes()
             == (tmp_path / "expected-gap.csv").read_bytes())
 
@@ -759,9 +759,8 @@ def test_run_stability_chunk_by_chunk_equals_the_whole_trace(tmp_path, monkeypat
     assert len(steps) == (10 if case == "strided" else 62) and steps[-1] == 61
     means, stderrs = stability_block(model, datasets, datasets_alt,
                                      np.stack([tr.states for tr in traces], axis=1))
-    write_estimates_csv(tmp_path / "whole.csv", [
-        ("grad_stability", int(t), EstimateWithError(mu, se, n_pairs, "grad_stability"))
-        for t, mu, se in zip(steps, means.tolist(), stderrs.tolist())])
+    write_estimates_csv(tmp_path / "whole.csv", "grad_stability", steps, means, stderrs,
+                        n_pairs)
     assert ((tmp_path / "run" / "stability.csv").read_bytes()
             == (tmp_path / "whole.csv").read_bytes())
 
@@ -2049,7 +2048,7 @@ def test_bounds_xu_raginsky_equals_oracle_per_grid_point(tmp_path):
         point = dataclasses.replace(sgld_cfg, T=T, k=n, n=n)
         mi = oracle_mi_upper(model, point,
                              n_dataset_pairs=BASE["estimators"]["mi_pairs"])
-        assert float(value) == bound_xu_raginsky(0.25, n, mi.mean).value
+        assert float(value) == bound_xu_raginsky(0.25, n, mi).value
     assert {float(r[1]) for r in rows if r[2] != "0"} != {0.0}
 
 

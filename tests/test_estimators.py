@@ -1,7 +1,9 @@
 """Tests for the Monte Carlo estimators."""
 
+import csv
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -593,11 +595,47 @@ def test_logmgf_input_validation():
 # ------------------------------------------------------------------------ CSV
 
 
+STRIDED_STEPS = sgld._stored_steps(30_001)  # every 4th step, then T
+# the four tables `run` writes: gap.csv's one row at T, logmgf.csv's rows
+# at its lambdas, and the variance and stability traces' rows at the
+# stored steps
+ESTIMATE_TABLES = {
+    "gap": ("gen_gap[same_as_f]", [60], [0.25], [0.125], 32),
+    "logmgf": ("logmgf", (-0.5, 0.0, 0.5), [-0.01, 0.0, 0.02], np.array([0.1, 0.0, 0.2]),
+               64),
+    "variance": ("grad_variance", np.arange(5), np.linspace(1.0, 2.0, 5),
+                 np.full(5, 0.5), 300),
+    "stability": ("grad_stability", STRIDED_STEPS, np.linspace(0.0, 1.0, len(STRIDED_STEPS)),
+                  np.zeros(len(STRIDED_STEPS)), 20),
+}
+
+
 def test_write_estimates_csv(tmp_path):
-    est = EstimateWithError(mean=0.125, stderr=0.5, n_samples=16, estimator_name="gv")
     path = tmp_path / "est.csv"
-    write_estimates_csv(path, [("gv", 3, est)])
+    write_estimates_csv(path, "gv", [3], [0.125], [0.5], 16)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "estimator,t_or_lambda,mean,stderr,n"
     cells = lines[1].split(",")
     assert cells[0] == "gv" and float(cells[2]) == 0.125 and cells[4] == "16"
+    for name, t, means, stderrs, n in ESTIMATE_TABLES.values():
+        write_estimates_csv(path, name, t, means, stderrs, n)
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["estimator", "t_or_lambda", "mean", "stderr", "n"]
+        assert rows[1:] == [[name, repr(tl), repr(m), repr(se), str(n)] for tl, m, se in
+                            zip(np.asarray(t).tolist(), np.asarray(means).tolist(),
+                                np.asarray(stderrs).tolist())]
+
+
+@pytest.mark.parametrize("column, bad", [
+    ("means", math.nan), ("means", math.inf), ("means", -math.inf),
+    ("stderrs", -1e-300), ("stderrs", math.nan), ("stderrs", math.inf)])
+@pytest.mark.parametrize("table", ESTIMATE_TABLES)
+def test_write_estimates_csv_refuses_a_non_finite_mean_or_bad_stderr(
+        tmp_path, table, column, bad):
+    name, t, means, stderrs, n = ESTIMATE_TABLES[table]
+    cols = {"means": np.array(means, dtype=float), "stderrs": np.array(stderrs, dtype=float)}
+    cols[column][-1] = bad
+    with pytest.raises(ValueError, match=f"^{re.escape(name)}: every mean must be finite"):
+        write_estimates_csv(tmp_path / "est.csv", name, t, cols["means"], cols["stderrs"], n)
+    assert not (tmp_path / "est.csv").exists()

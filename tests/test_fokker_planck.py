@@ -1,6 +1,8 @@
 """Tests for the finite-volume density-evolution lab."""
 
+import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -542,3 +544,49 @@ def test_run_csv_roundtrip(tmp_path):
     mid = lines[2].split(",")
     assert float(mid[1]) == pytest.approx(run.kl[1], rel=0)
     assert float(mid[4]) == pytest.approx(rep.dkl_dt[1], rel=0)
+
+
+def whole_list_csv(path, run, rep):
+    # every column as one whole list, times from np.arange(n) * dt
+    def defined(values):
+        return [None if math.isnan(v) else v for v in values.tolist()]
+
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(("t", "kl", "fisher", "stability_term", "dkl_dt", "slack"))
+        writer.writerows(zip((np.arange(run.kl.shape[0]) * run.dt).tolist(),
+                             run.kl.tolist(), run.fisher.tolist(),
+                             run.stability.tolist(), defined(rep.dkl_dt),
+                             defined(rep.slack)))
+
+
+def run_and_report(n_steps):
+    # a run's traces and its report, seeded, with the undefined ends
+    rng = np.random.default_rng(3)
+    kl, fisher, stability, dkl, slack = rng.exponential(size=(5, n_steps + 1))
+    dkl[[0, -1]] = slack[[0, -1]] = np.nan
+    run = fokker_planck.FPPairRun(grid=quad_grid(), dt=0.1 / 3.0, kl=kl, fisher=fisher,
+                                  stability=stability, clamped_mass=0.0)
+    return run, fokker_planck.Inequality12Report(dkl_dt=dkl, slack=slack,
+                                                 n_checked=n_steps - 1, n_violations=0)
+
+
+def test_run_csv_holds_no_whole_column(tmp_path):
+    # 10^4 steps: each trace is 80 KB, and six whole lists of them would be
+    # about 2 MB; the rows go out `sgld.CSV_BLOCK_ROWS` at a time. The peak
+    # of a one-step run's CSV (the file's buffer, whose size is the file
+    # system's block) is taken off
+    n_steps = 10**4
+    peaks = []
+    for steps in (1, n_steps):
+        run, rep = run_and_report(steps)
+        run.to_csv(tmp_path / "warm.csv", rep)  # first-call allocations out of the peak
+        tracemalloc.start()
+        try:
+            run.to_csv(tmp_path / "fp.csv", rep)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 8 * (n_steps + 1), peaks
+    whole_list_csv(tmp_path / "whole.csv", run, rep)
+    assert (tmp_path / "fp.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()

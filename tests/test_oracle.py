@@ -151,44 +151,69 @@ def test_oracle_matches_ensemble_moments():
             np.testing.assert_allclose(var_emp, v[t], atol=3.0 * var_se)
 
 
-# ----------------------------------------------------------- oracle_mi_upper
+# ------------------------------------------------------- the MI upper bound
 
 
 def test_mi_identical_control_is_exact_zero():
     model = QuadraticLoss(R=1.0, data_radius=1.0, d=2)
     cfg = full_batch_cfg(T=100)
-    est = oracle_mi_upper(model, cfg, n_dataset_pairs=12,
-                          control_identical=True)
-    assert est.mean == 0.0
-    assert est.stderr == 0.0
+    mi = oracle_mi_upper(model, cfg, n_dataset_pairs=12,
+                         control_identical=True)
+    assert mi == 0.0
+    # every pair's KL is zero, not just their mean
+    assert not oracle_pair_gaps(model, cfg.seed, cfg.n, 12, control_identical=True).any()
+
+
+def per_pair_kls(pair_gaps, config, R):
+    # each pair's KL at T in one expression, from its squared mean gap
+    a, v = _response_and_var(config.eta, config.beta, R, config.s_sq, config.T)
+    aT, vT = float(a[-1]), float(v[-1])
+    return np.array([aT**2 * gap / (2.0 * vT) for gap in pair_gaps])
 
 
 def per_pair_mi_loop(mu_sampler, config, R, n_pairs, control_identical=False):
-    # the bound as one loop over pairs, each pair's KL at T in one expression
-    a, v = _response_and_var(config.eta, config.beta, R, config.s_sq, config.T)
-    aT, vT = float(a[-1]), float(v[-1])
-    kls = np.empty(n_pairs)
+    # the bound as one loop over pairs, with the standard error of its
+    # pair Monte Carlo
+    gaps = np.empty(n_pairs)
     for i, seq in enumerate(np.random.SeedSequence(config.seed).spawn(n_pairs)):
         s_seq, s_alt_seq = seq.spawn(2)
         S = np.asarray(mu_sampler(np.random.default_rng(s_seq), config.n), dtype=float)
         S_alt = S if control_identical else np.asarray(
             mu_sampler(np.random.default_rng(s_alt_seq), config.n), dtype=float)
         diff = S.mean(axis=0) - S_alt.mean(axis=0)
-        kls[i] = aT**2 * float(diff @ diff) / (2.0 * vT)
+        gaps[i] = float(diff @ diff)
+    kls = per_pair_kls(gaps, config, R)
     sd = float(kls.std(ddof=1)) if n_pairs > 1 else 0.0
     return float(kls.mean()), sd / math.sqrt(n_pairs)
 
 
-@pytest.mark.parametrize("n_pairs", [1, 2, 37])
+def mi_and_stderr(model, config, n_pairs):
+    # the oracle's bound, and the standard error the per-pair loop gives it
+    return (oracle_mi_upper(model, config, n_dataset_pairs=n_pairs),
+            per_pair_mi_loop(model.sample_data, config, model.R, n_pairs)[1])
+
+
+@pytest.mark.parametrize("n_pairs", [1, 2, 37, 200])
 @pytest.mark.parametrize("control", [False, True])
 def test_mi_bitwise_equals_the_per_pair_loop(n_pairs, control):
     model = QuadraticLoss(R=1.3, data_radius=1.0, d=3)
     for cfg in (full_batch_cfg(), full_batch_cfg(n=7, k=7, T=33, eta=0.2, seed=3)):
-        est = oracle_mi_upper(model, cfg, n_dataset_pairs=n_pairs,
-                              control_identical=control)
-        assert (est.mean, est.stderr) == per_pair_mi_loop(
-            model.sample_data, cfg, 1.3, n_pairs, control)
-        assert est.n_samples == n_pairs
+        mi = oracle_mi_upper(model, cfg, n_dataset_pairs=n_pairs,
+                             control_identical=control)
+        assert mi == per_pair_mi_loop(model.sample_data, cfg, 1.3, n_pairs, control)[0]
+
+
+def test_mi_bitwise_equals_the_per_pair_loop_past_the_pairwise_blocks():
+    # numpy sums 10^5 entries in pairwise blocks of 128, and the mean keeps
+    # the bits of the loop's and of the (1, m) row mean the estimators take
+    # (`estimators._mean_stderr`); the draw of the pairs, pinned by the test
+    # above, is replaced by seeded squared gaps, which cost no dataset draws
+    cfg = full_batch_cfg(n=7, k=7, T=33, eta=0.2, seed=3)
+    gaps = np.random.default_rng(5).exponential(0.1, size=10**5)
+    a, v = _response_and_var(cfg.eta, cfg.beta, 1.3, cfg.s_sq, cfg.T)
+    mi = oracle_mi_from_gaps(gaps, a[-1], v[-1])
+    kls = per_pair_kls(gaps, cfg, 1.3)
+    assert mi == float(kls.mean()) == kls.reshape(1, -1).mean(axis=1).tolist()[0]
 
 
 def test_mi_from_gaps_reuses_one_draw_across_horizons():
@@ -258,18 +283,18 @@ def test_mi_requires_the_models_R():
 
 def test_mi_bounded_in_T():
     model = QuadraticLoss(R=1.0, data_radius=1.0, d=2)
-    a = oracle_mi_upper(model, full_batch_cfg(T=10_000), n_dataset_pairs=300)
-    b = oracle_mi_upper(model, full_batch_cfg(T=100_000), n_dataset_pairs=300)
-    joint = math.hypot(a.stderr, b.stderr)
-    assert abs(a.mean - b.mean) <= 3.0 * joint
+    a, a_se = mi_and_stderr(model, full_batch_cfg(T=10_000), 300)
+    b, b_se = mi_and_stderr(model, full_batch_cfg(T=100_000), 300)
+    joint = math.hypot(a_se, b_se)
+    assert abs(a - b) <= 3.0 * joint
 
 
 def test_mi_scales_like_one_over_n():
     model = QuadraticLoss(R=1.0, data_radius=1.0, d=2)
-    small = oracle_mi_upper(model, full_batch_cfg(n=25, k=25), n_dataset_pairs=400)
-    large = oracle_mi_upper(model, full_batch_cfg(n=100, k=100), n_dataset_pairs=400)
-    ratio = small.mean / large.mean
-    rel_se = math.hypot(small.stderr / small.mean, large.stderr / large.mean)
+    small, small_se = mi_and_stderr(model, full_batch_cfg(n=25, k=25), 400)
+    large, large_se = mi_and_stderr(model, full_batch_cfg(n=100, k=100), 400)
+    ratio = small / large
+    rel_se = math.hypot(small_se / small, large_se / large)
     assert abs(ratio - 4.0) <= 3.0 * ratio * rel_se
 
 
@@ -278,10 +303,10 @@ def test_gen_gap_within_mi_bound_chain():
     # surrogate loss vs sqrt(2 sigma_g^2 MI / n) with sigma_g^2 = 1/4
     model = QuadraticLoss(R=1.0, data_radius=1.0, d=2)
     cfg = full_batch_cfg(n=25, k=25, T=400, seed=99)
-    mi = oracle_mi_upper(model, cfg, n_dataset_pairs=400)
+    mi, mi_se = mi_and_stderr(model, cfg, 400)
     gap = empirical_gen_gap(model, cfg, n_trials=30, eval_loss="surrogate")
-    bound = math.sqrt(2.0 * 0.25 * mi.mean / cfg.n)
-    bound_se = bound * mi.stderr / (2.0 * mi.mean)
+    bound = math.sqrt(2.0 * 0.25 * mi / cfg.n)
+    bound_se = bound * mi_se / (2.0 * mi)
     assert gap.mean <= bound + 3.0 * math.hypot(gap.stderr, bound_se)
 
 
