@@ -350,13 +350,15 @@ def cmd_run(args) -> int:
             out.finish_manifest("failed")
             print("run failed: chain states left the float range", file=sys.stderr)
             return 2
-        (means, stderrs, n_pairs), gap, worker_seconds = estimates
+        stability, gap, worker_seconds = estimates
         out.manifest["stages"] = _stages(seconds, worker_seconds)
-        with out.file("stability.csv") as path:
-            write_estimates_csv(path, "grad_stability", stored_steps, means, stderrs, n_pairs)
+        # the gap first: a refused gap leaves neither table
         with out.file("gap.csv") as path:
-            write_estimates_csv(path, gap.estimator_name, [sgld_cfg.T], [gap.mean],
-                                [gap.stderr], gap.n_samples)
+            write_estimates_csv(path, f"gen_gap[{est['eval_loss']}]", [sgld_cfg.T], *gap,
+                                est["n_trials"])
+        with out.file("stability.csv") as path:
+            write_estimates_csv(path, "grad_stability", stored_steps, *stability,
+                                est["n_pairs"])
         out.finish_manifest()
     print(f"run complete: {len(out.files)} files in {args.out}")
     return 0
@@ -582,11 +584,11 @@ def _worker_stages(model, sgld_cfg: SGLDConfig, est: dict):
     gap trials' chains; None at the first chunk in which a chain's ||W||^2
     leaves the float range. Each chunk's stored pair states are evaluated as
     the engine yields them, and the trials' final states alone are kept, for
-    the gap, so no trajectory is held whole. The trace is (means, stderrs,
-    n_pairs), one entry of each array per stored step; the seconds are
-    `stability_s`, the engine's and the pairs' evaluation, and `gap_s`. The
-    estimators are looked up in this module's globals at call time, so
-    wrappers set there are the ones run."""
+    the gap, so no trajectory is held whole. The trace and the gap are
+    (means, stderrs) arrays, the trace's one entry per stored step and the
+    gap's one at T; the seconds are `stability_s`, the engine's and the
+    pairs' evaluation, and `gap_s`. The estimators are looked up in this
+    module's globals at call time, so wrappers set there are the ones run."""
     start = time.monotonic()
     n_pairs = est["n_pairs"]
     # the chains' datasets, the pairs' S then the trials', as one array the
@@ -609,7 +611,7 @@ def _worker_stages(model, sgld_cfg: SGLDConfig, est: dict):
     start = time.monotonic()
     gap = gen_gap(model, datasets[n_pairs:], finals, pool_seqs, est["eval_loss"])
     seconds["gap_s"] = time.monotonic() - start
-    return (np.concatenate(means), np.concatenate(stderrs), n_pairs), gap, seconds
+    return (np.concatenate(means), np.concatenate(stderrs)), gap, seconds
 
 
 def _read_csv(path, columns) -> list:
@@ -699,8 +701,6 @@ def _check_run_manifest(traces: str, cfg: ExperimentConfig) -> None:
 
 def cmd_bounds(args) -> int:
     cfg = load_config(args.config)
-    if args.traces is None:
-        raise ConfigError("bounds requires --traces DIR from a previous run")
     model = cfg.model()
     _apply_seed(args, cfg)
     sgld_cfg, b = cfg.sgld_config(), cfg["bounds"]
@@ -912,7 +912,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="evaluate bound formulas over traces")
     common(p)
-    p.add_argument("--traces", default=None,
+    p.add_argument("--traces", required=True,
                    help="directory produced by the run subcommand")
     p.set_defaults(func=cmd_bounds)
 

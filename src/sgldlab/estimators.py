@@ -27,7 +27,6 @@ from .sgld import (
 )
 
 __all__ = [
-    "EstimateWithError",
     "EVAL_LOSSES",
     "gap_trials",
     "gen_gap",
@@ -46,33 +45,6 @@ __all__ = [
 TEST_POOL_FACTOR = 10    # test pool size = factor * n per trial
 BOOTSTRAP_RESAMPLES = 200
 EVAL_LOSSES = ("same_as_f", "surrogate")  # raw loss, bounded surrogate f/(1+f)
-
-
-@dataclass(frozen=True)
-class EstimateWithError:
-    """A Monte Carlo estimate with its standard error.
-
-    stderr is the sample standard deviation divided by sqrt(n_samples);
-    zero when the estimate is exact.
-    """
-
-    mean: float
-    stderr: float
-    n_samples: int
-    estimator_name: str
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.mean):
-            raise ValueError(f"estimate must be finite, got {self.mean}")
-        if not (self.stderr >= 0 and math.isfinite(self.stderr)):
-            raise ValueError(f"stderr must be nonnegative and finite, got {self.stderr}")
-
-
-def _estimate(samples: np.ndarray, name: str) -> EstimateWithError:
-    samples = np.asarray(samples, dtype=float).reshape(1, -1)
-    (mean,), (stderr,) = (a.tolist() for a in _mean_stderr(samples))
-    return EstimateWithError(mean=mean, stderr=stderr, n_samples=samples.shape[1],
-                             estimator_name=name)
 
 
 def _mean_stderr(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -114,14 +86,15 @@ def gap_trials(model: LossModel, config: SGLDConfig, datasets: np.ndarray):
 
 
 def gen_gap(model: LossModel, datasets: np.ndarray, final_states, pool_seqs,
-            eval_loss: str = "same_as_f") -> EstimateWithError:
+            eval_loss: str = "same_as_f") -> tuple[np.ndarray, np.ndarray]:
     """The mean train-test gap of the final iterate over the trials
     `gap_trials` drew, from each trial's dataset S, its chain's final state
     W_T and its test pool's seed sequence: per trial, the mean loss of W_T
     on a fresh pool of 10 n points minus its mean loss on S. `eval_loss`
     selects the raw training loss ("same_as_f") or the bounded surrogate
-    f/(1+f) ("surrogate"). The `EstimateWithError` refuses a non-finite
-    mean; `run` writes it as `gap.csv`'s one row at T."""
+    f/(1+f) ("surrogate"). Returns (means, standard errors) over the trials,
+    one entry each, the shape of `stability_block`'s; `run` writes them as
+    `gap.csv`'s one row at T, and its writer refuses a non-finite mean."""
     if eval_loss not in EVAL_LOSSES:
         raise ValueError(f"unknown eval_loss {eval_loss!r}")
     n_pool = TEST_POOL_FACTOR * datasets.shape[1]
@@ -134,7 +107,7 @@ def gen_gap(model: LossModel, datasets: np.ndarray, final_states, pool_seqs,
             test_vals = _surrogate(test_vals)
             train_vals = _surrogate(train_vals)
         gaps[i] = test_vals.mean() - train_vals.mean()
-    return _estimate(gaps, f"gen_gap[{eval_loss}]")
+    return _mean_stderr(gaps[None])
 
 
 # ------------------------------------------------------- gradient statistics
@@ -462,8 +435,8 @@ def write_estimates_csv(path, name: str, t, means, stderrs, n_samples: int) -> N
     """Emit an estimate table as CSV {estimator, t_or_lambda, mean, stderr, n},
     from columns (see `array_rows`): row i is `name`'s estimate at t[i] (a
     step, or a lambda of the log-MGF) with means[i] and stderrs[i] over
-    n_samples samples. Refused, as `EstimateWithError` refuses an estimate,
-    unless every mean is finite and every stderr finite and nonnegative."""
+    n_samples samples. Refused unless every mean is finite and every stderr
+    finite and nonnegative."""
     means, stderrs = np.asarray(means, dtype=float), np.asarray(stderrs, dtype=float)
     if not (np.isfinite(means).all() and np.isfinite(stderrs).all()
             and (stderrs >= 0).all()):

@@ -55,6 +55,13 @@ def _response_and_var(eta: float, beta: float, R: float, s_sq: float, T: int):
     return a, v
 
 
+def _pair_kl(a, v, gap_sq):
+    """KL between the laws on a dataset pair at a_t and v_t: a_t^2
+    ||zbar_S - zbar_S'||^2 / (2 v_t), from `_response_and_var`'s a_t and
+    v_t and the pair's squared mean gap (either side may be an array)."""
+    return a**2 * gap_sq / (2.0 * v)
+
+
 @dataclass(frozen=True)
 class OracleTrace:
     """Exact law sequence for one dataset pair, with the KL between them.
@@ -82,7 +89,7 @@ def oracle_trace(
     """Exact per-step law and KL trace for a fixed dataset pair.
 
     Both chains start from the same N(0, s^2 I), so their variances agree
-    at every step and the KL reduces to a_t^2 ||zbar - zbar'||^2 / (2 v_t).
+    at every step and the KL reduces to `_pair_kl`'s.
     """
     if config.k != config.n:
         raise ValueError("the exact law covers full-batch chains only (k = n)")
@@ -95,7 +102,7 @@ def oracle_trace(
     # a law past the float range gives inf and nan, whose first step `verify` reports
     with np.errstate(over="ignore", invalid="ignore"):
         return OracleTrace(response=a, mean_norm=a * float(np.linalg.norm(zbar)),
-                           var=v, kl=a**2 * gap_sq / (2.0 * v))
+                           var=v, kl=_pair_kl(a, v, gap_sq))
 
 
 def oracle_pair_gaps(
@@ -134,11 +141,11 @@ def oracle_mi_from_gaps(gaps: np.ndarray, a_T: float, v_T: float) -> float:
     full-batch chain's exact KL at T, so the only error is the pair Monte Carlo.
 
     gaps are `oracle_pair_gaps`' and a_T and v_T `_response_and_var`'s
-    entries at the horizon T; each pair's KL is a_T^2 ||zbar_S - zbar_S'||^2 / (2 v_T).
-    Returns the pairs' mean KL as a float, np.mean's bits; a law past the
-    float range gives inf or nan.
+    entries at the horizon T; each pair's KL is `_pair_kl`'s. Returns the
+    pairs' mean KL as a float, np.mean's bits; a law past the float range
+    gives inf or nan.
     """
-    return float(np.mean(float(a_T)**2 * gaps / (2.0 * float(v_T))))
+    return float(np.mean(_pair_kl(float(a_T), float(v_T), gaps)))
 
 
 @dataclass(frozen=True)

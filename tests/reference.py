@@ -16,7 +16,6 @@ import numpy as np
 from sgldlab import fokker_planck, sgld
 from sgldlab.oracle import _response_and_var, oracle_mi_from_gaps, oracle_pair_gaps
 from sgldlab.estimators import (
-    EstimateWithError,
     gap_trials,
     gen_gap,
     stability_block,
@@ -102,8 +101,9 @@ def ensemble(config, model, dataset=None, n_chains=1, n_datasets=1):
 
 def empirical_gen_gap(model, config, n_trials, eval_loss="same_as_f"):
     """Mean train-test gap of the final iterate over `n_trials` independent
-    trials, each a chain on a fresh S scored against a fresh test pool: the
-    composition of `gap_trials`, the trials' chains and `gen_gap`."""
+    trials, each a chain on a fresh S scored against a fresh test pool, as
+    (means, stderrs) arrays of one entry: the composition of `gap_trials`,
+    the trials' chains and `gen_gap`."""
     datasets = np.empty((n_trials, config.n, model.z_dim))
     chain_seqs, pool_seqs = gap_trials(model, config, datasets)
     traces = collect(config, model, datasets, chain_seqs)
@@ -112,19 +112,18 @@ def empirical_gen_gap(model, config, n_trials, eval_loss="same_as_f"):
 
 def grad_stability_trace(model, config, n_pairs, control_identical=False):
     """E ||grad_F(W_t, S) - grad_F(W_t, S')||^2 over `n_pairs` dataset
-    pairs at each stored step of a chain on S, as `EstimateWithError`s: the
-    composition of `stability_chains`, the pairs' chains, each held whole,
-    and `stability_block`. `control_identical` replaces S' by S, which makes
-    the statistic exactly zero."""
+    pairs at each stored step of a chain on S, as (means, stderrs) arrays
+    with an entry per stored step: the composition of `stability_chains`,
+    the pairs' chains, each held whole, and `stability_block`.
+    `control_identical` replaces S' by S, which makes the statistic exactly
+    zero."""
     datasets, datasets_alt = np.empty((2, n_pairs, config.n, model.z_dim))
     chain_seqs = stability_chains(model, config, datasets, datasets_alt)
     if control_identical:
         datasets_alt[:] = datasets
     traces = collect(config, model, datasets, chain_seqs)
-    means, stderrs = stability_block(model, datasets, datasets_alt,
-                                     np.stack([tr.states for tr in traces], axis=1))
-    return [EstimateWithError(mu, se, n_pairs, "grad_stability")
-            for mu, se in zip(means.tolist(), stderrs.tolist())]
+    return stability_block(model, datasets, datasets_alt,
+                           np.stack([tr.states for tr in traces], axis=1))
 
 
 # ------------------------------------------------------------------ oracle

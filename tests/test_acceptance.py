@@ -167,30 +167,30 @@ def test_criterion_06_validity():
     cfg = CRIT6_CFG
     sigma_g_sq = 0.25  # surrogate f/(1+f) has range [0, 1]
 
-    gap = empirical_gen_gap(model, cfg, n_trials=200,
-                            eval_loss="surrogate")
+    (gap,), (gap_se,) = empirical_gen_gap(model, cfg, n_trials=200,
+                                          eval_loss="surrogate")
     dc = derive_constants(lc, eta=cfg.eta, beta=cfg.beta, d=cfg.d, s_sq=cfg.s_sq,
                           lsi_mode="strongly_convex")
     chain = bound_time_independent(kl_chain(lc, dc, cfg), cfg.n, sigma_g_sq)
     assert chain.preconditions_ok
 
-    stab = grad_stability_trace(model, cfg, n_pairs=100)
+    stab, _ = grad_stability_trace(model, cfg, n_pairs=100)
     steps = np.arange(cfg.T + 1)
     trace = np.column_stack([cfg.eta * steps,
-                             [max(e.mean, 0.0) for e in stab]])
+                             [max(mean, 0.0) for mean in stab.tolist()]])
     convex = bound_strongly_convex(trace, R=lc.R, beta=cfg.beta, n=cfg.n,
                                    sigma_g_sq=sigma_g_sq, T=cfg.eta * cfg.T)
 
     for entry in (chain, convex):
-        assert gap.mean + 3 * gap.stderr <= entry.value, (
-            f"validity violation: gap {gap.mean} vs {entry.name} {entry.value}"
+        assert gap + 3 * gap_se <= entry.value, (
+            f"validity violation: gap {gap} vs {entry.name} {entry.value}"
         )
-        assert entry.value / gap.mean >= 10.0, (
-            f"margin under 10x: {entry.name} {entry.value} / gap {gap.mean}"
+        assert entry.value / gap >= 10.0, (
+            f"margin under 10x: {entry.name} {entry.value} / gap {gap}"
         )
     elapsed = time.monotonic() - t0
     assert elapsed < 300.0
-    _pass(6, f"gap {gap.mean:.2e} <= {convex.value:.2e} (convex) "
+    _pass(6, f"gap {gap:.2e} <= {convex.value:.2e} (convex) "
              f"<= {chain.value:.2e} (chain), {elapsed:.1f} s")
 
 
@@ -215,9 +215,9 @@ def test_criterion_07_inverse_sqrt_n_scaling():
     for n in n_grid:
         cfg = SGLDConfig(eta=0.01, beta=100.0, k=n, n=n, T=500, d=5, s_sq=1.0,
                          seed=31415)
-        est = empirical_gen_gap(model, cfg, n_trials=200,
-                                eval_loss="same_as_f")
-        means.append(est.mean)
+        (mean,), _ = empirical_gen_gap(model, cfg, n_trials=200,
+                                       eval_loss="same_as_f")
+        means.append(mean)
     assert all(means[i] > means[i + 1] for i in range(len(means) - 1)), means
     _pass(7, f"scaled spread {spread:.1e}; gap means {np.round(means, 5)}")
 

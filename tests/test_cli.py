@@ -17,7 +17,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from sgldlab import cli, config, oracle, sgld
+from sgldlab import cli, config, estimators, oracle, sgld
 from sgldlab.bounds import bound_xu_raginsky, evaluate_grid, kl_chain
 from sgldlab.cli import ConfigError, load_config, main
 from sgldlab.estimators import (grad_variance_trace, stability_block, stability_chains,
@@ -295,8 +295,8 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     assert main(["frobnicate"]) == 1
     assert main(["run"]) == 1  # --config and --out are required
     assert main([]) == 1
-    # flags that were accepted and never read
-    for argv in (["certify", "--allow-unsafe"], ["bounds", "--allow-unsafe"],
+    # flags that were accepted and never read (bounds with its required --traces)
+    for argv in (["certify", "--allow-unsafe"], ["bounds", "--allow-unsafe", "--traces", "t"],
                  ["verify", "--allow-unsafe"], ["run", "--threads", "2"],
                  ["compare", "r", "--seed", "1"]):
         capsys.readouterr()
@@ -702,19 +702,19 @@ def assert_stability_csv_equals_in_process_trace(tmp_path, **over):
     path = write_config(tmp_path / "c.json", **over)
     assert main(["run", "--config", path, "--out", str(tmp_path / "run")]) == 0
     cfg = load_config(path)
-    stability = grad_stability_trace(cfg.model(), cfg.sgld_config(),
-                                     n_pairs=cfg["estimators"]["n_pairs"])
+    est = cfg["estimators"]
+    means, stderrs = grad_stability_trace(cfg.model(), cfg.sgld_config(),
+                                          n_pairs=est["n_pairs"])
     # T = 60 is below the storage cap, so step t is row t
-    write_estimates_csv(tmp_path / "expected.csv", "grad_stability", range(len(stability)),
-                        [e.mean for e in stability], [e.stderr for e in stability],
-                        stability[0].n_samples)
+    write_estimates_csv(tmp_path / "expected.csv", "grad_stability", range(len(means)),
+                        means, stderrs, est["n_pairs"])
     assert ((tmp_path / "run" / "stability.csv").read_bytes()
             == (tmp_path / "expected.csv").read_bytes())
-    est = cfg["estimators"]
+    assert est["eval_loss"] == "surrogate"
     gap = empirical_gen_gap(cfg.model(), cfg.sgld_config(), n_trials=est["n_trials"],
                             eval_loss=est["eval_loss"])
-    write_estimates_csv(tmp_path / "expected-gap.csv", gap.estimator_name,
-                        [cfg["sgld"]["T"]], [gap.mean], [gap.stderr], gap.n_samples)
+    write_estimates_csv(tmp_path / "expected-gap.csv", "gen_gap[surrogate]",
+                        [cfg["sgld"]["T"]], *gap, est["n_trials"])
     assert ((tmp_path / "run" / "gap.csv").read_bytes()
             == (tmp_path / "expected-gap.csv").read_bytes())
 
@@ -778,15 +778,14 @@ def test_run_worker_stages_make_one_chain_engine_call(tmp_path, monkeypatch):
         return real(config, model, datasets, chain_seqs, **kwargs)
 
     monkeypatch.setattr(cli, "_lockstep_chunks", counting)
-    (means, stderrs, n), gap, seconds = cli._worker_stages(model, sgld_cfg, est)
+    stability, gap, seconds = cli._worker_stages(model, sgld_cfg, est)
     assert set(seconds) == {"stability_s", "gap_s"} and min(seconds.values()) >= 0
     assert calls == [est["n_pairs"] + est["n_trials"]]
     want = grad_stability_trace(model, sgld_cfg, n_pairs=est["n_pairs"])
-    assert means.tolist() == [e.mean for e in want]
-    assert stderrs.tolist() == [e.stderr for e in want]
-    assert n == est["n_pairs"] == want[0].n_samples
-    assert gap == empirical_gen_gap(model, sgld_cfg, n_trials=est["n_trials"],
-                                    eval_loss=est["eval_loss"])
+    assert [a.tolist() for a in stability] == [a.tolist() for a in want]
+    want = empirical_gen_gap(model, sgld_cfg, n_trials=est["n_trials"],
+                             eval_loss=est["eval_loss"])
+    assert [a.tolist() for a in gap] == [a.tolist() for a in want]
 
 
 def test_run_computes_stability_in_a_worker_process(tmp_path, monkeypatch):
@@ -842,6 +841,22 @@ def test_run_gap_failure_reaches_the_caller(tmp_path, monkeypatch):
     with pytest.raises(RuntimeError, match="gap failed") as info:
         main(["run", "--config", cfg, "--out", str(out)])
     assert int(str(info.value).split()[-1]) != os.getpid()
+    assert not (out / ".lock").exists()
+    assert not (out / "gap.csv").exists() and not (out / "stability.csv").exists()
+    assert json.loads((out / "manifest.json").read_text())["status"] == "running"
+
+
+def test_run_refuses_a_non_finite_gap(tmp_path, monkeypatch):
+    # only gen_gap calls _eval_losses, so the log-MGF check's own refusal,
+    # on the family's eval_many, cannot fire first. The worker inherits the
+    # errstate: an inf gap's stderr is inf - inf, which numpy would report
+    monkeypatch.setattr(estimators, "_eval_losses",
+                        lambda model, w, Z: np.full(Z.shape[0], np.inf))
+    cfg = write_config(tmp_path / "c.json")
+    out = tmp_path / "run"
+    with np.errstate(invalid="ignore"), pytest.raises(
+            ValueError, match=r"^gen_gap\[surrogate\]: every mean must be finite"):
+        main(["run", "--config", cfg, "--out", str(out)])
     assert not (out / ".lock").exists()
     assert not (out / "gap.csv").exists() and not (out / "stability.csv").exists()
     assert json.loads((out / "manifest.json").read_text())["status"] == "running"
@@ -1734,6 +1749,8 @@ def test_bounds_missing_sigma_g_marks_unavailable(tmp_path):
 def test_bounds_missing_traces_exit_one(tmp_path, capsys):
     cfg = write_config(tmp_path / "c.json")
     assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "b")]) == 1
+    assert "--traces" in capsys.readouterr().err
+    assert not (tmp_path / "b").exists()
     assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "b2"),
                  "--traces", str(tmp_path / "nowhere")]) == 1
 

@@ -18,7 +18,6 @@ from sgldlab.constants import (
     subexp_params,
 )
 from sgldlab.estimators import (
-    EstimateWithError,
     grad_variance_trace,
     logmgf_check,
     pth_moment_check,
@@ -77,25 +76,15 @@ def reseeded(trace, seed):
     return dataclasses.replace(trace, config=dataclasses.replace(trace.config, seed=seed))
 
 
-# ----------------------------------------------------------- EstimateWithError
-
-
-def test_estimate_fields_validated():
-    with pytest.raises(ValueError):
-        EstimateWithError(mean=float("nan"), stderr=0.0, n_samples=3, estimator_name="x")
-    with pytest.raises(ValueError):
-        EstimateWithError(mean=0.0, stderr=-1.0, n_samples=3, estimator_name="x")
-
-
 # ------------------------------------------------------------------- gen gap
 
 
 def test_gen_gap_constant_loss_is_zero():
     model = ConstantLoss(d=2)
     cfg = quad_cfg(n=20, k=20, T=50, d=2)
-    est = empirical_gen_gap(model, cfg, n_trials=5)
-    assert abs(est.mean) <= est.stderr + 1e-14
-    assert est.n_samples == 5
+    means, stderrs = empirical_gen_gap(model, cfg, n_trials=5)
+    assert means.shape == stderrs.shape == (1,)
+    assert abs(means[0]) <= stderrs[0] + 1e-14
 
 
 def test_gen_gap_requires_two_trials():
@@ -115,7 +104,7 @@ def test_gen_gap_reproducible_by_seed():
     cfg = quad_cfg(n=30, k=30, T=40)
     a = empirical_gen_gap(model, cfg, n_trials=4)
     b = empirical_gen_gap(model, cfg, n_trials=4)
-    assert a == b
+    assert [x.tolist() for x in a] == [x.tolist() for x in b]
 
 
 def test_gen_gap_shrinks_with_n():
@@ -125,19 +114,18 @@ def test_gen_gap_shrinks_with_n():
     model = QuadraticLoss(R=1.0, data_radius=1.0, d=5)
     small = quad_cfg(n=50, k=50, T=150, d=5, beta=1000.0, seed=91)
     large = quad_cfg(n=400, k=400, T=150, d=5, beta=1000.0, seed=91)
-    gap_small = empirical_gen_gap(model, small, n_trials=30)
-    gap_large = empirical_gen_gap(model, large, n_trials=30)
-    assert gap_large.mean < gap_small.mean
+    (gap_small,), _ = empirical_gen_gap(model, small, n_trials=30)
+    (gap_large,), _ = empirical_gen_gap(model, large, n_trials=30)
+    assert gap_large < gap_small
 
 
 def test_gen_gap_surrogate_bounded_and_distinct():
     model = QuadraticLoss(R=1.0, data_radius=1.0, d=2)
     cfg = quad_cfg(n=30, k=30, T=40)
-    raw = empirical_gen_gap(model, cfg, n_trials=6, eval_loss="same_as_f")
-    sur = empirical_gen_gap(model, cfg, n_trials=6, eval_loss="surrogate")
-    assert abs(sur.mean) <= 1.0
-    assert sur.mean != raw.mean
-    assert sur.estimator_name == "gen_gap[surrogate]"
+    (raw,), _ = empirical_gen_gap(model, cfg, n_trials=6, eval_loss="same_as_f")
+    (sur,), _ = empirical_gen_gap(model, cfg, n_trials=6, eval_loss="surrogate")
+    assert abs(sur) <= 1.0
+    assert sur != raw
 
 
 # ------------------------------------------------------------- grad variance
@@ -208,9 +196,9 @@ def test_grad_stability_identical_datasets_zero(family, d):
              "logistic": LogisticRidgeLoss(1.0, 1.0, d),
              "nonconvex": NonconvexRidgeLoss(1.0, 0.5, 1.0, d)}[family]
     cfg = quad_cfg(n=20, k=20, T=5, d=d)
-    ests = grad_stability_trace(model, cfg, n_pairs=8, control_identical=True)
-    assert len(ests) == 6
-    assert all(e.mean == 0.0 and e.stderr == 0.0 for e in ests)
+    means, stderrs = grad_stability_trace(model, cfg, n_pairs=8, control_identical=True)
+    assert len(means) == len(stderrs) == 6
+    assert np.all(means == 0.0) and np.all(stderrs == 0.0)
 
 
 def test_grad_stability_quadratic_matches_closed_form():
@@ -220,7 +208,7 @@ def test_grad_stability_quadratic_matches_closed_form():
     model = QuadraticLoss(R=R, data_radius=1.0, d=2)
     cfg = quad_cfg(n=25, k=25, T=3, seed=314)
     n_pairs = 40
-    ests = grad_stability_trace(model, cfg, n_pairs=n_pairs)
+    means, stderrs = grad_stability_trace(model, cfg, n_pairs=n_pairs)
 
     closed = np.empty(n_pairs)
     root = np.random.SeedSequence(cfg.seed)
@@ -232,18 +220,18 @@ def test_grad_stability_quadratic_matches_closed_form():
         closed[i] = R**2 * float(diff @ diff)
     expect_mean = closed.mean()
     expect_se = closed.std(ddof=1) / math.sqrt(n_pairs)
-    for est in ests:
-        assert est.mean == pytest.approx(expect_mean, rel=1e-12)
-        assert est.stderr == pytest.approx(expect_se, rel=1e-12)
+    for mean, stderr in zip(means, stderrs):
+        assert mean == pytest.approx(expect_mean, rel=1e-12)
+        assert stderr == pytest.approx(expect_se, rel=1e-12)
 
 
 def test_grad_stability_scales_like_one_over_n():
     model = QuadraticLoss(R=1.0, data_radius=1.0, d=2)
     small = quad_cfg(n=25, k=25, T=2, seed=5)
     large = quad_cfg(n=100, k=100, T=2, seed=5)
-    est_small = grad_stability_trace(model, small, n_pairs=200)[-1]
-    est_large = grad_stability_trace(model, large, n_pairs=200)[-1]
-    ratio = est_small.mean / est_large.mean
+    est_small = grad_stability_trace(model, small, n_pairs=200)[0][-1]
+    est_large = grad_stability_trace(model, large, n_pairs=200)[0][-1]
+    ratio = est_small / est_large
     assert 2.8 < ratio < 5.2
 
 
@@ -296,10 +284,6 @@ def _stability_per_row(model, config, n_pairs, control_identical):
         diff = model.grad_minibatch(W, DS) - model.grad_minibatch(W, DS_alt)
         rows.append(np.einsum("ij,ij->i", diff, diff))
     return _mean_and_stderr(rows)
-
-
-def _fields(ests):
-    return np.array([e.mean for e in ests]), np.array([e.stderr for e in ests])
 
 
 GRAD_MODELS = [QuadraticLoss(R=1.0, data_radius=1.0, d=2),
@@ -363,11 +347,10 @@ def test_grad_stability_blocks_equal_per_row_loop(monkeypatch, model, strided,
         # the (4 steps, n = 30) margins
         monkeypatch.setattr(sgld, "STATE_STORE_CAP", 10)
         monkeypatch.setattr(sgld, "BLOCK_WORDS", 4 * 30)
-    ests = grad_stability_trace(model, cfg, n_pairs=6,
-                                control_identical=control_identical)
-    assert len(ests) == (11 if strided else 48)
+    got_mean, got_se = grad_stability_trace(model, cfg, n_pairs=6,
+                                            control_identical=control_identical)
+    assert len(got_mean) == len(got_se) == (11 if strided else 48)
     want_mean, want_se = _stability_per_row(model, cfg, 6, control_identical)
-    got_mean, got_se = _fields(ests)
     np.testing.assert_allclose(got_mean, want_mean, rtol=1e-12, atol=0)
     np.testing.assert_allclose(got_se, want_se, rtol=1e-12, atol=0)
     if control_identical:
@@ -406,9 +389,9 @@ def test_block_estimates_equal_per_row_estimate(m):
     rows[1] = 0.0  # what control_identical gives
     rows[2] = rows[2, 0]
     got = estimators._mean_stderr(rows)
-    want = [estimators._estimate(row, "x") for row in rows]
-    assert got[0].tolist() == [e.mean for e in want]
-    assert got[1].tolist() == [e.stderr for e in want]
+    want = [estimators._mean_stderr(row[None]) for row in rows]
+    assert got[0].tolist() == [mean for (mean,), _ in want]
+    assert got[1].tolist() == [stderr for _, (stderr,) in want]
     assert got[0][1] == 0.0 and got[1][1] == 0.0
 
 

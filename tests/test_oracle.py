@@ -304,10 +304,10 @@ def test_gen_gap_within_mi_bound_chain():
     model = QuadraticLoss(R=1.0, data_radius=1.0, d=2)
     cfg = full_batch_cfg(n=25, k=25, T=400, seed=99)
     mi, mi_se = mi_and_stderr(model, cfg, 400)
-    gap = empirical_gen_gap(model, cfg, n_trials=30, eval_loss="surrogate")
+    (gap,), (gap_se,) = empirical_gen_gap(model, cfg, n_trials=30, eval_loss="surrogate")
     bound = math.sqrt(2.0 * 0.25 * mi / cfg.n)
     bound_se = bound * mi_se / (2.0 * mi)
-    assert gap.mean <= bound + 3.0 * math.hypot(gap.stderr, bound_se)
+    assert gap <= bound + 3.0 * math.hypot(gap_se, bound_se)
 
 
 # ------------------------------------------------------- verify_kl_recursion
