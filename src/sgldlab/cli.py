@@ -352,12 +352,12 @@ def cmd_run(args) -> int:
             return 2
         stability, gap, worker_seconds = estimates
         out.manifest["stages"] = _stages(seconds, worker_seconds)
-        # the gap first: a refused gap leaves neither table
-        with out.file("gap.csv") as path:
-            write_estimates_csv(path, f"gen_gap[{est['eval_loss']}]", [sgld_cfg.T], *gap,
-                                est["n_trials"])
-        with out.file("stability.csv") as path:
-            write_estimates_csv(path, "grad_stability", stored_steps, *stability,
+        # both tables take their names only once both are written: a refused
+        # gap or trace leaves neither
+        with out.file("stability.csv") as trace_path, out.file("gap.csv") as gap_path:
+            write_estimates_csv(gap_path, f"gen_gap[{est['eval_loss']}]", [sgld_cfg.T],
+                                *gap, est["n_trials"])
+            write_estimates_csv(trace_path, "grad_stability", stored_steps, *stability,
                                 est["n_pairs"])
         out.finish_manifest()
     print(f"run complete: {len(out.files)} files in {args.out}")

@@ -1,19 +1,20 @@
 """The checks are checked: each mutant in mutants.json must fail its tests.
 
-    python tests/mutants.py [NAME ...]
+    python tests/mutants.py
 
 An entry of mutants.json names a deliberate defect: a `file` (relative to
 the repository root), an `old` text that must appear in it exactly once,
 the `new` text that replaces it, and the `tests` (pytest node ids) that
-must catch it. For each entry, or only the named ones, this copies src/,
-tests/ and pyproject.toml into a temporary directory, applies the edit
-there, and runs the entry's tests with `-x`; pyproject's `pythonpath`
-puts the copy's src/ first, so the mutated code is the one imported and
-the checkout is never edited. A mutant is killed when pytest reports a
+must catch it. For every entry, this copies src/, tests/ and
+pyproject.toml into a temporary directory, applies the edit there, and
+runs the entry's tests with `-x`; pyproject's `pythonpath` puts the
+copy's src/ first, so the mutated code is the one imported and the
+checkout is never edited. A mutant is killed when pytest reports a
 failed test (exit code 1). The run fails, exit 1, if any mutant survives,
-if an old text is missing or repeated, or if a named test does not exist
-in the unmutated tree (checked first, in one collection). pytest does not
-collect this file: its name does not start with `test_`.
+or if an old text is missing or repeated. First, every named test is run
+once on the unmutated tree and must pass there: a test that already
+fails, or does not exist, would otherwise kill a mutant it never caught.
+pytest does not collect this file: its name does not start with `test_`.
 """
 
 from __future__ import annotations
@@ -58,25 +59,21 @@ def _apply(root: str, mutant: dict) -> str | None:
     return None
 
 
-def main(argv: list[str]) -> int:
+def main() -> int:
     with open(CORPUS) as fh:
         corpus = json.load(fh)
-    unknown = set(argv) - {m["name"] for m in corpus}
-    if unknown:
-        print(f"no such mutant: {', '.join(sorted(unknown))}", file=sys.stderr)
-        return 1
-    chosen = [m for m in corpus if not argv or m["name"] in argv]
     failures = []
     with tempfile.TemporaryDirectory(prefix="sgldlab-mutants-") as tmp:
         clean = os.path.join(tmp, "clean")
         _copy_tree(clean)
-        ids = sorted({test for m in chosen for test in m["tests"]})
-        done = _pytest(clean, "--collect-only", *ids)
+        ids = sorted({test for m in corpus for test in m["tests"]})
+        done = _pytest(clean, *ids)
         if done.returncode != 0:
-            print(done.stdout + done.stderr, file=sys.stderr)
-            print("a named test is not in the unmutated tree", file=sys.stderr)
+            print(done.stdout[-4000:] + done.stderr[-4000:], file=sys.stderr)
+            print(f"the named tests do not all pass on the unmutated tree "
+                  f"(pytest exit {done.returncode})", file=sys.stderr)
             return 1
-        for i, mutant in enumerate(chosen):
+        for i, mutant in enumerate(corpus):
             start = time.monotonic()
             work = os.path.join(tmp, f"m{i}")
             _copy_tree(work)
@@ -92,9 +89,9 @@ def main(argv: list[str]) -> int:
             if why is not None:
                 failures.append(mutant["name"])
             shutil.rmtree(work)
-    print(f"{len(chosen) - len(failures)} of {len(chosen)} mutants killed")
+    print(f"{len(corpus) - len(failures)} of {len(corpus)} mutants killed")
     return 1 if failures else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -862,6 +862,22 @@ def test_run_refuses_a_non_finite_gap(tmp_path, monkeypatch):
     assert json.loads((out / "manifest.json").read_text())["status"] == "running"
 
 
+def test_run_refuses_a_non_finite_stability_trace(tmp_path, monkeypatch):
+    # the worker looks stability_block up in cli's globals; the gap is
+    # written first and stays finite, yet must not take its name either
+    def inf_block(model, datasets, datasets_alt, states):
+        means, stderrs = stability_block(model, datasets, datasets_alt, states)
+        return np.full_like(means, np.inf), stderrs
+    monkeypatch.setattr(cli, "stability_block", inf_block)
+    cfg = write_config(tmp_path / "c.json")
+    out = tmp_path / "run"
+    with pytest.raises(ValueError, match=r"^grad_stability: every mean must be finite"):
+        main(["run", "--config", cfg, "--out", str(out)])
+    assert not (out / ".lock").exists()
+    assert not (out / "gap.csv").exists() and not (out / "stability.csv").exists()
+    assert json.loads((out / "manifest.json").read_text())["status"] == "running"
+
+
 def test_run_logistic_artifacts_independent_of_blas_threads(tmp_path):
     # the logistic kernel's back-contraction is a BLAS call on the run path
     cfg = write_config(tmp_path / "c.json",
