@@ -35,6 +35,7 @@ from .config import ConfigError, ExperimentConfig, _check, _verify_fp_runs, load
 from .constants import admissibility_failures, lsi_constant, subexp_params
 from .estimators import (
     ESTIMATES_CSV_COLUMNS,
+    NotFinite,
     gap_trials,
     gen_gap,
     grad_variance_trace,
@@ -80,7 +81,7 @@ class _OutputDir:
     A KeyboardInterrupt (SIGINT or SIGTERM, see `main`) leaving a started
     manifest sets its status to `interrupted`; any other failure leaves it
     `running`. A finished one reads `complete`, or the status given (`run`
-    gives `failed` when its chains leave the float range).
+    gives `failed` when a number it must record is not finite).
     """
 
     def __init__(self, path, started: float | None = None):
@@ -318,57 +319,49 @@ def cmd_run(args) -> int:
     with _OutputDir(args.out, args.started) as out:
         _start_config_manifest(out, cfg, preconditions)
 
-        root = np.random.SeedSequence([seed, 0xDA7A])
-        dataset = np.asarray(
-            model.sample_data(np.random.default_rng(root), cfg["data"]["n"]),
-            dtype=float,
-        )
+        rng = np.random.default_rng(np.random.SeedSequence([seed, 0xDA7A]))
+        dataset = np.asarray(model.sample_data(rng, cfg["data"]["n"]), dtype=float)
         out.save_npy("dataset.npy", dataset)
         # the gap and the stability trace read nothing the stages below
         # compute, so a forked worker runs them while this process runs the
         # rest
-        seconds = {}
-        with _worker_process(model, sgld_cfg, est) as result:
-            stored_steps = _run_own_stages(out, cfg, model, dataset, sgld_cfg, seconds)
-            start = time.monotonic()
-            try:
-                # None when a chain's states leave the float range
-                estimates = None if stored_steps is None else result()
-            except EOFError as exc:
-                # killed, say out of memory: the lock goes, the manifest stays running
-                print(f"run failed: {exc}", file=sys.stderr)
-                return 1
-            seconds["worker_wait_s"] = time.monotonic() - start
+        seconds, worker_seconds, failure = {}, {}, None
+        try:
+            with _worker_process(model, sgld_cfg, est) as result:
+                stored_steps = _run_own_stages(out, cfg, model, dataset, sgld_cfg, seconds)
+                start = time.monotonic()
+                try:
+                    stability, gap, worker_seconds = result()
+                except EOFError as exc:
+                    # killed, say out of memory: the lock goes, the manifest stays running
+                    print(f"run failed: {exc}", file=sys.stderr)
+                    return 1
+                seconds["worker_wait_s"] = time.monotonic() - start
+            # both tables take their names only once both are written: a refused
+            # gap or trace leaves neither
+            with out.file("stability.csv") as trace_path, out.file("gap.csv") as gap_path:
+                write_estimates_csv(gap_path, f"gen_gap[{est['eval_loss']}]", [sgld_cfg.T],
+                                    *gap, est["n_trials"])
+                write_estimates_csv(trace_path, "grad_stability", stored_steps, *stability,
+                                    est["n_pairs"])
+        except NotFinite as exc:
+            # a state or an estimate past the float range, where none is defined
+            failure = str(exc)
         out.manifest["peak_rss_mb"] = _peak_rss_mb()  # the worker is reaped
+        out.manifest["stages"] = {  # seconds here and in the worker, to the us
+            who: {name: round(value, 6) for name, value in sorted(times.items())}
+            for who, times in (("run", seconds), ("worker", worker_seconds))}
         states = out.manifest["checks"]["states"]
-        states["finite"] = estimates is not None
+        states["finite"] = failure != _STATES_LEFT_FLOAT_RANGE
         print(f"run: states finite in every chain: {states['finite']}; largest "
               f"||W||^2 in the ensemble: {states['max_w_norm_sq']}")
-        if estimates is None:
-            # no estimate is defined at a state beyond the float range
-            out.manifest["stages"] = _stages(seconds, {})
+        if failure is not None:
             out.finish_manifest("failed")
-            print("run failed: chain states left the float range", file=sys.stderr)
+            print(f"run failed: {failure}", file=sys.stderr)
             return 2
-        stability, gap, worker_seconds = estimates
-        out.manifest["stages"] = _stages(seconds, worker_seconds)
-        # both tables take their names only once both are written: a refused
-        # gap or trace leaves neither
-        with out.file("stability.csv") as trace_path, out.file("gap.csv") as gap_path:
-            write_estimates_csv(gap_path, f"gen_gap[{est['eval_loss']}]", [sgld_cfg.T],
-                                *gap, est["n_trials"])
-            write_estimates_csv(trace_path, "grad_stability", stored_steps, *stability,
-                                est["n_pairs"])
         out.finish_manifest()
     print(f"run complete: {len(out.files)} files in {args.out}")
     return 0
-
-
-def _stages(own: dict, worker: dict) -> dict:
-    """The manifest's `stages` block: the seconds of `run`'s stages in its
-    own process (`run`) and in its worker (`worker`), rounded to the us."""
-    return {who: {name: round(value, 6) for name, value in sorted(times.items())}
-            for who, times in (("run", own), ("worker", worker))}
 
 
 def _update_series(model, dataset, before, chunk, out) -> None:
@@ -388,12 +381,12 @@ def _update_series(model, dataset, before, chunk, out) -> None:
 
 
 def _run_own_stages(out: _OutputDir, cfg: ExperimentConfig, model, dataset,
-                    sgld_cfg: SGLDConfig, seconds: dict) -> np.ndarray | None:
+                    sgld_cfg: SGLDConfig, seconds: dict) -> np.ndarray:
     """The stages `run` keeps in its own process: the ensemble, chain 0's
     trace and variance, the moments, the log-MGF and p-th moment checks,
     whose seconds go into `seconds` as `ensemble_s`, `variance_s` and
-    `checks_s`. Returns chain 0's stored steps, or None, after the moments,
-    when an ensemble chain's ||W||^2 left the float range.
+    `checks_s`. Returns chain 0's stored steps; raises NotFinite, after the
+    moments, when an ensemble chain's ||W||^2 left the float range.
 
     The ensemble is read chunk by chunk from `_lockstep_chunks`, as the
     worker reads its chains: a chunk's ||W||^2 are added chain by chain into
@@ -417,8 +410,10 @@ def _run_own_stages(out: _OutputDir, cfg: ExperimentConfig, model, dataset,
         norms = chunk.w_norm_sq  # (steps, chains)
         steps = slice(chunk.t0, chunk.t0 + norms.shape[0])
         total[steps] = norms[:, 0]
-        for i in range(1, n_chains):
-            total[steps] += norms[:, i]
+        # finite norms can sum past the float range; `finite` reads the norms
+        with np.errstate(over="ignore"):
+            for i in range(1, n_chains):
+                total[steps] += norms[:, i]
         trace.w_norm_sq[steps] = norms[:, 0]
         if chunk.t0:  # the updates into the chunk's steps
             _update_series(model, dataset, last, chunk, series[:, chunk.t0 - 1:steps.stop - 1])
@@ -439,7 +434,7 @@ def _run_own_stages(out: _OutputDir, cfg: ExperimentConfig, model, dataset,
     out.manifest["checks"] = {"states": {"max_w_norm_sq": largest if finite else None}}
     seconds["ensemble_s"] = time.monotonic() - start
     if not finite:
-        return None
+        raise NotFinite(_STATES_LEFT_FLOAT_RANGE)
 
     start = time.monotonic()
     means, stderrs = grad_variance_trace(model, dataset, trace,
@@ -471,8 +466,7 @@ def _run_own_stages(out: _OutputDir, cfg: ExperimentConfig, model, dataset,
                                 mgf.n_samples)
     need = pth_moment_min_chains(est["p_list"])
     if n_chains >= need:
-        moments = pth_moment_check(finals, est["p_list"],
-                                   lc, beta=sgld_cfg.beta,
+        moments = pth_moment_check(finals, est["p_list"], lc, beta=sgld_cfg.beta,
                                    d=sgld_cfg.d, s_sq=sgld_cfg.s_sq)
         out.write_json("pth_moments.json", moments.to_dict())
     else:
@@ -485,6 +479,7 @@ def _run_own_stages(out: _OutputDir, cfg: ExperimentConfig, model, dataset,
 
 
 _SIGNALS = (signal.SIGINT, signal.SIGTERM)
+_STATES_LEFT_FLOAT_RANGE = "chain states left the float range"
 
 
 @contextlib.contextmanager
@@ -581,10 +576,10 @@ def _worker(send: int, parent: int, model, sgld_cfg: SGLDConfig, est: dict) -> N
 def _worker_stages(model, sgld_cfg: SGLDConfig, est: dict):
     """The stability trace, the gap and their seconds, from one pass of the
     chain engine over the stability pairs' chains, each on its S, then the
-    gap trials' chains; None at the first chunk in which a chain's ||W||^2
-    leaves the float range. Each chunk's stored pair states are evaluated as
-    the engine yields them, and the trials' final states alone are kept, for
-    the gap, so no trajectory is held whole. The trace and the gap are
+    gap trials' chains; NotFinite at the first chunk in which a chain's
+    ||W||^2 leaves the float range. Each chunk's stored pair states are
+    evaluated as the engine yields them, and the trials' final states alone
+    are kept, for the gap, so no trajectory is held whole. The trace and the gap are
     (means, stderrs) arrays, the trace's one entry per stored step and the
     gap's one at T; the seconds are `stability_s`, the engine's and the
     pairs' evaluation, and `gap_s`. The estimators are looked up in this
@@ -600,7 +595,7 @@ def _worker_stages(model, sgld_cfg: SGLDConfig, est: dict):
     means, stderrs = [], []
     for chunk in _lockstep_chunks(sgld_cfg, model, datasets, chain_seqs + trial_seqs):
         if not np.isfinite(chunk.w_norm_sq).all():
-            return None  # a state beyond the float range: no estimate is defined
+            raise NotFinite(_STATES_LEFT_FLOAT_RANGE)
         mean, stderr = stability_block(model, datasets[:n_pairs], datasets_alt,
                                        chunk.states)
         means.append(mean)

@@ -39,6 +39,7 @@ __all__ = [
     "LogMgfReport",
     "admitted_lambdas",
     "logmgf_check",
+    "NotFinite",
     "write_estimates_csv",
 ]
 
@@ -431,17 +432,21 @@ def logmgf_check(
 ESTIMATES_CSV_COLUMNS = ("estimator", "t_or_lambda", "mean", "stderr", "n")
 
 
+class NotFinite(ValueError):
+    """A number past the float range where an estimate must be recorded."""
+
+
 def write_estimates_csv(path, name: str, t, means, stderrs, n_samples: int) -> None:
     """Emit an estimate table as CSV {estimator, t_or_lambda, mean, stderr, n},
     from columns (see `array_rows`): row i is `name`'s estimate at t[i] (a
     step, or a lambda of the log-MGF) with means[i] and stderrs[i] over
-    n_samples samples. Refused unless every mean is finite and every stderr
-    finite and nonnegative."""
+    n_samples samples. Refused, by NotFinite, unless every mean is finite and
+    every stderr finite and nonnegative."""
     means, stderrs = np.asarray(means, dtype=float), np.asarray(stderrs, dtype=float)
     if not (np.isfinite(means).all() and np.isfinite(stderrs).all()
             and (stderrs >= 0).all()):
-        raise ValueError(f"{name}: every mean must be finite and every stderr "
-                         f"nonnegative and finite")
+        raise NotFinite(f"{name}: every mean must be finite and every stderr "
+                        f"nonnegative and finite")
     write_csv(path, ESTIMATES_CSV_COLUMNS,
               ((name, tl, mean, stderr, n_samples)
                for tl, mean, stderr in array_rows(t, means, stderrs)))

@@ -20,8 +20,8 @@ import pytest
 from sgldlab import cli, config, estimators, oracle, sgld
 from sgldlab.bounds import bound_xu_raginsky, evaluate_grid, kl_chain
 from sgldlab.cli import ConfigError, load_config, main
-from sgldlab.estimators import (grad_variance_trace, stability_block, stability_chains,
-                                write_estimates_csv)
+from sgldlab.estimators import (NotFinite, grad_variance_trace, stability_block,
+                                stability_chains, write_estimates_csv)
 from sgldlab.fokker_planck import check_dt
 
 from reference import (SERIES, collect, empirical_gen_gap, ensemble, grad_stability_trace,
@@ -846,7 +846,7 @@ def test_run_gap_failure_reaches_the_caller(tmp_path, monkeypatch):
     assert json.loads((out / "manifest.json").read_text())["status"] == "running"
 
 
-def test_run_refuses_a_non_finite_gap(tmp_path, monkeypatch):
+def test_run_refuses_a_non_finite_gap(tmp_path, monkeypatch, capsys):
     # only gen_gap calls _eval_losses, so the log-MGF check's own refusal,
     # on the family's eval_many, cannot fire first. The worker inherits the
     # errstate: an inf gap's stderr is inf - inf, which numpy would report
@@ -854,15 +854,16 @@ def test_run_refuses_a_non_finite_gap(tmp_path, monkeypatch):
                         lambda model, w, Z: np.full(Z.shape[0], np.inf))
     cfg = write_config(tmp_path / "c.json")
     out = tmp_path / "run"
-    with np.errstate(invalid="ignore"), pytest.raises(
-            ValueError, match=r"^gen_gap\[surrogate\]: every mean must be finite"):
-        main(["run", "--config", cfg, "--out", str(out)])
+    with np.errstate(invalid="ignore"):
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1].startswith("run failed: gen_gap[surrogate]: every mean must be finite")
     assert not (out / ".lock").exists()
     assert not (out / "gap.csv").exists() and not (out / "stability.csv").exists()
-    assert json.loads((out / "manifest.json").read_text())["status"] == "running"
+    assert json.loads((out / "manifest.json").read_text())["status"] == "failed"
 
 
-def test_run_refuses_a_non_finite_stability_trace(tmp_path, monkeypatch):
+def test_run_refuses_a_non_finite_stability_trace(tmp_path, monkeypatch, capsys):
     # the worker looks stability_block up in cli's globals; the gap is
     # written first and stays finite, yet must not take its name either
     def inf_block(model, datasets, datasets_alt, states):
@@ -871,11 +872,13 @@ def test_run_refuses_a_non_finite_stability_trace(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "stability_block", inf_block)
     cfg = write_config(tmp_path / "c.json")
     out = tmp_path / "run"
-    with pytest.raises(ValueError, match=r"^grad_stability: every mean must be finite"):
-        main(["run", "--config", cfg, "--out", str(out)])
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1].startswith("run failed: grad_stability: every mean must be finite")
     assert not (out / ".lock").exists()
     assert not (out / "gap.csv").exists() and not (out / "stability.csv").exists()
-    assert json.loads((out / "manifest.json").read_text())["status"] == "running"
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "failed" and manifest["checks"]["states"]["finite"]
 
 
 def test_run_logistic_artifacts_independent_of_blas_threads(tmp_path):
@@ -1355,8 +1358,46 @@ def test_run_records_whether_the_states_stayed_finite(tmp_path, capsys, T):
         assert "gap.csv" not in manifest["files"]
         assert "run failed: chain states left the float range" in printed.err
         loaded = load_config(cfg)
-        assert cli._worker_stages(loaded.model(), loaded.sgld_config(),
-                                  loaded["estimators"]) is None
+        with pytest.raises(NotFinite, match="^chain states left the float range$"):
+            cli._worker_stages(loaded.model(), loaded.sgld_config(), loaded["estimators"])
+
+
+# |1 - eta R| = 2: ||W||^2 grows about 4-fold a step, to about 1e305 at T = 506
+# and past the float range by T = 512
+OVERFLOWING = {"loss": {"R": 100.0}, "sgld": {"eta": 0.03, "seed": 0}}
+
+
+def run_overflowing(tmp_path, T):
+    """`run_cli` of `run --allow-unsafe` on OVERFLOWING at horizon T: the
+    process, its stderr lines and its manifest."""
+    cfg = write_config(tmp_path / "c.json", **{**OVERFLOWING, "sgld": {
+        **OVERFLOWING["sgld"], "T": T}})
+    out = tmp_path / "out"
+    proc = run_cli(["run", "--config", cfg, "--out", str(out), "--allow-unsafe"])
+    return proc, proc.stderr.splitlines(), read_json(out / "manifest.json")
+
+
+def test_run_fails_an_estimate_past_the_float_range_of_finite_states(tmp_path):
+    # a subprocess, since pytest makes the run's RuntimeWarnings errors: at
+    # T = 508 every state is finite, but the log-MGF of the final states is not
+    proc, err, manifest = run_overflowing(tmp_path, 508)
+    assert proc.returncode == 2 and manifest["status"] == "failed"
+    assert manifest["checks"]["states"]["finite"] is True
+    assert {"chain_000.csv", "final_states.npy", "moments.csv"} <= set(manifest["files"])
+    assert "logmgf.csv" not in manifest["files"]
+    assert not (tmp_path / "out" / "logmgf.csv").exists()
+    assert err[-1].startswith("run failed: logmgf: ")
+    assert "Traceback" not in proc.stderr
+
+
+def test_run_sums_norms_past_the_float_range_without_a_warning(tmp_path):
+    # a step comes at which every chain's ||W||^2 is finite and their sum is
+    # not, before the states leave the float range
+    proc, err, manifest = run_overflowing(tmp_path, 512)
+    assert proc.returncode == 2 and manifest["status"] == "failed"
+    assert manifest["checks"]["states"] == {"finite": False, "max_w_norm_sq": None}
+    assert err == ["run failed: chain states left the float range"]
+    assert "RuntimeWarning" not in proc.stderr
 
 
 def test_run_failing_artifact_write_leaves_no_file_under_its_name(tmp_path, monkeypatch):
