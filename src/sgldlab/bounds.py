@@ -339,7 +339,8 @@ def excess_risk_bound(
 
     The Gibbs term is exact: (d / (2 beta)) log((e M / m)(b beta / d + 1)).
     The convergence term is order-level only: leading constants
-    (M sqrt(C0) + M sqrt(b/m)) times sqrt(c_LS kl_to_gibbs) with
+    (M sqrt(C0) + B) times sqrt(c_LS kl_to_gibbs), B being
+    `LossConstants.origin_grad_bound`, with
     kl_to_gibbs = e^{-2 T eta/(beta c_LS)} + eta, and is flagged as such.
     The value is the sum of the three terms.
     """
@@ -350,7 +351,7 @@ def excess_risk_bound(
         (math.e * lc.M / lc.m) * (lc.b * beta / d + 1.0)
     )
     kl_to_gibbs = math.exp(-2.0 * T * eta / (beta * dc.c_LS)) + eta
-    convergence = (lc.M * math.sqrt(dc.C0) + lc.M * math.sqrt(lc.b / lc.m)) * math.sqrt(
+    convergence = (lc.M * math.sqrt(dc.C0) + lc.origin_grad_bound) * math.sqrt(
         dc.c_LS * kl_to_gibbs
     )
     total = gen_bound + convergence + minimization

@@ -48,8 +48,7 @@ from .estimators import (
 )
 from .fokker_planck import evolve_pair, gibbs_density, verify_inequality_12
 from .losses import certify
-from .oracle import (oracle_mi_from_gaps, oracle_pair_gaps, oracle_trace,
-                     verify_kl_recursion)
+from .oracle import oracle_mi_from_gaps, oracle_trace, verify_kl_recursion
 from .sgld import (
     ChainTrace,
     SGLDConfig,
@@ -235,11 +234,56 @@ def _start_config_manifest(out: _OutputDir, cfg: ExperimentConfig,
 
 
 def _environment() -> dict:
-    """Where an invocation ran: the versions and the machine."""
+    """Where an invocation ran: the versions and the machine, and what sets
+    the artifacts' last bits there: numpy's SIMD dispatch target for `exp`
+    and `tanh`, and the BLAS numpy was built with (name and version) and
+    the kernel it picked at run time. A field that cannot be read is None."""
     uname = platform.uname()
     return {"python": platform.python_version(), "numpy": np.__version__,
             "platform": f"{uname.system} {uname.release} {uname.machine}",
-            "cpu_count": os.cpu_count()}
+            "cpu_count": os.cpu_count(), "numpy_dispatch": _numpy_dispatch(),
+            "blas": _blas()}
+
+
+def _numpy_dispatch() -> dict:
+    """The float64 loop's current dispatch target of `exp` and `tanh`."""
+    try:
+        from numpy.lib.introspect import opt_func_info  # numpy 2.0 and later
+
+        info = opt_func_info(func_name="^(exp|tanh)$", signature="float64")
+    except (ImportError, TypeError, ValueError):
+        info = {}
+    return {name: next(iter(info.get(name, {}).values()), {}).get("current")
+            for name in ("exp", "tanh")}
+
+
+def _blas() -> dict:
+    """numpy's BLAS: its build's name and version, and, for OpenBLAS, the
+    kernel it picked at load (`*get_corename*` of the library this process
+    mapped, found in /proc/self/maps)."""
+    import ctypes
+
+    out = dict.fromkeys(("name", "version", "kernel"))
+    with contextlib.suppress(AttributeError, KeyError, TypeError):
+        blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+        out["name"], out["version"] = blas.get("name"), blas.get("version")
+    try:
+        with open("/proc/self/maps") as fh:
+            fields = [line.split(None, 5) for line in fh]
+    except OSError:  # no procfs
+        return out
+    for path in sorted({f[5].strip() for f in fields
+                        if len(f) == 6 and "openblas" in f[5].lower()}):
+        with contextlib.suppress(OSError):
+            lib = ctypes.CDLL(path)  # the mapped library itself, not a second copy
+            for symbol in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
+                           "openblas_get_corename64_", "openblas_get_corename"):
+                corename = getattr(lib, symbol, None)
+                if corename is not None:
+                    corename.restype = ctypes.c_char_p
+                    out["kernel"] = (corename() or b"").decode() or None
+                    return out
+    return out
 
 
 def _peak_rss_mb() -> dict:
@@ -346,13 +390,13 @@ def cmd_run(args) -> int:
                                     est["n_pairs"])
         except NotFinite as exc:
             # a state or an estimate past the float range, where none is defined
-            failure = str(exc)
+            failure = exc
         out.manifest["peak_rss_mb"] = _peak_rss_mb()  # the worker is reaped
         out.manifest["stages"] = {  # seconds here and in the worker, to the us
             who: {name: round(value, 6) for name, value in sorted(times.items())}
             for who, times in (("run", seconds), ("worker", worker_seconds))}
         states = out.manifest["checks"]["states"]
-        states["finite"] = failure != _STATES_LEFT_FLOAT_RANGE
+        states["finite"] = not isinstance(failure, StatesNotFinite)
         print(f"run: states finite in every chain: {states['finite']}; largest "
               f"||W||^2 in the ensemble: {states['max_w_norm_sq']}")
         if failure is not None:
@@ -385,8 +429,9 @@ def _run_own_stages(out: _OutputDir, cfg: ExperimentConfig, model, dataset,
     """The stages `run` keeps in its own process: the ensemble, chain 0's
     trace and variance, the moments, the log-MGF and p-th moment checks,
     whose seconds go into `seconds` as `ensemble_s`, `variance_s` and
-    `checks_s`. Returns chain 0's stored steps; raises NotFinite, after the
-    moments, when an ensemble chain's ||W||^2 left the float range.
+    `checks_s`. Returns chain 0's stored steps; raises StatesNotFinite,
+    after the moments, when an ensemble chain's ||W||^2 left the float
+    range.
 
     The ensemble is read chunk by chunk from `_lockstep_chunks`, as the
     worker reads its chains: a chunk's ||W||^2 are added chain by chain into
@@ -434,7 +479,7 @@ def _run_own_stages(out: _OutputDir, cfg: ExperimentConfig, model, dataset,
     out.manifest["checks"] = {"states": {"max_w_norm_sq": largest if finite else None}}
     seconds["ensemble_s"] = time.monotonic() - start
     if not finite:
-        raise NotFinite(_STATES_LEFT_FLOAT_RANGE)
+        raise StatesNotFinite()
 
     start = time.monotonic()
     means, stderrs = grad_variance_trace(model, dataset, trace,
@@ -450,9 +495,12 @@ def _run_own_stages(out: _OutputDir, cfg: ExperimentConfig, model, dataset,
                              universal_C=cfg["bounds"]["universal_C_moment"])
         zrng = np.random.default_rng(np.random.SeedSequence([seed, 0x10F]))
         Z = model.sample_data(zrng, n_chains)
-        samples = model.eval_many(finals, Z)
-        mgf = logmgf_check(samples, pars["sigma_e_sq"], pars["nu"],
-                           est["lambda_grid"], rng_seed=seed)
+        # finite states can have losses past the float range: the writer's
+        # NotFinite below reports them, so numpy's warnings are not shown
+        with np.errstate(over="ignore", invalid="ignore"):
+            mgf = logmgf_check(model.eval_many(finals, Z), pars["sigma_e_sq"],
+                               pars["nu"], est["lambda_grid"], rng_seed=seed)
+            half_band = np.subtract(mgf.band_hi, mgf.band_lo) / 2.0
         out.manifest["checks"]["logmgf"] = {
             "lambdas": list(mgf.lambdas), "envelope": list(mgf.envelope),
             "n_violations": mgf.n_violations}
@@ -461,8 +509,7 @@ def _run_own_stages(out: _OutputDir, cfg: ExperimentConfig, model, dataset,
                   f"of {len(mgf.lambdas)} lambdas")
         with out.file("logmgf.csv") as path:
             # the stderr column is the bootstrap band's half-width
-            write_estimates_csv(path, "logmgf", mgf.lambdas, mgf.logmgf,
-                                np.subtract(mgf.band_hi, mgf.band_lo) / 2.0,
+            write_estimates_csv(path, "logmgf", mgf.lambdas, mgf.logmgf, half_band,
                                 mgf.n_samples)
     need = pth_moment_min_chains(est["p_list"])
     if n_chains >= need:
@@ -479,7 +526,15 @@ def _run_own_stages(out: _OutputDir, cfg: ExperimentConfig, model, dataset,
 
 
 _SIGNALS = (signal.SIGINT, signal.SIGTERM)
-_STATES_LEFT_FLOAT_RANGE = "chain states left the float range"
+
+
+class StatesNotFinite(NotFinite):
+    """Chain states past the float range: `run` records `checks.states.finite`
+    false. Raised in the worker, it reaches `run` through the pipe as any
+    exception does."""
+
+    def __str__(self) -> str:
+        return "chain states left the float range"
 
 
 @contextlib.contextmanager
@@ -576,8 +631,8 @@ def _worker(send: int, parent: int, model, sgld_cfg: SGLDConfig, est: dict) -> N
 def _worker_stages(model, sgld_cfg: SGLDConfig, est: dict):
     """The stability trace, the gap and their seconds, from one pass of the
     chain engine over the stability pairs' chains, each on its S, then the
-    gap trials' chains; NotFinite at the first chunk in which a chain's
-    ||W||^2 leaves the float range. Each chunk's stored pair states are
+    gap trials' chains; StatesNotFinite at the first chunk in which a
+    chain's ||W||^2 leaves the float range. Each chunk's stored pair states are
     evaluated as the engine yields them, and the trials' final states alone
     are kept, for the gap, so no trajectory is held whole. The trace and the gap are
     (means, stderrs) arrays, the trace's one entry per stored step and the
@@ -595,7 +650,7 @@ def _worker_stages(model, sgld_cfg: SGLDConfig, est: dict):
     means, stderrs = [], []
     for chunk in _lockstep_chunks(sgld_cfg, model, datasets, chain_seqs + trial_seqs):
         if not np.isfinite(chunk.w_norm_sq).all():
-            raise NotFinite(_STATES_LEFT_FLOAT_RANGE)
+            raise StatesNotFinite()
         mean, stderr = stability_block(model, datasets[:n_pairs], datasets_alt,
                                        chunk.states)
         means.append(mean)
@@ -760,10 +815,10 @@ def cmd_verify(args) -> int:
                 hard_failures.append(f"oracle law not finite from step {step}")
             else:
                 rec = verify_kl_recursion(trace.kl, contraction, add)
-                # the identical-pair control: the composition `bounds` runs
-                mi_zero = oracle_mi_from_gaps(
-                    oracle_pair_gaps(model, seed, o_cfg.n, 8, control_identical=True),
-                    trace.response[-1], trace.var[-1])
+                # the identical-pair control: `bounds`' MI at eight pairs
+                # with S' = S, whose gaps are exactly zero
+                mi_zero = oracle_mi_from_gaps(np.zeros(8), trace.response[-1],
+                                              trace.var[-1])
                 sections["oracle"] = {
                     "recursion_violations": rec.n_violations,
                     "recursion_worst_slack": rec.worst_slack,

@@ -11,6 +11,10 @@ The constant chains, in dependency order:
   C0 = s^2 + 2 max(1, 1/m) (b + 10 eta M^2 b/m + d/beta), valid for
   eta in (0, min(1, m/(5 M^2))).
 
+* `moment_lemma_bound`: the trajectory moment lemma, (E||W_t||^p)^(1/p)
+  <= C ((E||W_0||^p)^(1/p) + sqrt((p + beta b + d)/(beta m))), at C = 1;
+  `estimators.pth_moment_check` fits C to the final states.
+
 * `lsi_constant`: the stationary law of the dynamics satisfies a
   log-Sobolev inequality. Two modes, of which `lsi_route` picks the one a
   loss takes:
@@ -52,6 +56,7 @@ __all__ = [
     "ParametrixOverrides",
     "DerivedConstants",
     "moment_bound_C0",
+    "moment_lemma_bound",
     "lsi_route",
     "lsi_constant",
     "kl_recursion_constants",
@@ -144,6 +149,20 @@ def _moment_core(lc: LossConstants, eta: float, beta: float, d: int) -> float:
     )
 
 
+def moment_lemma_bound(lc: LossConstants, beta: float, d: int, s_sq: float, p: int) -> float:
+    """The trajectory moment lemma at universal constant 1:
+    (E||W_t||^p)^(1/p) <= (E||W_0||^p)^(1/p) + sqrt((p + beta b + d)/(beta m)),
+    the initial moment exact for the Gaussian start W_0 ~ N(0, s_sq I_d)."""
+    return _gaussian_norm_moment(d, s_sq, p) + math.sqrt((p + beta * lc.b + d)
+                                                        / (beta * lc.m))
+
+
+def _gaussian_norm_moment(d: int, s_sq: float, p: int) -> float:
+    # (E ||W_0||^p)^(1/p) for W_0 ~ N(0, s_sq I_d): s * (E chi_d^p)^(1/p)
+    logm = (p / 2.0) * math.log(2.0) + math.lgamma((d + p) / 2.0) - math.lgamma(d / 2.0)
+    return math.sqrt(s_sq) * math.exp(logm / p)
+
+
 # ----------------------------------------------------------------------- LSI
 
 
@@ -173,10 +192,10 @@ def lsi_constant(
         rho0_inv = (2 C (d + b beta) / (m beta))
                    * exp((2/m)(M + B)(b beta + d) + beta (A + B))
                    + 1/(m beta (d + b beta))
-    where B = M sqrt(b/m) bounds the gradient at the origin and C is an
-    unspecified universal constant (default 1, heuristic). The exponential
-    makes this astronomically conservative; it exists to make the chain
-    fully explicit, not to be tight.
+    where B = `LossConstants.origin_grad_bound` bounds the gradient at the
+    origin and C is an unspecified universal constant (default 1,
+    heuristic). The exponential makes this astronomically conservative; it
+    exists to make the chain fully explicit, not to be tight.
     """
     _check_positive(beta=beta)
     if d < 1:
@@ -193,7 +212,7 @@ def lsi_constant(
     if universal_C <= 0:
         raise ValueError(f"universal_C must be positive, got {universal_C}")
     M, m, b, A = lc.M, lc.m, lc.b, lc.A
-    B = M * math.sqrt(b / m)
+    B = lc.origin_grad_bound
     drift = (2.0 * m**2 + 8.0 * M**2) / (beta * m**2 * M)
     tail = 6.0 * M * (d + beta) / m
     exponent = (2.0 / m) * (M + B) * (b * beta + d) + beta * (A + B)
@@ -261,11 +280,9 @@ def kl_recursion_constants(dc: DerivedConstants, eta: float, beta: float) -> dic
     const_coeff = D2/(4 beta c_LS) + D3/(2 beta), both per unit step.
     """
     _check_positive(eta=eta, beta=beta)
-    tau = 4.0 * beta * dc.c_LS
-    if eta >= tau:
-        raise ValueError(
-            f"eta={eta} >= 4 beta c_LS = {tau}; the unrolled recursion bound is invalid"
-        )
+    tau, failures = _kl_horizon(eta, beta, dc.c_LS)
+    if failures:
+        raise ValueError(f"{failures[0]}; the unrolled recursion bound is invalid")
     stability_coeff = beta * dc.D1 / 2.0
     const_coeff = dc.D2 / tau + dc.D3 / (2.0 * beta)
     return {
@@ -290,10 +307,17 @@ def admissibility_failures(
     if isinstance(c_LS, str):
         failures.append(f"eta < 4 beta c_LS unavailable: {c_LS}")
     else:
-        cap_ls = 4.0 * beta * c_LS
-        if eta >= cap_ls:
-            failures.append(f"eta < 4 beta c_LS violated: eta={eta} >= {cap_ls}")
+        failures += _kl_horizon(eta, beta, c_LS)[1]
     return failures
+
+
+def _kl_horizon(eta: float, beta: float, c_LS: float) -> tuple[float, list[str]]:
+    # the KL recursion's horizon 4 beta c_LS, and the failure eta >= it,
+    # at which the unrolled recursion bound is invalid
+    horizon = 4.0 * beta * c_LS
+    if eta >= horizon:
+        return horizon, [f"eta < 4 beta c_LS violated: eta={eta} >= {horizon}"]
+    return horizon, []
 
 
 def _beta_failures(lc: LossConstants, beta: float) -> list[str]:
@@ -328,8 +352,9 @@ def subexp_params(
     Chain: the p-th moments of ||W_T|| satisfy
         (E||W_T||^{2p})^{1/(2p)} <= a0 + a1 sqrt(p)
     with a0 = C (s sqrt(d) + sqrt(q0)), a1 = C (s sqrt(2) + sqrt(2/(beta m)))
-    and q0 = (beta b + d)/(beta m), from the trajectory moment lemma plus
-    exact Gaussian initial moments. The loss envelope |f(w, z)| <=
+    and q0 = (beta b + d)/(beta m): the trajectory moment lemma
+    (`moment_lemma_bound`) at order 2p, relaxed by sqrt(x + y) <= sqrt(x) +
+    sqrt(y) in both of its terms. The loss envelope |f(w, z)| <=
     M ||w||^2 + K with K = max(M b/(2m) + A, (b/2) log 3) then gives
         (E|f(W_T)|^p)^{1/p} <= C0_f + C1_f p,
         C0_f = M (a0^2 + a0 a1) + K,   C1_f = M (a1^2 + a0 a1),

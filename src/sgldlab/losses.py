@@ -81,6 +81,13 @@ class LossConstants:
         if self.R is not None and not (0 < self.R <= self.M + 1e-12):
             raise ValueError(f"R must satisfy 0 < R <= M, got R={self.R}, M={self.M}")
 
+    @property
+    def origin_grad_bound(self) -> float:
+        """B = M sqrt(b/m), the bound on ||grad(0, z)|| that smoothness and
+        dissipativity give: `certify` checks it, and the general
+        log-Sobolev constant and the excess risk's convergence term read it."""
+        return self.M * math.sqrt(self.b / self.m)
+
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
@@ -548,21 +555,22 @@ def certify(
     (at one point per row in the five sampled checks):
       smoothness         ||grad(w,z) - grad(w',z)|| <= M ||w - w'||
       dissipativity      <grad(w,z), w> >= m ||w||^2 - b
-      origin_gradient    ||grad(0,z)|| <= M sqrt(b/m)
+      origin_gradient    ||grad(0,z)|| <= B
       envelope_lower     f(w,z) >= (m/3) ||w||^2 - (b/2) log 3
-      envelope_upper     f(w,z) <= (M/2) ||w||^2 + M sqrt(b/m) ||w|| + A
+      envelope_upper     f(w,z) <= (M/2) ||w||^2 + B ||w|| + A
       gradient_fd        on 3-point minibatches at 100 states, central
                          differences of the minibatch mean of `eval_many`
                          match `grad_minibatch` to rel. error 1e-5
 
-    Returns a report with per-inequality violation counts and witness
-    points; a margin below -CERT_TOL is a violation. A wrong claim yields
-    a failing report, never an exception.
+    with B = `LossConstants.origin_grad_bound`. Returns a report with
+    per-inequality violation counts and witness points; a margin below
+    -CERT_TOL is a violation. A wrong claim yields a failing report, never
+    an exception.
     """
     check_samples(n_samples)
     lc = model.constants()
     half_width = 10.0 * max(1.0, math.sqrt(lc.b / lc.m))
-    root_M_bm = lc.M * math.sqrt(lc.b / lc.m)
+    B = lc.origin_grad_bound
 
     seq = np.random.SeedSequence(rng_seed)
     chunk = 4096
@@ -586,10 +594,10 @@ def certify(
     w_norm = np.linalg.norm(W, axis=1)
     dissip = np.einsum("ij,ij->i", G, W) - (lc.m * w_norm**2 - lc.b)
     del G
-    origin = root_M_bm - np.linalg.norm(model.grad_minibatch(np.zeros_like(W), Z1), axis=1)
+    origin = B - np.linalg.norm(model.grad_minibatch(np.zeros_like(W), Z1), axis=1)
     f_vals = model.eval_many(W, Z)
     lower = lc.m / 3.0 * w_norm**2 - lc.b / 2.0 * math.log(3.0)
-    upper = lc.M / 2.0 * w_norm**2 + root_M_bm * w_norm + lc.A
+    upper = lc.M / 2.0 * w_norm**2 + B * w_norm + lc.A
 
     checks = (
         _check_from_margins("smoothness", smooth, {"w": W, "w_bar": Wbar, "z": Z}, CERT_TOL),

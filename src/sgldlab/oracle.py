@@ -110,14 +110,13 @@ def oracle_pair_gaps(
     seed: int,
     n: int,
     n_dataset_pairs: int,
-    control_identical: bool = False,
 ) -> np.ndarray:
     """Per-pair ||zbar_S - zbar_S'||^2 over independent dataset pairs, each
-    dataset drawn by `model.sample_data`; `control_identical` sets S' = S.
+    dataset drawn by `model.sample_data`.
 
-    The data-only part of the bound: it depends on (seed, n, pairs,
-    control), not on the step size, temperature or horizon, so a grid of
-    horizons can draw its pairs once and pass them to `oracle_mi_from_gaps`.
+    The data-only part of the bound: it depends on (seed, n, pairs), not on
+    the step size, temperature or horizon, so a grid of horizons can draw
+    its pairs once and pass them to `oracle_mi_from_gaps`.
     The pairs' sequences are spawned a block at a time, the children one
     call would spawn, so at most a block of them is held.
     """
@@ -129,8 +128,7 @@ def oracle_pair_gaps(
     for i, seq in enumerate(seqs):
         s_seq, s_alt_seq = seq.spawn(2)
         S = model.sample_data(np.random.default_rng(s_seq), n)
-        S_alt = S if control_identical else model.sample_data(
-            np.random.default_rng(s_alt_seq), n)
+        S_alt = model.sample_data(np.random.default_rng(s_alt_seq), n)
         diff = S.mean(axis=0) - S_alt.mean(axis=0)
         gaps[i] = float(diff @ diff)
     return gaps

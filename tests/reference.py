@@ -129,21 +129,19 @@ def grad_stability_trace(model, config, n_pairs, control_identical=False):
 # ------------------------------------------------------------------ oracle
 
 
-def oracle_mi_upper(model, config, n_dataset_pairs, control_identical=False):
+def oracle_mi_upper(model, config, n_dataset_pairs):
     """The exact mutual-information upper bound at `config`'s horizon, over
     `n_dataset_pairs` dataset pairs drawn from `config.seed`: the
     composition of `oracle_pair_gaps`, `_response_and_var` at the model's R
-    and `oracle_mi_from_gaps` that `bounds` and `verify` run, as a float.
-    `control_identical` replaces S' by S, which must give 0. A model without
-    R, or k < n, is a ValueError."""
+    and `oracle_mi_from_gaps` that `bounds` runs, as a float. A model
+    without R, or k < n, is a ValueError."""
     if config.k != config.n:
         raise ValueError("the exact law covers full-batch chains only (k = n)")
     R = model.constants().R
     if R is None:
         raise ValueError("the exact law needs the model's curvature R, and "
                          f"{type(model).__name__} has none")
-    gaps = oracle_pair_gaps(model, config.seed, config.n, n_dataset_pairs,
-                            control_identical)
+    gaps = oracle_pair_gaps(model, config.seed, config.n, n_dataset_pairs)
     a, v = _response_and_var(config.eta, config.beta, R, config.s_sq, config.T)
     return oracle_mi_from_gaps(gaps, a[-1], v[-1])
 

@@ -1,6 +1,7 @@
 """Derived-constant chains: moments, LSI, KL recursion, sub-exponential."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from sgldlab.constants import (
     kl_recursion_constants,
     lsi_constant,
     moment_bound_C0,
+    moment_lemma_bound,
     subexp_params,
 )
 from sgldlab.losses import LossConstants, QuadraticLoss
@@ -31,6 +33,16 @@ def test_moment_bound_frozen_value():
     # s^2=1, m=1, b=1, M=1, eta=0.1, beta=2, d=2:
     # C0 = 1 + 2 (1 + 10*0.1 + 1) = 7
     assert moment_bound_C0(UNIT_LC, eta=0.1, beta=2.0, d=2, s_sq=1.0) == 7.0
+
+
+def test_moment_lemma_bound_frozen_values():
+    # m = b = 1, beta = 2, d = 2, s_sq = 1: (E||W_0||^p)^(1/p) is sqrt(2) at
+    # p = 2 and (E chi_2^4)^(1/4) = 8^(1/4) at p = 4, and the lemma's second
+    # term is sqrt((p + 4) / 2)
+    assert moment_lemma_bound(UNIT_LC, beta=2.0, d=2, s_sq=1.0, p=2) == pytest.approx(
+        math.sqrt(2.0) + math.sqrt(3.0), rel=1e-14)
+    assert moment_lemma_bound(UNIT_LC, beta=2.0, d=2, s_sq=1.0, p=4) == pytest.approx(
+        8.0 ** 0.25 + 2.0, rel=1e-14)
 
 
 def test_moment_bound_reduces_to_initial_variance():
@@ -216,9 +228,19 @@ def test_kl_recursion_unrolling_matches_geometric_series():
 
 
 def test_kl_recursion_step_size_guard():
+    # one rule: the failure eta >= 4 beta c_LS that `admissibility_failures`
+    # lists is the one `kl_recursion_constants` raises
     dc = _unit_dc()  # c_LS = 0.25, so 4 beta c_LS = 2
-    with pytest.raises(ValueError):
-        kl_recursion_constants(dc, eta=2.0, beta=2.0)
+    for eta in (1.0, 2.0, 3.0):
+        listed = [f for f in admissibility_failures(UNIT_LC, eta, 2.0, dc.c_LS)
+                  if f.startswith("eta < 4 beta c_LS")]
+        if eta < 2.0:
+            assert listed == []
+            assert kl_recursion_constants(dc, eta, 2.0)["horizon"] == 2.0
+            continue
+        assert listed == [f"eta < 4 beta c_LS violated: eta={eta} >= 2.0"]
+        with pytest.raises(ValueError, match=re.escape(listed[0])):
+            kl_recursion_constants(dc, eta=eta, beta=2.0)
 
 
 # ------------------------------------------------------------ sub-exponential

@@ -570,6 +570,12 @@ def test_constants_validation():
         LossConstants(M=1.0, m=0.5, b=-0.1, A=0.5, data_radius=1.0)
 
 
+def test_origin_grad_bound_frozen_value():
+    # B = M sqrt(b/m) = 2 sqrt(4) = 4, and 0 without a dissipativity offset
+    assert LossConstants(M=2.0, m=0.5, b=2.0, A=0.0, data_radius=1.0).origin_grad_bound == 4.0
+    assert LossConstants(M=2.0, m=0.5, b=0.0, A=0.0, data_radius=1.0).origin_grad_bound == 0.0
+
+
 # ----------------------------------------- gradient paths at extreme inputs
 
 FAMILY_FACTORIES = {

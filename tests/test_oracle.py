@@ -155,13 +155,13 @@ def test_oracle_matches_ensemble_moments():
 
 
 def test_mi_identical_control_is_exact_zero():
+    # `verify`'s control: pairs with S' = S have squared mean gaps of exactly
+    # zero, and the MI the oracle gives such gaps is exactly zero
     model = QuadraticLoss(R=1.0, data_radius=1.0, d=2)
     cfg = full_batch_cfg(T=100)
-    mi = oracle_mi_upper(model, cfg, n_dataset_pairs=12,
-                         control_identical=True)
-    assert mi == 0.0
-    # every pair's KL is zero, not just their mean
-    assert not oracle_pair_gaps(model, cfg.seed, cfg.n, 12, control_identical=True).any()
+    a, v = _response_and_var(cfg.eta, cfg.beta, 1.0, cfg.s_sq, cfg.T)
+    assert per_pair_mi_loop(model.sample_data, cfg, 1.0, 12, control_identical=True)[0] == 0.0
+    assert oracle_mi_from_gaps(np.zeros(12), a[-1], v[-1]) == 0.0
 
 
 def per_pair_kls(pair_gaps, config, R):
@@ -194,13 +194,11 @@ def mi_and_stderr(model, config, n_pairs):
 
 
 @pytest.mark.parametrize("n_pairs", [1, 2, 37, 200])
-@pytest.mark.parametrize("control", [False, True])
-def test_mi_bitwise_equals_the_per_pair_loop(n_pairs, control):
+def test_mi_bitwise_equals_the_per_pair_loop(n_pairs):
     model = QuadraticLoss(R=1.3, data_radius=1.0, d=3)
     for cfg in (full_batch_cfg(), full_batch_cfg(n=7, k=7, T=33, eta=0.2, seed=3)):
-        mi = oracle_mi_upper(model, cfg, n_dataset_pairs=n_pairs,
-                             control_identical=control)
-        assert mi == per_pair_mi_loop(model.sample_data, cfg, 1.3, n_pairs, control)[0]
+        mi = oracle_mi_upper(model, cfg, n_dataset_pairs=n_pairs)
+        assert mi == per_pair_mi_loop(model.sample_data, cfg, 1.3, n_pairs)[0]
 
 
 def test_mi_bitwise_equals_the_per_pair_loop_past_the_pairwise_blocks():
