@@ -194,11 +194,17 @@ def mi_and_stderr(model, config, n_pairs):
 
 
 @pytest.mark.parametrize("n_pairs", [1, 2, 37, 200])
-def test_mi_bitwise_equals_the_per_pair_loop(n_pairs):
+@pytest.mark.parametrize("control", [False, True])
+def test_mi_bitwise_equals_the_per_pair_loop(n_pairs, control):
+    # the control is `verify`'s: exact-zero gaps stand for pairs with S' = S
     model = QuadraticLoss(R=1.3, data_radius=1.0, d=3)
     for cfg in (full_batch_cfg(), full_batch_cfg(n=7, k=7, T=33, eta=0.2, seed=3)):
-        mi = oracle_mi_upper(model, cfg, n_dataset_pairs=n_pairs)
-        assert mi == per_pair_mi_loop(model.sample_data, cfg, 1.3, n_pairs)[0]
+        if control:
+            a, v = _response_and_var(cfg.eta, cfg.beta, 1.3, cfg.s_sq, cfg.T)
+            mi = oracle_mi_from_gaps(np.zeros(n_pairs), a[-1], v[-1])
+        else:
+            mi = oracle_mi_upper(model, cfg, n_dataset_pairs=n_pairs)
+        assert mi == per_pair_mi_loop(model.sample_data, cfg, 1.3, n_pairs, control)[0]
 
 
 def test_mi_bitwise_equals_the_per_pair_loop_past_the_pairwise_blocks():
