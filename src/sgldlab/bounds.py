@@ -43,6 +43,7 @@ __all__ = [
     "bound_subexp_gen",
     "excess_risk_bound",
     "horizon_grid",
+    "draws_oracle_pairs",
     "evaluate_grid",
 ]
 
@@ -388,6 +389,14 @@ def horizon_grid(T_grid, T: int) -> list:
     return list(T_grid)
 
 
+def draws_oracle_pairs(model: LossModel, b: dict, config: SGLDConfig) -> bool:
+    """Whether `evaluate_grid` draws the oracle's dataset pairs at each n of
+    its grid: the oracle's law is exact for the full-batch quadratic chain
+    alone, and only xu_raginsky, given sigma_g_sq, reads it."""
+    return (isinstance(model, QuadraticLoss) and config.k == config.n
+            and "xu_raginsky" in b["which"] and b["sigma_g_sq"] is not None)
+
+
 def evaluate_grid(model: LossModel, dc, b: dict, config: SGLDConfig, variance,
                   stability, T_grid, n_grid, mi_pairs: int) -> list:
     """The bounds `b["which"]` names at every (T, n) of the grid, T outer,
@@ -415,12 +424,11 @@ def evaluate_grid(model: LossModel, dc, b: dict, config: SGLDConfig, variance,
                            np.diff(np.append(var_steps, var_steps[-1] + 1)))
     skips = var_steps[:-1][np.diff(var_steps) > 1]
     stab_values = np.maximum(stability[1], 0.0)
-    # the oracle's law is exact for the full-batch quadratic chain, at the
-    # model's own R, not a claimed one; its dataset pairs depend on n alone
-    # and its response on T alone, so the pairs are drawn once per n and
-    # the response run once
-    exact_mi = isinstance(model, QuadraticLoss) and config.k == config.n
-    if exact_mi and "xu_raginsky" in which and sigma_g_sq is not None:
+    # the oracle's law is taken at the model's own R, not a claimed one; its
+    # dataset pairs depend on n alone and its response on T alone, so the
+    # pairs are drawn once per n and the response run once
+    oracle = draws_oracle_pairs(model, b, config)
+    if oracle:
         pair_gaps = {n: oracle_pair_gaps(model, config.seed, n, mi_pairs) for n in n_grid}
         a, v = _response_and_var(eta, beta, model.R, config.s_sq, max(T_grid))
 
@@ -431,7 +439,7 @@ def evaluate_grid(model: LossModel, dc, b: dict, config: SGLDConfig, variance,
                 "xu_raginsky", "pensia", "time_independent", "strongly_convex"):
             return "sigma_g_sq-unavailable"
         if name == "xu_raginsky":
-            if not exact_mi:
+            if not oracle:  # sigma_g_sq is set and xu_raginsky named
                 return "exact-mi-needs-full-batch-quadratic"
             return bound_xu_raginsky(sigma_g_sq, n,
                                      oracle_mi_from_gaps(pair_gaps[n], a[T], v[T]))

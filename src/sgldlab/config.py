@@ -22,9 +22,10 @@ from functools import partial
 
 import numpy as np
 
-from .bounds import BOUND_NAMES, bound_farghly_shape, bound_xu_raginsky, horizon_grid
-from .constants import (LSI_MODES, ParametrixOverrides, derive_constants, lsi_route,
-                        subexp_params)
+from .bounds import (BOUND_NAMES, bound_farghly_shape, bound_xu_raginsky, draws_oracle_pairs,
+                     horizon_grid)
+from .constants import (LSI_MODES, ParametrixOverrides, check_universal_C, derive_constants,
+                        lsi_route, subexp_params)
 from .estimators import EVAL_LOSSES, admitted_lambdas, pth_moment_min_chains
 from .fokker_planck import Grid1D, stability_limit, suggested_halfwidth
 from .losses import LogisticRidgeLoss, NonconvexRidgeLoss, QuadraticLoss, check_samples
@@ -134,8 +135,8 @@ _SCHEMAS = {
                                            T=0, n=2, k=1)),
         # null: `lsi_route` of the model, set at load
         "lsi_mode": (None, str, _one_of(LSI_MODES, "mode")),
-        "universal_C_lsi": (1.0, float, None),
-        "universal_C_moment": (1.0, float, None),
+        "universal_C_lsi": (1.0, float, check_universal_C),
+        "universal_C_moment": (1.0, float, check_universal_C),
         "T_grid": (None, list, _entries(_INT, _grid)),
         "n_grid": (None, list, _entries(_INT, _grid)),
         "parametrix": (None, dict, None),
@@ -349,11 +350,13 @@ def _check_values(cfg: ExperimentConfig) -> None:
 def _arrays(cfg: ExperimentConfig, model, s: SGLDConfig) -> list:
     """(key, who, {array: bytes}) of each count whose arrays grow with it:
     the bytes of each array it makes a subcommand allocate, as the code
-    that allocates it sizes it; an array made only at k < n is 0 at k = n."""
+    that allocates it sizes it; an array made only at k < n is 0 at k = n,
+    and the oracle's data draw is 0 where `bounds` draws no oracle pairs."""
     est, draws = cfg["estimators"], cfg["loss"]["certify_samples"]
     R, pairs, oracle_T = est["n_resamples"], est["mi_pairs"], cfg["verify"]["oracle_T"]
     sub, index = s.k < s.n, np.dtype(_index_dtype(s.n)).itemsize
     chunk, cells = min(STEP_CHUNK, s.T), cfg["fp"]["n_cells"]
+    n_max = max(cfg["bounds"]["n_grid"] or [s.n])
 
     def engine(c: int, own_data: bool) -> tuple:
         # `_lockstep_chunks`' buffers and c chains' RNG objects; `run`'s
@@ -372,6 +375,11 @@ def _arrays(cfg: ExperimentConfig, model, s: SGLDConfig) -> list:
             "offset array": sub * 8 * R * s.k, "deviation sum": sub * 8 * R * s.d,
             "Fisher-Yates scratch": sub * index * s.n * R}),
         ("estimators.mi_pairs", f"{pairs} dataset pairs", {"gap array": 8 * pairs}),
+        # `bounds`' oracle draws each pair's (n, z_dim) datasets at every n of
+        # the grid
+        ("bounds.n_grid", f"{n_max}-point datasets", {
+            "data draw": draws_oracle_pairs(model, cfg["bounds"], s) * 8 * n_max
+            * model.z_dim}),
         ("loss.certify_samples", f"{draws} samples", {
             "state draw": 8 * draws * model.d, "data draw": 8 * draws * model.z_dim}),
         ("verify.oracle_T", f"{oracle_T} oracle steps", {"law trace": 8 * (oracle_T + 1)}),

@@ -63,6 +63,7 @@ __all__ = [
     "admissibility_failures",
     "subexp_params",
     "derive_constants",
+    "check_universal_C",
 ]
 
 
@@ -209,8 +210,7 @@ def lsi_constant(
     failures = _beta_failures(lc, beta)
     if failures:
         raise ValueError(f"general_dissipative mode requires {failures[0]}")
-    if universal_C <= 0:
-        raise ValueError(f"universal_C must be positive, got {universal_C}")
+    check_universal_C(universal_C)
     M, m, b, A = lc.M, lc.m, lc.b, lc.A
     B = lc.origin_grad_bound
     drift = (2.0 * m**2 + 8.0 * M**2) / (beta * m**2 * M)
@@ -367,8 +367,7 @@ def subexp_params(
     _check_positive(beta=beta, s_sq=s_sq)
     if d < 1:
         raise ValueError(f"d must be positive, got {d}")
-    if universal_C <= 0:
-        raise ValueError(f"universal_C must be positive, got {universal_C}")
+    check_universal_C(universal_C)
     M, m, b, A = lc.M, lc.m, lc.b, lc.A
     s = math.sqrt(s_sq)
     try:
@@ -433,6 +432,13 @@ def derive_constants(
         nu=sub["nu"],
         notes=tuple(notes),
     )
+
+
+def check_universal_C(universal_C: float) -> None:
+    """Raise ValueError unless a universal constant C, of `lsi_constant` or
+    of `subexp_params`, is positive."""
+    if universal_C <= 0:
+        raise ValueError(f"universal_C must be positive, got {universal_C}")
 
 
 def _check_positive(**kwargs: float) -> None:

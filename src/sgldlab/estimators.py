@@ -276,7 +276,8 @@ def pth_moment_check(
     s_sq: float,
 ) -> PthMomentReport:
     """Fit the universal constant of the p-th moment bound per p, from the
-    (n_chains, d) final states W_T of independent chains."""
+    (n_chains, d) final states W_T of independent chains. A moment past the
+    float range, of finite states too, is refused by NotFinite."""
     need = pth_moment_min_chains(p_list)
     p_list = [int(p) for p in p_list]
     finals = np.asarray(final_states, dtype=float)
@@ -289,7 +290,11 @@ def pth_moment_check(
 
     empirical, unit_rhs, fitted = [], [], []
     for p in p_list:
-        emp = float(np.mean(norms**p) ** (1.0 / p))
+        with np.errstate(over="ignore"):
+            emp = float(np.mean(norms**p) ** (1.0 / p))
+        if not math.isfinite(emp):
+            raise NotFinite(f"pth_moments: the p = {p} moment of the final states' "
+                            f"norms is past the float range")
         rhs = moment_lemma_bound(lc, beta, d, s_sq, p)
         empirical.append(emp)
         unit_rhs.append(rhs)

@@ -95,40 +95,37 @@ class LossConstants:
 class LossModel:
     """Contract shared by all loss families.
 
-    Families implement `eval`, `grad`, `eval_many`, `grad_minibatch` and
-    `stability_sq`, and populate `self.d` (parameter dimension),
-    `self.z_dim` (data point width) and `self._constants` in their
-    constructor. `grad_minibatch` is the one vectorised gradient: the
-    chains run it and `certify` checks it; the scalar `eval` and `grad` are
-    the test suite's reference for it. `stability_sq` gives one dataset
-    pair's squared full-batch gradient differences over a block of states,
-    the stability estimator's input; it agrees with `grad_minibatch` to
-    rounding, not to the bit. `full_batch_grad` (on (c, d) states) is an
-    optional override; its default calls `grad_minibatch`, and an override
-    (the quadratic family's) must return the same bits.
+    Families implement three kernels, the ones the chains, the estimators
+    and `certify` run: `eval_many`, `grad_minibatch` and `stability_sq`.
+    Their constructor checks the family's own parameters, passes `d`
+    (parameter dimension) and the family's constants to this constructor,
+    and sets `self.z_dim` (data point width). `grad_minibatch` is the one
+    vectorised gradient: the chains run it and `certify` checks it.
+    `stability_sq` gives one dataset pair's squared full-batch gradient
+    differences over a block of states, the stability estimator's input; it
+    agrees with `grad_minibatch` to rounding, not to the bit.
+    `full_batch_grad` (on (c, d) states) is an optional override; its
+    default calls `grad_minibatch`, and an override (the quadratic
+    family's) must return the same bits.
     """
 
     d: int
     z_dim: int
     _constants: LossConstants
 
-    # -- scalar interface ---------------------------------------------------
-
-    def eval(self, w: np.ndarray, z: np.ndarray) -> float:
-        """Loss value at parameter w for a single data point z."""
-        raise NotImplementedError
-
-    def grad(self, w: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """Gradient in w of the loss at a single data point z."""
-        raise NotImplementedError
+    def __init__(self, d: int, constants: LossConstants):
+        if not (isinstance(d, (int, np.integer)) and d >= 1):
+            raise ValueError(f"d must be a positive integer, got {d}")
+        self.d = int(d)
+        self._constants = constants
 
     def constants(self) -> LossConstants:
         return self._constants
 
-    # -- vectorized interface ----------------------------------------------
+    # -- kernels ------------------------------------------------------------
 
     def eval_many(self, W: np.ndarray, Z: np.ndarray) -> np.ndarray:
-        """Row-wise loss values: out[i] = eval(W[i], Z[i])."""
+        """Row-wise loss values: out[i] = f(W[i], Z[i])."""
         raise NotImplementedError
 
     def grad_minibatch(self, W: np.ndarray, Zb: np.ndarray) -> np.ndarray:
@@ -139,9 +136,9 @@ class LossModel:
             Zb: (c, k, z_dim) per-chain minibatch of data points.
 
         Returns:
-            (c, d) array; row i is the mean over k points of grad(W[i], .).
-            At k = 1, `grad_minibatch(W, Z[:, None])` gives the row-wise
-            gradients grad(W[i], Z[i]).
+            (c, d) array; row i is the mean over k points of the gradient
+            in w of f(W[i], .). At k = 1, `grad_minibatch(W, Z[:, None])`
+            gives the row-wise gradients at (W[i], Z[i]).
         """
         raise NotImplementedError
 
@@ -221,32 +218,20 @@ class QuadraticLoss(LossModel):
     def __init__(self, R: float, data_radius: float, d: int):
         if not R > 0:
             raise ValueError(f"R must be positive, got {R}")
-        if not data_radius > 0:
-            raise ValueError(f"data_radius must be positive, got {data_radius}")
-        if not (isinstance(d, (int, np.integer)) and d >= 1):
-            raise ValueError(f"d must be a positive integer, got {d}")
         self.R = float(R)
-        self.d = int(d)
-        self.z_dim = int(d)
         try:
             r2 = float(data_radius) ** 2
         except OverflowError:  # LossConstants refuses the infinite b and A
             r2 = math.inf
-        self._constants = LossConstants(
+        super().__init__(d, LossConstants(
             M=self.R,
             m=self.R / 2.0,
             b=self.R / 2.0 * r2,
             A=self.R / 2.0 * r2,
             data_radius=float(data_radius),
             R=self.R,
-        )
-
-    def eval(self, w, z):
-        diff = np.asarray(w, dtype=float) - np.asarray(z, dtype=float)
-        return 0.5 * self.R * float(diff @ diff)
-
-    def grad(self, w, z):
-        return self.R * (np.asarray(w, dtype=float) - np.asarray(z, dtype=float))
+        ))
+        self.z_dim = self.d
 
     def eval_many(self, W, Z):
         diff = np.atleast_2d(W) - np.atleast_2d(Z)
@@ -283,54 +268,25 @@ class LogisticRidgeLoss(LossModel):
     def __init__(self, lam: float, data_radius: float, d: int):
         if not lam > 0:
             raise ValueError(f"lambda must be positive, got {lam}")
-        if not data_radius > 0:
-            raise ValueError(f"data_radius must be positive, got {data_radius}")
-        if not (isinstance(d, (int, np.integer)) and d >= 1):
-            raise ValueError(f"d must be a positive integer, got {d}")
         self.lam = float(lam)
-        self.d = int(d)
-        self.z_dim = int(d) + 1
         r = float(data_radius)
-        self._constants = LossConstants(
+        super().__init__(d, LossConstants(
             M=r * r / 4.0 + self.lam,
             m=self.lam / 2.0,
             b=r * r / (2.0 * self.lam),
             A=math.log(2.0),
             data_radius=r,
             R=self.lam,
-        )
-
-    @staticmethod
-    def _softplus(t: np.ndarray) -> np.ndarray:
-        # log(1 + exp(t)) without overflow for large |t|
-        return np.logaddexp(0.0, t)
-
-    def eval(self, w, z):
-        w = np.asarray(w, dtype=float)
-        z = np.asarray(z, dtype=float)
-        margin = z[-1] * float(w @ z[:-1])
-        return float(self._softplus(-margin)) + 0.5 * self.lam * float(w @ w)
-
-    def grad(self, w, z):
-        w = np.asarray(w, dtype=float)
-        z = np.asarray(z, dtype=float)
-        x, y = z[:-1], z[-1]
-        margin = y * float(w @ x)
-        if margin > -700:
-            try:
-                sig = 1.0 / (1.0 + math.exp(margin))
-            except OverflowError:  # margin above ~709.78: 1 + exp(-margin) rounds to 1
-                sig = math.exp(-margin)
-        else:
-            sig = 1.0
-        return -y * sig * x + self.lam * w
+        ))
+        self.z_dim = self.d + 1
 
     def eval_many(self, W, Z):
         W = np.atleast_2d(W)
         Z = np.atleast_2d(Z)
         X, Y = Z[:, :-1], Z[:, -1]
         margins = Y * np.einsum("ij,ij->i", W, X)
-        return self._softplus(-margins) + 0.5 * self.lam * np.einsum("ij,ij->i", W, W)
+        # log(1 + exp(-margin)) without overflow for large |margin|
+        return np.logaddexp(0.0, -margins) + 0.5 * self.lam * np.einsum("ij,ij->i", W, W)
 
     def grad_minibatch(self, W, Zb):
         # row c: the mean gradient at W[c] over the k points of Zb[c]
@@ -376,36 +332,21 @@ class NonconvexRidgeLoss(LossModel):
             raise ValueError(f"lambda must be positive, got {lam}")
         if not a >= 0:
             raise ValueError(f"amplitude a must be nonnegative, got {a}")
-        if not data_radius > 0:
-            raise ValueError(f"data_radius must be positive, got {data_radius}")
-        if not (isinstance(d, (int, np.integer)) and d >= 1):
-            raise ValueError(f"d must be a positive integer, got {d}")
         self.lam = float(lam)
         self.a = float(a)
-        self.d = int(d)
-        self.z_dim = int(d)
         r = float(data_radius)
         try:
             a_sq = self.a**2
         except OverflowError:  # LossConstants refuses the infinite b
             a_sq = math.inf
-        self._constants = LossConstants(
+        super().__init__(d, LossConstants(
             M=self.lam + self.a * r * r,
             m=self.lam / 2.0,
             b=a_sq * r * r / (2.0 * self.lam),
             A=self.a if self.a > 0 else 0.0,
             data_radius=r,
-        )
-
-    def eval(self, w, z):
-        w = np.asarray(w, dtype=float)
-        z = np.asarray(z, dtype=float)
-        return 0.5 * self.lam * float(w @ w) + self.a * math.cos(float(w @ z))
-
-    def grad(self, w, z):
-        w = np.asarray(w, dtype=float)
-        z = np.asarray(z, dtype=float)
-        return self.lam * w - self.a * math.sin(float(w @ z)) * z
+        ))
+        self.z_dim = self.d
 
     def eval_many(self, W, Z):
         W = np.atleast_2d(W)

@@ -1,7 +1,8 @@
 """Second sources the tests check the library against.
 
 Each function here is a composition or a quantity that `sgldlab` does not
-run itself, built from the library's own pieces: the only collector of
+run itself, built from the library's own pieces: each loss family's scalar
+value and gradient at one point, the only collector of
 whole chain traces (`collect`; the library reads the chain engine a chunk
 at a time), with every chain's gradient series, one chain on a given
 dataset, ensembles on a given dataset, the in-process gap and stability
@@ -11,9 +12,12 @@ information of two densities, a density's variance, and the
 minibatch-variance bound. Not a test file: the tests import it.
 """
 
+import math
+
 import numpy as np
 
 from sgldlab import fokker_planck, sgld
+from sgldlab.losses import LogisticRidgeLoss, NonconvexRidgeLoss, QuadraticLoss
 from sgldlab.oracle import _response_and_var, oracle_mi_from_gaps, oracle_pair_gaps
 from sgldlab.estimators import (
     gap_trials,
@@ -23,6 +27,49 @@ from sgldlab.estimators import (
 )
 
 SERIES = ("grad_var_sample", "grad_fullbatch_norm", "grad_minibatch_norm")
+
+# ------------------------------------------------------------------ losses
+
+
+def loss_eval(model, w, z) -> float:
+    """f(w, z) of `model`'s family at one parameter vector w and one data
+    point z, as a float: the scalar form of `eval_many`."""
+    w = np.asarray(w, dtype=float)
+    z = np.asarray(z, dtype=float)
+    if isinstance(model, QuadraticLoss):
+        diff = w - z
+        return 0.5 * model.R * float(diff @ diff)
+    if isinstance(model, LogisticRidgeLoss):
+        margin = z[-1] * float(w @ z[:-1])
+        return float(np.logaddexp(0.0, -margin)) + 0.5 * model.lam * float(w @ w)
+    if isinstance(model, NonconvexRidgeLoss):
+        return 0.5 * model.lam * float(w @ w) + model.a * math.cos(float(w @ z))
+    raise TypeError(f"no scalar loss for {type(model).__name__}")
+
+
+def loss_grad(model, w, z) -> np.ndarray:
+    """The gradient in w of f(w, z) of `model`'s family at one point: the
+    scalar form of `grad_minibatch` at k = 1. The logistic sigmoid is taken
+    with `math.exp`, through its overflow."""
+    w = np.asarray(w, dtype=float)
+    z = np.asarray(z, dtype=float)
+    if isinstance(model, QuadraticLoss):
+        return model.R * (w - z)
+    if isinstance(model, LogisticRidgeLoss):
+        x, y = z[:-1], z[-1]
+        margin = y * float(w @ x)
+        if margin > -700:
+            try:
+                sig = 1.0 / (1.0 + math.exp(margin))
+            except OverflowError:  # margin above ~709.78: 1 + exp(-margin) rounds to 1
+                sig = math.exp(-margin)
+        else:
+            sig = 1.0
+        return -y * sig * x + model.lam * w
+    if isinstance(model, NonconvexRidgeLoss):
+        return model.lam * w - model.a * math.sin(float(w @ z)) * z
+    raise TypeError(f"no scalar gradient for {type(model).__name__}")
+
 
 # ------------------------------------------------------------------ chains
 

@@ -186,6 +186,12 @@ def test_family_constructor_refusal_exits_one(run_and_bounds, tmp_path, capsys,
                  id="farghly_C2=-1"),
     pytest.param({"verify": {"oracle_T": 0}}, "verify.oracle_T: ",
                  id="oracle_T=0"),  # a KL trace of no step
+    # the general dissipative route reads universal_C_lsi, so no other rule
+    # refuses its 0
+    pytest.param({"loss": {"family": "nonconvex_ridge", "R": None, "lam": 1.0, "a": 0.5},
+                  "bounds": {"universal_C_lsi": 0.0}},
+                 "bounds.universal_C_lsi: universal_C must be positive, got 0.0\n",
+                 id="nonconvex-universal_C_lsi=0"),
 ])
 def test_value_refused_at_load_by_every_subcommand(run_and_bounds, tmp_path, capsys,
                                                     sub, over, refused):
@@ -223,6 +229,8 @@ REFUSED_BY_RULE = {
     ("bounds", "farghly_C1"): (0.0,),
     ("bounds", "farghly_C2"): (-1.0,),
     ("bounds", "lsi_mode"): ("nope",),
+    ("bounds", "universal_C_lsi"): (0.0, -1.0),
+    ("bounds", "universal_C_moment"): (0.0, -1.0),
     ("bounds", "T_grid"): ([1.5], [], [4, 4]),
     ("bounds", "n_grid"): (["x"], [], [10, 10]),
     ("estimators", "n_trials"): (1,),
@@ -549,14 +557,18 @@ def test_run_strict_failures_refused_then_allowed(tmp_path, capsys):
 
 
 def test_run_refuses_at_the_c_ls_bounds_uses(tmp_path, capsys):
-    # universal_C_lsi enters the general dissipative c_LS that bounds uses
-    cfg = write_config(tmp_path / "c.json",
-                       loss={"family": "nonconvex_ridge", "R": None, "lam": 1.0,
-                             "a": 0.5},
-                       sgld={"eta": 0.02, "T": 20}, bounds={"universal_C_lsi": -1.0})
-    assert main(["run", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
-    assert ("eta < 4 beta c_LS unavailable: universal_C must be positive"
-            in capsys.readouterr().err)
+    # universal_C_lsi enters the general dissipative c_LS that bounds uses:
+    # at C = 1e-300 the horizon 4 beta c_LS is 1098.67, below eta, and at the
+    # default C it is 7.7e15
+    horizon = "eta < 4 beta c_LS violated: eta=2000.0 >= 1098.66"
+    for C, refused in ((1e-300, True), (1.0, False)):
+        cfg = write_config(tmp_path / "c.json",
+                           loss={"family": "nonconvex_ridge", "R": None, "lam": 1.0,
+                                 "a": 0.5},
+                           sgld={"eta": 2000.0, "T": 20}, bounds={"universal_C_lsi": C})
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+        assert (horizon in capsys.readouterr().err) is refused
+        assert not (tmp_path / "r").exists()
 
 
 # nonconvex at beta = 1e8: the general dissipative c_LS's exponential overflows
@@ -1083,23 +1095,58 @@ CAP = 2**24  # a cap under which every row's bound fits in memory at load
     # the fine run's (2, 3, 2 n_cells) bands; one step of the fine run
     # outlasts T_end, so FP_STEP_CAP refuses nothing
     ({"fp": {"T_end": 1e-300}}, "fp.n_cells", "fp", "n_cells", CAP // 96),
+    # the oracle's (n, 2) draw at the grid's largest n, on the full-batch
+    # chain whose bounds draw oracle pairs
+    ({"sgld": {"k": 20}}, "bounds.n_grid", "bounds", "n_grid", CAP // (8 * 2)),
 ], ids=["n_chains", "n_pairs", "n_resamples", "mi_pairs", "certify_samples",
-        "oracle_T", "T", "n_cells"])
+        "oracle_T", "T", "n_cells", "n_grid"])
 def test_each_array_row_admits_its_largest_count_and_refuses_the_next(
         monkeypatch, over, key, block, name, largest):
     # the table's bound on each count is the bytes of the arrays the code
-    # allocates; neither parse allocates them
+    # allocates; neither parse allocates them. n_grid's count is its
+    # largest entry
     monkeypatch.setattr(config, "ARRAY_BYTE_CAP", CAP)
     raw = {blk: dict(vals) for blk, vals in BASE.items()}
     for blk, vals in over.items():
         raw.setdefault(blk, {}).update(vals)
-    raw.setdefault(block, {})[name] = largest
-    assert config.parse(raw)[block][name] == largest
-    raw[block][name] = largest + 1
+    value = (lambda count: [20, count]) if name == "n_grid" else (lambda count: count)
+    raw.setdefault(block, {})[name] = value(largest)
+    assert config.parse(raw)[block][name] == value(largest)
+    raw[block][name] = value(largest + 1)
     with pytest.raises(ConfigError) as caught:
         config.parse(raw)
     assert str(caught.value).startswith(f"{key}: ")
     assert str(caught.value).endswith(f", above the {CAP}-byte cap")
+
+
+@pytest.mark.parametrize("over, refused", [
+    ({}, True),  # BASE: the full-batch quadratic with sigma_g_sq, in d = 4
+    ({"loss": {"family": "logistic_ridge", "R": None, "lam": 1.0}}, False),
+    ({"bounds": {"sigma_g_sq": None}}, False),
+    ({"bounds": {"which": ["pensia"]}}, False),
+    ({"sgld": {"k": 5}}, False),
+], ids=["quadratic", "logistic", "no-sigma_g_sq", "no-xu_raginsky", "k<n"])
+def test_n_grid_counts_the_oracle_draw_only_where_bounds_draws_it(tmp_path, capsys,
+                                                                  over, refused):
+    # 10^8 points of width 4 are a 3.2 GB draw; a logistic config, or one
+    # whose bounds read no oracle, draws nothing at any n
+    raw = {name: dict(vals) for name, vals in BASE.items()}
+    raw["loss"]["d"], raw["sgld"]["k"] = 4, 20
+    raw["bounds"]["n_grid"] = [100, 10**8]
+    for block, vals in over.items():
+        raw[block].update(vals)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(raw))
+    if not refused:
+        assert load_config(path)["bounds"]["n_grid"] == [100, 10**8]
+        return
+    out = tmp_path / "out"
+    assert main(["bounds", "--config", str(path), "--traces", str(tmp_path),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"config error: bounds.n_grid: 100000000-point datasets need a 3200000000-byte "
+        f"data draw, above the {sgld.ARRAY_BYTE_CAP}-byte cap\n")
+    assert not out.exists()
 
 
 def test_run_of_too_many_chains_is_refused_before_any_output(tmp_path, capsys,
@@ -1395,6 +1442,24 @@ def test_run_fails_an_estimate_past_the_float_range_of_finite_states(tmp_path):
     assert not (tmp_path / "out" / "logmgf.csv").exists()
     assert len(err) == 1 and err[0].startswith("run failed: logmgf: ")
     assert "RuntimeWarning" not in proc.stderr
+
+
+def test_run_fails_a_pth_moment_past_the_float_range_of_finite_states(tmp_path):
+    # at T = 100 every state and the log-MGF are finite, and the mean of
+    # ||W||^12 over 60 chains is not: one line, and no pth_moments.json
+    cfg = write_config(tmp_path / "c.json", **{**OVERFLOWING, "sgld": {
+        **OVERFLOWING["sgld"], "T": 100}}, estimators={"n_chains": 60, "p_list": [2, 12]})
+    out = tmp_path / "out"
+    proc = run_cli(["run", "--config", cfg, "--out", str(out), "--allow-unsafe"])
+    manifest = read_json(out / "manifest.json")
+    assert proc.returncode == 2 and manifest["status"] == "failed"
+    assert manifest["checks"]["states"]["finite"] is True
+    assert "logmgf.csv" in manifest["files"]
+    assert "pth_moments.json" not in manifest["files"]
+    assert not (out / "pth_moments.json").exists()
+    assert proc.stderr.splitlines() == [
+        "run failed: pth_moments: the p = 12 moment of the final states' norms is past "
+        "the float range"]
 
 
 def test_run_sums_norms_past_the_float_range_without_a_warning(tmp_path):

@@ -18,6 +18,7 @@ from sgldlab.constants import (
     subexp_params,
 )
 from sgldlab.estimators import (
+    NotFinite,
     grad_variance_trace,
     logmgf_check,
     pth_moment_check,
@@ -46,15 +47,8 @@ class ConstantLoss(LossModel):
     """f(w, z) = 0.5 ||w||^2 regardless of z; no data dependence at all."""
 
     def __init__(self, d: int):
-        self.d = d
+        super().__init__(d, LossConstants(M=1.0, m=1.0, b=1.0, A=1.0, data_radius=1.0))
         self.z_dim = d
-        self._constants = LossConstants(M=1.0, m=1.0, b=1.0, A=1.0, data_radius=1.0)
-
-    def eval(self, w, z):
-        return 0.5 * float(w @ w)
-
-    def grad(self, w, z):
-        return np.asarray(w, dtype=float)
 
     def eval_many(self, W, Z):
         W = np.atleast_2d(np.asarray(W, dtype=float))
@@ -442,6 +436,17 @@ def test_pth_moment_rejects_too_few_samples():
     lc = model.constants()
     with pytest.raises(ValueError):
         pth_moment_check(finals, [12], lc, beta=cfg.beta, d=cfg.d, s_sq=cfg.s_sq)
+
+
+def test_pth_moment_refuses_a_moment_past_the_float_range():
+    # finite states of norm sqrt(2) 1e30: the mean of ||W||^12 is past the
+    # float range, that of ||W||^2 is not
+    lc = QuadraticLoss(R=1.0, data_radius=1.0, d=2).constants()
+    finals = np.full((60, 2), 1e30)
+    with pytest.raises(NotFinite, match=r"^pth_moments: the p = 12 moment .* float range$"):
+        pth_moment_check(finals, [2, 12], lc, beta=4.0, d=2, s_sq=1.0)
+    report = pth_moment_check(finals, [2], lc, beta=4.0, d=2, s_sq=1.0)
+    assert report.empirical[0] == pytest.approx(math.sqrt(2.0) * 1e30, rel=1e-15)
 
 
 def test_pth_moment_matches_gaussian_ground_truth():
