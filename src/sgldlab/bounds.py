@@ -43,6 +43,7 @@ __all__ = [
     "bound_subexp_gen",
     "excess_risk_bound",
     "horizon_grid",
+    "farghly_subsamples",
     "draws_oracle_pairs",
     "evaluate_grid",
 ]
@@ -58,6 +59,9 @@ BOUND_NAMES = (
 )
 
 BOUNDS_CSV_COLUMNS = ("name", "value", "T", "n", "eta", "beta", "flags")
+# the bounds that read sigma_g_sq, and the KL chain's, which read bounds.parametrix
+SIGMA_G_SQ_BOUNDS = ("xu_raginsky", "pensia", "time_independent", "strongly_convex")
+KL_CHAIN_BOUNDS = ("time_independent", "subexp_gen", "excess_risk")
 
 
 @dataclass(frozen=True)
@@ -389,6 +393,11 @@ def horizon_grid(T_grid, T: int) -> list:
     return list(T_grid)
 
 
+def farghly_subsamples(k: int, n_run: int, n: int) -> bool:
+    """Whether farghly_shape has a value at n: k is below n and the run's n."""
+    return k < min(n_run, n)
+
+
 def draws_oracle_pairs(model: LossModel, b: dict, config: SGLDConfig) -> bool:
     """Whether `evaluate_grid` draws the oracle's dataset pairs at each n of
     its grid: the oracle's law is exact for the full-batch quadratic chain
@@ -435,8 +444,7 @@ def evaluate_grid(model: LossModel, dc, b: dict, config: SGLDConfig, variance,
     def evaluate(name, cfg, n, chain, trace, point):
         """`name`'s entry at (cfg.T, n), or the reason it has none."""
         T = cfg.T
-        if sigma_g_sq is None and name in (
-                "xu_raginsky", "pensia", "time_independent", "strongly_convex"):
+        if sigma_g_sq is None and name in SIGMA_G_SQ_BOUNDS:
             return "sigma_g_sq-unavailable"
         if name == "xu_raginsky":
             if not oracle:  # sigma_g_sq is set and xu_raginsky named
@@ -456,11 +464,11 @@ def evaluate_grid(model: LossModel, dc, b: dict, config: SGLDConfig, variance,
             return bound_strongly_convex(trace, R=lc.R, beta=beta, n=n,
                                          sigma_g_sq=sigma_g_sq, T=eta * T)
         if name == "farghly_shape":
-            if cfg.k >= min(cfg.n, n):
+            if not farghly_subsamples(cfg.k, cfg.n, n):
                 return "needs-subsampling"
             return bound_farghly_shape(b["farghly_C1"], b["farghly_C2"], eta=eta, T=T,
                                        n=n, k=cfg.k, m=lc.m)
-        if isinstance(chain, str):  # the KL chain's bounds, without dc
+        if name in KL_CHAIN_BOUNDS and isinstance(chain, str):  # without dc
             return chain
         if name == "time_independent":
             return bound_time_independent(chain, n, sigma_g_sq)

@@ -35,6 +35,7 @@ from .config import ConfigError, ExperimentConfig, _check, _verify_fp_runs, load
 from .constants import admissibility_failures, lsi_constant, subexp_params
 from .estimators import (
     ESTIMATES_CSV_COLUMNS,
+    LOGMGF_MIN_SAMPLES,
     NotFinite,
     gap_trials,
     gen_gap,
@@ -48,7 +49,7 @@ from .estimators import (
 )
 from .fokker_planck import evolve_pair, gibbs_density, verify_inequality_12
 from .losses import certify
-from .oracle import oracle_mi_from_gaps, oracle_trace, verify_kl_recursion
+from .oracle import has_oracle_law, oracle_mi_from_gaps, oracle_trace, verify_kl_recursion
 from .sgld import (
     ChainTrace,
     SGLDConfig,
@@ -490,7 +491,7 @@ def _run_own_stages(out: _OutputDir, cfg: ExperimentConfig, model, dataset,
     seconds["variance_s"] = time.monotonic() - start
 
     start = time.monotonic()
-    if n_chains >= 2:
+    if n_chains >= LOGMGF_MIN_SAMPLES:
         pars = subexp_params(lc, beta=sgld_cfg.beta, d=sgld_cfg.d, s_sq=sgld_cfg.s_sq,
                              universal_C=cfg["bounds"]["universal_C_moment"])
         zrng = np.random.default_rng(np.random.SeedSequence([seed, 0x10F]))
@@ -788,7 +789,7 @@ def cmd_verify(args) -> int:
     with _OutputDir(args.out, args.started) as out:
         _start_config_manifest(out, cfg, {"falsify": falsify})
 
-        if lc.R is not None:
+        if has_oracle_law(lc):
             sgld_cfg = cfg.sgld_config()
             o_cfg = dataclasses.replace(sgld_cfg, k=sgld_cfg.n,
                                         T=cfg["verify"]["oracle_T"])

@@ -4,7 +4,9 @@ validated `ExperimentConfig` the subcommands read.
 `_SCHEMAS` holds each key's default, JSON type and the rule its value alone
 must pass; `_check_values` holds the rules that read more than one key.
 `_arrays` is the one table of the arrays whose bytes grow with a count,
-which `_check_values` holds to `sgld.ARRAY_BYTE_CAP`.
+which `_check_values` holds to `sgld.ARRAY_BYTE_CAP`, and `_readers` the one
+table of the keys only some configs read, of which it refuses any value but
+the default where the reading code's own condition says it goes unread.
 `parse` checks a dict against both, and `load_config` reads one from a JSON
 file. Each refusal is a ConfigError that names its key, raised before any
 subcommand opens its output directory, by the rule of the code that uses
@@ -22,13 +24,15 @@ from functools import partial
 
 import numpy as np
 
-from .bounds import (BOUND_NAMES, bound_farghly_shape, bound_xu_raginsky, draws_oracle_pairs,
-                     horizon_grid)
+from .bounds import (BOUND_NAMES, KL_CHAIN_BOUNDS, SIGMA_G_SQ_BOUNDS, bound_farghly_shape,
+                     bound_xu_raginsky, draws_oracle_pairs, farghly_subsamples, horizon_grid)
 from .constants import (LSI_MODES, ParametrixOverrides, check_universal_C, derive_constants,
                         lsi_route, subexp_params)
-from .estimators import EVAL_LOSSES, admitted_lambdas, pth_moment_min_chains
+from .estimators import (EVAL_LOSSES, LOGMGF_MIN_SAMPLES, admitted_lambdas,
+                         pth_moment_min_chains, variance_resamples)
 from .fokker_planck import Grid1D, stability_limit, suggested_halfwidth
 from .losses import LogisticRidgeLoss, NonconvexRidgeLoss, QuadraticLoss, check_samples
+from .oracle import has_oracle_law
 from .sgld import (ARRAY_BYTE_CAP, CHAIN_RNG_BYTES, STEP_CHUNK, SGLDConfig, _index_dtype,
                    check_count, check_size)
 
@@ -323,13 +327,9 @@ def _check_values(cfg: ExperimentConfig) -> None:
                 d=sgld_cfg.d, s_sq=sgld_cfg.s_sq,
                 universal_C=bnd["universal_C_moment"])["nu"]
     _check("estimators.lambda_grid", admitted_lambdas, est["lambda_grid"], nu)
-    # lsi_constant reads its universal C on the general dissipative route only
-    default_C_lsi = _SCHEMAS["bounds"]["universal_C_lsi"][0]
-    if bnd["lsi_mode"] == "strongly_convex" and bnd["universal_C_lsi"] != default_C_lsi:
-        raise ConfigError(
-            f"bounds.universal_C_lsi: the strongly_convex route reads no universal C, "
-            f"got {bnd['universal_C_lsi']}; leave it at {default_C_lsi} or set "
-            f"bounds.lsi_mode to general_dissipative")
+    for (block, key), (read, why) in _readers(cfg, model, sgld_cfg).items():
+        if not read and cfg[block][key] != _SCHEMAS[block][key][0]:
+            raise ConfigError(f"{block}.{key}: {why}")
     _check("fp", _verify_fp_runs, cfg, lc, ends_only=True)
     oracle_T = cfg["verify"]["oracle_T"]
     if oracle_T < 1:  # a one-entry KL trace has no step to check
@@ -337,14 +337,43 @@ def _check_values(cfg: ExperimentConfig) -> None:
                           f"least 1 step, got {oracle_T}")
     _check("verify.oracle_T", dataclasses.replace, sgld_cfg, k=sgld_cfg.n, T=oracle_T)
     cfg.parametrix()  # the parse `derived` makes
-    if cfg["verify"]["falsify"] and lc.R is None:
-        # falsify changes the oracle section only, which needs R
-        raise ConfigError(f"verify.falsify: the {cfg['loss']['family']} family has "
-                          f"no R, so verify runs no oracle check to falsify")
     _check("bounds.T_grid", horizon_grid, bnd["T_grid"], sgld_cfg.T)
     for n in bnd["n_grid"] or ():
         # SGLDConfig states the dataset-size rule; k = 1 fits every size
         _check("bounds.n_grid", dataclasses.replace, sgld_cfg, n=n, k=1)
+
+
+def _readers(cfg: ExperimentConfig, model, s: SGLDConfig) -> dict:
+    """(block, key) -> (whether the code that reads the key reads it on this
+    config, what reads it and when) of each key that only some configs read."""
+    b, which, family = cfg["bounds"], cfg["bounds"]["which"], cfg["loss"]["family"]
+    oracle = (has_oracle_law(model.constants()),
+              f"the {family} family has no R, so verify runs no oracle check")
+    farghly = ("farghly_shape" in which and any(farghly_subsamples(s.k, s.n, n)
+                                                for n in b["n_grid"] or [s.n]),
+               "only farghly_shape reads it, at a k below the run's n and an n of the grid")
+    return {
+        ("estimators", "mi_pairs"): (draws_oracle_pairs(model, b, s), "only xu_raginsky's "
+                                     "oracle reads it: on the quadratic family at k = n, "
+                                     "with xu_raginsky named and bounds.sigma_g_sq set"),
+        ("estimators", "n_resamples"): (variance_resamples(s), "only the variance estimator "
+                                        "reads it, at k < n"),
+        ("estimators", "lambda_grid"): (cfg["estimators"]["n_chains"] >= LOGMGF_MIN_SAMPLES,
+                                        "only the log-MGF check reads it, at "
+                                        f"{LOGMGF_MIN_SAMPLES} or more chains"),
+        ("verify", "oracle_T"): oracle,
+        ("verify", "falsify"): (oracle[0], oracle[1] + " to falsify"),
+        ("bounds", "universal_C_lsi"): (
+            b["lsi_mode"] == "general_dissipative", f"the strongly_convex route reads no "
+            f"universal C, got {b['universal_C_lsi']}; leave it at "
+            f"{_SCHEMAS['bounds']['universal_C_lsi'][0]} or set bounds.lsi_mode to "
+            f"general_dissipative"),
+        **{("bounds", key): (any(name in which for name in names),
+                             f"only {', '.join(names)} in bounds.which read it")
+           for key, names in (("sigma_g_sq", SIGMA_G_SQ_BOUNDS),
+                              ("parametrix", KL_CHAIN_BOUNDS))},
+        **dict.fromkeys([("bounds", "farghly_C1"), ("bounds", "farghly_C2")], farghly),
+    }
 
 
 def _arrays(cfg: ExperimentConfig, model, s: SGLDConfig) -> list:

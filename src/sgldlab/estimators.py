@@ -31,6 +31,7 @@ __all__ = [
     "EVAL_LOSSES",
     "gap_trials",
     "gen_gap",
+    "variance_resamples",
     "grad_variance_trace",
     "stability_block",
     "stability_chains",
@@ -47,6 +48,7 @@ __all__ = [
 TEST_POOL_FACTOR = 10    # test pool size = factor * n per trial
 BOOTSTRAP_RESAMPLES = 200
 EVAL_LOSSES = ("same_as_f", "surrogate")  # raw loss, bounded surrogate f/(1+f)
+LOGMGF_MIN_SAMPLES = 2   # `logmgf_check` centres its sample on the sample mean
 
 
 def _mean_stderr(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -118,6 +120,11 @@ def gen_gap(model: LossModel, datasets: np.ndarray, final_states, pool_seqs,
 # ------------------------------------------------------- gradient statistics
 
 
+def variance_resamples(config: SGLDConfig) -> bool:
+    """Whether `grad_variance_trace` resamples minibatches: at k < n only."""
+    return config.k < config.n
+
+
 def grad_variance_trace(
     model: LossModel,
     dataset: np.ndarray,
@@ -143,7 +150,7 @@ def grad_variance_trace(
     cfg = trace.config
     dataset = np.asarray(dataset, dtype=float)
     n_states = trace.states.shape[0]
-    if cfg.k == cfg.n:
+    if not variance_resamples(cfg):
         return np.zeros(n_states), np.zeros(n_states)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xE57]))
 
@@ -388,8 +395,8 @@ def logmgf_check(
     The grid must pass `admitted_lambdas`. lambda = 0 returns exactly 0.
     """
     samples = np.asarray(loss_samples, dtype=float)
-    if samples.ndim != 1 or samples.size < 2:
-        raise ValueError("need a flat sample of at least 2 loss values")
+    if samples.ndim != 1 or samples.size < LOGMGF_MIN_SAMPLES:
+        raise ValueError(f"need a flat sample of at least {LOGMGF_MIN_SAMPLES} loss values")
     if not (sigma_e_sq > 0 and nu > 0):
         raise ValueError("sigma_e_sq and nu must be positive")
     lambdas = admitted_lambdas(lambda_grid, nu)

@@ -198,8 +198,9 @@ def _uniform_ball(rng: np.random.Generator, n: int, d: int, radius: float) -> np
     x = rng.standard_normal((n, d))
     norms = np.linalg.norm(x, axis=1, keepdims=True)
     norms[norms == 0] = 1.0
-    r = radius * rng.random((n, 1)) ** (1.0 / d)
-    return x / norms * r
+    x /= norms
+    x *= radius * rng.random((n, 1)) ** (1.0 / d)
+    return x
 
 
 # ======================================================================

@@ -19,10 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import LossModel
+from .losses import LossConstants, LossModel
 from .sgld import SGLDConfig, _block_len, array_rows, check_count, write_csv
 
 __all__ = [
+    "has_oracle_law",
     "OracleTrace",
     "oracle_trace",
     "oracle_pair_gaps",
@@ -33,6 +34,11 @@ __all__ = [
 
 SEQ_WORDS = 51  # 8-byte words of a spawned SeedSequence: tracemalloc
                 # counted 407 B a sequence over 20,000
+
+
+def has_oracle_law(lc: LossConstants) -> bool:
+    """Whether `verify` checks a loss against the oracle's law, which needs R."""
+    return lc.R is not None
 
 
 def _response_and_var(eta: float, beta: float, R: float, s_sq: float, T: int):
@@ -127,9 +133,9 @@ def oracle_pair_gaps(
             for seq in root.spawn(min(block, n_dataset_pairs - i0)))
     for i, seq in enumerate(seqs):
         s_seq, s_alt_seq = seq.spawn(2)
-        S = model.sample_data(np.random.default_rng(s_seq), n)
-        S_alt = model.sample_data(np.random.default_rng(s_alt_seq), n)
-        diff = S.mean(axis=0) - S_alt.mean(axis=0)
+        # S is reduced to its mean before S' is drawn
+        zbar = model.sample_data(np.random.default_rng(s_seq), n).mean(axis=0)
+        diff = zbar - model.sample_data(np.random.default_rng(s_alt_seq), n).mean(axis=0)
         gaps[i] = float(diff @ diff)
     return gaps
 

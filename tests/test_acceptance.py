@@ -333,7 +333,7 @@ def test_criterion_11_reproducibility(tmp_path):
         "data": {"n": 20},
         "bounds": {"sigma_g_sq": 0.25},
         "estimators": {"n_trials": 4, "n_chains": 6, "n_resamples": 40,
-                       "n_pairs": 6, "mi_pairs": 40},
+                       "n_pairs": 6},
         "fp": {"n_cells": 64, "T_end": 0.1},
     }
     cfg = tmp_path / "config.json"

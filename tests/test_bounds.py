@@ -8,6 +8,7 @@ import pytest
 
 from sgldlab.bounds import (
     BOUND_NAMES,
+    SIGMA_G_SQ_BOUNDS,
     BoundEntry,
     bound_farghly_shape,
     bound_pensia,
@@ -384,12 +385,13 @@ def test_bound_report_roundtrip(tmp_path):
 
 def grid_inputs(k, which):
     """evaluate_grid's arguments on a quadratic config of T = 40 and n = 20,
-    with in-memory traces at every step."""
+    with in-memory traces at every step; sigma_g_sq is 0.25 where `which`
+    names a bound that reads it."""
+    sigma_g_sq = 0.25 if set(which) & set(SIGMA_G_SQ_BOUNDS) else None
     cfg = parse({"loss": {"family": "quadratic", "R": 1.0, "d": 2},
                  "sgld": {"eta": 0.05, "beta": 4.0, "k": k, "T": 40, "seed": 3},
                  "data": {"n": 20},
-                 "bounds": {"sigma_g_sq": 0.25, "which": which},
-                 "estimators": {"mi_pairs": 20}})
+                 "bounds": {"sigma_g_sq": sigma_g_sq, "which": which}})
     rng = np.random.default_rng(0)
     steps = np.arange(41)
     return (cfg.model(), cfg.derived(), cfg["bounds"], cfg.sgld_config(),

@@ -34,17 +34,25 @@ BASE = {
     "sgld": {"eta": 0.05, "beta": 4.0, "k": 5, "T": 60, "s_sq": 1.0, "seed": 77},
     "data": {"n": 20},
     "bounds": {"sigma_g_sq": 0.25},
-    "estimators": {"n_trials": 4, "n_chains": 6, "n_resamples": 40,
-                   "n_pairs": 6, "mi_pairs": 40},
+    "estimators": {"n_trials": 4, "n_chains": 6, "n_resamples": 40, "n_pairs": 6},
 }
+# BASE at k = n; it sets no n_resamples, which only the variance estimate at
+# k < n reads
+FULL_BATCH = {**BASE, "sgld": {**BASE["sgld"], "k": 20},
+              "estimators": {"n_trials": 4, "n_chains": 6, "n_pairs": 6}}
 
 
-def write_config(path, **over):
-    cfg = {block: dict(vals) for block, vals in BASE.items()}
+def merged(base=BASE, **over):
+    """A copy of the config `base`, each block updated by its `over` entry."""
+    cfg = {block: dict(vals) for block, vals in base.items()}
     for block, vals in over.items():
         cfg.setdefault(block, {}).update(vals)
+    return cfg
+
+
+def write_config(path, base=BASE, **over):
     with open(path, "w") as fh:
-        json.dump(cfg, fh)
+        json.dump(merged(base, **over), fh)
     return str(path)
 
 
@@ -335,7 +343,7 @@ def full_batch_run(tmp_path_factory):
     # traces of the k = n chain the bad-value rows run with, so that a bounds
     # value load fails to refuse meets its own error, not one of --traces
     base = tmp_path_factory.mktemp("full_batch")
-    cfg = write_config(base / "c.json", sgld={"k": 20})
+    cfg = write_config(base / "c.json", FULL_BATCH)
     assert main(["run", "--config", cfg, "--out", str(base / "run")]) == 0
     return base / "run"
 
@@ -389,9 +397,7 @@ def full_batch_run(tmp_path_factory):
 ])
 def test_bad_value_exits_one_before_any_output(full_batch_run, tmp_path, capsys,
                                                sub, block, key, value):
-    over = {"sgld": {"k": 20}}
-    over.setdefault(block, {})[key] = value
-    cfg = write_config(tmp_path / "c.json", **over)
+    cfg = write_config(tmp_path / "c.json", FULL_BATCH, **{block: {key: value}})
     out = tmp_path / "out"
     argv = [sub, "--config", cfg, "--out", str(out)]
     if sub == "bounds":
@@ -716,6 +722,66 @@ NONCONVEX = {"loss": {"family": "nonconvex_ridge", "lam": 1.0, "a": 0.2, "d": 3,
 EIGHT_STEP_BLOCKS = 8 * BASE["data"]["n"]
 
 
+# a key that only some configs read, a value other than its default, and
+# (block overrides, base) of a config that does not read it and of one that does
+UNREAD_KEYS = {
+    "mi_pairs-logistic": ("estimators", "mi_pairs", 50,
+                          (LOGISTIC, FULL_BATCH), ({}, FULL_BATCH)),
+    "n_resamples-full-batch": ("estimators", "n_resamples", 50,
+                               ({}, FULL_BATCH), ({}, BASE)),
+    "lambda_grid-one-chain": ("estimators", "lambda_grid", [-0.1, 0.1],
+                              ({"estimators": {"n_chains": 1}}, BASE), ({}, BASE)),
+    "oracle_T-nonconvex": ("verify", "oracle_T", 500, (NONCONVEX, BASE), ({}, BASE)),
+    "falsify-nonconvex": ("verify", "falsify", True, (NONCONVEX, BASE), ({}, BASE)),
+    "universal_C_lsi-strongly-convex": ("bounds", "universal_C_lsi", 5.0,
+                                        ({}, BASE), (NONCONVEX, BASE)),
+    "sigma_g_sq-no-reader": ("bounds", "sigma_g_sq", 0.5,
+                             ({"bounds": {"which": ["farghly_shape"]}}, BASE), ({}, BASE)),
+    "parametrix-no-kl-chain": ("bounds", "parametrix", {"C1_prime": 2.0},
+                               ({"bounds": {"which": ["pensia"]}}, BASE), ({}, BASE)),
+    "farghly_C1-full-batch": ("bounds", "farghly_C1", 2.0, ({}, FULL_BATCH), ({}, BASE)),
+    "farghly_C1-not-named": ("bounds", "farghly_C1", 2.0,
+                             ({"bounds": {"which": ["pensia"]}}, BASE), ({}, BASE)),
+    "farghly_C2-full-batch": ("bounds", "farghly_C2", 2.0, ({}, FULL_BATCH), ({}, BASE)),
+}
+
+
+@pytest.mark.parametrize("block, key, value, unread, read", UNREAD_KEYS.values(),
+                         ids=UNREAD_KEYS)
+def test_a_key_is_read_or_refused(tmp_path, capsys, block, key, value, unread, read):
+    # a value the config's code would not read is refused at load by every
+    # subcommand, before any output opens; it loads where it is read, and
+    # the explicit default loads on both
+    def written(name, spec, given):
+        over, base = spec
+        return write_config(tmp_path / name, base, **merged(over, **{block: {key: given}}))
+
+    refused = written("unread.json", unread, value)
+    for sub in ("certify", "run", "bounds", "verify"):
+        out = tmp_path / sub
+        extra = ["--traces", str(tmp_path)] if sub == "bounds" else []
+        assert main([sub, "--config", refused, "--out", str(out), *extra]) == 1, sub
+        assert capsys.readouterr().err.startswith(f"config error: {block}.{key}: "), sub
+        assert not out.exists()
+    default = config._SCHEMAS[block][key][0]
+    for spec, given in ((read, value), (unread, default), (read, default)):
+        assert load_config(written("c.json", spec, given))[block][key] == given
+
+
+@pytest.mark.parametrize("over, refused", [
+    ({"bounds": {"universal_C_lsi": 5.0}},
+     "bounds.universal_C_lsi: the strongly_convex route reads no universal C, got 5.0; "
+     "leave it at 1.0 or set bounds.lsi_mode to general_dissipative"),
+    ({**NONCONVEX, "verify": {"falsify": True}},
+     "verify.falsify: the nonconvex_ridge family has no R, so verify runs no oracle "
+     "check to falsify"),
+], ids=["universal_C_lsi", "falsify"])
+def test_unread_key_refusal_names_its_reader(tmp_path, over, refused):
+    with pytest.raises(ConfigError) as caught:
+        load_config(write_config(tmp_path / "c.json", **over))
+    assert str(caught.value) == refused
+
+
 def assert_stability_csv_equals_in_process_trace(tmp_path, **over):
     path = write_config(tmp_path / "c.json", **over)
     assert main(["run", "--config", path, "--out", str(tmp_path / "run")]) == 0
@@ -955,7 +1021,7 @@ def test_run_of_a_wide_ensemble_holds_only_the_trajectories_it_reads(tmp_path):
     # Linux, Python 3.11, numpy 2.4), so a 224 MiB address space holds the
     # run, its (512, 192, 50) noise chunk (37.5 MiB) included, but not those
     # unread trajectories on top of it
-    cfg = write_config(tmp_path / "c.json", loss={"d": 50},
+    cfg = write_config(tmp_path / "c.json", FULL_BATCH, loss={"d": 50},
                        sgld={"k": 8, "T": 2000}, data={"n": 8},
                        estimators={"n_chains": 192, "n_pairs": 2, "n_trials": 2})
     proc = run_cli(["run", "--config", cfg, "--out", str(tmp_path / "out")], 224)
@@ -970,7 +1036,7 @@ def test_run_worker_holds_one_chunk_of_the_stability_pairs(tmp_path):
     # chunk (37.9 MiB) at a time. On x86-64 Linux, Python 3.11, numpy 2.4
     # the run completes in a 160 MiB address space, and with the pairs'
     # trajectories held whole it needs over 320 MiB
-    cfg = write_config(tmp_path / "c.json", loss={"d": 50},
+    cfg = write_config(tmp_path / "c.json", FULL_BATCH, loss={"d": 50},
                        sgld={"k": 8, "T": 2000}, data={"n": 8},
                        estimators={"n_chains": 2, "n_pairs": 192, "n_trials": 2})
     proc = run_cli(["run", "--config", cfg, "--out", str(tmp_path / "out")], 224)
@@ -987,7 +1053,7 @@ def test_run_parent_holds_one_chunk_of_the_ensemble(tmp_path):
     # 2.4 the run completes in a 120 MiB address space (an idle `python -m
     # sgldlab.cli` takes 106 MiB), and with the ensemble's norms held whole
     # it needs 177 MiB; 144 MiB leaves 24 MiB of headroom below that
-    cfg = write_config(tmp_path / "c.json", sgld={"k": 20, "T": 100_000},
+    cfg = write_config(tmp_path / "c.json", FULL_BATCH, sgld={"T": 100_000},
                        estimators={"n_chains": 64, "n_pairs": 2, "n_trials": 2})
     proc = run_cli(["run", "--config", cfg, "--out", str(tmp_path / "out")], 144)
     assert proc.returncode == 0, proc.stderr
@@ -1014,7 +1080,7 @@ def test_fokker_planck_run_beyond_the_step_cap_is_refused_at_load(tmp_path):
     # halfwidth 1e-3 over 64 cells gives dt = 2.9e-10 and 341,337,620 steps
     # in T_end = 0.1, whose traces would take 2.54 GiB; under a 1 GiB address
     # space the run must be refused before any subcommand allocates them
-    cfg = write_config(tmp_path / "c.json", sgld={"k": 20},
+    cfg = write_config(tmp_path / "c.json", FULL_BATCH,
                        fp={"halfwidth": 1e-3, "n_cells": 64, "T_end": 0.1})
     for sub in ("certify", "run", "bounds", "verify"):
         out = tmp_path / sub
@@ -1026,89 +1092,82 @@ def test_fokker_planck_run_beyond_the_step_cap_is_refused_at_load(tmp_path):
         assert "Traceback" not in proc.stderr and not out.exists()
 
 
-@pytest.mark.parametrize("over, refused", [
-    ({"estimators": {"n_chains": 10**7}},
+@pytest.mark.parametrize("base, over, refused", [
+    (BASE, {"estimators": {"n_chains": 10**7}},
      "estimators.n_chains: 10000000 chains need a 9600000000-byte step buffer"),
     # k < n: 512 steps of 100 chains' 50,000 uint32 indices
-    ({"sgld": {"k": 50_000, "T": 512}, "data": {"n": 10**5},
-      "estimators": {"n_chains": 100}},
+    (BASE, {"sgld": {"k": 50_000, "T": 512}, "data": {"n": 10**5},
+            "estimators": {"n_chains": 100}},
      "estimators.n_chains: 100 chains need a 10240000000-byte index buffer"),
     # the worker's 2,000 pairs and 4 trials, each with 10^5 points of width 2
-    ({"data": {"n": 10**5}, "estimators": {"n_pairs": 2000}},
+    (BASE, {"data": {"n": 10**5}, "estimators": {"n_pairs": 2000}},
      "estimators.n_pairs + estimators.n_trials: 2004 chains need a 3206400000-byte "
      "dataset stack"),
-    # one-step chains of one coordinate: every array fits, their seed
-    # sequences and generators do not
-    ({"loss": {"d": 1}, "sgld": {"k": 20, "T": 1}, "estimators": {"n_chains": 10**6}},
+    # one-step full-batch chains of one coordinate: every array fits, their
+    # seed sequences and generators do not
+    (FULL_BATCH, {"loss": {"d": 1}, "sgld": {"T": 1}, "estimators": {"n_chains": 10**6}},
      "estimators.n_chains: 1000000 chains need a 3400000000-byte RNG state"),
-    ({"loss": {"d": 1}, "sgld": {"k": 20, "T": 1}, "estimators": {"n_pairs": 10**6 - 4}},
+    (FULL_BATCH, {"loss": {"d": 1}, "sgld": {"T": 1},
+                  "estimators": {"n_pairs": 10**6 - 4}},
      "estimators.n_pairs + estimators.n_trials: 1000000 chains need a 3400000000-byte "
      "RNG state"),
 ], ids=["step-buffer", "index-buffer", "dataset-stack", "rng-state", "worker-rng-state"])
-def test_chain_engine_array_beyond_the_cap_is_refused_naming_its_key(over, refused):
-    raw = {name: dict(vals) for name, vals in BASE.items()}
-    for block, vals in over.items():
-        raw.setdefault(block, {}).update(vals)
+def test_chain_engine_array_beyond_the_cap_is_refused_naming_its_key(base, over, refused):
     with pytest.raises(ConfigError) as caught:
-        config.parse(raw)
+        config.parse(merged(base, **over))
     assert str(caught.value) == f"{refused}, above the {sgld.ARRAY_BYTE_CAP}-byte cap"
 
 
-@pytest.mark.parametrize("over, refused", [
+@pytest.mark.parametrize("base, over, refused", [
     # one state's (10^9, 5) int64 offsets
-    ({"estimators": {"n_resamples": 10**9}},
+    (BASE, {"estimators": {"n_resamples": 10**9}},
      "estimators.n_resamples: 1000000000 resamples need a 40000000000-byte offset array"),
-    ({"estimators": {"mi_pairs": 10**9}},
+    (FULL_BATCH, {"estimators": {"mi_pairs": 10**9}},
      "estimators.mi_pairs: 1000000000 dataset pairs need a 8000000000-byte gap array"),
-    ({"verify": {"oracle_T": 10**9}},
+    (BASE, {"verify": {"oracle_T": 10**9}},
      "verify.oracle_T: 1000000000 oracle steps need a 8000000008-byte law trace"),
-    ({"loss": {"certify_samples": 10**10}},
+    (BASE, {"loss": {"certify_samples": 10**10}},
      "loss.certify_samples: 10000000000 samples need a 160000000000-byte state draw"),
 ], ids=["n_resamples", "mi_pairs", "oracle_T", "certify_samples"])
-def test_count_whose_array_passes_the_cap_is_refused_naming_its_key(over, refused):
-    raw = {name: dict(vals) for name, vals in BASE.items()}
-    for block, vals in over.items():
-        raw.setdefault(block, {}).update(vals)
+def test_count_whose_array_passes_the_cap_is_refused_naming_its_key(base, over, refused):
     with pytest.raises(ConfigError) as caught:
-        config.parse(raw)
+        config.parse(merged(base, **over))
     assert str(caught.value) == f"{refused}, above the {sgld.ARRAY_BYTE_CAP}-byte cap"
 
 
 CAP = 2**24  # a cap under which every row's bound fits in memory at load
 
 
-@pytest.mark.parametrize("over, key, block, name, largest", [
+@pytest.mark.parametrize("base, over, key, block, name, largest", [
     # 512 steps of 5 coordinates: the step buffer outgrows the RNG state
-    ({"sgld": {"T": 512}, "loss": {"d": 5}}, "estimators.n_chains",
+    (BASE, {"sgld": {"T": 512}, "loss": {"d": 5}}, "estimators.n_chains",
      "estimators", "n_chains", CAP // (8 * 512 * 5)),
     # 1,000 points of width 2 a chain, 4 of them trials
-    ({"data": {"n": 1000}}, "estimators.n_pairs + estimators.n_trials",
+    (BASE, {"data": {"n": 1000}}, "estimators.n_pairs + estimators.n_trials",
      "estimators", "n_pairs", CAP // (8 * 1000 * 2) - 4),
     # one state's (R, k = 5) int64 offsets
-    ({}, "estimators.n_resamples", "estimators", "n_resamples", CAP // (8 * 5)),
-    ({}, "estimators.mi_pairs", "estimators", "mi_pairs", CAP // 8),
+    (BASE, {}, "estimators.n_resamples", "estimators", "n_resamples", CAP // (8 * 5)),
+    # the gaps of the full-batch chain whose bounds draw oracle pairs
+    (FULL_BATCH, {}, "estimators.mi_pairs", "estimators", "mi_pairs", CAP // 8),
     # (N, d = 2) states and (N, 2) points
-    ({}, "loss.certify_samples", "loss", "certify_samples", CAP // (8 * 2)),
-    ({}, "verify.oracle_T", "verify", "oracle_T", CAP // 8 - 1),
+    (BASE, {}, "loss.certify_samples", "loss", "certify_samples", CAP // (8 * 2)),
+    (BASE, {}, "verify.oracle_T", "verify", "oracle_T", CAP // 8 - 1),
     # `run`'s (3, T) chain 0 series
-    ({}, "sgld.T", "sgld", "T", CAP // 24),
+    (BASE, {}, "sgld.T", "sgld", "T", CAP // 24),
     # the fine run's (2, 3, 2 n_cells) bands; one step of the fine run
     # outlasts T_end, so FP_STEP_CAP refuses nothing
-    ({"fp": {"T_end": 1e-300}}, "fp.n_cells", "fp", "n_cells", CAP // 96),
-    # the oracle's (n, 2) draw at the grid's largest n, on the full-batch
-    # chain whose bounds draw oracle pairs
-    ({"sgld": {"k": 20}}, "bounds.n_grid", "bounds", "n_grid", CAP // (8 * 2)),
+    (BASE, {"fp": {"T_end": 1e-300}}, "fp.n_cells", "fp", "n_cells", CAP // 96),
+    # the oracle's (n, 2) draw at the grid's largest n, on that chain
+    (FULL_BATCH, {}, "bounds.n_grid", "bounds", "n_grid", CAP // (8 * 2)),
 ], ids=["n_chains", "n_pairs", "n_resamples", "mi_pairs", "certify_samples",
         "oracle_T", "T", "n_cells", "n_grid"])
 def test_each_array_row_admits_its_largest_count_and_refuses_the_next(
-        monkeypatch, over, key, block, name, largest):
+        monkeypatch, base, over, key, block, name, largest):
     # the table's bound on each count is the bytes of the arrays the code
     # allocates; neither parse allocates them. n_grid's count is its
     # largest entry
     monkeypatch.setattr(config, "ARRAY_BYTE_CAP", CAP)
-    raw = {blk: dict(vals) for blk, vals in BASE.items()}
-    for blk, vals in over.items():
-        raw.setdefault(blk, {}).update(vals)
+    raw = merged(base, **over)
     value = (lambda count: [20, count]) if name == "n_grid" else (lambda count: count)
     raw.setdefault(block, {})[name] = value(largest)
     assert config.parse(raw)[block][name] == value(largest)
@@ -1120,7 +1179,7 @@ def test_each_array_row_admits_its_largest_count_and_refuses_the_next(
 
 
 @pytest.mark.parametrize("over, refused", [
-    ({}, True),  # BASE: the full-batch quadratic with sigma_g_sq, in d = 4
+    ({}, True),  # the full-batch quadratic with sigma_g_sq, in d = 4
     ({"loss": {"family": "logistic_ridge", "R": None, "lam": 1.0}}, False),
     ({"bounds": {"sigma_g_sq": None}}, False),
     ({"bounds": {"which": ["pensia"]}}, False),
@@ -1130,9 +1189,7 @@ def test_n_grid_counts_the_oracle_draw_only_where_bounds_draws_it(tmp_path, caps
                                                                   over, refused):
     # 10^8 points of width 4 are a 3.2 GB draw; a logistic config, or one
     # whose bounds read no oracle, draws nothing at any n
-    raw = {name: dict(vals) for name, vals in BASE.items()}
-    raw["loss"]["d"], raw["sgld"]["k"] = 4, 20
-    raw["bounds"]["n_grid"] = [100, 10**8]
+    raw = merged(FULL_BATCH, loss={"d": 4}, bounds={"n_grid": [100, 10**8]})
     for block, vals in over.items():
         raw[block].update(vals)
     path = tmp_path / "c.json"
@@ -1180,11 +1237,11 @@ def test_out_of_memory_ends_in_one_line(tmp_path, sub, over, limit_mib, started)
     # (2 10^8,) gaps, or, for `run`, 4 10^5 chains' 1.36 GB of seed
     # sequences and generators and 384 MB step buffer. The command fails in
     # one line; the lock goes, and a started manifest stays running
-    cfg = write_config(tmp_path / "c.json", sgld={"k": 20}, **over)
+    cfg = write_config(tmp_path / "c.json", FULL_BATCH, **over)
     extra = []
     if sub == "bounds":  # the exact MI's pairs are drawn for a full-batch run
         traces = tmp_path / "traces"
-        assert main(["run", "--config", write_config(tmp_path / "r.json", sgld={"k": 20}),
+        assert main(["run", "--config", write_config(tmp_path / "r.json", FULL_BATCH),
                      "--out", str(traces)]) == 0
         extra = ["--traces", str(traces)]
     out = tmp_path / "out"
@@ -1202,7 +1259,7 @@ def test_load_of_a_huge_fokker_planck_grid_fits_in_little_memory(tmp_path):
     # load reads the 2 10^7-cell grids' dt and step count from their end
     # cells, so `certify`, which builds no grid, runs in the address space
     # `verify` of the same config runs out of
-    cfg = write_config(tmp_path / "c.json", sgld={"k": 20},
+    cfg = write_config(tmp_path / "c.json", FULL_BATCH,
                        fp={"n_cells": 2 * 10**7, "T_end": 1e-300})
     proc = run_cli(["certify", "--config", cfg, "--out", str(tmp_path / "out")], 300)
     assert proc.returncode == 0, proc.stderr
@@ -1295,7 +1352,8 @@ def test_run_chain_000_series_equal_the_step_by_step_reference(tmp_path, monkeyp
     if strided:
         monkeypatch.setattr(sgld, "STATE_STORE_CAP", 10)  # every 7th state
     loss = {"quadratic": {}, "logistic": LOGISTIC, "nonconvex": NONCONVEX}[family]
-    path = write_config(tmp_path / "c.json", **loss, sgld={"k": k, "T": 61})
+    path = write_config(tmp_path / "c.json", BASE if k < 20 else FULL_BATCH, **loss,
+                        sgld={"k": k, "T": 61})
     assert main(["run", "--config", path, "--out", str(tmp_path / "run")]) == 0
     cfg = load_config(path)
     model, sgld_cfg = cfg.model(), cfg.sgld_config()
@@ -1393,7 +1451,7 @@ DIVERGING = {"loss": {"R": 50.0}, "data": {"n": 10},
 def test_run_records_whether_the_states_stayed_finite(tmp_path, capsys, T):
     # at T = 20 the ensemble's ||W||^2 nears 1e55; by T = 200 it is past
     # the float range, where no estimate is defined
-    cfg = write_config(tmp_path / "c.json", **{**DIVERGING, "sgld": {
+    cfg = write_config(tmp_path / "c.json", FULL_BATCH, **{**DIVERGING, "sgld": {
         **DIVERGING["sgld"], "T": T}})
     out = tmp_path / "out"
     rc = main(["run", "--config", cfg, "--out", str(out), "--allow-unsafe"])
@@ -1845,11 +1903,10 @@ def test_bounds_xu_unavailable_without_full_batch(run_and_bounds):
 
 def test_bounds_refuses_a_zero_sigma_g_sq_on_a_full_batch_run(tmp_path, capsys):
     # k = n: bounds evaluates xu_raginsky, whose rule refuses sigma_g_sq = 0
-    over = dict(sgld={"k": 20, "T": 20},
-                estimators={"n_chains": 2, "n_trials": 2, "n_pairs": 2})
-    cfg = write_config(tmp_path / "c.json", **over)
+    over = dict(sgld={"T": 20}, estimators={"n_chains": 2, "n_trials": 2, "n_pairs": 2})
+    cfg = write_config(tmp_path / "c.json", FULL_BATCH, **over)
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
-    zero = write_config(tmp_path / "z.json", bounds={"sigma_g_sq": 0.0}, **over)
+    zero = write_config(tmp_path / "z.json", FULL_BATCH, bounds={"sigma_g_sq": 0.0}, **over)
     out = tmp_path / "b"
     assert main(["bounds", "--config", zero, "--out", str(out),
                  "--traces", str(tmp_path / "run")]) == 1
@@ -1968,7 +2025,7 @@ def test_bounds_farghly_needs_subsampling_at_grid_sizes_up_to_k(run_and_bounds,
     # the run has k = 5; at n <= k a chain takes the full batch every step
     cfg = write_config(tmp_path / "c.json",
                        bounds={"T_grid": [0, 60], "n_grid": [3, 5, 20],
-                               "which": ["farghly_shape"]})
+                               "which": ["farghly_shape"], "sigma_g_sq": None})
     assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "b"),
                  "--traces", str(run_and_bounds / "run")]) == 0
     _, rows = read_csv_rows(tmp_path / "b" / "bounds.csv")
@@ -2016,8 +2073,9 @@ def test_run_and_bounds_agree_on_the_kl_chain(tmp_path, loss):
 
 
 def test_bounds_farghly_needs_subsampling(tmp_path):
-    cfg = write_config(tmp_path / "c.json", sgld={"k": 20, "T": 20},
-                       bounds={"which": ["farghly_shape"]})
+    # k = n: farghly_shape reads no farghly_C1 or C2, and no bound sigma_g_sq
+    cfg = write_config(tmp_path / "c.json", FULL_BATCH, sgld={"T": 20},
+                       bounds={"which": ["farghly_shape"], "sigma_g_sq": None})
     rows = run_then_bounds(tmp_path, cfg)
     assert rows and all(r[0] == "farghly_shape" and r[1] == ""
                         and r[6] == "needs-subsampling" for r in rows)
@@ -2159,7 +2217,7 @@ def test_bounds_refuses_a_damaged_trace_at_read(run_and_bounds, tmp_path, capsys
 def test_bounds_xu_raginsky_needs_the_quadratic_family(tmp_path):
     # a full-batch logistic chain: its constants carry R (lam), but its law
     # is not the Gaussian the oracle evaluates
-    cfg = write_config(tmp_path / "c.json", **LOGISTIC, sgld={"k": 20},
+    cfg = write_config(tmp_path / "c.json", FULL_BATCH, **LOGISTIC,
                        bounds={"T_grid": [0, 10, 60], "which": ["xu_raginsky"]})
     rows = run_then_bounds(tmp_path, cfg)
     assert len(rows) == 3
@@ -2168,10 +2226,11 @@ def test_bounds_xu_raginsky_needs_the_quadratic_family(tmp_path):
 
 
 def test_bounds_xu_raginsky_takes_the_chain_R_not_a_claimed_one(tmp_path):
-    over = dict(sgld={"k": 20}, bounds={"T_grid": [0, 10, 60], "which": ["xu_raginsky"]})
-    rows = run_then_bounds(tmp_path, write_config(tmp_path / "c.json", **over))
-    claimed = write_config(tmp_path / "claimed.json", loss={"claimed": {"R": 0.5}},
-                           **over)
+    over = dict(bounds={"T_grid": [0, 10, 60], "which": ["xu_raginsky"]},
+                estimators={"mi_pairs": 40})
+    rows = run_then_bounds(tmp_path, write_config(tmp_path / "c.json", FULL_BATCH, **over))
+    claimed = write_config(tmp_path / "claimed.json", FULL_BATCH,
+                           loss={"claimed": {"R": 0.5}}, **over)
     out = tmp_path / "b-claimed"
     assert main(["bounds", "--config", claimed, "--out", str(out),
                  "--traces", str(tmp_path / "run")]) == 0
@@ -2182,9 +2241,9 @@ def test_bounds_xu_raginsky_takes_the_chain_R_not_a_claimed_one(tmp_path):
 def test_bounds_xu_raginsky_equals_oracle_per_grid_point(tmp_path):
     # full-batch quadratic: the pairs are drawn once per n and reused for
     # every T; each value is what a per-point oracle_mi_upper call gives
-    cfg = write_config(tmp_path / "c.json", sgld={"k": 20},
+    cfg = write_config(tmp_path / "c.json", FULL_BATCH,
                        bounds={"T_grid": [0, 10, 40, 60], "n_grid": [10, 20, 35],
-                               "which": ["xu_raginsky"]})
+                               "which": ["xu_raginsky"]}, estimators={"mi_pairs": 40})
     rows = run_then_bounds(tmp_path, cfg)
     assert len(rows) == 4 * 3
     sgld_cfg = load_config(cfg).sgld_config()
@@ -2193,7 +2252,7 @@ def test_bounds_xu_raginsky_equals_oracle_per_grid_point(tmp_path):
         T, n = int(T), int(n)
         point = dataclasses.replace(sgld_cfg, T=T, k=n, n=n)
         mi = oracle_mi_upper(model, point,
-                             n_dataset_pairs=BASE["estimators"]["mi_pairs"])
+                             n_dataset_pairs=load_config(cfg)["estimators"]["mi_pairs"])
         assert float(value) == bound_xu_raginsky(0.25, n, mi).value
     assert {float(r[1]) for r in rows if r[2] != "0"} != {0.0}
 
@@ -2258,7 +2317,7 @@ def test_verify_falsification_control_exits_two(tmp_path, capsys):
 
 
 def test_verify_fails_a_diverging_oracle_law_by_name(tmp_path, capsys):
-    cfg = write_config(tmp_path / "c.json", fp={"n_cells": 64, "T_end": 0.1},
+    cfg = write_config(tmp_path / "c.json", FULL_BATCH, fp={"n_cells": 64, "T_end": 0.1},
                        **DIVERGING)
     out = tmp_path / "out"
     assert main(["verify", "--config", cfg, "--out", str(out)]) == 2
@@ -2285,17 +2344,6 @@ def test_verify_fails_a_fokker_planck_pair_the_grid_cannot_carry(tmp_path, capsy
     assert "fp_coarse: densities share no support above the floors" in report["hard_failures"]
     assert read_json(out / "manifest.json")["status"] == "complete"
     assert "VIOLATION: fp_coarse" in capsys.readouterr().out
-
-
-def test_verify_falsify_refused_on_a_family_without_R(tmp_path, capsys):
-    # falsify changes the oracle section only, which a family without R skips
-    cfg = write_config(tmp_path / "c.json", **NONCONVEX, verify={"falsify": True},
-                       fp={"n_cells": 64, "T_end": 0.1})
-    out = tmp_path / "v"
-    assert main(["verify", "--config", cfg, "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("config error: verify.falsify: ") and "nonconvex_ridge" in err
-    assert not out.exists()
 
 
 # ------------------------------------------------------------------- compare

@@ -272,6 +272,24 @@ def test_pair_gaps_hold_one_block_of_sequences(monkeypatch):
     assert peaks[1] - peaks[0] < 1200 * 50, peaks
 
 
+def test_pair_gaps_hold_one_dataset_at_a_time():
+    # one pair of 10^6 points in d = 4: each dataset is the 32 MB draw
+    # `config._arrays` counts for bounds.n_grid. S is reduced to its mean
+    # before S' is drawn, and the draw is scaled in place, so the peak is one
+    # draw and its norm's temporaries, 76 MiB; S held whole beside S', each
+    # scaled out of place, peaked at 137 MiB
+    model = QuadraticLoss(R=1.0, data_radius=1.0, d=4)
+    oracle_pair_gaps(model, 3, 10, 1)  # first-call allocations out of the peak
+    tracemalloc.start()
+    try:
+        gaps = oracle_pair_gaps(model, 3, 10**6, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 80 * 2**20, peak
+    assert np.array_equal(gaps, per_pair_gaps(model, 3, 10**6, 1))
+
+
 def test_mi_requires_full_batch():
     model = QuadraticLoss(R=1.0, data_radius=1.0, d=2)
     with pytest.raises(ValueError):

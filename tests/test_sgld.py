@@ -747,10 +747,11 @@ def _defaulted_parameters(path):
 # checks, and small enough that all five subcommands take about a second
 GUARD_CONFIGS = [
     {"loss": {"family": "quadratic", "R": 1.0, "d": 2},
-     "sgld": {"k": 20}, "verify": {"oracle_T": 30}},
-    {"loss": {"family": "logistic_ridge", "lam": 1.0, "d": 3}, "sgld": {"k": 5}},
+     "sgld": {"k": 20}, "verify": {"oracle_T": 30}, "estimators": {"mi_pairs": 2}},
+    {"loss": {"family": "logistic_ridge", "lam": 1.0, "d": 3}, "sgld": {"k": 5},
+     "estimators": {"n_resamples": 2}},
     {"loss": {"family": "nonconvex_ridge", "lam": 1.0, "a": 0.2, "d": 3},
-     "sgld": {"k": 5}},
+     "sgld": {"k": 5}, "estimators": {"n_resamples": 2}},
 ]
 
 
@@ -800,7 +801,7 @@ def _members_read_by_the_cli(tmp_path, monkeypatch):
         cfg = {"sgld": {"eta": 0.05, "beta": 4.0, "T": 30, **over["sgld"]},
                "data": {"n": 20}, "bounds": {"sigma_g_sq": 0.25},
                "estimators": {"n_chains": 30, "n_trials": 2, "n_pairs": 2,
-                              "n_resamples": 2, "mi_pairs": 2},
+                              **over["estimators"]},
                "loss": {**over["loss"], "certify_samples": 200},
                "verify": over.get("verify", {})}
         path, out = tmp_path / f"{i}.json", tmp_path / str(i)
