@@ -47,9 +47,9 @@ from .estimators import (
     stability_chains,
     write_estimates_csv,
 )
-from .fokker_planck import evolve_pair, gibbs_density, verify_inequality_12
+from .fokker_planck import fp_section
 from .losses import certify
-from .oracle import has_oracle_law, oracle_mi_from_gaps, oracle_trace, verify_kl_recursion
+from .oracle import oracle_section
 from .sgld import (
     ChainTrace,
     SGLDConfig,
@@ -780,100 +780,27 @@ def cmd_bounds(args) -> int:
 def cmd_verify(args) -> int:
     cfg = load_config(args.config)
     model = cfg.model()
-    lc = model.constants()
-    seed = _apply_seed(args, cfg)
-    falsify = cfg["verify"]["falsify"]
-    hard_failures = []
-    sections = {}
+    _apply_seed(args, cfg)
+    sgld_cfg, falsify = cfg.sgld_config(), cfg["verify"]["falsify"]
 
     with _OutputDir(args.out, args.started) as out:
         _start_config_manifest(out, cfg, {"falsify": falsify})
-
-        if has_oracle_law(lc):
-            sgld_cfg = cfg.sgld_config()
-            o_cfg = dataclasses.replace(sgld_cfg, k=sgld_cfg.n,
-                                        T=cfg["verify"]["oracle_T"])
-            pair_rng = np.random.SeedSequence([seed, 0x09AC])
-            s_seq, alt_seq = pair_rng.spawn(2)
-            S = model.sample_data(np.random.default_rng(s_seq), o_cfg.n)
-            S_alt = model.sample_data(np.random.default_rng(alt_seq), o_cfg.n)
-            trace = oracle_trace(S, S_alt, o_cfg, R=lc.R)
-            with out.file("oracle_trace.csv") as path:
-                trace.to_csv(path)
-            gap_sq = float(np.sum((S.mean(axis=0) - S_alt.mean(axis=0)) ** 2))
-            if falsify:
-                contraction, add = 1.0, 0.0
-            else:
-                contraction = math.exp(-o_cfg.eta * lc.R / 4.0)
-                add = o_cfg.eta * (o_cfg.beta / 2.0) * lc.R**2 * gap_sq
-            # each array tested on its own: a stack of the three is 3 rows
-            step = min((int(np.argmin(ok)) for ok in map(np.isfinite, (
-                trace.mean_norm, trace.var, trace.kl)) if not ok.all()), default=None)
-            if step is not None:
-                # |1 - eta R| > 1: the law leaves the float range, and no
-                # recursion or MI value is defined past it
-                sections["oracle"] = {"non_finite_from_step": step}
-                hard_failures.append(f"oracle law not finite from step {step}")
-            else:
-                rec = verify_kl_recursion(trace.kl, contraction, add)
-                # the identical-pair control: `bounds`' MI at eight pairs
-                # with S' = S, whose gaps are exactly zero
-                mi_zero = oracle_mi_from_gaps(np.zeros(8), trace.response[-1],
-                                              trace.var[-1])
-                sections["oracle"] = {
-                    "recursion_violations": rec.n_violations,
-                    "recursion_worst_slack": rec.worst_slack,
-                    "identical_pair_mi": mi_zero,
-                    "contraction": contraction,
-                    "per_step_add": add,
-                }
-                if rec.n_violations > 0:
-                    hard_failures.append(
-                        f"kl recursion violated at {rec.n_violations} steps")
-                if mi_zero != 0.0:
-                    hard_failures.append("identical-pair MI control is nonzero")
-        else:
-            sections["oracle"] = {"skipped": "loss family has no curvature "
-                                             "constant; exact law unavailable"}
-
-        beta = cfg["sgld"]["beta"]
-        rates = {}
-        for label, grid, gs, ga, dt, n_steps in _verify_fp_runs(cfg, lc):
-            start = gibbs_density(grid, (grid.centers - 1.0) ** 2, 1.0)
-            try:
-                run = evolve_pair(grid, gs, ga, beta, dt, n_steps, start, start)
-            except ValueError as exc:
-                # the grid cannot carry the pair (say, its two densities part
-                # on it): the check fails, not the command
-                sections[f"fp_{label}"] = {"n_cells": grid.n_cells, "failed": str(exc)}
-                hard_failures.append(f"fp_{label}: {exc}")
-                continue
-            rep = verify_inequality_12(run, beta)
-            with out.file(f"fp_{label}.csv") as path:
-                run.to_csv(path, rep)
-            rates[label] = rep.violation_rate
-            sections[f"fp_{label}"] = {
-                "n_cells": grid.n_cells,
-                "violation_rate": rep.violation_rate,
-                "n_checked": rep.n_checked,
-                "clamped_mass": run.clamped_mass,
-            }
-        if rates.get("coarse", 0.0) > 0.01:
-            hard_failures.append(
-                f"fp violation rate {rates['coarse']} above 1%")
-        if len(rates) == 2 and rates["fine"] > rates["coarse"]:
-            hard_failures.append("fp violation rate grew under refinement")
-
-        sections["hard_failures"] = hard_failures
+        sections, hard_failures = oracle_section(
+            model, dataclasses.replace(sgld_cfg, k=sgld_cfg.n, T=cfg["verify"]["oracle_T"]),
+            out, falsify)
+        fp_rows, fp_failures = fp_section(_verify_fp_runs(cfg, model.constants()),
+                                          sgld_cfg.beta, out, falsify)
+        hard_failures += fp_failures
+        sections.update(fp_rows, hard_failures=hard_failures)
         out.write_json("verify_report.json", sections)
         out.finish_manifest()
 
     for name, body in sections.items():
         if name != "hard_failures":
             print(f"verify {name}: {json.dumps(body, sort_keys=True)}")
+    for failure in hard_failures:
+        print(f"VIOLATION: {failure}")
     if hard_failures:
-        for failure in hard_failures:
-            print(f"VIOLATION: {failure}")
         return 2
     print("verify: all checks passed")
     return 0

@@ -347,8 +347,8 @@ def _readers(cfg: ExperimentConfig, model, s: SGLDConfig) -> dict:
     """(block, key) -> (whether the code that reads the key reads it on this
     config, what reads it and when) of each key that only some configs read."""
     b, which, family = cfg["bounds"], cfg["bounds"]["which"], cfg["loss"]["family"]
-    oracle = (has_oracle_law(model.constants()),
-              f"the {family} family has no R, so verify runs no oracle check")
+    lambda_grid = (cfg["estimators"]["n_chains"] >= LOGMGF_MIN_SAMPLES,
+                   f"only the log-MGF check reads it, at {LOGMGF_MIN_SAMPLES} or more chains")
     farghly = ("farghly_shape" in which and any(farghly_subsamples(s.k, s.n, n)
                                                 for n in b["n_grid"] or [s.n]),
                "only farghly_shape reads it, at a k below the run's n and an n of the grid")
@@ -358,11 +358,9 @@ def _readers(cfg: ExperimentConfig, model, s: SGLDConfig) -> dict:
                                      "with xu_raginsky named and bounds.sigma_g_sq set"),
         ("estimators", "n_resamples"): (variance_resamples(s), "only the variance estimator "
                                         "reads it, at k < n"),
-        ("estimators", "lambda_grid"): (cfg["estimators"]["n_chains"] >= LOGMGF_MIN_SAMPLES,
-                                        "only the log-MGF check reads it, at "
-                                        f"{LOGMGF_MIN_SAMPLES} or more chains"),
-        ("verify", "oracle_T"): oracle,
-        ("verify", "falsify"): (oracle[0], oracle[1] + " to falsify"),
+        ("estimators", "lambda_grid"): lambda_grid,
+        ("verify", "oracle_T"): (has_oracle_law(model.constants()), f"the {family} "
+                                 "family has no R, so verify runs no oracle check"),
         ("bounds", "universal_C_lsi"): (
             b["lsi_mode"] == "general_dissipative", f"the strongly_convex route reads no "
             f"universal C, got {b['universal_C_lsi']}; leave it at "
@@ -372,6 +370,10 @@ def _readers(cfg: ExperimentConfig, model, s: SGLDConfig) -> dict:
                              f"only {', '.join(names)} in bounds.which read it")
            for key, names in (("sigma_g_sq", SIGMA_G_SQ_BOUNDS),
                               ("parametrix", KL_CHAIN_BOUNDS))},
+        ("bounds", "universal_C_moment"): (
+            lambda_grid[0] or any(name in which for name in KL_CHAIN_BOUNDS),
+            f"only the log-MGF check, at {LOGMGF_MIN_SAMPLES} or more chains, and "
+            f"{', '.join(KL_CHAIN_BOUNDS)} in bounds.which read it"),
         **dict.fromkeys([("bounds", "farghly_C1"), ("bounds", "farghly_C2")], farghly),
     }
 

@@ -23,7 +23,7 @@ them (`_advance`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,6 +38,7 @@ __all__ = [
     "evolve_pair",
     "Inequality12Report",
     "verify_inequality_12",
+    "fp_section",
     "suggested_halfwidth",
     "check_dt",
     "stability_limit",
@@ -404,3 +405,39 @@ def verify_inequality_12(run: FPPairRun, beta: float) -> Inequality12Report:
     violated = slack[inner] < -tol
     return Inequality12Report(dkl_dt=dkl, slack=slack, n_checked=int(violated.shape[0]),
                               n_violations=int(violated.sum()))
+
+
+def fp_section(runs, beta: float, out, falsify: bool):
+    """`verify`'s Fokker-Planck section: the KL-evolution inequality along
+    each of `runs`, (label, grid, grad_s, grad_alt, dt, n_steps) as
+    `config._verify_fp_runs` gives them, from one Gibbs density, written to
+    `out`'s fp_<label>.csv. It fails a pair the grid cannot carry, a coarse
+    violation rate above 1% and a fine rate above the coarse. Falsified, the
+    stability term is dropped, which a KL that grows from 0 cannot meet.
+    Returns ({"fp_<label>": report}, hard failures).
+    """
+    sections, failures, rates = {}, [], {}
+    for label, grid, gs, ga, dt, n_steps in runs:
+        start = gibbs_density(grid, (grid.centers - 1.0) ** 2, 1.0)
+        try:
+            run = evolve_pair(grid, gs, ga, beta, dt, n_steps, start, start)
+        except ValueError as exc:
+            # the grid cannot carry the pair (say, its two densities part
+            # on it): the check fails, not the command
+            sections[f"fp_{label}"] = {"n_cells": grid.n_cells, "failed": str(exc)}
+            failures.append(f"fp_{label}: {exc}")
+            continue
+        if falsify:
+            run = replace(run, stability=np.zeros_like(run.stability))
+        rep = verify_inequality_12(run, beta)
+        with out.file(f"fp_{label}.csv") as path:
+            run.to_csv(path, rep)
+        rates[label] = rep.violation_rate
+        sections[f"fp_{label}"] = {"n_cells": grid.n_cells, "n_checked": rep.n_checked,
+                                   "violation_rate": rep.violation_rate,
+                                   "clamped_mass": run.clamped_mass}
+    if rates.get("coarse", 0.0) > 0.01:
+        failures.append(f"fp violation rate {rates['coarse']} above 1%")
+    if len(rates) == 2 and rates["fine"] > rates["coarse"]:
+        failures.append("fp violation rate grew under refinement")
+    return sections, failures

@@ -30,6 +30,7 @@ __all__ = [
     "oracle_mi_from_gaps",
     "KLRecursionReport",
     "verify_kl_recursion",
+    "oracle_section",
 ]
 
 SEQ_WORDS = 51  # 8-byte words of a spawned SeedSequence: tracemalloc
@@ -180,3 +181,51 @@ def verify_kl_recursion(kl_trace, contraction: float,
     # a NaN slack is a violation too
     return KLRecursionReport(n_violations=int((~(slack >= 0)).sum()),
                              worst_slack=float(slack.min()))
+
+
+def oracle_section(model: LossModel, config: SGLDConfig, out, falsify: bool):
+    """`verify`'s oracle section: the KL recursion, contraction exp(-eta R / 4)
+    and add eta (beta/2) R^2 ||zbar_S - zbar_S'||^2, along the exact law of
+    the full-batch chain `config` on a dataset pair drawn from
+    SeedSequence([seed, 0x09AC]), written to `out`'s oracle_trace.csv, and
+    the identical-pair control. Falsified, the recursion is contraction 1
+    and add 0, which a KL that grows from 0 cannot meet. Returns ({"oracle":
+    report}, hard failures); a family without R (`has_oracle_law`) is skipped.
+    """
+    lc = model.constants()
+    if not has_oracle_law(lc):
+        return {"oracle": {"skipped": "loss family has no curvature constant; "
+                                      "exact law unavailable"}}, []
+    s_seq, alt_seq = np.random.SeedSequence([config.seed, 0x09AC]).spawn(2)
+    S = model.sample_data(np.random.default_rng(s_seq), config.n)
+    S_alt = model.sample_data(np.random.default_rng(alt_seq), config.n)
+    trace = oracle_trace(S, S_alt, config, R=lc.R)
+    with out.file("oracle_trace.csv") as path:
+        trace.to_csv(path)
+    gap_sq = float(np.sum((S.mean(axis=0) - S_alt.mean(axis=0)) ** 2))
+    if falsify:
+        contraction, add = 1.0, 0.0
+    else:
+        contraction = math.exp(-config.eta * lc.R / 4.0)
+        add = config.eta * (config.beta / 2.0) * lc.R**2 * gap_sq
+    # each array tested on its own: a stack of the three is 3 rows
+    step = min((int(np.argmin(ok)) for ok in map(np.isfinite, (
+        trace.mean_norm, trace.var, trace.kl)) if not ok.all()), default=None)
+    if step is not None:
+        # |1 - eta R| > 1: the law leaves the float range, and no recursion
+        # or MI value is defined past it
+        return ({"oracle": {"non_finite_from_step": step}},
+                [f"oracle law not finite from step {step}"])
+    rec = verify_kl_recursion(trace.kl, contraction, add)
+    # the identical-pair control: `bounds`' MI at eight pairs with S' = S,
+    # whose gaps are exactly zero
+    mi_zero = oracle_mi_from_gaps(np.zeros(8), trace.response[-1], trace.var[-1])
+    failures = []
+    if rec.n_violations > 0:
+        failures.append(f"kl recursion violated at {rec.n_violations} steps")
+    if mi_zero != 0.0:
+        failures.append("identical-pair MI control is nonzero")
+    return {"oracle": {"recursion_violations": rec.n_violations,
+                       "recursion_worst_slack": rec.worst_slack,
+                       "identical_pair_mi": mi_zero, "contraction": contraction,
+                       "per_step_add": add}}, failures

@@ -732,13 +732,15 @@ UNREAD_KEYS = {
     "lambda_grid-one-chain": ("estimators", "lambda_grid", [-0.1, 0.1],
                               ({"estimators": {"n_chains": 1}}, BASE), ({}, BASE)),
     "oracle_T-nonconvex": ("verify", "oracle_T", 500, (NONCONVEX, BASE), ({}, BASE)),
-    "falsify-nonconvex": ("verify", "falsify", True, (NONCONVEX, BASE), ({}, BASE)),
     "universal_C_lsi-strongly-convex": ("bounds", "universal_C_lsi", 5.0,
                                         ({}, BASE), (NONCONVEX, BASE)),
     "sigma_g_sq-no-reader": ("bounds", "sigma_g_sq", 0.5,
                              ({"bounds": {"which": ["farghly_shape"]}}, BASE), ({}, BASE)),
     "parametrix-no-kl-chain": ("bounds", "parametrix", {"C1_prime": 2.0},
                                ({"bounds": {"which": ["pensia"]}}, BASE), ({}, BASE)),
+    "universal_C_moment-one-chain-no-kl-chain": (
+        "bounds", "universal_C_moment", 2.0,
+        ({"estimators": {"n_chains": 1}, "bounds": {"which": ["pensia"]}}, BASE), ({}, BASE)),
     "farghly_C1-full-batch": ("bounds", "farghly_C1", 2.0, ({}, FULL_BATCH), ({}, BASE)),
     "farghly_C1-not-named": ("bounds", "farghly_C1", 2.0,
                              ({"bounds": {"which": ["pensia"]}}, BASE), ({}, BASE)),
@@ -772,10 +774,7 @@ def test_a_key_is_read_or_refused(tmp_path, capsys, block, key, value, unread, r
     ({"bounds": {"universal_C_lsi": 5.0}},
      "bounds.universal_C_lsi: the strongly_convex route reads no universal C, got 5.0; "
      "leave it at 1.0 or set bounds.lsi_mode to general_dissipative"),
-    ({**NONCONVEX, "verify": {"falsify": True}},
-     "verify.falsify: the nonconvex_ridge family has no R, so verify runs no oracle "
-     "check to falsify"),
-], ids=["universal_C_lsi", "falsify"])
+], ids=["universal_C_lsi"])
 def test_unread_key_refusal_names_its_reader(tmp_path, over, refused):
     with pytest.raises(ConfigError) as caught:
         load_config(write_config(tmp_path / "c.json", **over))
@@ -2316,6 +2315,28 @@ def test_verify_falsification_control_exits_two(tmp_path, capsys):
     assert report["oracle"]["recursion_violations"] > 0
 
 
+@pytest.mark.parametrize("family", [{}, LOGISTIC, NONCONVEX],
+                         ids=["quadratic", "logistic", "nonconvex"])
+def test_verify_falsify_fails_every_section_on_every_family(tmp_path, capsys, family):
+    # each section's falsified form, the oracle's recursion at contraction 1
+    # and add 0 and the Fokker-Planck inequality without its stability
+    # term, fails where the true form passes; the oracle runs on a family
+    # with R
+    for falsify, code in ((False, 0), (True, 2)):
+        cfg = write_config(tmp_path / f"{falsify}.json", **merged(
+            family, verify={"falsify": falsify}, fp={"n_cells": 64, "T_end": 0.1}))
+        out = tmp_path / str(falsify)
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == code
+        report = read_json(out / "verify_report.json")
+    failures = report["hard_failures"]
+    assert ("skipped" in report["oracle"]) == (family is NONCONVEX)
+    assert any(f.startswith("kl recursion violated at ") for f in failures) == (
+        family is not NONCONVEX)
+    assert report["fp_coarse"]["violation_rate"] > 0.01
+    assert any(f.startswith("fp violation rate ") for f in failures)
+    assert "VIOLATION: fp violation rate " in capsys.readouterr().out
+
+
 def test_verify_fails_a_diverging_oracle_law_by_name(tmp_path, capsys):
     cfg = write_config(tmp_path / "c.json", FULL_BATCH, fp={"n_cells": 64, "T_end": 0.1},
                        **DIVERGING)
@@ -2494,7 +2515,7 @@ def test_every_csv_artifact_has_crlf_line_ends_and_its_header(run_and_bounds, tm
 
 
 @pytest.mark.parametrize("sub, span", [("run", "estimators.grad_variance_trace"),
-                                       ("verify", "fokker_planck.evolve_pair")])
+                                       ("verify", "fokker_planck.fp_section")])
 def test_benchmark_probe_traces_the_cli(tmp_path, sub, span):
     # perfbench/probe.py wraps the library functions the CLI calls by name;
     # a renamed or reshaped entry point breaks `perfbench/run.py --trace 1`

@@ -1,5 +1,6 @@
 """Tests for the exact Gaussian law and its KL machinery."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -8,6 +9,8 @@ import pytest
 
 import sgldlab.oracle as oracle
 import sgldlab.sgld as sgld
+from sgldlab.config import parse
+from sgldlab.constants import kl_recursion_constants
 from sgldlab.losses import NonconvexRidgeLoss, QuadraticLoss
 from sgldlab.oracle import (
     KLRecursionReport,
@@ -359,6 +362,28 @@ def test_recursion_zero_violations_on_exact_oracle():
     )
     assert rep.n_violations == 0
     assert rep.worst_slack >= 0.0
+
+
+@pytest.mark.parametrize("cseed", range(7, 15))
+def test_library_kl_recursion_holds_on_the_exact_law(cseed):
+    # the contraction exp(-eta / (4 beta c_LS)) that `bounds.kl_chain`
+    # unrolls, with the exact add eta (beta/2) R^2 ||zbar_S - zbar_S'||^2,
+    # holds at every step of the exact KL trace on `verify`'s dataset pair,
+    # on the blocks of perfbench's quadratic-fullbatch workload that the
+    # law reads (its config seeds are 7-14)
+    cfg = parse({"loss": {"family": "quadratic", "R": 1.0, "d": 4},
+                 "sgld": {"eta": 0.05, "beta": 4.0, "k": 100, "T": 4000, "seed": cseed},
+                 "data": {"n": 100}})
+    model, s = cfg.model(), cfg.sgld_config()
+    R = model.constants().R
+    s_seq, alt_seq = np.random.SeedSequence([s.seed, 0x09AC]).spawn(2)
+    S, S_alt = (model.sample_data(np.random.default_rng(seq), s.n) for seq in (s_seq, alt_seq))
+    trace = oracle_trace(S, S_alt, dataclasses.replace(s, T=cfg["verify"]["oracle_T"]), R=R)
+    gap = S.mean(axis=0) - S_alt.mean(axis=0)
+    contraction = kl_recursion_constants(cfg.derived(), s.eta, s.beta)["contraction"]
+    rep = verify_kl_recursion(trace.kl, contraction, s.eta * (s.beta / 2.0) * R**2 * (gap @ gap))
+    assert (rep.n_violations, trace.kl.shape[0]) == (0, 2001)
+    assert rep.worst_slack > 0.0, rep
 
 
 def test_recursion_falsification_control():
