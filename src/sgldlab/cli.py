@@ -59,6 +59,7 @@ from .sgld import (
     _stored_steps,
     array_rows,
     ensemble_seqs,
+    stream,
     write_csv,
 )
 
@@ -297,6 +298,11 @@ def _peak_rss_mb() -> dict:
     return {"run": peak(resource.RUSAGE_SELF), "worker": peak(resource.RUSAGE_CHILDREN)}
 
 
+def _stages(**seconds: dict) -> dict:  # a manifest's stages block, to the us
+    return {who: {name: round(value, 6) for name, value in sorted(times.items())}
+            for who, times in seconds.items()}
+
+
 def _apply_seed(args, cfg: ExperimentConfig) -> int:
     """Write `--seed` into the config's sgld.seed, so the manifest's config
     and hash describe what ran, and return the config's seed. `--seed` is
@@ -364,7 +370,7 @@ def cmd_run(args) -> int:
     with _OutputDir(args.out, args.started) as out:
         _start_config_manifest(out, cfg, preconditions)
 
-        rng = np.random.default_rng(np.random.SeedSequence([seed, 0xDA7A]))
+        rng = np.random.default_rng(stream(seed, "dataset"))
         dataset = np.asarray(model.sample_data(rng, cfg["data"]["n"]), dtype=float)
         out.save_npy("dataset.npy", dataset)
         # the gap and the stability trace read nothing the stages below
@@ -393,9 +399,7 @@ def cmd_run(args) -> int:
             # a state or an estimate past the float range, where none is defined
             failure = exc
         out.manifest["peak_rss_mb"] = _peak_rss_mb()  # the worker is reaped
-        out.manifest["stages"] = {  # seconds here and in the worker, to the us
-            who: {name: round(value, 6) for name, value in sorted(times.items())}
-            for who, times in (("run", seconds), ("worker", worker_seconds))}
+        out.manifest["stages"] = _stages(run=seconds, worker=worker_seconds)
         states = out.manifest["checks"]["states"]
         states["finite"] = not isinstance(failure, StatesNotFinite)
         print(f"run: states finite in every chain: {states['finite']}; largest "
@@ -494,7 +498,7 @@ def _run_own_stages(out: _OutputDir, cfg: ExperimentConfig, model, dataset,
     if n_chains >= LOGMGF_MIN_SAMPLES:
         pars = subexp_params(lc, beta=sgld_cfg.beta, d=sgld_cfg.d, s_sq=sgld_cfg.s_sq,
                              universal_C=cfg["bounds"]["universal_C_moment"])
-        zrng = np.random.default_rng(np.random.SeedSequence([seed, 0x10F]))
+        zrng = np.random.default_rng(stream(seed, "logmgf_points"))
         Z = model.sample_data(zrng, n_chains)
         # finite states can have losses past the float range: the writer's
         # NotFinite below reports them, so numpy's warnings are not shown
@@ -785,13 +789,15 @@ def cmd_verify(args) -> int:
 
     with _OutputDir(args.out, args.started) as out:
         _start_config_manifest(out, cfg, {"falsify": falsify})
-        sections, hard_failures = oracle_section(
-            model, dataclasses.replace(sgld_cfg, k=sgld_cfg.n, T=cfg["verify"]["oracle_T"]),
-            out, falsify)
+        start = time.monotonic()
+        sections, hard_failures = oracle_section(model, cfg.oracle_config(), out, falsify)
+        fp_start = time.monotonic()
         fp_rows, fp_failures = fp_section(_verify_fp_runs(cfg, model.constants()),
                                           sgld_cfg.beta, out, falsify)
+        seconds = {"oracle_s": fp_start - start, "fp_s": time.monotonic() - fp_start}
         hard_failures += fp_failures
         sections.update(fp_rows, hard_failures=hard_failures)
+        out.manifest["stages"] = _stages(verify=seconds)
         out.write_json("verify_report.json", sections)
         out.finish_manifest()
 

@@ -228,6 +228,14 @@ class ExperimentConfig:
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"sgld: {exc}") from exc
 
+    def oracle_config(self) -> SGLDConfig:
+        """`verify`'s oracle chain: the run's at full batch, verify.oracle_T steps."""
+        s, T = self.sgld_config(), self.blocks["verify"]["oracle_T"]
+        if T < 1:  # a one-entry KL trace has no step to check
+            raise ConfigError(f"verify.oracle_T: the oracle's KL recursion needs at "
+                              f"least 1 step, got {T}")
+        return _check("verify.oracle_T", dataclasses.replace, s, k=s.n, T=T)
+
     def parametrix(self) -> ParametrixOverrides | None:
         """bounds.parametrix as overrides, None for the defaults; a malformed
         one is a ConfigError."""
@@ -331,11 +339,7 @@ def _check_values(cfg: ExperimentConfig) -> None:
         if not read and cfg[block][key] != _SCHEMAS[block][key][0]:
             raise ConfigError(f"{block}.{key}: {why}")
     _check("fp", _verify_fp_runs, cfg, lc, ends_only=True)
-    oracle_T = cfg["verify"]["oracle_T"]
-    if oracle_T < 1:  # a one-entry KL trace has no step to check
-        raise ConfigError(f"verify.oracle_T: the oracle's KL recursion needs at "
-                          f"least 1 step, got {oracle_T}")
-    _check("verify.oracle_T", dataclasses.replace, sgld_cfg, k=sgld_cfg.n, T=oracle_T)
+    cfg.oracle_config()  # the chain `verify` checks
     cfg.parametrix()  # the parse `derived` makes
     _check("bounds.T_grid", horizon_grid, bnd["T_grid"], sgld_cfg.T)
     for n in bnd["n_grid"] or ():

@@ -24,6 +24,7 @@ from .sgld import (
     _fy_subset_rows,
     array_rows,
     check_count,
+    stream,
     write_csv,
 )
 
@@ -76,12 +77,10 @@ def gap_trials(model: LossModel, config: SGLDConfig, datasets: np.ndarray):
     """Draw the trials of the train-test gap: trial i's dataset S into row i
     of the (n_trials, n, z_dim) `datasets`. Returns the trials' chain seed
     sequences, each for a chain on its S, and their test pools' sequences
-    (see `gen_gap`). These streams are not the other estimators' own: trial
-    p's S is `stability_chains`' pair p's S, and trial 0's chain streams
-    are chain 0's of `ensemble_seqs(seed, n_chains)`."""
+    (see `gen_gap`). The streams it shares: README's "Reproducibility model"."""
     check_count("n_trials", datasets.shape[0])
     chain_seqs, pool_seqs = [], []
-    for i, seq in enumerate(np.random.SeedSequence(config.seed).spawn(datasets.shape[0])):
+    for i, seq in enumerate(stream(config.seed, "gap").spawn(datasets.shape[0])):
         ds_seq, chain_seq, pool_seq = seq.spawn(3)
         datasets[i] = model.sample_data(np.random.default_rng(ds_seq), config.n)
         chain_seqs.append(chain_seq)
@@ -152,7 +151,7 @@ def grad_variance_trace(
     n_states = trace.states.shape[0]
     if not variance_resamples(cfg):
         return np.zeros(n_states), np.zeros(n_states)
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xE57]))
+    rng = np.random.default_rng(stream(cfg.seed, "variance"))
 
     # blocks of stored states; drawing a block's offsets in one call gives
     # the same stream as one (n_resamples, k) draw per state
@@ -201,13 +200,11 @@ def stability_chains(model: LossModel, config: SGLDConfig, datasets: np.ndarray,
     into row p of the (n_pairs, n, z_dim) `datasets` and `datasets_alt`,
     each from the model's data distribution. Returns the pairs' chain seed
     sequences, each for a chain on its S, whose law S alone drives (see
-    `stability_block`). These streams are not the other estimators' own:
-    pair p's S is `gap_trials`' trial p's S, and pair 0's chain streams are
-    chain 1's of `ensemble_seqs(seed, n_chains)`."""
+    `stability_block`). The streams it shares: README's "Reproducibility model"."""
     n_pairs = datasets.shape[0]
     check_count("n_pairs", n_pairs)
     chain_seqs = []
-    for p, seq in enumerate(np.random.SeedSequence(config.seed).spawn(n_pairs)):
+    for p, seq in enumerate(stream(config.seed, "stability").spawn(n_pairs)):
         s_seq, s_alt_seq, chain_seq = seq.spawn(3)
         datasets[p] = model.sample_data(np.random.default_rng(s_seq), config.n)
         datasets_alt[p] = model.sample_data(np.random.default_rng(s_alt_seq), config.n)
@@ -402,7 +399,7 @@ def logmgf_check(
     lambdas = admitted_lambdas(lambda_grid, nu)
 
     centered = samples - samples.mean()
-    rng = np.random.default_rng(np.random.SeedSequence([rng_seed, 0x176F]))
+    rng = np.random.default_rng(stream(rng_seed, "logmgf_bootstrap"))
     # every resample at once, each row centered on its own mean
     boot_centered = samples[rng.integers(0, samples.size,
                                          size=(BOOTSTRAP_RESAMPLES, samples.size))]

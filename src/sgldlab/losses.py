@@ -514,7 +514,8 @@ def certify(
     half_width = 10.0 * max(1.0, math.sqrt(lc.b / lc.m))
     B = lc.origin_grad_bound
 
-    seq = np.random.SeedSequence(rng_seed)
+    from .sgld import stream  # sgld imports this module
+    seq = stream(rng_seed, "certify")
     chunk = 4096
     W = np.empty((n_samples, model.d))
     Wbar = np.empty((n_samples, model.d))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .losses import LossConstants, LossModel
-from .sgld import SGLDConfig, _block_len, array_rows, check_count, write_csv
+from .sgld import SGLDConfig, _block_len, array_rows, check_count, stream, write_csv
 
 __all__ = [
     "has_oracle_law",
@@ -129,7 +129,7 @@ def oracle_pair_gaps(
     """
     check_count("n_dataset_pairs", n_dataset_pairs)
     gaps = np.empty(n_dataset_pairs)
-    root, block = np.random.SeedSequence(seed), _block_len(SEQ_WORDS)
+    root, block = stream(seed, "mi_pairs"), _block_len(SEQ_WORDS)
     seqs = (seq for i0 in range(0, n_dataset_pairs, block)
             for seq in root.spawn(min(block, n_dataset_pairs - i0)))
     for i, seq in enumerate(seqs):
@@ -186,8 +186,8 @@ def verify_kl_recursion(kl_trace, contraction: float,
 def oracle_section(model: LossModel, config: SGLDConfig, out, falsify: bool):
     """`verify`'s oracle section: the KL recursion, contraction exp(-eta R / 4)
     and add eta (beta/2) R^2 ||zbar_S - zbar_S'||^2, along the exact law of
-    the full-batch chain `config` on a dataset pair drawn from
-    SeedSequence([seed, 0x09AC]), written to `out`'s oracle_trace.csv, and
+    the full-batch chain `config` on a dataset pair drawn from the
+    "verify_pair" stream, written to `out`'s oracle_trace.csv, and
     the identical-pair control. Falsified, the recursion is contraction 1
     and add 0, which a KL that grows from 0 cannot meet. Returns ({"oracle":
     report}, hard failures); a family without R (`has_oracle_law`) is skipped.
@@ -196,7 +196,7 @@ def oracle_section(model: LossModel, config: SGLDConfig, out, falsify: bool):
     if not has_oracle_law(lc):
         return {"oracle": {"skipped": "loss family has no curvature constant; "
                                       "exact law unavailable"}}, []
-    s_seq, alt_seq = np.random.SeedSequence([config.seed, 0x09AC]).spawn(2)
+    s_seq, alt_seq = stream(config.seed, "verify_pair").spawn(2)
     S = model.sample_data(np.random.default_rng(s_seq), config.n)
     S_alt = model.sample_data(np.random.default_rng(alt_seq), config.n)
     trace = oracle_trace(S, S_alt, config, R=lc.R)

@@ -51,6 +51,8 @@ __all__ = [
     "ensemble_seqs",
     "array_rows",
     "write_csv",
+    "STREAMS",
+    "stream",
 ]
 
 STEP_CHUNK = 512          # steps per pre-drawn RNG block
@@ -67,6 +69,16 @@ CSV_BLOCK_ROWS = 256      # CSV rows converted from arrays at a time; on
                           # logistic-probe `run`'s peak RSS was 39.41 MB at
                           # 4096, 39.18 at 1024, 39.12 at 512, 39.05 at 256
                           # and 39.07-39.09 at 64-128
+# each consumer's root seed sequence (`stream`): entropy [seed, tag], or the seed
+# alone for None; README's "Reproducibility model" lists the streams they share
+STREAMS = {"dataset": 0xDA7A, "logmgf_points": 0x10F, "verify_pair": 0x09AC,
+           "variance": 0xE57, "logmgf_bootstrap": 0x176F, "ensemble": None,
+           "gap": None, "stability": None, "mi_pairs": None, "certify": None}
+
+
+def stream(seed: int, name: str) -> np.random.SeedSequence:
+    """Consumer `name`'s root seed sequence at `seed` (`STREAMS`)."""
+    return np.random.SeedSequence(seed if STREAMS[name] is None else [seed, STREAMS[name]])
 
 
 @dataclass(frozen=True)
@@ -426,14 +438,14 @@ def _lockstep_chunks(config: SGLDConfig, model: LossModel, datasets: np.ndarray,
 
 def ensemble_seqs(seed: int, n_chains: int, n_datasets: int = 1):
     """The seed sequences of an ensemble, one (dataset sequence, chain
-    sequences) pair per dataset: SeedSequence(seed) spawns one child per
+    sequences) pair per dataset: the "ensemble" stream spawns one child per
     dataset, and each dataset child spawns 1 + n_chains sequences, the first
     for the dataset sample and the rest one per chain."""
     check_count("n_chains", n_chains)
     check_count("n_datasets", n_datasets)
     return [(children[0], children[1:])
             for children in (ds_seq.spawn(1 + n_chains) for ds_seq
-                             in np.random.SeedSequence(seed).spawn(n_datasets))]
+                             in stream(seed, "ensemble").spawn(n_datasets))]
 
 
 def run_ensemble(

@@ -35,7 +35,7 @@ from sgldlab.losses import (
     certify,
 )
 from sgldlab.oracle import oracle_trace, verify_kl_recursion, _response_and_var
-from sgldlab.sgld import SGLDConfig, run_ensemble
+from sgldlab.sgld import SGLDConfig, run_ensemble, stream
 
 from reference import empirical_gen_gap, ensemble, grad_stability_trace, kl_on_grid, mass
 
@@ -273,7 +273,7 @@ def test_criterion_09_sub_exponentiality():
                      seed=16180)
     finals = run_ensemble(cfg, model, n_datasets=2000, n_chains=1)
     Z = model.sample_data(
-        np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x10F])), 2000
+        np.random.default_rng(stream(cfg.seed, "logmgf_points")), 2000
     )
     samples = model.eval_many(finals, Z)
 

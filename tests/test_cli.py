@@ -2291,6 +2291,16 @@ def test_verify_defaults_exit_zero(tmp_path):
     assert report["fp_fine"]["violation_rate"] <= report["fp_coarse"]["violation_rate"]
 
 
+def test_verify_manifest_records_section_seconds(tmp_path):
+    cfg = write_config(tmp_path / "c.json", fp={"n_cells": 64, "T_end": 0.1})
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == 0
+    manifest = read_json(tmp_path / "v" / "manifest.json")
+    stages = manifest["stages"]
+    assert list(stages) == ["verify"] and set(stages["verify"]) == {"oracle_s", "fp_s"}
+    assert all(s >= 0 and s == round(s, 6) for s in stages["verify"].values())
+    assert sum(stages["verify"].values()) <= manifest["wall_clock_seconds"]
+
+
 def test_verify_takes_the_exact_law_once(tmp_path, monkeypatch):
     # the oracle trace's law serves the identical-pair control too
     calls = []

@@ -31,7 +31,7 @@ from sgldlab.losses import (
     NonconvexRidgeLoss,
     QuadraticLoss,
 )
-from sgldlab.sgld import SGLDConfig, run_ensemble
+from sgldlab.sgld import SGLDConfig, run_ensemble, stream
 
 from reference import (
     collect,
@@ -241,7 +241,7 @@ def _mean_and_stderr(rows):
 def _variance_per_row(model, dataset, trace, n_resamples):
     # one offset draw, Fisher-Yates shuffle and kernel call per stored state
     cfg = trace.config
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xE57]))
+    rng = np.random.default_rng(stream(cfg.seed, "variance"))
     high = cfg.n - np.arange(cfg.k)
     rows = []
     for w in trace.states:
@@ -531,7 +531,7 @@ def test_logmgf_reproducible_and_band_orders():
 def test_logmgf_bands_equal_per_resample_loop(n):
     # the point estimate and the bootstrap band against one resample at a
     # time, drawn as documented: BOOTSTRAP_RESAMPLES rows of n indices from
-    # SeedSequence([rng_seed, 0x176F])
+    # rng_seed's "logmgf_bootstrap" stream
     samples, model = _loss_samples(n)
     pars = subexp_params(model.constants(), beta=4.0, d=2, s_sq=1.0)
     grid = [-0.5, -0.1, 0.0, 0.3]
@@ -542,7 +542,7 @@ def test_logmgf_bands_equal_per_resample_loop(n):
         top = float(np.max(x))
         return top + math.log(float(np.mean(np.exp(x - top))))
 
-    rng = np.random.default_rng(np.random.SeedSequence([5, 0x176F]))
+    rng = np.random.default_rng(stream(5, "logmgf_bootstrap"))
     boot_idx = rng.integers(0, n, size=(n_boot, n))
     for i, lam in enumerate(grid):
         if lam == 0.0:

@@ -1,6 +1,5 @@
 """Tests for the exact Gaussian law and its KL machinery."""
 
-import dataclasses
 import math
 import tracemalloc
 
@@ -21,7 +20,7 @@ from sgldlab.oracle import (
     oracle_trace,
     verify_kl_recursion,
 )
-from sgldlab.sgld import SGLDConfig, _stored_steps
+from sgldlab.sgld import SGLDConfig, _stored_steps, stream
 
 from reference import empirical_gen_gap, ensemble, oracle_mi_upper
 
@@ -376,9 +375,9 @@ def test_library_kl_recursion_holds_on_the_exact_law(cseed):
                  "data": {"n": 100}})
     model, s = cfg.model(), cfg.sgld_config()
     R = model.constants().R
-    s_seq, alt_seq = np.random.SeedSequence([s.seed, 0x09AC]).spawn(2)
+    s_seq, alt_seq = stream(s.seed, "verify_pair").spawn(2)
     S, S_alt = (model.sample_data(np.random.default_rng(seq), s.n) for seq in (s_seq, alt_seq))
-    trace = oracle_trace(S, S_alt, dataclasses.replace(s, T=cfg["verify"]["oracle_T"]), R=R)
+    trace = oracle_trace(S, S_alt, cfg.oracle_config(), R=R)
     gap = S.mean(axis=0) - S_alt.mean(axis=0)
     contraction = kl_recursion_constants(cfg.derived(), s.eta, s.beta)["contraction"]
     rep = verify_kl_recursion(trace.kl, contraction, s.eta * (s.beta / 2.0) * R**2 * (gap @ gap))

@@ -4,19 +4,21 @@ import ast
 import csv
 import dataclasses
 import importlib
+import itertools
 import json
 import math
 import pathlib
 import pkgutil
 import sys
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
 
 import sgldlab
 import sgldlab.sgld as sgld
-from sgldlab import cli, config
+from sgldlab import cli, config, estimators, losses, oracle
 from sgldlab.constants import (
     admissibility_failures,
     lsi_constant,
@@ -620,6 +622,89 @@ def test_ensemble_second_moment_within_C0():
     assert np.all(mean_t <= c0 + 3 * se_t), (
         f"second moment exceeded C0={c0}: max {mean_t.max()}"
     )
+
+
+# ------------------------------------------------------------- random streams
+
+
+def test_consumers_share_only_the_declared_streams(tmp_path, monkeypatch):
+    # each consumer of `STREAMS` runs as the library runs it, at seed 7 with
+    # 3 pairs, 3 trials, 3 MI pairs and 4 chains, and the seed sequence of
+    # every generator it makes is recorded as (entropy, spawn key). The
+    # untagged consumers share the streams declared below, (p, j) being child
+    # j of the root's child p; a new sharing fails, and a tag for each of
+    # them empties the list
+    cfg = config.parse({"loss": {"family": "quadratic", "R": 1.0, "d": 2},
+                        "sgld": {"eta": 0.05, "beta": 4.0, "k": 5, "T": 4, "seed": 7},
+                        "data": {"n": 10}, "verify": {"oracle_T": 4}})
+    model, s = cfg.model(), cfg.sgld_config()
+    n, z = s.n, model.z_dim
+    dataset = model.sample_data(np.random.default_rng(0), n)
+
+    def chains(seqs, datasets):
+        for chunk in sgld._lockstep_chunks(s, model, datasets, seqs):
+            pass
+        return chunk.states[-1]
+
+    def run_draw(name, size):  # `run`'s own draws from a stream
+        return model.sample_data(np.random.default_rng(sgld.stream(s.seed, name)), size)
+
+    def verify_pair():
+        with cli._OutputDir(str(tmp_path / "verify")) as out:
+            oracle.oracle_section(model, cfg.oracle_config(), out, falsify=False)
+
+    def variance():
+        trace = types.SimpleNamespace(config=s, states=np.zeros((2, s.d)))
+        estimators.grad_variance_trace(model, dataset, trace, n_resamples=2)
+
+    def ensemble():
+        [(_, seqs)] = sgld.ensemble_seqs(s.seed, 4)
+        chains(seqs, np.broadcast_to(dataset, (4, n, z)))
+
+    def gap():
+        ds = np.empty((3, n, z))
+        seqs, pools = estimators.gap_trials(model, s, ds)
+        estimators.gen_gap(model, ds, chains(seqs, ds), pools)
+
+    def stability():
+        ds, alt = np.empty((3, n, z)), np.empty((3, n, z))
+        chains(estimators.stability_chains(model, s, ds, alt), ds)
+
+    consumers = {
+        "dataset": lambda: run_draw("dataset", n),
+        "logmgf_points": lambda: run_draw("logmgf_points", 4),
+        "verify_pair": verify_pair,
+        "variance": variance,
+        "logmgf_bootstrap": lambda: estimators.logmgf_check(np.arange(4.0), 1.0, 1.0, [0.0],
+                                                            rng_seed=s.seed),
+        "ensemble": ensemble,
+        "gap": gap,
+        "stability": stability,
+        "mi_pairs": lambda: oracle.oracle_pair_gaps(model, s.seed, n, 3),
+        "certify": lambda: losses.certify(model, n_samples=100, rng_seed=s.seed),
+    }
+    assert list(consumers) == list(sgld.STREAMS)
+    make, drawn = np.random.default_rng, {}
+    for name, consume in consumers.items():
+        seen = drawn[name] = set()
+
+        def recording(seq, seen=seen):
+            seen.add((tuple(np.atleast_1d(seq.entropy).tolist()), seq.spawn_key))
+            return make(seq)
+
+        monkeypatch.setattr(np.random, "default_rng", recording)
+        consume()
+        assert seen, name
+    shared = {(a, b): drawn[a] & drawn[b]
+              for a, b in itertools.combinations(consumers, 2) if drawn[a] & drawn[b]}
+    root, pairs = (s.seed,), range(3)
+    assert shared == {
+        ("ensemble", "gap"): {(root, (0, 1, j)) for j in range(3)},
+        ("ensemble", "stability"): {(root, (0, 2, j)) for j in range(3)},
+        ("gap", "stability"): {(root, (p, 0)) for p in pairs},
+        ("gap", "mi_pairs"): {(root, (p, 0)) for p in pairs},
+        ("stability", "mi_pairs"): {(root, (p, j)) for p in pairs for j in (0, 1)},
+    }
 
 
 # ------------------------------------------------------------- serialization
